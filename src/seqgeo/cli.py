@@ -16,7 +16,7 @@ import numpy as np
 
 from . import conformal, geometry, harness
 from .errors import ParameterError, RunawayStopError, SeqGeoError
-from .models import HyperboloidModel, VmfModel
+from .models import MODELS
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -24,18 +24,10 @@ EXIT_TOLERANCE = 2
 EXIT_EXCLUSION = 3
 
 
-def _build_model(name: str, m: int, r: float):
-    if name == "vmf":
-        return VmfModel(m, r)
-    if name == "hyperboloid":
-        return HyperboloidModel(m, r)
-    raise ParameterError(f"unknown model {name!r}")
-
-
 def geometry_report(model_name: str, m: int, r: float, grid_density: int = 12,
                     tol_classify: float | None = None, tol_fd: float = 1e-4) -> dict:
     """Classification, curvature constants and conformal-flatness residuals."""
-    model = _build_model(model_name, m, r)
+    model = MODELS[model_name](m, r)
     fam = model.curved
     grid = model.probe_grid(count=grid_density, margin=0.15, seed=11)
     cls = geometry.classify(fam, grid, tolerance=tol_classify)
@@ -59,7 +51,7 @@ def geometry_report(model_name: str, m: int, r: float, grid_density: int = 12,
         )
 
     rr = model.r * model.r_dagger
-    expected_lambda = (1.0 if model_name == "vmf" else -1.0) / rr
+    expected_lambda = model.curvature_sign / rr
     report = {
         "model": model_name,
         "m": m,
@@ -162,7 +154,10 @@ def _read_csv(path: Path, expected_header: tuple[str, ...]) -> list[dict]:
         vals = line.split(",")
         if len(vals) != len(header):
             raise ParameterError(f"{path}: row has {len(vals)} fields, expected {len(header)}")
-        rows.append({k: float(v) for k, v in zip(header, vals)})
+        try:
+            rows.append({k: float(v) for k, v in zip(header, vals)})
+        except ValueError as exc:
+            raise ParameterError(f"{path}: {exc}") from exc
     return rows
 
 
@@ -216,7 +211,7 @@ def evaluate_gates(results_dir: str | Path) -> tuple[_Gate, list[str]]:
     nonseq = _read_csv(out / "nonsequential.csv", harness.NONSEQ_COLUMNS)
     seq = _read_csv(out / "sequential.csv", harness.SEQ_COLUMNS)
     manifest = _parse_manifest(out / "run.manifest")
-    model = _build_model(manifest["model"], int(manifest["m"]), float(manifest["r"]))
+    model = MODELS[manifest["model"]](int(manifest["m"]), float(manifest["r"]))
     u0 = np.array([float(v) for v in manifest["u0"].split(",")])
     nu0 = model.gauge().nu_at(u0)
     c = model.stopping_constant()
@@ -306,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("geometry", help="verify structural theorems for a model")
-    g.add_argument("--model", required=True, choices=["vmf", "hyperboloid"])
+    g.add_argument("--model", required=True, choices=list(MODELS))
     g.add_argument("--m", type=int, default=2)
     g.add_argument("--r", type=float, required=True)
     g.add_argument("--grid-density", type=int, default=12)

@@ -25,23 +25,30 @@ from .expfam import ExponentialFamily
 from .geometry import CurvedFamily
 from .tensorops import Point, TensorField, as_coords
 
+# largest accepted max-norm residual of the quadric gauge equation
+PDE_TOLERANCE = 1e-6
+
 
 @dataclass(frozen=True)
 class Gauge:
     """A positive scalar field with its log-gradient.
 
-    ``s`` and ``ds`` (the log-gradient and its derivative matrix) fall
-    back to central differences of ``log nu`` when not supplied.
+    ``nu`` maps a batch of points, an ``(R, dim)`` array, to the ``(R,)``
+    gauge values; a point on the singular set may map to ``inf``. ``s``
+    and ``ds`` (the log-gradient and its derivative matrix) take a single
+    point and fall back to central differences of ``log nu`` when not
+    supplied.
     """
 
-    nu: Callable[[np.ndarray], float]
+    nu: Callable[[np.ndarray], np.ndarray]
     s: Callable[[np.ndarray], np.ndarray] | None = None
     ds: Callable[[np.ndarray], np.ndarray] | None = None
     chart: str = "theta"
     name: str = ""
 
     def nu_at(self, x) -> float:
-        v = float(self.nu(as_coords(x)))
+        """The gauge at one point, a batch of one; raises off the positive set."""
+        v = float(self.nu(as_coords(x)[None, :])[0])
         if not np.isfinite(v) or v <= 0.0:
             raise GaugeSingularityError(f"gauge is not positive at {x!r} (value {v!r})")
         return v
@@ -69,7 +76,7 @@ def constant_gauge(value: float, chart: str = "theta") -> Gauge:
     if value <= 0:
         raise GaugeSingularityError("constant gauge must be positive")
     return Gauge(
-        nu=lambda x: value,
+        nu=lambda xs: np.full(xs.shape[0], float(value)),
         s=lambda x: np.zeros_like(x),
         ds=lambda x: np.zeros((x.shape[0], x.shape[0])),
         chart=chart,
@@ -81,7 +88,7 @@ def exp_linear_gauge(a, chart: str = "theta") -> Gauge:
     """Gauge ``nu = exp(a . x)``; everywhere positive, constant log-gradient."""
     av = np.asarray(a, dtype=float)
     return Gauge(
-        nu=lambda x: math.exp(float(av @ x)),
+        nu=lambda xs: np.exp(xs @ av),
         s=lambda x: av.copy(),
         ds=lambda x: np.zeros((av.shape[0], av.shape[0])),
         chart=chart,
@@ -380,18 +387,14 @@ def flatness_test(geom: ChartGeometry, grid: np.ndarray, tolerance: float = 1e-4
 class ConformalCoordinates:
     """The flattening coordinate map attached to an explicit gauge."""
 
-    source_chart: str
     forward: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], np.ndarray]   # (new, old)
-    constants: dict
-    hessian: Callable[[np.ndarray], np.ndarray] | None = None  # (new, old, old)
     inverse: Callable | None = None                # inverse(new, guess) -> old
     phi_bar: Callable | None = None
     psi_bar: Callable | None = None                # psi_bar(xi, guess) -> float
 
     def hessian_at(self, x: np.ndarray) -> np.ndarray:
-        if self.hessian is not None:
-            return np.asarray(self.hessian(x), dtype=float)
+        """Second derivatives (new, old, old) by differencing the Jacobian."""
         jac = lambda y: np.asarray(self.jacobian(y), dtype=float).ravel()
         d_new = np.asarray(self.jacobian(x)).shape[0]
         d_old = x.shape[0]
@@ -424,8 +427,9 @@ def expfam_gauge(
             raise GaugeSingularityError("affine gauge denominator crosses zero")
         return b
 
-    def nu(eta):
-        return 1.0 / abs(denom(eta))
+    def nu(etas):
+        with np.errstate(divide="ignore"):
+            return 1.0 / np.abs(c0 + etas @ cv)
 
     def s(eta):
         return -cv / denom(eta)
@@ -437,11 +441,11 @@ def expfam_gauge(
     gauge = Gauge(nu=nu, s=s, ds=ds, chart="eta", name="affine")
 
     def forward(eta):
-        return nu(eta) * (dv + dm @ eta)
+        return gauge.nu_at(eta) * (dv + dm @ eta)
 
     def jac(eta):
         b = denom(eta)
-        n = nu(eta)
+        n = gauge.nu_at(eta)
         dnu = -np.sign(b) * cv / b**2
         return np.outer(dv + dm @ eta, dnu) + n * dm
 
@@ -451,7 +455,7 @@ def expfam_gauge(
     def phi_bar(h, guess):
         eta = inverse(h, guess)
         pair = expfam.theta_of_eta(fam, eta, guess=eta)
-        return nu(eta) * pair.phi_value
+        return gauge.nu_at(eta) * pair.phi_value
 
     def psi_bar(xi, guess_h, guess_eta):
         xiv = as_coords(xi)
@@ -462,10 +466,8 @@ def expfam_gauge(
         return float(xiv @ h) - phi_bar(h, guess_eta), h
 
     coords = ConformalCoordinates(
-        source_chart="eta",
         forward=forward,
         jacobian=jac,
-        constants={"c0": c0, "c": cv, "d": dv, "D": dm},
         inverse=inverse,
         phi_bar=phi_bar,
         psi_bar=psi_bar,
@@ -484,8 +486,8 @@ def expfam_gauge_on_theta(fam: ExponentialFamily, c0: float, c) -> Gauge:
             raise GaugeSingularityError("affine gauge denominator crosses zero")
         return b
 
-    def nu(theta):
-        return 1.0 / abs(denom(theta))
+    def nu(thetas):
+        return np.array([1.0 / abs(denom(theta)) for theta in thetas])
 
     def s(theta):
         g = expfam.metric(fam, Point(theta, "theta")).values
@@ -507,14 +509,13 @@ def quadric_gauge(
     dmat,
     grid: np.ndarray,
     gauge: Gauge | None = None,
-    pde_tolerance: float = 1e-6,
 ) -> tuple[Gauge, ConformalCoordinates]:
     """Gauge and flattening coordinates of a dual quadric hypersurface.
 
     The gauge must be registered on the family (or passed in); its
     defining equation is verified on the probe grid and a
     :class:`GaugeMismatchError` is raised when the residual exceeds
-    ``pde_tolerance``. The coordinate map scales selected mean
+    ``PDE_TOLERANCE``. The coordinate map scales selected mean
     coordinates by the gauge.
     """
     gauge = gauge or fam.registered_gauge
@@ -527,9 +528,9 @@ def quadric_gauge(
         )
     k0l0 = cls.k0 * cls.l0
     res = gauge_pde_residual(fam, gauge, k0l0, grid)
-    if res > pde_tolerance:
+    if res > PDE_TOLERANCE:
         raise GaugeMismatchError(
-            f"gauge equation residual {res:.3e} exceeds tolerance {pde_tolerance:.1e}"
+            f"gauge equation residual {res:.3e} exceeds tolerance {PDE_TOLERANCE:.1e}"
         )
 
     e0 = np.asarray(eta0, dtype=float)
@@ -555,10 +556,8 @@ def quadric_gauge(
         return gauge.nu_at(u) / k0l0
 
     coords = ConformalCoordinates(
-        source_chart="u",
         forward=forward,
         jacobian=jac,
-        constants={"eta0": e0, "D": dm, "k0": cls.k0, "l0": cls.l0},
         inverse=inverse,
         phi_bar=phi_bar,
     )

@@ -37,10 +37,6 @@ class GaugeMismatchError(SeqGeoError):
     """A registered gauge does not satisfy its defining equation within tolerance."""
 
 
-class MleUndefinedError(SeqGeoError):
-    """The maximum-likelihood direction is undefined for the given mean statistic."""
-
-
 class RunawayStopError(SeqGeoError):
     """A stopping rule failed to trigger before the hard cap on the sample size."""
 

@@ -237,16 +237,6 @@ def gauss_curvature(fam: CurvedFamily, u) -> tuple[TensorField, TensorField]:
     return TensorField(r1, ("lo",) * 4), TensorField(rm1, ("lo",) * 4)
 
 
-def direct_rc_curvature(fam: CurvedFamily, u, alpha: int) -> TensorField:
-    """Curvature via the intrinsic formula applied to the sub-connection field."""
-    if alpha not in (1, -1):
-        raise ValueError("alpha must be +1 or -1")
-    idx = 0 if alpha == 1 else 1
-    gamma_field = lambda x: sub_connections(fam, x)[idx].values
-    metric_field = lambda x: induced_metric(fam, x).values
-    return expfam.rc_curvature(gamma_field, metric_field, u)
-
-
 def t_akk(fam: CurvedFamily, u) -> np.ndarray:
     """Ambient skewness contracted once with a tangent and twice with the normal frame."""
     ua = as_coords(u)

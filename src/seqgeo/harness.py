@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import conformal, sequential
-from .errors import MleUndefinedError, ParameterError, RunawayStopError
-from .models import HyperboloidModel, VmfModel
+from .errors import ParameterError, RunawayStopError
+from .models import MODELS
 
 N_BATCHES = 10
 MAX_EXCLUDED_FRACTION = 0.01
@@ -70,19 +70,21 @@ class ExperimentConfig:
     outdir: str
 
     def __post_init__(self):
-        if self.model not in ("vmf", "hyperboloid"):
+        object.__setattr__(self, "u0", np.asarray(self.u0, dtype=float))
+        object.__setattr__(self, "d_matrix", np.atleast_2d(np.asarray(self.d_matrix, dtype=float)))
+        if self.model not in MODELS:
             raise ParameterError(f"unknown model {self.model!r}")
+        if self.u0.shape != (self.m,):
+            raise ParameterError(f"u0 must have m = {self.m} entries, got {self.u0.size}")
         if self.replications < 2:
             raise ParameterError("need at least 2 replications")
         if not self.grid_n or not self.grid_k:
             raise ParameterError("grids must be nonempty")
-        object.__setattr__(self, "u0", np.asarray(self.u0, dtype=float))
-        object.__setattr__(self, "d_matrix", np.atleast_2d(np.asarray(self.d_matrix, dtype=float)))
-
-    def build_model(self):
-        if self.model == "vmf":
-            return VmfModel(self.m, self.r)
-        return HyperboloidModel(self.m, self.r)
+        if min(self.grid_n) < 1:
+            raise ParameterError(f"grid_N entries must be at least 1, got {min(self.grid_n)}")
+        bad_k = [k for k in self.grid_k if not 0.0 < k < math.inf]
+        if bad_k:
+            raise ParameterError(f"grid_K entries must be positive and finite, got {bad_k[0]!r}")
 
     def echo_lines(self) -> list[str]:
         return [
@@ -97,35 +99,6 @@ class ExperimentConfig:
             f"seed = {self.seed}",
             f"outdir = {self.outdir}",
         ]
-
-
-def default_config(model: str, outdir: str = "out", replications: int = 500, seed: int = 20250101) -> ExperimentConfig:
-    """Grids sized so the largest cell's expected sample size is about 1e3."""
-    if model == "vmf":
-        m, r = 2, 0.25
-        u0 = np.array([math.pi / 6.0, math.pi / 3.0])
-        dmat = np.eye(2, 3)
-    elif model == "hyperboloid":
-        m, r = 2, 0.1
-        u0 = np.array([0.1, math.pi / 3.0])
-        dmat = np.eye(2, 3) / 100.0
-    else:
-        raise ParameterError(f"unknown model {model!r}")
-    mdl = VmfModel(m, r) if model == "vmf" else HyperboloidModel(m, r)
-    nu0 = mdl.gauge().nu_at(u0)
-    # Largest cell targets an expected sample size near 1e3; the smallest
-    # stays inside the asymptotic regime where the O(1) stopping-time
-    # corrections are within Monte Carlo resolution at 500 replications.
-    k_max = 1000.0 / nu0
-    k_min = (450.0 if model == "vmf" else 250.0) / nu0
-    grid_k = tuple(round(float(v), 4) for v in np.geomspace(k_min, k_max, 10))
-    n_max = 1000 if model == "vmf" else 1300
-    grid_n = tuple(int(round(v)) for v in np.geomspace(0.1 * n_max, n_max, 10))
-    return ExperimentConfig(
-        model=model, m=m, r=r, u0=u0, d_matrix=dmat,
-        grid_n=grid_n, grid_k=grid_k,
-        replications=replications, seed=seed, outdir=outdir,
-    )
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:
@@ -217,46 +190,39 @@ def _batch_se_product(taus: np.ndarray, outers: np.ndarray) -> float:
     return float(vals.std(ddof=1) / math.sqrt(nb))
 
 
-def run_nonsequential(config: ExperimentConfig, model=None) -> ResultTable:
+def run_nonsequential(config: ExperimentConfig) -> ResultTable:
     """Fixed-sample-size suite: bias-corrected estimator, scaled covariance."""
-    model = model or config.build_model()
+    model = MODELS[config.model](config.m, config.r)
     u0 = config.u0
     ginv = sequential.crb(model, u0)
     rows = []
     for n in config.grid_n:
         cell_id = f"nonseq:{n}"
-        devs = []
-        excluded = 0
+        sums = []
         for rep in range(config.replications):
             rng = np.random.default_rng(rep_seed(config.seed, cell_id, rep))
-            xs = model.sample_many(u0, rng, n)
-            xbar = xs.mean(axis=0)
-            try:
-                u_hat = model.mle_direction(xbar)
-                u_star = sequential.bias_correct(model, u_hat, float(n))
-            except MleUndefinedError:
-                excluded += 1
-                continue
-            devs.append(model.wrap_deviation(u_star - u0))
-        devs = np.array(devs)
+            sums.append(model.sample_many(u0, rng, n).sum(axis=0))
+        u_hats, ok = model.mle_many(np.full(config.replications, float(n)), np.array(sums))
+        excluded = int(np.count_nonzero(~ok))
+        _check_exclusions(excluded, config.replications, cell_id)
+        u_stars = np.array([sequential.bias_correct(model, u, float(n)) for u in u_hats[ok]])
+        devs = model.wrap_deviation(u_stars - u0)
         outers = np.einsum("ra,rb->rab", devs, devs) * float(n)
         ocov = outers.mean(axis=0)
         oalb = sequential.asymptotic_covariance(model, u0, float(n))
         stats = {"OCOV": ocov, "OCRB": ginv, "OALB": oalb,
                  "OCOV_se": np.array([[_batch_se(outers[:, a, b]) for b in range(2)] for a in range(2)])}
         rows.append(CellResult(cell=float(n), stats=stats, excluded=excluded))
-        _check_exclusions(excluded, config.replications, cell_id)
     return ResultTable("nonsequential", tuple(rows), config.replications)
 
 
-def run_sequential(config: ExperimentConfig, model=None) -> ResultTable:
+def run_sequential(config: ExperimentConfig) -> ResultTable:
     """Stopping-rule suite in the flattening coordinates, no bias correction."""
-    model = model or config.build_model()
+    model = MODELS[config.model](config.m, config.r)
     u0 = config.u0
-    gauge = model.gauge()
     grid = model.probe_grid(count=16, margin=0.15, seed=11)
     gauge, coords = conformal.quadric_gauge(
-        model.curved, np.zeros(model.m + 1), config.d_matrix, grid, gauge=gauge
+        model.curved, np.zeros(model.m + 1), config.d_matrix, grid, gauge=model.gauge()
     )
     ubar0 = coords.forward(u0)
     ccrb = sequential.crb(model, u0, coords=coords)
@@ -264,21 +230,23 @@ def run_sequential(config: ExperimentConfig, model=None) -> ResultTable:
     rows = []
     for k in config.grid_k:
         cell_id = f"seq:{k!r}"
-        taus, devs = [], []
-        excluded = 0
+        taus, sums = [], []
+        runaway = 0
         for rep in range(config.replications):
             rng = np.random.default_rng(rep_seed(config.seed, cell_id, rep))
             try:
                 decision, traj = sequential.run_stopping(model, gauge, float(k), u0, rng, c=c)
-                u_hat = model.mle_direction(traj.mean_x)
-                ubar_hat = coords.forward(u_hat)
-            except (RunawayStopError, MleUndefinedError):
-                excluded += 1
+            except RunawayStopError:
+                runaway += 1
                 continue
             taus.append(decision.tau)
-            devs.append(np.asarray(ubar_hat) - ubar0)
+            sums.append(traj.sum_x)
         taus = np.array(taus, dtype=float)
-        devs = np.array(devs)
+        u_hats, ok = model.mle_many(taus, np.array(sums).reshape(-1, model.m + 1))
+        excluded = runaway + int(np.count_nonzero(~ok))
+        _check_exclusions(excluded, config.replications, cell_id)
+        taus = taus[ok]
+        devs = np.array([np.asarray(coords.forward(u)) - ubar0 for u in u_hats[ok]])
         outers = np.einsum("ra,rb->rab", devs, devs)
         mst = float(taus.mean())
         sdst = float(taus.std(ddof=1))
@@ -295,7 +263,6 @@ def run_sequential(config: ExperimentConfig, model=None) -> ResultTable:
             "CCRB": ccrb,
         }
         rows.append(CellResult(cell=float(k), stats=stats, excluded=excluded))
-        _check_exclusions(excluded, config.replications, cell_id)
     return ResultTable("sequential", tuple(rows), config.replications)
 
 
@@ -386,12 +353,11 @@ def write_results(
 def run_experiment(config: ExperimentConfig) -> list[Path]:
     """Both suites plus persistence; returns the written paths."""
     timings = {"start": time.strftime("%Y-%m-%dT%H:%M:%S")}
-    model = config.build_model()
     t0 = time.monotonic()
-    nonseq = run_nonsequential(config, model)
+    nonseq = run_nonsequential(config)
     timings["cell:nonsequential"] = time.monotonic() - t0
     t0 = time.monotonic()
-    seq = run_sequential(config, model)
+    seq = run_sequential(config)
     timings["cell:sequential"] = time.monotonic() - t0
     timings["end"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     return write_results([nonseq, seq], config.outdir, config, timings)

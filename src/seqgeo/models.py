@@ -4,14 +4,14 @@ model on Minkowski's unit shell, plus Gaussian/Poisson fixtures.
 Both directional models are radial exponential families: the potential
 depends on the natural parameter only through a (possibly indefinite)
 norm, which gives closed-form analytic derivatives up to third order.
-Unit-time samplers are implemented for m = 2, the simulation dimension;
-all geometry works for any m >= 2.
+The sampler and the batched estimator are implemented for m = 2, the
+simulation dimension; all geometry works for any m >= 2. ``MODELS`` maps
+the model names the CLI and the experiment configs accept to their classes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -21,8 +21,6 @@ from .conformal import Gauge
 from .errors import (
     ChartError,
     EvaluationDomainError,
-    GaugeSingularityError,
-    MleUndefinedError,
     ParameterError,
     UnsupportedShapeError,
 )
@@ -30,8 +28,11 @@ from .expfam import ExponentialFamily
 from .geometry import CurvedFamily, chart_grid
 from .tensorops import as_coords
 
-SUPPORT_TOL = 1e-12
 _DOMAIN_SLACK = 1e-3
+# upper end of the bracket searched for the vMF concentration in eta_inverse
+_VMF_RHO_BRACKET = 1e6
+# a gauge factor below this magnitude counts as singular
+_GAUGE_SINGULAR_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +141,7 @@ def _radial_family(
     )
 
 
-def vmf_family(m: int, fallback_bracket: float = 1e6) -> ExponentialFamily:
+def vmf_family(m: int) -> ExponentialFamily:
     """Ambient family of the von Mises-Fisher model on the m-sphere."""
     n = m + 1
     signs = np.ones(n)
@@ -166,7 +167,7 @@ def vmf_family(m: int, fallback_bracket: float = 1e6) -> ExponentialFamily:
         from scipy.optimize import brentq
 
         hi = 1.0
-        while vmf_mean_resultant(hi, m) < nrm and hi < fallback_bracket:
+        while vmf_mean_resultant(hi, m) < nrm and hi < _VMF_RHO_BRACKET:
             hi *= 2.0
         rho = brentq(lambda x: vmf_mean_resultant(x, m) - nrm, 1e-12, hi, xtol=1e-15, rtol=1e-15)
         return (rho / nrm) * eta
@@ -286,16 +287,6 @@ def _xi_hessian(u, kinds):
     return out
 
 
-def _sph_angles(xi: np.ndarray) -> np.ndarray:
-    """Angles of a unit vector: the inverse of the spherical chart, branch-fixed."""
-    k = xi.shape[0] - 1
-    u = np.empty(k)
-    for a in range(k - 1):
-        u[a] = math.atan2(float(np.linalg.norm(xi[a + 1:])), float(xi[a]))
-    u[k - 1] = math.atan2(float(xi[k]), float(xi[k - 1])) % (2.0 * math.pi)
-    return u
-
-
 # ---------------------------------------------------------------------------
 # the two directional models
 
@@ -303,6 +294,7 @@ def _sph_angles(xi: np.ndarray) -> np.ndarray:
 class _DirectionalModel:
     """Shared machinery; subclasses fix the factor kinds and sign structure."""
 
+    curvature_sign: float  # sign of the constant curvature lambda = sign / (r r_dagger)
     kinds: list[str]
     m: int
     r: float
@@ -320,6 +312,10 @@ class _DirectionalModel:
         self._check_chart(ua)
         xi = _xi(ua, self.kinds, tuple([0] * self.m))
         return self.r * self._lam * xi, self.r_dagger * xi
+
+    def _require_m2(self) -> None:
+        if self.m != 2:
+            raise UnsupportedShapeError("sampler and estimator are implemented for m = 2")
 
     def _check_chart(self, u: np.ndarray) -> None:
         if u.shape[0] != self.m:
@@ -381,14 +377,14 @@ class _DirectionalModel:
         kinds = self.kinds
         m = self.m
 
-        def nu(u):
-            prod = 1.0
+        def nu(us):
+            # a row with a factor on the singular set maps to inf
+            prod, singular = 1.0, False
             for a in range(m):
-                f = math.sinh(u[a]) if kinds[a] == "hyp" else math.sin(u[a])
-                if abs(f) < 1e-12:
-                    raise GaugeSingularityError(f"gauge singular at u={u!r}")
-                prod *= abs(f)
-            return 1.0 / prod
+                f = np.abs(np.sinh(us[:, a]) if kinds[a] == "hyp" else np.sin(us[:, a]))
+                singular = singular | (f < _GAUGE_SINGULAR_TOL)
+                prod = prod * f
+            return np.where(singular, np.inf, 1.0 / np.where(singular, 1.0, prod))
 
         def s(u):
             out = np.empty(m)
@@ -410,15 +406,6 @@ class _DirectionalModel:
 
         return Gauge(nu=nu, s=s, ds=ds, chart="u", name=f"{type(self).__name__}-gauge")
 
-    def nu_many(self, us: np.ndarray) -> np.ndarray:
-        us = np.atleast_2d(us)
-        prod = np.ones(us.shape[0])
-        for a in range(self.m):
-            f = np.sinh(us[:, a]) if self.kinds[a] == "hyp" else np.sin(us[:, a])
-            prod = prod * np.abs(f)
-        with np.errstate(divide="ignore"):
-            return np.where(prod > 0, 1.0 / np.maximum(prod, 1e-300), np.inf)
-
     def wrap_deviation(self, dev: np.ndarray) -> np.ndarray:
         """Chart deviation with the azimuthal coordinate wrapped to (-pi, pi]."""
         out = np.array(dev, dtype=float)
@@ -437,6 +424,8 @@ class _DirectionalModel:
 
 class VmfModel(_DirectionalModel):
     """von Mises-Fisher family on the unit m-sphere with fixed concentration."""
+
+    curvature_sign = 1.0
 
     def __init__(self, m: int = 2, r: float = 0.25):
         if m < 2:
@@ -460,8 +449,7 @@ class VmfModel(_DirectionalModel):
 
     def sample_many(self, u, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw unit observations around the chart direction; m = 2 only."""
-        if self.m != 2:
-            raise UnsupportedShapeError("unit sampler is implemented for m = 2")
+        self._require_m2()
         xi = self.direction(u)
         e1, e2 = _orthonormal_complement(xi)
         uu = rng.random(size)
@@ -475,18 +463,12 @@ class VmfModel(_DirectionalModel):
         )
         return x / np.linalg.norm(x, axis=1, keepdims=True)
 
-    def sample_unit(self, u, rng: np.random.Generator) -> "UnitObservation":
-        return UnitObservation(self.sample_many(u, rng, 1)[0], kind="sphere")
-
-    def mle_direction(self, xbar) -> np.ndarray:
-        xb = as_coords(xbar)
-        nrm = float(np.linalg.norm(xb))
-        if nrm <= 1e-300:
-            raise MleUndefinedError("zero mean vector: direction undefined")
-        return _sph_angles(xb / nrm)
-
     def mle_many(self, ts: np.ndarray, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized closed-form estimator from running sums; returns (u, defined)."""
+        """Closed-form estimator from running sums; returns (u, defined).
+
+        A zero sum has no direction and comes back undefined; m = 2 only.
+        """
+        self._require_m2()
         nrm = np.linalg.norm(sums, axis=1)
         ok = nrm > 1e-300
         safe = np.where(ok, nrm, 1.0)
@@ -497,11 +479,14 @@ class VmfModel(_DirectionalModel):
 
     def criterion_many(self, ts: np.ndarray, sums: np.ndarray) -> np.ndarray:
         """Observed-information statistic along a trajectory (closed form at the MLE)."""
+        self._require_m2()
         return np.linalg.norm(sums, axis=1) / self.r_dagger
 
 
 class HyperboloidModel(_DirectionalModel):
     """Hyperboloid family on the future unit shell of Minkowski space."""
+
+    curvature_sign = -1.0
 
     def __init__(self, m: int = 2, r: float = 0.1):
         if m < 2:
@@ -527,8 +512,7 @@ class HyperboloidModel(_DirectionalModel):
 
     def sample_many(self, u, rng: np.random.Generator, size: int) -> np.ndarray:
         """Boosted radial draws: the radial cosh is a shifted exponential."""
-        if self.m != 2:
-            raise UnsupportedShapeError("unit sampler is implemented for m = 2")
+        self._require_m2()
         ua = as_coords(u)
         ch, sh = math.cosh(ua[0]), math.sinh(ua[0])
         n1, n2 = math.cos(ua[1]), math.sin(ua[1])
@@ -548,22 +532,12 @@ class HyperboloidModel(_DirectionalModel):
         q = x[:, 0] ** 2 - x[:, 1] ** 2 - x[:, 2] ** 2
         return x / np.sqrt(q)[:, None]
 
-    def sample_unit(self, u, rng: np.random.Generator) -> "UnitObservation":
-        return UnitObservation(self.sample_many(u, rng, 1)[0], kind="hyperboloid")
-
-    def mle_direction(self, xbar) -> np.ndarray:
-        xb = as_coords(xbar)
-        q = float(np.dot(self._signs, xb * xb))
-        if q <= 0 or xb[0] <= 0:
-            raise MleUndefinedError("mean vector is not future timelike")
-        xi = xb / math.sqrt(q)
-        u1 = math.asinh(float(np.linalg.norm(xi[1:])))
-        tail = _sph_angles(xi[1:]) if self.m > 2 else np.array(
-            [math.atan2(float(xi[2]), float(xi[1])) % (2.0 * math.pi)]
-        )
-        return np.concatenate(([u1], tail))
-
     def mle_many(self, ts: np.ndarray, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Closed-form estimator from running sums; returns (u, defined).
+
+        A sum that is not future timelike comes back undefined; m = 2 only.
+        """
+        self._require_m2()
         q = sums[:, 0] ** 2 - sums[:, 1] ** 2 - sums[:, 2] ** 2
         ok = (q > 0) & (sums[:, 0] > 0)
         safe = np.where(ok, np.sqrt(np.where(q > 0, q, 1.0)), 1.0)
@@ -573,27 +547,12 @@ class HyperboloidModel(_DirectionalModel):
         return np.stack([u1, u2], axis=1), ok
 
     def criterion_many(self, ts: np.ndarray, sums: np.ndarray) -> np.ndarray:
+        self._require_m2()
         q = np.maximum(sums[:, 0] ** 2 - sums[:, 1] ** 2 - sums[:, 2] ** 2, 0.0)
         return np.sqrt(q) / self.r_dagger
 
 
-@dataclass(frozen=True)
-class UnitObservation:
-    """A single draw on the support manifold."""
-
-    x: np.ndarray
-    kind: str = "sphere"
-
-    def __post_init__(self):
-        xv = np.asarray(self.x, dtype=float)
-        if self.kind == "sphere":
-            res = abs(float(np.linalg.norm(xv)) - 1.0)
-        else:
-            q = xv[0] ** 2 - float(np.dot(xv[1:], xv[1:]))
-            res = abs(q - 1.0) if xv[0] > 0 else math.inf
-        if res > SUPPORT_TOL:
-            raise EvaluationDomainError(f"observation off the support manifold by {res:.2e}")
-        object.__setattr__(self, "x", xv)
+MODELS = {"vmf": VmfModel, "hyperboloid": HyperboloidModel}
 
 
 def _orthonormal_complement(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -687,15 +646,9 @@ class LinearGaussianModel:
 
         return constant_gauge(1.0, chart="u")
 
-    def nu_many(self, us):
-        return np.ones(np.atleast_2d(us).shape[0])
-
     def sample_many(self, u, rng: np.random.Generator, size: int) -> np.ndarray:
         mean = self.a @ as_coords(u)
         return mean[None, :] + rng.standard_normal((size, self.n))
-
-    def mle_direction(self, xbar) -> np.ndarray:
-        return self._pinv @ as_coords(xbar)
 
     def mle_many(self, ts: np.ndarray, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return (sums / ts[:, None]) @ self._pinv.T, np.ones(sums.shape[0], dtype=bool)

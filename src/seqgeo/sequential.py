@@ -34,10 +34,6 @@ class Trajectory:
             raise ValueError("trajectory needs at least one observation")
         object.__setattr__(self, "sum_x", np.asarray(self.sum_x, dtype=float))
 
-    @property
-    def mean_x(self) -> np.ndarray:
-        return self.sum_x / self.t
-
 
 @dataclass(frozen=True)
 class StopDecision:
@@ -48,31 +44,6 @@ class StopDecision:
     threshold: float
     prev_criterion: float | None = None
     prev_threshold: float | None = None
-
-
-@dataclass(frozen=True)
-class EstimateBundle:
-    """Raw, bias-corrected and transformed-coordinate estimates."""
-
-    u_hat: np.ndarray
-    u_hat_star: np.ndarray
-    u_bar_hat: np.ndarray | None
-
-
-def observed_information(model, trajectory: Trajectory, u_hat) -> float:
-    """Normalized observed information ``-(1/m) g^{ab} d_a d_b l`` at ``u_hat``.
-
-    The log-likelihood of the trajectory is linear in ``(sum_x, t)``, so
-    the value for population data equals ``t`` exactly.
-    """
-    u = as_coords(u_hat)
-    fam = model.curved
-    g = geometry.induced_metric(fam, u).values
-    ginv = tops.invert_matrix(g)
-    ht = geometry.theta_hessian(fam, u)
-    delta = trajectory.sum_x - trajectory.t * fam.eta(u)
-    hess_l = np.einsum("abi,i->ab", ht, delta) - trajectory.t * g
-    return -float(np.einsum("ab,ab->", ginv, hess_l)) / fam.m
 
 
 def run_stopping(
@@ -101,8 +72,7 @@ def run_stopping(
         t_max = int(math.ceil(T_MAX_FACTOR * k * nu0))
     burst = max(8, int(0.25 * k * nu0))
 
-    dim = model.curved.ambient.n if hasattr(model, "curved") else model.n
-    sum_x = np.zeros(dim)
+    sum_x = np.zeros(model.curved.ambient.n)
     t = 0
     prev_crit: float | None = None
     prev_thresh: float | None = None
@@ -113,7 +83,7 @@ def run_stopping(
         ts = np.arange(t + 1, t + take + 1, dtype=float)
         u_hats, defined = model.mle_many(ts, cums)
         crit = model.criterion_many(ts, cums)
-        thresh = k * model.nu_many(u_hats) + c
+        thresh = k * gauge.nu(u_hats) + c
         eligible = defined & (ts >= t_min) & np.isfinite(thresh)
         hit = eligible & (crit >= thresh)
         if np.any(hit):
@@ -268,17 +238,3 @@ def crb(model, u0, coords: ConformalCoordinates | None = None) -> np.ndarray:
         raise ChartError("flattening-map Jacobian is singular at the truth point")
     return j @ ginv @ j.T
 
-
-def make_estimates(
-    model,
-    u_hat,
-    effective_n: float,
-    gauge: Gauge | None = None,
-    coords: ConformalCoordinates | None = None,
-) -> EstimateBundle:
-    u = as_coords(u_hat)
-    star = bias_correct(model, u, effective_n, gauge=gauge)
-    ubar = None
-    if coords is not None:
-        ubar = np.asarray(coords.forward(u), dtype=float)
-    return EstimateBundle(u_hat=u, u_hat_star=star, u_bar_hat=ubar)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -7,10 +8,18 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import seqgeo
+from seqgeo.harness import ExperimentConfig, parse_config
 from seqgeo.models import HyperboloidModel, LinearGaussianModel, VmfModel
 
 U0_VMF = np.array([math.pi / 6.0, math.pi / 3.0])
 U0_HYP = np.array([0.1, math.pi / 3.0])
+BUNDLED_CONFIGS = Path(seqgeo.__file__).parent / "configs"
+
+
+def bundled_config(name: str, **changes) -> ExperimentConfig:
+    """The bundled experiment config ``name``, with ``changes`` applied."""
+    return dataclasses.replace(parse_config(BUNDLED_CONFIGS / f"{name}.conf"), **changes)
 
 
 @pytest.fixture(scope="session")

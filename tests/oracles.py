@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 
+from seqgeo import expfam, geometry
+
 
 def iv_ratio_series(rho: float, nu: float, terms: int = 30) -> float:
     """I_{nu+1}(rho) / I_nu(rho) from the ascending power series."""
@@ -72,6 +74,31 @@ def christoffel_first_kind(metric_field, x, h=1e-6):
     """0.5 (d_a g_bc + d_b g_ac - d_c g_ab) by brute-force differencing."""
     dg = fd_field_derivative(metric_field, x, h)
     return 0.5 * (dg + dg.transpose(1, 0, 2) - dg.transpose(2, 1, 0))
+
+
+def observed_information(model, trajectory, u_hat) -> float:
+    """Normalized observed information ``-(1/m) g^{ab} d_a d_b l`` at ``u_hat``.
+
+    The general formula that the closed-form ``criterion_many`` must match.
+    The log-likelihood of the trajectory is linear in ``(sum_x, t)``, so the
+    value for population data equals ``t`` exactly.
+    """
+    u = np.asarray(u_hat, dtype=float)
+    fam = model.curved
+    g = geometry.induced_metric(fam, u).values
+    ht = geometry.theta_hessian(fam, u)
+    delta = trajectory.sum_x - trajectory.t * fam.eta(u)
+    hess_l = np.einsum("abi,i->ab", ht, delta) - trajectory.t * g
+    return -float(np.einsum("ab,ab->", np.linalg.inv(g), hess_l)) / fam.m
+
+
+def direct_rc_curvature(fam, u, alpha: int):
+    """Curvature via the intrinsic formula applied to the sub-connection field,
+    against which the Gauss-equation curvature is checked."""
+    idx = 0 if alpha == 1 else 1
+    gamma_field = lambda x: geometry.sub_connections(fam, x)[idx].values
+    metric_field = lambda x: geometry.induced_metric(fam, x).values
+    return expfam.rc_curvature(gamma_field, metric_field, u)
 
 
 # frozen headline constants, all re-derivable from the functions above

@@ -29,11 +29,11 @@ from seqgeo.conformal import (
     conformal_sub_quantities,
     conformal_chart_geometry,
 )
-from seqgeo.models import HyperboloidModel, VmfModel, gaussian_family, poisson_family
+from seqgeo.models import MODELS, HyperboloidModel, VmfModel, gaussian_family, poisson_family
 from seqgeo.tensorops import Point
 
-from conftest import U0_HYP, U0_VMF
-from oracles import iv_ratio_series
+from conftest import U0_HYP, U0_VMF, bundled_config
+from oracles import direct_rc_curvature, iv_ratio_series
 
 
 def verdict(num: int, ok: bool, detail: str) -> None:
@@ -51,13 +51,12 @@ def experiment_tables(tmp_path_factory):
     """Both default experiments, run once at the frozen seed."""
     out = {}
     for name in ("vmf", "hyperboloid"):
-        cfg = harness.default_config(name, outdir=str(tmp_path_factory.mktemp(name)))
-        model = cfg.build_model()
+        cfg = bundled_config(name, outdir=str(tmp_path_factory.mktemp(name)))
         out[name] = {
             "config": cfg,
-            "model": model,
-            "nonseq": harness.run_nonsequential(cfg, model),
-            "seq": harness.run_sequential(cfg, model),
+            "model": MODELS[name](cfg.m, cfg.r),
+            "nonseq": harness.run_nonsequential(cfg),
+            "seq": harness.run_sequential(cfg),
         }
     return out
 
@@ -168,7 +167,7 @@ class TestGeometrySuite:
             for u in model.probe_grid(count=6, margin=0.25, seed=9):
                 r1g, rm1g = geometry.gauss_curvature(model.curved, u)
                 for alpha, ref in ((1, r1g), (-1, rm1g)):
-                    direct = geometry.direct_rc_curvature(model.curved, u, alpha)
+                    direct = direct_rc_curvature(model.curved, u, alpha)
                     worst = max(worst, float(np.abs(direct.values - ref.values).max()))
         verdict(4, worst <= 1e-4, f"Gauss-equation vs intrinsic curvature {worst:.2e} <= 1e-4")
 

@@ -2,10 +2,11 @@ import dataclasses
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from seqgeo import cli, harness
+
+from conftest import bundled_config
 
 
 def run_cli(argv, capsys):
@@ -15,9 +16,10 @@ def run_cli(argv, capsys):
 
 
 def write_tiny_config(tmp_path, model="vmf", reps=20, name="tiny.conf"):
-    base = harness.default_config(model, outdir=str(tmp_path / "out"), replications=reps)
-    cfg = dataclasses.replace(
-        base,
+    cfg = bundled_config(
+        model,
+        outdir=str(tmp_path / "out"),
+        replications=reps,
         grid_n=(40, 80),
         grid_k=(20.0, 30.0) if model == "vmf" else (4.0, 6.0),
     )
@@ -120,8 +122,9 @@ class TestSimulateCommand:
 def write_top_cell_config(tmp_path, reps, name):
     # real top-of-grid cells: the references are meaningful, only the
     # replication count is tiny
-    base = harness.default_config("vmf", outdir=str(tmp_path / "out"), replications=reps)
-    cfg = dataclasses.replace(base, grid_n=base.grid_n[-2:], grid_k=base.grid_k[-2:])
+    base = bundled_config("vmf")
+    cfg = dataclasses.replace(base, outdir=str(tmp_path / "out"), replications=reps,
+                              grid_n=base.grid_n[-2:], grid_k=base.grid_k[-2:])
     path = tmp_path / name
     path.write_text("\n".join(cfg.echo_lines()) + "\n")
     return path, cfg
@@ -147,6 +150,18 @@ class TestReportCommand:
         code, _, err = run_cli(["report", "--results", cfg.outdir], capsys)
         assert code == cli.EXIT_USAGE
         assert "excluded" in err
+
+    def test_non_numeric_field_exit_one(self, tmp_path, capsys):
+        path, cfg = write_tiny_config(tmp_path, reps=8, name="r3.conf")
+        assert cli.main(["simulate", "--config", str(path)]) == cli.EXIT_OK
+        capsys.readouterr()
+        csv = Path(cfg.outdir) / "nonsequential.csv"
+        lines = csv.read_text().splitlines()
+        lines[1] = "abc," + lines[1].split(",", 1)[1]
+        csv.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(["report", "--results", cfg.outdir], capsys)
+        assert code == cli.EXIT_USAGE
+        assert "abc" in err
 
     def test_missing_directory(self, capsys):
         code, _, err = run_cli(["report", "--results", "/nope"], capsys)

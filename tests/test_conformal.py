@@ -47,12 +47,12 @@ def arbitrary_gauge():
 
 class TestGauge:
     def test_positive_required(self):
-        g = Gauge(nu=lambda x: -1.0)
+        g = Gauge(nu=lambda xs: -np.ones(xs.shape[0]))
         with pytest.raises(GaugeSingularityError):
             g.nu_at(np.array([0.0]))
 
     def test_finite_difference_fallback(self):
-        g = Gauge(nu=lambda x: math.exp(0.4 * x[0] - x[1] ** 2))
+        g = Gauge(nu=lambda xs: np.exp(0.4 * xs[:, 0] - xs[:, 1] ** 2))
         x = np.array([0.2, 0.3])
         assert np.abs(g.s_at(x) - [0.4, -0.6]).max() < 1e-8
         assert np.abs(g.ds_at(x) - np.diag([0.0, -2.0])).max() < 1e-6

@@ -8,7 +8,6 @@ from seqgeo.errors import ChartError, UnsupportedShapeError
 from seqgeo.geometry import (
     CurvedFamily,
     classify,
-    direct_rc_curvature,
     es_curvature,
     frame_at,
     gauss_curvature,
@@ -18,7 +17,7 @@ from seqgeo.geometry import (
 )
 
 from conftest import U0_HYP, U0_VMF
-from oracles import VMF_G11, VMF_G22, HYP_G11, HYP_G22, christoffel_first_kind
+from oracles import VMF_G11, VMF_G22, HYP_G11, HYP_G22, christoffel_first_kind, direct_rc_curvature
 
 
 def numeric_clone(model):

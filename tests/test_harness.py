@@ -1,6 +1,5 @@
 import dataclasses
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +7,6 @@ import pytest
 from seqgeo import harness
 from seqgeo.errors import ParameterError, RunawayStopError
 from seqgeo.harness import (
-    ExperimentConfig,
-    default_config,
     parse_config,
     rep_seed,
     run_experiment,
@@ -18,29 +15,22 @@ from seqgeo.harness import (
     write_results,
 )
 
+from conftest import bundled_config
+
 
 def tiny_config(outdir, model="vmf", reps=20):
-    base = default_config(model, outdir=str(outdir), replications=reps)
-    return dataclasses.replace(
-        base,
+    return bundled_config(
+        model,
+        outdir=str(outdir),
+        replications=reps,
         grid_n=(40, 80),
         grid_k=(20.0, 30.0) if model == "vmf" else (4.0, 6.0),
     )
 
 
 class TestConfig:
-    def test_defaults_match_bundled_files(self):
-        for model in ("vmf", "hyperboloid"):
-            bundled = parse_config(Path("configs") / f"{model}.conf")
-            built = default_config(model, outdir=f"out/{model}")
-            assert bundled.grid_n == built.grid_n
-            assert bundled.grid_k == built.grid_k
-            assert bundled.seed == built.seed
-            assert np.allclose(bundled.u0, built.u0)
-            assert np.allclose(bundled.d_matrix, built.d_matrix)
-
     def test_parse_roundtrip(self, tmp_path):
-        cfg = default_config("hyperboloid", outdir="x")
+        cfg = bundled_config("hyperboloid", outdir="x")
         path = tmp_path / "h.conf"
         path.write_text("\n".join(cfg.echo_lines()) + "\n")
         back = parse_config(path)
@@ -59,7 +49,7 @@ class TestConfig:
             parse_config(path)
 
     def test_bad_number(self, tmp_path):
-        cfg = default_config("vmf", outdir="x")
+        cfg = bundled_config("vmf", outdir="x")
         lines = [l if not l.startswith("u0") else "u0 = a, b" for l in cfg.echo_lines()]
         path = tmp_path / "bad.conf"
         path.write_text("\n".join(lines) + "\n")
@@ -67,13 +57,21 @@ class TestConfig:
             parse_config(path)
 
     def test_validation(self):
-        with pytest.raises(ParameterError):
-            default_config("watson")
-        cfg = default_config("vmf")
+        cfg = bundled_config("vmf")
+        with pytest.raises(ParameterError, match="unknown model"):
+            dataclasses.replace(cfg, model="watson")
         with pytest.raises(ParameterError):
             dataclasses.replace(cfg, replications=1)
         with pytest.raises(ParameterError):
             dataclasses.replace(cfg, grid_n=())
+        with pytest.raises(ParameterError, match="u0"):
+            dataclasses.replace(cfg, u0=np.array([0.5, 1.0, 1.5]))
+        with pytest.raises(ParameterError, match="grid_N"):
+            dataclasses.replace(cfg, grid_n=(100, 0, 200))
+        with pytest.raises(ParameterError, match="grid_K"):
+            dataclasses.replace(cfg, grid_k=(194.0, -1.0))
+        with pytest.raises(ParameterError, match="grid_K"):
+            dataclasses.replace(cfg, grid_k=(0.0,))
 
 
 class TestSeeding:
@@ -106,10 +104,8 @@ class TestRunners:
             assert row.excluded == 0
 
     def test_degenerate_two_replications(self, tmp_path):
-        cfg = dataclasses.replace(
-            default_config("vmf", outdir=str(tmp_path), replications=2),
-            grid_n=(1,), grid_k=(5.0,),
-        )
+        cfg = bundled_config("vmf", outdir=str(tmp_path), replications=2,
+                             grid_n=(1,), grid_k=(5.0,))
         table = run_nonsequential(cfg)
         assert len(table.rows) == 1
         assert not math.isfinite(table.rows[0].stats["OCOV_se"][0, 0]) or (

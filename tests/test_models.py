@@ -6,16 +6,13 @@ import pytest
 from seqgeo import expfam, geometry
 from seqgeo.errors import (
     ChartError,
-    EvaluationDomainError,
     GaugeSingularityError,
-    MleUndefinedError,
     ParameterError,
     UnsupportedShapeError,
 )
 from seqgeo.models import (
     HyperboloidModel,
     LinearGaussianModel,
-    UnitObservation,
     VmfModel,
     hyperboloid_mean_resultant,
     vmf_mean_resultant,
@@ -131,14 +128,16 @@ class TestSampler:
 
     def test_single_draw_type(self, vmf, hyp):
         rng = np.random.default_rng(0)
-        obs = vmf.sample_unit(U0_VMF, rng)
-        assert isinstance(obs, UnitObservation)
-        obs_h = hyp.sample_unit(U0_HYP, rng)
-        assert obs_h.x[0] > 0
+        for model, u0 in ((vmf, U0_VMF), (hyp, U0_HYP)):
+            xs = model.sample_many(u0, rng, 1)
+            assert xs.shape == (1, 3)
+            assert model.support_residual(xs[0]) < 1e-12
+        assert xs[0, 0] > 0
 
-    def test_unit_observation_validates(self):
-        with pytest.raises(EvaluationDomainError):
-            UnitObservation(np.array([1.0, 1.0, 0.0]), kind="sphere")
+    def test_support_residual_flags_off_support(self, vmf, hyp):
+        assert vmf.support_residual(np.array([1.0, 1.0, 0.0])) > 0.4
+        assert hyp.support_residual(np.array([1.0, 1.0, 0.0])) == pytest.approx(1.0)
+        assert hyp.support_residual(np.array([-1.0, 0.0, 0.0])) == math.inf  # past sheet
 
     def test_determinism(self, vmf):
         a = vmf.sample_many(U0_VMF, np.random.default_rng(99), 16)
@@ -154,13 +153,16 @@ class TestMle:
     @pytest.mark.parametrize("model_name", ["vmf", "hyp"])
     def test_population_mean_recovers_truth(self, model_name, request):
         model = request.getfixturevalue(model_name)
-        for u in model.probe_grid(count=8, margin=0.2, seed=5):
-            _, eta = model.embed(u)
-            assert np.abs(model.mle_direction(eta) - u).max() < 1e-10
+        grid = model.probe_grid(count=8, margin=0.2, seed=5)
+        etas = np.array([model.embed(u)[1] for u in grid])
+        us, ok = model.mle_many(np.ones(len(grid)), etas)
+        assert ok.all()
+        assert np.abs(us - grid).max() < 1e-10
 
     def test_vmf_angles_of_normalized_vector(self, vmf):
         xbar = np.array([0.5, 0.5, 0.0]) / math.sqrt(0.5)
-        u = vmf.mle_direction(xbar)
+        us, _ = vmf.mle_many(np.ones(1), xbar[None, :])
+        u = us[0]
         assert u[0] == pytest.approx(math.pi / 4)
         assert u[1] == pytest.approx(0.0)
 
@@ -171,18 +173,21 @@ class TestMle:
         xbar = model.sample_many(
             U0_VMF if model_name == "vmf" else U0_HYP, rng, 50
         ).mean(axis=0)
-        u_hat = model.mle_direction(xbar)
+        u_hat = model.mle_many(np.ones(1), xbar[None, :])[0][0]
         best = float(model.embed(u_hat)[0] @ xbar)
         for u in model.probe_grid(count=100, margin=0.02, seed=11):
             assert best >= float(model.embed(u)[0] @ xbar) - 1e-12
 
     def test_undefined_cases(self, vmf, hyp):
-        with pytest.raises(MleUndefinedError):
-            vmf.mle_direction(np.zeros(3))
-        with pytest.raises(MleUndefinedError):
-            hyp.mle_direction(np.array([0.1, 5.0, 0.0]))  # spacelike
-        with pytest.raises(MleUndefinedError):
-            hyp.mle_direction(np.array([-2.0, 0.0, 0.0]))  # past-pointing
+        _, ok = vmf.mle_many(np.ones(2), np.array([[0.0, 0.0, 0.0], [0.3, 0.0, 0.0]]))
+        assert ok.tolist() == [False, True]
+        sums = np.array([
+            [0.1, 5.0, 0.0],   # spacelike
+            [-2.0, 0.0, 0.0],  # past-pointing
+            [2.0, 0.5, 0.0],
+        ])
+        _, ok = hyp.mle_many(np.ones(3), sums)
+        assert ok.tolist() == [False, False, True]
 
     @pytest.mark.parametrize("model_name", ["vmf", "hyp"])
     def test_vectorized_matches_scalar(self, model_name, request):
@@ -195,7 +200,18 @@ class TestMle:
         us, ok = model.mle_many(ts, sums)
         assert ok.all()
         for i in (0, 7, 39):
-            assert np.abs(us[i] - model.mle_direction(sums[i] / ts[i])).max() < 1e-12
+            # a single mean is a batch of one
+            one, one_ok = model.mle_many(ts[i:i + 1] / ts[i], sums[i:i + 1] / ts[i])
+            assert one_ok[0]
+            assert np.abs(us[i] - one[0]).max() < 1e-12
+
+    def test_only_m2_supported(self, vmf3):
+        sums = np.array([[2.0, 0.5, 0.25, 0.1]])
+        for model in (vmf3, HyperboloidModel(3, 0.5)):
+            with pytest.raises(UnsupportedShapeError):
+                model.mle_many(np.ones(1), sums)
+            with pytest.raises(UnsupportedShapeError):
+                model.criterion_many(np.ones(1), sums)
 
     def test_wrap_deviation(self, vmf):
         dev = vmf.wrap_deviation(np.array([0.1, 2 * math.pi - 0.2]))
@@ -244,11 +260,15 @@ class TestModelGauge:
         with pytest.raises(GaugeSingularityError):
             vmf.gauge().nu_at(np.array([math.pi, 0.3]))
 
-    def test_nu_many_matches_scalar(self, hyp):
+    def test_batched_nu_matches_nu_at(self, vmf, hyp):
         us = hyp.probe_grid(count=5, margin=0.1, seed=2)
-        vals = hyp.nu_many(us)
+        vals = hyp.gauge().nu(us)
         for u, v in zip(us, vals):
-            assert v == pytest.approx(hyp.gauge().nu_at(u), rel=1e-14)
+            assert v == hyp.gauge().nu_at(u)
+        # in a batch a point on the singular set maps to inf instead of raising
+        vals = vmf.gauge().nu(np.array([[math.pi, 0.3], [0.5, 1.0]]))
+        assert vals[0] == math.inf
+        assert vals[1] == pytest.approx(1.0 / (math.sin(0.5) * math.sin(1.0)), rel=1e-14)
 
 
 class TestAnalyticFrameConsistency:
@@ -277,7 +297,7 @@ class TestLinearGaussianFixture:
         rng = np.random.default_rng(3)
         u0 = np.array([0.4, -0.2])
         xs = linear.sample_many(u0, rng, 2000)
-        u_hat = linear.mle_direction(xs.mean(axis=0))
+        u_hat = linear.mle_many(np.array([2000.0]), xs.sum(axis=0)[None, :])[0][0]
         assert np.abs(u_hat - u0).max() < 0.1
         theta, eta = linear.embed(u0)
         assert np.allclose(theta, eta)

@@ -13,14 +13,12 @@ from seqgeo.sequential import (
     asymptotic_covariance,
     bias_correct,
     crb,
-    make_estimates,
-    observed_information,
     run_stopping,
     second_order_terms,
 )
 
 from conftest import U0_HYP, U0_VMF
-from oracles import VMF_G11, VMF_G22
+from oracles import VMF_G11, VMF_G22, observed_information
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +50,7 @@ class TestObservedInformation:
         rng = np.random.default_rng(5)
         xs = vmf.sample_many(U0_VMF, rng, 20)
         s = xs.sum(axis=0)
-        u_hat = vmf.mle_direction(s / 20.0)
+        u_hat = vmf.mle_many(np.array([20.0]), s[None, :])[0][0]
         one = observed_information(vmf, Trajectory(20, s), u_hat)
         two = observed_information(vmf, Trajectory(40, 2 * s), u_hat)
         assert two == pytest.approx(2 * one, rel=1e-12)
@@ -247,11 +245,3 @@ class TestCrb:
         b = crb(vmf, U0_VMF, coords=coords_b)
         assert np.abs(b - lmat @ a @ lmat.T).max() < 1e-10
 
-
-class TestEstimateBundle:
-    def test_transform_consistency(self, vmf, vmf_coords):
-        gauge, coords = vmf_coords
-        u_hat = np.array([0.6, 1.0])
-        bundle = make_estimates(vmf, u_hat, 300.0, gauge=None, coords=coords)
-        assert np.abs(bundle.u_bar_hat - coords.forward(u_hat)).max() < 1e-10
-        assert np.abs(bundle.u_hat - u_hat).max() == 0.0
