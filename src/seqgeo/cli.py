@@ -41,13 +41,12 @@ def geometry_report(model_name: str, m: int, r: float, grid_density: int = 12,
     h1_bar_res = 0.0
     if fam.codim == 1 and cls.dual_quadric:
         _, coords = conformal.quadric_gauge(fam, np.zeros(fam.n), np.eye(m, m + 1), grid, gauge=gauge)
+        pgs = [geometry.point_geometry(fam, u) for u in grid[: min(len(grid), 6)]]
         gamma_bar_res = max(
-            float(np.abs(conformal.ubar_chart_connection(fam, gauge, coords, u).values).max())
-            for u in grid[: min(len(grid), 6)]
+            float(np.abs(conformal.ubar_chart_connection(pg, gauge, coords)).max()) for pg in pgs
         )
         h1_bar_res = max(
-            float(np.abs(conformal.conformal_sub_quantities(fam, gauge, u)[1].values).max())
-            for u in grid[: min(len(grid), 6)]
+            float(np.abs(conformal.conformal_sub_quantities(pg, gauge)[1]).max()) for pg in pgs
         )
 
     rr = model.r * model.r_dagger
@@ -211,11 +210,15 @@ def evaluate_gates(results_dir: str | Path) -> tuple[_Gate, list[str]]:
     nonseq = _read_csv(out / "nonsequential.csv", harness.NONSEQ_COLUMNS)
     seq = _read_csv(out / "sequential.csv", harness.SEQ_COLUMNS)
     manifest = _parse_manifest(out / "run.manifest")
-    model = MODELS[manifest["model"]](int(manifest["m"]), float(manifest["r"]))
-    u0 = np.array([float(v) for v in manifest["u0"].split(",")])
+    try:
+        m, r = int(manifest["m"]), float(manifest["r"])
+        u0 = np.array([float(v) for v in manifest["u0"].split(",")])
+        reps = int(manifest["replications"])
+    except ValueError as exc:
+        raise ParameterError(f"{out / 'run.manifest'}: {exc}") from exc
+    model = MODELS[manifest["model"]](m, r)
     nu0 = model.gauge().nu_at(u0)
     c = model.stopping_constant()
-    reps = int(manifest["replications"])
 
     gate = _Gate(reps)
     lines = [f"results: {out} ({manifest['model']} m={manifest['m']} r={manifest['r']})"]
@@ -279,7 +282,7 @@ def cmd_report(args) -> int:
     except (OSError, KeyError) as exc:
         print(f"error reading results: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ParameterError as exc:
+    except SeqGeoError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     for line in header:

@@ -22,8 +22,8 @@ from .errors import (
     UnsupportedShapeError,
 )
 from .expfam import ExponentialFamily
-from .geometry import CurvedFamily
-from .tensorops import Point, TensorField, as_coords
+from .geometry import CurvedFamily, PointGeometry
+from .tensorops import Point, as_coords
 
 # largest accepted max-norm residual of the quadric gauge equation
 PDE_TOLERANCE = 1e-6
@@ -61,7 +61,7 @@ class Gauge:
         self.nu_at(xa)
         if self.s is not None:
             return np.asarray(self.s(xa), dtype=float)
-        return tops.differentiate(self._log_nu, xa, order=1).values
+        return tops.differentiate(self._log_nu, xa, order=1)
 
     def ds_at(self, x) -> np.ndarray:
         xa = as_coords(x)
@@ -69,7 +69,7 @@ class Gauge:
             return np.asarray(self.ds(xa), dtype=float)
         if self.s is not None:
             return tops.jacobian(self.s, xa).T  # ds[j, k] = d_j s_k
-        return tops.differentiate(self._log_nu, xa, order=2).values
+        return tops.differentiate(self._log_nu, xa, order=2)
 
 
 def constant_gauge(value: float, chart: str = "theta") -> Gauge:
@@ -101,46 +101,43 @@ def exp_linear_gauge(a, chart: str = "theta") -> Gauge:
 
 
 def conformal_metric_skewness(
-    g: TensorField | np.ndarray,
-    t: TensorField | np.ndarray,
+    g: np.ndarray,
+    t: np.ndarray,
     gauge: Gauge,
     at,
-) -> tuple[TensorField, TensorField]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Transformed metric and skewness: nu*g and nu*[T + sym(g x s)]."""
     x = as_coords(at)
     nu = gauge.nu_at(x)
     s = gauge.s_at(x)
-    gv = np.asarray(g.values if isinstance(g, TensorField) else g, dtype=float)
-    tv = np.asarray(t.values if isinstance(t, TensorField) else t, dtype=float)
+    gv = np.asarray(g, dtype=float)
+    tv = np.asarray(t, dtype=float)
     sym = (
         np.einsum("ij,k->ijk", gv, s)
         + np.einsum("jk,i->ijk", gv, s)
         + np.einsum("ki,j->ijk", gv, s)
     )
-    return (
-        TensorField(nu * gv, ("lo", "lo")),
-        TensorField(nu * (tv + sym), ("lo",) * 3),
-    )
+    return tops.require_finite(nu * gv), tops.require_finite(nu * (tv + sym))
 
 
 def conformal_connection(
-    gamma: TensorField | np.ndarray,
-    g: TensorField | np.ndarray,
+    gamma: np.ndarray,
+    g: np.ndarray,
     gauge: Gauge,
     alpha: float,
     at,
-) -> TensorField:
+) -> np.ndarray:
     """Transformed alpha-connection components (same chart)."""
     x = as_coords(at)
     nu = gauge.nu_at(x)
     s = gauge.s_at(x)
-    gv = np.asarray(g.values if isinstance(g, TensorField) else g, dtype=float)
-    cv = np.asarray(gamma.values if isinstance(gamma, TensorField) else gamma, dtype=float)
+    gv = np.asarray(g, dtype=float)
+    cv = np.asarray(gamma, dtype=float)
     plus = 0.5 * (1.0 - alpha) * (
         np.einsum("ki,j->ijk", gv, s) + np.einsum("kj,i->ijk", gv, s)
     )
     minus = 0.5 * (1.0 + alpha) * np.einsum("ij,k->ijk", gv, s)
-    return TensorField(nu * (cv + plus - minus), ("lo",) * 3)
+    return tops.require_finite(nu * (cv + plus - minus))
 
 
 def _s_alpha(gv, ginv, gamma_alpha, s, ds, alpha):
@@ -155,26 +152,23 @@ def _s_alpha(gv, ginv, gamma_alpha, s, ds, alpha):
 
 
 def conformal_rc_curvature(
-    r: TensorField | np.ndarray,
-    g: TensorField | np.ndarray,
-    gamma_alpha: TensorField | np.ndarray,
-    gamma_minus_alpha: TensorField | np.ndarray,
+    r: np.ndarray,
+    g: np.ndarray,
+    gamma_alpha: np.ndarray,
+    gamma_minus_alpha: np.ndarray,
     gauge: Gauge,
     alpha: float,
     at,
-) -> TensorField:
+) -> np.ndarray:
     """Transformed alpha-curvature; antisymmetry in the first slots is preserved."""
     x = as_coords(at)
     nu = gauge.nu_at(x)
     s = gauge.s_at(x)
     ds = gauge.ds_at(x)
-    gv = np.asarray(g.values if isinstance(g, TensorField) else g, dtype=float)
-    rv = np.asarray(r.values if isinstance(r, TensorField) else r, dtype=float)
-    ga = np.asarray(gamma_alpha.values if isinstance(gamma_alpha, TensorField) else gamma_alpha, dtype=float)
-    gm = np.asarray(
-        gamma_minus_alpha.values if isinstance(gamma_minus_alpha, TensorField) else gamma_minus_alpha,
-        dtype=float,
-    )
+    gv = np.asarray(g, dtype=float)
+    rv = np.asarray(r, dtype=float)
+    ga = np.asarray(gamma_alpha, dtype=float)
+    gm = np.asarray(gamma_minus_alpha, dtype=float)
     ginv = tops.invert_matrix(gv)
     sa = _s_alpha(gv, ginv, ga, s, ds, alpha)
     sma = _s_alpha(gv, ginv, gm, s, ds, -alpha)
@@ -185,7 +179,7 @@ def conformal_rc_curvature(
         - np.einsum("jk,il->ijkl", gv, sma)
         + np.einsum("ik,jl->ijkl", gv, sma)
     )
-    return TensorField(vals, ("lo",) * 4)
+    return tops.require_finite(vals)
 
 
 # ---------------------------------------------------------------------------
@@ -210,17 +204,17 @@ def expfam_chart_geometry(fam: ExponentialFamily) -> ChartGeometry:
 
     def rc(x):
         return expfam.rc_curvature(
-            lambda y: expfam.skewness(fam, y).values,
-            lambda y: expfam.metric(fam, Point(y, "theta")).values,
+            lambda y: expfam.skewness(fam, y),
+            lambda y: expfam.metric(fam, Point(y, "theta")),
             x,
-        ).values
+        )
 
     return ChartGeometry(
         dim=fam.n,
-        metric=lambda x: expfam.metric(fam, Point(x, "theta")).values,
-        skewness=lambda x: expfam.skewness(fam, x).values,
+        metric=lambda x: expfam.metric(fam, Point(x, "theta")),
+        skewness=lambda x: expfam.skewness(fam, x),
         gamma_p1=lambda x: np.zeros((fam.n,) * 3),
-        gamma_m1=lambda x: expfam.skewness(fam, x).values,
+        gamma_m1=lambda x: expfam.skewness(fam, x),
         rc_m1=rc,
         name=fam.name or "expfam",
     )
@@ -231,16 +225,16 @@ def curved_chart_geometry(fam: CurvedFamily) -> ChartGeometry:
 
     def skew(x):
         f = geometry.frame_at(fam, x)
-        t = expfam.skewness(fam.ambient, fam.theta(x)).values
+        t = expfam.skewness(fam.ambient, fam.theta(x))
         return np.einsum("ijk,ai,bj,ck->abc", t, f.tangent_theta, f.tangent_theta, f.tangent_theta)
 
     return ChartGeometry(
         dim=fam.m,
-        metric=lambda x: geometry.induced_metric(fam, x).values,
+        metric=lambda x: geometry.point_geometry(fam, x).g,
         skewness=skew,
-        gamma_p1=lambda x: geometry.sub_connections(fam, x)[0].values,
-        gamma_m1=lambda x: geometry.sub_connections(fam, x)[1].values,
-        rc_m1=lambda x: geometry.gauss_curvature(fam, x)[1].values,
+        gamma_p1=lambda x: geometry.point_geometry(fam, x).g1,
+        gamma_m1=lambda x: geometry.point_geometry(fam, x).gm1,
+        rc_m1=lambda x: geometry.point_geometry(fam, x).rm1,
         name=fam.name or "curved",
     )
 
@@ -253,18 +247,18 @@ def conformal_chart_geometry(geom: ChartGeometry, gauge: Gauge) -> ChartGeometry
 
     def skew(x):
         _, tbar = conformal_metric_skewness(geom.metric(x), geom.skewness(x), gauge, x)
-        return tbar.values
+        return tbar
 
     def gp1(x):
-        return conformal_connection(geom.gamma_p1(x), geom.metric(x), gauge, 1.0, x).values
+        return conformal_connection(geom.gamma_p1(x), geom.metric(x), gauge, 1.0, x)
 
     def gm1(x):
-        return conformal_connection(geom.gamma_m1(x), geom.metric(x), gauge, -1.0, x).values
+        return conformal_connection(geom.gamma_m1(x), geom.metric(x), gauge, -1.0, x)
 
     def rc(x):
         return conformal_rc_curvature(
             geom.rc_m1(x), geom.metric(x), geom.gamma_m1(x), geom.gamma_p1(x), gauge, -1.0, x
-        ).values
+        )
 
     return ChartGeometry(
         dim=geom.dim,
@@ -285,15 +279,15 @@ def conformal_chart_geometry(geom: ChartGeometry, gauge: Gauge) -> ChartGeometry
 class WeylSchouten:
     """The three (-1)-Weyl-Schouten tensors at a point."""
 
-    w4: TensorField  # W^(-1)l_ijk, last slot contravariant
-    w3: TensorField
-    w2: TensorField
+    w4: np.ndarray  # W^(-1)l_ijk, last slot contravariant
+    w3: np.ndarray
+    w2: np.ndarray
 
     def max_residuals(self) -> dict[str, float]:
         return {
-            "w4": float(np.abs(self.w4.values).max()),
-            "w3": float(np.abs(self.w3.values).max()),
-            "w2": float(np.abs(self.w2.values).max()),
+            "w4": float(np.abs(self.w4).max()),
+            "w3": float(np.abs(self.w3).max()),
+            "w2": float(np.abs(self.w2).max()),
         }
 
 
@@ -334,11 +328,7 @@ def weyl_schouten(geom: ChartGeometry, at, step: float | None = None) -> WeylSch
     )
     w3 = (nabla - nabla.transpose(1, 0, 2)) / (m - 1.0)
     w2 = ric - ric.T
-    return WeylSchouten(
-        TensorField(w4, ("lo", "lo", "lo", "up")),
-        TensorField(w3, ("lo",) * 3),
-        TensorField(w2, ("lo", "lo")),
-    )
+    return WeylSchouten(tops.require_finite(w4), tops.require_finite(w3), tops.require_finite(w2))
 
 
 @dataclass(frozen=True)
@@ -459,9 +449,7 @@ def expfam_gauge(
 
     def psi_bar(xi, guess_h, guess_eta):
         xiv = as_coords(xi)
-        grad = lambda h: tops.differentiate(
-            lambda y: phi_bar(y, guess_eta), h, order=1
-        ).values
+        grad = lambda h: tops.differentiate(lambda y: phi_bar(y, guess_eta), h, order=1)
         h = tops.newton_solve(grad, xiv, Point(as_coords(guess_h), "eta"), tol=1e-9).coords
         return float(xiv @ h) - phi_bar(h, guess_eta), h
 
@@ -490,13 +478,13 @@ def expfam_gauge_on_theta(fam: ExponentialFamily, c0: float, c) -> Gauge:
         return np.array([1.0 / abs(denom(theta)) for theta in thetas])
 
     def s(theta):
-        g = expfam.metric(fam, Point(theta, "theta")).values
+        g = expfam.metric(fam, Point(theta, "theta"))
         return -(g @ cv) / denom(theta)
 
     def ds(theta):
         b = denom(theta)
-        g = expfam.metric(fam, Point(theta, "theta")).values
-        t = expfam.skewness(fam, theta).values
+        g = expfam.metric(fam, Point(theta, "theta"))
+        t = expfam.skewness(fam, theta)
         a = g @ cv
         return -np.einsum("ijk,i->jk", t, cv) / b + np.outer(a, a) / b**2
 
@@ -571,66 +559,54 @@ def gauge_pde_residual(fam: CurvedFamily, gauge: Gauge, k0l0: float, grid: np.nd
     for u in grid:
         s = gauge.s_at(u)
         ds = gauge.ds_at(u)
-        g = geometry.induced_metric(fam, u).values
-        ginv = tops.invert_matrix(g)
-        _, gm1 = geometry.sub_connections(fam, u)
-        mixed = np.einsum("abd,dc->abc", gm1.values, ginv)
+        pg = geometry.point_geometry(fam, u)
+        mixed = np.einsum("abd,dc->abc", pg.gm1, pg.ginv)
         lhs = ds - np.einsum("abc,c->ab", mixed, s) - np.outer(s, s)
-        worst = max(worst, float(np.abs(lhs - k0l0 * g).max()))
+        worst = max(worst, float(np.abs(lhs - k0l0 * pg.g).max()))
     return worst
 
 
 def conformal_sub_quantities(
-    fam: CurvedFamily,
+    pg: PointGeometry,
     gauge: Gauge,
-    u,
     s_kappa: np.ndarray | None = None,
-) -> tuple[TensorField, TensorField, TensorField]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Transformed (-1)-connection, transformed 1-extrinsic curvature, and
-    the conformal 1-extrinsic curvature of the submanifold.
+    the conformal 1-extrinsic curvature of the submanifold at ``pg.u``.
 
     ``s_kappa`` defaults to the mean extrinsic curvature, the choice that
     kills the transformed extrinsic curvature on totally umbilic families.
     """
-    ua = as_coords(u)
-    nu = gauge.nu_at(ua)
-    s = gauge.s_at(ua)
-    g = geometry.induced_metric(fam, ua).values
-    ginv = tops.invert_matrix(g)
-    _, gm1 = geometry.sub_connections(fam, ua)
-    h1, _ = geometry.es_curvature(fam, ua)
-    hk = np.einsum("abk,ab->k", h1.values, ginv) / fam.m
+    nu = gauge.nu_at(pg.u)
+    s = gauge.s_at(pg.u)
+    g, h1 = pg.g, pg.h1
+    hk = np.einsum("abk,ab->k", h1, pg.ginv) / pg.fam.m
     if s_kappa is None:
         s_kappa = hk
     s_kappa = np.atleast_1d(np.asarray(s_kappa, dtype=float))
 
     gamma_bar = nu * (
-        gm1.values + np.einsum("ca,b->abc", g, s) + np.einsum("cb,a->abc", g, s)
+        pg.gm1 + np.einsum("ca,b->abc", g, s) + np.einsum("cb,a->abc", g, s)
     )
-    h1_bar = nu * (h1.values - np.einsum("ab,k->abk", g, s_kappa))
-    k1 = h1.values - np.einsum("ab,k->abk", g, hk)
-    return (
-        TensorField(gamma_bar, ("lo",) * 3),
-        TensorField(h1_bar, ("lo",) * 3),
-        TensorField(k1, ("lo",) * 3),
-    )
+    h1_bar = nu * (h1 - np.einsum("ab,k->abk", g, s_kappa))
+    k1 = h1 - np.einsum("ab,k->abk", g, hk)
+    return tops.require_finite(gamma_bar), tops.require_finite(h1_bar), tops.require_finite(k1)
 
 
 def ubar_chart_connection(
-    fam: CurvedFamily,
+    pg: PointGeometry,
     gauge: Gauge,
     coords: ConformalCoordinates,
-    u,
-) -> TensorField:
-    """Transformed (-1)-connection expressed in the flattening coordinates.
+) -> np.ndarray:
+    """Transformed (-1)-connection at ``pg.u`` expressed in the flattening coordinates.
 
     Verifies the flattening claim: the result should vanish on the whole
     chart for a dual quadric hypersurface with its registered gauge.
     """
-    ua = as_coords(u)
-    gamma_bar, _, _ = conformal_sub_quantities(fam, gauge, ua)
+    ua = pg.u
+    gamma_bar, _, _ = conformal_sub_quantities(pg, gauge)
     nu = gauge.nu_at(ua)
-    g_bar = nu * geometry.induced_metric(fam, ua).values
+    g_bar = nu * pg.g
 
     cmat = np.asarray(coords.jacobian(ua), dtype=float)  # C[p, a] = d ubar^p / d u^a
     hess = coords.hessian_at(ua)                         # hess[p, a, b] = d_a d_b ubar^p

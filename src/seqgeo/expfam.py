@@ -14,7 +14,7 @@ import numpy as np
 
 from . import tensorops as tops
 from .errors import EvaluationDomainError, ModelMisspecificationError, ChartError
-from .tensorops import Point, TensorField, as_coords
+from .tensorops import Point, as_coords
 
 LEGENDRE_TOL = 1e-8
 
@@ -74,7 +74,7 @@ def eta_of_theta(fam: ExponentialFamily, theta) -> Point:
     if fam.grad is not None:
         g = np.asarray(fam.grad(t), dtype=float)
     else:
-        g = tops.differentiate(fam.psi, t, order=1).values
+        g = tops.differentiate(fam.psi, t, order=1)
     if not np.all(np.isfinite(g)):
         raise EvaluationDomainError("non-finite mean parameter")
     return Point(g, "eta")
@@ -100,7 +100,7 @@ def theta_of_eta(fam: ExponentialFamily, eta, guess=None) -> DualPair:
     return DualPair(Point(t, "theta"), Point(e, "eta"), psi_v, phi_v)
 
 
-def metric(fam: ExponentialFamily, at, guess=None) -> TensorField:
+def metric(fam: ExponentialFamily, at, guess=None) -> np.ndarray:
     """Fisher metric.
 
     In the theta chart this is the covariant potential Hessian; in the
@@ -110,8 +110,7 @@ def metric(fam: ExponentialFamily, at, guess=None) -> TensorField:
     p = at if isinstance(at, Point) else Point(as_coords(at), "theta")
     if p.chart == "eta":
         pair = theta_of_eta(fam, p, guess=guess)
-        g = metric(fam, pair.theta)
-        return tops.invert(g)
+        return tops.require_finite(tops.invert_matrix(metric(fam, pair.theta)))
     if p.chart != "theta":
         raise ChartError(f"metric is defined on the theta or eta chart, got {p.chart!r}")
     t = p.coords
@@ -119,45 +118,44 @@ def metric(fam: ExponentialFamily, at, guess=None) -> TensorField:
     if fam.hess is not None:
         h = np.asarray(fam.hess(t), dtype=float)
     else:
-        h = tops.differentiate(fam.psi, t, order=2).values
-    h = 0.5 * (h + h.T)
+        h = tops.differentiate(fam.psi, t, order=2)
+    h = tops.require_finite(0.5 * (h + h.T))
     w = np.linalg.eigvalsh(h)
     if w.min() <= 0:
         raise ModelMisspecificationError(
             f"potential Hessian is not positive definite (min eigenvalue {w.min():.3e})"
         )
-    return TensorField(h, ("lo", "lo"))
+    return h
 
 
-def skewness(fam: ExponentialFamily, theta) -> TensorField:
+def skewness(fam: ExponentialFamily, theta) -> np.ndarray:
     """Skewness tensor: the symmetric third derivative of the potential."""
     t = as_coords(theta)
     fam.check_domain(t)
     if fam.third is not None:
-        v = np.asarray(fam.third(t), dtype=float)
-        return TensorField(v, ("lo",) * 3)
+        return tops.require_finite(fam.third(t))
     hess = (lambda x: np.asarray(fam.hess(x), dtype=float)) if fam.hess else None
     return tops.differentiate(fam.psi, t, order=3, hessian=hess)
 
 
-def alpha_connection(fam: ExponentialFamily, theta, alpha: float) -> TensorField:
+def alpha_connection(fam: ExponentialFamily, theta, alpha: float) -> np.ndarray:
     """Alpha-connection components in the theta chart: ((1-alpha)/2) T."""
     return ((1.0 - alpha) / 2.0) * skewness(fam, theta)
 
 
 def connection_coordinate_change(
-    gamma: TensorField | np.ndarray,
+    gamma: np.ndarray,
     basis: np.ndarray,
     dbasis: np.ndarray,
     metric_old: np.ndarray,
-) -> TensorField:
+) -> np.ndarray:
     """Transform connection components to a new chart.
 
     ``basis[b, i] = d old^i / d new^b`` and ``dbasis[a, b, i]`` is its
     derivative along the new coordinates. The inhomogeneous term contracts
     the old-chart metric with ``basis`` and ``dbasis``.
     """
-    g = np.asarray(gamma.values if isinstance(gamma, TensorField) else gamma, dtype=float)
+    g = np.asarray(gamma, dtype=float)
     b = np.asarray(basis, dtype=float)
     db = np.asarray(dbasis, dtype=float)
     gm = np.asarray(metric_old, dtype=float)
@@ -165,7 +163,7 @@ def connection_coordinate_change(
         raise ChartError("chart-change basis is rank deficient")
     pulled = np.einsum("ijk,ai,bj,ck->abc", g, b, b, b)
     inhom = np.einsum("ij,ci,abj->abc", gm, b, db)
-    return TensorField(pulled + inhom, ("lo",) * 3)
+    return tops.require_finite(pulled + inhom)
 
 
 def rc_curvature(
@@ -173,7 +171,7 @@ def rc_curvature(
     metric_field: Callable[[np.ndarray], np.ndarray],
     at,
     step: float | None = None,
-) -> TensorField:
+) -> np.ndarray:
     """Riemann-Christoffel curvature of a connection field over one chart.
 
     All-lower components of the curvature of the connection whose lowered
@@ -215,11 +213,11 @@ def rc_curvature(
     ginv = tops.invert_matrix(met(x))
     quad = np.einsum("rs,iks,jlr->ijkl", ginv, g0, dual0)
     vals = dgamma - dgamma.transpose(1, 0, 2, 3) + quad - quad.transpose(1, 0, 2, 3)
-    return TensorField(vals, ("lo",) * 4)
+    return tops.require_finite(vals)
 
 
-def ambient_rc_curvature(fam: ExponentialFamily, theta, alpha: float) -> TensorField:
+def ambient_rc_curvature(fam: ExponentialFamily, theta, alpha: float) -> np.ndarray:
     """Curvature of the alpha-connection of the family itself, theta chart."""
-    gamma_field = lambda x: alpha_connection(fam, x, alpha).values
-    metric_field = lambda x: metric(fam, Point(x, "theta")).values
+    gamma_field = lambda x: alpha_connection(fam, x, alpha)
+    metric_field = lambda x: metric(fam, Point(x, "theta"))
     return rc_curvature(gamma_field, metric_field, theta)

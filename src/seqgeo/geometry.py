@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable
 
 import numpy as np
@@ -16,7 +17,7 @@ import numpy as np
 from . import expfam, tensorops as tops
 from .errors import ChartError, UnsupportedShapeError
 from .expfam import ExponentialFamily
-from .tensorops import TensorField, as_coords
+from .tensorops import as_coords
 
 EMBED_CONSISTENCY_TOL = 1e-8
 
@@ -120,7 +121,7 @@ def theta_hessian(fam: CurvedFamily, u) -> np.ndarray:
     out = np.empty((fam.m, fam.m, n))
     for i in range(n):
         comp = lambda v, i=i: float(fam.embed_theta(v)[i])
-        out[:, :, i] = tops.differentiate(comp, ua, order=2).values
+        out[:, :, i] = tops.differentiate(comp, ua, order=2)
     return out
 
 
@@ -133,7 +134,7 @@ def eta_hessian(fam: CurvedFamily, u) -> np.ndarray:
     out = np.empty((fam.m, fam.m, n))
     for i in range(n):
         comp = lambda v, i=i: float(fam.eta(v)[i])
-        out[:, :, i] = tops.differentiate(comp, ua, order=2).values
+        out[:, :, i] = tops.differentiate(comp, ua, order=2)
     return out
 
 
@@ -178,73 +179,105 @@ def frame_at(fam: CurvedFamily, u) -> Frame:
     return Frame(bt, be, nt, ne)
 
 
-def induced_metric(fam: CurvedFamily, u) -> TensorField:
-    """Pullback of the ambient Fisher metric: g_ab = B_a^i B_b^j g_ij."""
-    ua = as_coords(u)
-    f = frame_at(fam, ua)
-    vals = f.tangent_theta @ f.tangent_eta.T
-    vals = 0.5 * (vals + vals.T)
-    if np.linalg.eigvalsh(vals).min() <= 0:
-        raise ChartError(f"induced metric not positive definite at u={ua!r}")
-    return TensorField(vals, ("lo", "lo"))
+@dataclass(frozen=True, eq=False)
+class PointGeometry:
+    """Second-order geometry of a curved family at one point, from one frame.
 
-
-def normal_metric(fam: CurvedFamily, u) -> np.ndarray:
-    f = frame_at(fam, u)
-    return f.normal_theta @ f.normal_eta.T
-
-
-def sub_connections(fam: CurvedFamily, u) -> tuple[TensorField, TensorField]:
-    """The +1/-1 connection components of the submanifold chart.
-
-    ``G1_abc = (d_a B_b^j) B_cj`` and ``G-1_abc = (d_a B_bj) B_c^j``.
+    Each field is a plain array, computed on first read from the frame and
+    the two embedding Hessians, checked finite, and shared by later reads;
+    callers must not modify it in place. Build it with :func:`point_geometry`.
     """
+
+    fam: CurvedFamily
+    u: np.ndarray
+    frame: Frame
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        """Pullback of the ambient Fisher metric: g_ab = B_a^i B_b^j g_ij."""
+        vals = self.frame.tangent_theta @ self.frame.tangent_eta.T
+        vals = tops.require_finite(0.5 * (vals + vals.T))
+        if np.linalg.eigvalsh(vals).min() <= 0:
+            raise ChartError(f"induced metric not positive definite at u={self.u!r}")
+        return vals
+
+    @cached_property
+    def ginv(self) -> np.ndarray:
+        """Inverse induced metric g^ab."""
+        return tops.require_finite(tops.invert_matrix(self.g))
+
+    @cached_property
+    def gkk_inv(self) -> np.ndarray:
+        """Inverse of the normal-bundle metric B_kappa^i B_{lambda i}."""
+        f = self.frame
+        return tops.require_finite(tops.invert_matrix(f.normal_theta @ f.normal_eta.T))
+
+    @cached_property
+    def ht(self) -> np.ndarray:
+        """Second derivatives of the natural-parameter embedding, shape (m, m, n)."""
+        return tops.require_finite(theta_hessian(self.fam, self.u))
+
+    @cached_property
+    def he(self) -> np.ndarray:
+        """Second derivatives of the mean-parameter embedding, shape (m, m, n)."""
+        return tops.require_finite(eta_hessian(self.fam, self.u))
+
+    @cached_property
+    def g1(self) -> np.ndarray:
+        """+1 connection of the submanifold chart: G1_abc = (d_a B_b^j) B_cj."""
+        return tops.require_finite(np.einsum("abj,cj->abc", self.ht, self.frame.tangent_eta))
+
+    @cached_property
+    def gm1(self) -> np.ndarray:
+        """-1 connection of the submanifold chart: G-1_abc = (d_a B_bj) B_c^j."""
+        return tops.require_finite(np.einsum("abj,cj->abc", self.he, self.frame.tangent_theta))
+
+    @cached_property
+    def h1(self) -> np.ndarray:
+        """+1 Euler-Schouten (extrinsic) curvature of the embedding."""
+        return tops.require_finite(np.einsum("abj,kj->abk", self.ht, self.frame.normal_eta))
+
+    @cached_property
+    def hm1(self) -> np.ndarray:
+        """-1 Euler-Schouten (extrinsic) curvature of the embedding."""
+        return tops.require_finite(np.einsum("abj,kj->abk", self.he, self.frame.normal_theta))
+
+    @cached_property
+    def r1(self) -> np.ndarray:
+        """+1 curvature from the Gauss equation.
+
+        The ambient family is flat, so the curvature is the antisymmetrized
+        product of the two extrinsic curvature tensors.
+        """
+        h1, hm1, gkk_inv = self.h1, self.hm1, self.gkk_inv
+        return tops.require_finite(
+            np.einsum("adk,bcl,kl->abcd", hm1, h1, gkk_inv)
+            - np.einsum("bdk,acl,kl->abcd", hm1, h1, gkk_inv)
+        )
+
+    @cached_property
+    def rm1(self) -> np.ndarray:
+        """-1 curvature from the Gauss equation."""
+        h1, hm1, gkk_inv = self.h1, self.hm1, self.gkk_inv
+        return tops.require_finite(
+            np.einsum("adk,bcl,kl->abcd", h1, hm1, gkk_inv)
+            - np.einsum("bdk,acl,kl->abcd", h1, hm1, gkk_inv)
+        )
+
+
+def point_geometry(fam: CurvedFamily, u) -> PointGeometry:
+    """The geometry bundle of ``fam`` at ``u``; builds the frame once."""
     ua = as_coords(u)
-    f = frame_at(fam, ua)
-    ht = theta_hessian(fam, ua)
-    he = eta_hessian(fam, ua)
-    g1 = np.einsum("abj,cj->abc", ht, f.tangent_eta)
-    gm1 = np.einsum("abj,cj->abc", he, f.tangent_theta)
-    return TensorField(g1, ("lo",) * 3), TensorField(gm1, ("lo",) * 3)
-
-
-def es_curvature(fam: CurvedFamily, u) -> tuple[TensorField, TensorField]:
-    """Euler-Schouten (extrinsic) curvature pair of the embedding."""
-    ua = as_coords(u)
-    f = frame_at(fam, ua)
-    ht = theta_hessian(fam, ua)
-    he = eta_hessian(fam, ua)
-    h1 = np.einsum("abj,kj->abk", ht, f.normal_eta)
-    hm1 = np.einsum("abj,kj->abk", he, f.normal_theta)
-    return TensorField(h1, ("lo",) * 3), TensorField(hm1, ("lo",) * 3)
-
-
-def gauss_curvature(fam: CurvedFamily, u) -> tuple[TensorField, TensorField]:
-    """Curvature of the submanifold from the Gauss equation.
-
-    The ambient family is flat, so the curvature is the antisymmetrized
-    product of the two extrinsic curvature tensors.
-    """
-    ua = as_coords(u)
-    h1, hm1 = es_curvature(fam, ua)
-    gkk_inv = tops.invert_matrix(normal_metric(fam, ua))
-    r1 = np.einsum("adk,bcl,kl->abcd", hm1.values, h1.values, gkk_inv) - np.einsum(
-        "bdk,acl,kl->abcd", hm1.values, h1.values, gkk_inv
-    )
-    rm1 = np.einsum("adk,bcl,kl->abcd", h1.values, hm1.values, gkk_inv) - np.einsum(
-        "bdk,acl,kl->abcd", h1.values, hm1.values, gkk_inv
-    )
-    return TensorField(r1, ("lo",) * 4), TensorField(rm1, ("lo",) * 4)
+    return PointGeometry(fam, ua, frame_at(fam, ua))
 
 
 def t_akk(fam: CurvedFamily, u) -> np.ndarray:
     """Ambient skewness contracted once with a tangent and twice with the normal frame."""
-    ua = as_coords(u)
-    f = frame_at(fam, ua)
-    t = expfam.skewness(fam.ambient, fam.theta(ua)).values
-    gkk_inv = tops.invert_matrix(normal_metric(fam, ua))
+    pg = point_geometry(fam, u)
+    f = pg.frame
+    t = expfam.skewness(fam.ambient, fam.theta(pg.u))
     return np.einsum(
-        "ijk,ai,pj,qk,pq->a", t, f.tangent_theta, f.normal_theta, f.normal_theta, gkk_inv
+        "ijk,ai,pj,qk,pq->a", t, f.tangent_theta, f.normal_theta, f.normal_theta, pg.gkk_inv
     )
 
 
@@ -267,19 +300,13 @@ def classify(
     if fam.codim != 1:
         raise UnsupportedShapeError("dual-quadric classification needs a hypersurface (n = m + 1)")
 
-    h1s, hm1s, gs, frames, thetas, etas, r1s = [], [], [], [], [], [], []
-    for u in grid:
-        f = frame_at(fam, u)
-        h1, hm1 = es_curvature(fam, u)
-        g = induced_metric(fam, u).values
-        r1, _ = gauss_curvature(fam, u)
-        frames.append(f)
-        h1s.append(h1.values)
-        hm1s.append(hm1.values)
-        gs.append(g)
-        r1s.append(r1.values)
-        thetas.append(fam.theta(u))
-        etas.append(fam.eta(u))
+    pgs = [point_geometry(fam, u) for u in grid]
+    h1s = [pg.h1 for pg in pgs]
+    hm1s = [pg.hm1 for pg in pgs]
+    gs = [pg.g for pg in pgs]
+    r1s = [pg.r1 for pg in pgs]
+    thetas = [fam.theta(u) for u in grid]
+    etas = [fam.eta(u) for u in grid]
 
     # epsilon: least squares of H^(-1) against H^(1)
     num = sum(float(np.sum(a * b)) for a, b in zip(hm1s, h1s))
@@ -289,9 +316,9 @@ def classify(
 
     # umbilicity: H^(1)_abk = H^(1)_k g_ab
     umb_res = 0.0
-    for h1, g in zip(h1s, gs):
-        ginv = tops.invert_matrix(g)
-        hk = np.einsum("abk,ab->k", h1, ginv) / fam.m
+    for pg in pgs:
+        h1, g = pg.h1, pg.g
+        hk = np.einsum("abk,ab->k", h1, pg.ginv) / fam.m
         umb_res = max(umb_res, float(np.abs(h1 - np.einsum("k,ab->abk", hk, g)).max()))
 
     # dual quadric: B_kappa = k0 (theta - theta0), eta analogue
@@ -313,8 +340,8 @@ def classify(
         )
         return k, base, res
 
-    k0, theta0, res_k = affine_fit([f.normal_theta[0] for f in frames], thetas)
-    l0, eta0, res_l = affine_fit([f.normal_eta[0] for f in frames], etas)
+    k0, theta0, res_k = affine_fit([pg.frame.normal_theta[0] for pg in pgs], thetas)
+    l0, eta0, res_l = affine_fit([pg.frame.normal_eta[0] for pg in pgs], etas)
     dq_res = max(res_k, res_l)
 
     ident_res = 0.0

@@ -16,7 +16,13 @@ from pathlib import Path
 import numpy as np
 
 from . import conformal, sequential
-from .errors import ParameterError, RunawayStopError
+from .errors import (
+    ChartError,
+    EvaluationDomainError,
+    GaugeSingularityError,
+    ParameterError,
+    RunawayStopError,
+)
 from .models import MODELS
 
 N_BATCHES = 10
@@ -85,6 +91,15 @@ class ExperimentConfig:
         bad_k = [k for k in self.grid_k if not 0.0 < k < math.inf]
         if bad_k:
             raise ParameterError(f"grid_K entries must be positive and finite, got {bad_k[0]!r}")
+        model = MODELS[self.model](self.m, self.r)
+        try:
+            model.embed(self.u0)
+            model.gauge().nu_at(self.u0)
+        except (ChartError, EvaluationDomainError, GaugeSingularityError) as exc:
+            msg = f"u0 = {self.u0.tolist()} is not a usable truth point: {exc}"
+            raise ParameterError(msg) from exc
+        if np.linalg.matrix_rank(self.d_matrix) < self.m:
+            raise ParameterError(f"D must have rank m = {self.m}")
 
     def echo_lines(self) -> list[str]:
         return [

@@ -49,14 +49,16 @@ def vmf_mean_resultant(rho: float, m: int) -> float:
             return rho / 3.0 - rho**3 / 45.0 + 2.0 * rho**5 / 945.0
         return 1.0 / math.tanh(rho) - 1.0 / rho
     nu = 0.5 * (m - 1)
-    return float(special.iv(nu + 1.0, rho) / special.iv(nu, rho))
+    # exponentially scaled values: the scale cancels and nothing overflows
+    return float(special.ive(nu + 1.0, rho) / special.ive(nu, rho))
 
 
 def hyperboloid_mean_resultant(rho: float, m: int) -> float:
     """K_{(m+1)/2}(rho) / K_{(m-1)/2}(rho); decreasing, maps (0,inf) to (inf,1).
 
     Even m uses the stable upward ratio recurrence from the half-integer
-    seed; odd m needs integer-order Bessel values.
+    seed; odd m needs integer-order Bessel values, exponentially scaled so
+    that neither underflows.
     """
     if rho <= 0:
         raise ParameterError("concentration must be positive")
@@ -68,7 +70,7 @@ def hyperboloid_mean_resultant(rho: float, m: int) -> float:
             nu += 1.0
         return ratio
     nu = 0.5 * (m - 1)
-    return float(special.kv(nu + 1.0, rho) / special.kv(nu, rho))
+    return float(special.kve(nu + 1.0, rho) / special.kve(nu, rho))
 
 
 def _vmf_dag_derivs(rho: float, m: int) -> tuple[float, float, float]:
@@ -156,7 +158,9 @@ def vmf_family(m: int) -> ExponentialFamily:
         nu = 0.5 * (m - 1)
 
         def fval(rho):
-            return const + 0.5 * (1 - m) * math.log(rho) + math.log(float(special.iv(nu, rho)))
+            # log I_nu(rho) = log ive(nu, rho) + rho, finite where iv overflows
+            log_iv = math.log(float(special.ive(nu, rho))) + rho
+            return const + 0.5 * (1 - m) * math.log(rho) + log_iv
 
     fder = lambda rho: _vmf_dag_derivs(rho, m)
 
@@ -193,7 +197,9 @@ def hyperboloid_family(m: int) -> ExponentialFamily:
         const = math.log(2.0) + 0.5 * (m - 1) * math.log(2.0 * math.pi)
 
         def fval(rho):
-            return const + 0.5 * (1 - m) * math.log(rho) + math.log(float(special.kv(nu, rho)))
+            # log K_nu(rho) = log kve(nu, rho) - rho, finite where kv underflows
+            log_kv = math.log(float(special.kve(nu, rho))) - rho
+            return const + 0.5 * (1 - m) * math.log(rho) + log_kv
 
     def fder(rho):
         d, d1, d2 = _hyp_dag_derivs(rho, m)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, tensorops as tops
-from .conformal import ConformalCoordinates, Gauge
+from .conformal import ConformalCoordinates, Gauge, ubar_chart_connection
 from .errors import ChartError, RunawayStopError
 from .tensorops import as_coords
 
@@ -124,33 +124,28 @@ def bias_correct(
     and with flattening coordinates the whole correction is evaluated in
     the new chart (where it vanishes for a dual quadric hypersurface).
     """
-    u = as_coords(u_hat)
-    fam = model.curved
+    pg = geometry.point_geometry(model.curved, u_hat)
+    u = pg.u
     if coords is not None:
         if gauge is None:
             raise ValueError("flattening coordinates require their gauge")
-        from .conformal import ubar_chart_connection
-
         nu = gauge.nu_at(u)
-        gbar = ubar_chart_connection(fam, gauge, coords, u).values / nu
-        ginv_ubar = _ubar_metric_inverse(fam, coords, u)
+        gbar = ubar_chart_connection(pg, gauge, coords) / nu
+        ginv_ubar = _ubar_metric_inverse(pg, coords)
         corr = np.einsum("bcd,da,bc->a", gbar, ginv_ubar, ginv_ubar)
         ubar = np.asarray(coords.forward(u), dtype=float)
         return ubar + corr / (2.0 * effective_n)
-    g = geometry.induced_metric(fam, u).values
-    ginv = tops.invert_matrix(g)
-    _, gm1 = geometry.sub_connections(fam, u)
-    corr = np.einsum("bcd,da,bc->a", gm1.values, ginv, ginv)
+    ginv = pg.ginv
+    corr = np.einsum("bcd,da,bc->a", pg.gm1, ginv, ginv)
     if gauge is not None:
         s = gauge.s_at(u)
         corr = corr + 2.0 * ginv @ s
     return u + corr / (2.0 * effective_n)
 
 
-def _ubar_metric_inverse(fam, coords: ConformalCoordinates, u: np.ndarray) -> np.ndarray:
-    g = geometry.induced_metric(fam, u).values
-    j = np.asarray(coords.jacobian(u), dtype=float)
-    return j @ tops.invert_matrix(g) @ j.T
+def _ubar_metric_inverse(pg: geometry.PointGeometry, coords: ConformalCoordinates) -> np.ndarray:
+    j = np.asarray(coords.jacobian(pg.u), dtype=float)
+    return j @ pg.ginv @ j.T
 
 
 def second_order_terms(
@@ -167,39 +162,33 @@ def second_order_terms(
     ancillary term is identically zero for the maximum-likelihood
     ancillary.
     """
-    u = as_coords(u0)
-    fam = model.curved
-    g = geometry.induced_metric(fam, u).values
-    ginv = tops.invert_matrix(g)
-    _, gm1 = geometry.sub_connections(fam, u)
-    h1, _ = geometry.es_curvature(fam, u)
-    gkk_inv = tops.invert_matrix(geometry.normal_metric(fam, u))
+    pg = geometry.point_geometry(model.curved, u0)
+    u = pg.u
+    g, ginv, gm1, h1, gkk_inv = pg.g, pg.ginv, pg.gm1, pg.h1, pg.gkk_inv
 
     if coords is None:
         if gauge is None:
-            gprime = gm1.values
-            hprime = h1.values
+            gprime = gm1
+            hprime = h1
         else:
             s = gauge.s_at(u)
-            hk = np.einsum("abk,ab->k", h1.values, ginv) / fam.m
-            gprime = gm1.values + np.einsum("ca,b->abc", g, s) + np.einsum("cb,a->abc", g, s)
-            hprime = h1.values - np.einsum("ab,k->abk", g, hk)
+            hk = np.einsum("abk,ab->k", h1, ginv) / model.curved.m
+            gprime = gm1 + np.einsum("ca,b->abc", g, s) + np.einsum("cb,a->abc", g, s)
+            hprime = h1 - np.einsum("ab,k->abk", g, hk)
         gamma_sq = np.einsum("cda,efb,ce,df->ab", gprime, gprime, ginv, ginv)
         h_sq = np.einsum("ack,bdl,cd,kl->ab", hprime, hprime, ginv, gkk_inv)
         return ginv @ (0.5 * gamma_sq + h_sq) @ ginv
 
     if gauge is None:
         raise ValueError("flattening coordinates require their gauge")
-    from .conformal import ubar_chart_connection
-
     nu = gauge.nu_at(u)
-    gprime = ubar_chart_connection(fam, gauge, coords, u).values / nu
+    gprime = ubar_chart_connection(pg, gauge, coords) / nu
     j = np.asarray(coords.jacobian(u), dtype=float)
     jinv = np.linalg.inv(j)
     g_ubar = jinv.T @ g @ jinv
     ginv_ubar = tops.invert_matrix(g_ubar)
-    hk = np.einsum("abk,ab->k", h1.values, ginv) / fam.m
-    k1 = h1.values - np.einsum("ab,k->abk", g, hk)
+    hk = np.einsum("abk,ab->k", h1, ginv) / model.curved.m
+    k1 = h1 - np.einsum("ab,k->abk", g, hk)
     k1_ubar = np.einsum("abk,ap,bq->pqk", k1, jinv, jinv)
     gamma_sq = np.einsum("cda,efb,ce,df->ab", gprime, gprime, ginv_ubar, ginv_ubar)
     h_sq = np.einsum("ack,bdl,cd,kl->ab", k1_ubar, k1_ubar, ginv_ubar, gkk_inv)
@@ -228,13 +217,11 @@ def asymptotic_covariance(
 def crb(model, u0, coords: ConformalCoordinates | None = None) -> np.ndarray:
     """Unit-time Cramer-Rao matrix at the truth, optionally pushed to the
     flattening coordinates through the map Jacobian."""
-    u = as_coords(u0)
-    g = geometry.induced_metric(model.curved, u).values
-    ginv = tops.invert_matrix(g)
+    pg = geometry.point_geometry(model.curved, u0)
     if coords is None:
-        return ginv
-    j = np.asarray(coords.jacobian(u), dtype=float)
+        return pg.ginv
+    j = np.asarray(coords.jacobian(pg.u), dtype=float)
     if j.shape[0] != j.shape[1] or abs(np.linalg.det(j)) < 1e-300:
         raise ChartError("flattening-map Jacobian is singular at the truth point")
-    return j @ ginv @ j.T
+    return j @ pg.ginv @ j.T
 

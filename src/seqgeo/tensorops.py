@@ -1,12 +1,13 @@
 """Finite-difference differentiation and small dense linear algebra.
 
-Everything here is a pure function of its inputs; ``Point`` and
-``TensorField`` values are immutable and safe to share between tasks.
+Everything here is a pure function of its inputs. ``Point`` is immutable
+and safe to share between tasks; every other result is a fresh plain
+``ndarray``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -66,65 +67,12 @@ def as_coords(x) -> np.ndarray:
     return np.atleast_1d(a)
 
 
-@dataclass(frozen=True)
-class TensorField:
-    """Dense tensor of order <= 4 at a point, with per-slot index variance.
-
-    ``variance`` holds one flag per slot: ``'lo'`` for covariant,
-    ``'up'`` for contravariant.
-    """
-
-    values: np.ndarray
-    variance: tuple[str, ...] = field(default=())
-
-    def __post_init__(self):
-        v = _freeze(self.values)
-        var = tuple(self.variance)
-        if not var:
-            var = ("lo",) * v.ndim
-        if v.ndim != len(var):
-            raise ValueError("variance must have one flag per tensor slot")
-        if v.ndim > 4:
-            raise ValueError("tensors of order > 4 are unsupported")
-        if any(f not in ("lo", "up") for f in var):
-            raise ValueError("variance flags must be 'lo' or 'up'")
-        if not np.all(np.isfinite(v)):
-            raise EvaluationDomainError("tensor components must be finite")
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "variance", var)
-
-    @property
-    def order(self) -> int:
-        return self.values.ndim
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self.values.shape
-
-    def contract(self, i: int, j: int) -> "TensorField":
-        """Trace over slots ``i`` and ``j``; they must pair one 'lo' with one 'up'."""
-        if i == j:
-            raise ValueError("cannot contract a slot with itself")
-        if {self.variance[i], self.variance[j]} != {"lo", "up"}:
-            raise ValueError("contraction must pair one covariant and one contravariant slot")
-        vals = np.trace(self.values, axis1=i, axis2=j)
-        var = tuple(f for k, f in enumerate(self.variance) if k not in (i, j))
-        return TensorField(vals, var)
-
-    def __add__(self, other: "TensorField") -> "TensorField":
-        if self.variance != other.variance:
-            raise ValueError("cannot add tensors with different variance")
-        return TensorField(self.values + other.values, self.variance)
-
-    def __sub__(self, other: "TensorField") -> "TensorField":
-        if self.variance != other.variance:
-            raise ValueError("cannot subtract tensors with different variance")
-        return TensorField(self.values - other.values, self.variance)
-
-    def __mul__(self, scalar: float) -> "TensorField":
-        return TensorField(self.values * float(scalar), self.variance)
-
-    __rmul__ = __mul__
+def require_finite(values: np.ndarray) -> np.ndarray:
+    """Return ``values`` as a float array; raise when a component is not finite."""
+    a = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise EvaluationDomainError("tensor components must be finite")
+    return a
 
 
 def _eval(f: Callable, x: np.ndarray) -> float:
@@ -226,7 +174,7 @@ def differentiate(
     order: int = 1,
     step: float | None = None,
     hessian: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> TensorField:
+) -> np.ndarray:
     """Central-difference derivative tensor of a scalar field.
 
     Parameters
@@ -247,14 +195,14 @@ def differentiate(
     xa = as_coords(x).copy()
     if order == 1:
         h = _steps(xa, step, STEP_ORDER1)
-        return TensorField(_gradient(f, xa, h), ("lo",))
+        return require_finite(_gradient(f, xa, h))
     if order == 2:
         h = _steps(xa, step, STEP_ORDER2)
-        return TensorField(_hessian(f, xa, h), ("lo", "lo"))
+        return require_finite(_hessian(f, xa, h))
     if order == 3:
         if hessian is not None:
             h = _steps(xa, step, STEP_ORDER3_FROM_HESSIAN)
-            return TensorField(_third_from_hessian(hessian, xa, h), ("lo",) * 3)
+            return require_finite(_third_from_hessian(hessian, xa, h))
         h = _steps(xa, step, STEP_ORDER3)
         vals = _third_direct(f, xa, h)
         sym = (
@@ -265,7 +213,7 @@ def differentiate(
             + vals.transpose(2, 0, 1)
             + vals.transpose(2, 1, 0)
         ) / 6.0
-        return TensorField(sym, ("lo",) * 3)
+        return require_finite(sym)
     raise ValueError("order must be 1, 2 or 3")
 
 
@@ -315,15 +263,6 @@ def invert_matrix(a: np.ndarray, cond_cap: float = COND_CAP) -> np.ndarray:
             f"condition number {amax / amin:.3e} exceeds cap {cond_cap:.3e}"
         )
     return (v / w) @ v.T
-
-
-def invert(a: TensorField, cond_cap: float = COND_CAP) -> TensorField:
-    """Inverse of a symmetric order-2 tensor; flips each slot's variance."""
-    if a.order != 2:
-        raise ValueError("invert expects an order-2 tensor")
-    inv = invert_matrix(a.values, cond_cap)
-    flipped = tuple("up" if f == "lo" else "lo" for f in a.variance)
-    return TensorField(inv, flipped)
 
 
 def newton_solve(

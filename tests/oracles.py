@@ -85,7 +85,7 @@ def observed_information(model, trajectory, u_hat) -> float:
     """
     u = np.asarray(u_hat, dtype=float)
     fam = model.curved
-    g = geometry.induced_metric(fam, u).values
+    g = geometry.point_geometry(fam, u).g
     ht = geometry.theta_hessian(fam, u)
     delta = trajectory.sum_x - trajectory.t * fam.eta(u)
     hess_l = np.einsum("abi,i->ab", ht, delta) - trajectory.t * g
@@ -95,9 +95,9 @@ def observed_information(model, trajectory, u_hat) -> float:
 def direct_rc_curvature(fam, u, alpha: int):
     """Curvature via the intrinsic formula applied to the sub-connection field,
     against which the Gauss-equation curvature is checked."""
-    idx = 0 if alpha == 1 else 1
-    gamma_field = lambda x: geometry.sub_connections(fam, x)[idx].values
-    metric_field = lambda x: geometry.induced_metric(fam, x).values
+    name = "g1" if alpha == 1 else "gm1"
+    gamma_field = lambda x: getattr(geometry.point_geometry(fam, x), name)
+    metric_field = lambda x: geometry.point_geometry(fam, x).g
     return expfam.rc_curvature(gamma_field, metric_field, u)
 
 

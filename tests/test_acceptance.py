@@ -83,7 +83,7 @@ class TestGeometrySuite:
             for theta in probes:
                 for alpha in (1.0, -1.0):
                     r = expfam.ambient_rc_curvature(fam, theta, alpha)
-                    worst = max(worst, float(np.abs(r.values).max()))
+                    worst = max(worst, float(np.abs(r).max()))
         verdict(1, worst <= 1e-5, f"ambient +-1 curvature max residual {worst:.2e} <= 1e-5")
 
     def test_criterion_02_duality_with_three_gauges(self, models_m2):
@@ -125,7 +125,7 @@ class TestGeometrySuite:
                     gauge, 1.0, theta,
                 )
                 worst_curv = max(
-                    worst_curv, float(np.abs(r1_bar.values + rm1_bar.transpose(0, 1, 3, 2)).max())
+                    worst_curv, float(np.abs(r1_bar + rm1_bar.transpose(0, 1, 3, 2)).max())
                 )
         ok = worst_conn <= 1e-6 and worst_curv <= 1e-4
         verdict(2, ok, f"duality residuals {worst_conn:.2e} <= 1e-6, {worst_curv:.2e} <= 1e-4 "
@@ -137,17 +137,16 @@ class TestGeometrySuite:
             sign = 1.0 if isinstance(model, VmfModel) else -1.0
             rr = model.r * model.r_dagger
             for u in model.probe_grid(count=20, margin=0.05, seed=7):
-                g = geometry.induced_metric(model.curved, u).values
+                pg = geometry.point_geometry(model.curved, u)
+                g = pg.g
                 first = math.sinh(u[0]) if sign < 0 else math.sin(u[0])
                 g_expect = np.diag([rr, rr * first ** 2])
-                h1, hm1 = geometry.es_curvature(model.curved, u)
-                r1, _ = geometry.gauss_curvature(model.curved, u)
                 checks = [
                     (g, g_expect),
-                    (h1.values[:, :, 0], -g / model.r_dagger),
-                    (hm1.values[:, :, 0], -sign * g / model.r),
+                    (pg.h1[:, :, 0], -g / model.r_dagger),
+                    (pg.hm1[:, :, 0], -sign * g / model.r),
                     (
-                        np.array([r1.values[0, 1, 1, 0]]),
+                        np.array([pg.r1[0, 1, 1, 0]]),
                         np.array([sign * g[0, 0] * g[1, 1] / rr]),
                     ),
                 ]
@@ -165,10 +164,10 @@ class TestGeometrySuite:
         worst = 0.0
         for model in models_m2:
             for u in model.probe_grid(count=6, margin=0.25, seed=9):
-                r1g, rm1g = geometry.gauss_curvature(model.curved, u)
-                for alpha, ref in ((1, r1g), (-1, rm1g)):
+                pg = geometry.point_geometry(model.curved, u)
+                for alpha, ref in ((1, pg.r1), (-1, pg.rm1)):
                     direct = direct_rc_curvature(model.curved, u, alpha)
-                    worst = max(worst, float(np.abs(direct.values - ref.values).max()))
+                    worst = max(worst, float(np.abs(direct - ref).max()))
         verdict(4, worst <= 1e-4, f"Gauss-equation vs intrinsic curvature {worst:.2e} <= 1e-4")
 
     def test_criterion_05_dual_quadric_identity(self, models_m2):
@@ -210,10 +209,11 @@ class TestGeometrySuite:
             worst_pde = max(worst_pde, gauge_pde_residual(model.curved, gauge, k0l0, grid))
             _, coords = quadric_gauge(model.curved, np.zeros(3), dmat, grid, gauge=gauge)
             for u in grid[:5]:
-                gam = ubar_chart_connection(model.curved, gauge, coords, u)
-                worst_conn = max(worst_conn, float(np.abs(gam.values).max()))
-                _, h1_bar, _ = conformal_sub_quantities(model.curved, gauge, u)
-                worst_h1 = max(worst_h1, float(np.abs(h1_bar.values).max()))
+                pg = geometry.point_geometry(model.curved, u)
+                gam = ubar_chart_connection(pg, gauge, coords)
+                worst_conn = max(worst_conn, float(np.abs(gam).max()))
+                _, h1_bar, _ = conformal_sub_quantities(pg, gauge)
+                worst_h1 = max(worst_h1, float(np.abs(h1_bar).max()))
         grid3 = vmf3.probe_grid(count=6, margin=0.3, seed=17)
         worst_pde = max(
             worst_pde,
@@ -231,7 +231,7 @@ class TestGeometrySuite:
         for eta_val in (-0.4, 0.0, 0.5, 1.2):
             eta = np.array([eta_val])
             h = coords.forward(eta)
-            xi = tops.differentiate(lambda x: coords.phi_bar(x, eta), h, order=1).values
+            xi = tops.differentiate(lambda x: coords.phi_bar(x, eta), h, order=1)
             psi_val, _ = coords.psi_bar(xi, h, eta)
             worst_leg = max(worst_leg, abs(psi_val + coords.phi_bar(h, eta) - float(xi @ h)))
         gauge_theta = expfam_gauge_on_theta(fam, 1.0, [1.0])
@@ -244,7 +244,7 @@ class TestGeometrySuite:
                     np.zeros((1, 1, 1, 1)), geom.metric(theta), geom.gamma_m1(theta),
                     geom.gamma_p1(theta), gauge_theta, alpha, theta,
                 )
-                worst_r = max(worst_r, float(np.abs(out.values).max()))
+                worst_r = max(worst_r, float(np.abs(out).max()))
         ok = worst_leg <= 1e-8 and worst_r <= 1e-5
         verdict(7, ok, f"scalar-family gauge: Legendre residual {worst_leg:.2e} <= 1e-8, "
                        f"transformed curvature {worst_r:.2e} <= 1e-5")

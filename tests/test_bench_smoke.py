@@ -1,0 +1,40 @@
+"""Tier-1 smoke test of the benchmark workload at a tiny size.
+
+It runs ``perfbench/workload.py``'s ``run()`` in this process, untraced and
+traced, so that a change to the entry points the benchmark marks
+(``geometry.classify``, ``harness.rep_seed``) or wraps shows up here and not
+only in a benchmark run.
+"""
+
+import time
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture
+def workload(monkeypatch):
+    monkeypatch.chdir(ROOT)
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workload
+
+    return workload
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+@pytest.mark.parametrize("name", ["mc-sequential", "fixed-n-geometry"])
+def test_workload_runs_clean(workload, name, trace, tmp_path):
+    spec = {"workload": name, "seed": 1, "replications": 4, "grid_density": 4,
+            "trace": trace, "workdir": str(tmp_path), "t_spawn": time.monotonic()}
+    result = workload.run(spec)
+    counts = result["counts"]
+    assert counts["replications"] > 0
+    assert counts["excluded"] == 0
+    assert counts["checks_failed"] == 0
+    if name == "fixed-n-geometry":
+        assert counts["checks"] == len(workload.GEOMETRY_CASES)
+    if trace:
+        assert result["restored"]
+        assert result["layers"]["geometry.frame_at.calls"] > 0

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -130,6 +131,14 @@ def write_top_cell_config(tmp_path, reps, name):
     return path, cfg
 
 
+@pytest.fixture(scope="module")
+def tiny_results(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("tiny")
+    path, cfg = write_tiny_config(tmp_path, reps=8)
+    assert cli.main(["simulate", "--config", str(path)]) == cli.EXIT_OK
+    return Path(cfg.outdir)
+
+
 class TestReportCommand:
     def test_tiny_replication_run_is_inconclusive_but_passes(self, tmp_path, capsys):
         path, cfg = write_top_cell_config(tmp_path, reps=8, name="r.conf")
@@ -162,6 +171,21 @@ class TestReportCommand:
         code, _, err = run_cli(["report", "--results", cfg.outdir], capsys)
         assert code == cli.EXIT_USAGE
         assert "abc" in err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("m", "abc"), ("r", "abc"), ("u0", "abc"), ("replications", "abc"), ("u0", "0.0, 1.0")],
+    )
+    def test_bad_manifest_field_exit_one(self, key, value, tiny_results, tmp_path, capsys):
+        outdir = tmp_path / "results"
+        shutil.copytree(tiny_results, outdir)
+        manifest = outdir / "run.manifest"
+        lines = manifest.read_text().splitlines()
+        lines = [f"{key} = {value}" if line.startswith(f"{key} = ") else line for line in lines]
+        manifest.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(["report", "--results", str(outdir)], capsys)
+        assert code == cli.EXIT_USAGE
+        assert "schema error" in err
 
     def test_missing_directory(self, capsys):
         code, _, err = run_cli(["report", "--results", "/nope"], capsys)

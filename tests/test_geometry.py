@@ -1,20 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from seqgeo import expfam, geometry, tensorops as tops
-from seqgeo.errors import ChartError, UnsupportedShapeError
-from seqgeo.geometry import (
-    CurvedFamily,
-    classify,
-    es_curvature,
-    frame_at,
-    gauss_curvature,
-    induced_metric,
-    sub_connections,
-    t_akk,
-)
+from seqgeo.errors import ChartError, EvaluationDomainError, UnsupportedShapeError
+from seqgeo.geometry import CurvedFamily, classify, frame_at, point_geometry, t_akk
 
 from conftest import U0_HYP, U0_VMF
 from oracles import VMF_G11, VMF_G22, HYP_G11, HYP_G22, christoffel_first_kind, direct_rc_curvature
@@ -98,23 +90,23 @@ class TestFrames:
 
 class TestInducedMetric:
     def test_vmf_closed_form(self, vmf):
-        g = induced_metric(vmf.curved, U0_VMF).values
+        g = point_geometry(vmf.curved, U0_VMF).g
         assert g[0, 0] == pytest.approx(VMF_G11, rel=1e-12)
         assert g[1, 1] == pytest.approx(VMF_G22, rel=1e-12)
         assert abs(g[0, 1]) < 1e-15
 
     def test_hyperboloid_closed_form(self, hyp):
-        g = induced_metric(hyp.curved, U0_HYP).values
+        g = point_geometry(hyp.curved, U0_HYP).g
         assert g[0, 0] == pytest.approx(HYP_G11, rel=1e-12)
         assert g[1, 1] == pytest.approx(HYP_G22, rel=1e-12)
 
     def test_linear_gram_matrix(self, linear):
-        g = induced_metric(linear.curved, np.array([0.3, 0.9])).values
+        g = point_geometry(linear.curved, np.array([0.3, 0.9])).g
         assert np.abs(g - linear.a.T @ linear.a).max() < 1e-12
 
     def test_general_m_product_form(self, vmf3):
         u = np.array([0.7, 1.1, 0.4])
-        g = induced_metric(vmf3.curved, u).values
+        g = point_geometry(vmf3.curved, u).g
         rr = vmf3.r * vmf3.r_dagger
         expected = rr * np.diag(
             [1.0, math.sin(u[0]) ** 2, math.sin(u[0]) ** 2 * math.sin(u[1]) ** 2]
@@ -124,54 +116,59 @@ class TestInducedMetric:
 
 class TestSubConnections:
     def test_linear_flat(self, linear):
-        g1, gm1 = sub_connections(linear.curved, np.array([0.1, 0.2]))
-        assert np.allclose(g1.values, 0.0)
-        assert np.allclose(gm1.values, 0.0)
+        pg = point_geometry(linear.curved, np.array([0.1, 0.2]))
+        assert np.allclose(pg.g1, 0.0)
+        assert np.allclose(pg.gm1, 0.0)
 
     @pytest.mark.parametrize("model_name", ["vmf", "hyp"])
     def test_duality_residual(self, model_name, request):
         model = request.getfixturevalue(model_name)
         for u in model.probe_grid(count=5, margin=0.2, seed=7):
-            g1, gm1 = sub_connections(model.curved, u)
+            pg = point_geometry(model.curved, u)
             dg = np.empty((2, 2, 2))
             h = 1e-6
             for a in range(2):
                 e = np.zeros(2)
                 e[a] = h
                 dg[a] = (
-                    induced_metric(model.curved, u + e).values
-                    - induced_metric(model.curved, u - e).values
+                    point_geometry(model.curved, u + e).g
+                    - point_geometry(model.curved, u - e).g
                 ) / (2 * h)
-            res = np.abs(dg - (g1.values + gm1.values.transpose(0, 2, 1))).max()
+            res = np.abs(dg - (pg.g1 + pg.gm1.transpose(0, 2, 1))).max()
             assert res < 1e-6
+
+    def test_nan_eta_hessian_raises(self, vmf):
+        fam = dataclasses.replace(vmf.curved, hess_eta=lambda u: np.full((2, 2, 3), np.nan))
+        pg = point_geometry(fam, U0_VMF)
+        assert np.all(np.isfinite(pg.g1))
+        with pytest.raises(EvaluationDomainError):
+            pg.gm1
 
     def test_vmf_christoffel_oracle(self, vmf):
         # the sub-skewness vanishes, so both connections equal the metric
         # Christoffel symbols of the scaled round metric
-        g1, gm1 = sub_connections(vmf.curved, U0_VMF)
-        chris = christoffel_first_kind(lambda u: induced_metric(vmf.curved, u).values, U0_VMF)
-        assert np.abs(g1.values - chris).max() < 1e-9
-        assert np.abs(gm1.values - chris).max() < 1e-9
-        assert np.abs(0.5 * (g1.values + gm1.values) - chris).max() < 1e-9
+        pg = point_geometry(vmf.curved, U0_VMF)
+        chris = christoffel_first_kind(lambda u: point_geometry(vmf.curved, u).g, U0_VMF)
+        assert np.abs(pg.g1 - chris).max() < 1e-9
+        assert np.abs(pg.gm1 - chris).max() < 1e-9
+        assert np.abs(0.5 * (pg.g1 + pg.gm1) - chris).max() < 1e-9
 
 
 class TestExtrinsicCurvature:
     def test_vmf_closed_forms(self, vmf):
-        g = induced_metric(vmf.curved, U0_VMF).values
-        h1, hm1 = es_curvature(vmf.curved, U0_VMF)
-        assert np.abs(h1.values[:, :, 0] + g / vmf.r_dagger).max() < 1e-14
-        assert np.abs(hm1.values[:, :, 0] + g / vmf.r).max() < 1e-14
+        pg = point_geometry(vmf.curved, U0_VMF)
+        assert np.abs(pg.h1[:, :, 0] + pg.g / vmf.r_dagger).max() < 1e-14
+        assert np.abs(pg.hm1[:, :, 0] + pg.g / vmf.r).max() < 1e-14
 
     def test_hyperboloid_closed_forms(self, hyp):
-        g = induced_metric(hyp.curved, U0_HYP).values
-        h1, hm1 = es_curvature(hyp.curved, U0_HYP)
-        assert np.abs(h1.values[:, :, 0] + g / hyp.r_dagger).max() < 1e-14
-        assert np.abs(hm1.values[:, :, 0] - g / hyp.r).max() < 1e-14
+        pg = point_geometry(hyp.curved, U0_HYP)
+        assert np.abs(pg.h1[:, :, 0] + pg.g / hyp.r_dagger).max() < 1e-14
+        assert np.abs(pg.hm1[:, :, 0] - pg.g / hyp.r).max() < 1e-14
 
     def test_linear_flat(self, linear):
-        h1, hm1 = es_curvature(linear.curved, np.array([0.0, 0.0]))
-        assert np.allclose(h1.values, 0.0)
-        assert np.allclose(hm1.values, 0.0)
+        pg = point_geometry(linear.curved, np.array([0.0, 0.0]))
+        assert np.allclose(pg.h1, 0.0)
+        assert np.allclose(pg.hm1, 0.0)
 
     @pytest.mark.parametrize("model_name", ["vmf", "hyp"])
     def test_es_duality_with_frame_derivative(self, model_name, request):
@@ -179,7 +176,7 @@ class TestExtrinsicCurvature:
         model = request.getfixturevalue(model_name)
         fam = model.curved
         u = model.probe_grid(count=1, margin=0.3, seed=21)[0]
-        _, hm1 = es_curvature(fam, u)
+        hm1 = point_geometry(fam, u).hm1
         h = 1e-6
         gamma_bka = np.empty((2, 2))
         for b in range(2):
@@ -187,45 +184,43 @@ class TestExtrinsicCurvature:
             e[b] = h
             dnk = (frame_at(fam, u + e).normal_theta[0] - frame_at(fam, u - e).normal_theta[0]) / (2 * h)
             gamma_bka[b] = frame_at(fam, u).tangent_eta @ dnk
-        assert np.abs(hm1.values[:, :, 0] + gamma_bka.T).max() < 1e-6
+        assert np.abs(hm1[:, :, 0] + gamma_bka.T).max() < 1e-6
 
 
 class TestGaussCurvature:
     def test_vmf_value(self, vmf):
-        g = induced_metric(vmf.curved, U0_VMF).values
-        r1, rm1 = gauss_curvature(vmf.curved, U0_VMF)
-        expected = g[0, 0] * g[1, 1] / (vmf.r * vmf.r_dagger)
-        assert r1.values[0, 1, 1, 0] == pytest.approx(expected, rel=1e-12)
-        assert rm1.values[0, 1, 1, 0] == pytest.approx(expected, rel=1e-12)
+        pg = point_geometry(vmf.curved, U0_VMF)
+        expected = pg.g[0, 0] * pg.g[1, 1] / (vmf.r * vmf.r_dagger)
+        assert pg.r1[0, 1, 1, 0] == pytest.approx(expected, rel=1e-12)
+        assert pg.rm1[0, 1, 1, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_hyperboloid_value(self, hyp):
-        g = induced_metric(hyp.curved, U0_HYP).values
-        r1, _ = gauss_curvature(hyp.curved, U0_HYP)
-        expected = -g[0, 0] * g[1, 1] / (hyp.r * hyp.r_dagger)
-        assert r1.values[0, 1, 1, 0] == pytest.approx(expected, rel=1e-12)
+        pg = point_geometry(hyp.curved, U0_HYP)
+        expected = -pg.g[0, 0] * pg.g[1, 1] / (hyp.r * hyp.r_dagger)
+        assert pg.r1[0, 1, 1, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_linear_flat(self, linear):
-        r1, rm1 = gauss_curvature(linear.curved, np.array([1.0, -1.0]))
-        assert np.allclose(r1.values, 0.0)
-        assert np.allclose(rm1.values, 0.0)
+        pg = point_geometry(linear.curved, np.array([1.0, -1.0]))
+        assert np.allclose(pg.r1, 0.0)
+        assert np.allclose(pg.rm1, 0.0)
 
     @pytest.mark.parametrize("model_name", ["vmf", "hyp"])
     def test_duality_and_antisymmetry(self, model_name, request):
         model = request.getfixturevalue(model_name)
         for u in model.probe_grid(count=4, margin=0.25, seed=17):
-            r1, rm1 = gauss_curvature(model.curved, u)
-            assert np.abs(r1.values + rm1.values.transpose(0, 1, 3, 2)).max() < 1e-6
-            assert np.abs(r1.values + r1.values.transpose(1, 0, 2, 3)).max() < 1e-12
+            pg = point_geometry(model.curved, u)
+            assert np.abs(pg.r1 + pg.rm1.transpose(0, 1, 3, 2)).max() < 1e-6
+            assert np.abs(pg.r1 + pg.r1.transpose(1, 0, 2, 3)).max() < 1e-12
 
     @pytest.mark.parametrize("model_name", ["vmf", "hyp"])
     def test_matches_direct_curvature(self, model_name, request):
         model = request.getfixturevalue(model_name)
         u = model.probe_grid(count=2, margin=0.3, seed=19)
         for point in u:
-            r1g, rm1g = gauss_curvature(model.curved, point)
-            for alpha, ref in ((1, r1g), (-1, rm1g)):
+            pg = point_geometry(model.curved, point)
+            for alpha, ref in ((1, pg.r1), (-1, pg.rm1)):
                 direct = direct_rc_curvature(model.curved, point, alpha)
-                assert np.abs(direct.values - ref.values).max() < 1e-4
+                assert np.abs(direct - ref).max() < 1e-4
 
 
 class TestClassification:

@@ -72,6 +72,12 @@ class TestConfig:
             dataclasses.replace(cfg, grid_k=(194.0, -1.0))
         with pytest.raises(ParameterError, match="grid_K"):
             dataclasses.replace(cfg, grid_k=(0.0,))
+        with pytest.raises(ParameterError, match="u0"):
+            dataclasses.replace(cfg, u0=np.array([4.0, 1.0]))  # outside the chart
+        with pytest.raises(ParameterError, match="u0"):
+            dataclasses.replace(cfg, u0=np.array([0.0, 1.0]))  # on the gauge's singular set
+        with pytest.raises(ParameterError, match="rank"):
+            dataclasses.replace(cfg, d_matrix=np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]))
 
 
 class TestSeeding:

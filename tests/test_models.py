@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from seqgeo import expfam, geometry
 from seqgeo.errors import (
@@ -75,6 +76,31 @@ class TestMeanResultant:
     def test_rejects_nonpositive(self):
         with pytest.raises(ParameterError):
             vmf_mean_resultant(0.0, 2)
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    def test_ratios_over_the_full_concentration_range(self, m):
+        # unscaled Bessel values overflow (I) and underflow (K) from rho ~ 700
+        rhos = np.unique(np.concatenate([np.geomspace(1e-8, 1e5, 60), [700.0, 800.0]]))
+        nu = 0.5 * (m - 1)
+        vmf_vals = np.array([vmf_mean_resultant(r, m) for r in rhos])
+        hyp_vals = np.array([hyperboloid_mean_resultant(r, m) for r in rhos])
+        assert np.all(np.isfinite(vmf_vals)) and np.all(np.isfinite(hyp_vals))
+        assert np.all((vmf_vals > 0.0) & (vmf_vals < 1.0))
+        assert np.all(hyp_vals > 1.0)
+        assert np.all(np.diff(vmf_vals) > 0.0)
+        assert np.all(np.diff(hyp_vals) < 0.0)
+        for r in rhos[rhos <= 10.0]:
+            assert vmf_mean_resultant(r, m) == pytest.approx(iv_ratio_series(r, nu), rel=1e-10)
+        for r in rhos[rhos <= 100.0]:
+            reference = special.kv(nu + 1.0, r) / special.kv(nu, r)
+            assert hyperboloid_mean_resultant(r, m) == pytest.approx(reference, rel=1e-12)
+
+    @pytest.mark.parametrize("cls", [VmfModel, HyperboloidModel])
+    def test_odd_dimension_large_concentration_builds(self, cls):
+        model = cls(3, 800.0)
+        assert math.isfinite(model.r_dagger)
+        theta, _ = model.embed(model.probe_grid(count=1)[0])
+        assert math.isfinite(model.family.psi_at(theta))
 
 
 class TestEmbedding:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from seqgeo import conformal, geometry, sequential, tensorops as tops
 from seqgeo.conformal import quadric_gauge
-from seqgeo.errors import RunawayStopError
+from seqgeo.errors import EvaluationDomainError, RunawayStopError
 from seqgeo.geometry import CurvedFamily
 from seqgeo.sequential import (
     StopDecision,
@@ -159,11 +160,17 @@ class TestBiasCorrect:
     def test_correction_formula(self, vmf):
         # (1/2N) Gamma^(-1)a_bc g^bc against an explicit contraction
         n = 200.0
-        g = geometry.induced_metric(vmf.curved, U0_VMF).values
-        ginv = np.linalg.inv(g)
-        _, gm1 = geometry.sub_connections(vmf.curved, U0_VMF)
-        expected = U0_VMF + np.einsum("bcd,da,bc->a", gm1.values, ginv, ginv) / (2 * n)
+        pg = geometry.point_geometry(vmf.curved, U0_VMF)
+        ginv = np.linalg.inv(pg.g)
+        expected = U0_VMF + np.einsum("bcd,da,bc->a", pg.gm1, ginv, ginv) / (2 * n)
         assert np.abs(bias_correct(vmf, U0_VMF, n) - expected).max() < 1e-14
+
+    def test_nan_eta_hessian_raises(self, vmf):
+        class Wrapper:
+            curved = dataclasses.replace(vmf.curved, hess_eta=lambda u: np.full((2, 2, 3), np.nan))
+
+        with pytest.raises(EvaluationDomainError):
+            bias_correct(Wrapper(), U0_VMF, 100.0)
 
     def test_conformal_correction_vanishes(self, vmf, vmf_coords):
         gauge, coords = vmf_coords
@@ -175,12 +182,10 @@ class TestBiasCorrect:
 class TestAsymptoticCovariance:
     def test_vmf_oalb_formula(self, vmf):
         n = 100.0
-        g = geometry.induced_metric(vmf.curved, U0_VMF).values
-        ginv = np.linalg.inv(g)
-        _, gm1 = geometry.sub_connections(vmf.curved, U0_VMF)
-        h1, _ = geometry.es_curvature(vmf.curved, U0_VMF)
-        gamma_sq = np.einsum("cda,efb,ce,df->ab", gm1.values, gm1.values, ginv, ginv)
-        h_sq = np.einsum("ack,bdl,cd->ab", h1.values, h1.values, ginv)
+        pg = geometry.point_geometry(vmf.curved, U0_VMF)
+        ginv = np.linalg.inv(pg.g)
+        gamma_sq = np.einsum("cda,efb,ce,df->ab", pg.gm1, pg.gm1, ginv, ginv)
+        h_sq = np.einsum("ack,bdl,cd->ab", pg.h1, pg.h1, ginv)
         expected = ginv + (ginv @ (0.5 * gamma_sq + h_sq) @ ginv) / n
         got = asymptotic_covariance(vmf, U0_VMF, n)
         assert np.abs(got - expected).max() < 1e-12
@@ -226,7 +231,7 @@ class TestCrb:
         gauge, coords = vmf_coords
         out = crb(vmf, U0_VMF, coords=coords)
         j = tops.jacobian(coords.forward, U0_VMF)
-        g = geometry.induced_metric(vmf.curved, U0_VMF).values
+        g = geometry.point_geometry(vmf.curved, U0_VMF).g
         expected = j @ np.linalg.inv(g) @ j.T
         assert np.abs(out - expected).max() < 1e-6
 

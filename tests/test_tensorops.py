@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from seqgeo import tensorops as tops
 from seqgeo.errors import EvaluationDomainError, NoConvergenceError, SingularMetricError
-from seqgeo.tensorops import Point, TensorField, differentiate, invert, newton_solve
+from seqgeo.tensorops import Point, differentiate, invert_matrix, newton_solve
 
 from oracles import VMF_G11, VMF_G22, iv_ratio_series
 
@@ -27,41 +27,20 @@ class TestPoint:
             p.coords[0] = 3.0
 
 
-class TestTensorField:
-    def test_variance_defaults_and_validation(self):
-        t = TensorField(np.eye(2))
-        assert t.variance == ("lo", "lo")
-        with pytest.raises(ValueError):
-            TensorField(np.eye(2), ("lo",))
-        with pytest.raises(ValueError):
-            TensorField(np.zeros((2,) * 5))
-
-    def test_contract_requires_mixed_pair(self):
-        t = TensorField(np.eye(3), ("lo", "up"))
-        assert t.contract(0, 1).values == pytest.approx(3.0)
-        with pytest.raises(ValueError):
-            TensorField(np.eye(3), ("lo", "lo")).contract(0, 1)
-
-    def test_arithmetic_preserves_variance(self):
-        a = TensorField(np.eye(2), ("lo", "lo"))
-        assert np.allclose((a + a).values, 2 * np.eye(2))
-        assert (2.0 * a).variance == ("lo", "lo")
-
-
 class TestDifferentiate:
     def test_square_first_derivative(self):
         val = differentiate(lambda x: float(x[0] ** 2), np.array([1.0]), order=1)
-        assert val.values[0] == pytest.approx(2.0, abs=1e-8)
+        assert val[0] == pytest.approx(2.0, abs=1e-8)
 
     def test_exp_third_derivative(self):
         val = differentiate(lambda x: math.exp(x[0]), np.array([0.0]), order=3)
-        assert val.values[0, 0, 0] == pytest.approx(1.0, abs=1e-4)
+        assert val[0, 0, 0] == pytest.approx(1.0, abs=1e-4)
 
     def test_bilinear_hessian(self):
         val = differentiate(lambda x: float(x[0] * x[1]), np.array([0.3, -0.7]), order=2)
-        assert val.values[0, 1] == pytest.approx(1.0, abs=1e-8)
-        assert val.values[0, 0] == pytest.approx(0.0, abs=1e-8)
-        assert val.values[1, 1] == pytest.approx(0.0, abs=1e-8)
+        assert val[0, 1] == pytest.approx(1.0, abs=1e-8)
+        assert val[0, 0] == pytest.approx(0.0, abs=1e-8)
+        assert val[1, 1] == pytest.approx(0.0, abs=1e-8)
 
     @given(
         coeffs=st.lists(st.floats(-3, 3), min_size=4, max_size=4),
@@ -72,9 +51,9 @@ class TestDifferentiate:
         a, b, c, d = coeffs
         f = lambda x: a + b * x[0] + c * x[0] ** 2 + d * x[0] ** 3
         pt = np.array([x0])
-        g1 = differentiate(f, pt, order=1).values[0]
-        g2 = differentiate(f, pt, order=2).values[0, 0]
-        g3 = differentiate(f, pt, order=3).values[0, 0, 0]
+        g1 = differentiate(f, pt, order=1)[0]
+        g2 = differentiate(f, pt, order=2)[0, 0]
+        g3 = differentiate(f, pt, order=3)[0, 0, 0]
         scale = 1.0 + abs(a) + abs(b) + abs(c) + abs(d)
         assert g1 == pytest.approx(b + 2 * c * x0 + 3 * d * x0 ** 2, abs=1e-8 * scale)
         assert g2 == pytest.approx(2 * c + 6 * d * x0, abs=1e-8 * scale)
@@ -82,7 +61,7 @@ class TestDifferentiate:
 
     def test_mixed_cubic_exact_2d(self):
         f = lambda x: x[0] ** 2 * x[1] - 2.0 * x[0] * x[1] + x[1] ** 3
-        t3 = differentiate(f, np.array([0.4, -0.9]), order=3).values
+        t3 = differentiate(f, np.array([0.4, -0.9]), order=3)
         assert t3[0, 0, 1] == pytest.approx(2.0, abs=1e-8)
         assert t3[1, 1, 1] == pytest.approx(6.0, abs=1e-8)
         assert t3[0, 0, 0] == pytest.approx(0.0, abs=1e-8)
@@ -90,9 +69,9 @@ class TestDifferentiate:
     def test_symmetry_is_exact(self):
         f = lambda x: math.sin(x[0]) * math.exp(0.5 * x[1]) + x[0] * x[1] ** 2
         pt = np.array([0.3, 0.7])
-        h = differentiate(f, pt, order=2).values
+        h = differentiate(f, pt, order=2)
         assert np.array_equal(h, h.T)
-        t = differentiate(f, pt, order=3).values
+        t = differentiate(f, pt, order=3)
         for perm in ((0, 2, 1), (1, 0, 2), (2, 1, 0)):
             assert np.array_equal(t, t.transpose(perm))
 
@@ -100,7 +79,7 @@ class TestDifferentiate:
         f = lambda x: math.exp(x[0])
         hess = lambda x: np.array([[math.exp(x[0])]])
         val = differentiate(f, np.array([0.0]), order=3, hessian=hess)
-        assert val.values[0, 0, 0] == pytest.approx(1.0, abs=1e-6)
+        assert val[0, 0, 0] == pytest.approx(1.0, abs=1e-6)
 
     def test_non_finite_evaluation_raises(self):
         f = lambda x: float("nan") if x[0] < 0 else x[0] ** 0.5
@@ -114,13 +93,11 @@ class TestDifferentiate:
 
 class TestInvert:
     def test_identity(self):
-        out = invert(TensorField(np.eye(3), ("lo", "lo")))
-        assert np.allclose(out.values, np.eye(3))
-        assert out.variance == ("up", "up")
+        assert np.allclose(invert_matrix(np.eye(3)), np.eye(3))
 
     def test_diagonal(self):
-        out = invert(TensorField(np.diag([2.0, 8.0]), ("lo", "lo")))
-        assert np.allclose(out.values, np.diag([0.5, 0.125]))
+        out = invert_matrix(np.diag([2.0, 8.0]))
+        assert np.allclose(out, np.diag([0.5, 0.125]))
 
     def test_vmf_metric_closed_form(self):
         # induced metric of the sphere model at (pi/6, pi/3): diagonal with
@@ -129,7 +106,7 @@ class TestInvert:
         g = np.diag([0.25 * rd, 0.25 * rd * 0.25])
         assert g[0, 0] == pytest.approx(VMF_G11, abs=1e-15)
         assert g[1, 1] == pytest.approx(VMF_G22, abs=1e-15)
-        out = invert(TensorField(g, ("lo", "lo"))).values
+        out = invert_matrix(g)
         assert out[0, 0] == pytest.approx(1.0 / VMF_G11, rel=1e-12)
         assert out[1, 1] == pytest.approx(1.0 / VMF_G22, rel=1e-12)
 
@@ -143,17 +120,17 @@ class TestInvert:
         d = len(eigs)
         q, _ = np.linalg.qr(rng.standard_normal((d, d)))
         a = q @ np.diag(eigs) @ q.T
-        inv = invert(TensorField(a, ("lo", "lo"))).values
+        inv = invert_matrix(a)
         assert np.abs(a @ inv - np.eye(d)).max() < 1e-10 * max(1.0, np.abs(a).max() / min(eigs))
 
     def test_condition_cap(self):
         a = np.diag([1.0, 1e-12])
         with pytest.raises(SingularMetricError):
-            invert(TensorField(a, ("lo", "lo")), cond_cap=1e10)
+            invert_matrix(a, cond_cap=1e10)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
-            invert(TensorField(np.array([[1.0, 2.0], [0.0, 1.0]]), ("lo", "lo")))
+            invert_matrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 class TestNewtonSolve:
