@@ -27,6 +27,9 @@ EXIT_EXCLUSION = 3
 def geometry_report(model_name: str, m: int, r: float, grid_density: int = 12,
                     tol_classify: float | None = None, tol_fd: float = 1e-4) -> dict:
     """Classification, curvature constants and conformal-flatness residuals."""
+    if grid_density < 2:
+        # the dual-quadric fit has n + 1 unknowns and n equations per point
+        raise ParameterError("grid density must be at least 2")
     model = MODELS[model_name](m, r)
     fam = model.curved
     grid = model.probe_grid(count=grid_density, margin=0.15, seed=11)

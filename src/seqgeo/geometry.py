@@ -1,8 +1,9 @@
 """Curved exponential families: frames, induced geometry, extrinsic curvature.
 
 A ``CurvedFamily`` wraps an embedding ``u -> theta(u)`` into an ambient
-family together with optional analytic frame/Hessian callbacks; every
-operation falls back to finite differences when a callback is missing.
+family together with an optional analytic ``jet``: the tangent frames and
+embedding Hessians at a point, from one call. Without it the jet comes from
+finite differences of the embeddings.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -22,6 +23,21 @@ from .tensorops import as_coords
 EMBED_CONSISTENCY_TOL = 1e-8
 
 
+class Jet(NamedTuple):
+    """Derivatives of both embeddings at one point of the submanifold.
+
+    A family's ``jet`` callback leaves the normals ``None`` unless it knows
+    them in closed form; :func:`frame_at` fills them in.
+    """
+
+    tangent_theta: np.ndarray  # (m, n)  B_a^i = d_a theta^i
+    tangent_eta: np.ndarray    # (m, n)  B_{ai} = d_a eta_i
+    hess_theta: np.ndarray     # (m, m, n)  d_a d_b theta^i
+    hess_eta: np.ndarray       # (m, m, n)  d_a d_b eta_i
+    normal_theta: np.ndarray | None = None  # (n-m, n)  B_kappa^i
+    normal_eta: np.ndarray | None = None    # (n-m, n)  B_{kappa i}
+
+
 @dataclass(frozen=True)
 class CurvedFamily:
     """An m-dimensional submanifold of an n-dimensional ambient family."""
@@ -30,12 +46,7 @@ class CurvedFamily:
     m: int
     embed_theta: Callable[[np.ndarray], np.ndarray]
     embed_eta: Callable[[np.ndarray], np.ndarray] | None = None
-    tangent_theta: Callable[[np.ndarray], np.ndarray] | None = None
-    tangent_eta: Callable[[np.ndarray], np.ndarray] | None = None
-    normal_theta: Callable[[np.ndarray], np.ndarray] | None = None
-    normal_eta: Callable[[np.ndarray], np.ndarray] | None = None
-    hess_theta: Callable[[np.ndarray], np.ndarray] | None = None
-    hess_eta: Callable[[np.ndarray], np.ndarray] | None = None
+    jet: Callable[[np.ndarray], Jet] | None = None
     domain: Callable[[np.ndarray], bool] | None = None
     normal_sign: int = 1
     registered_gauge: Any = None
@@ -51,7 +62,7 @@ class CurvedFamily:
 
     @property
     def analytic(self) -> bool:
-        return self.tangent_theta is not None and self.hess_theta is not None
+        return self.jet is not None
 
     def check_domain(self, u: np.ndarray) -> None:
         if self.domain is not None and not self.domain(u):
@@ -68,16 +79,6 @@ class CurvedFamily:
         if self.embed_eta is not None:
             return np.asarray(self.embed_eta(ua), dtype=float)
         return expfam.eta_of_theta(self.ambient, self.theta(ua)).coords
-
-
-@dataclass(frozen=True)
-class Frame:
-    """Tangent and normal frames at one point of the submanifold."""
-
-    tangent_theta: np.ndarray  # (m, n)  B_a^i
-    tangent_eta: np.ndarray    # (m, n)  B_{ai}
-    normal_theta: np.ndarray   # (n-m, n)  B_kappa^i
-    normal_eta: np.ndarray     # (n-m, n)  B_{kappa i}
 
 
 @dataclass(frozen=True)
@@ -100,46 +101,25 @@ class Classification:
     tolerance: float
 
 
-def _tangent_theta(fam: CurvedFamily, u: np.ndarray) -> np.ndarray:
-    if fam.tangent_theta is not None:
-        return np.asarray(fam.tangent_theta(u), dtype=float)
-    return tops.jacobian(fam.embed_theta, u).T  # rows indexed by a
+def _fd_jet(fam: CurvedFamily, u: np.ndarray) -> Jet:
+    """Finite-difference jet of ``embed_theta`` and ``eta``, without normals.
+
+    The fallback for a family without an analytic ``jet``, and the reference
+    the analytic jets are tested against.
+    """
+
+    def hessian(embed):
+        return np.stack(
+            [tops.differentiate(lambda v, i=i: float(embed(v)[i]), u, order=2) for i in range(fam.n)],
+            axis=-1,
+        )
+
+    return Jet(tops.jacobian(fam.embed_theta, u).T, tops.jacobian(fam.eta, u).T,
+               hessian(fam.embed_theta), hessian(fam.eta))
 
 
-def _tangent_eta(fam: CurvedFamily, u: np.ndarray) -> np.ndarray:
-    if fam.tangent_eta is not None:
-        return np.asarray(fam.tangent_eta(u), dtype=float)
-    return tops.jacobian(fam.eta, u).T
-
-
-def theta_hessian(fam: CurvedFamily, u) -> np.ndarray:
-    """Second derivatives of the natural-parameter embedding, shape (m, m, n)."""
-    ua = as_coords(u)
-    if fam.hess_theta is not None:
-        return np.asarray(fam.hess_theta(ua), dtype=float)
-    n = fam.n
-    out = np.empty((fam.m, fam.m, n))
-    for i in range(n):
-        comp = lambda v, i=i: float(fam.embed_theta(v)[i])
-        out[:, :, i] = tops.differentiate(comp, ua, order=2)
-    return out
-
-
-def eta_hessian(fam: CurvedFamily, u) -> np.ndarray:
-    """Second derivatives of the mean-parameter embedding, shape (m, m, n)."""
-    ua = as_coords(u)
-    if fam.hess_eta is not None:
-        return np.asarray(fam.hess_eta(ua), dtype=float)
-    n = fam.n
-    out = np.empty((fam.m, fam.m, n))
-    for i in range(n):
-        comp = lambda v, i=i: float(fam.eta(v)[i])
-        out[:, :, i] = tops.differentiate(comp, ua, order=2)
-    return out
-
-
-def frame_at(fam: CurvedFamily, u) -> Frame:
-    """Tangent rows from the embedding Jacobian plus the bi-orthogonal normal pair.
+def frame_at(fam: CurvedFamily, u) -> Jet:
+    """The jet of ``fam`` at ``u``, with the bi-orthogonal normal pair filled in.
 
     The natural-parameter normal solves ``B_kappa^i B_{ai} = 0`` and the
     mean-parameter normal solves ``B_{kappa i} B_a^i = 0``; the pair is
@@ -148,13 +128,12 @@ def frame_at(fam: CurvedFamily, u) -> Frame:
     """
     ua = as_coords(u)
     fam.check_domain(ua)
-    bt = _tangent_theta(fam, ua)
-    be = _tangent_eta(fam, ua)
+    jet = fam.jet(ua) if fam.jet is not None else _fd_jet(fam, ua)
+    bt, be = jet.tangent_theta, jet.tangent_eta
     if np.linalg.matrix_rank(bt) < fam.m:
         raise ChartError(f"embedding Jacobian is rank deficient at u={ua!r}")
-    if fam.normal_theta is not None and fam.normal_eta is not None:
-        return Frame(bt, be, np.asarray(fam.normal_theta(ua), dtype=float),
-                     np.asarray(fam.normal_eta(ua), dtype=float))
+    if jet.normal_theta is not None and jet.normal_eta is not None:
+        return jet
 
     nt = np.linalg.svd(be)[2][fam.m:]   # complement of the eta-type tangents
     ne = np.linalg.svd(bt)[2][fam.m:]   # complement of the theta-type tangents
@@ -176,26 +155,26 @@ def frame_at(fam: CurvedFamily, u) -> Frame:
             nt, ne = -nt, -ne
     else:
         ne = np.linalg.solve(cross, ne)
-    return Frame(bt, be, nt, ne)
+    return jet._replace(normal_theta=nt, normal_eta=ne)
 
 
 @dataclass(frozen=True, eq=False)
 class PointGeometry:
-    """Second-order geometry of a curved family at one point, from one frame.
+    """Second-order geometry of a curved family at one point, from one jet.
 
-    Each field is a plain array, computed on first read from the frame and
-    the two embedding Hessians, checked finite, and shared by later reads;
+    Each field is a plain array, computed on first read from the jet (frames
+    and embedding Hessians), checked finite, and shared by later reads;
     callers must not modify it in place. Build it with :func:`point_geometry`.
     """
 
     fam: CurvedFamily
     u: np.ndarray
-    frame: Frame
+    jet: Jet
 
     @cached_property
     def g(self) -> np.ndarray:
         """Pullback of the ambient Fisher metric: g_ab = B_a^i B_b^j g_ij."""
-        vals = self.frame.tangent_theta @ self.frame.tangent_eta.T
+        vals = self.jet.tangent_theta @ self.jet.tangent_eta.T
         vals = tops.require_finite(0.5 * (vals + vals.T))
         if np.linalg.eigvalsh(vals).min() <= 0:
             raise ChartError(f"induced metric not positive definite at u={self.u!r}")
@@ -209,38 +188,38 @@ class PointGeometry:
     @cached_property
     def gkk_inv(self) -> np.ndarray:
         """Inverse of the normal-bundle metric B_kappa^i B_{lambda i}."""
-        f = self.frame
+        f = self.jet
         return tops.require_finite(tops.invert_matrix(f.normal_theta @ f.normal_eta.T))
 
     @cached_property
     def ht(self) -> np.ndarray:
         """Second derivatives of the natural-parameter embedding, shape (m, m, n)."""
-        return tops.require_finite(theta_hessian(self.fam, self.u))
+        return tops.require_finite(self.jet.hess_theta)
 
     @cached_property
     def he(self) -> np.ndarray:
         """Second derivatives of the mean-parameter embedding, shape (m, m, n)."""
-        return tops.require_finite(eta_hessian(self.fam, self.u))
+        return tops.require_finite(self.jet.hess_eta)
 
     @cached_property
     def g1(self) -> np.ndarray:
         """+1 connection of the submanifold chart: G1_abc = (d_a B_b^j) B_cj."""
-        return tops.require_finite(np.einsum("abj,cj->abc", self.ht, self.frame.tangent_eta))
+        return tops.require_finite(np.einsum("abj,cj->abc", self.ht, self.jet.tangent_eta))
 
     @cached_property
     def gm1(self) -> np.ndarray:
         """-1 connection of the submanifold chart: G-1_abc = (d_a B_bj) B_c^j."""
-        return tops.require_finite(np.einsum("abj,cj->abc", self.he, self.frame.tangent_theta))
+        return tops.require_finite(np.einsum("abj,cj->abc", self.he, self.jet.tangent_theta))
 
     @cached_property
     def h1(self) -> np.ndarray:
         """+1 Euler-Schouten (extrinsic) curvature of the embedding."""
-        return tops.require_finite(np.einsum("abj,kj->abk", self.ht, self.frame.normal_eta))
+        return tops.require_finite(np.einsum("abj,kj->abk", self.ht, self.jet.normal_eta))
 
     @cached_property
     def hm1(self) -> np.ndarray:
         """-1 Euler-Schouten (extrinsic) curvature of the embedding."""
-        return tops.require_finite(np.einsum("abj,kj->abk", self.he, self.frame.normal_theta))
+        return tops.require_finite(np.einsum("abj,kj->abk", self.he, self.jet.normal_theta))
 
     @cached_property
     def r1(self) -> np.ndarray:
@@ -266,7 +245,7 @@ class PointGeometry:
 
 
 def point_geometry(fam: CurvedFamily, u) -> PointGeometry:
-    """The geometry bundle of ``fam`` at ``u``; builds the frame once."""
+    """The geometry bundle of ``fam`` at ``u``; takes the jet once."""
     ua = as_coords(u)
     return PointGeometry(fam, ua, frame_at(fam, ua))
 
@@ -274,7 +253,7 @@ def point_geometry(fam: CurvedFamily, u) -> PointGeometry:
 def t_akk(fam: CurvedFamily, u) -> np.ndarray:
     """Ambient skewness contracted once with a tangent and twice with the normal frame."""
     pg = point_geometry(fam, u)
-    f = pg.frame
+    f = pg.jet
     t = expfam.skewness(fam.ambient, fam.theta(pg.u))
     return np.einsum(
         "ijk,ai,pj,qk,pq->a", t, f.tangent_theta, f.normal_theta, f.normal_theta, pg.gkk_inv
@@ -340,8 +319,8 @@ def classify(
         )
         return k, base, res
 
-    k0, theta0, res_k = affine_fit([pg.frame.normal_theta[0] for pg in pgs], thetas)
-    l0, eta0, res_l = affine_fit([pg.frame.normal_eta[0] for pg in pgs], etas)
+    k0, theta0, res_k = affine_fit([pg.jet.normal_theta[0] for pg in pgs], thetas)
+    l0, eta0, res_l = affine_fit([pg.jet.normal_eta[0] for pg in pgs], etas)
     dq_res = max(res_k, res_l)
 
     ident_res = 0.0

@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedShapeError,
 )
 from .expfam import ExponentialFamily
-from .geometry import CurvedFamily, chart_grid
+from .geometry import CurvedFamily, Jet, chart_grid
 from .tensorops import as_coords
 
 _DOMAIN_SLACK = 1e-3
@@ -236,61 +236,59 @@ def hyperboloid_family(m: int) -> ExponentialFamily:
 # angular charts (spherical / hyperbolic-polar coordinates)
 
 
-def _fval_factor(kind: str, role: str, x: float, order: int) -> float:
-    if kind == "circ":
-        fns = (math.sin, math.cos)
-        idx = order + (0 if role == "s" else 1)
-        v = fns[idx % 2](x)
-        return v if (idx % 4) < 2 else -v
-    if role == "s":
-        return math.sinh(x) if order % 2 == 0 else math.cosh(x)
-    return math.cosh(x) if order % 2 == 0 else math.sinh(x)
+def _sc(kind: str, x: float) -> tuple[float, float]:
+    """The (s, c) pair of one chart axis: (sinh, cosh) on the hyperbolic axis, else (sin, cos)."""
+    if kind == "hyp":
+        return math.sinh(x), math.cosh(x)
+    return math.sin(x), math.cos(x)
 
 
-def _xi(u: np.ndarray, kinds: list[str], derivs: tuple[int, ...]) -> np.ndarray:
+def _xi(u: np.ndarray, kinds: list[str]) -> np.ndarray:
+    """Unit direction of the chart point: xi_i = s_0 ... s_{i-1} c_i, xi_m = s_0 ... s_{m-1}."""
+    out = []
+    prod = 1.0
+    for kind, x in zip(kinds, u.tolist()):
+        s, c = _sc(kind, x)
+        out.append(prod * c)
+        prod *= s
+    out.append(prod)
+    return np.array(out)
+
+
+def _xi_jet(u: np.ndarray, kinds: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """xi and its first and second derivatives, shapes (m+1,), (m, m+1), (m, m, m+1).
+
+    xi_i is a product of one factor per axis a <= min(i, m-1): s_a for a < i
+    and c_a for a = i. A factor is the triple (f, f', f'') with s' = c,
+    c' = sigma s and f'' = sigma f, where sigma is -1 on a circular axis and
+    +1 on the hyperbolic one. Every entry multiplies its factors in axis
+    order, the same order as :func:`_xi`; derivatives in an axis outside the
+    product are exactly zero.
+    """
     m = u.shape[0]
-    out = np.empty(m + 1)
+    triples = []
+    for kind, x in zip(kinds, u.tolist()):
+        s, c = _sc(kind, x)
+        triples.append(((s, c, s), (c, s, c)) if kind == "hyp" else ((s, c, -s), (c, -s, -c)))
+    xi = np.empty(m + 1)
+    dxi = np.zeros((m, m + 1))
+    ddxi = np.zeros((m, m, m + 1))
     for i in range(m + 1):
-        axes = list(range(min(i, m)))
-        roles = ["s"] * len(axes)
-        if i < m:
-            axes.append(i)
-            roles.append("c")
-        val = 1.0
-        for a in range(m):
-            d = derivs[a]
-            if a in axes:
-                val *= _fval_factor(kinds[a], roles[axes.index(a)], u[a], d)
-            elif d > 0:
-                val = 0.0
-                break
-        out[i] = val
-    return out
+        factors = [triples[a][a == i] for a in range(min(i + 1, m))]
+        xi[i] = _product(factors, -1, -1)
+        for b in range(len(factors)):
+            dxi[b, i] = _product(factors, b, -1)
+            for c in range(b, len(factors)):
+                ddxi[b, c, i] = ddxi[c, b, i] = _product(factors, b, c)
+    return xi, dxi, ddxi
 
 
-def _xi_jacobian(u, kinds):
-    m = u.shape[0]
-    base = tuple(0 for _ in range(m))
-    rows = []
-    for a in range(m):
-        d = list(base)
-        d[a] = 1
-        rows.append(_xi(u, kinds, tuple(d)))
-    return np.array(rows)  # (m, m+1)
-
-
-def _xi_hessian(u, kinds):
-    m = u.shape[0]
-    out = np.empty((m, m, m + 1))
-    for a in range(m):
-        for b in range(a, m):
-            d = [0] * m
-            d[a] += 1
-            d[b] += 1
-            v = _xi(u, kinds, tuple(d))
-            out[a, b] = v
-            out[b, a] = v
-    return out
+def _product(factors: list[tuple[float, float, float]], b: int, c: int) -> float:
+    """Product of the factors, each differentiated once per index among b and c equal to its axis."""
+    val = 1.0
+    for a, f in enumerate(factors):
+        val *= f[(a == b) + (a == c)]
+    return val
 
 
 # ---------------------------------------------------------------------------
@@ -308,15 +306,22 @@ class _DirectionalModel:
     family: ExponentialFamily
     _lam: np.ndarray  # theta = r * lam * xi, componentwise signs
 
+    def __init__(self, m: int, r: float):
+        if m < 2:
+            raise ParameterError("directional models need m >= 2")
+        if not 0.0 < r < math.inf:
+            raise ParameterError(f"concentration r must be positive and finite, got {r!r}")
+        self.m = int(m)
+        self.r = float(r)
+
     def direction(self, u) -> np.ndarray:
-        ua = as_coords(u)
-        return _xi(ua, self.kinds, tuple([0] * self.m))
+        return _xi(as_coords(u), self.kinds)
 
     def embed(self, u) -> tuple[np.ndarray, np.ndarray]:
         """Natural and mean parameter of the chart point."""
         ua = as_coords(u)
         self._check_chart(ua)
-        xi = _xi(ua, self.kinds, tuple([0] * self.m))
+        xi = _xi(ua, self.kinds)
         return self.r * self._lam * xi, self.r_dagger * xi
 
     def _require_m2(self) -> None:
@@ -340,40 +345,25 @@ class _DirectionalModel:
 
         def embed_theta(u):
             self._check_chart(u)
-            return self.r * lam * _xi(u, self.kinds, tuple([0] * self.m))
+            return self.r * lam * _xi(u, self.kinds)
 
         def embed_eta(u):
-            return self.r_dagger * _xi(u, self.kinds, tuple([0] * self.m))
+            return self.r_dagger * _xi(u, self.kinds)
 
-        def tangent_theta(u):
-            return self.r * _xi_jacobian(u, self.kinds) * lam
-
-        def tangent_eta(u):
-            return self.r_dagger * _xi_jacobian(u, self.kinds)
-
-        def normal_theta(u):
-            return (normal_theta_sign * lam * _xi(u, self.kinds, tuple([0] * self.m)))[None, :]
-
-        def normal_eta(u):
-            return _xi(u, self.kinds, tuple([0] * self.m))[None, :]
-
-        def hess_theta(u):
-            return self.r * _xi_hessian(u, self.kinds) * lam
-
-        def hess_eta(u):
-            return self.r_dagger * _xi_hessian(u, self.kinds)
+        def jet(u):
+            xi, dxi, ddxi = _xi_jet(u, self.kinds)
+            return Jet(
+                self.r * dxi * lam, self.r_dagger * dxi,
+                self.r * ddxi * lam, self.r_dagger * ddxi,
+                (normal_theta_sign * lam * xi)[None, :], xi[None, :],
+            )
 
         return CurvedFamily(
             ambient=self.family,
             m=self.m,
             embed_theta=embed_theta,
             embed_eta=embed_eta,
-            tangent_theta=tangent_theta,
-            tangent_eta=tangent_eta,
-            normal_theta=normal_theta,
-            normal_eta=normal_eta,
-            hess_theta=hess_theta,
-            hess_eta=hess_eta,
+            jet=jet,
             normal_sign=normal_sign,
             registered_gauge=self.gauge(),
             name=type(self).__name__,
@@ -393,22 +383,10 @@ class _DirectionalModel:
             return np.where(singular, np.inf, 1.0 / np.where(singular, 1.0, prod))
 
         def s(u):
-            out = np.empty(m)
-            for a in range(m):
-                if kinds[a] == "hyp":
-                    out[a] = -math.cosh(u[a]) / math.sinh(u[a])
-                else:
-                    out[a] = -math.cos(u[a]) / math.sin(u[a])
-            return out
+            return np.array([-ca / sa for sa, ca in map(_sc, kinds, u.tolist())])
 
         def ds(u):
-            out = np.zeros((m, m))
-            for a in range(m):
-                if kinds[a] == "hyp":
-                    out[a, a] = 1.0 / math.sinh(u[a]) ** 2
-                else:
-                    out[a, a] = 1.0 / math.sin(u[a]) ** 2
-            return out
+            return np.diag([1.0 / _sc(kind, x)[0] ** 2 for kind, x in zip(kinds, u.tolist())])
 
         return Gauge(nu=nu, s=s, ds=ds, chart="u", name=f"{type(self).__name__}-gauge")
 
@@ -434,12 +412,7 @@ class VmfModel(_DirectionalModel):
     curvature_sign = 1.0
 
     def __init__(self, m: int = 2, r: float = 0.25):
-        if m < 2:
-            raise ParameterError("directional models need m >= 2")
-        if r <= 0:
-            raise ParameterError("concentration r must be positive")
-        self.m = int(m)
-        self.r = float(r)
+        super().__init__(m, r)
         self.kinds = ["circ"] * self.m
         self.r_dagger = vmf_mean_resultant(self.r, self.m)
         self._lam = np.ones(self.m + 1)
@@ -495,12 +468,7 @@ class HyperboloidModel(_DirectionalModel):
     curvature_sign = -1.0
 
     def __init__(self, m: int = 2, r: float = 0.1):
-        if m < 2:
-            raise ParameterError("directional models need m >= 2")
-        if r <= 0:
-            raise ParameterError("concentration r must be positive")
-        self.m = int(m)
-        self.r = float(r)
+        super().__init__(m, r)
         self.kinds = ["hyp"] + ["circ"] * (self.m - 1)
         self.r_dagger = hyperboloid_mean_resultant(self.r, self.m)
         self._lam = np.concatenate(([-1.0], np.ones(self.m)))
@@ -628,15 +596,13 @@ class LinearGaussianModel:
             raise ParameterError("embedding matrix must have full column rank")
         self.family = gaussian_family(self.n)
         self._pinv = np.linalg.pinv(a)
+        flat = np.zeros((self.m, self.m, self.n))
         self.curved = CurvedFamily(
             ambient=self.family,
             m=self.m,
             embed_theta=lambda u: a @ u,
             embed_eta=lambda u: a @ u,
-            tangent_theta=lambda u: a.T,
-            tangent_eta=lambda u: a.T,
-            hess_theta=lambda u: np.zeros((self.m, self.m, self.n)),
-            hess_eta=lambda u: np.zeros((self.m, self.m, self.n)),
+            jet=lambda u: Jet(a.T, a.T, flat, flat),
             name="linear-gaussian",
         )
 

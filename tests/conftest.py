@@ -38,6 +38,11 @@ def vmf3():
 
 
 @pytest.fixture(scope="session")
+def hyp3():
+    return HyperboloidModel(3, 0.1)
+
+
+@pytest.fixture(scope="session")
 def linear():
     return LinearGaussianModel(np.array([[1.0, 0.0], [0.0, 1.0], [0.5, -0.25]]))
 

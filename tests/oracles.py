@@ -85,8 +85,8 @@ def observed_information(model, trajectory, u_hat) -> float:
     """
     u = np.asarray(u_hat, dtype=float)
     fam = model.curved
-    g = geometry.point_geometry(fam, u).g
-    ht = geometry.theta_hessian(fam, u)
+    pg = geometry.point_geometry(fam, u)
+    g, ht = pg.g, pg.ht
     delta = trajectory.sum_x - trajectory.t * fam.eta(u)
     hess_l = np.einsum("abi,i->ab", ht, delta) - trajectory.t * g
     return -float(np.einsum("ab,ab->", np.linalg.inv(g), hess_l)) / fam.m

@@ -80,6 +80,21 @@ class TestGeometryCommand:
     def test_usage_error(self, capsys):
         assert cli.main(["geometry", "--model", "watson", "--r", "1.0"]) == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("model", ["vmf", "hyperboloid"])
+    @pytest.mark.parametrize("r", ["nan", "inf"])
+    def test_non_finite_concentration_exit_one(self, model, r, capsys):
+        code, _, err = run_cli(["geometry", "--model", model, "--r", r], capsys)
+        assert code == cli.EXIT_USAGE
+        assert "concentration r" in err
+
+    @pytest.mark.parametrize("density", ["0", "1"])
+    def test_grid_density_below_two_exit_one(self, density, capsys):
+        code, _, err = run_cli(
+            ["geometry", "--model", "vmf", "--r", "0.25", "--grid-density", density], capsys
+        )
+        assert code == cli.EXIT_USAGE
+        assert "grid density must be at least 2" in err
+
 
 class TestSimulateCommand:
     def test_smoke_and_determinism(self, tmp_path, capsys):

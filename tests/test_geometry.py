@@ -138,8 +138,8 @@ class TestSubConnections:
             assert res < 1e-6
 
     def test_nan_eta_hessian_raises(self, vmf):
-        fam = dataclasses.replace(vmf.curved, hess_eta=lambda u: np.full((2, 2, 3), np.nan))
-        pg = point_geometry(fam, U0_VMF)
+        jet = lambda u: vmf.curved.jet(u)._replace(hess_eta=np.full((2, 2, 3), np.nan))
+        pg = point_geometry(dataclasses.replace(vmf.curved, jet=jet), U0_VMF)
         assert np.all(np.isfinite(pg.g1))
         with pytest.raises(EvaluationDomainError):
             pg.gm1

@@ -78,6 +78,11 @@ class TestConfig:
             dataclasses.replace(cfg, u0=np.array([0.0, 1.0]))  # on the gauge's singular set
         with pytest.raises(ParameterError, match="rank"):
             dataclasses.replace(cfg, d_matrix=np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]))
+        for r in (math.nan, math.inf):
+            with pytest.raises(ParameterError, match="concentration r"):
+                dataclasses.replace(cfg, r=r)
+            with pytest.raises(ParameterError, match="concentration r"):
+                dataclasses.replace(cfg, model="hyperboloid", r=r)
 
 
 class TestSeeding:

@@ -298,7 +298,7 @@ class TestModelGauge:
 
 
 class TestAnalyticFrameConsistency:
-    @pytest.mark.parametrize("model_name", ["vmf", "hyp", "vmf3"])
+    @pytest.mark.parametrize("model_name", ["vmf", "hyp", "vmf3", "hyp3"])
     def test_tangent_frames_match_fd_jacobian(self, model_name, request):
         model = request.getfixturevalue(model_name)
         u = model.probe_grid(count=1, margin=0.3, seed=13)[0]
@@ -310,12 +310,24 @@ class TestAnalyticFrameConsistency:
 
     def test_hessians_match_fd(self, hyp):
         u = np.array([0.5, 1.2])
-        analytic = geometry.theta_hessian(hyp.curved, u)
+        analytic = geometry.point_geometry(hyp.curved, u).ht
         clone = geometry.CurvedFamily(
             ambient=hyp.curved.ambient, m=2, embed_theta=hyp.curved.embed_theta
         )
-        numeric = geometry.theta_hessian(clone, u)
+        numeric = geometry.point_geometry(clone, u).ht
         assert np.abs(analytic - numeric).max() < 1e-6
+
+    @pytest.mark.parametrize("model_name", ["vmf", "hyp", "vmf3", "hyp3"])
+    def test_hessians_match_fd_on_probe_grid(self, model_name, request):
+        model = request.getfixturevalue(model_name)
+        fam = model.curved
+        clone = geometry.CurvedFamily(ambient=fam.ambient, m=fam.m, embed_theta=fam.embed_theta)
+        for u in model.probe_grid(count=5, margin=0.3, seed=13):
+            analytic = geometry.point_geometry(fam, u)
+            numeric = geometry.point_geometry(clone, u)
+            for name in ("ht", "he"):
+                a, n = getattr(analytic, name), getattr(numeric, name)
+                assert np.abs(a - n).max() <= 1e-5 * np.abs(a).max(), name
 
 
 class TestLinearGaussianFixture:

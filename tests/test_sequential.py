@@ -166,8 +166,10 @@ class TestBiasCorrect:
         assert np.abs(bias_correct(vmf, U0_VMF, n) - expected).max() < 1e-14
 
     def test_nan_eta_hessian_raises(self, vmf):
+        jet = lambda u: vmf.curved.jet(u)._replace(hess_eta=np.full((2, 2, 3), np.nan))
+
         class Wrapper:
-            curved = dataclasses.replace(vmf.curved, hess_eta=lambda u: np.full((2, 2, 3), np.nan))
+            curved = dataclasses.replace(vmf.curved, jet=jet)
 
         with pytest.raises(EvaluationDomainError):
             bias_correct(Wrapper(), U0_VMF, 100.0)
