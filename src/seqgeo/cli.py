@@ -7,6 +7,7 @@ Exit codes are a stable contract: 0 pass, 1 usage or I/O error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -30,12 +31,14 @@ def geometry_report(model_name: str, m: int, r: float, grid_density: int = 12,
     if grid_density < 2:
         # the dual-quadric fit has n + 1 unknowns and n equations per point
         raise ParameterError("grid density must be at least 2")
+    for name, tol in (("finite-difference", tol_fd), ("classification", tol_classify)):
+        if tol is not None and not (math.isfinite(tol) and tol > 0):
+            raise ParameterError(f"{name} tolerance must be finite and positive, got {tol!r}")
     model = MODELS[model_name](m, r)
     fam = model.curved
     grid = model.probe_grid(count=grid_density, margin=0.15, seed=11)
     cls = geometry.classify(fam, grid, tolerance=tol_classify)
-    geom = conformal.curved_chart_geometry(fam)
-    flat = conformal.flatness_test(geom, grid, tolerance=tol_fd)
+    flat = conformal.flatness_test(functools.partial(geometry.point_geometry, fam), grid, tolerance=tol_fd)
     k0l0 = cls.k0 * cls.l0
     gauge = model.gauge()
     pde_res = conformal.gauge_pde_residual(fam, gauge, k0l0, grid)
@@ -43,7 +46,7 @@ def geometry_report(model_name: str, m: int, r: float, grid_density: int = 12,
     gamma_bar_res = float("nan")
     h1_bar_res = 0.0
     if fam.codim == 1 and cls.dual_quadric:
-        _, coords = conformal.quadric_gauge(fam, np.zeros(fam.n), np.eye(m, m + 1), grid, gauge=gauge)
+        coords = conformal.quadric_coordinates(fam, gauge, np.zeros(fam.n), np.eye(m, m + 1), k0l0)
         pgs = [geometry.point_geometry(fam, u) for u in grid[: min(len(grid), 6)]]
         gamma_bar_res = max(
             float(np.abs(conformal.ubar_chart_connection(pg, gauge, coords)).max()) for pg in pgs
@@ -75,6 +78,7 @@ def geometry_report(model_name: str, m: int, r: float, grid_density: int = 12,
         "expected_curvature": expected_lambda,
         "weyl_schouten_residuals": flat.residuals,
         "conformally_flat": flat.flat,
+        "weyl_schouten_worst_point": [float(v) for v in flat.worst_point],
         "gauge_pde_residual": pde_res,
         "gamma_bar_ubar_residual": gamma_bar_res,
         "h1_bar_residual": h1_bar_res,
@@ -106,6 +110,8 @@ def _print_geometry_text(rep: dict) -> None:
           f"identity residual {cls['quadric_identity_residual']:.3e}")
     ws = rep["weyl_schouten_residuals"]
     print(f"  Weyl-Schouten residuals: w4 {ws['w4']:.3e}  w3 {ws['w3']:.3e}  w2 {ws['w2']:.3e}")
+    print("  Weyl-Schouten worst point: ("
+          + ", ".join(f"{v:.9g}" for v in rep["weyl_schouten_worst_point"]) + ")")
     print(f"  gauge equation residual: {rep['gauge_pde_residual']:.3e}")
     print(f"  flattened connection residual: {rep['gamma_bar_ubar_residual']:.3e}")
     print(f"  transformed extrinsic curvature residual: {rep['h1_bar_residual']:.3e}")

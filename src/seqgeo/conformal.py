@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -183,92 +183,45 @@ def conformal_rc_curvature(
 
 
 # ---------------------------------------------------------------------------
-# chart geometries: bundles of fields a Weyl-Schouten evaluation needs
+# charts: a chart maps a point to its bundle of ``g``, ``g1``, ``gm1`` and ``rm1``;
+# the chart of a curved family is ``geometry.point_geometry(fam, .)`` itself
 
 
-@dataclass(frozen=True)
-class ChartGeometry:
-    """Metric, skewness, both unit connections and the (-1)-curvature as fields."""
+class ChartPoint(NamedTuple):
+    """Metric, both unit connections and the (-1)-curvature at one point."""
 
-    dim: int
-    metric: Callable[[np.ndarray], np.ndarray]
-    skewness: Callable[[np.ndarray], np.ndarray]
-    gamma_p1: Callable[[np.ndarray], np.ndarray]
-    gamma_m1: Callable[[np.ndarray], np.ndarray]
-    rc_m1: Callable[[np.ndarray], np.ndarray]
-    name: str = ""
+    g: np.ndarray
+    g1: np.ndarray
+    gm1: np.ndarray
+    rm1: np.ndarray
 
 
-def expfam_chart_geometry(fam: ExponentialFamily) -> ChartGeometry:
-    """Theta-chart geometry of a full family (the +1 connection vanishes)."""
-
-    def rc(x):
-        return expfam.rc_curvature(
-            lambda y: expfam.skewness(fam, y),
-            lambda y: expfam.metric(fam, Point(y, "theta")),
-            x,
-        )
-
-    return ChartGeometry(
-        dim=fam.n,
-        metric=lambda x: expfam.metric(fam, Point(x, "theta")),
-        skewness=lambda x: expfam.skewness(fam, x),
-        gamma_p1=lambda x: np.zeros((fam.n,) * 3),
-        gamma_m1=lambda x: expfam.skewness(fam, x),
-        rc_m1=rc,
-        name=fam.name or "expfam",
-    )
-
-
-def curved_chart_geometry(fam: CurvedFamily) -> ChartGeometry:
-    """u-chart geometry of a curved family; curvature from the Gauss equation."""
-
-    def skew(x):
-        f = geometry.frame_at(fam, x)
-        t = expfam.skewness(fam.ambient, fam.theta(x))
-        return np.einsum("ijk,ai,bj,ck->abc", t, f.tangent_theta, f.tangent_theta, f.tangent_theta)
-
-    return ChartGeometry(
-        dim=fam.m,
-        metric=lambda x: geometry.point_geometry(fam, x).g,
-        skewness=skew,
-        gamma_p1=lambda x: geometry.point_geometry(fam, x).g1,
-        gamma_m1=lambda x: geometry.point_geometry(fam, x).gm1,
-        rc_m1=lambda x: geometry.point_geometry(fam, x).rm1,
-        name=fam.name or "curved",
-    )
-
-
-def conformal_chart_geometry(geom: ChartGeometry, gauge: Gauge) -> ChartGeometry:
-    """The same chart after a conformal transformation by ``gauge``."""
+def expfam_chart_geometry(fam: ExponentialFamily) -> Callable[[np.ndarray], ChartPoint]:
+    """Theta chart of a full family (the +1 connection vanishes)."""
 
     def metric(x):
-        return gauge.nu_at(x) * geom.metric(x)
+        return expfam.metric(fam, Point(x, "theta"))
 
     def skew(x):
-        _, tbar = conformal_metric_skewness(geom.metric(x), geom.skewness(x), gauge, x)
-        return tbar
+        return expfam.skewness(fam, x)
 
-    def gp1(x):
-        return conformal_connection(geom.gamma_p1(x), geom.metric(x), gauge, 1.0, x)
+    return lambda x: ChartPoint(metric(x), np.zeros((fam.n,) * 3), skew(x),
+                                expfam.rc_curvature(skew, metric, x))
 
-    def gm1(x):
-        return conformal_connection(geom.gamma_m1(x), geom.metric(x), gauge, -1.0, x)
 
-    def rc(x):
-        return conformal_rc_curvature(
-            geom.rc_m1(x), geom.metric(x), geom.gamma_m1(x), geom.gamma_p1(x), gauge, -1.0, x
+def conformal_chart_geometry(chart: Callable, gauge: Gauge) -> Callable[[np.ndarray], ChartPoint]:
+    """The same chart after a conformal transformation by ``gauge``."""
+
+    def transformed(x):
+        p = chart(x)
+        return ChartPoint(
+            gauge.nu_at(x) * p.g,
+            conformal_connection(p.g1, p.g, gauge, 1.0, x),
+            conformal_connection(p.gm1, p.g, gauge, -1.0, x),
+            conformal_rc_curvature(p.rm1, p.g, p.gm1, p.g1, gauge, -1.0, x),
         )
 
-    return ChartGeometry(
-        dim=geom.dim,
-        metric=metric,
-        skewness=skew,
-        gamma_p1=gp1,
-        gamma_m1=gm1,
-        rc_m1=rc,
-        name=f"{geom.name}|{gauge.name or 'gauge'}",
-    )
+    return transformed
 
 
 # ---------------------------------------------------------------------------
@@ -291,23 +244,23 @@ class WeylSchouten:
         }
 
 
-def _ricci(geom: ChartGeometry, x: np.ndarray) -> np.ndarray:
-    r = geom.rc_m1(x)
-    ginv = tops.invert_matrix(geom.metric(x))
-    mixed = np.einsum("ijkr,rl->ijkl", r, ginv)
+def _ricci(p) -> np.ndarray:
+    mixed = np.einsum("ijkr,rl->ijkl", p.rm1, tops.invert_matrix(p.g))
     return np.einsum("lijl->ij", mixed)
 
 
-def weyl_schouten(geom: ChartGeometry, at, step: float | None = None) -> WeylSchouten:
-    """Evaluate the Weyl-Schouten set at one point of the chart."""
-    m = geom.dim
+def weyl_schouten(chart: Callable, at, step: float | None = None) -> WeylSchouten:
+    """Evaluate the Weyl-Schouten set at one point of the chart.
+
+    Reads one bundle at the point and one at each stencil point of the Ricci derivative.
+    """
+    x = as_coords(at).copy()
+    m = x.shape[0]
     if m < 2:
         raise UnsupportedShapeError("Weyl-Schouten tensors need dim >= 2")
-    x = as_coords(at).copy()
-    g = geom.metric(x)
-    ginv = tops.invert_matrix(g)
-    r = geom.rc_m1(x)
-    mixed = np.einsum("ijkr,rl->ijkl", r, ginv)
+    p = chart(x)
+    ginv = tops.invert_matrix(p.g)
+    mixed = np.einsum("ijkr,rl->ijkl", p.rm1, ginv)
     ric = np.einsum("lijl->ij", mixed)
     eye = np.eye(m)
     w4 = mixed - (
@@ -319,8 +272,8 @@ def weyl_schouten(geom: ChartGeometry, at, step: float | None = None) -> WeylSch
     for i in range(m):
         e = np.zeros(m)
         e[i] = h[i]
-        dric[i] = (_ricci(geom, x + e) - _ricci(geom, x - e)) / (2.0 * h[i])
-    gm1_mixed = np.einsum("ijr,rl->ijl", geom.gamma_m1(x), ginv)
+        dric[i] = (_ricci(chart(x + e)) - _ricci(chart(x - e))) / (2.0 * h[i])
+    gm1_mixed = np.einsum("ijr,rl->ijl", p.gm1, ginv)
     nabla = (
         dric
         - np.einsum("ijl,lk->ijk", gm1_mixed, ric)
@@ -340,7 +293,7 @@ class FlatnessReport:
     residuals: dict = field(default_factory=dict)
 
 
-def flatness_test(geom: ChartGeometry, grid: np.ndarray, tolerance: float = 1e-4) -> FlatnessReport:
+def flatness_test(chart: Callable, grid: np.ndarray, tolerance: float = 1e-4) -> FlatnessReport:
     """Conformal flatness verdict over a probe grid.
 
     The verdict uses the order-4 tensor for dim >= 3 and the pair
@@ -348,21 +301,22 @@ def flatness_test(geom: ChartGeometry, grid: np.ndarray, tolerance: float = 1e-4
     it occurred.
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
+    dim = grid.shape[1]
     worst = -1.0
     worst_point = grid[0]
     per = {"w4": 0.0, "w3": 0.0, "w2": 0.0}
     for x in grid:
-        ws = weyl_schouten(geom, x)
+        ws = weyl_schouten(chart, x)
         res = ws.max_residuals()
         for k in per:
             per[k] = max(per[k], res[k])
-        crit = res["w4"] if geom.dim >= 3 else max(res["w3"], res["w2"])
+        crit = res["w4"] if dim >= 3 else max(res["w3"], res["w2"])
         if crit > worst:
             worst = crit
             worst_point = x
     return FlatnessReport(
         flat=worst <= tolerance,
-        dim=geom.dim,
+        dim=dim,
         max_residual=worst,
         worst_point=np.array(worst_point),
         residuals=per,
@@ -503,8 +457,7 @@ def quadric_gauge(
     The gauge must be registered on the family (or passed in); its
     defining equation is verified on the probe grid and a
     :class:`GaugeMismatchError` is raised when the residual exceeds
-    ``PDE_TOLERANCE``. The coordinate map scales selected mean
-    coordinates by the gauge.
+    ``PDE_TOLERANCE``. The coordinates come from :func:`quadric_coordinates`.
     """
     gauge = gauge or fam.registered_gauge
     if gauge is None:
@@ -520,7 +473,22 @@ def quadric_gauge(
         raise GaugeMismatchError(
             f"gauge equation residual {res:.3e} exceeds tolerance {PDE_TOLERANCE:.1e}"
         )
+    return gauge, quadric_coordinates(fam, gauge, eta0, dmat, k0l0)
 
+
+def quadric_coordinates(
+    fam: CurvedFamily,
+    gauge: Gauge,
+    eta0,
+    dmat,
+    k0l0: float,
+) -> ConformalCoordinates:
+    """The flattening coordinates of a dual quadric hypersurface.
+
+    The map scales selected mean coordinates by the gauge. It does not
+    check that ``gauge`` solves the quadric gauge equation with constant
+    ``k0l0``; :func:`quadric_gauge` does.
+    """
     e0 = np.asarray(eta0, dtype=float)
     dm = np.atleast_2d(np.asarray(dmat, dtype=float))
     if np.linalg.matrix_rank(dm) < fam.m:
@@ -543,13 +511,12 @@ def quadric_gauge(
         u = inverse(ubar, guess)
         return gauge.nu_at(u) / k0l0
 
-    coords = ConformalCoordinates(
+    return ConformalCoordinates(
         forward=forward,
         jacobian=jac,
         inverse=inverse,
         phi_bar=phi_bar,
     )
-    return gauge, coords
 
 
 def gauge_pde_residual(fam: CurvedFamily, gauge: Gauge, k0l0: float, grid: np.ndarray) -> float:

@@ -101,6 +101,13 @@ def direct_rc_curvature(fam, u, alpha: int):
     return expfam.rc_curvature(gamma_field, metric_field, u)
 
 
+def curved_skewness(fam, u):
+    """Ambient skewness pulled back to the u chart: T_abc = T_ijk B_a^i B_b^j B_c^k."""
+    f = geometry.frame_at(fam, u)
+    t = expfam.skewness(fam.ambient, fam.theta(u))
+    return np.einsum("ijk,ai,bj,ck->abc", t, f.tangent_theta, f.tangent_theta, f.tangent_theta)
+
+
 # frozen headline constants, all re-derivable from the functions above
 VMF_R_DAGGER_025 = 0.08298816507359685     # coth(1/4) - 4
 VMF_G11 = 0.020747041268399213             # r * r_dagger

@@ -8,6 +8,7 @@ prints a single verdict line.
 
 import dataclasses
 import math
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,6 @@ from seqgeo import conformal, expfam, geometry, harness, sequential, tensorops a
 from seqgeo.conformal import (
     conformal_rc_curvature,
     constant_gauge,
-    curved_chart_geometry,
     exp_linear_gauge,
     expfam_chart_geometry,
     expfam_gauge,
@@ -98,20 +98,19 @@ class TestGeometrySuite:
         probes = ambient_probe_thetas(vmf, 4, 5)
         worst_conn, worst_curv = 0.0, 0.0
 
-        def duality_residuals(chart_geom, theta):
+        def duality_residuals(chart, theta):
             h = 1e-6
             dg = np.empty((3, 3, 3))
             for i in range(3):
                 e = np.zeros(3)
                 e[i] = h
-                dg[i] = (chart_geom.metric(theta + e) - chart_geom.metric(theta - e)) / (2 * h)
-            conn = np.abs(
-                dg - (chart_geom.gamma_p1(theta) + chart_geom.gamma_m1(theta).transpose(0, 2, 1))
-            ).max()
-            rm1 = chart_geom.rc_m1(theta)
-            return float(conn), rm1
+                dg[i] = (chart(theta + e).g - chart(theta - e).g) / (2 * h)
+            p = chart(theta)
+            conn = np.abs(dg - (p.g1 + p.gm1.transpose(0, 2, 1))).max()
+            return float(conn), p.rm1
 
         for theta in probes:
+            p = geom(theta)
             conn, rm1 = duality_residuals(geom, theta)
             r1 = -rm1.transpose(0, 1, 3, 2)
             worst_conn = max(worst_conn, conn)
@@ -121,8 +120,7 @@ class TestGeometrySuite:
                 conn_b, rm1_bar = duality_residuals(geom_bar, theta)
                 worst_conn = max(worst_conn, conn_b)
                 r1_bar = conformal_rc_curvature(
-                    r1, geom.metric(theta), geom.gamma_p1(theta), geom.gamma_m1(theta),
-                    gauge, 1.0, theta,
+                    r1, p.g, p.g1, p.gm1, gauge, 1.0, theta,
                 )
                 worst_curv = max(
                     worst_curv, float(np.abs(r1_bar + rm1_bar.transpose(0, 1, 3, 2)).max())
@@ -194,7 +192,7 @@ class TestGeometrySuite:
         worst_ws = 0.0
         for model in (vmf, hyp, vmf3):
             grid = model.probe_grid(count=6, margin=0.3, seed=13)
-            rep = flatness_test(curved_chart_geometry(model.curved), grid, tolerance=1e-4)
+            rep = flatness_test(partial(geometry.point_geometry, model.curved), grid, tolerance=1e-4)
             crit = rep.residuals["w4"] if model.m >= 3 else max(
                 rep.residuals["w3"], rep.residuals["w2"]
             )
@@ -239,10 +237,10 @@ class TestGeometrySuite:
         worst_r = 0.0
         for theta_val in (-0.4, 0.3, 1.0):
             theta = np.array([theta_val])
+            p = geom(theta)
             for alpha in (1.0, -1.0):
                 out = conformal_rc_curvature(
-                    np.zeros((1, 1, 1, 1)), geom.metric(theta), geom.gamma_m1(theta),
-                    geom.gamma_p1(theta), gauge_theta, alpha, theta,
+                    np.zeros((1, 1, 1, 1)), p.g, p.gm1, p.g1, gauge_theta, alpha, theta,
                 )
                 worst_r = max(worst_r, float(np.abs(out).max()))
         ok = worst_leg <= 1e-8 and worst_r <= 1e-5

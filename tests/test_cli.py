@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from seqgeo import cli, harness
+from seqgeo import cli, conformal, geometry, harness
+from seqgeo.models import VmfModel
 
 from conftest import bundled_config
 
@@ -94,6 +95,47 @@ class TestGeometryCommand:
         )
         assert code == cli.EXIT_USAGE
         assert "grid density must be at least 2" in err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-1"), ("--tol", "0"),
+        ("--tol-classify", "-1"), ("--tol-classify", "nan"), ("--tol-classify", "inf"),
+    ])
+    def test_bad_tolerance_exit_one(self, flag, value, capsys):
+        code, out, err = run_cli(
+            ["geometry", "--model", "vmf", "--r", "0.25", "--grid-density", "5", flag, value], capsys
+        )
+        assert code == cli.EXIT_USAGE
+        assert "tolerance must be finite and positive" in err
+        assert "GEOMETRY" not in out
+
+    def test_worst_point_is_probe_grid_point(self, capsys):
+        argv = ["geometry", "--model", "vmf", "--m", "2", "--r", "0.25", "--grid-density", "5"]
+        code, out, _ = run_cli(argv + ["--json"], capsys)
+        assert code == cli.EXIT_OK
+        worst = json.loads(out)["weyl_schouten_worst_point"]
+        grid = VmfModel(2, 0.25).probe_grid(count=5, margin=0.15, seed=11)
+        assert all(isinstance(v, float) for v in worst)
+        assert any(list(map(float, u)) == worst for u in grid)
+        code, out, _ = run_cli(argv, capsys)
+        assert code == cli.EXIT_OK
+        assert "  Weyl-Schouten worst point: (" + ", ".join(f"{v:.9g}" for v in worst) + ")" in out
+
+    def test_report_classifies_and_checks_gauge_once(self, monkeypatch):
+        calls = {"classify": 0, "gauge_pde_residual": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(geometry, "classify")
+        counted(conformal, "gauge_pde_residual")
+        assert cli.geometry_report("vmf", 2, 0.25, grid_density=5)["pass"]
+        assert calls == {"classify": 1, "gauge_pde_residual": 1}
 
 
 class TestSimulateCommand:

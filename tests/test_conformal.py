@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from seqgeo.conformal import (
     conformal_rc_curvature,
     conformal_sub_quantities,
     constant_gauge,
-    curved_chart_geometry,
     exp_linear_gauge,
     expfam_chart_geometry,
     expfam_gauge,
@@ -24,11 +24,12 @@ from seqgeo.conformal import (
     weyl_schouten,
 )
 from seqgeo.errors import GaugeMismatchError, GaugeSingularityError, UnsupportedShapeError
+from seqgeo.geometry import point_geometry
 from seqgeo.models import gaussian_family
 from seqgeo.tensorops import Point
 
 from conftest import U0_HYP, U0_VMF
-from oracles import HYP_NU0, VMF_NU0, VMF_UBAR0
+from oracles import HYP_NU0, VMF_NU0, VMF_UBAR0, curved_skewness
 
 
 D_VMF = np.eye(2, 3)
@@ -37,7 +38,25 @@ D_HYP = np.eye(2, 3) / 100.0
 
 @pytest.fixture(scope="module")
 def vmf_geom(vmf):
-    return curved_chart_geometry(vmf.curved)
+    return partial(point_geometry, vmf.curved)
+
+
+@pytest.fixture(scope="module")
+def graph_surface():
+    """A surface in the flat Gaussian family that is not conformally flat.
+
+    The graph of ``1/2 u1^2 + 0.3 u2^3 + 0.2 u1 u2^2``, without an analytic
+    jet, on 8 points of [-0.8, 0.8]^2.
+    """
+    fam = geometry.CurvedFamily(
+        ambient=gaussian_family(3),
+        m=2,
+        embed_theta=lambda u: np.array(
+            [u[0], u[1], 0.5 * u[0] ** 2 + 0.3 * u[1] ** 3 + 0.2 * u[0] * u[1] ** 2]
+        ),
+        name="graph",
+    )
+    return fam, np.random.default_rng(3).uniform(-0.8, 0.8, (8, 2))
 
 
 @pytest.fixture(scope="module")
@@ -71,31 +90,32 @@ class TestGauge:
 
 
 class TestMetricSkewness:
-    def test_unit_gauge_is_identity(self, vmf_geom):
+    def test_unit_gauge_is_identity(self, vmf, vmf_geom):
         x = np.array([0.8, 1.0])
-        g, t = vmf_geom.metric(x), vmf_geom.skewness(x)
+        g, t = vmf_geom(x).g, curved_skewness(vmf.curved, x)
         gbar, tbar = conformal_metric_skewness(g, t, constant_gauge(1.0, "u"), x)
         assert np.abs(gbar - g).max() < 1e-15
         assert np.abs(tbar - t).max() < 1e-15
 
-    def test_constant_two(self, vmf_geom):
+    def test_constant_two(self, vmf, vmf_geom):
         x = np.array([0.8, 1.0])
-        g, t = vmf_geom.metric(x), vmf_geom.skewness(x)
+        g, t = vmf_geom(x).g, curved_skewness(vmf.curved, x)
         gbar, tbar = conformal_metric_skewness(g, t, constant_gauge(2.0, "u"), x)
         assert np.abs(gbar - 2 * g).max() < 1e-15
         assert np.abs(tbar - 2 * t).max() < 1e-15
 
     def test_vmf_gauge_scales_metric(self, vmf, vmf_geom):
-        g = vmf_geom.metric(U0_VMF)
-        gbar, _ = conformal_metric_skewness(g, vmf_geom.skewness(U0_VMF), vmf.gauge(), U0_VMF)
+        g = vmf_geom(U0_VMF).g
+        gbar, _ = conformal_metric_skewness(g, curved_skewness(vmf.curved, U0_VMF), vmf.gauge(), U0_VMF)
         assert np.abs(gbar - VMF_NU0 * g).max() < 1e-14
 
 
 class TestConnection:
     def test_zero_log_gradient(self, vmf_geom):
         x = np.array([0.8, 1.0])
-        gam = vmf_geom.gamma_m1(x)
-        out = conformal_connection(gam, vmf_geom.metric(x), constant_gauge(3.0, "u"), -1.0, x)
+        p = vmf_geom(x)
+        gam = p.gm1
+        out = conformal_connection(gam, p.g, constant_gauge(3.0, "u"), -1.0, x)
         assert np.abs(out - 3.0 * gam).max() < 1e-14
 
     def test_flat_identity_direct_substitution(self):
@@ -119,9 +139,10 @@ class TestConnection:
 class TestCurvatureTransform:
     def test_zero_log_gradient_scales(self, vmf_geom):
         x = np.array([0.8, 1.0])
-        r = vmf_geom.rc_m1(x)
+        p = vmf_geom(x)
+        r = p.rm1
         out = conformal_rc_curvature(
-            r, vmf_geom.metric(x), vmf_geom.gamma_m1(x), vmf_geom.gamma_p1(x),
+            r, p.g, p.gm1, p.g1,
             constant_gauge(2.5, "u"), -1.0, x,
         )
         assert np.abs(out - 2.5 * r).max() < 1e-12
@@ -132,11 +153,12 @@ class TestCurvatureTransform:
         gauge = expfam_gauge_on_theta(vmf.family, 1.0, [0.5, -0.2, 0.1])
         geom = expfam_chart_geometry(vmf.family)
         theta = vmf.embed(np.array([0.9, 1.1]))[0] * 3.0
+        p = geom(theta)
         for alpha in (-1.0, 1.0):
-            r = geom.rc_m1(theta) if alpha == -1.0 else -geom.rc_m1(theta).transpose(0, 1, 3, 2)
-            ga = geom.gamma_m1(theta) if alpha == -1.0 else geom.gamma_p1(theta)
-            gma = geom.gamma_p1(theta) if alpha == -1.0 else geom.gamma_m1(theta)
-            out = conformal_rc_curvature(r, geom.metric(theta), ga, gma, gauge, alpha, theta)
+            r = p.rm1 if alpha == -1.0 else -p.rm1.transpose(0, 1, 3, 2)
+            ga = p.gm1 if alpha == -1.0 else p.g1
+            gma = p.g1 if alpha == -1.0 else p.gm1
+            out = conformal_rc_curvature(r, p.g, ga, gma, gauge, alpha, theta)
             assert np.abs(out).max() < 1e-5
 
     def test_gaussian_n2_affine_gauge_flattens(self):
@@ -144,8 +166,9 @@ class TestCurvatureTransform:
         gauge = expfam_gauge_on_theta(fam, 1.0, [0.4, -0.3])
         geom = expfam_chart_geometry(fam)
         pt = np.array([0.3, 0.2])
+        p = geom(pt)
         out = conformal_rc_curvature(
-            np.zeros((2, 2, 2, 2)), geom.metric(pt), geom.gamma_m1(pt), geom.gamma_p1(pt),
+            np.zeros((2, 2, 2, 2)), p.g, p.gm1, p.g1,
             gauge, -1.0, pt,
         )
         assert np.abs(out).max() < 1e-8
@@ -153,7 +176,7 @@ class TestCurvatureTransform:
     def test_quadric_gauge_flattens_submanifold(self, vmf, vmf_geom):
         geom_bar = conformal_chart_geometry(vmf_geom, vmf.gauge())
         for u in (np.array([0.7, 0.9]), np.array([1.2, 1.9])):
-            assert np.abs(geom_bar.rc_m1(u)).max() < 1e-4
+            assert np.abs(geom_bar(u).rm1).max() < 1e-4
 
     def test_duality_preserved(self, vmf_geom, arbitrary_gauge):
         # metric-derivative and curvature duality survive an arbitrary positive gauge
@@ -164,13 +187,14 @@ class TestCurvatureTransform:
         for i in range(2):
             e = np.zeros(2)
             e[i] = h
-            dg[i] = (geom_bar.metric(x + e) - geom_bar.metric(x - e)) / (2 * h)
-        res = dg - (geom_bar.gamma_p1(x) + geom_bar.gamma_m1(x).transpose(0, 2, 1))
+            dg[i] = (geom_bar(x + e).g - geom_bar(x - e).g) / (2 * h)
+        p_bar, p = geom_bar(x), vmf_geom(x)
+        res = dg - (p_bar.g1 + p_bar.gm1.transpose(0, 2, 1))
         assert np.abs(res).max() < 1e-6
-        rm1_bar = geom_bar.rc_m1(x)
-        r1 = -vmf_geom.rc_m1(x).transpose(0, 1, 3, 2)
+        rm1_bar = p_bar.rm1
+        r1 = -p.rm1.transpose(0, 1, 3, 2)
         r1_bar = conformal_rc_curvature(
-            r1, vmf_geom.metric(x), vmf_geom.gamma_p1(x), vmf_geom.gamma_m1(x),
+            r1, p.g, p.g1, p.gm1,
             arbitrary_gauge, 1.0, x,
         )
         assert np.abs(r1_bar + rm1_bar.transpose(0, 1, 3, 2)).max() < 1e-4
@@ -190,15 +214,24 @@ class TestWeylSchouten:
         assert res["w2"] < 1e-12
 
     def test_w4_antisymmetric_first_slots(self, vmf3):
-        geom = curved_chart_geometry(vmf3.curved)
+        geom = partial(point_geometry, vmf3.curved)
         ws = weyl_schouten(geom, np.array([0.8, 1.1, 0.5]))
         vals = ws.w4
         assert np.abs(vals + vals.transpose(1, 0, 2, 3)).max() < 1e-12
 
     def test_vmf_m3_w4(self, vmf3):
-        geom = curved_chart_geometry(vmf3.curved)
+        geom = partial(point_geometry, vmf3.curved)
         ws = weyl_schouten(geom, np.array([0.8, 1.1, 0.5]))
         assert ws.max_residuals()["w4"] < 1e-4
+
+    @pytest.mark.parametrize("name, x", [("vmf", [0.9, 1.2]), ("vmf3", [0.8, 1.1, 0.5])])
+    def test_one_bundle_per_stencil_point(self, name, x, request, monkeypatch):
+        # one bundle at the point and one at each of the 2m Ricci stencil points
+        jets = []
+        frame_at = geometry.frame_at
+        monkeypatch.setattr(geometry, "frame_at", lambda fam, u: jets.append(u) or frame_at(fam, u))
+        weyl_schouten(partial(point_geometry, request.getfixturevalue(name).curved), np.array(x))
+        assert len(jets) == 1 + 2 * len(x)
 
     def test_dimension_one_rejected(self):
         geom = expfam_chart_geometry(gaussian_family(1))
@@ -216,7 +249,7 @@ class TestWeylSchouten:
         assert np.abs(bar.w2 - plain.w2).max() < 1e-4
 
     def test_w4_invariance_in_three_dimensions(self, vmf3):
-        geom = curved_chart_geometry(vmf3.curved)
+        geom = partial(point_geometry, vmf3.curved)
         gauge = exp_linear_gauge(np.array([0.2, -0.1, 0.05]), chart="u")
         x = np.array([0.9, 1.0, 0.7])
         plain = weyl_schouten(geom, x)
@@ -236,14 +269,25 @@ class TestFlatness:
         assert rep.flat and rep.dim == 2
 
     def test_hyperboloid_m2(self, hyp, hyp_grid):
-        rep = flatness_test(curved_chart_geometry(hyp.curved), hyp_grid[:6])
+        rep = flatness_test(partial(point_geometry, hyp.curved), hyp_grid[:6])
         assert rep.flat
 
     def test_vmf_m3_uses_w4(self, vmf3):
-        geom = curved_chart_geometry(vmf3.curved)
+        geom = partial(point_geometry, vmf3.curved)
         grid = vmf3.probe_grid(count=4, margin=0.3, seed=2)
         rep = flatness_test(geom, grid)
         assert rep.flat and rep.dim == 3
+
+    def test_graph_surface_rejected(self, graph_surface):
+        # negative control: a verdict that ignored the curvature would pass
+        fam, grid = graph_surface
+        tolerance = 1e-4
+        rep = flatness_test(partial(point_geometry, fam), grid, tolerance=tolerance)
+        assert rep.flat is False
+        assert rep.residuals["w3"] > 1e3 * tolerance
+        cls = geometry.classify(fam, grid)
+        assert cls.umbilic is False and cls.umbilic_residual > 1e3 * cls.tolerance
+        assert cls.dual_quadric is False and cls.dual_quadric_residual > 1e3 * cls.tolerance
 
 
 class TestExpfamGauge:
