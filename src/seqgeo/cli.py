@@ -43,14 +43,18 @@ def geometry_report(model_name: str, m: int, r: float, grid_density: int = 12,
     gauge = model.gauge()
     pde_res = conformal.gauge_pde_residual(fam, gauge, k0l0, grid)
 
-    gamma_bar_res = float("nan")
+    gamma_bar_res = gamma_bar_scaled = float("nan")
     h1_bar_res = 0.0
     if fam.codim == 1 and cls.dual_quadric:
         coords = conformal.quadric_coordinates(fam, gauge, np.zeros(fam.n), np.eye(m, m + 1), k0l0)
         pgs = [geometry.point_geometry(fam, u) for u in grid[: min(len(grid), 6)]]
-        gamma_bar_res = max(
-            float(np.abs(conformal.ubar_chart_connection(pg, gauge, coords)).max()) for pg in pgs
-        )
+        gamma_bar = [float(np.abs(conformal.ubar_chart_connection(pg, gauge, coords)).max())
+                     for pg in pgs]
+        gamma_bar_res = max(gamma_bar)
+        # the ubar chart scales with the map (ubar is proportional to r_dagger),
+        # and its connection inversely, so the check reads |Gamma_bar| |d ubar/du|
+        gamma_bar_scaled = max(res * float(np.linalg.norm(coords.jacobian(pg.u)))
+                               for res, pg in zip(gamma_bar, pgs))
         h1_bar_res = max(
             float(np.abs(conformal.conformal_sub_quantities(pg, gauge)[1]).max()) for pg in pgs
         )
@@ -81,6 +85,7 @@ def geometry_report(model_name: str, m: int, r: float, grid_density: int = 12,
         "weyl_schouten_worst_point": [float(v) for v in flat.worst_point],
         "gauge_pde_residual": pde_res,
         "gamma_bar_ubar_residual": gamma_bar_res,
+        "gamma_bar_ubar_scaled_residual": gamma_bar_scaled,
         "h1_bar_residual": h1_bar_res,
         "tolerances": {"classification": cls.tolerance, "finite_difference": tol_fd},
     }
@@ -91,7 +96,7 @@ def geometry_report(model_name: str, m: int, r: float, grid_density: int = 12,
         abs(cls.constant_curvature - expected_lambda) <= 1e-6 * abs(expected_lambda),
         pde_res <= 1e-6,
         h1_bar_res <= 1e-6,
-        (math.isnan(gamma_bar_res) or gamma_bar_res <= 1e-5),
+        (math.isnan(gamma_bar_scaled) or gamma_bar_scaled <= 1e-5),
     ]
     report["pass"] = bool(all(checks))
     return report
@@ -113,7 +118,8 @@ def _print_geometry_text(rep: dict) -> None:
     print("  Weyl-Schouten worst point: ("
           + ", ".join(f"{v:.9g}" for v in rep["weyl_schouten_worst_point"]) + ")")
     print(f"  gauge equation residual: {rep['gauge_pde_residual']:.3e}")
-    print(f"  flattened connection residual: {rep['gamma_bar_ubar_residual']:.3e}")
+    print(f"  flattened connection residual: {rep['gamma_bar_ubar_residual']:.3e} "
+          f"(times the map Jacobian norm: {rep['gamma_bar_ubar_scaled_residual']:.3e})")
     print(f"  transformed extrinsic curvature residual: {rep['h1_bar_residual']:.3e}")
     print("GEOMETRY PASS" if rep["pass"] else "GEOMETRY FAIL")
 

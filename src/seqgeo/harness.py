@@ -245,20 +245,12 @@ def run_sequential(config: ExperimentConfig) -> ResultTable:
     rows = []
     for k in config.grid_k:
         cell_id = f"seq:{k!r}"
-        taus, sums = [], []
-        runaway = 0
-        for rep in range(config.replications):
-            rng = np.random.default_rng(rep_seed(config.seed, cell_id, rep))
-            try:
-                decision, traj = sequential.run_stopping(model, gauge, float(k), u0, rng, c=c)
-            except RunawayStopError:
-                runaway += 1
-                continue
-            taus.append(decision.tau)
-            sums.append(traj.sum_x)
-        taus = np.array(taus, dtype=float)
-        u_hats, ok = model.mle_many(taus, np.array(sums).reshape(-1, model.m + 1))
-        excluded = runaway + int(np.count_nonzero(~ok))
+        rngs = [np.random.default_rng(rep_seed(config.seed, cell_id, rep))
+                for rep in range(config.replications)]
+        taus, sums, runaway = sequential.stop_cell(model, gauge, float(k), u0, rngs, c=c)
+        taus = taus[~runaway].astype(float)
+        u_hats, ok = model.mle_many(taus, sums[~runaway])
+        excluded = int(np.count_nonzero(runaway)) + int(np.count_nonzero(~ok))
         _check_exclusions(excluded, config.replications, cell_id)
         taus = taus[ok]
         devs = np.array([np.asarray(coords.forward(u)) - ubar0 for u in u_hats[ok]])

@@ -313,6 +313,18 @@ class _DirectionalModel:
             raise ParameterError(f"concentration r must be positive and finite, got {r!r}")
         self.m = int(m)
         self.r = float(r)
+        self._plan_cache: tuple[bytes, tuple] | None = None
+
+    def _plan(self, u) -> tuple:
+        """The sampler's constants at the chart point ``u``, kept for the last point seen.
+
+        A stopping cell draws every burst of every replication at one truth
+        point, so the plan is built once per cell.
+        """
+        key = np.asarray(u, dtype=float).tobytes()
+        if self._plan_cache is None or self._plan_cache[0] != key:
+            self._plan_cache = (key, self._build_plan(as_coords(u)))
+        return self._plan_cache[1]
 
     def direction(self, u) -> np.ndarray:
         return _xi(as_coords(u), self.kinds)
@@ -429,10 +441,9 @@ class VmfModel(_DirectionalModel):
     def sample_many(self, u, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw unit observations around the chart direction; m = 2 only."""
         self._require_m2()
-        xi = self.direction(u)
-        e1, e2 = _orthonormal_complement(xi)
+        xi, e1, e2, floor = self._plan(u)
         uu = rng.random(size)
-        w = 1.0 + np.log(uu + (1.0 - uu) * math.exp(-2.0 * self.r)) / self.r
+        w = 1.0 + np.log(uu + (1.0 - uu) * floor) / self.r
         phi = 2.0 * math.pi * rng.random(size)
         st = np.sqrt(np.maximum(1.0 - w * w, 0.0))
         x = (
@@ -441,6 +452,10 @@ class VmfModel(_DirectionalModel):
             + (st * np.sin(phi))[:, None] * e2[None, :]
         )
         return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+    def _build_plan(self, u: np.ndarray) -> tuple:
+        xi = self.direction(u)
+        return (xi, *_orthonormal_complement(xi), math.exp(-2.0 * self.r))
 
     def mle_many(self, ts: np.ndarray, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Closed-form estimator from running sums; returns (u, defined).
@@ -487,16 +502,7 @@ class HyperboloidModel(_DirectionalModel):
     def sample_many(self, u, rng: np.random.Generator, size: int) -> np.ndarray:
         """Boosted radial draws: the radial cosh is a shifted exponential."""
         self._require_m2()
-        ua = as_coords(u)
-        ch, sh = math.cosh(ua[0]), math.sinh(ua[0])
-        n1, n2 = math.cos(ua[1]), math.sin(ua[1])
-        boost = np.array(
-            [
-                [ch, sh * n1, sh * n2],
-                [sh * n1, 1.0 + (ch - 1.0) * n1 * n1, (ch - 1.0) * n1 * n2],
-                [sh * n2, (ch - 1.0) * n1 * n2, 1.0 + (ch - 1.0) * n2 * n2],
-            ]
-        )
+        (boost,) = self._plan(u)
         e = -np.log1p(-rng.random(size))
         y = 1.0 + e / self.r
         sr = np.sqrt(np.maximum(y * y - 1.0, 0.0))
@@ -505,6 +511,18 @@ class HyperboloidModel(_DirectionalModel):
         x = xloc @ boost.T
         q = x[:, 0] ** 2 - x[:, 1] ** 2 - x[:, 2] ** 2
         return x / np.sqrt(q)[:, None]
+
+    def _build_plan(self, u: np.ndarray) -> tuple:
+        ch, sh = math.cosh(u[0]), math.sinh(u[0])
+        n1, n2 = math.cos(u[1]), math.sin(u[1])
+        boost = np.array(
+            [
+                [ch, sh * n1, sh * n2],
+                [sh * n1, 1.0 + (ch - 1.0) * n1 * n1, (ch - 1.0) * n1 * n2],
+                [sh * n2, (ch - 1.0) * n1 * n2, 1.0 + (ch - 1.0) * n2 * n2],
+            ]
+        )
+        return (boost,)
 
     def mle_many(self, ts: np.ndarray, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Closed-form estimator from running sums; returns (u, defined).

@@ -9,58 +9,43 @@ run is reproducible regardless of scheduling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry, tensorops as tops
 from .conformal import ConformalCoordinates, Gauge, ubar_chart_connection
-from .errors import ChartError, RunawayStopError
+from .errors import ChartError
 from .tensorops import as_coords
 
 T_MIN = 3
 T_MAX_FACTOR = 50.0
+# replication-draw rows a stopping cell advances at once; bounds the temporaries
+ROWS = 4096
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Running sufficient statistic of one replication."""
-
-    t: int
-    sum_x: np.ndarray
-
-    def __post_init__(self):
-        if self.t < 1:
-            raise ValueError("trajectory needs at least one observation")
-        object.__setattr__(self, "sum_x", np.asarray(self.sum_x, dtype=float))
-
-
-@dataclass(frozen=True)
-class StopDecision:
-    """First crossing of the stopping boundary."""
-
-    tau: int
-    criterion_value: float
-    threshold: float
-    prev_criterion: float | None = None
-    prev_threshold: float | None = None
-
-
-def run_stopping(
+def stop_cell(
     model,
     gauge: Gauge,
     k: float,
     u0,
-    rng: np.random.Generator,
+    rngs,
     c: float | None = None,
     t_min: int = T_MIN,
     t_max: int | None = None,
-) -> tuple[StopDecision, Trajectory]:
-    """Sample until the observed-information criterion crosses ``K nu + c``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sample each replication of a cell until its criterion crosses ``K nu + c``.
 
-    Draws are consumed in bursts of deterministic size; the first index
-    at or past the boundary wins, so results match one-at-a-time
-    evaluation. Raises :class:`RunawayStopError` past the hard cap.
+    Replication ``i`` draws from ``rngs[i]``, one ``sample_many`` call per
+    burst; the burst size and the cap ``t_max`` depend only on the cell, so
+    the live replications advance burst by burst together and the estimator,
+    the criterion and the gauge run once per burst over all of them. A
+    replication stops at the first eligible index at or past the boundary,
+    as one-at-a-time evaluation would. Its draws and sums never mix with
+    another's, so the results do not depend on the batch: replications
+    advance in blocks of ``ROWS // burst`` only to bound the temporaries.
+
+    Returns ``(tau, sum_x, runaway)`` with shapes ``(R,)``, ``(R, n)`` and
+    ``(R,)``; a runaway replication has ``tau = t_max`` and its sum there.
     """
     if k <= 0:
         raise ValueError("K must be positive")
@@ -71,42 +56,35 @@ def run_stopping(
     if t_max is None:
         t_max = int(math.ceil(T_MAX_FACTOR * k * nu0))
     burst = max(8, int(0.25 * k * nu0))
-
-    sum_x = np.zeros(model.curved.ambient.n)
-    t = 0
-    prev_crit: float | None = None
-    prev_thresh: float | None = None
-    while t < t_max:
-        take = min(burst, t_max - t)
-        xs = model.sample_many(u0a, rng, take)
-        cums = sum_x[None, :] + np.cumsum(xs, axis=0)
-        ts = np.arange(t + 1, t + take + 1, dtype=float)
-        u_hats, defined = model.mle_many(ts, cums)
-        crit = model.criterion_many(ts, cums)
-        thresh = k * gauge.nu(u_hats) + c
-        eligible = defined & (ts >= t_min) & np.isfinite(thresh)
-        hit = eligible & (crit >= thresh)
-        if np.any(hit):
-            idx = int(np.argmax(hit))
-            tau = int(ts[idx])
-            if idx > 0 and eligible[idx - 1]:
-                prev_crit = float(crit[idx - 1])
-                prev_thresh = float(thresh[idx - 1])
-            decision = StopDecision(
-                tau=tau,
-                criterion_value=float(crit[idx]),
-                threshold=float(thresh[idx]),
-                prev_criterion=prev_crit,
-                prev_threshold=prev_thresh,
-            )
-            return decision, Trajectory(tau, cums[idx])
-        if np.any(eligible):
-            last = int(np.max(np.nonzero(eligible)[0]))
-            prev_crit = float(crit[last])
-            prev_thresh = float(thresh[last])
-        sum_x = cums[-1]
-        t += take
-    raise RunawayStopError(f"no boundary crossing before t_max={t_max}")
+    n = model.curved.ambient.n
+    count = len(rngs)
+    tau = np.full(count, t_max)
+    sum_x = np.zeros((count, n))
+    runaway = np.zeros(count, dtype=bool)
+    block = max(1, ROWS // burst)
+    for start in range(0, count, block):
+        live = np.arange(start, min(start + block, count))
+        t = 0
+        while live.size and t < t_max:
+            take = min(burst, t_max - t)
+            xs = np.stack([model.sample_many(u0a, rngs[i], take) for i in live])
+            cums = sum_x[live, None, :] + np.cumsum(xs, axis=1)
+            rows = cums.reshape(-1, n)
+            ts = np.tile(np.arange(t + 1, t + take + 1, dtype=float), live.size)
+            u_hats, defined = model.mle_many(ts, rows)
+            crit = model.criterion_many(ts, rows)
+            thresh = k * gauge.nu(u_hats) + c
+            eligible = defined & (ts >= t_min) & np.isfinite(thresh)
+            hit = (eligible & (crit >= thresh)).reshape(live.size, take)
+            rep = np.arange(live.size)
+            first = np.argmax(hit, axis=1)
+            stopped = hit[rep, first]
+            sum_x[live] = cums[rep, np.where(stopped, first, take - 1)]
+            tau[live[stopped]] = t + 1 + first[stopped]
+            live = live[~stopped]
+            t += take
+        runaway[live] = True
+    return tau, sum_x, runaway
 
 
 def bias_correct(

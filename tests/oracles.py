@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from seqgeo import expfam, geometry
+from seqgeo import expfam, geometry, sequential
 
 
 def iv_ratio_series(rho: float, nu: float, terms: int = 30) -> float:
@@ -76,20 +76,56 @@ def christoffel_first_kind(metric_field, x, h=1e-6):
     return 0.5 * (dg + dg.transpose(1, 0, 2) - dg.transpose(2, 1, 0))
 
 
-def observed_information(model, trajectory, u_hat) -> float:
+def observed_information(model, t, sum_x, u_hat) -> float:
     """Normalized observed information ``-(1/m) g^{ab} d_a d_b l`` at ``u_hat``.
 
     The general formula that the closed-form ``criterion_many`` must match.
-    The log-likelihood of the trajectory is linear in ``(sum_x, t)``, so the
-    value for population data equals ``t`` exactly.
+    The log-likelihood of ``t`` observations is linear in ``(sum_x, t)``, so
+    the value for population data equals ``t`` exactly.
     """
     u = np.asarray(u_hat, dtype=float)
     fam = model.curved
     pg = geometry.point_geometry(fam, u)
     g, ht = pg.g, pg.ht
-    delta = trajectory.sum_x - trajectory.t * fam.eta(u)
-    hess_l = np.einsum("abi,i->ab", ht, delta) - trajectory.t * g
+    delta = np.asarray(sum_x, dtype=float) - t * fam.eta(u)
+    hess_l = np.einsum("abi,i->ab", ht, delta) - t * g
     return -float(np.einsum("ab,ab->", np.linalg.inv(g), hess_l)) / fam.m
+
+
+def reference_stopping(model, gauge, k, u0, rng, c=None, t_min=sequential.T_MIN, t_max=None):
+    """One replication of the stopping rule on its own: ``(tau, sum_x, runaway)``.
+
+    The per-replication loop that ``sequential.stop_cell`` runs in lockstep:
+    the same burst schedule, one estimator, criterion and gauge call per
+    burst of this replication alone. A runaway replication returns
+    ``t_max`` and its sum there.
+    """
+    u0a = np.asarray(u0, dtype=float)
+    if c is None:
+        c = model.stopping_constant()
+    nu0 = gauge.nu_at(u0a)
+    if t_max is None:
+        t_max = int(math.ceil(sequential.T_MAX_FACTOR * k * nu0))
+    burst = max(8, int(0.25 * k * nu0))
+
+    sum_x = np.zeros(model.curved.ambient.n)
+    t = 0
+    while t < t_max:
+        take = min(burst, t_max - t)
+        xs = model.sample_many(u0a, rng, take)
+        cums = sum_x[None, :] + np.cumsum(xs, axis=0)
+        ts = np.arange(t + 1, t + take + 1, dtype=float)
+        u_hats, defined = model.mle_many(ts, cums)
+        crit = model.criterion_many(ts, cums)
+        thresh = k * gauge.nu(u_hats) + c
+        eligible = defined & (ts >= t_min) & np.isfinite(thresh)
+        hit = eligible & (crit >= thresh)
+        if np.any(hit):
+            idx = int(np.argmax(hit))
+            return int(ts[idx]), cums[idx], False
+        sum_x = cums[-1]
+        t += take
+    return t_max, sum_x, True
 
 
 def direct_rc_curvature(fam, u, alpha: int):

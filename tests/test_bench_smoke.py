@@ -36,5 +36,11 @@ def test_workload_runs_clean(workload, name, trace, tmp_path):
     if name == "fixed-n-geometry":
         assert counts["checks"] == len(workload.GEOMETRY_CASES)
     if trace:
+        layers = result["layers"]
         assert result["restored"]
-        assert result["layers"]["geometry.frame_at.calls"] > 0
+        assert layers["geometry.frame_at.calls"] > 0
+        if name == "mc-sequential":
+            # the shape the benchmark reads: one sampler call per burst of each
+            # replication, and one replication seed each, the first ending set-up
+            assert layers["models.sample_many.calls"] >= 4 * counts["replications"]
+            assert layers["harness.rep_seed.calls"] == counts["replications"]

@@ -78,6 +78,18 @@ class TestGeometryCommand:
         assert code == cli.EXIT_TOLERANCE
         assert "GEOMETRY FAIL" in out
 
+    def test_small_concentration_passes(self, capsys):
+        # the flattened chart scales with r_dagger ~ r / 3, so the raw connection
+        # residual grows as 1/r (1.1e-5 here) while the scaled one stays ~7e-9
+        code, out, _ = run_cli(
+            ["geometry", "--model", "vmf", "--m", "2", "--r", "1e-4", "--grid-density", "6", "--json"],
+            capsys,
+        )
+        rep = json.loads(out)
+        assert rep["gamma_bar_ubar_residual"] > 1e-5
+        assert rep["gamma_bar_ubar_scaled_residual"] < 1e-7
+        assert code == cli.EXIT_OK and rep["pass"] is True
+
     def test_usage_error(self, capsys):
         assert cli.main(["geometry", "--model", "watson", "--r", "1.0"]) == cli.EXIT_USAGE
 

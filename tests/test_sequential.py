@@ -6,20 +6,18 @@ import pytest
 
 from seqgeo import conformal, geometry, sequential, tensorops as tops
 from seqgeo.conformal import quadric_gauge
-from seqgeo.errors import EvaluationDomainError, RunawayStopError
+from seqgeo.errors import EvaluationDomainError
 from seqgeo.geometry import CurvedFamily
 from seqgeo.sequential import (
-    StopDecision,
-    Trajectory,
     asymptotic_covariance,
     bias_correct,
     crb,
-    run_stopping,
     second_order_terms,
+    stop_cell,
 )
 
 from conftest import U0_HYP, U0_VMF
-from oracles import VMF_G11, VMF_G22, observed_information
+from oracles import VMF_G11, VMF_G22, observed_information, reference_stopping
 
 
 @pytest.fixture(scope="module")
@@ -40,20 +38,15 @@ class TestObservedInformation:
     def test_population_data_equals_time(self, model_name, request):
         model = request.getfixturevalue(model_name)
         u0 = U0_VMF if model_name == "vmf" else U0_HYP
-        traj = Trajectory(37, 37 * model.embed(u0)[1])
-        assert observed_information(model, traj, u0) == pytest.approx(37.0, abs=1e-9)
-
-    def test_empty_trajectory_invalid(self):
-        with pytest.raises(ValueError):
-            Trajectory(0, np.zeros(3))
+        assert observed_information(model, 37, 37 * model.embed(u0)[1], u0) == pytest.approx(37.0, abs=1e-9)
 
     def test_linear_in_time_and_statistic(self, vmf):
         rng = np.random.default_rng(5)
         xs = vmf.sample_many(U0_VMF, rng, 20)
         s = xs.sum(axis=0)
         u_hat = vmf.mle_many(np.array([20.0]), s[None, :])[0][0]
-        one = observed_information(vmf, Trajectory(20, s), u_hat)
-        two = observed_information(vmf, Trajectory(40, 2 * s), u_hat)
+        one = observed_information(vmf, 20, s, u_hat)
+        two = observed_information(vmf, 40, 2 * s, u_hat)
         assert two == pytest.approx(2 * one, rel=1e-12)
 
     @pytest.mark.parametrize("model_name", ["vmf", "hyp"])
@@ -67,42 +60,57 @@ class TestObservedInformation:
         crit = model.criterion_many(ts, sums)
         us, _ = model.mle_many(ts, sums)
         for i in (4, 17, 29):
-            generic = observed_information(model, Trajectory(int(ts[i]), sums[i]), us[i])
+            generic = observed_information(model, int(ts[i]), sums[i], us[i])
             assert crit[i] == pytest.approx(generic, rel=1e-10)
+
+
+def _criterion_and_threshold(model, k, t, sum_x):
+    """The stopping criterion and the boundary ``K nu(u_hat) + c`` after ``t`` draws."""
+    ts = np.array([float(t)])
+    u_hat, defined = model.mle_many(ts, sum_x[None, :])
+    thresh = k * model.gauge().nu(u_hat)[0] + model.stopping_constant()
+    return model.criterion_many(ts, sum_x[None, :])[0], thresh, bool(defined[0])
 
 
 class TestRunStopping:
     def test_degenerate_reduction_to_fixed_sample(self, linear):
         rng = np.random.default_rng(42)
         u0 = np.array([0.4, -0.2])
-        dec, traj = run_stopping(linear, linear.gauge(), 17.3, u0, rng, c=0.0)
-        assert dec.tau == 18 and traj.t == 18
-        dec, _ = run_stopping(linear, linear.gauge(), 6.0, u0, rng, c=0.0)
-        assert dec.tau == 6
-        dec, _ = run_stopping(linear, linear.gauge(), 1.5, u0, rng, c=0.0)
-        assert dec.tau == 3  # warm-up floor
+        tau, sum_x, runaway = stop_cell(linear, linear.gauge(), 17.3, u0, [rng], c=0.0)
+        assert tau[0] == 18 and sum_x.shape == (1, linear.n) and not runaway[0]
+        tau, _, _ = stop_cell(linear, linear.gauge(), 6.0, u0, [rng], c=0.0)
+        assert tau[0] == 6
+        tau, _, _ = stop_cell(linear, linear.gauge(), 1.5, u0, [rng], c=0.0)
+        assert tau[0] == 3  # warm-up floor
 
     def test_decision_invariants(self, vmf):
+        k = 120.0
+        (tau,), (sum_x,), (runaway,) = stop_cell(vmf, vmf.gauge(), k, U0_VMF, [np.random.default_rng(3)])
+        assert not runaway
+        crit, thresh, _ = _criterion_and_threshold(vmf, k, tau, sum_x)
+        assert crit >= thresh
+        # replay the stream: one draw earlier the boundary was not yet crossed
+        burst = max(8, int(0.25 * k * vmf.gauge().nu_at(U0_VMF)))
         rng = np.random.default_rng(3)
-        dec, traj = run_stopping(vmf, vmf.gauge(), 120.0, U0_VMF, rng)
-        assert dec.criterion_value >= dec.threshold
-        assert traj.t == dec.tau
-        if dec.prev_criterion is not None:
-            assert dec.prev_criterion < dec.prev_threshold
+        xs = np.concatenate([vmf.sample_many(U0_VMF, rng, burst) for _ in range(-(-tau // burst))])
+        cums = np.cumsum(xs, axis=0)
+        assert np.abs(cums[tau - 1] - sum_x).max() < 1e-9
+        crit, thresh, defined = _criterion_and_threshold(vmf, k, tau - 1, cums[tau - 2])
+        if defined and tau - 1 >= sequential.T_MIN:
+            assert crit < thresh
 
     def test_determinism(self, vmf):
-        a, _ = run_stopping(vmf, vmf.gauge(), 150.0, U0_VMF, np.random.default_rng(7))
-        b, _ = run_stopping(vmf, vmf.gauge(), 150.0, U0_VMF, np.random.default_rng(7))
-        assert a.tau == b.tau and a.criterion_value == b.criterion_value
+        a = stop_cell(vmf, vmf.gauge(), 150.0, U0_VMF, [np.random.default_rng(7)])
+        b = stop_cell(vmf, vmf.gauge(), 150.0, U0_VMF, [np.random.default_rng(7)])
+        for x, y in zip(a, b):
+            assert np.array_equal(x, y)
 
     def test_mean_stopping_time_scales_with_gauge(self, vmf):
-        taus = []
         k = 433.0
-        for rep in range(400):
-            rng = np.random.default_rng(900_000 + rep)
-            dec, _ = run_stopping(vmf, vmf.gauge(), k, U0_VMF, rng)
-            taus.append(dec.tau)
-        taus = np.array(taus, dtype=float)
+        rngs = [np.random.default_rng(900_000 + rep) for rep in range(400)]
+        taus, _, runaway = stop_cell(vmf, vmf.gauge(), k, U0_VMF, rngs)
+        assert not runaway.any()
+        taus = taus.astype(float)
         target = k * vmf.gauge().nu_at(U0_VMF)
         se = taus.std(ddof=1) / math.sqrt(taus.shape[0])
         assert abs(taus.mean() - target) <= 3.0 * se
@@ -110,22 +118,19 @@ class TestRunStopping:
     def test_variance_order_k(self, hyp):
         ratios = []
         for k in (40.0, 80.0):
-            taus = []
-            for rep in range(300):
-                rng = np.random.default_rng(800_000 + rep)
-                dec, _ = run_stopping(hyp, hyp.gauge(), k, U0_HYP, rng)
-                taus.append(dec.tau)
-            taus = np.array(taus, dtype=float)
-            ratios.append(taus.var(ddof=1) / k)
+            rngs = [np.random.default_rng(800_000 + rep) for rep in range(300)]
+            taus, _, runaway = stop_cell(hyp, hyp.gauge(), k, U0_HYP, rngs)
+            assert not runaway.any()
+            ratios.append(taus.astype(float).var(ddof=1) / k)
         assert 0.5 < ratios[1] / ratios[0] < 2.0
 
     def test_runaway_cap(self, vmf):
-        with pytest.raises(RunawayStopError):
-            run_stopping(vmf, vmf.gauge(), 200.0, U0_VMF, np.random.default_rng(1), t_max=5)
+        tau, _, runaway = stop_cell(vmf, vmf.gauge(), 200.0, U0_VMF, [np.random.default_rng(1)], t_max=5)
+        assert runaway[0] and tau[0] == 5
 
     def test_rejects_bad_k(self, vmf):
         with pytest.raises(ValueError):
-            run_stopping(vmf, vmf.gauge(), -1.0, U0_VMF, np.random.default_rng(1))
+            stop_cell(vmf, vmf.gauge(), -1.0, U0_VMF, [np.random.default_rng(1)])
 
     @pytest.mark.parametrize("model_name", ["vmf", "hyp"])
     def test_criterion_monotone_on_population_path(self, model_name, request):
@@ -140,6 +145,41 @@ class TestRunStopping:
         assert np.abs(crit - ts).max() < 1e-9
         assert np.all(np.diff(crit) > 0)
 
+
+class TestStopCell:
+    # (replications, burst, t_max, blocks): the block holds ROWS // burst
+    # replications, so these make one partial block, several blocks with a
+    # partial last one, a cell where every replication runs away, and a
+    # batch of one
+    CASES = {
+        "partial-block": (37, 60, None, 1),
+        "several-blocks": (37, 400, None, 4),
+        "all-runaway": (37, 400, 5, 4),
+        "batch-of-one": (1, 60, None, 1),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("model_name", ["vmf", "hyp"])
+    def test_matches_reference_loop(self, model_name, case, request):
+        model = request.getfixturevalue(model_name)
+        u0 = U0_VMF if model_name == "vmf" else U0_HYP
+        reps, burst, t_max, blocks = self.CASES[case]
+        gauge = model.gauge()
+        k = (burst + 0.5) / (0.25 * gauge.nu_at(u0))
+        assert max(8, int(0.25 * k * gauge.nu_at(u0))) == burst
+        assert -(-reps // max(1, sequential.ROWS // burst)) == blocks
+
+        seeds = [300 + rep for rep in range(reps)]
+        rngs = [np.random.default_rng(s) for s in seeds]
+        tau, sum_x, runaway = stop_cell(model, gauge, k, u0, rngs, t_max=t_max)
+        assert tau.shape == runaway.shape == (reps,)
+        assert sum_x.shape == (reps, model.curved.ambient.n)
+        for i, s in enumerate(seeds):
+            want = reference_stopping(model, gauge, k, u0, np.random.default_rng(s), t_max=t_max)
+            assert tau[i] == want[0]
+            assert sum_x[i].tobytes() == want[1].tobytes()
+            assert runaway[i] == want[2]
+        assert runaway.all() == (case == "all-runaway")
 
 class TestBiasCorrect:
     def test_flat_model_no_correction(self, linear):
