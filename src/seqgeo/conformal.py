@@ -522,14 +522,14 @@ def quadric_coordinates(
 def gauge_pde_residual(fam: CurvedFamily, gauge: Gauge, k0l0: float, grid: np.ndarray) -> float:
     """Max-norm residual of the quadric gauge equation over a grid."""
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
+    pg = geometry.point_geometry(fam, grid)
     worst = 0.0
-    for u in grid:
+    for u, gm1, ginv, g in zip(grid, pg.gm1, pg.ginv, pg.g):
         s = gauge.s_at(u)
         ds = gauge.ds_at(u)
-        pg = geometry.point_geometry(fam, u)
-        mixed = np.einsum("abd,dc->abc", pg.gm1, pg.ginv)
+        mixed = np.einsum("abd,dc->abc", gm1, ginv)
         lhs = ds - np.einsum("abc,c->ab", mixed, s) - np.outer(s, s)
-        worst = max(worst, float(np.abs(lhs - k0l0 * pg.g).max()))
+        worst = max(worst, float(np.abs(lhs - k0l0 * g).max()))
     return worst
 
 

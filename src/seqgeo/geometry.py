@@ -24,7 +24,8 @@ EMBED_CONSISTENCY_TOL = 1e-8
 
 
 class Jet(NamedTuple):
-    """Derivatives of both embeddings at one point of the submanifold.
+    """Derivatives of both embeddings at a point of the submanifold, or at each
+    row of a stack of points (then every array has the stack's leading axes).
 
     A family's ``jet`` callback leaves the normals ``None`` unless it knows
     them in closed form; :func:`frame_at` fills them in.
@@ -102,7 +103,7 @@ class Classification:
 
 
 def _fd_jet(fam: CurvedFamily, u: np.ndarray) -> Jet:
-    """Finite-difference jet of ``embed_theta`` and ``eta``, without normals.
+    """Finite-difference jet of ``embed_theta`` and ``eta`` at one point, without normals.
 
     The fallback for a family without an analytic ``jet``, and the reference
     the analytic jets are tested against.
@@ -118,8 +119,13 @@ def _fd_jet(fam: CurvedFamily, u: np.ndarray) -> Jet:
                hessian(fam.embed_theta), hessian(fam.eta))
 
 
+def _first(rows: np.ndarray, mask) -> np.ndarray:
+    """The first row of ``rows`` (a point or a stack of points) where ``mask`` holds."""
+    return rows.reshape(-1, rows.shape[-1])[np.argmax(np.ravel(mask))]
+
+
 def frame_at(fam: CurvedFamily, u) -> Jet:
-    """The jet of ``fam`` at ``u``, with the bi-orthogonal normal pair filled in.
+    """The jet of ``fam`` at ``u``, a point ``(m,)`` or rows ``(P, m)``, with the normals filled in.
 
     The natural-parameter normal solves ``B_kappa^i B_{ai} = 0`` and the
     mean-parameter normal solves ``B_{kappa i} B_a^i = 0``; the pair is
@@ -127,14 +133,28 @@ def frame_at(fam: CurvedFamily, u) -> Jet:
     Euclidean lengths. The sign follows the family's registered convention.
     """
     ua = as_coords(u)
-    fam.check_domain(ua)
-    jet = fam.jet(ua) if fam.jet is not None else _fd_jet(fam, ua)
-    bt, be = jet.tangent_theta, jet.tangent_eta
-    if np.linalg.matrix_rank(bt) < fam.m:
-        raise ChartError(f"embedding Jacobian is rank deficient at u={ua!r}")
+    lead, rows = ua.shape[:-1], ua.reshape(-1, ua.shape[-1])
+    for row in rows:
+        fam.check_domain(row)
+    if fam.jet is not None:
+        jet = fam.jet(ua)
+    else:
+        jets = [_fd_jet(fam, row) for row in rows]
+        shapes = [(fam.m, fam.n)] * 2 + [(fam.m, fam.m, fam.n)] * 2
+        jet = Jet(*(np.reshape([j[i] for j in jets], lead + s) for i, s in enumerate(shapes)))
+    deficient = np.linalg.matrix_rank(jet.tangent_theta) < fam.m
+    if np.any(deficient):
+        raise ChartError(f"embedding Jacobian is rank deficient at u={_first(ua, deficient)!r}")
     if jet.normal_theta is not None and jet.normal_eta is not None:
         return jet
+    bts, bes = (x.reshape(-1, fam.m, fam.n) for x in jet[:2])
+    pairs = [_normal_pair(fam, row, bt, be) for row, bt, be in zip(rows, bts, bes)]
+    nt, ne = (np.reshape([p[i] for p in pairs], lead + (fam.codim, fam.n)) for i in (0, 1))
+    return jet._replace(normal_theta=nt, normal_eta=ne)
 
+
+def _normal_pair(fam: CurvedFamily, u: np.ndarray, bt: np.ndarray, be: np.ndarray):
+    """The normal pair ``(B_kappa^i, B_{kappa i})`` at one point, from its tangent frames."""
     nt = np.linalg.svd(be)[2][fam.m:]   # complement of the eta-type tangents
     ne = np.linalg.svd(bt)[2][fam.m:]   # complement of the theta-type tangents
     cross = nt @ ne.T
@@ -145,7 +165,7 @@ def frame_at(fam: CurvedFamily, u) -> Jet:
         scale = math.sqrt(abs(p))
         nt = nt / scale
         ne = np.copysign(1.0, p) * ne / scale
-        theta_u = fam.theta(ua)
+        theta_u = fam.theta(u)
         orient = float(nt[0] @ theta_u)
         if abs(orient) > 1e-12 * max(1.0, float(np.abs(theta_u).max())):
             flip = orient * fam.normal_sign < 0
@@ -155,15 +175,15 @@ def frame_at(fam: CurvedFamily, u) -> Jet:
             nt, ne = -nt, -ne
     else:
         ne = np.linalg.solve(cross, ne)
-    return jet._replace(normal_theta=nt, normal_eta=ne)
+    return nt, ne
 
 
 @dataclass(frozen=True, eq=False)
 class PointGeometry:
-    """Second-order geometry of a curved family at one point, from one jet.
+    """Second-order geometry of a curved family at a point, or at each row of a stack, from one jet.
 
-    Each field is a plain array, computed on first read from the jet (frames
-    and embedding Hessians), checked finite, and shared by later reads;
+    Each field is a plain array with the leading shape of ``u``, computed on
+    first read from the jet, checked finite, and shared by later reads;
     callers must not modify it in place. Build it with :func:`point_geometry`.
     """
 
@@ -174,10 +194,11 @@ class PointGeometry:
     @cached_property
     def g(self) -> np.ndarray:
         """Pullback of the ambient Fisher metric: g_ab = B_a^i B_b^j g_ij."""
-        vals = self.jet.tangent_theta @ self.jet.tangent_eta.T
-        vals = tops.require_finite(0.5 * (vals + vals.T))
-        if np.linalg.eigvalsh(vals).min() <= 0:
-            raise ChartError(f"induced metric not positive definite at u={self.u!r}")
+        vals = self.jet.tangent_theta @ self.jet.tangent_eta.swapaxes(-1, -2)
+        vals = tops.require_finite(0.5 * (vals + vals.swapaxes(-1, -2)))
+        indefinite = np.linalg.eigvalsh(vals).min(axis=-1) <= 0
+        if np.any(indefinite):
+            raise ChartError(f"induced metric not positive definite at u={_first(self.u, indefinite)!r}")
         return vals
 
     @cached_property
@@ -189,37 +210,37 @@ class PointGeometry:
     def gkk_inv(self) -> np.ndarray:
         """Inverse of the normal-bundle metric B_kappa^i B_{lambda i}."""
         f = self.jet
-        return tops.require_finite(tops.invert_matrix(f.normal_theta @ f.normal_eta.T))
+        return tops.require_finite(tops.invert_matrix(f.normal_theta @ f.normal_eta.swapaxes(-1, -2)))
 
     @cached_property
     def ht(self) -> np.ndarray:
-        """Second derivatives of the natural-parameter embedding, shape (m, m, n)."""
+        """Second derivatives of the natural-parameter embedding, shape (..., m, m, n)."""
         return tops.require_finite(self.jet.hess_theta)
 
     @cached_property
     def he(self) -> np.ndarray:
-        """Second derivatives of the mean-parameter embedding, shape (m, m, n)."""
+        """Second derivatives of the mean-parameter embedding, shape (..., m, m, n)."""
         return tops.require_finite(self.jet.hess_eta)
 
     @cached_property
     def g1(self) -> np.ndarray:
         """+1 connection of the submanifold chart: G1_abc = (d_a B_b^j) B_cj."""
-        return tops.require_finite(np.einsum("abj,cj->abc", self.ht, self.jet.tangent_eta))
+        return tops.require_finite(np.einsum("...abj,...cj->...abc", self.ht, self.jet.tangent_eta))
 
     @cached_property
     def gm1(self) -> np.ndarray:
         """-1 connection of the submanifold chart: G-1_abc = (d_a B_bj) B_c^j."""
-        return tops.require_finite(np.einsum("abj,cj->abc", self.he, self.jet.tangent_theta))
+        return tops.require_finite(np.einsum("...abj,...cj->...abc", self.he, self.jet.tangent_theta))
 
     @cached_property
     def h1(self) -> np.ndarray:
         """+1 Euler-Schouten (extrinsic) curvature of the embedding."""
-        return tops.require_finite(np.einsum("abj,kj->abk", self.ht, self.jet.normal_eta))
+        return tops.require_finite(np.einsum("...abj,...kj->...abk", self.ht, self.jet.normal_eta))
 
     @cached_property
     def hm1(self) -> np.ndarray:
         """-1 Euler-Schouten (extrinsic) curvature of the embedding."""
-        return tops.require_finite(np.einsum("abj,kj->abk", self.he, self.jet.normal_theta))
+        return tops.require_finite(np.einsum("...abj,...kj->...abk", self.he, self.jet.normal_theta))
 
     @cached_property
     def r1(self) -> np.ndarray:
@@ -230,8 +251,8 @@ class PointGeometry:
         """
         h1, hm1, gkk_inv = self.h1, self.hm1, self.gkk_inv
         return tops.require_finite(
-            np.einsum("adk,bcl,kl->abcd", hm1, h1, gkk_inv)
-            - np.einsum("bdk,acl,kl->abcd", hm1, h1, gkk_inv)
+            np.einsum("...adk,...bcl,...kl->...abcd", hm1, h1, gkk_inv)
+            - np.einsum("...bdk,...acl,...kl->...abcd", hm1, h1, gkk_inv)
         )
 
     @cached_property
@@ -239,25 +260,15 @@ class PointGeometry:
         """-1 curvature from the Gauss equation."""
         h1, hm1, gkk_inv = self.h1, self.hm1, self.gkk_inv
         return tops.require_finite(
-            np.einsum("adk,bcl,kl->abcd", h1, hm1, gkk_inv)
-            - np.einsum("bdk,acl,kl->abcd", h1, hm1, gkk_inv)
+            np.einsum("...adk,...bcl,...kl->...abcd", h1, hm1, gkk_inv)
+            - np.einsum("...bdk,...acl,...kl->...abcd", h1, hm1, gkk_inv)
         )
 
 
 def point_geometry(fam: CurvedFamily, u) -> PointGeometry:
-    """The geometry bundle of ``fam`` at ``u``; takes the jet once."""
+    """The geometry bundle of ``fam`` at a point ``(m,)`` or rows ``(P, m)``; takes the jet once."""
     ua = as_coords(u)
     return PointGeometry(fam, ua, frame_at(fam, ua))
-
-
-def t_akk(fam: CurvedFamily, u) -> np.ndarray:
-    """Ambient skewness contracted once with a tangent and twice with the normal frame."""
-    pg = point_geometry(fam, u)
-    f = pg.jet
-    t = expfam.skewness(fam.ambient, fam.theta(pg.u))
-    return np.einsum(
-        "ijk,ai,pj,qk,pq->a", t, f.tangent_theta, f.normal_theta, f.normal_theta, pg.gkk_inv
-    )
 
 
 def classify(
@@ -279,11 +290,8 @@ def classify(
     if fam.codim != 1:
         raise UnsupportedShapeError("dual-quadric classification needs a hypersurface (n = m + 1)")
 
-    pgs = [point_geometry(fam, u) for u in grid]
-    h1s = [pg.h1 for pg in pgs]
-    hm1s = [pg.hm1 for pg in pgs]
-    gs = [pg.g for pg in pgs]
-    r1s = [pg.r1 for pg in pgs]
+    pg = point_geometry(fam, grid)
+    h1s, hm1s, gs, r1s = pg.h1, pg.hm1, pg.g, pg.r1
     thetas = [fam.theta(u) for u in grid]
     etas = [fam.eta(u) for u in grid]
 
@@ -295,9 +303,8 @@ def classify(
 
     # umbilicity: H^(1)_abk = H^(1)_k g_ab
     umb_res = 0.0
-    for pg in pgs:
-        h1, g = pg.h1, pg.g
-        hk = np.einsum("abk,ab->k", h1, pg.ginv) / fam.m
+    for h1, g, ginv in zip(h1s, gs, pg.ginv):
+        hk = np.einsum("abk,ab->k", h1, ginv) / fam.m
         umb_res = max(umb_res, float(np.abs(h1 - np.einsum("k,ab->abk", hk, g)).max()))
 
     # dual quadric: B_kappa = k0 (theta - theta0), eta analogue
@@ -319,8 +326,8 @@ def classify(
         )
         return k, base, res
 
-    k0, theta0, res_k = affine_fit([pg.jet.normal_theta[0] for pg in pgs], thetas)
-    l0, eta0, res_l = affine_fit([pg.jet.normal_eta[0] for pg in pgs], etas)
+    k0, theta0, res_k = affine_fit(pg.jet.normal_theta[:, 0], thetas)
+    l0, eta0, res_l = affine_fit(pg.jet.normal_eta[:, 0], etas)
     dq_res = max(res_k, res_l)
 
     ident_res = 0.0
@@ -335,16 +342,9 @@ def classify(
     )
 
     # constant curvature: R^(1)_abcd = lam (g_ad g_bc - g_ac g_bd)
-    num_l = 0.0
-    den_l = 0.0
-    cc_res = 0.0
-    pats = []
-    for g in gs:
-        pat = np.einsum("ad,bc->abcd", g, g) - np.einsum("ac,bd->abcd", g, g)
-        pats.append(pat)
-    for r, pat in zip(r1s, pats):
-        num_l += float(np.sum(r * pat))
-        den_l += float(np.sum(pat * pat))
+    pats = np.einsum("...ad,...bc->...abcd", gs, gs) - np.einsum("...ac,...bd->...abcd", gs, gs)
+    num_l = sum(float(np.sum(r * pat)) for r, pat in zip(r1s, pats))
+    den_l = sum(float(np.sum(pat * pat)) for pat in pats)
     lam = num_l / den_l if den_l > 0 else 0.0
     cc_res = max(float(np.abs(r - lam * pat).max()) for r, pat in zip(r1s, pats))
 

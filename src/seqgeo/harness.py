@@ -220,7 +220,7 @@ def run_nonsequential(config: ExperimentConfig) -> ResultTable:
         u_hats, ok = model.mle_many(np.full(config.replications, float(n)), np.array(sums))
         excluded = int(np.count_nonzero(~ok))
         _check_exclusions(excluded, config.replications, cell_id)
-        u_stars = np.array([sequential.bias_correct(model, u, float(n)) for u in u_hats[ok]])
+        u_stars = sequential.bias_correct(model, u_hats[ok], float(n))
         devs = model.wrap_deviation(u_stars - u0)
         outers = np.einsum("ra,rb->rab", devs, devs) * float(n)
         ocov = outers.mean(axis=0)

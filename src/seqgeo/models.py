@@ -11,6 +11,7 @@ the model names the CLI and the experiment configs accept to their classes.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
@@ -255,40 +256,58 @@ def _xi(u: np.ndarray, kinds: list[str]) -> np.ndarray:
     return np.array(out)
 
 
-def _xi_jet(u: np.ndarray, kinds: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """xi and its first and second derivatives, shapes (m+1,), (m, m+1), (m, m, m+1).
+def _xi_jet(us: np.ndarray, kinds: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """xi and its first and second derivatives at ``us`` (..., m): shapes (..., m+1),
+    (..., m, m+1) and (..., m, m, m+1).
 
     xi_i is a product of one factor per axis a <= min(i, m-1): s_a for a < i
     and c_a for a = i. A factor is the triple (f, f', f'') with s' = c,
     c' = sigma s and f'' = sigma f, where sigma is -1 on a circular axis and
     +1 on the hyperbolic one. Every entry multiplies its factors in axis
-    order, the same order as :func:`_xi`; derivatives in an axis outside the
-    product are exactly zero.
+    order, the same order as :func:`_xi`, so a row has the bits of its own
+    point's jet; derivatives in an axis outside the product are exactly zero.
     """
-    m = u.shape[0]
-    triples = []
-    for kind, x in zip(kinds, u.tolist()):
-        s, c = _sc(kind, x)
-        triples.append(((s, c, s), (c, s, c)) if kind == "hyp" else ((s, c, -s), (c, -s, -c)))
-    xi = np.empty(m + 1)
-    dxi = np.zeros((m, m + 1))
-    ddxi = np.zeros((m, m, m + 1))
-    for i in range(m + 1):
-        factors = [triples[a][a == i] for a in range(min(i + 1, m))]
-        xi[i] = _product(factors, -1, -1)
-        for b in range(len(factors)):
-            dxi[b, i] = _product(factors, b, -1)
-            for c in range(b, len(factors)):
-                ddxi[b, c, i] = ddxi[c, b, i] = _product(factors, b, c)
-    return xi, dxi, ddxi
+    m = us.shape[-1]
+    lead = us.shape[:-1]
+    s, c = np.sin(us), np.cos(us)
+    hyp = np.array(kinds) == "hyp"
+    for a in np.flatnonzero(hyp):
+        # math.sinh/cosh, since numpy's differ from them in the last bit
+        x = us[..., a].ravel().tolist()
+        s[..., a] = np.reshape([math.sinh(v) for v in x], lead)
+        c[..., a] = np.reshape([math.cosh(v) for v in x], lead)
+    ss, sc = np.where(hyp, s, -s), np.where(hyp, c, -c)
+    # per point and axis: (f, f', f'') of s_a, then of c_a; then a 1.0 and a 0.0
+    slots = np.concatenate([np.stack([s, c, ss, c, ss, sc], axis=-1).reshape(lead + (6 * m,)),
+                            np.broadcast_to([1.0, 0.0], lead + (2,))], axis=-1)
+    factors = np.take(slots, _jet_slots(m), axis=-1)  # C-contiguous: rows keep their bits
+    val = factors[..., 0, :]
+    for a in range(1, m):
+        val = val * factors[..., a, :]
+    k = m + 1
+    return (val[..., :k], val[..., k: k + m * k].reshape(lead + (m, k)),
+            val[..., k + m * k:].reshape(lead + (m, m, k)))
 
 
-def _product(factors: list[tuple[float, float, float]], b: int, c: int) -> float:
-    """Product of the factors, each differentiated once per index among b and c equal to its axis."""
-    val = 1.0
-    for a, f in enumerate(factors):
-        val *= f[(a == b) + (a == c)]
-    return val
+@functools.lru_cache(maxsize=None)
+def _jet_slots(m: int) -> np.ndarray:
+    """Per axis, the slot of its factor in every entry of (xi, dxi, ddxi), flattened.
+
+    Entry (i, b, c) is xi_i differentiated in the axes b and c (-1: none).
+    An axis outside the product reads the 1.0 slot; an entry differentiated
+    in such an axis reads 0.0 on axis 0 and 1.0 after, so it is +0.0.
+    """
+    pairs = [(-1, -1)] + [(b, -1) for b in range(m)] + [(b, c) for b in range(m) for c in range(m)]
+    entries = [(i, b, c) for b, c in pairs for i in range(m + 1)]
+    idx = np.full((m, len(entries)), 6 * m)
+    for e, (i, b, c) in enumerate(entries):
+        n = min(i + 1, m)
+        if b >= n or c >= n:
+            idx[0, e] = 6 * m + 1
+            continue
+        for a in range(n):
+            idx[a, e] = 6 * a + 3 * (a == i) + (a == b) + (a == c)
+    return idx
 
 
 # ---------------------------------------------------------------------------
@@ -362,12 +381,12 @@ class _DirectionalModel:
         def embed_eta(u):
             return self.r_dagger * _xi(u, self.kinds)
 
-        def jet(u):
-            xi, dxi, ddxi = _xi_jet(u, self.kinds)
+        def jet(us):
+            xi, dxi, ddxi = _xi_jet(us, self.kinds)
             return Jet(
                 self.r * dxi * lam, self.r_dagger * dxi,
                 self.r * ddxi * lam, self.r_dagger * ddxi,
-                (normal_theta_sign * lam * xi)[None, :], xi[None, :],
+                (normal_theta_sign * lam * xi)[..., None, :], xi[..., None, :],
             )
 
         return CurvedFamily(
@@ -620,7 +639,8 @@ class LinearGaussianModel:
             m=self.m,
             embed_theta=lambda u: a @ u,
             embed_eta=lambda u: a @ u,
-            jet=lambda u: Jet(a.T, a.T, flat, flat),
+            jet=lambda us: Jet(*(np.broadcast_to(x, us.shape[:-1] + x.shape)
+                                 for x in (a.T, a.T, flat, flat))),
             name="linear-gaussian",
         )
 

@@ -87,43 +87,18 @@ def stop_cell(
     return tau, sum_x, runaway
 
 
-def bias_correct(
-    model,
-    u_hat,
-    effective_n: float,
-    gauge: Gauge | None = None,
-    coords: ConformalCoordinates | None = None,
-) -> np.ndarray:
-    """Second-order bias correction of the estimator.
+def bias_correct(model, u_hats, effective_n: float) -> np.ndarray:
+    """Second-order bias correction of the estimates ``u_hats``, a point
+    ``(m,)`` or a cell's rows ``(R, m)``, from one geometry bundle.
 
     Only the tangential block contributes for the maximum-likelihood
-    ancillary. Without a gauge this is the plain connection contraction
-    in the original chart; with a gauge the log-gradient terms are added,
-    and with flattening coordinates the whole correction is evaluated in
-    the new chart (where it vanishes for a dual quadric hypersurface).
+    ancillary: the correction is the plain connection contraction
+    ``(1/2N) Gamma^(-1)a_bc g^bc`` in the original chart.
     """
-    pg = geometry.point_geometry(model.curved, u_hat)
-    u = pg.u
-    if coords is not None:
-        if gauge is None:
-            raise ValueError("flattening coordinates require their gauge")
-        nu = gauge.nu_at(u)
-        gbar = ubar_chart_connection(pg, gauge, coords) / nu
-        ginv_ubar = _ubar_metric_inverse(pg, coords)
-        corr = np.einsum("bcd,da,bc->a", gbar, ginv_ubar, ginv_ubar)
-        ubar = np.asarray(coords.forward(u), dtype=float)
-        return ubar + corr / (2.0 * effective_n)
+    pg = geometry.point_geometry(model.curved, u_hats)
     ginv = pg.ginv
-    corr = np.einsum("bcd,da,bc->a", pg.gm1, ginv, ginv)
-    if gauge is not None:
-        s = gauge.s_at(u)
-        corr = corr + 2.0 * ginv @ s
-    return u + corr / (2.0 * effective_n)
-
-
-def _ubar_metric_inverse(pg: geometry.PointGeometry, coords: ConformalCoordinates) -> np.ndarray:
-    j = np.asarray(coords.jacobian(pg.u), dtype=float)
-    return j @ pg.ginv @ j.T
+    corr = np.einsum("...bcd,...da,...bc->...a", pg.gm1, ginv, ginv)
+    return pg.u + corr / (2.0 * effective_n)
 
 
 def second_order_terms(

@@ -242,27 +242,31 @@ COND_CAP = 1e10
 
 
 def invert_matrix(a: np.ndarray, cond_cap: float = COND_CAP) -> np.ndarray:
-    """Invert a symmetric matrix through its eigen-factorization.
+    """Invert a symmetric matrix, or each of a stack ``(..., k, k)``, through its eigen-factorization.
 
-    Raises :class:`SingularMetricError` when the (symmetric) condition
-    number exceeds ``cond_cap`` or an eigenvalue falls under the pivot
-    tolerance relative to the largest.
+    Raises, if any matrix fails: :class:`EvaluationDomainError` on a non-finite
+    entry, :class:`SingularMetricError` when the (symmetric) condition number
+    exceeds ``cond_cap`` or an eigenvalue falls under the pivot tolerance
+    relative to the largest.
     """
     m = np.asarray(a, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("invert expects a square order-2 tensor")
-    if not np.allclose(m, m.T, atol=1e-8 * max(1.0, float(np.abs(m).max()))):
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError("invert expects square order-2 tensors")
+    if not np.all(np.isfinite(m)):
+        raise EvaluationDomainError("invert expects finite entries")
+    mt = m.swapaxes(-1, -2)
+    # np.allclose(m, mt, atol) per matrix, without its isclose overhead
+    atol = 1e-8 * np.maximum(1.0, np.abs(m).max(axis=(-2, -1), keepdims=True))
+    if not np.all(np.abs(m - mt) <= atol + 1e-5 * np.abs(mt)):
         raise ValueError("invert expects a symmetric matrix")
-    w, v = np.linalg.eigh(0.5 * (m + m.T))
-    amax = float(np.abs(w).max())
-    amin = float(np.abs(w).min())
-    if amax == 0.0 or amin <= PIVOT_TOL * amax:
+    w, v = np.linalg.eigh(0.5 * (m + mt))
+    amax, amin = np.abs(w).max(axis=-1), np.abs(w).min(axis=-1)
+    if np.any((amax == 0.0) | (amin <= PIVOT_TOL * amax)):
         raise SingularMetricError("matrix is numerically singular")
-    if amax / amin > cond_cap:
-        raise SingularMetricError(
-            f"condition number {amax / amin:.3e} exceeds cap {cond_cap:.3e}"
-        )
-    return (v / w) @ v.T
+    cond = amax / amin
+    if np.any(cond > cond_cap):
+        raise SingularMetricError(f"condition number {cond.max():.3e} exceeds cap {cond_cap:.3e}")
+    return (v / w[..., None, :]) @ v.swapaxes(-1, -2)
 
 
 def newton_solve(

@@ -10,6 +10,7 @@ import math
 import numpy as np
 
 from seqgeo import expfam, geometry, sequential
+from seqgeo.conformal import ubar_chart_connection
 
 
 def iv_ratio_series(rho: float, nu: float, terms: int = 30) -> float:
@@ -128,6 +129,32 @@ def reference_stopping(model, gauge, k, u0, rng, c=None, t_min=sequential.T_MIN,
     return t_max, sum_x, True
 
 
+def reference_bias_correct(model, u_hat, effective_n, gauge=None, coords=None):
+    """Second-order bias correction of one estimate, from its own bundle.
+
+    The per-point correction that ``sequential.bias_correct`` computes over a
+    cell's rows: the plain connection contraction in the original chart;
+    with a gauge the log-gradient terms are added, and with flattening
+    coordinates the whole correction is evaluated in the new chart (where it
+    vanishes for a dual quadric hypersurface).
+    """
+    pg = geometry.point_geometry(model.curved, u_hat)
+    u = pg.u
+    if coords is not None:
+        nu = gauge.nu_at(u)
+        gbar = ubar_chart_connection(pg, gauge, coords) / nu
+        j = np.asarray(coords.jacobian(u), dtype=float)
+        ginv_ubar = j @ pg.ginv @ j.T
+        corr = np.einsum("bcd,da,bc->a", gbar, ginv_ubar, ginv_ubar)
+        ubar = np.asarray(coords.forward(u), dtype=float)
+        return ubar + corr / (2.0 * effective_n)
+    ginv = pg.ginv
+    corr = np.einsum("bcd,da,bc->a", pg.gm1, ginv, ginv)
+    if gauge is not None:
+        corr = corr + 2.0 * ginv @ gauge.s_at(u)
+    return u + corr / (2.0 * effective_n)
+
+
 def direct_rc_curvature(fam, u, alpha: int):
     """Curvature via the intrinsic formula applied to the sub-connection field,
     against which the Gauss-equation curvature is checked."""
@@ -142,6 +169,16 @@ def curved_skewness(fam, u):
     f = geometry.frame_at(fam, u)
     t = expfam.skewness(fam.ambient, fam.theta(u))
     return np.einsum("ijk,ai,bj,ck->abc", t, f.tangent_theta, f.tangent_theta, f.tangent_theta)
+
+
+def t_akk(fam, u):
+    """Ambient skewness contracted once with a tangent and twice with the normal frame."""
+    pg = geometry.point_geometry(fam, u)
+    f = pg.jet
+    t = expfam.skewness(fam.ambient, fam.theta(pg.u))
+    return np.einsum(
+        "ijk,ai,pj,qk,pq->a", t, f.tangent_theta, f.normal_theta, f.normal_theta, pg.gkk_inv
+    )
 
 
 # frozen headline constants, all re-derivable from the functions above

@@ -44,3 +44,9 @@ def test_workload_runs_clean(workload, name, trace, tmp_path):
             # replication, and one replication seed each, the first ending set-up
             assert layers["models.sample_many.calls"] >= 4 * counts["replications"]
             assert layers["harness.rep_seed.calls"] == counts["replications"]
+        else:
+            # one sampler call and one seed per replication, and one bias
+            # correction per cell of the two bundled 10-cell grid_N
+            assert layers["models.sample_many.calls"] == counts["replications"]
+            assert layers["harness.rep_seed.calls"] == counts["replications"]
+            assert layers["sequential.bias_correct.calls"] == 20

@@ -3,13 +3,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqgeo import expfam, geometry, tensorops as tops
 from seqgeo.errors import ChartError, EvaluationDomainError, UnsupportedShapeError
-from seqgeo.geometry import CurvedFamily, classify, frame_at, point_geometry, t_akk
+from seqgeo.geometry import CurvedFamily, classify, frame_at, point_geometry
+from seqgeo.models import HyperboloidModel, LinearGaussianModel, VmfModel
 
 from conftest import U0_HYP, U0_VMF
-from oracles import VMF_G11, VMF_G22, HYP_G11, HYP_G22, christoffel_first_kind, direct_rc_curvature
+from oracles import (
+    HYP_G11,
+    HYP_G22,
+    VMF_G11,
+    VMF_G22,
+    christoffel_first_kind,
+    direct_rc_curvature,
+    t_akk,
+)
 
 
 def numeric_clone(model):
@@ -138,11 +149,15 @@ class TestSubConnections:
             assert res < 1e-6
 
     def test_nan_eta_hessian_raises(self, vmf):
-        jet = lambda u: vmf.curved.jet(u)._replace(hess_eta=np.full((2, 2, 3), np.nan))
-        pg = point_geometry(dataclasses.replace(vmf.curved, jet=jet), U0_VMF)
-        assert np.all(np.isfinite(pg.g1))
-        with pytest.raises(EvaluationDomainError):
-            pg.gm1
+        def jet(us):
+            j = vmf.curved.jet(us)
+            return j._replace(hess_eta=np.full_like(j.hess_eta, np.nan))
+
+        for u in (U0_VMF, np.stack([U0_VMF, U0_VMF])):
+            pg = point_geometry(dataclasses.replace(vmf.curved, jet=jet), u)
+            assert np.all(np.isfinite(pg.g1))
+            with pytest.raises(EvaluationDomainError):
+                pg.gm1
 
     def test_vmf_christoffel_oracle(self, vmf):
         # the sub-skewness vanishes, so both connections equal the metric
@@ -278,3 +293,68 @@ class TestSkewnessContraction:
 
     def test_linear_zero(self, linear):
         assert np.abs(t_akk(linear.curved, np.array([0.2, -0.6]))).max() < 1e-12
+
+
+FIELDS = ("g", "ginv", "gkk_inv", "ht", "he", "g1", "gm1", "h1", "hm1", "r1", "rm1")
+BATCH_MODELS = {"vmf": VmfModel(2, 0.25), "hyp": HyperboloidModel(2, 0.1),
+                "vmf3": VmfModel(3, 1.0), "hyp3": HyperboloidModel(3, 0.1)}
+
+
+def chart_rows(model, max_rows):
+    """Lists of chart points away from the singular set, as ``(P, m)`` arrays."""
+    axes = [st.floats(0.05, 1.5) if kind == "hyp" else st.floats(0.15, math.pi - 0.15)
+            for kind in model.kinds[:-1]] + [st.floats(0.0, 2.0 * math.pi)]
+    return st.lists(st.tuples(*axes), min_size=1, max_size=max_rows).map(np.array)
+
+
+def assert_rows_match_single(fam, us):
+    batch = point_geometry(fam, us)
+    for i, u in enumerate(us):
+        single = point_geometry(fam, u)
+        for name in FIELDS:
+            got, want = getattr(batch, name)[i], getattr(single, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+
+class TestBatchedBundle:
+    """A bundle over rows carries, row by row, the bytes of each point's own bundle."""
+
+    @pytest.mark.parametrize("model_name", sorted(BATCH_MODELS))
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_rows_match_single(self, model_name, data):
+        model = BATCH_MODELS[model_name]
+        assert_rows_match_single(model.curved, data.draw(chart_rows(model, 6)))
+
+    @given(us=chart_rows(BATCH_MODELS["vmf"], 3))
+    @settings(max_examples=4, deadline=None)
+    def test_numeric_clone_rows_match_single(self, us):
+        assert_rows_match_single(numeric_clone(BATCH_MODELS["vmf"]), us)
+
+    @given(us=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+                       min_size=1, max_size=5).map(np.array))
+    @settings(max_examples=10, deadline=None)
+    def test_linear_rows_match_single(self, us):
+        model = LinearGaussianModel(np.array([[1.0, 0.0], [0.0, 1.0], [0.5, -0.25]]))
+        assert_rows_match_single(model.curved, us)
+
+    @pytest.mark.parametrize("model_name", sorted(BATCH_MODELS))
+    def test_batch_of_one_and_empty(self, model_name):
+        model = BATCH_MODELS[model_name]
+        fams = [model.curved] + ([numeric_clone(model)] if model.m == 2 else [])
+        u = model.probe_grid(count=1, margin=0.2, seed=5)
+        for fam in fams:
+            assert_rows_match_single(fam, u)
+            single, empty = point_geometry(fam, u[0]), point_geometry(fam, u[:0])
+            for name in FIELDS:
+                assert getattr(empty, name).shape == (0,) + getattr(single, name).shape, name
+
+    def test_rank_check_names_the_row(self, vmf):
+        def jet(us):
+            # the tangent frame vanishes where u1 = 0.5
+            j = vmf.curved.jet(us)
+            return j._replace(tangent_theta=j.tangent_theta * (us[..., :1, None] != 0.5))
+
+        us = np.array([[1.0, 1.0], [0.5, 2.0], [1.2, 0.3]])
+        with pytest.raises(ChartError, match=r"u=array\(\[0\.5, 2\. \]\)"):
+            frame_at(dataclasses.replace(vmf.curved, jet=jet), us)

@@ -17,7 +17,13 @@ from seqgeo.sequential import (
 )
 
 from conftest import U0_HYP, U0_VMF
-from oracles import VMF_G11, VMF_G22, observed_information, reference_stopping
+from oracles import (
+    VMF_G11,
+    VMF_G22,
+    observed_information,
+    reference_bias_correct,
+    reference_stopping,
+)
 
 
 @pytest.fixture(scope="module")
@@ -206,17 +212,36 @@ class TestBiasCorrect:
         assert np.abs(bias_correct(vmf, U0_VMF, n) - expected).max() < 1e-14
 
     def test_nan_eta_hessian_raises(self, vmf):
-        jet = lambda u: vmf.curved.jet(u)._replace(hess_eta=np.full((2, 2, 3), np.nan))
+        def jet(us):
+            j = vmf.curved.jet(us)
+            return j._replace(hess_eta=np.full_like(j.hess_eta, np.nan))
 
         class Wrapper:
             curved = dataclasses.replace(vmf.curved, jet=jet)
 
         with pytest.raises(EvaluationDomainError):
             bias_correct(Wrapper(), U0_VMF, 100.0)
+        with pytest.raises(EvaluationDomainError):
+            bias_correct(Wrapper(), np.stack([U0_VMF, U0_VMF]), 100.0)
+
+    @pytest.mark.parametrize("model_name, u0", [("vmf", U0_VMF), ("hyp", U0_HYP)])
+    @pytest.mark.parametrize("rows", [37, 1, 0])
+    def test_cell_matches_reference_rows(self, model_name, u0, rows, request):
+        # a fixed-N cell's estimates, corrected at once, against one bundle each
+        model = request.getfixturevalue(model_name)
+        n = 150
+        sums = np.array([model.sample_many(u0, np.random.default_rng(i), n).sum(axis=0)
+                         for i in range(rows)]).reshape(rows, 3)
+        u_hats, ok = model.mle_many(np.full(rows, float(n)), sums)
+        assert ok.all()
+        cell = bias_correct(model, u_hats, float(n))
+        assert cell.shape == (rows, 2)
+        for u, got in zip(u_hats, cell):
+            assert got.tobytes() == reference_bias_correct(model, u, float(n)).tobytes()
 
     def test_conformal_correction_vanishes(self, vmf, vmf_coords):
         gauge, coords = vmf_coords
-        corrected = bias_correct(vmf, U0_VMF, 231.0, gauge=gauge, coords=coords)
+        corrected = reference_bias_correct(vmf, U0_VMF, 231.0, gauge=gauge, coords=coords)
         ubar = np.asarray(coords.forward(U0_VMF))
         assert np.abs(corrected - ubar).max() < 1e-6
 

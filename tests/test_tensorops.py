@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -131,6 +132,35 @@ class TestInvert:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             invert_matrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    def test_nan_entry_raises(self):
+        with pytest.raises(EvaluationDomainError):
+            invert_matrix(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+    def test_inf_entry_raises(self):
+        with pytest.raises(EvaluationDomainError):
+            invert_matrix(np.array([[1.0, np.inf], [np.inf, 1.0]]))
+
+    def test_stack_rows_match_single(self):
+        rng = np.random.default_rng(5)
+        q = np.linalg.qr(rng.standard_normal((4, 3, 3)))[0]
+        stack = q @ (rng.uniform(0.5, 4.0, (4, 3, 1)) * q.swapaxes(-1, -2))
+        stack = 0.5 * (stack + stack.swapaxes(-1, -2))
+        out = invert_matrix(stack)
+        assert out.shape == stack.shape
+        for row, inv in zip(stack, out):
+            assert inv.tobytes() == invert_matrix(row).tobytes()
+        assert invert_matrix(stack[:0]).shape == (0, 3, 3)
+
+    @pytest.mark.parametrize("bad", [np.diag([1.0, 1e-12]), np.diag([1.0, 0.0]),
+                                     np.array([[1.0, 2.0], [0.0, 1.0]])],
+                             ids=["condition", "pivot", "asymmetric"])
+    def test_stack_fails_as_its_bad_row(self, bad):
+        with pytest.raises((ValueError, SingularMetricError)) as alone:
+            invert_matrix(bad)
+        good = np.array([[2.0, 0.5], [0.5, 1.0]])
+        with pytest.raises(type(alone.value), match=re.escape(str(alone.value))):
+            invert_matrix(np.stack([good, bad, good]))
 
 
 class TestNewtonSolve:
