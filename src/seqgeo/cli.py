@@ -47,14 +47,15 @@ def geometry_report(model_name: str, m: int, r: float, grid_density: int = 12,
     h1_bar_res = 0.0
     if fam.codim == 1 and cls.dual_quadric:
         coords = conformal.quadric_coordinates(fam, gauge, np.zeros(fam.n), np.eye(m, m + 1), k0l0)
-        pgs = [geometry.point_geometry(fam, u) for u in grid[: min(len(grid), 6)]]
+        probe = grid[: min(len(grid), 6)]
+        pgs = [geometry.point_geometry(fam, u) for u in probe]
         gamma_bar = [float(np.abs(conformal.ubar_chart_connection(pg, gauge, coords)).max())
                      for pg in pgs]
         gamma_bar_res = max(gamma_bar)
         # the ubar chart scales with the map (ubar is proportional to r_dagger),
         # and its connection inversely, so the check reads |Gamma_bar| |d ubar/du|
-        gamma_bar_scaled = max(res * float(np.linalg.norm(coords.jacobian(pg.u)))
-                               for res, pg in zip(gamma_bar, pgs))
+        jacs = coords.derivatives(probe)[0]
+        gamma_bar_scaled = max(res * float(np.linalg.norm(jac)) for res, jac in zip(gamma_bar, jacs))
         h1_bar_res = max(
             float(np.abs(conformal.conformal_sub_quantities(pg, gauge)[1]).max()) for pg in pgs
         )

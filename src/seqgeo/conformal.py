@@ -9,7 +9,6 @@ closed-form solutions, never as PDEs to be solved numerically.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -31,68 +30,48 @@ PDE_TOLERANCE = 1e-6
 
 @dataclass(frozen=True)
 class Gauge:
-    """A positive scalar field with its log-gradient.
+    """A positive scalar field with its log-gradient, three closed forms over rows.
 
-    ``nu`` maps a batch of points, an ``(R, dim)`` array, to the ``(R,)``
-    gauge values; a point on the singular set may map to ``inf``. ``s``
-    and ``ds`` (the log-gradient and its derivative matrix) take a single
-    point and fall back to central differences of ``log nu`` when not
-    supplied.
+    ``nu``, ``s`` and ``ds`` take points ``(..., d)`` and return the gauge
+    ``(...)``, its log-gradient ``s_k = d_k log nu`` ``(..., d)`` and the
+    derivative ``ds[j, k] = d_j s_k`` ``(..., d, d)``. ``nu`` maps a point on
+    the singular set to ``inf``; ``s`` and ``ds`` are read only after
+    :meth:`nu_at` has accepted the points.
     """
 
     nu: Callable[[np.ndarray], np.ndarray]
-    s: Callable[[np.ndarray], np.ndarray] | None = None
-    ds: Callable[[np.ndarray], np.ndarray] | None = None
-    chart: str = "theta"
-    name: str = ""
+    s: Callable[[np.ndarray], np.ndarray]
+    ds: Callable[[np.ndarray], np.ndarray]
 
-    def nu_at(self, x) -> float:
-        """The gauge at one point, a batch of one; raises off the positive set."""
-        v = float(self.nu(as_coords(x)[None, :])[0])
-        if not np.isfinite(v) or v <= 0.0:
-            raise GaugeSingularityError(f"gauge is not positive at {x!r} (value {v!r})")
-        return v
-
-    def _log_nu(self, x: np.ndarray) -> float:
-        return math.log(self.nu_at(x))
-
-    def s_at(self, x) -> np.ndarray:
+    def nu_at(self, x):
+        """The gauge at a point (a scalar) or at rows; raises unless every value is finite and positive."""
         xa = as_coords(x)
-        self.nu_at(xa)
-        if self.s is not None:
-            return np.asarray(self.s(xa), dtype=float)
-        return tops.differentiate(self._log_nu, xa, order=1)
-
-    def ds_at(self, x) -> np.ndarray:
-        xa = as_coords(x)
-        if self.ds is not None:
-            return np.asarray(self.ds(xa), dtype=float)
-        if self.s is not None:
-            return tops.jacobian(self.s, xa).T  # ds[j, k] = d_j s_k
-        return tops.differentiate(self._log_nu, xa, order=2)
+        rows = xa.reshape(-1, xa.shape[-1])
+        vals = self.nu(rows)
+        bad = ~(np.isfinite(vals) & (vals > 0.0))
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise GaugeSingularityError(f"gauge is not positive at {rows[i]!r} (value {float(vals[i])!r})")
+        return vals.reshape(xa.shape[:-1])[()]
 
 
-def constant_gauge(value: float, chart: str = "theta") -> Gauge:
+def constant_gauge(value: float) -> Gauge:
     if value <= 0:
         raise GaugeSingularityError("constant gauge must be positive")
     return Gauge(
-        nu=lambda xs: np.full(xs.shape[0], float(value)),
-        s=lambda x: np.zeros_like(x),
-        ds=lambda x: np.zeros((x.shape[0], x.shape[0])),
-        chart=chart,
-        name=f"const({value})",
+        nu=lambda xs: np.full(xs.shape[:-1], float(value)),
+        s=lambda xs: np.zeros_like(xs),
+        ds=lambda xs: np.zeros(xs.shape + xs.shape[-1:]),
     )
 
 
-def exp_linear_gauge(a, chart: str = "theta") -> Gauge:
+def exp_linear_gauge(a) -> Gauge:
     """Gauge ``nu = exp(a . x)``; everywhere positive, constant log-gradient."""
     av = np.asarray(a, dtype=float)
     return Gauge(
         nu=lambda xs: np.exp(xs @ av),
-        s=lambda x: av.copy(),
-        ds=lambda x: np.zeros((av.shape[0], av.shape[0])),
-        chart=chart,
-        name="exp-linear",
+        s=lambda xs: np.broadcast_to(av, xs.shape).copy(),
+        ds=lambda xs: np.zeros(xs.shape + av.shape),
     )
 
 
@@ -109,7 +88,7 @@ def conformal_metric_skewness(
     """Transformed metric and skewness: nu*g and nu*[T + sym(g x s)]."""
     x = as_coords(at)
     nu = gauge.nu_at(x)
-    s = gauge.s_at(x)
+    s = gauge.s(x)
     gv = np.asarray(g, dtype=float)
     tv = np.asarray(t, dtype=float)
     sym = (
@@ -130,7 +109,7 @@ def conformal_connection(
     """Transformed alpha-connection components (same chart)."""
     x = as_coords(at)
     nu = gauge.nu_at(x)
-    s = gauge.s_at(x)
+    s = gauge.s(x)
     gv = np.asarray(g, dtype=float)
     cv = np.asarray(gamma, dtype=float)
     plus = 0.5 * (1.0 - alpha) * (
@@ -163,8 +142,8 @@ def conformal_rc_curvature(
     """Transformed alpha-curvature; antisymmetry in the first slots is preserved."""
     x = as_coords(at)
     nu = gauge.nu_at(x)
-    s = gauge.s_at(x)
-    ds = gauge.ds_at(x)
+    s = gauge.s(x)
+    ds = gauge.ds(x)
     gv = np.asarray(g, dtype=float)
     rv = np.asarray(r, dtype=float)
     ga = np.asarray(gamma_alpha, dtype=float)
@@ -329,21 +308,50 @@ def flatness_test(chart: Callable, grid: np.ndarray, tolerance: float = 1e-4) ->
 
 @dataclass(frozen=True)
 class ConformalCoordinates:
-    """The flattening coordinate map attached to an explicit gauge."""
+    """The flattening map ``x -> nu(x) A(x)`` of an explicit gauge, ``A`` affine in eta.
+
+    ``forward`` maps a point or rows ``(..., old)`` to ``(..., new)``;
+    ``derivatives`` returns the map's Jacobian ``(..., new, old)`` and
+    Hessian ``(..., new, old, old)`` in closed form.
+    """
 
     forward: Callable[[np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray], np.ndarray]   # (new, old)
+    derivatives: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     inverse: Callable | None = None                # inverse(new, guess) -> old
     phi_bar: Callable | None = None
     psi_bar: Callable | None = None                # psi_bar(xi, guess) -> float
 
-    def hessian_at(self, x: np.ndarray) -> np.ndarray:
-        """Second derivatives (new, old, old) by differencing the Jacobian."""
-        jac = lambda y: np.asarray(self.jacobian(y), dtype=float).ravel()
-        d_new = np.asarray(self.jacobian(x)).shape[0]
-        d_old = x.shape[0]
-        flat = tops.jacobian(jac, x)  # (new*old, old)
-        return flat.reshape(d_new, d_old, d_old)
+
+def _apply(dm: np.ndarray, x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """``D`` applied to the last axis of ``x``, its output axis moved to ``axis``.
+
+    The sum over the contracted axis runs in a fixed order, so a row has the
+    bits of its own point; a matrix product over rows need not.
+    """
+    out = dm[:, 0] * x[..., 0, None]
+    for i in range(1, dm.shape[1]):
+        out = out + dm[:, i] * x[..., i, None]
+    return np.moveaxis(out, -1, axis)
+
+
+def _scaled_map_derivatives(gauge: Gauge, x: np.ndarray, a, da, dda) -> tuple[np.ndarray, np.ndarray]:
+    """Jacobian and Hessian of ``nu(x) A(x)`` from ``A`` (..., p), ``dA`` (..., p, a)
+    and ``d2A`` (..., p, a, b) at ``x``:
+
+        J = nu (A s_a + dA),
+        H = nu [A (ds + s s)_ab + dA_pa s_b + s_a dA_pb + d2A_pab].
+    """
+    nu = gauge.nu_at(x)[..., None, None]
+    s, ds = gauge.s(x), gauge.ds(x)
+    a_s = a[..., :, None] * s[..., None, :]
+    jac = nu * (a_s + da)
+    hess = nu[..., None] * (
+        a[..., :, None, None] * (ds + s[..., :, None] * s[..., None, :])[..., None, :, :]
+        + da[..., :, :, None] * s[..., None, None, :]
+        + s[..., None, :, None] * da[..., :, None, :]
+        + dda
+    )
+    return jac, hess
 
 
 def expfam_gauge(
@@ -365,33 +373,32 @@ def expfam_gauge(
     if np.linalg.matrix_rank(dm) < fam.n:
         raise UnsupportedShapeError("coordinate matrix D must have full rank")
 
-    def denom(eta):
-        b = c0 + float(cv @ eta)
-        if abs(b) < 1e-300:
-            raise GaugeSingularityError("affine gauge denominator crosses zero")
-        return b
+    def denom(etas):
+        return c0 + _apply(cv[None, :], etas)[..., 0]
 
     def nu(etas):
-        with np.errstate(divide="ignore"):
-            return 1.0 / np.abs(c0 + etas @ cv)
+        # a row on the singular set c0 + c.eta = 0 maps to inf
+        b = np.abs(denom(etas))
+        singular = b < 1e-300
+        return np.where(singular, np.inf, 1.0 / np.where(singular, 1.0, b))
 
-    def s(eta):
-        return -cv / denom(eta)
+    def s(etas):
+        return -cv / denom(etas)[..., None]
 
-    def ds(eta):
-        b = denom(eta)
-        return np.outer(cv, cv) / b**2
+    def ds(etas):
+        return cv[:, None] * cv[None, :] / np.float_power(denom(etas), 2)[..., None, None]
 
-    gauge = Gauge(nu=nu, s=s, ds=ds, chart="eta", name="affine")
+    gauge = Gauge(nu=nu, s=s, ds=ds)
 
     def forward(eta):
-        return gauge.nu_at(eta) * (dv + dm @ eta)
+        ea = as_coords(eta)
+        return gauge.nu_at(ea)[..., None] * (dv + _apply(dm, ea))
 
-    def jac(eta):
-        b = denom(eta)
-        n = gauge.nu_at(eta)
-        dnu = -np.sign(b) * cv / b**2
-        return np.outer(dv + dm @ eta, dnu) + n * dm
+    def derivatives(eta):
+        ea = as_coords(eta)
+        lead = ea.shape[:-1]
+        return _scaled_map_derivatives(gauge, ea, dv + _apply(dm, ea), np.broadcast_to(dm, lead + dm.shape),
+                                       np.zeros(lead + dm.shape + (fam.n,)))
 
     def inverse(h, guess):
         return tops.newton_solve(forward, h, Point(as_coords(guess), "eta"), tol=1e-12).coords
@@ -409,7 +416,7 @@ def expfam_gauge(
 
     coords = ConformalCoordinates(
         forward=forward,
-        jacobian=jac,
+        derivatives=derivatives,
         inverse=inverse,
         phi_bar=phi_bar,
         psi_bar=psi_bar,
@@ -418,7 +425,11 @@ def expfam_gauge(
 
 
 def expfam_gauge_on_theta(fam: ExponentialFamily, c0: float, c) -> Gauge:
-    """The affine gauge pulled back to the theta chart, with analytic log-gradient."""
+    """The affine gauge pulled back to the theta chart, with analytic log-gradient.
+
+    The pullback goes through ``eta(theta)``, so each field is evaluated one
+    point at a time.
+    """
     cv = np.asarray(c, dtype=float)
 
     def denom(theta):
@@ -427,9 +438,6 @@ def expfam_gauge_on_theta(fam: ExponentialFamily, c0: float, c) -> Gauge:
         if abs(b) < 1e-300:
             raise GaugeSingularityError("affine gauge denominator crosses zero")
         return b
-
-    def nu(thetas):
-        return np.array([1.0 / abs(denom(theta)) for theta in thetas])
 
     def s(theta):
         g = expfam.metric(fam, Point(theta, "theta"))
@@ -442,7 +450,10 @@ def expfam_gauge_on_theta(fam: ExponentialFamily, c0: float, c) -> Gauge:
         a = g @ cv
         return -np.einsum("ijk,i->jk", t, cv) / b + np.outer(a, a) / b**2
 
-    return Gauge(nu=nu, s=s, ds=ds, chart="theta", name="affine|theta")
+    def rowwise(f):
+        return lambda thetas: np.apply_along_axis(f, -1, thetas)
+
+    return Gauge(nu=rowwise(lambda theta: 1.0 / abs(denom(theta))), s=rowwise(s), ds=rowwise(ds))
 
 
 def quadric_gauge(
@@ -450,18 +461,14 @@ def quadric_gauge(
     eta0,
     dmat,
     grid: np.ndarray,
-    gauge: Gauge | None = None,
+    gauge: Gauge,
 ) -> tuple[Gauge, ConformalCoordinates]:
     """Gauge and flattening coordinates of a dual quadric hypersurface.
 
-    The gauge must be registered on the family (or passed in); its
-    defining equation is verified on the probe grid and a
+    The gauge's defining equation is verified on the probe grid and a
     :class:`GaugeMismatchError` is raised when the residual exceeds
     ``PDE_TOLERANCE``. The coordinates come from :func:`quadric_coordinates`.
     """
-    gauge = gauge or fam.registered_gauge
-    if gauge is None:
-        raise GaugeMismatchError("no registered gauge for this family")
     cls = geometry.classify(fam, grid)
     if not cls.dual_quadric:
         raise UnsupportedShapeError(
@@ -483,11 +490,12 @@ def quadric_coordinates(
     dmat,
     k0l0: float,
 ) -> ConformalCoordinates:
-    """The flattening coordinates of a dual quadric hypersurface.
+    """The flattening coordinates ``nu(u) D (eta(u) - eta0)`` of a dual quadric hypersurface.
 
-    The map scales selected mean coordinates by the gauge. It does not
-    check that ``gauge`` solves the quadric gauge equation with constant
-    ``k0l0``; :func:`quadric_gauge` does.
+    The map's derivatives read the tangent frame and the Hessian of the
+    mean-parameter embedding from the family's bundle at the points; ``fam.eta``
+    must take rows. It does not check that ``gauge`` solves the quadric gauge
+    equation with constant ``k0l0``; :func:`quadric_gauge` does.
     """
     e0 = np.asarray(eta0, dtype=float)
     dm = np.atleast_2d(np.asarray(dmat, dtype=float))
@@ -495,14 +503,12 @@ def quadric_coordinates(
         raise UnsupportedShapeError("coordinate matrix D must have rank m")
 
     def forward(u):
-        return gauge.nu_at(u) * (dm @ (fam.eta(u) - e0))
+        return gauge.nu_at(u)[..., None] * _apply(dm, fam.eta(u) - e0)
 
-    def jac(u):
-        nu = gauge.nu_at(u)
-        s = gauge.s_at(u)
-        f = geometry.frame_at(fam, u)
-        base = dm @ (fam.eta(u) - e0)
-        return nu * (np.outer(base, s) + dm @ f.tangent_eta.T)
+    def derivatives(u):
+        pg = geometry.point_geometry(fam, u)
+        return _scaled_map_derivatives(gauge, pg.u, _apply(dm, fam.eta(pg.u) - e0),
+                                       _apply(dm, pg.jet.tangent_eta, -2), _apply(dm, pg.he, -3))
 
     def inverse(ubar, guess):
         return tops.newton_solve(forward, ubar, Point(as_coords(guess), "u"), tol=1e-12).coords
@@ -513,24 +519,20 @@ def quadric_coordinates(
 
     return ConformalCoordinates(
         forward=forward,
-        jacobian=jac,
+        derivatives=derivatives,
         inverse=inverse,
         phi_bar=phi_bar,
     )
 
 
 def gauge_pde_residual(fam: CurvedFamily, gauge: Gauge, k0l0: float, grid: np.ndarray) -> float:
-    """Max-norm residual of the quadric gauge equation over a grid."""
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    pg = geometry.point_geometry(fam, grid)
-    worst = 0.0
-    for u, gm1, ginv, g in zip(grid, pg.gm1, pg.ginv, pg.g):
-        s = gauge.s_at(u)
-        ds = gauge.ds_at(u)
-        mixed = np.einsum("abd,dc->abc", gm1, ginv)
-        lhs = ds - np.einsum("abc,c->ab", mixed, s) - np.outer(s, s)
-        worst = max(worst, float(np.abs(lhs - k0l0 * g).max()))
-    return worst
+    """Max-norm residual of the quadric gauge equation over a grid, from one bundle."""
+    pg = geometry.point_geometry(fam, np.atleast_2d(np.asarray(grid, dtype=float)))
+    gauge.nu_at(pg.u)  # raises off the positive set, before s and ds are read
+    s, ds = gauge.s(pg.u), gauge.ds(pg.u)
+    mixed = np.einsum("...abd,...dc->...abc", pg.gm1, pg.ginv)
+    lhs = ds - np.einsum("...abc,...c->...ab", mixed, s) - s[..., :, None] * s[..., None, :]
+    return float(np.abs(lhs - k0l0 * pg.g).max(initial=0.0))
 
 
 def conformal_sub_quantities(
@@ -545,7 +547,7 @@ def conformal_sub_quantities(
     kills the transformed extrinsic curvature on totally umbilic families.
     """
     nu = gauge.nu_at(pg.u)
-    s = gauge.s_at(pg.u)
+    s = gauge.s(pg.u)
     g, h1 = pg.g, pg.h1
     hk = np.einsum("abk,ab->k", h1, pg.ginv) / pg.fam.m
     if s_kappa is None:
@@ -568,15 +570,15 @@ def ubar_chart_connection(
     """Transformed (-1)-connection at ``pg.u`` expressed in the flattening coordinates.
 
     Verifies the flattening claim: the result should vanish on the whole
-    chart for a dual quadric hypersurface with its registered gauge.
+    chart for a dual quadric hypersurface with its gauge.
     """
     ua = pg.u
     gamma_bar, _, _ = conformal_sub_quantities(pg, gauge)
     nu = gauge.nu_at(ua)
     g_bar = nu * pg.g
 
-    cmat = np.asarray(coords.jacobian(ua), dtype=float)  # C[p, a] = d ubar^p / d u^a
-    hess = coords.hessian_at(ua)                         # hess[p, a, b] = d_a d_b ubar^p
+    # C[p, a] = d ubar^p / d u^a, hess[p, a, b] = d_a d_b ubar^p
+    cmat, hess = coords.derivatives(ua)
     cinv = np.linalg.inv(cmat)                           # cinv[a, p] = d u^a / d ubar^p
     basis = cinv.T                                       # basis[p, a] = d u^a / d ubar^p
     # d basis[q, b] / d ubar^p, by differentiating the inverse matrix through u

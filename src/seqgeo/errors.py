@@ -34,7 +34,7 @@ class GaugeSingularityError(SeqGeoError):
 
 
 class GaugeMismatchError(SeqGeoError):
-    """A registered gauge does not satisfy its defining equation within tolerance."""
+    """A gauge does not satisfy its defining equation within tolerance."""
 
 
 class RunawayStopError(SeqGeoError):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -48,9 +48,7 @@ class CurvedFamily:
     embed_theta: Callable[[np.ndarray], np.ndarray]
     embed_eta: Callable[[np.ndarray], np.ndarray] | None = None
     jet: Callable[[np.ndarray], Jet] | None = None
-    domain: Callable[[np.ndarray], bool] | None = None
     normal_sign: int = 1
-    registered_gauge: Any = None
     name: str = ""
 
     @property
@@ -65,18 +63,11 @@ class CurvedFamily:
     def analytic(self) -> bool:
         return self.jet is not None
 
-    def check_domain(self, u: np.ndarray) -> None:
-        if self.domain is not None and not self.domain(u):
-            raise ChartError(f"u={u!r} outside the chart domain of {self.name or '<anon>'}")
-
     def theta(self, u) -> np.ndarray:
-        ua = as_coords(u)
-        self.check_domain(ua)
-        return np.asarray(self.embed_theta(ua), dtype=float)
+        return np.asarray(self.embed_theta(as_coords(u)), dtype=float)
 
     def eta(self, u) -> np.ndarray:
         ua = as_coords(u)
-        self.check_domain(ua)
         if self.embed_eta is not None:
             return np.asarray(self.embed_eta(ua), dtype=float)
         return expfam.eta_of_theta(self.ambient, self.theta(ua)).coords
@@ -134,8 +125,6 @@ def frame_at(fam: CurvedFamily, u) -> Jet:
     """
     ua = as_coords(u)
     lead, rows = ua.shape[:-1], ua.reshape(-1, ua.shape[-1])
-    for row in rows:
-        fam.check_domain(row)
     if fam.jet is not None:
         jet = fam.jet(ua)
     else:

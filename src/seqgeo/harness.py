@@ -253,7 +253,7 @@ def run_sequential(config: ExperimentConfig) -> ResultTable:
         excluded = int(np.count_nonzero(runaway)) + int(np.count_nonzero(~ok))
         _check_exclusions(excluded, config.replications, cell_id)
         taus = taus[ok]
-        devs = np.array([np.asarray(coords.forward(u)) - ubar0 for u in u_hats[ok]])
+        devs = coords.forward(u_hats[ok]) - ubar0
         outers = np.einsum("ra,rb->rab", devs, devs)
         mst = float(taus.mean())
         sdst = float(taus.std(ddof=1))

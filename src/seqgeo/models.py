@@ -237,23 +237,19 @@ def hyperboloid_family(m: int) -> ExponentialFamily:
 # angular charts (spherical / hyperbolic-polar coordinates)
 
 
-def _sc(kind: str, x: float) -> tuple[float, float]:
-    """The (s, c) pair of one chart axis: (sinh, cosh) on the hyperbolic axis, else (sin, cos)."""
-    if kind == "hyp":
-        return math.sinh(x), math.cosh(x)
-    return math.sin(x), math.cos(x)
+def _axis_sc(us: np.ndarray, kinds: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Per chart axis the pair (s, c) at ``us`` (..., m): (sinh, cosh) on the
+    hyperbolic axis, else (sin, cos).
 
-
-def _xi(u: np.ndarray, kinds: list[str]) -> np.ndarray:
-    """Unit direction of the chart point: xi_i = s_0 ... s_{i-1} c_i, xi_m = s_0 ... s_{m-1}."""
-    out = []
-    prod = 1.0
-    for kind, x in zip(kinds, u.tolist()):
-        s, c = _sc(kind, x)
-        out.append(prod * c)
-        prod *= s
-    out.append(prod)
-    return np.array(out)
+    The hyperbolic axis applies math.sinh/cosh element by element, since
+    numpy's differ from them in the last bit; np.sin/np.cos match math here.
+    """
+    s, c = np.sin(us), np.cos(us)
+    for a in np.flatnonzero(np.array(kinds) == "hyp"):
+        x = us[..., a].ravel().tolist()
+        s[..., a] = np.reshape([math.sinh(v) for v in x], us.shape[:-1])
+        c[..., a] = np.reshape([math.cosh(v) for v in x], us.shape[:-1])
+    return s, c
 
 
 def _xi_jet(us: np.ndarray, kinds: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -261,21 +257,17 @@ def _xi_jet(us: np.ndarray, kinds: list[str]) -> tuple[np.ndarray, np.ndarray, n
     (..., m, m+1) and (..., m, m, m+1).
 
     xi_i is a product of one factor per axis a <= min(i, m-1): s_a for a < i
-    and c_a for a = i. A factor is the triple (f, f', f'') with s' = c,
-    c' = sigma s and f'' = sigma f, where sigma is -1 on a circular axis and
-    +1 on the hyperbolic one. Every entry multiplies its factors in axis
-    order, the same order as :func:`_xi`, so a row has the bits of its own
-    point's jet; derivatives in an axis outside the product are exactly zero.
+    and c_a for a = i, so xi_i = s_0 ... s_{i-1} c_i and xi_m = s_0 ... s_{m-1}.
+    A factor is the triple (f, f', f'') with s' = c, c' = sigma s and
+    f'' = sigma f, where sigma is -1 on a circular axis and +1 on the
+    hyperbolic one. Every entry multiplies its factors in axis order, so a
+    row has the bits of its own point's jet; derivatives in an axis outside
+    the product are exactly zero.
     """
     m = us.shape[-1]
     lead = us.shape[:-1]
-    s, c = np.sin(us), np.cos(us)
+    s, c = _axis_sc(us, kinds)
     hyp = np.array(kinds) == "hyp"
-    for a in np.flatnonzero(hyp):
-        # math.sinh/cosh, since numpy's differ from them in the last bit
-        x = us[..., a].ravel().tolist()
-        s[..., a] = np.reshape([math.sinh(v) for v in x], lead)
-        c[..., a] = np.reshape([math.cosh(v) for v in x], lead)
     ss, sc = np.where(hyp, s, -s), np.where(hyp, c, -c)
     # per point and axis: (f, f', f'') of s_a, then of c_a; then a 1.0 and a 0.0
     slots = np.concatenate([np.stack([s, c, ss, c, ss, sc], axis=-1).reshape(lead + (6 * m,)),
@@ -346,13 +338,13 @@ class _DirectionalModel:
         return self._plan_cache[1]
 
     def direction(self, u) -> np.ndarray:
-        return _xi(as_coords(u), self.kinds)
+        return _xi_jet(as_coords(u), self.kinds)[0]
 
     def embed(self, u) -> tuple[np.ndarray, np.ndarray]:
         """Natural and mean parameter of the chart point."""
         ua = as_coords(u)
         self._check_chart(ua)
-        xi = _xi(ua, self.kinds)
+        xi = _xi_jet(ua, self.kinds)[0]
         return self.r * self._lam * xi, self.r_dagger * xi
 
     def _require_m2(self) -> None:
@@ -376,10 +368,10 @@ class _DirectionalModel:
 
         def embed_theta(u):
             self._check_chart(u)
-            return self.r * lam * _xi(u, self.kinds)
+            return self.r * lam * _xi_jet(u, self.kinds)[0]
 
-        def embed_eta(u):
-            return self.r_dagger * _xi(u, self.kinds)
+        def embed_eta(us):
+            return self.r_dagger * _xi_jet(us, self.kinds)[0]
 
         def jet(us):
             xi, dxi, ddxi = _xi_jet(us, self.kinds)
@@ -396,30 +388,34 @@ class _DirectionalModel:
             embed_eta=embed_eta,
             jet=jet,
             normal_sign=normal_sign,
-            registered_gauge=self.gauge(),
             name=type(self).__name__,
         )
 
     def gauge(self) -> Gauge:
+        """``nu = 1 / prod_a |s_a|`` over the chart axes, with s = -c / s and ds = diag(1 / s^2)."""
         kinds = self.kinds
         m = self.m
 
         def nu(us):
-            # a row with a factor on the singular set maps to inf
+            # a row with a factor on the singular set maps to inf; np.sinh here,
+            # whose bits the stopping thresholds read
             prod, singular = 1.0, False
             for a in range(m):
-                f = np.abs(np.sinh(us[:, a]) if kinds[a] == "hyp" else np.sin(us[:, a]))
+                f = np.abs(np.sinh(us[..., a]) if kinds[a] == "hyp" else np.sin(us[..., a]))
                 singular = singular | (f < _GAUGE_SINGULAR_TOL)
                 prod = prod * f
             return np.where(singular, np.inf, 1.0 / np.where(singular, 1.0, prod))
 
-        def s(u):
-            return np.array([-ca / sa for sa, ca in map(_sc, kinds, u.tolist())])
+        def s(us):
+            sa, ca = _axis_sc(us, kinds)
+            return -ca / sa
 
-        def ds(u):
-            return np.diag([1.0 / _sc(kind, x)[0] ** 2 for kind, x in zip(kinds, u.tolist())])
+        def ds(us):
+            # float_power calls pow per element, as a Python float's ** does;
+            # numpy's ** 2 squares, which differs in the last bit on ~0.1 % of inputs
+            return np.eye(m) * (1.0 / np.float_power(_axis_sc(us, kinds)[0], 2))[..., None, :]
 
-        return Gauge(nu=nu, s=s, ds=ds, chart="u", name=f"{type(self).__name__}-gauge")
+        return Gauge(nu=nu, s=s, ds=ds)
 
     def wrap_deviation(self, dev: np.ndarray) -> np.ndarray:
         """Chart deviation with the azimuthal coordinate wrapped to (-pi, pi]."""
@@ -654,7 +650,7 @@ class LinearGaussianModel:
     def gauge(self) -> Gauge:
         from .conformal import constant_gauge
 
-        return constant_gauge(1.0, chart="u")
+        return constant_gauge(1.0)
 
     def sample_many(self, u, rng: np.random.Generator, size: int) -> np.ndarray:
         mean = self.a @ as_coords(u)

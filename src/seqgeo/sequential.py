@@ -124,7 +124,8 @@ def second_order_terms(
             gprime = gm1
             hprime = h1
         else:
-            s = gauge.s_at(u)
+            gauge.nu_at(u)  # raises off the positive set, before s is read
+            s = gauge.s(u)
             hk = np.einsum("abk,ab->k", h1, ginv) / model.curved.m
             gprime = gm1 + np.einsum("ca,b->abc", g, s) + np.einsum("cb,a->abc", g, s)
             hprime = h1 - np.einsum("ab,k->abk", g, hk)
@@ -136,7 +137,7 @@ def second_order_terms(
         raise ValueError("flattening coordinates require their gauge")
     nu = gauge.nu_at(u)
     gprime = ubar_chart_connection(pg, gauge, coords) / nu
-    j = np.asarray(coords.jacobian(u), dtype=float)
+    j = coords.derivatives(u)[0]
     jinv = np.linalg.inv(j)
     g_ubar = jinv.T @ g @ jinv
     ginv_ubar = tops.invert_matrix(g_ubar)
@@ -173,7 +174,7 @@ def crb(model, u0, coords: ConformalCoordinates | None = None) -> np.ndarray:
     pg = geometry.point_geometry(model.curved, u0)
     if coords is None:
         return pg.ginv
-    j = np.asarray(coords.jacobian(pg.u), dtype=float)
+    j = coords.derivatives(pg.u)[0]
     if j.shape[0] != j.shape[1] or abs(np.linalg.det(j)) < 1e-300:
         raise ChartError("flattening-map Jacobian is singular at the truth point")
     return j @ pg.ginv @ j.T

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from seqgeo import expfam, geometry, sequential
+from seqgeo import expfam, geometry, sequential, tensorops as tops
 from seqgeo.conformal import ubar_chart_connection
 
 
@@ -69,6 +69,24 @@ def fd_field_derivative(field, x, h=1e-6):
         e[i] = h
         rows.append((np.asarray(field(x + e)) - np.asarray(field(x - e))) / (2.0 * h))
     return np.stack(rows, axis=0)
+
+
+def fd_map_hessian(coords, x):
+    """Second derivatives ``(new, old, old)`` of a flattening map at one point,
+    by central differences of its closed-form Jacobian."""
+    x = np.asarray(x, dtype=float)
+    jac = coords.derivatives(x)[0]
+    flat = tops.jacobian(lambda y: coords.derivatives(y)[0].ravel(), x)  # (new*old, old)
+    return flat.reshape(jac.shape + x.shape)
+
+
+def polar_gauge_log_gradient(kinds, u):
+    """The polar-chart gauge's ``s`` and ``ds`` at one point, axis by axis with ``math``:
+    ``s_a = -c_a / s_a`` and ``ds = diag(1 / s_a^2)``, with (s, c) = (sinh, cosh)
+    on the hyperbolic axis and (sin, cos) on a circular one."""
+    sc = [(math.sinh(x), math.cosh(x)) if kind == "hyp" else (math.sin(x), math.cos(x))
+          for kind, x in zip(kinds, np.asarray(u, dtype=float).tolist())]
+    return np.array([-c / s for s, c in sc]), np.diag([1.0 / s ** 2 for s, _ in sc])
 
 
 def christoffel_first_kind(metric_field, x, h=1e-6):
@@ -143,7 +161,7 @@ def reference_bias_correct(model, u_hat, effective_n, gauge=None, coords=None):
     if coords is not None:
         nu = gauge.nu_at(u)
         gbar = ubar_chart_connection(pg, gauge, coords) / nu
-        j = np.asarray(coords.jacobian(u), dtype=float)
+        j = coords.derivatives(u)[0]
         ginv_ubar = j @ pg.ginv @ j.T
         corr = np.einsum("bcd,da,bc->a", gbar, ginv_ubar, ginv_ubar)
         ubar = np.asarray(coords.forward(u), dtype=float)
@@ -151,7 +169,8 @@ def reference_bias_correct(model, u_hat, effective_n, gauge=None, coords=None):
     ginv = pg.ginv
     corr = np.einsum("bcd,da,bc->a", pg.gm1, ginv, ginv)
     if gauge is not None:
-        corr = corr + 2.0 * ginv @ gauge.s_at(u)
+        gauge.nu_at(u)
+        corr = corr + 2.0 * ginv @ gauge.s(u)
     return u + corr / (2.0 * effective_n)
 
 

@@ -44,6 +44,9 @@ def test_workload_runs_clean(workload, name, trace, tmp_path):
             # replication, and one replication seed each, the first ending set-up
             assert layers["models.sample_many.calls"] >= 4 * counts["replications"]
             assert layers["harness.rep_seed.calls"] == counts["replications"]
+            # one flattening-map call for the truth point and one per cell of
+            # the two bundled 10-cell grid_K
+            assert layers["conformal.coords_forward.calls"] == 22
         else:
             # one sampler call and one seed per replication, and one bias
             # correction per cell of the two bundled 10-cell grid_N

@@ -3,6 +3,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqgeo import conformal, expfam, geometry, tensorops as tops
 from seqgeo.conformal import (
@@ -19,17 +21,18 @@ from seqgeo.conformal import (
     expfam_gauge_on_theta,
     flatness_test,
     gauge_pde_residual,
+    quadric_coordinates,
     quadric_gauge,
     ubar_chart_connection,
     weyl_schouten,
 )
 from seqgeo.errors import GaugeMismatchError, GaugeSingularityError, UnsupportedShapeError
 from seqgeo.geometry import point_geometry
-from seqgeo.models import gaussian_family
+from seqgeo.models import HyperboloidModel, VmfModel, gaussian_family
 from seqgeo.tensorops import Point
 
 from conftest import U0_HYP, U0_VMF
-from oracles import HYP_NU0, VMF_NU0, VMF_UBAR0, curved_skewness
+from oracles import HYP_NU0, VMF_NU0, VMF_UBAR0, curved_skewness, fd_map_hessian
 
 
 D_VMF = np.eye(2, 3)
@@ -61,20 +64,14 @@ def graph_surface():
 
 @pytest.fixture(scope="module")
 def arbitrary_gauge():
-    return exp_linear_gauge(np.array([0.3, -0.15]), chart="u")
+    return exp_linear_gauge(np.array([0.3, -0.15]))
 
 
 class TestGauge:
     def test_positive_required(self):
-        g = Gauge(nu=lambda xs: -np.ones(xs.shape[0]))
+        g = Gauge(nu=lambda xs: -np.ones(xs.shape[:-1]), s=np.zeros_like, ds=np.zeros_like)
         with pytest.raises(GaugeSingularityError):
             g.nu_at(np.array([0.0]))
-
-    def test_finite_difference_fallback(self):
-        g = Gauge(nu=lambda xs: np.exp(0.4 * xs[:, 0] - xs[:, 1] ** 2))
-        x = np.array([0.2, 0.3])
-        assert np.abs(g.s_at(x) - [0.4, -0.6]).max() < 1e-8
-        assert np.abs(g.ds_at(x) - np.diag([0.0, -2.0])).max() < 1e-6
 
     def test_vmf_gauge_values(self, vmf):
         g = vmf.gauge()
@@ -93,14 +90,14 @@ class TestMetricSkewness:
     def test_unit_gauge_is_identity(self, vmf, vmf_geom):
         x = np.array([0.8, 1.0])
         g, t = vmf_geom(x).g, curved_skewness(vmf.curved, x)
-        gbar, tbar = conformal_metric_skewness(g, t, constant_gauge(1.0, "u"), x)
+        gbar, tbar = conformal_metric_skewness(g, t, constant_gauge(1.0), x)
         assert np.abs(gbar - g).max() < 1e-15
         assert np.abs(tbar - t).max() < 1e-15
 
     def test_constant_two(self, vmf, vmf_geom):
         x = np.array([0.8, 1.0])
         g, t = vmf_geom(x).g, curved_skewness(vmf.curved, x)
-        gbar, tbar = conformal_metric_skewness(g, t, constant_gauge(2.0, "u"), x)
+        gbar, tbar = conformal_metric_skewness(g, t, constant_gauge(2.0), x)
         assert np.abs(gbar - 2 * g).max() < 1e-15
         assert np.abs(tbar - 2 * t).max() < 1e-15
 
@@ -115,11 +112,11 @@ class TestConnection:
         x = np.array([0.8, 1.0])
         p = vmf_geom(x)
         gam = p.gm1
-        out = conformal_connection(gam, p.g, constant_gauge(3.0, "u"), -1.0, x)
+        out = conformal_connection(gam, p.g, constant_gauge(3.0), -1.0, x)
         assert np.abs(out - 3.0 * gam).max() < 1e-14
 
     def test_flat_identity_direct_substitution(self):
-        gauge = exp_linear_gauge(np.array([1.0, 0.0]), chart="u")
+        gauge = exp_linear_gauge(np.array([1.0, 0.0]))
         x = np.zeros(2)
         nu = gauge.nu_at(x)
         out = conformal_connection(np.zeros((2, 2, 2)), np.eye(2), gauge, -1.0, x)
@@ -129,7 +126,7 @@ class TestConnection:
 
     def test_flattening_kills_connection(self, vmf, hyp, vmf_grid, hyp_grid):
         for model, dmat, grid in ((vmf, D_VMF, vmf_grid), (hyp, D_HYP, hyp_grid)):
-            gauge, coords = quadric_gauge(model.curved, np.zeros(3), dmat, grid)
+            gauge, coords = quadric_gauge(model.curved, np.zeros(3), dmat, grid, model.gauge())
             for u in grid[:4]:
                 pg = geometry.point_geometry(model.curved, u)
                 gam = ubar_chart_connection(pg, gauge, coords)
@@ -143,7 +140,7 @@ class TestCurvatureTransform:
         r = p.rm1
         out = conformal_rc_curvature(
             r, p.g, p.gm1, p.g1,
-            constant_gauge(2.5, "u"), -1.0, x,
+            constant_gauge(2.5), -1.0, x,
         )
         assert np.abs(out - 2.5 * r).max() < 1e-12
 
@@ -243,14 +240,14 @@ class TestWeylSchouten:
         plain = weyl_schouten(vmf_geom, x)
         bar = weyl_schouten(conformal_chart_geometry(vmf_geom, arbitrary_gauge), x)
         assert np.abs(bar.w4 - plain.w4).max() < 1e-4
-        s = arbitrary_gauge.s_at(x)
+        s = arbitrary_gauge.s(x)
         predicted = plain.w3 + np.einsum("ijkl,l->ijk", plain.w4, s)
         assert np.abs(bar.w3 - predicted).max() < 1e-4
         assert np.abs(bar.w2 - plain.w2).max() < 1e-4
 
     def test_w4_invariance_in_three_dimensions(self, vmf3):
         geom = partial(point_geometry, vmf3.curved)
-        gauge = exp_linear_gauge(np.array([0.2, -0.1, 0.05]), chart="u")
+        gauge = exp_linear_gauge(np.array([0.2, -0.1, 0.05]))
         x = np.array([0.9, 1.0, 0.7])
         plain = weyl_schouten(geom, x)
         bar = weyl_schouten(conformal_chart_geometry(geom, gauge), x)
@@ -309,7 +306,7 @@ class TestExpfamGauge:
         # contravariant metric in the new chart: finite differences of the
         # potential against the pushforward of the scaled Fisher information
         fd = tops.differentiate(lambda x: coords.phi_bar(x, eta), h, order=2)[0, 0]
-        deta_dh = 1.0 / coords.jacobian(eta)[0, 0]
+        deta_dh = 1.0 / coords.derivatives(eta)[0][0, 0]
         push = gauge.nu_at(eta) * 1.0 * deta_dh ** 2
         assert fd == pytest.approx(push, rel=1e-4)
         assert fd == pytest.approx(1.7 ** 3, rel=1e-4)
@@ -331,7 +328,7 @@ class TestExpfamGauge:
         gauge, coords = expfam_gauge(fam, 1.0, [0.5, -0.25], [0.1, 0.0], [[2.0, 0.0], [1.0, 1.0]])
         eta = np.array([0.3, 0.6])
         fd = tops.jacobian(coords.forward, eta)
-        assert np.abs(coords.jacobian(eta) - fd).max() < 1e-8
+        assert np.abs(coords.derivatives(eta)[0] - fd).max() < 1e-8
 
     def test_singular_denominator(self):
         fam = gaussian_family(1)
@@ -346,7 +343,7 @@ class TestExpfamGauge:
 
 class TestQuadricGauge:
     def test_vmf_map_and_residual(self, vmf, vmf_grid):
-        gauge, coords = quadric_gauge(vmf.curved, np.zeros(3), D_VMF, vmf_grid)
+        gauge, coords = quadric_gauge(vmf.curved, np.zeros(3), D_VMF, vmf_grid, vmf.gauge())
         ub = coords.forward(U0_VMF)
         eta = vmf.embed(U0_VMF)[1]
         assert np.abs(ub - VMF_NU0 * eta[:2]).max() < 1e-14
@@ -356,7 +353,7 @@ class TestQuadricGauge:
         assert res < 1e-6
 
     def test_hyperboloid_residual(self, hyp, hyp_grid):
-        gauge, coords = quadric_gauge(hyp.curved, np.zeros(3), D_HYP, hyp_grid)
+        gauge, coords = quadric_gauge(hyp.curved, np.zeros(3), D_HYP, hyp_grid, hyp.gauge())
         res = gauge_pde_residual(hyp.curved, gauge, -1.0 / (hyp.r * hyp.r_dagger), hyp_grid)
         assert res < 1e-6
         assert gauge.nu_at(U0_HYP) == pytest.approx(11.527782803679804, rel=1e-12)
@@ -369,9 +366,9 @@ class TestQuadricGauge:
         assert res < 1e-6
 
     def test_jacobian_and_inverse(self, vmf, vmf_grid):
-        gauge, coords = quadric_gauge(vmf.curved, np.zeros(3), D_VMF, vmf_grid)
+        gauge, coords = quadric_gauge(vmf.curved, np.zeros(3), D_VMF, vmf_grid, vmf.gauge())
         fd = tops.jacobian(coords.forward, U0_VMF)
-        assert np.abs(coords.jacobian(U0_VMF) - fd).max() < 1e-7
+        assert np.abs(coords.derivatives(U0_VMF)[0] - fd).max() < 1e-7
         ub = coords.forward(U0_VMF)
         back = coords.inverse(ub, U0_VMF + 0.05)
         assert np.abs(back - U0_VMF).max() < 1e-10
@@ -381,19 +378,19 @@ class TestQuadricGauge:
 
     def test_wrong_gauge_rejected(self, vmf, vmf_grid):
         with pytest.raises(GaugeMismatchError):
-            quadric_gauge(vmf.curved, np.zeros(3), D_VMF, vmf_grid, gauge=constant_gauge(2.0, "u"))
+            quadric_gauge(vmf.curved, np.zeros(3), D_VMF, vmf_grid, gauge=constant_gauge(2.0))
 
     def test_non_quadric_rejected(self, linear):
         rng = np.random.default_rng(5)
         grid = rng.uniform(-1, 1, size=(8, 2))
         with pytest.raises(UnsupportedShapeError):
             quadric_gauge(linear.curved, np.zeros(3), np.eye(2, 3), grid,
-                          gauge=constant_gauge(1.0, "u"))
+                          gauge=constant_gauge(1.0))
 
 
 class TestSubQuantities:
     def test_zero_log_gradient_scales(self, vmf):
-        gauge = constant_gauge(2.0, "u")
+        gauge = constant_gauge(2.0)
         u = np.array([0.8, 1.0])
         pg = geometry.point_geometry(vmf.curved, u)
         gam_bar, h1_bar, _ = conformal_sub_quantities(pg, gauge, s_kappa=np.zeros(1))
@@ -421,3 +418,89 @@ class TestSubQuantities:
         hbar_k = np.einsum("abk,ab->k", h1_bar, np.linalg.inv(gbar)) / vmf.m
         k_bar = h1_bar - np.einsum("ab,k->abk", gbar, hbar_k)
         assert np.abs(k_bar - nu * k1).max() < 1e-12
+
+
+MAP_MODELS = {"vmf": VmfModel(2, 0.25), "hyp": HyperboloidModel(2, 0.1),
+              "vmf3": VmfModel(3, 1.0), "hyp3": HyperboloidModel(3, 0.1)}
+
+
+def model_map(model):
+    """The model's gauge and its flattening map, with a D that mixes every mean coordinate."""
+    m = model.m
+    dmat = np.eye(m, m + 1) + 0.25 * np.arange(1, m * (m + 1) + 1).reshape(m, m + 1) / (m * m)
+    gauge = model.gauge()
+    k0l0 = model.curvature_sign / (model.r * model.r_dagger)
+    return gauge, quadric_coordinates(model.curved, gauge, 0.1 * np.ones(m + 1), dmat, k0l0)
+
+
+def gauge_rows(model, max_rows):
+    """Lists of chart points off the gauge's singular set, as ``(P, m)`` arrays:
+    the azimuth, like the polar axes, keeps a 0.15 margin from every zero of sin."""
+    polar = [st.floats(0.05, 1.5) if kind == "hyp" else st.floats(0.15, math.pi - 0.15)
+             for kind in model.kinds[:-1]]
+    azimuth = st.floats(0.15, math.pi - 0.15) | st.floats(math.pi + 0.15, 2.0 * math.pi - 0.15)
+    return st.lists(st.tuples(*polar, azimuth), min_size=1, max_size=max_rows).map(np.array)
+
+
+def affine_map():
+    fam = gaussian_family(2)
+    return expfam_gauge(fam, 1.0, [0.5, -0.25], [0.1, 0.0], [[2.0, 0.0], [1.0, 1.0]])
+
+
+def assert_same_bytes(rows, single):
+    assert rows.shape == single.shape and rows.tobytes() == single.tobytes()
+
+
+class TestClosedFormMap:
+    """The flattening map's closed-form derivatives, over points and rows."""
+
+    @pytest.mark.parametrize("model_name", sorted(MAP_MODELS))
+    def test_hessian_matches_differenced_jacobian(self, model_name):
+        model = MAP_MODELS[model_name]
+        _, coords = model_map(model)
+        for u in model.probe_grid(count=3, margin=0.3, seed=19):
+            hess = coords.derivatives(u)[1]
+            fd = fd_map_hessian(coords, u)
+            assert np.abs(hess - fd).max() <= 1e-6 * np.abs(fd).max()
+
+    def test_affine_hessian_matches_differenced_jacobian(self):
+        _, coords = affine_map()
+        for eta in (np.array([0.3, 0.6]), np.array([-0.4, 1.2])):
+            hess = coords.derivatives(eta)[1]
+            fd = fd_map_hessian(coords, eta)
+            assert np.abs(fd).max() > 0.1
+            assert np.abs(hess - fd).max() <= 1e-6 * np.abs(fd).max()
+
+    @pytest.mark.parametrize("model_name", sorted(MAP_MODELS))
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_rows_match_single(self, model_name, data):
+        model = MAP_MODELS[model_name]
+        gauge, coords = model_map(model)
+        us = data.draw(gauge_rows(model, 5))
+        rows = [gauge.nu(us), gauge.s(us), gauge.ds(us), coords.forward(us), *coords.derivatives(us)]
+        for i, u in enumerate(us):
+            single = [gauge.nu(u), gauge.s(u), gauge.ds(u), coords.forward(u), *coords.derivatives(u)]
+            for got, want in zip(rows, single):
+                assert_same_bytes(got[i], np.asarray(want))
+
+    @given(etas=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                         min_size=1, max_size=5).map(np.array))
+    @settings(max_examples=10, deadline=None)
+    def test_affine_rows_match_single(self, etas):
+        gauge, coords = affine_map()
+        rows = [gauge.nu(etas), gauge.s(etas), gauge.ds(etas), coords.forward(etas), *coords.derivatives(etas)]
+        for i, eta in enumerate(etas):
+            single = [gauge.nu(eta), gauge.s(eta), gauge.ds(eta), coords.forward(eta),
+                      *coords.derivatives(eta)]
+            for got, want in zip(rows, single):
+                assert_same_bytes(got[i], np.asarray(want))
+
+    def test_affine_singular_row(self):
+        gauge, coords = affine_map()
+        etas = np.array([[0.3, 0.6], [0.0, 4.0]])  # 1 + 0.5 * 0 - 0.25 * 4 = 0
+        assert gauge.nu(etas)[1] == math.inf
+        with pytest.raises(GaugeSingularityError):
+            gauge.nu_at(etas)
+        with pytest.raises(GaugeSingularityError):
+            coords.forward(etas)

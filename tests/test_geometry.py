@@ -11,7 +11,7 @@ from seqgeo.errors import ChartError, EvaluationDomainError, UnsupportedShapeErr
 from seqgeo.geometry import CurvedFamily, classify, frame_at, point_geometry
 from seqgeo.models import HyperboloidModel, LinearGaussianModel, VmfModel
 
-from conftest import U0_HYP, U0_VMF
+from conftest import U0_HYP, U0_VMF, chart_rows
 from oracles import (
     HYP_G11,
     HYP_G22,
@@ -300,13 +300,6 @@ BATCH_MODELS = {"vmf": VmfModel(2, 0.25), "hyp": HyperboloidModel(2, 0.1),
                 "vmf3": VmfModel(3, 1.0), "hyp3": HyperboloidModel(3, 0.1)}
 
 
-def chart_rows(model, max_rows):
-    """Lists of chart points away from the singular set, as ``(P, m)`` arrays."""
-    axes = [st.floats(0.05, 1.5) if kind == "hyp" else st.floats(0.15, math.pi - 0.15)
-            for kind in model.kinds[:-1]] + [st.floats(0.0, 2.0 * math.pi)]
-    return st.lists(st.tuples(*axes), min_size=1, max_size=max_rows).map(np.array)
-
-
 def assert_rows_match_single(fam, us):
     batch = point_geometry(fam, us)
     for i, u in enumerate(us):
@@ -326,10 +319,18 @@ class TestBatchedBundle:
         model = BATCH_MODELS[model_name]
         assert_rows_match_single(model.curved, data.draw(chart_rows(model, 6)))
 
-    @given(us=chart_rows(BATCH_MODELS["vmf"], 3))
+    @given(us=chart_rows(BATCH_MODELS["vmf"], 3, azimuth_margin=0.15))
     @settings(max_examples=4, deadline=None)
     def test_numeric_clone_rows_match_single(self, us):
+        # the clone's finite-difference stencil must stay inside the chart's
+        # azimuth range, so its azimuth keeps the polar axes' margin
         assert_rows_match_single(numeric_clone(BATCH_MODELS["vmf"]), us)
+
+    def test_numeric_clone_stencil_leaves_the_chart(self):
+        # at an azimuth of 2 pi - 2e-3 the stencil step (about 4.6e-3) crosses
+        # the chart's 2 pi + 1e-3 bound, which the clone's embedding checks
+        with pytest.raises(ChartError, match="azimuthal"):
+            point_geometry(numeric_clone(BATCH_MODELS["vmf"]), np.array([[1.0, 6.28125]]))
 
     @given(us=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
                        min_size=1, max_size=5).map(np.array))

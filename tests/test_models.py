@@ -25,6 +25,7 @@ from oracles import (
     VMF_C,
     iv_ratio_series,
     kv_ratio_recurrence,
+    polar_gauge_log_gradient,
 )
 
 
@@ -280,11 +281,34 @@ class TestModelGauge:
                 e = np.zeros(2)
                 e[a] = h
                 fd[a] = (math.log(g.nu_at(u + e)) - math.log(g.nu_at(u - e))) / (2 * h)
-            assert np.abs(g.s_at(u) - fd).max() < 1e-6
+            assert np.abs(g.s(u) - fd).max() < 1e-6
 
     def test_singularity_raises(self, vmf):
         with pytest.raises(GaugeSingularityError):
             vmf.gauge().nu_at(np.array([math.pi, 0.3]))
+
+    def test_one_singular_row_raises(self, vmf):
+        # in rows, nu maps the singular one to inf and nu_at refuses them all
+        us = np.array([[0.5, 1.0], [math.pi, 0.3], [1.2, 2.0]])
+        vals = vmf.gauge().nu(us)
+        assert vals[1] == math.inf and np.all(np.isfinite(vals[[0, 2]]))
+        with pytest.raises(GaugeSingularityError, match="3.14159"):
+            vmf.gauge().nu_at(us)
+        assert vmf.gauge().nu_at(us[[0, 2]]).tobytes() == vals[[0, 2]].tobytes()
+
+    @pytest.mark.parametrize("model_name", ["vmf", "hyp", "vmf3", "hyp3"])
+    def test_log_gradient_matches_reference_bits(self, model_name, request):
+        # s and ds over rows carry the bits of the per-point math formulas
+        model = request.getfixturevalue(model_name)
+        rng = np.random.default_rng(29)
+        us = rng.uniform(0.05, 1.5, (1000, model.m))
+        us[:, 1:] = rng.uniform(0.15, math.pi - 0.15, (1000, model.m - 1))
+        us[500:, -1] += math.pi
+        gauge = model.gauge()
+        s_rows, ds_rows = gauge.s(us), gauge.ds(us)
+        for u, s, ds in zip(us, s_rows, ds_rows):
+            s_ref, ds_ref = polar_gauge_log_gradient(model.kinds, u)
+            assert s.tobytes() == s_ref.tobytes() and ds.tobytes() == ds_ref.tobytes()
 
     def test_batched_nu_matches_nu_at(self, vmf, hyp):
         us = hyp.probe_grid(count=5, margin=0.1, seed=2)
