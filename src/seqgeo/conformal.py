@@ -162,8 +162,9 @@ def conformal_rc_curvature(
 
 
 # ---------------------------------------------------------------------------
-# charts: a chart maps a point to its bundle of ``g``, ``g1``, ``gm1`` and ``rm1``;
-# the chart of a curved family is ``geometry.point_geometry(fam, .)`` itself
+# charts: a chart maps rows ``(P, m)`` to a bundle of ``g``, ``g1``, ``gm1`` and
+# ``rm1`` over them; the chart of a curved family is ``geometry.point_geometry(fam, .)``
+# itself. The two ``ChartPoint`` builders below are pointwise (map them over rows)
 
 
 class ChartPoint(NamedTuple):
@@ -223,43 +224,35 @@ class WeylSchouten:
         }
 
 
-def _ricci(p) -> np.ndarray:
-    mixed = np.einsum("ijkr,rl->ijkl", p.rm1, tops.invert_matrix(p.g))
-    return np.einsum("lijl->ij", mixed)
-
-
 def weyl_schouten(chart: Callable, at, step: float | None = None) -> WeylSchouten:
     """Evaluate the Weyl-Schouten set at one point of the chart.
 
-    Reads one bundle at the point and one at each stencil point of the Ricci derivative.
+    Reads one bundle over ``1 + 2m`` rows: the point, then the ``+h`` and the
+    ``-h`` stencil points of the Ricci derivative, one per axis.
     """
-    x = as_coords(at).copy()
+    x = as_coords(at)
     m = x.shape[0]
     if m < 2:
         raise UnsupportedShapeError("Weyl-Schouten tensors need dim >= 2")
-    p = chart(x)
+    h = tops._steps(x, step, tops.STEP_ORDER1)
+    p = chart(np.concatenate([x[None, :], x + np.diag(h), x - np.diag(h)]))
     ginv = tops.invert_matrix(p.g)
-    mixed = np.einsum("ijkr,rl->ijkl", p.rm1, ginv)
-    ric = np.einsum("lijl->ij", mixed)
+    mixed = np.einsum("...ijkr,...rl->...ijkl", p.rm1, ginv)
+    ric = np.einsum("...lijl->...ij", mixed)
     eye = np.eye(m)
-    w4 = mixed - (
-        np.einsum("il,jk->ijkl", eye, ric) - np.einsum("jl,ik->ijkl", eye, ric)
+    w4 = mixed[0] - (
+        np.einsum("il,jk->ijkl", eye, ric[0]) - np.einsum("jl,ik->ijkl", eye, ric[0])
     ) / (m - 1.0)
 
-    h = tops._steps(x, step, tops.STEP_ORDER1)
-    dric = np.empty((m, m, m))
-    for i in range(m):
-        e = np.zeros(m)
-        e[i] = h[i]
-        dric[i] = (_ricci(chart(x + e)) - _ricci(chart(x - e))) / (2.0 * h[i])
-    gm1_mixed = np.einsum("ijr,rl->ijl", p.gm1, ginv)
+    dric = (ric[1:m + 1] - ric[m + 1:]) / (2.0 * h)[:, None, None]
+    gm1_mixed = np.einsum("ijr,rl->ijl", p.gm1[0], ginv[0])
     nabla = (
         dric
-        - np.einsum("ijl,lk->ijk", gm1_mixed, ric)
-        - np.einsum("ikl,jl->ijk", gm1_mixed, ric)
+        - np.einsum("ijl,lk->ijk", gm1_mixed, ric[0])
+        - np.einsum("ikl,jl->ijk", gm1_mixed, ric[0])
     )
     w3 = (nabla - nabla.transpose(1, 0, 2)) / (m - 1.0)
-    w2 = ric - ric.T
+    w2 = ric[0] - ric[0].T
     return WeylSchouten(tops.require_finite(w4), tops.require_finite(w3), tops.require_finite(w2))
 
 

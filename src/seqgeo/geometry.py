@@ -309,26 +309,26 @@ def classify(
                 b_rows.append(vec[i])
         sol, *_ = np.linalg.lstsq(np.array(a_rows), np.array(b_rows), rcond=None)
         k = float(sol[0])
-        base = sol[1:] / k if abs(k) > 1e-8 else np.zeros(n)
+        # the slope is live when it matters at the scale of the fitted data
+        live = abs(k) * float(np.abs(points).max()) > 1e-8 * float(np.abs(rows).max())
+        base = sol[1:] / k if live else np.zeros(n)
         res = max(
             float(np.abs(vec - k * (pt - base)).max()) for vec, pt in zip(rows, points)
         )
-        return k, base, res
+        return k, base, res, live
 
-    k0, theta0, res_k = affine_fit(pg.jet.normal_theta[:, 0], thetas)
-    l0, eta0, res_l = affine_fit(pg.jet.normal_eta[:, 0], etas)
+    k0, theta0, res_k, live_k = affine_fit(pg.jet.normal_theta[:, 0], thetas)
+    l0, eta0, res_l, live_l = affine_fit(pg.jet.normal_eta[:, 0], etas)
     dq_res = max(res_k, res_l)
 
     ident_res = 0.0
-    if abs(k0) > 1e-8 and abs(l0) > 1e-8:
+    if live_k and live_l:
         target = 1.0 / (k0 * l0)
         ident_res = max(
             abs(float((th - theta0) @ (et - eta0)) - target)
             for th, et in zip(thetas, etas)
         )
-    dual_quadric = (
-        abs(k0) > 1e-8 and abs(l0) > 1e-8 and dq_res <= tolerance and ident_res <= tolerance
-    )
+    dual_quadric = live_k and live_l and dq_res <= tolerance and ident_res <= tolerance
 
     # constant curvature: R^(1)_abcd = lam (g_ad g_bc - g_ac g_bd)
     pats = np.einsum("...ad,...bc->...abcd", gs, gs) - np.einsum("...ac,...bd->...abcd", gs, gs)

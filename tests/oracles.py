@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from seqgeo import expfam, geometry, sequential, tensorops as tops
-from seqgeo.conformal import ubar_chart_connection
+from seqgeo.conformal import ChartPoint, WeylSchouten, ubar_chart_connection
 
 
 def iv_ratio_series(rho: float, nu: float, terms: int = 30) -> float:
@@ -172,6 +172,58 @@ def reference_bias_correct(model, u_hat, effective_n, gauge=None, coords=None):
         gauge.nu_at(u)
         corr = corr + 2.0 * ginv @ gauge.s(u)
     return u + corr / (2.0 * effective_n)
+
+
+def rows_chart(point_chart):
+    """A chart over rows ``(..., m)`` from a chart of one point, by mapping it
+    over the rows and stacking each of the four ``ChartPoint`` fields."""
+
+    def chart(xs):
+        xa = np.asarray(xs, dtype=float)
+        rows = xa.reshape(-1, xa.shape[-1])
+        points = [point_chart(row) for row in rows]
+        return ChartPoint(*(np.reshape([p[i] for p in points], xa.shape[:-1] + np.shape(points[0][i]))
+                            for i in range(4)))
+
+    return chart
+
+
+def reference_weyl_schouten(chart, at, step=None):
+    """The Weyl-Schouten set at one point, reading one bundle at the point and
+    one at each of the 2m stencil points of the Ricci derivative.
+
+    The per-stencil-point evaluation that ``conformal.weyl_schouten`` reads
+    from one bundle over ``1 + 2m`` rows.
+    """
+
+    def ricci(p):
+        return np.einsum("lijl->ij", np.einsum("ijkr,rl->ijkl", p.rm1, tops.invert_matrix(p.g)))
+
+    x = np.array(at, dtype=float)
+    m = x.shape[0]
+    p = chart(x)
+    ginv = tops.invert_matrix(p.g)
+    mixed = np.einsum("ijkr,rl->ijkl", p.rm1, ginv)
+    ric = np.einsum("lijl->ij", mixed)
+    eye = np.eye(m)
+    w4 = mixed - (
+        np.einsum("il,jk->ijkl", eye, ric) - np.einsum("jl,ik->ijkl", eye, ric)
+    ) / (m - 1.0)
+
+    h = tops._steps(x, step, tops.STEP_ORDER1)
+    dric = np.empty((m, m, m))
+    for i in range(m):
+        e = np.zeros(m)
+        e[i] = h[i]
+        dric[i] = (ricci(chart(x + e)) - ricci(chart(x - e))) / (2.0 * h[i])
+    gm1_mixed = np.einsum("ijr,rl->ijl", p.gm1, ginv)
+    nabla = (
+        dric
+        - np.einsum("ijl,lk->ijk", gm1_mixed, ric)
+        - np.einsum("ikl,jl->ijk", gm1_mixed, ric)
+    )
+    w3 = (nabla - nabla.transpose(1, 0, 2)) / (m - 1.0)
+    return WeylSchouten(w4, w3, ric - ric.T)
 
 
 def direct_rc_curvature(fam, u, alpha: int):

@@ -53,3 +53,7 @@ def test_workload_runs_clean(workload, name, trace, tmp_path):
             assert layers["models.sample_many.calls"] == counts["replications"]
             assert layers["harness.rep_seed.calls"] == counts["replications"]
             assert layers["sequential.bias_correct.calls"] == 20
+            # one Weyl-Schouten call per probe point of the three geometry cases,
+            # each reading one bundle over its stencil rows
+            assert layers["conformal.weyl_schouten.calls"] == 3 * 4
+            assert layers["geometry.frame_at.calls"] == 107

@@ -102,6 +102,14 @@ class TestGeometryCommand:
         assert rep["gamma_bar_ubar_scaled_residual"] < 1e-7
         assert code == cli.EXIT_OK and rep["pass"] is True
 
+    @pytest.mark.parametrize("model, m", [("vmf", "2"), ("vmf", "3"), ("hyperboloid", "2"), ("hyperboloid", "3")])
+    def test_huge_concentration_passes(self, model, m, capsys):
+        # k0 = +-1/r: an absolute cut of |k0| > 1e-8 called two of these not dual quadric
+        code, out, _ = run_cli(["geometry", "--model", model, "--m", m, "--r", "1e8", "--json"], capsys)
+        rep = json.loads(out)
+        assert rep["classification"]["dual_quadric"] is True
+        assert code == cli.EXIT_OK and rep["pass"] is True
+
     def test_usage_error(self, capsys):
         assert cli.main(["geometry", "--model", "watson", "--r", "1.0"]) == cli.EXIT_USAGE
 

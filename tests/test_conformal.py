@@ -32,7 +32,15 @@ from seqgeo.models import HyperboloidModel, VmfModel, gaussian_family
 from seqgeo.tensorops import Point
 
 from conftest import U0_HYP, U0_VMF
-from oracles import HYP_NU0, VMF_NU0, VMF_UBAR0, curved_skewness, fd_map_hessian
+from oracles import (
+    HYP_NU0,
+    VMF_NU0,
+    VMF_UBAR0,
+    curved_skewness,
+    fd_map_hessian,
+    reference_weyl_schouten,
+    rows_chart,
+)
 
 
 D_VMF = np.eye(2, 3)
@@ -199,7 +207,7 @@ class TestCurvatureTransform:
 
 class TestWeylSchouten:
     def test_full_family_vanishes(self):
-        geom = expfam_chart_geometry(gaussian_family(2))
+        geom = rows_chart(expfam_chart_geometry(gaussian_family(2)))
         ws = weyl_schouten(geom, np.array([0.3, -0.2]))
         assert all(v < 1e-12 for v in ws.max_residuals().values())
 
@@ -222,13 +230,28 @@ class TestWeylSchouten:
         assert ws.max_residuals()["w4"] < 1e-4
 
     @pytest.mark.parametrize("name, x", [("vmf", [0.9, 1.2]), ("vmf3", [0.8, 1.1, 0.5])])
-    def test_one_bundle_per_stencil_point(self, name, x, request, monkeypatch):
-        # one bundle at the point and one at each of the 2m Ricci stencil points
+    def test_one_bundle_per_point(self, name, x, request, monkeypatch):
+        # one bundle over the point and the 2m Ricci stencil points
         jets = []
         frame_at = geometry.frame_at
         monkeypatch.setattr(geometry, "frame_at", lambda fam, u: jets.append(u) or frame_at(fam, u))
         weyl_schouten(partial(point_geometry, request.getfixturevalue(name).curved), np.array(x))
-        assert len(jets) == 1 + 2 * len(x)
+        assert [u.shape for u in jets] == [(1 + 2 * len(x), len(x))]
+
+    @pytest.mark.parametrize("step", [None, 1e-4])
+    @pytest.mark.parametrize("name", ["vmf", "hyp", "vmf3", "hyp3", "graph_surface"])
+    def test_matches_reference_bits(self, name, step, request):
+        # the one-bundle kernel against the per-stencil-point evaluation, at every probe point
+        if name == "graph_surface":
+            fam, grid = request.getfixturevalue(name)
+        else:
+            model = request.getfixturevalue(name)
+            fam, grid = model.curved, model.probe_grid(count=6, margin=0.15, seed=11)
+        chart = partial(point_geometry, fam)
+        for x in grid:
+            got, want = weyl_schouten(chart, x, step), reference_weyl_schouten(chart, x, step)
+            for field in ("w4", "w3", "w2"):
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), (x, field)
 
     def test_dimension_one_rejected(self):
         geom = expfam_chart_geometry(gaussian_family(1))
@@ -238,7 +261,7 @@ class TestWeylSchouten:
     def test_w4_invariant_w3_covariant(self, vmf_geom, arbitrary_gauge):
         x = np.array([0.9, 1.1])
         plain = weyl_schouten(vmf_geom, x)
-        bar = weyl_schouten(conformal_chart_geometry(vmf_geom, arbitrary_gauge), x)
+        bar = weyl_schouten(rows_chart(conformal_chart_geometry(vmf_geom, arbitrary_gauge)), x)
         assert np.abs(bar.w4 - plain.w4).max() < 1e-4
         s = arbitrary_gauge.s(x)
         predicted = plain.w3 + np.einsum("ijkl,l->ijk", plain.w4, s)
@@ -250,13 +273,13 @@ class TestWeylSchouten:
         gauge = exp_linear_gauge(np.array([0.2, -0.1, 0.05]))
         x = np.array([0.9, 1.0, 0.7])
         plain = weyl_schouten(geom, x)
-        bar = weyl_schouten(conformal_chart_geometry(geom, gauge), x)
+        bar = weyl_schouten(rows_chart(conformal_chart_geometry(geom, gauge)), x)
         assert np.abs(bar.w4 - plain.w4).max() < 1e-4
 
 
 class TestFlatness:
     def test_gaussian_full_family(self):
-        geom = expfam_chart_geometry(gaussian_family(2))
+        geom = rows_chart(expfam_chart_geometry(gaussian_family(2)))
         rng = np.random.default_rng(1)
         rep = flatness_test(geom, rng.normal(size=(5, 2)))
         assert rep.flat and rep.max_residual < 1e-12
