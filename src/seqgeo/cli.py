@@ -26,13 +26,13 @@ EXIT_EXCLUSION = 3
 
 
 def geometry_report(model_name: str, m: int, r: float, grid_density: int = 12,
-                    tol_classify: float | None = None, tol_fd: float = 1e-4) -> dict:
+                    tol_classify: float = geometry.CLASSIFY_TOLERANCE, tol_fd: float = 1e-4) -> dict:
     """Classification, curvature constants and conformal-flatness residuals."""
     if grid_density < 2:
         # the dual-quadric fit has n + 1 unknowns and n equations per point
         raise ParameterError("grid density must be at least 2")
     for name, tol in (("finite-difference", tol_fd), ("classification", tol_classify)):
-        if tol is not None and not (math.isfinite(tol) and tol > 0):
+        if not (math.isfinite(tol) and tol > 0):
             raise ParameterError(f"{name} tolerance must be finite and positive, got {tol!r}")
     model = MODELS[model_name](m, r)
     fam = model.curved
@@ -46,7 +46,7 @@ def geometry_report(model_name: str, m: int, r: float, grid_density: int = 12,
     gamma_bar_res = gamma_bar_scaled = float("nan")
     h1_bar_res = 0.0
     if fam.codim == 1 and cls.dual_quadric:
-        coords = conformal.quadric_coordinates(fam, gauge, np.zeros(fam.n), np.eye(m, m + 1), k0l0)
+        coords = conformal.quadric_coordinates(fam, gauge, np.zeros(fam.n), np.eye(m, m + 1))
         probe = grid[: min(len(grid), 6)]
         pgs = [geometry.point_geometry(fam, u) for u in probe]
         gamma_bar = [float(np.abs(conformal.ubar_chart_connection(pg, gauge, coords)).max())
@@ -159,7 +159,9 @@ def cmd_simulate(args) -> int:
 
 
 def _read_csv(path: Path, expected_header: tuple[str, ...]) -> list[dict]:
-    lines = path.read_text().strip().splitlines()
+    lines = harness.read_text(path).strip().splitlines()
+    if not lines:
+        raise ParameterError(f"{path}: empty file")
     header = tuple(lines[0].split(","))
     if header != expected_header:
         missing = set(expected_header) - set(header)
@@ -170,21 +172,28 @@ def _read_csv(path: Path, expected_header: tuple[str, ...]) -> list[dict]:
         if len(vals) != len(header):
             raise ParameterError(f"{path}: row has {len(vals)} fields, expected {len(header)}")
         try:
-            rows.append({k: float(v) for k, v in zip(header, vals)})
+            row = {k: float(v) for k, v in zip(header, vals)}
         except ValueError as exc:
             raise ParameterError(f"{path}: {exc}") from exc
+        if not all(map(math.isfinite, row.values())):
+            raise ParameterError(f"{path}: non-finite value in row {line!r}")
+        rows.append(row)
     return rows
 
 
-def _parse_manifest(path: Path) -> dict:
-    vals = {}
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("["):
-            continue
-        key, _, val = line.partition("=")
-        vals[key.strip()] = val.strip()
-    return vals
+def _read_manifest_config(path: Path) -> harness.ExperimentConfig:
+    """The ``[config]`` section of a run manifest, read as a config file.
+
+    Lines outside the section are blanked, so error messages keep the
+    manifest's line numbers.
+    """
+    lines, inside = [], False
+    for line in harness.read_text(path).splitlines():
+        if line.strip().startswith("["):
+            inside = line.strip() == "[config]"
+            line = ""
+        lines.append(line if inside else "")
+    return harness.parse_config_text("\n".join(lines), path)
 
 
 class _Gate:
@@ -225,19 +234,17 @@ def evaluate_gates(results_dir: str | Path) -> tuple[_Gate, list[str]]:
     out = Path(results_dir)
     nonseq = _read_csv(out / "nonsequential.csv", harness.NONSEQ_COLUMNS)
     seq = _read_csv(out / "sequential.csv", harness.SEQ_COLUMNS)
-    manifest = _parse_manifest(out / "run.manifest")
-    try:
-        m, r = int(manifest["m"]), float(manifest["r"])
-        u0 = np.array([float(v) for v in manifest["u0"].split(",")])
-        reps = int(manifest["replications"])
-    except ValueError as exc:
-        raise ParameterError(f"{out / 'run.manifest'}: {exc}") from exc
-    model = MODELS[manifest["model"]](m, r)
+    config = _read_manifest_config(out / "run.manifest")
+    if ([row["cell_N"] for row in nonseq] != list(config.grid_n)
+            or [row["cell_K"] for row in seq] != list(config.grid_k)):
+        raise ParameterError(f"{out}: the CSV cells do not match grid_N and grid_K of run.manifest")
+    u0, reps = config.u0, config.replications
+    model = MODELS[config.model](config.m, config.r)
     nu0 = model.gauge().nu_at(u0)
     c = model.stopping_constant()
 
     gate = _Gate(reps)
-    lines = [f"results: {out} ({manifest['model']} m={manifest['m']} r={manifest['r']})"]
+    lines = [f"results: {out} ({config.model} m={config.m} r={config.r!r})"]
 
     for row in sorted(nonseq, key=lambda r: r["cell_N"])[-2:]:
         n = int(row["cell_N"])
@@ -326,8 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--grid-density", type=int, default=12)
     g.add_argument("--tol", type=float, default=1e-4,
                    help="tolerance for finite-difference residuals (default 1e-4)")
-    g.add_argument("--tol-classify", type=float, default=None,
-                   help="classification tolerance (default 1e-6 analytic, 1e-4 numeric)")
+    g.add_argument("--tol-classify", type=float, default=geometry.CLASSIFY_TOLERANCE,
+                   help="classification tolerance (default 1e-6)")
     g.add_argument("--json", action="store_true")
     g.set_defaults(func=cmd_geometry)
 

@@ -310,9 +310,6 @@ class ConformalCoordinates:
 
     forward: Callable[[np.ndarray], np.ndarray]
     derivatives: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-    inverse: Callable | None = None                # inverse(new, guess) -> old
-    phi_bar: Callable | None = None
-    psi_bar: Callable | None = None                # psi_bar(xi, guess) -> float
 
 
 def _apply(dm: np.ndarray, x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -393,28 +390,7 @@ def expfam_gauge(
         return _scaled_map_derivatives(gauge, ea, dv + _apply(dm, ea), np.broadcast_to(dm, lead + dm.shape),
                                        np.zeros(lead + dm.shape + (fam.n,)))
 
-    def inverse(h, guess):
-        return tops.newton_solve(forward, h, Point(as_coords(guess), "eta"), tol=1e-12).coords
-
-    def phi_bar(h, guess):
-        eta = inverse(h, guess)
-        pair = expfam.theta_of_eta(fam, eta, guess=eta)
-        return gauge.nu_at(eta) * pair.phi_value
-
-    def psi_bar(xi, guess_h, guess_eta):
-        xiv = as_coords(xi)
-        grad = lambda h: tops.differentiate(lambda y: phi_bar(y, guess_eta), h, order=1)
-        h = tops.newton_solve(grad, xiv, Point(as_coords(guess_h), "eta"), tol=1e-9).coords
-        return float(xiv @ h) - phi_bar(h, guess_eta), h
-
-    coords = ConformalCoordinates(
-        forward=forward,
-        derivatives=derivatives,
-        inverse=inverse,
-        phi_bar=phi_bar,
-        psi_bar=psi_bar,
-    )
-    return gauge, coords
+    return gauge, ConformalCoordinates(forward=forward, derivatives=derivatives)
 
 
 def expfam_gauge_on_theta(fam: ExponentialFamily, c0: float, c) -> Gauge:
@@ -473,7 +449,7 @@ def quadric_gauge(
         raise GaugeMismatchError(
             f"gauge equation residual {res:.3e} exceeds tolerance {PDE_TOLERANCE:.1e}"
         )
-    return gauge, quadric_coordinates(fam, gauge, eta0, dmat, k0l0)
+    return gauge, quadric_coordinates(fam, gauge, eta0, dmat)
 
 
 def quadric_coordinates(
@@ -481,14 +457,13 @@ def quadric_coordinates(
     gauge: Gauge,
     eta0,
     dmat,
-    k0l0: float,
 ) -> ConformalCoordinates:
     """The flattening coordinates ``nu(u) D (eta(u) - eta0)`` of a dual quadric hypersurface.
 
     The map's derivatives read the tangent frame and the Hessian of the
     mean-parameter embedding from the family's bundle at the points; ``fam.eta``
     must take rows. It does not check that ``gauge`` solves the quadric gauge
-    equation with constant ``k0l0``; :func:`quadric_gauge` does.
+    equation; :func:`quadric_gauge` does.
     """
     e0 = np.asarray(eta0, dtype=float)
     dm = np.atleast_2d(np.asarray(dmat, dtype=float))
@@ -503,19 +478,7 @@ def quadric_coordinates(
         return _scaled_map_derivatives(gauge, pg.u, _apply(dm, fam.eta(pg.u) - e0),
                                        _apply(dm, pg.jet.tangent_eta, -2), _apply(dm, pg.he, -3))
 
-    def inverse(ubar, guess):
-        return tops.newton_solve(forward, ubar, Point(as_coords(guess), "u"), tol=1e-12).coords
-
-    def phi_bar(ubar, guess):
-        u = inverse(ubar, guess)
-        return gauge.nu_at(u) / k0l0
-
-    return ConformalCoordinates(
-        forward=forward,
-        derivatives=derivatives,
-        inverse=inverse,
-        phi_bar=phi_bar,
-    )
+    return ConformalCoordinates(forward=forward, derivatives=derivatives)
 
 
 def gauge_pde_residual(fam: CurvedFamily, gauge: Gauge, k0l0: float, grid: np.ndarray) -> float:

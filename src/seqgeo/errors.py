@@ -13,10 +13,6 @@ class SingularMetricError(SeqGeoError):
     """A metric (or other symmetric matrix) is singular or too ill-conditioned to invert."""
 
 
-class NoConvergenceError(SeqGeoError):
-    """An iterative solver failed to converge."""
-
-
 class ModelMisspecificationError(SeqGeoError):
     """A quantity violates a model-level requirement (e.g. indefinite Hessian of a potential)."""
 

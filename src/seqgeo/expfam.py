@@ -23,18 +23,17 @@ LEGENDRE_TOL = 1e-8
 class ExponentialFamily:
     """An n-dimensional family specified by its convex potential.
 
-    Analytic derivative callbacks, when provided, take precedence over
-    finite differences everywhere; ``eta_inverse`` is an optional exact
-    inverse of the mean map for families that admit one.
+    ``grad``, ``hess`` and ``third`` are the potential's derivatives in
+    closed form, and ``eta_inverse`` is the exact inverse of the mean map.
     """
 
     n: int
     psi: Callable[[np.ndarray], float]
-    grad: Callable[[np.ndarray], np.ndarray] | None = None
-    hess: Callable[[np.ndarray], np.ndarray] | None = None
-    third: Callable[[np.ndarray], np.ndarray] | None = None
+    grad: Callable[[np.ndarray], np.ndarray]
+    hess: Callable[[np.ndarray], np.ndarray]
+    third: Callable[[np.ndarray], np.ndarray]
+    eta_inverse: Callable[[np.ndarray], np.ndarray]
     domain: Callable[[np.ndarray], bool] | None = None
-    eta_inverse: Callable[[np.ndarray], np.ndarray] | None = None
     name: str = ""
 
     def check_domain(self, theta: np.ndarray) -> None:
@@ -71,36 +70,26 @@ def eta_of_theta(fam: ExponentialFamily, theta) -> Point:
     """Expectation parameter: the potential gradient at ``theta``."""
     t = as_coords(theta)
     fam.check_domain(t)
-    if fam.grad is not None:
-        g = np.asarray(fam.grad(t), dtype=float)
-    else:
-        g = tops.differentiate(fam.psi, t, order=1)
+    g = np.asarray(fam.grad(t), dtype=float)
     if not np.all(np.isfinite(g)):
         raise EvaluationDomainError("non-finite mean parameter")
     return Point(g, "eta")
 
 
-def theta_of_eta(fam: ExponentialFamily, eta, guess=None) -> DualPair:
+def theta_of_eta(fam: ExponentialFamily, eta) -> DualPair:
     """Invert the mean map and return the full dual pair.
 
     The conjugate potential is evaluated pointwise through the Legendre
     identity; no global conjugate function is constructed.
     """
     e = as_coords(eta)
-    if fam.eta_inverse is not None:
-        t = np.asarray(fam.eta_inverse(e), dtype=float)
-    else:
-        g = as_coords(guess) if guess is not None else e.copy()
-        jac = (lambda x: np.asarray(fam.hess(x), dtype=float)) if fam.hess else None
-        t = tops.newton_solve(
-            lambda x: eta_of_theta(fam, x).coords, e, Point(g, "theta"), tol=1e-12, jac=jac
-        ).coords
+    t = np.asarray(fam.eta_inverse(e), dtype=float)
     psi_v = fam.psi_at(t)
     phi_v = float(t @ e) - psi_v
     return DualPair(Point(t, "theta"), Point(e, "eta"), psi_v, phi_v)
 
 
-def metric(fam: ExponentialFamily, at, guess=None) -> np.ndarray:
+def metric(fam: ExponentialFamily, at) -> np.ndarray:
     """Fisher metric.
 
     In the theta chart this is the covariant potential Hessian; in the
@@ -109,16 +98,13 @@ def metric(fam: ExponentialFamily, at, guess=None) -> np.ndarray:
     """
     p = at if isinstance(at, Point) else Point(as_coords(at), "theta")
     if p.chart == "eta":
-        pair = theta_of_eta(fam, p, guess=guess)
+        pair = theta_of_eta(fam, p)
         return tops.require_finite(tops.invert_matrix(metric(fam, pair.theta)))
     if p.chart != "theta":
         raise ChartError(f"metric is defined on the theta or eta chart, got {p.chart!r}")
     t = p.coords
     fam.check_domain(t)
-    if fam.hess is not None:
-        h = np.asarray(fam.hess(t), dtype=float)
-    else:
-        h = tops.differentiate(fam.psi, t, order=2)
+    h = np.asarray(fam.hess(t), dtype=float)
     h = tops.require_finite(0.5 * (h + h.T))
     w = np.linalg.eigvalsh(h)
     if w.min() <= 0:
@@ -132,10 +118,7 @@ def skewness(fam: ExponentialFamily, theta) -> np.ndarray:
     """Skewness tensor: the symmetric third derivative of the potential."""
     t = as_coords(theta)
     fam.check_domain(t)
-    if fam.third is not None:
-        return tops.require_finite(fam.third(t))
-    hess = (lambda x: np.asarray(fam.hess(x), dtype=float)) if fam.hess else None
-    return tops.differentiate(fam.psi, t, order=3, hessian=hess)
+    return tops.require_finite(fam.third(t))
 
 
 def alpha_connection(fam: ExponentialFamily, theta, alpha: float) -> np.ndarray:

@@ -1,9 +1,8 @@
 """Curved exponential families: frames, induced geometry, extrinsic curvature.
 
 A ``CurvedFamily`` wraps an embedding ``u -> theta(u)`` into an ambient
-family together with an optional analytic ``jet``: the tangent frames and
-embedding Hessians at a point, from one call. Without it the jet comes from
-finite differences of the embeddings.
+family together with its ``jet``: the tangent frames and embedding Hessians
+at a point, in closed form, from one call.
 """
 
 from __future__ import annotations
@@ -21,6 +20,8 @@ from .expfam import ExponentialFamily
 from .tensorops import as_coords
 
 EMBED_CONSISTENCY_TOL = 1e-8
+# default max-norm residual within which classify accepts a structural flag
+CLASSIFY_TOLERANCE = 1e-6
 
 
 class Jet(NamedTuple):
@@ -46,8 +47,8 @@ class CurvedFamily:
     ambient: ExponentialFamily
     m: int
     embed_theta: Callable[[np.ndarray], np.ndarray]
+    jet: Callable[[np.ndarray], Jet]
     embed_eta: Callable[[np.ndarray], np.ndarray] | None = None
-    jet: Callable[[np.ndarray], Jet] | None = None
     normal_sign: int = 1
     name: str = ""
 
@@ -58,10 +59,6 @@ class CurvedFamily:
     @property
     def codim(self) -> int:
         return self.ambient.n - self.m
-
-    @property
-    def analytic(self) -> bool:
-        return self.jet is not None
 
     def theta(self, u) -> np.ndarray:
         return np.asarray(self.embed_theta(as_coords(u)), dtype=float)
@@ -93,23 +90,6 @@ class Classification:
     tolerance: float
 
 
-def _fd_jet(fam: CurvedFamily, u: np.ndarray) -> Jet:
-    """Finite-difference jet of ``embed_theta`` and ``eta`` at one point, without normals.
-
-    The fallback for a family without an analytic ``jet``, and the reference
-    the analytic jets are tested against.
-    """
-
-    def hessian(embed):
-        return np.stack(
-            [tops.differentiate(lambda v, i=i: float(embed(v)[i]), u, order=2) for i in range(fam.n)],
-            axis=-1,
-        )
-
-    return Jet(tops.jacobian(fam.embed_theta, u).T, tops.jacobian(fam.eta, u).T,
-               hessian(fam.embed_theta), hessian(fam.eta))
-
-
 def _first(rows: np.ndarray, mask) -> np.ndarray:
     """The first row of ``rows`` (a point or a stack of points) where ``mask`` holds."""
     return rows.reshape(-1, rows.shape[-1])[np.argmax(np.ravel(mask))]
@@ -125,12 +105,7 @@ def frame_at(fam: CurvedFamily, u) -> Jet:
     """
     ua = as_coords(u)
     lead, rows = ua.shape[:-1], ua.reshape(-1, ua.shape[-1])
-    if fam.jet is not None:
-        jet = fam.jet(ua)
-    else:
-        jets = [_fd_jet(fam, row) for row in rows]
-        shapes = [(fam.m, fam.n)] * 2 + [(fam.m, fam.m, fam.n)] * 2
-        jet = Jet(*(np.reshape([j[i] for j in jets], lead + s) for i, s in enumerate(shapes)))
+    jet = fam.jet(ua)
     deficient = np.linalg.matrix_rank(jet.tangent_theta) < fam.m
     if np.any(deficient):
         raise ChartError(f"embedding Jacobian is rank deficient at u={_first(ua, deficient)!r}")
@@ -263,7 +238,7 @@ def point_geometry(fam: CurvedFamily, u) -> PointGeometry:
 def classify(
     fam: CurvedFamily,
     grid: np.ndarray,
-    tolerance: float | None = None,
+    tolerance: float = CLASSIFY_TOLERANCE,
 ) -> Classification:
     """Fit the structural constants of the family over a probe grid.
 
@@ -273,8 +248,6 @@ def classify(
     constant-curvature pattern. Flags require the corresponding max-norm
     residual to stay within ``tolerance``.
     """
-    if tolerance is None:
-        tolerance = 1e-6 if fam.analytic else 1e-4
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     if fam.codim != 1:
         raise UnsupportedShapeError("dual-quadric classification needs a hypersurface (n = m + 1)")

@@ -116,10 +116,23 @@ class ExperimentConfig:
         ]
 
 
+def read_text(path: str | Path) -> str:
+    """The text of a file; raises :class:`ParameterError` when it does not decode."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{path}: cannot decode text ({exc.reason})") from exc
+
+
 def parse_config(path: str | Path) -> ExperimentConfig:
-    """Read the line-oriented ``key = value`` config format."""
+    """Read the line-oriented ``key = value`` config format from a file."""
+    return parse_config_text(read_text(path), path)
+
+
+def parse_config_text(text: str, path: str | Path) -> ExperimentConfig:
+    """Parse config text; ``path`` names its source in error messages."""
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -158,9 +171,7 @@ def parse_config(path: str | Path) -> ExperimentConfig:
             seed=int(values["seed"]),
             outdir=values["outdir"],
         )
-    except (ValueError, ParameterError) as exc:
-        if isinstance(exc, ParameterError):
-            raise
+    except (ValueError, OverflowError) as exc:
         raise ParameterError(f"{path}: {exc}") from exc
 
 

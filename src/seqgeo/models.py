@@ -40,16 +40,41 @@ _GAUGE_SINGULAR_TOL = 1e-12
 # Bessel-ratio mean-resultant functions and their closed-form derivatives
 
 
+# from here on scipy's ive/kve return NaN; the large-argument expansion is exact to rounding
+_BESSEL_ASYMPTOTIC = 2.0 ** 30
+# below this coth(rho) - 1/rho cancels; Lambert's continued fraction does not
+_VMF2_CANCELLATION = 0.1
+
+
+def _hankel_sum(nu: float, rho: float, sign: float) -> float:
+    """``sum_k sign^k a_k(nu) / rho^k``, the large-argument expansion of
+    ``K_nu`` (sign +1) or ``I_nu`` (sign -1) without its exponential and
+    ``rho^(-1/2)`` factors; it terminates for half-integer ``nu``."""
+    mu = 4.0 * nu * nu
+    term = total = 1.0
+    k = 0
+    while abs(term) > 1e-17 * abs(total):
+        k += 1
+        term *= sign * (mu - (2 * k - 1) ** 2) / (8.0 * k * rho)
+        total += term
+    return total
+
+
 def vmf_mean_resultant(rho: float, m: int) -> float:
     """I_{(m+1)/2}(rho) / I_{(m-1)/2}(rho); increasing, maps (0,inf) to (0,1)."""
     if rho <= 0:
         raise ParameterError("concentration must be positive")
     if m == 2:
-        if rho < 1e-3:
-            # series of coth(rho) - 1/rho, avoids cancellation near zero
-            return rho / 3.0 - rho**3 / 45.0 + 2.0 * rho**5 / 945.0
+        if rho < _VMF2_CANCELLATION:
+            # coth(rho) - 1/rho = rho / (3 + rho^2 / (5 + rho^2 / (7 + ...)))
+            tail = 0.0
+            for k in range(21, 3, -2):
+                tail = rho * rho / (k + tail)
+            return rho / (3.0 + tail)
         return 1.0 / math.tanh(rho) - 1.0 / rho
     nu = 0.5 * (m - 1)
+    if rho >= _BESSEL_ASYMPTOTIC:
+        return _hankel_sum(nu + 1.0, rho, -1.0) / _hankel_sum(nu, rho, -1.0)
     # exponentially scaled values: the scale cancels and nothing overflows
     return float(special.ive(nu + 1.0, rho) / special.ive(nu, rho))
 
@@ -59,7 +84,7 @@ def hyperboloid_mean_resultant(rho: float, m: int) -> float:
 
     Even m uses the stable upward ratio recurrence from the half-integer
     seed; odd m needs integer-order Bessel values, exponentially scaled so
-    that neither underflows.
+    that neither underflows, or their large-argument expansion.
     """
     if rho <= 0:
         raise ParameterError("concentration must be positive")
@@ -71,6 +96,8 @@ def hyperboloid_mean_resultant(rho: float, m: int) -> float:
             nu += 1.0
         return ratio
     nu = 0.5 * (m - 1)
+    if rho >= _BESSEL_ASYMPTOTIC:
+        return _hankel_sum(nu + 1.0, rho, 1.0) / _hankel_sum(nu, rho, 1.0)
     return float(special.kve(nu + 1.0, rho) / special.kve(nu, rho))
 
 
@@ -98,7 +125,7 @@ def _radial_family(
     fval: Callable[[float], float],
     fderivs: Callable[[float], tuple[float, float, float]],
     domain: Callable[[np.ndarray], bool],
-    eta_inverse: Callable[[np.ndarray], np.ndarray] | None,
+    eta_inverse: Callable[[np.ndarray], np.ndarray],
     name: str,
 ) -> ExponentialFamily:
     smat = np.diag(signs)
@@ -310,6 +337,7 @@ class _DirectionalModel:
     """Shared machinery; subclasses fix the factor kinds and sign structure."""
 
     curvature_sign: float  # sign of the constant curvature lambda = sign / (r r_dagger)
+    mean_resultant: Callable[[float, int], float]  # r -> r_dagger at dimension m
     kinds: list[str]
     m: int
     r: float
@@ -324,6 +352,11 @@ class _DirectionalModel:
             raise ParameterError(f"concentration r must be positive and finite, got {r!r}")
         self.m = int(m)
         self.r = float(r)
+        self.r_dagger = self.mean_resultant(self.r, self.m)
+        if not 0.0 < self.r * self.r_dagger < math.inf:
+            # the metric, its inverse and the stopping constant scale with r * r_dagger
+            raise ParameterError(f"concentration r = {r!r} is out of range: r * r_dagger is "
+                                 f"{self.r * self.r_dagger!r}")
         self._plan_cache: tuple[bytes, tuple] | None = None
 
     def _plan(self, u) -> tuple:
@@ -437,11 +470,11 @@ class VmfModel(_DirectionalModel):
     """von Mises-Fisher family on the unit m-sphere with fixed concentration."""
 
     curvature_sign = 1.0
+    mean_resultant = staticmethod(vmf_mean_resultant)
 
     def __init__(self, m: int = 2, r: float = 0.25):
         super().__init__(m, r)
         self.kinds = ["circ"] * self.m
-        self.r_dagger = vmf_mean_resultant(self.r, self.m)
         self._lam = np.ones(self.m + 1)
         self.family = vmf_family(self.m)
         self.curved = self._curved(normal_theta_sign=1.0, normal_sign=1)
@@ -496,11 +529,11 @@ class HyperboloidModel(_DirectionalModel):
     """Hyperboloid family on the future unit shell of Minkowski space."""
 
     curvature_sign = -1.0
+    mean_resultant = staticmethod(hyperboloid_mean_resultant)
 
     def __init__(self, m: int = 2, r: float = 0.1):
         super().__init__(m, r)
         self.kinds = ["hyp"] + ["circ"] * (self.m - 1)
-        self.r_dagger = hyperboloid_mean_resultant(self.r, self.m)
         self._lam = np.concatenate(([-1.0], np.ones(self.m)))
         self.family = hyperboloid_family(self.m)
         self.curved = self._curved(normal_theta_sign=-1.0, normal_sign=-1)

@@ -1,4 +1,4 @@
-"""Finite-difference differentiation and small dense linear algebra.
+"""Points, the finiteness check, stencil steps and symmetric matrix inversion.
 
 Everything here is a pure function of its inputs. ``Point`` is immutable
 and safe to share between tasks; every other result is a fresh plain
@@ -8,25 +8,17 @@ and safe to share between tasks; every other result is a fresh plain
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    EvaluationDomainError,
-    NoConvergenceError,
-    SingularMetricError,
-)
+from .errors import EvaluationDomainError, SingularMetricError
 
 CHARTS = ("theta", "eta", "u", "w", "ubar")
 
 _EPS = float(np.finfo(float).eps)
-# Default steps balance truncation against round-off for each order while
-# keeping central differences exact (to 1e-8) on polynomials of degree <= order.
+# Default relative step of a central first difference: balances truncation
+# against round-off.
 STEP_ORDER1 = _EPS ** (1.0 / 3.0)
-STEP_ORDER2 = _EPS ** (1.0 / 5.0)
-STEP_ORDER3 = _EPS ** (1.0 / 7.0)
-STEP_ORDER3_FROM_HESSIAN = _EPS ** (1.0 / 5.0)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -75,166 +67,12 @@ def require_finite(values: np.ndarray) -> np.ndarray:
     return a
 
 
-def _eval(f: Callable, x: np.ndarray) -> float:
-    y = f(x)
-    y = float(y)
-    if not np.isfinite(y):
-        raise EvaluationDomainError(f"non-finite field evaluation at {x!r}")
-    return y
-
-
 def _steps(x: np.ndarray, step: float | None, default_rel: float) -> np.ndarray:
     if step is not None:
         if step <= 0:
             raise ValueError("step must be positive")
         return np.full(x.shape, float(step))
     return default_rel * np.maximum(1.0, np.abs(x))
-
-
-def _gradient(f, x, h):
-    d = x.shape[0]
-    g = np.empty(d)
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = h[i]
-        g[i] = (_eval(f, x + e) - _eval(f, x - e)) / (2.0 * h[i])
-    return g
-
-
-def _hessian(f, x, h):
-    d = x.shape[0]
-    out = np.empty((d, d))
-    f0 = _eval(f, x)
-    for i in range(d):
-        ei = np.zeros(d)
-        ei[i] = h[i]
-        out[i, i] = (_eval(f, x + ei) - 2.0 * f0 + _eval(f, x - ei)) / h[i] ** 2
-        for j in range(i + 1, d):
-            ej = np.zeros(d)
-            ej[j] = h[j]
-            val = (
-                _eval(f, x + ei + ej)
-                - _eval(f, x + ei - ej)
-                - _eval(f, x - ei + ej)
-                + _eval(f, x - ei - ej)
-            ) / (4.0 * h[i] * h[j])
-            out[i, j] = val
-            out[j, i] = val
-    return 0.5 * (out + out.T)
-
-
-def _third_direct(f, x, h):
-    # Composed central first differences; exact on cubics, O(h^2) otherwise.
-    d = x.shape[0]
-    out = np.empty((d, d, d))
-    signs = ((1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1),
-             (-1, 1, 1), (-1, 1, -1), (-1, -1, 1), (-1, -1, -1))
-    for i in range(d):
-        for j in range(i, d):
-            for k in range(j, d):
-                acc = 0.0
-                for si, sj, sk in signs:
-                    y = x.copy()
-                    y[i] += si * h[i]
-                    y[j] += sj * h[j]
-                    y[k] += sk * h[k]
-                    acc += si * sj * sk * _eval(f, y)
-                val = acc / (8.0 * h[i] * h[j] * h[k])
-                for p in ((i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)):
-                    out[p] = val
-    return out
-
-
-def _third_from_hessian(hessian, x, h):
-    d = x.shape[0]
-    out = np.empty((d, d, d))
-    for k in range(d):
-        e = np.zeros(d)
-        e[k] = h[k]
-        gp = np.asarray(hessian(x + e), dtype=float)
-        gm = np.asarray(hessian(x - e), dtype=float)
-        if not (np.all(np.isfinite(gp)) and np.all(np.isfinite(gm))):
-            raise EvaluationDomainError("non-finite Hessian evaluation on stencil")
-        out[k] = (gp - gm) / (2.0 * h[k])
-    # out[k, i, j] = d_k H_ij; symmetrize over all slot permutations
-    sym = (
-        out
-        + out.transpose(0, 2, 1)
-        + out.transpose(1, 0, 2)
-        + out.transpose(1, 2, 0)
-        + out.transpose(2, 0, 1)
-        + out.transpose(2, 1, 0)
-    ) / 6.0
-    return sym
-
-
-def differentiate(
-    f: Callable[[np.ndarray], float],
-    x,
-    order: int = 1,
-    step: float | None = None,
-    hessian: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> np.ndarray:
-    """Central-difference derivative tensor of a scalar field.
-
-    Parameters
-    ----------
-    f : callable
-        Scalar field on R^d.
-    x : Point or array-like
-        Evaluation point.
-    order : {1, 2, 3}
-        Derivative order. Orders 2 and 3 are symmetrized.
-    step : float, optional
-        Stencil step; defaults to an order-dependent multiple of
-        ``max(1, |x_i|)``.
-    hessian : callable, optional
-        Analytic Hessian; when given, the order-3 tensor is built by
-        differencing it once (halves the stencil size).
-    """
-    xa = as_coords(x).copy()
-    if order == 1:
-        h = _steps(xa, step, STEP_ORDER1)
-        return require_finite(_gradient(f, xa, h))
-    if order == 2:
-        h = _steps(xa, step, STEP_ORDER2)
-        return require_finite(_hessian(f, xa, h))
-    if order == 3:
-        if hessian is not None:
-            h = _steps(xa, step, STEP_ORDER3_FROM_HESSIAN)
-            return require_finite(_third_from_hessian(hessian, xa, h))
-        h = _steps(xa, step, STEP_ORDER3)
-        vals = _third_direct(f, xa, h)
-        sym = (
-            vals
-            + vals.transpose(0, 2, 1)
-            + vals.transpose(1, 0, 2)
-            + vals.transpose(1, 2, 0)
-            + vals.transpose(2, 0, 1)
-            + vals.transpose(2, 1, 0)
-        ) / 6.0
-        return require_finite(sym)
-    raise ValueError("order must be 1, 2 or 3")
-
-
-def jacobian(
-    f: Callable[[np.ndarray], np.ndarray],
-    x,
-    step: float | None = None,
-) -> np.ndarray:
-    """Central-difference Jacobian ``J[i, j] = d f_i / d x_j`` of a vector field."""
-    xa = as_coords(x).copy()
-    h = _steps(xa, step, STEP_ORDER1)
-    cols = []
-    for j in range(xa.shape[0]):
-        e = np.zeros_like(xa)
-        e[j] = h[j]
-        fp = np.asarray(f(xa + e), dtype=float)
-        fm = np.asarray(f(xa - e), dtype=float)
-        if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(fm))):
-            raise EvaluationDomainError("non-finite field evaluation on stencil")
-        cols.append((fp - fm) / (2.0 * h[j]))
-    return np.stack(cols, axis=-1)
 
 
 PIVOT_TOL = 1e-12
@@ -268,54 +106,3 @@ def invert_matrix(a: np.ndarray, cond_cap: float = COND_CAP) -> np.ndarray:
         raise SingularMetricError(f"condition number {cond.max():.3e} exceeds cap {cond_cap:.3e}")
     return (v / w[..., None, :]) @ v.swapaxes(-1, -2)
 
-
-def newton_solve(
-    f: Callable[[np.ndarray], np.ndarray],
-    target,
-    guess,
-    tol: float = 1e-10,
-    max_iter: int = 100,
-    jac: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> Point:
-    """Solve ``f(x) = target`` by damped Newton iteration.
-
-    The returned point carries the chart tag of ``guess`` when it is a
-    :class:`Point`. Raises :class:`NoConvergenceError` when the residual
-    fails to reach ``tol`` within ``max_iter`` iterations.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    chart = guess.chart if isinstance(guess, Point) else "theta"
-    x = as_coords(guess).copy()
-    t = as_coords(target)
-
-    def residual(y):
-        r = np.asarray(f(y), dtype=float) - t
-        if not np.all(np.isfinite(r)):
-            raise EvaluationDomainError("non-finite field evaluation during Newton solve")
-        return r
-
-    r = residual(x)
-    best = float(np.abs(r).max())
-    for _ in range(max_iter):
-        if best <= tol:
-            return Point(x, chart)
-        j = jac(x) if jac is not None else jacobian(f, x)
-        try:
-            dx = np.linalg.solve(j, -r)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergenceError(f"singular Jacobian during Newton solve: {exc}") from exc
-        lam = 1.0
-        for _ in range(12):
-            r_new = residual(x + lam * dx)
-            n_new = float(np.abs(r_new).max())
-            if n_new < best:
-                x = x + lam * dx
-                r, best = r_new, n_new
-                break
-            lam *= 0.5
-        else:
-            raise NoConvergenceError("Newton line search stalled")
-    if best <= tol:
-        return Point(x, chart)
-    raise NoConvergenceError(f"Newton solve did not reach tol={tol:g} (residual {best:.3e})")

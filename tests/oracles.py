@@ -8,6 +8,7 @@ path it is checking.
 import math
 
 import numpy as np
+from scipy.optimize import brentq
 
 from seqgeo import expfam, geometry, sequential, tensorops as tops
 from seqgeo.conformal import ChartPoint, WeylSchouten, ubar_chart_connection
@@ -37,38 +38,126 @@ def kv_ratio_recurrence(rho: float, m: int) -> float:
     return ratio
 
 
+# default relative steps of a central first and second difference
+STEP1 = float(np.finfo(float).eps) ** (1.0 / 3.0)
+STEP2 = float(np.finfo(float).eps) ** (1.0 / 5.0)
+
+
+def rel_steps(x, rel):
+    """Per-axis steps ``rel * max(1, |x_i|)``."""
+    return rel * np.maximum(1.0, np.abs(np.asarray(x, dtype=float)))
+
+
+def _axis_steps(x, h):
+    return np.broadcast_to(np.asarray(h, dtype=float), x.shape)
+
+
 def fd_gradient(f, x, h=1e-6):
+    """Central-difference gradient; ``h`` is one step or one per axis."""
     x = np.asarray(x, dtype=float)
+    h = _axis_steps(x, h)
     out = np.empty(x.shape[0])
     for i in range(x.shape[0]):
         e = np.zeros_like(x)
-        e[i] = h
-        out[i] = (f(x + e) - f(x - e)) / (2.0 * h)
+        e[i] = h[i]
+        out[i] = (f(x + e) - f(x - e)) / (2.0 * h[i])
     return out
 
 
 def fd_hessian(f, x, h=5e-4):
+    """Central-difference Hessian ``(d, d, ...)`` of a scalar or array field;
+    ``h`` is one step or one per axis."""
     x = np.asarray(x, dtype=float)
+    h = _axis_steps(x, h)
     d = x.shape[0]
-    out = np.empty((d, d))
+    out = [[None] * d for _ in range(d)]
     for i in range(d):
         for j in range(i, d):
-            ei = np.zeros(d); ei[i] = h
-            ej = np.zeros(d); ej[j] = h
-            val = (f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)) / (4 * h * h)
-            out[i, j] = out[j, i] = val
-    return out
+            ei = np.zeros(d); ei[i] = h[i]
+            ej = np.zeros(d); ej[j] = h[j]
+            val = (f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)) / (4 * h[i] * h[j])
+            out[i][j] = out[j][i] = val
+    return np.array(out, dtype=float)
 
 
 def fd_field_derivative(field, x, h=1e-6):
-    """d_i field(x) stacked along a new leading axis."""
+    """d_i field(x) stacked along a new leading axis; ``h`` is one step or one per axis."""
     x = np.asarray(x, dtype=float)
+    h = _axis_steps(x, h)
     rows = []
     for i in range(x.shape[0]):
         e = np.zeros_like(x)
-        e[i] = h
-        rows.append((np.asarray(field(x + e)) - np.asarray(field(x - e))) / (2.0 * h))
+        e[i] = h[i]
+        rows.append((np.asarray(field(x + e)) - np.asarray(field(x - e))) / (2.0 * h[i]))
     return np.stack(rows, axis=0)
+
+
+def fd_jet(fam):
+    """The jet of ``fam`` over rows ``(..., m)`` by central differences of
+    ``fam.embed_theta`` and ``fam.eta``, point by point, without normals.
+
+    Tangents take the steps ``STEP1 max(1, |u_i|)`` and Hessians
+    ``STEP2 max(1, |u_i|)``.
+    """
+    shapes = [(fam.m, fam.n)] * 2 + [(fam.m, fam.m, fam.n)] * 2
+
+    def at(u):
+        h1, h2 = rel_steps(u, STEP1), rel_steps(u, STEP2)
+        return (fd_field_derivative(fam.embed_theta, u, h1), fd_field_derivative(fam.eta, u, h1),
+                fd_hessian(fam.embed_theta, u, h2), fd_hessian(fam.eta, u, h2))
+
+    def jet(us):
+        us = np.asarray(us, dtype=float)
+        points = [at(u) for u in us.reshape(-1, us.shape[-1])]
+        return geometry.Jet(*(np.reshape([p[i] for p in points], us.shape[:-1] + shape)
+                              for i, shape in enumerate(shapes)))
+
+    return jet
+
+
+def fd_family(**fields):
+    """A curved family whose jet is :func:`fd_jet` of its own embeddings."""
+    fam = geometry.CurvedFamily(jet=lambda us: fd_jet(fam)(us), **fields)
+    return fam
+
+
+def numeric_clone(model):
+    """The model's submanifold with every closed form of the embedding stripped:
+    the mean embedding goes through the ambient gradient and the jet is
+    :func:`fd_jet`."""
+    fam = model.curved
+    return fd_family(ambient=fam.ambient, m=fam.m, embed_theta=fam.embed_theta,
+                     normal_sign=fam.normal_sign, name=fam.name + "-numeric")
+
+
+def scalar_affine_potentials(c0, c, d, dmat):
+    """The conformal potentials ``phi_bar`` and ``psi_bar``, and the
+    central-difference gradient of ``phi_bar``, of the 1-D unit Gaussian
+    family under the affine gauge ``nu = 1/|c0 + c eta|`` and the map
+    ``h = nu (d + D eta)``, on the side where ``c0 + c eta > 0``.
+
+    The map inverts in closed form, ``eta = (c0 h - d) / (D - c h)``, and
+    ``phi_bar(h) = nu eta^2 / 2``. ``psi_bar(xi, h_guess)`` returns
+    ``xi h - phi_bar(h)`` and ``h``, where ``h`` solves ``phi_bar'(h) = xi``
+    by ``brentq`` on the central-difference gradient within 0.05 of
+    ``h_guess``. Points and results are arrays of shape ``(1,)``.
+    """
+
+    def phi_bar(h):
+        (hv,) = np.asarray(h, dtype=float)
+        eta = (c0 * hv - d) / (dmat - c * hv)
+        return eta * eta / 2.0 / abs(c0 + c * eta)
+
+    def grad(h):
+        return fd_gradient(phi_bar, h, rel_steps(h, STEP1))
+
+    def psi_bar(xi, h_guess):
+        (xv,), (hg,) = np.asarray(xi, dtype=float), np.asarray(h_guess, dtype=float)
+        root = brentq(lambda y: grad(np.array([y]))[0] - xv, hg - 0.05, hg + 0.05, xtol=1e-15)
+        h = np.array([root])
+        return xv * root - phi_bar(h), h
+
+    return phi_bar, psi_bar, grad
 
 
 def fd_map_hessian(coords, x):
@@ -76,8 +165,8 @@ def fd_map_hessian(coords, x):
     by central differences of its closed-form Jacobian."""
     x = np.asarray(x, dtype=float)
     jac = coords.derivatives(x)[0]
-    flat = tops.jacobian(lambda y: coords.derivatives(y)[0].ravel(), x)  # (new*old, old)
-    return flat.reshape(jac.shape + x.shape)
+    flat = fd_field_derivative(lambda y: coords.derivatives(y)[0].ravel(), x, rel_steps(x, STEP1))
+    return np.moveaxis(flat, 0, -1).reshape(jac.shape + x.shape)
 
 
 def polar_gauge_log_gradient(kinds, u):

@@ -1,11 +1,16 @@
 import dataclasses
 import json
+import math
 import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from seqgeo import cli, conformal, geometry, harness
+from seqgeo.errors import ParameterError
 from seqgeo.models import VmfModel
 
 from conftest import bundled_config
@@ -109,6 +114,13 @@ class TestGeometryCommand:
         rep = json.loads(out)
         assert rep["classification"]["dual_quadric"] is True
         assert code == cli.EXIT_OK and rep["pass"] is True
+
+    @pytest.mark.parametrize("model", ["vmf", "hyperboloid"])
+    def test_odd_dimension_beyond_scipy_range(self, model, capsys):
+        # scipy's ive/kve return NaN from rho = 2^30 on; r_dagger was NaN and the run exited 1
+        code, out, err = run_cli(["geometry", "--model", model, "--m", "3", "--r", "1e10", "--json"], capsys)
+        assert code in (cli.EXIT_OK, cli.EXIT_TOLERANCE) and err == ""
+        assert math.isfinite(json.loads(out)["r_dagger"])
 
     def test_usage_error(self, capsys):
         assert cli.main(["geometry", "--model", "watson", "--r", "1.0"]) == cli.EXIT_USAGE
@@ -279,3 +291,106 @@ class TestReportCommand:
     def test_missing_directory(self, capsys):
         code, _, err = run_cli(["report", "--results", "/nope"], capsys)
         assert code == cli.EXIT_USAGE
+
+
+@pytest.fixture(scope="module")
+def results20(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("results20")
+    path, cfg = write_tiny_config(tmp_path, reps=20)
+    assert cli.main(["simulate", "--config", str(path)]) == cli.EXIT_OK
+    return Path(cfg.outdir)
+
+
+def report_on(results, name, content: bytes) -> int:
+    """``seqgeo report`` on a copy of ``results`` whose file ``name`` holds ``content``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "results"
+        shutil.copytree(results, out)
+        (out / name).write_bytes(content)
+        return cli.main(["report", "--results", str(out)])
+
+
+def replace_line(content: bytes, prefix: bytes, line: bytes) -> bytes:
+    """``content`` with its first line that starts with ``prefix`` replaced by ``line``."""
+    lines = content.splitlines()
+    at = next(i for i, old in enumerate(lines) if old.startswith(prefix))
+    return b"\n".join(lines[:at] + [line] + lines[at + 1:]) + b"\n"
+
+
+def mutations(data, content: bytes) -> bytes:
+    """Truncate ``content``, splice bytes into it, or drop or duplicate one of its lines."""
+    kind = data.draw(st.sampled_from(["truncate", "splice", "drop", "duplicate"]))
+    if kind == "truncate":
+        return content[:data.draw(st.integers(0, len(content)))]
+    if kind == "splice":
+        at = data.draw(st.integers(0, len(content)))
+        cut = data.draw(st.integers(0, 4))
+        return content[:at] + data.draw(st.binary(max_size=8)) + content[at + cut:]
+    lines = content.splitlines(keepends=True)
+    i = data.draw(st.integers(0, len(lines) - 1))
+    return b"".join(lines[:i] + lines[i + 1:] if kind == "drop" else lines[:i + 1] + lines[i:])
+
+
+class TestReportInputs:
+    """Every results directory ends in an exit code of the contract, never a traceback."""
+
+    @pytest.mark.parametrize("name, content", [
+        ("nonsequential.csv", b""),
+        ("sequential.csv", b"\n\n  \n"),
+        ("nonsequential.csv", b"cell_N,\xff\xfe\n"),
+    ], ids=["empty", "blank-lines", "undecodable"])
+    def test_unreadable_csv_exit_one(self, results20, name, content, capsys):
+        assert report_on(results20, name, content) == cli.EXIT_USAGE
+        assert "schema error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [b"inf", b"nan"])
+    def test_non_finite_cell_exit_one(self, results20, value, capsys):
+        csv = (results20 / "nonsequential.csv").read_bytes()
+        first = csv.splitlines()[1]
+        mutated = replace_line(csv, first, value + first[first.index(b","):])
+        assert report_on(results20, "nonsequential.csv", mutated) == cli.EXIT_USAGE
+        assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", [b"m = 3", b"u0 = 0.5, 1.0, 0.3", b"r = 1e-310"],
+                             ids=["m3-u0-of-2", "u0-of-3", "metric-underflows"])
+    def test_manifest_config_checked_as_a_config(self, results20, line, capsys):
+        manifest = (results20 / "run.manifest").read_bytes()
+        key = line.split(b"=")[0]
+        assert report_on(results20, "run.manifest", replace_line(manifest, key, line)) == cli.EXIT_USAGE
+        assert "schema error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["nonsequential.csv", "sequential.csv"])
+    def test_cells_must_match_the_manifest(self, results20, name, capsys):
+        lines = (results20 / name).read_bytes().splitlines(keepends=True)
+        assert report_on(results20, name, b"".join(lines[:-1])) == cli.EXIT_USAGE
+        assert "do not match" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["nonsequential.csv", "sequential.csv", "run.manifest"])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_mutated_results_keep_the_exit_contract(self, results20, name, data):
+        content = mutations(data, (results20 / name).read_bytes())
+        assert report_on(results20, name, content) in (
+            cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_TOLERANCE, cli.EXIT_EXCLUSION)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_config_text_parses_or_raises_parameter_error(self, data):
+        # the config of a run as its manifest echoes it, mutated as bytes or with one value replaced
+        text = "\n".join(bundled_config("vmf").echo_lines()) + "\n"
+        if data.draw(st.booleans()):
+            content = mutations(data, text.encode())
+        else:
+            lines = text.splitlines()
+            i = data.draw(st.integers(0, len(lines) - 1))
+            value = data.draw(st.one_of(st.text(max_size=12), st.floats().map(repr),
+                                        st.integers(-10**20, 10**20).map(str)))
+            lines[i] = lines[i].partition("=")[0] + "= " + value
+            content = "\n".join(lines).encode(errors="surrogateescape")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fuzz.conf"
+            path.write_bytes(content)
+            try:
+                assert isinstance(harness.parse_config(path), harness.ExperimentConfig)
+            except ParameterError:
+                pass

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from seqgeo import expfam, geometry, tensorops as tops
+from seqgeo import expfam, geometry
 from seqgeo.errors import EvaluationDomainError, ModelMisspecificationError
 from seqgeo.expfam import (
     alpha_connection,
@@ -20,7 +20,7 @@ from seqgeo.models import gaussian_family, poisson_family
 from seqgeo.tensorops import Point
 
 from conftest import U0_VMF
-from oracles import fd_hessian, iv_ratio_series
+from oracles import STEP1, fd_field_derivative, fd_hessian, iv_ratio_series, rel_steps
 
 
 @pytest.fixture(scope="module")
@@ -116,11 +116,19 @@ class TestMetric:
         g_theta = metric(vmf.family, Point(theta, "theta"))
         assert np.abs(g_eta @ g_theta - np.eye(3)).max() < 1e-10
         # independent route: Jacobian of the inverse mean map
-        jac = tops.jacobian(lambda e: theta_of_eta(vmf.family, e).theta.coords, eta.coords)
+        jac = fd_field_derivative(lambda e: theta_of_eta(vmf.family, e).theta.coords, eta.coords,
+                                  rel_steps(eta.coords, STEP1)).T
         assert np.abs(g_eta - jac).max() < 1e-6
 
     def test_indefinite_hessian_rejected(self):
-        fam = expfam.ExponentialFamily(n=1, psi=lambda t: -float(t[0] ** 2))
+        fam = expfam.ExponentialFamily(
+            n=1,
+            psi=lambda t: -float(t[0] ** 2),
+            grad=lambda t: -2.0 * t,
+            hess=lambda t: np.array([[-2.0]]),
+            third=lambda t: np.zeros((1, 1, 1)),
+            eta_inverse=lambda e: -0.5 * e,
+        )
         with pytest.raises(ModelMisspecificationError):
             metric(fam, Point(np.array([0.2]), "theta"))
 
@@ -220,11 +228,9 @@ class TestCoordinateChange:
             return theta_of_eta(vmf.family, eta).theta.coords
 
         w0 = np.array([u0[0], u0[1], 0.0])
-        basis = tops.jacobian(theta_of_w, w0, step=1e-5).T  # B[beta, i]
-        flat = tops.jacobian(
-            lambda w: tops.jacobian(theta_of_w, w, step=1e-5).T.ravel(), w0, step=1e-4
-        )
-        dbasis = flat.reshape(3, 3, 3).transpose(2, 0, 1)  # d_beta B[gamma, i]
+        basis = fd_field_derivative(theta_of_w, w0, 1e-5)  # B[beta, i]
+        flat = fd_field_derivative(lambda w: fd_field_derivative(theta_of_w, w, 1e-5).ravel(), w0, 1e-4)
+        dbasis = flat.reshape(3, 3, 3)  # d_beta B[gamma, i]
         g_theta = metric(vmf.family, Point(fam.theta(u0), "theta"))
         gam_w = connection_coordinate_change(np.zeros((3, 3, 3)), basis, dbasis, g_theta)
         g_ab = geometry.point_geometry(fam, u0).g

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqgeo import expfam, geometry, tensorops as tops
 from seqgeo.errors import ChartError, EvaluationDomainError, UnsupportedShapeError
-from seqgeo.geometry import CurvedFamily, classify, frame_at, point_geometry
-from seqgeo.models import HyperboloidModel, LinearGaussianModel, VmfModel
+from seqgeo.geometry import classify, frame_at, point_geometry
+from seqgeo.models import HyperboloidModel, LinearGaussianModel, VmfModel, gaussian_family
 
 from conftest import U0_HYP, U0_VMF, chart_rows
 from oracles import (
@@ -19,20 +18,10 @@ from oracles import (
     VMF_G22,
     christoffel_first_kind,
     direct_rc_curvature,
+    fd_family,
+    numeric_clone,
     t_akk,
 )
-
-
-def numeric_clone(model):
-    """The same submanifold with every analytic callback stripped."""
-    fam = model.curved
-    return CurvedFamily(
-        ambient=fam.ambient,
-        m=fam.m,
-        embed_theta=fam.embed_theta,
-        normal_sign=fam.normal_sign,
-        name=fam.name + "-numeric",
-    )
 
 
 class TestFrames:
@@ -81,17 +70,7 @@ class TestFrames:
 
     def test_codimension_two_biorthonormal(self):
         a = np.array([[1.0, 0.0], [0.0, 2.0], [0.5, -0.5], [0.0, 1.0]])
-        fam = CurvedFamily(
-            ambient=expfam.ExponentialFamily(
-                n=4,
-                psi=lambda t: 0.5 * float(t @ t),
-                grad=lambda t: t.copy(),
-                hess=lambda t: np.eye(4),
-                third=lambda t: np.zeros((4, 4, 4)),
-            ),
-            m=2,
-            embed_theta=lambda u: a @ u,
-        )
+        fam = fd_family(ambient=gaussian_family(4), m=2, embed_theta=lambda u: a @ u)
         f = frame_at(fam, np.array([0.3, -0.1]))
         assert f.normal_theta.shape == (2, 4)
         assert np.abs(f.normal_theta @ a).max() < 1e-10
@@ -269,17 +248,14 @@ class TestClassification:
         assert abs(cls.constant_curvature) < 1e-10
 
     def test_numeric_frames_classification(self, vmf, vmf_grid):
-        cls = classify(numeric_clone(vmf), vmf_grid)
+        cls = classify(numeric_clone(vmf), vmf_grid, tolerance=1e-4)
         assert cls.tolerance == 1e-4
         assert cls.umbilic and cls.dual_quadric
         assert cls.k0 == pytest.approx(4.0, rel=1e-5)
 
     def test_codim_two_rejected(self, linear):
-        fam = CurvedFamily(
-            ambient=expfam.ExponentialFamily(n=4, psi=lambda t: 0.5 * float(t @ t)),
-            m=2,
-            embed_theta=lambda u: np.concatenate([u, [0.0, 0.0]]),
-        )
+        fam = fd_family(ambient=gaussian_family(4), m=2,
+                        embed_theta=lambda u: np.concatenate([u, [0.0, 0.0]]))
         with pytest.raises(UnsupportedShapeError):
             classify(fam, np.zeros((3, 2)))
 

@@ -1,7 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from seqgeo import expfam, geometry
@@ -24,8 +27,12 @@ from oracles import (
     HYP_C,
     VMF_C,
     iv_ratio_series,
+    STEP1,
+    fd_field_derivative,
     kv_ratio_recurrence,
+    numeric_clone,
     polar_gauge_log_gradient,
+    rel_steps,
 )
 
 
@@ -37,6 +44,11 @@ class TestParameters:
             VmfModel(2, -1.0)
         with pytest.raises(ParameterError):
             HyperboloidModel(2, 0.0)
+        # the metric scale r * r_dagger underflows (vmf) or overflows (hyperboloid)
+        with pytest.raises(ParameterError):
+            VmfModel(2, 1e-200)
+        with pytest.raises(ParameterError):
+            HyperboloidModel(2, 1e-310)
 
     def test_mean_resultant_ranges(self):
         assert 0.0 < VmfModel(2, 0.25).r_dagger < 1.0
@@ -95,6 +107,25 @@ class TestMeanResultant:
         for r in rhos[rhos <= 100.0]:
             reference = special.kv(nu + 1.0, r) / special.kv(nu, r)
             assert hyperboloid_mean_resultant(r, m) == pytest.approx(reference, rel=1e-12)
+
+    @pytest.mark.parametrize("ratio, bessel, sign", [
+        (vmf_mean_resultant, mpmath.besseli, 1.0),
+        (hyperboloid_mean_resultant, mpmath.besselk, -1.0),
+    ], ids=["vmf", "hyp"])
+    @given(m=st.integers(2, 6), rho=st.floats(-8.0, 12.0).map(lambda x: 10.0 ** x))
+    @example(m=3, rho=2.0 ** 30).via("the first argument where scipy's ive/kve return NaN")
+    @example(m=2, rho=1.4e-3).via("cancellation in coth(rho) - 1/rho")
+    @settings(max_examples=60, deadline=None)
+    def test_ratio_against_mpmath(self, ratio, bessel, sign, m, rho):
+        # vmf increases from 0 to 1 and the hyperboloid decreases from inf to 1
+        value, further = ratio(rho, m), ratio(1.01 * rho, m)
+        assert math.isfinite(value)
+        assert (0.0 < value < 1.0) if sign > 0 else value > 1.0
+        assert sign * (further - value) > 0.0
+        nu = mpmath.mpf(m - 1) / 2
+        with mpmath.workdps(50):
+            reference = bessel(nu + 1, rho) / bessel(nu, rho)
+            assert abs(value - reference) <= 1e-13 * reference
 
     @pytest.mark.parametrize("cls", [VmfModel, HyperboloidModel])
     def test_odd_dimension_large_concentration_builds(self, cls):
@@ -327,25 +358,20 @@ class TestAnalyticFrameConsistency:
         model = request.getfixturevalue(model_name)
         u = model.probe_grid(count=1, margin=0.3, seed=13)[0]
         f = geometry.frame_at(model.curved, u)
-        import seqgeo.tensorops as tops
-
-        jac = tops.jacobian(model.curved.embed_theta, u).T
+        jac = fd_field_derivative(model.curved.embed_theta, u, rel_steps(u, STEP1))
         assert np.abs(f.tangent_theta - jac).max() < 1e-7
 
     def test_hessians_match_fd(self, hyp):
         u = np.array([0.5, 1.2])
         analytic = geometry.point_geometry(hyp.curved, u).ht
-        clone = geometry.CurvedFamily(
-            ambient=hyp.curved.ambient, m=2, embed_theta=hyp.curved.embed_theta
-        )
-        numeric = geometry.point_geometry(clone, u).ht
+        numeric = geometry.point_geometry(numeric_clone(hyp), u).ht
         assert np.abs(analytic - numeric).max() < 1e-6
 
     @pytest.mark.parametrize("model_name", ["vmf", "hyp", "vmf3", "hyp3"])
     def test_hessians_match_fd_on_probe_grid(self, model_name, request):
         model = request.getfixturevalue(model_name)
         fam = model.curved
-        clone = geometry.CurvedFamily(ambient=fam.ambient, m=fam.m, embed_theta=fam.embed_theta)
+        clone = numeric_clone(model)
         for u in model.probe_grid(count=5, margin=0.3, seed=13):
             analytic = geometry.point_geometry(fam, u)
             numeric = geometry.point_geometry(clone, u)

@@ -4,10 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from seqgeo import conformal, geometry, sequential, tensorops as tops
+from seqgeo import conformal, geometry, sequential
 from seqgeo.conformal import quadric_gauge
 from seqgeo.errors import EvaluationDomainError
-from seqgeo.geometry import CurvedFamily
 from seqgeo.sequential import (
     asymptotic_covariance,
     bias_correct,
@@ -18,25 +17,21 @@ from seqgeo.sequential import (
 
 from conftest import U0_HYP, U0_VMF
 from oracles import (
+    STEP1,
     VMF_G11,
     VMF_G22,
+    fd_field_derivative,
+    numeric_clone,
     observed_information,
     reference_bias_correct,
     reference_stopping,
+    rel_steps,
 )
 
 
 @pytest.fixture(scope="module")
 def vmf_coords(vmf, vmf_grid):
     return quadric_gauge(vmf.curved, np.zeros(3), np.eye(2, 3), vmf_grid, vmf.gauge())
-
-
-def numeric_clone(model):
-    fam = model.curved
-    return CurvedFamily(
-        ambient=fam.ambient, m=fam.m, embed_theta=fam.embed_theta,
-        normal_sign=fam.normal_sign, name=fam.name + "-numeric",
-    )
 
 
 class TestObservedInformation:
@@ -297,7 +292,7 @@ class TestCrb:
         # push the inverse metric through a finite-difference map Jacobian
         gauge, coords = vmf_coords
         out = crb(vmf, U0_VMF, coords=coords)
-        j = tops.jacobian(coords.forward, U0_VMF)
+        j = fd_field_derivative(coords.forward, U0_VMF, rel_steps(U0_VMF, STEP1)).T
         g = geometry.point_geometry(vmf.curved, U0_VMF).g
         expected = j @ np.linalg.inv(g) @ j.T
         assert np.abs(out - expected).max() < 1e-6

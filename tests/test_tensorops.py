@@ -1,4 +1,3 @@
-import math
 import re
 
 import numpy as np
@@ -7,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqgeo import tensorops as tops
-from seqgeo.errors import EvaluationDomainError, NoConvergenceError, SingularMetricError
-from seqgeo.tensorops import Point, differentiate, invert_matrix, newton_solve
+from seqgeo.errors import EvaluationDomainError, SingularMetricError
+from seqgeo.tensorops import Point, invert_matrix
 
 from oracles import VMF_G11, VMF_G22, iv_ratio_series
 
@@ -26,70 +25,6 @@ class TestPoint:
         p = Point(np.array([1.0, 2.0]), "u")
         with pytest.raises(ValueError):
             p.coords[0] = 3.0
-
-
-class TestDifferentiate:
-    def test_square_first_derivative(self):
-        val = differentiate(lambda x: float(x[0] ** 2), np.array([1.0]), order=1)
-        assert val[0] == pytest.approx(2.0, abs=1e-8)
-
-    def test_exp_third_derivative(self):
-        val = differentiate(lambda x: math.exp(x[0]), np.array([0.0]), order=3)
-        assert val[0, 0, 0] == pytest.approx(1.0, abs=1e-4)
-
-    def test_bilinear_hessian(self):
-        val = differentiate(lambda x: float(x[0] * x[1]), np.array([0.3, -0.7]), order=2)
-        assert val[0, 1] == pytest.approx(1.0, abs=1e-8)
-        assert val[0, 0] == pytest.approx(0.0, abs=1e-8)
-        assert val[1, 1] == pytest.approx(0.0, abs=1e-8)
-
-    @given(
-        coeffs=st.lists(st.floats(-3, 3), min_size=4, max_size=4),
-        x0=st.floats(-2, 2),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_cubic_polynomials_exact(self, coeffs, x0):
-        a, b, c, d = coeffs
-        f = lambda x: a + b * x[0] + c * x[0] ** 2 + d * x[0] ** 3
-        pt = np.array([x0])
-        g1 = differentiate(f, pt, order=1)[0]
-        g2 = differentiate(f, pt, order=2)[0, 0]
-        g3 = differentiate(f, pt, order=3)[0, 0, 0]
-        scale = 1.0 + abs(a) + abs(b) + abs(c) + abs(d)
-        assert g1 == pytest.approx(b + 2 * c * x0 + 3 * d * x0 ** 2, abs=1e-8 * scale)
-        assert g2 == pytest.approx(2 * c + 6 * d * x0, abs=1e-8 * scale)
-        assert g3 == pytest.approx(6 * d, abs=1e-8 * scale)
-
-    def test_mixed_cubic_exact_2d(self):
-        f = lambda x: x[0] ** 2 * x[1] - 2.0 * x[0] * x[1] + x[1] ** 3
-        t3 = differentiate(f, np.array([0.4, -0.9]), order=3)
-        assert t3[0, 0, 1] == pytest.approx(2.0, abs=1e-8)
-        assert t3[1, 1, 1] == pytest.approx(6.0, abs=1e-8)
-        assert t3[0, 0, 0] == pytest.approx(0.0, abs=1e-8)
-
-    def test_symmetry_is_exact(self):
-        f = lambda x: math.sin(x[0]) * math.exp(0.5 * x[1]) + x[0] * x[1] ** 2
-        pt = np.array([0.3, 0.7])
-        h = differentiate(f, pt, order=2)
-        assert np.array_equal(h, h.T)
-        t = differentiate(f, pt, order=3)
-        for perm in ((0, 2, 1), (1, 0, 2), (2, 1, 0)):
-            assert np.array_equal(t, t.transpose(perm))
-
-    def test_third_from_analytic_hessian(self):
-        f = lambda x: math.exp(x[0])
-        hess = lambda x: np.array([[math.exp(x[0])]])
-        val = differentiate(f, np.array([0.0]), order=3, hessian=hess)
-        assert val[0, 0, 0] == pytest.approx(1.0, abs=1e-6)
-
-    def test_non_finite_evaluation_raises(self):
-        f = lambda x: float("nan") if x[0] < 0 else x[0] ** 0.5
-        with pytest.raises(EvaluationDomainError):
-            differentiate(f, np.array([0.0]), order=1)
-
-    def test_bad_step_rejected(self):
-        with pytest.raises(ValueError):
-            differentiate(lambda x: x[0], np.array([0.0]), order=1, step=-1.0)
 
 
 class TestInvert:
@@ -162,31 +97,3 @@ class TestInvert:
         with pytest.raises(type(alone.value), match=re.escape(str(alone.value))):
             invert_matrix(np.stack([good, bad, good]))
 
-
-class TestNewtonSolve:
-    def test_identity_family(self):
-        res = newton_solve(lambda x: x, np.array([1.5, -2.0]), np.zeros(2), tol=1e-12)
-        assert np.allclose(res.coords, [1.5, -2.0])
-
-    def test_poisson_log_inverse(self):
-        res = newton_solve(lambda x: np.exp(x), np.array([1.0]), np.array([0.5]), tol=1e-12)
-        assert res.coords[0] == pytest.approx(0.0, abs=1e-10)
-
-    def test_gaussian_self_duality(self):
-        # gradient of |x|^2/2 is the identity map
-        res = newton_solve(lambda x: x.copy(), np.array([0.2, 0.4, -1.0]), np.ones(3))
-        assert np.allclose(res.coords, [0.2, 0.4, -1.0])
-
-    def test_roundtrip_to_tolerance(self):
-        f = lambda x: np.array([x[0] ** 3 + x[0], math.tanh(x[1])])
-        target = np.array([2.5, 0.4])
-        res = newton_solve(f, target, np.array([1.0, 0.0]), tol=1e-11)
-        assert np.abs(f(res.coords) - target).max() <= 1e-11
-
-    def test_preserves_chart(self):
-        res = newton_solve(lambda x: x, np.array([1.0]), Point(np.array([0.0]), "eta"))
-        assert res.chart == "eta"
-
-    def test_divergence_raises(self):
-        with pytest.raises(NoConvergenceError):
-            newton_solve(lambda x: np.exp(x), np.array([-1.0]), np.array([0.0]), max_iter=20)
