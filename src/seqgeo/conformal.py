@@ -10,6 +10,7 @@ closed-form solutions, never as PDEs to be solved numerically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -22,7 +23,7 @@ from .errors import (
 )
 from .expfam import ExponentialFamily
 from .geometry import CurvedFamily, PointGeometry
-from .tensorops import Point, as_coords
+from .tensorops import as_coords
 
 # largest accepted max-norm residual of the quadric gauge equation
 PDE_TOLERANCE = 1e-6
@@ -77,26 +78,6 @@ def exp_linear_gauge(a) -> Gauge:
 
 # ---------------------------------------------------------------------------
 # pointwise transformation formulas
-
-
-def conformal_metric_skewness(
-    g: np.ndarray,
-    t: np.ndarray,
-    gauge: Gauge,
-    at,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Transformed metric and skewness: nu*g and nu*[T + sym(g x s)]."""
-    x = as_coords(at)
-    nu = gauge.nu_at(x)
-    s = gauge.s(x)
-    gv = np.asarray(g, dtype=float)
-    tv = np.asarray(t, dtype=float)
-    sym = (
-        np.einsum("ij,k->ijk", gv, s)
-        + np.einsum("jk,i->ijk", gv, s)
-        + np.einsum("ki,j->ijk", gv, s)
-    )
-    return tops.require_finite(nu * gv), tops.require_finite(nu * (tv + sym))
 
 
 def conformal_connection(
@@ -178,13 +159,7 @@ class ChartPoint(NamedTuple):
 
 def expfam_chart_geometry(fam: ExponentialFamily) -> Callable[[np.ndarray], ChartPoint]:
     """Theta chart of a full family (the +1 connection vanishes)."""
-
-    def metric(x):
-        return expfam.metric(fam, Point(x, "theta"))
-
-    def skew(x):
-        return expfam.skewness(fam, x)
-
+    metric, skew = partial(expfam.metric, fam), partial(expfam.skewness, fam)
     return lambda x: ChartPoint(metric(x), np.zeros((fam.n,) * 3), skew(x),
                                 expfam.rc_curvature(skew, metric, x))
 
@@ -402,19 +377,19 @@ def expfam_gauge_on_theta(fam: ExponentialFamily, c0: float, c) -> Gauge:
     cv = np.asarray(c, dtype=float)
 
     def denom(theta):
-        eta = expfam.eta_of_theta(fam, theta).coords
+        eta = expfam.eta_of_theta(fam, theta)
         b = c0 + float(cv @ eta)
         if abs(b) < 1e-300:
             raise GaugeSingularityError("affine gauge denominator crosses zero")
         return b
 
     def s(theta):
-        g = expfam.metric(fam, Point(theta, "theta"))
+        g = expfam.metric(fam, theta)
         return -(g @ cv) / denom(theta)
 
     def ds(theta):
         b = denom(theta)
-        g = expfam.metric(fam, Point(theta, "theta"))
+        g = expfam.metric(fam, theta)
         t = expfam.skewness(fam, theta)
         a = g @ cv
         return -np.einsum("ijk,i->jk", t, cv) / b + np.outer(a, a) / b**2

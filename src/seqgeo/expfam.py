@@ -1,8 +1,10 @@
 """Full regular minimally represented exponential families.
 
-The ambient flat manifold: potential, dual coordinates, Fisher metric,
-skewness tensor, alpha-connections, their curvature, and chart changes of
-connection components.
+The ambient flat manifold in its natural (theta) chart: potential, mean
+parameter, Fisher metric, skewness tensor, alpha-connections, their
+curvature, and chart changes of connection components. The potential's
+derivatives are closed forms; every point is a plain array of natural
+parameters.
 """
 
 from __future__ import annotations
@@ -14,9 +16,7 @@ import numpy as np
 
 from . import tensorops as tops
 from .errors import EvaluationDomainError, ModelMisspecificationError, ChartError
-from .tensorops import Point, as_coords
-
-LEGENDRE_TOL = 1e-8
+from .tensorops import as_coords
 
 
 @dataclass(frozen=True)
@@ -24,7 +24,7 @@ class ExponentialFamily:
     """An n-dimensional family specified by its convex potential.
 
     ``grad``, ``hess`` and ``third`` are the potential's derivatives in
-    closed form, and ``eta_inverse`` is the exact inverse of the mean map.
+    closed form.
     """
 
     n: int
@@ -32,7 +32,6 @@ class ExponentialFamily:
     grad: Callable[[np.ndarray], np.ndarray]
     hess: Callable[[np.ndarray], np.ndarray]
     third: Callable[[np.ndarray], np.ndarray]
-    eta_inverse: Callable[[np.ndarray], np.ndarray]
     domain: Callable[[np.ndarray], bool] | None = None
     name: str = ""
 
@@ -42,67 +41,20 @@ class ExponentialFamily:
                 f"theta={theta!r} outside the domain of family {self.name or '<anon>'}"
             )
 
-    def psi_at(self, theta) -> float:
-        t = as_coords(theta)
-        self.check_domain(t)
-        v = float(self.psi(t))
-        if not np.isfinite(v):
-            raise EvaluationDomainError("non-finite potential value")
-        return v
 
-
-@dataclass(frozen=True)
-class DualPair:
-    """A Legendre-dual pair of coordinates with both potential values."""
-
-    theta: Point
-    eta: Point
-    psi_value: float
-    phi_value: float
-
-    def __post_init__(self):
-        gap = self.psi_value + self.phi_value - float(self.theta.coords @ self.eta.coords)
-        if abs(gap) > LEGENDRE_TOL:
-            raise EvaluationDomainError(f"Legendre identity violated by {gap:.3e}")
-
-
-def eta_of_theta(fam: ExponentialFamily, theta) -> Point:
+def eta_of_theta(fam: ExponentialFamily, theta) -> np.ndarray:
     """Expectation parameter: the potential gradient at ``theta``."""
     t = as_coords(theta)
     fam.check_domain(t)
     g = np.asarray(fam.grad(t), dtype=float)
     if not np.all(np.isfinite(g)):
         raise EvaluationDomainError("non-finite mean parameter")
-    return Point(g, "eta")
+    return g
 
 
-def theta_of_eta(fam: ExponentialFamily, eta) -> DualPair:
-    """Invert the mean map and return the full dual pair.
-
-    The conjugate potential is evaluated pointwise through the Legendre
-    identity; no global conjugate function is constructed.
-    """
-    e = as_coords(eta)
-    t = np.asarray(fam.eta_inverse(e), dtype=float)
-    psi_v = fam.psi_at(t)
-    phi_v = float(t @ e) - psi_v
-    return DualPair(Point(t, "theta"), Point(e, "eta"), psi_v, phi_v)
-
-
-def metric(fam: ExponentialFamily, at) -> np.ndarray:
-    """Fisher metric.
-
-    In the theta chart this is the covariant potential Hessian; in the
-    eta chart the contravariant components (the inverse pushed through
-    the dual map) are returned.
-    """
-    p = at if isinstance(at, Point) else Point(as_coords(at), "theta")
-    if p.chart == "eta":
-        pair = theta_of_eta(fam, p)
-        return tops.require_finite(tops.invert_matrix(metric(fam, pair.theta)))
-    if p.chart != "theta":
-        raise ChartError(f"metric is defined on the theta or eta chart, got {p.chart!r}")
-    t = p.coords
+def metric(fam: ExponentialFamily, theta) -> np.ndarray:
+    """Fisher metric at ``theta``: the covariant potential Hessian."""
+    t = as_coords(theta)
     fam.check_domain(t)
     h = np.asarray(fam.hess(t), dtype=float)
     h = tops.require_finite(0.5 * (h + h.T))
@@ -202,5 +154,5 @@ def rc_curvature(
 def ambient_rc_curvature(fam: ExponentialFamily, theta, alpha: float) -> np.ndarray:
     """Curvature of the alpha-connection of the family itself, theta chart."""
     gamma_field = lambda x: alpha_connection(fam, x, alpha)
-    metric_field = lambda x: metric(fam, Point(x, "theta"))
+    metric_field = lambda x: metric(fam, x)
     return rc_curvature(gamma_field, metric_field, theta)

@@ -67,7 +67,7 @@ class CurvedFamily:
         ua = as_coords(u)
         if self.embed_eta is not None:
             return np.asarray(self.embed_eta(ua), dtype=float)
-        return expfam.eta_of_theta(self.ambient, self.theta(ua)).coords
+        return expfam.eta_of_theta(self.ambient, self.theta(ua))
 
 
 @dataclass(frozen=True)
@@ -246,7 +246,8 @@ def classify(
     curvatures, (k0, theta0) and (l0, eta0) from affine regression of the
     normal frames on the embedding, and the curvature constant from the
     constant-curvature pattern. Flags require the corresponding max-norm
-    residual to stay within ``tolerance``.
+    residual to stay within ``tolerance``; the quadric identity's residual is
+    taken relative to its target ``1/(k0 l0)``.
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     if fam.codim != 1:
@@ -296,11 +297,12 @@ def classify(
 
     ident_res = 0.0
     if live_k and live_l:
+        # relative to the target, which grows with the concentration
         target = 1.0 / (k0 * l0)
         ident_res = max(
             abs(float((th - theta0) @ (et - eta0)) - target)
             for th, et in zip(thetas, etas)
-        )
+        ) / abs(target)
     dual_quadric = live_k and live_l and dq_res <= tolerance and ident_res <= tolerance
 
     # constant curvature: R^(1)_abcd = lam (g_ad g_bc - g_ac g_bd)

@@ -252,13 +252,12 @@ def run_sequential(config: ExperimentConfig) -> ResultTable:
     )
     ubar0 = coords.forward(u0)
     ccrb = sequential.crb(model, u0, coords=coords)
-    c = model.stopping_constant()
     rows = []
     for k in config.grid_k:
         cell_id = f"seq:{k!r}"
         rngs = [np.random.default_rng(rep_seed(config.seed, cell_id, rep))
                 for rep in range(config.replications)]
-        taus, sums, runaway = sequential.stop_cell(model, gauge, float(k), u0, rngs, c=c)
+        taus, sums, runaway = sequential.stop_cell(model, gauge, float(k), u0, rngs)
         taus = taus[~runaway].astype(float)
         u_hats, ok = model.mle_many(taus, sums[~runaway])
         excluded = int(np.count_nonzero(runaway)) + int(np.count_nonzero(~ok))

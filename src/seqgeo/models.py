@@ -30,8 +30,6 @@ from .geometry import CurvedFamily, Jet, chart_grid
 from .tensorops import as_coords
 
 _DOMAIN_SLACK = 1e-3
-# upper end of the bracket searched for the vMF concentration in eta_inverse
-_VMF_RHO_BRACKET = 1e6
 # a gauge factor below this magnitude counts as singular
 _GAUGE_SINGULAR_TOL = 1e-12
 
@@ -125,7 +123,6 @@ def _radial_family(
     fval: Callable[[float], float],
     fderivs: Callable[[float], tuple[float, float, float]],
     domain: Callable[[np.ndarray], bool],
-    eta_inverse: Callable[[np.ndarray], np.ndarray],
     name: str,
 ) -> ExponentialFamily:
     smat = np.diag(signs)
@@ -165,10 +162,7 @@ def _radial_family(
         )
         return (ap / rho) * qqq + a * mix
 
-    return ExponentialFamily(
-        n=n, psi=psi, grad=grad, hess=hess, third=third,
-        domain=domain, eta_inverse=eta_inverse, name=name,
-    )
+    return ExponentialFamily(n=n, psi=psi, grad=grad, hess=hess, third=third, domain=domain, name=name)
 
 
 def vmf_family(m: int) -> ExponentialFamily:
@@ -192,22 +186,9 @@ def vmf_family(m: int) -> ExponentialFamily:
 
     fder = lambda rho: _vmf_dag_derivs(rho, m)
 
-    def eta_inverse(eta):
-        nrm = float(np.linalg.norm(eta))
-        if not 0.0 < nrm < 1.0:
-            raise EvaluationDomainError("mean vector must have norm in (0, 1)")
-        from scipy.optimize import brentq
-
-        hi = 1.0
-        while vmf_mean_resultant(hi, m) < nrm and hi < _VMF_RHO_BRACKET:
-            hi *= 2.0
-        rho = brentq(lambda x: vmf_mean_resultant(x, m) - nrm, 1e-12, hi, xtol=1e-15, rtol=1e-15)
-        return (rho / nrm) * eta
-
     return _radial_family(
         n, signs, fval, fder,
         domain=lambda t: float(np.dot(t, t)) > 1e-16,
-        eta_inverse=eta_inverse,
         name=f"vmf-ambient(m={m})",
     )
 
@@ -237,27 +218,7 @@ def hyperboloid_family(m: int) -> ExponentialFamily:
         q = float(np.dot(signs, t * t))
         return q > 0 and t[0] < 0
 
-    def eta_inverse(eta):
-        q = float(np.dot(signs, eta * eta))
-        if q <= 0 or eta[0] <= 0:
-            raise EvaluationDomainError("mean vector must be future timelike")
-        nrm = math.sqrt(q)
-        if nrm <= 1.0:
-            raise EvaluationDomainError("mean vector norm must exceed 1")
-        if m == 2:
-            rho = 1.0 / (nrm - 1.0)
-        else:
-            from scipy.optimize import brentq
-
-            lo = 1e-12
-            hi = 2.0 / (nrm - 1.0) + 10.0
-            rho = brentq(
-                lambda x: hyperboloid_mean_resultant(x, m) - nrm, lo, hi, xtol=1e-15, rtol=1e-15
-            )
-        xi = eta / nrm
-        return -rho * (signs * xi)
-
-    return _radial_family(n, signs, fval, fder, domain, eta_inverse, f"hyperboloid-ambient(m={m})")
+    return _radial_family(n, signs, fval, fder, domain, f"hyperboloid-ambient(m={m})")
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +576,6 @@ def gaussian_family(n: int) -> ExponentialFamily:
         grad=lambda t: t.copy(),
         hess=lambda t: np.eye(n),
         third=lambda t: np.zeros((n, n, n)),
-        eta_inverse=lambda e: e.copy(),
         name=f"gaussian({n})",
     )
 
@@ -630,18 +590,12 @@ def poisson_family(n: int = 1) -> ExponentialFamily:
             out[i, i, i] = e[i]
         return out
 
-    def eta_inverse(e):
-        if np.any(e <= 0):
-            raise EvaluationDomainError("Poisson mean must be positive")
-        return np.log(e)
-
     return ExponentialFamily(
         n=n,
         psi=lambda t: float(np.sum(np.exp(t))),
         grad=lambda t: np.exp(t),
         hess=lambda t: np.diag(np.exp(t)),
         third=third,
-        eta_inverse=eta_inverse,
         name=f"poisson({n})",
     )
 

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from . import geometry, tensorops as tops
-from .conformal import ConformalCoordinates, Gauge, ubar_chart_connection
+from .conformal import ConformalCoordinates, Gauge, conformal_sub_quantities, ubar_chart_connection
 from .errors import ChartError
 from .tensorops import as_coords
 
@@ -29,11 +29,11 @@ def stop_cell(
     k: float,
     u0,
     rngs,
-    c: float | None = None,
     t_min: int = T_MIN,
     t_max: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sample each replication of a cell until its criterion crosses ``K nu + c``.
+    """Sample each replication of a cell until its criterion crosses ``K nu + c``,
+    ``c`` the model's stopping constant.
 
     Replication ``i`` draws from ``rngs[i]``, one ``sample_many`` call per
     burst; the burst size and the cap ``t_max`` depend only on the cell, so
@@ -50,8 +50,7 @@ def stop_cell(
     if k <= 0:
         raise ValueError("K must be positive")
     u0a = as_coords(u0)
-    if c is None:
-        c = model.stopping_constant()
+    c = model.stopping_constant()
     nu0 = gauge.nu_at(u0a)
     if t_max is None:
         t_max = int(math.ceil(T_MAX_FACTOR * k * nu0))
@@ -110,39 +109,28 @@ def second_order_terms(
     """The two surviving squared-tensor terms of the covariance expansion.
 
     Returns ``(1/2) (G')^2ab + (H')^2ab`` with all indices raised, in the
-    original chart or, when flattening coordinates are given, in the new
-    chart where both factors vanish for a dual quadric hypersurface. The
-    ancillary term is identically zero for the maximum-likelihood
-    ancillary.
+    original chart or, when flattening coordinates and their gauge are
+    given, in the new chart where both factors vanish for a dual quadric
+    hypersurface. The ancillary term is identically zero for the
+    maximum-likelihood ancillary.
     """
+    if (gauge is None) != (coords is None):
+        raise ValueError("flattening coordinates and their gauge go together")
     pg = geometry.point_geometry(model.curved, u0)
-    u = pg.u
-    g, ginv, gm1, h1, gkk_inv = pg.g, pg.ginv, pg.gm1, pg.h1, pg.gkk_inv
-
+    ginv, gkk_inv = pg.ginv, pg.gkk_inv
     if coords is None:
-        if gauge is None:
-            gprime = gm1
-            hprime = h1
-        else:
-            gauge.nu_at(u)  # raises off the positive set, before s is read
-            s = gauge.s(u)
-            hk = np.einsum("abk,ab->k", h1, ginv) / model.curved.m
-            gprime = gm1 + np.einsum("ca,b->abc", g, s) + np.einsum("cb,a->abc", g, s)
-            hprime = h1 - np.einsum("ab,k->abk", g, hk)
-        gamma_sq = np.einsum("cda,efb,ce,df->ab", gprime, gprime, ginv, ginv)
-        h_sq = np.einsum("ack,bdl,cd,kl->ab", hprime, hprime, ginv, gkk_inv)
+        gamma_sq = np.einsum("cda,efb,ce,df->ab", pg.gm1, pg.gm1, ginv, ginv)
+        h_sq = np.einsum("ack,bdl,cd,kl->ab", pg.h1, pg.h1, ginv, gkk_inv)
         return ginv @ (0.5 * gamma_sq + h_sq) @ ginv
 
-    if gauge is None:
-        raise ValueError("flattening coordinates require their gauge")
+    u = pg.u
     nu = gauge.nu_at(u)
     gprime = ubar_chart_connection(pg, gauge, coords) / nu
     j = coords.derivatives(u)[0]
     jinv = np.linalg.inv(j)
-    g_ubar = jinv.T @ g @ jinv
+    g_ubar = jinv.T @ pg.g @ jinv
     ginv_ubar = tops.invert_matrix(g_ubar)
-    hk = np.einsum("abk,ab->k", h1, ginv) / model.curved.m
-    k1 = h1 - np.einsum("ab,k->abk", g, hk)
+    k1 = conformal_sub_quantities(pg, gauge)[2]
     k1_ubar = np.einsum("abk,ap,bq->pqk", k1, jinv, jinv)
     gamma_sq = np.einsum("cda,efb,ce,df->ab", gprime, gprime, ginv_ubar, ginv_ubar)
     h_sq = np.einsum("ack,bdl,cd,kl->ab", k1_ubar, k1_ubar, ginv_ubar, gkk_inv)

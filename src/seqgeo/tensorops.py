@@ -1,19 +1,15 @@
-"""Points, the finiteness check, stencil steps and symmetric matrix inversion.
+"""Coordinate coercion, the finiteness check, stencil steps and symmetric matrix inversion.
 
-Everything here is a pure function of its inputs. ``Point`` is immutable
-and safe to share between tasks; every other result is a fresh plain
-``ndarray``.
+Everything here is a pure function of its inputs and returns a plain
+``ndarray``: a point, a stack of points or a tensor is a plain array
+throughout the library.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import EvaluationDomainError, SingularMetricError
-
-CHARTS = ("theta", "eta", "u", "w", "ubar")
 
 _EPS = float(np.finfo(float).eps)
 # Default relative step of a central first difference: balances truncation
@@ -21,38 +17,8 @@ _EPS = float(np.finfo(float).eps)
 STEP_ORDER1 = _EPS ** (1.0 / 3.0)
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
-    return out
-
-
-@dataclass(frozen=True)
-class Point:
-    """A point of a manifold chart: coordinates plus the chart tag."""
-
-    coords: np.ndarray
-    chart: str = "theta"
-
-    def __post_init__(self):
-        c = _freeze(np.atleast_1d(self.coords))
-        if c.ndim != 1:
-            raise EvaluationDomainError("point coordinates must be a 1-d array")
-        if not np.all(np.isfinite(c)):
-            raise EvaluationDomainError("point coordinates must be finite")
-        if self.chart not in CHARTS:
-            raise EvaluationDomainError(f"unknown chart tag {self.chart!r}")
-        object.__setattr__(self, "coords", c)
-
-    @property
-    def dim(self) -> int:
-        return self.coords.shape[0]
-
-
 def as_coords(x) -> np.ndarray:
-    """Coerce a Point or array-like to a plain coordinate array."""
-    if isinstance(x, Point):
-        return x.coords
+    """Coerce an array-like to a float coordinate array of at least one dimension."""
     a = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(a)):
         raise EvaluationDomainError("coordinates must be finite")
@@ -79,12 +45,12 @@ PIVOT_TOL = 1e-12
 COND_CAP = 1e10
 
 
-def invert_matrix(a: np.ndarray, cond_cap: float = COND_CAP) -> np.ndarray:
+def invert_matrix(a: np.ndarray) -> np.ndarray:
     """Invert a symmetric matrix, or each of a stack ``(..., k, k)``, through its eigen-factorization.
 
     Raises, if any matrix fails: :class:`EvaluationDomainError` on a non-finite
     entry, :class:`SingularMetricError` when the (symmetric) condition number
-    exceeds ``cond_cap`` or an eigenvalue falls under the pivot tolerance
+    exceeds ``COND_CAP`` or an eigenvalue falls under the pivot tolerance
     relative to the largest.
     """
     m = np.asarray(a, dtype=float)
@@ -102,7 +68,7 @@ def invert_matrix(a: np.ndarray, cond_cap: float = COND_CAP) -> np.ndarray:
     if np.any((amax == 0.0) | (amin <= PIVOT_TOL * amax)):
         raise SingularMetricError("matrix is numerically singular")
     cond = amax / amin
-    if np.any(cond > cond_cap):
-        raise SingularMetricError(f"condition number {cond.max():.3e} exceeds cap {cond_cap:.3e}")
+    if np.any(cond > COND_CAP):
+        raise SingularMetricError(f"condition number {cond.max():.3e} exceeds cap {COND_CAP:.3e}")
     return (v / w[..., None, :]) @ v.swapaxes(-1, -2)
 

@@ -12,6 +12,7 @@ from scipy.optimize import brentq
 
 from seqgeo import expfam, geometry, sequential, tensorops as tops
 from seqgeo.conformal import ChartPoint, WeylSchouten, ubar_chart_connection
+from seqgeo.models import vmf_mean_resultant
 
 
 def iv_ratio_series(rho: float, nu: float, terms: int = 30) -> float:
@@ -41,6 +42,22 @@ def kv_ratio_recurrence(rho: float, m: int) -> float:
 # default relative steps of a central first and second difference
 STEP1 = float(np.finfo(float).eps) ** (1.0 / 3.0)
 STEP2 = float(np.finfo(float).eps) ** (1.0 / 5.0)
+
+
+def vmf_theta_of_eta(eta) -> np.ndarray:
+    """The m = 2 vMF ambient family's natural parameter at the mean parameter
+    ``eta``.
+
+    The concentration solves ``vmf_mean_resultant(rho, 2) = |eta|`` by
+    ``brentq``; the direction is the mean's.
+    """
+    e = np.asarray(eta, dtype=float)
+    nrm = float(np.linalg.norm(e))
+    hi = 1.0
+    while vmf_mean_resultant(hi, 2) < nrm:
+        hi *= 2.0
+    rho = brentq(lambda x: vmf_mean_resultant(x, 2) - nrm, 1e-12, hi, xtol=1e-15, rtol=1e-15)
+    return (rho / nrm) * e
 
 
 def rel_steps(x, rel):

@@ -30,7 +30,6 @@ from seqgeo.conformal import (
     conformal_chart_geometry,
 )
 from seqgeo.models import MODELS, HyperboloidModel, VmfModel, gaussian_family, poisson_family
-from seqgeo.tensorops import Point
 
 from conftest import U0_HYP, U0_VMF, bundled_config
 from oracles import direct_rc_curvature, iv_ratio_series, scalar_affine_potentials

@@ -11,7 +11,6 @@ from seqgeo.conformal import (
     Gauge,
     conformal_chart_geometry,
     conformal_connection,
-    conformal_metric_skewness,
     conformal_rc_curvature,
     conformal_sub_quantities,
     constant_gauge,
@@ -29,7 +28,6 @@ from seqgeo.conformal import (
 from seqgeo.errors import GaugeMismatchError, GaugeSingularityError, UnsupportedShapeError
 from seqgeo.geometry import point_geometry
 from seqgeo.models import HyperboloidModel, VmfModel, gaussian_family
-from seqgeo.tensorops import Point
 
 from conftest import U0_HYP, U0_VMF
 from oracles import (
@@ -102,23 +100,27 @@ class TestGauge:
 
 
 class TestMetricSkewness:
+    """The transformed metric is nu g and the transformed skewness is
+    Gamma_bar(-1) - Gamma_bar(+1), both read from the transformed chart."""
+
     def test_unit_gauge_is_identity(self, vmf, vmf_geom):
         x = np.array([0.8, 1.0])
-        g, t = vmf_geom(x).g, curved_skewness(vmf.curved, x)
-        gbar, tbar = conformal_metric_skewness(g, t, constant_gauge(1.0), x)
-        assert np.abs(gbar - g).max() < 1e-15
-        assert np.abs(tbar - t).max() < 1e-15
+        p = vmf_geom(x)
+        assert np.abs((p.gm1 - p.g1) - curved_skewness(vmf.curved, x)).max() < 1e-15
+        p_bar = conformal_chart_geometry(vmf_geom, constant_gauge(1.0))(x)
+        assert np.abs(p_bar.g - p.g).max() < 1e-15
+        assert np.abs((p_bar.gm1 - p_bar.g1) - (p.gm1 - p.g1)).max() < 1e-15
 
-    def test_constant_two(self, vmf, vmf_geom):
+    def test_constant_two(self, vmf_geom):
         x = np.array([0.8, 1.0])
-        g, t = vmf_geom(x).g, curved_skewness(vmf.curved, x)
-        gbar, tbar = conformal_metric_skewness(g, t, constant_gauge(2.0), x)
-        assert np.abs(gbar - 2 * g).max() < 1e-15
-        assert np.abs(tbar - 2 * t).max() < 1e-15
+        p = vmf_geom(x)
+        p_bar = conformal_chart_geometry(vmf_geom, constant_gauge(2.0))(x)
+        assert np.abs(p_bar.g - 2 * p.g).max() < 1e-15
+        assert np.abs((p_bar.gm1 - p_bar.g1) - 2 * (p.gm1 - p.g1)).max() < 1e-15
 
     def test_vmf_gauge_scales_metric(self, vmf, vmf_geom):
         g = vmf_geom(U0_VMF).g
-        gbar, _ = conformal_metric_skewness(g, curved_skewness(vmf.curved, U0_VMF), vmf.gauge(), U0_VMF)
+        gbar = conformal_chart_geometry(vmf_geom, vmf.gauge())(U0_VMF).g
         assert np.abs(gbar - VMF_NU0 * g).max() < 1e-14
 
 

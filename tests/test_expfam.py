@@ -14,13 +14,11 @@ from seqgeo.expfam import (
     metric,
     rc_curvature,
     skewness,
-    theta_of_eta,
 )
 from seqgeo.models import gaussian_family, poisson_family
-from seqgeo.tensorops import Point
 
 from conftest import U0_VMF
-from oracles import STEP1, fd_field_derivative, fd_hessian, iv_ratio_series, rel_steps
+from oracles import fd_field_derivative, fd_hessian, iv_ratio_series, vmf_theta_of_eta
 
 
 @pytest.fixture(scope="module")
@@ -44,38 +42,18 @@ def ambient_probes(model, count=8, radii=(0.5, 2.0), seed=13):
 class TestDualCoordinates:
     def test_gaussian_identity(self, gauss2):
         eta = eta_of_theta(gauss2, np.array([1.0, 2.0]))
-        assert np.allclose(eta.coords, [1.0, 2.0])
-        assert eta.chart == "eta"
-        pair = theta_of_eta(gauss2, np.array([3.0, -1.0]))
-        assert np.allclose(pair.theta.coords, [3.0, -1.0])
+        assert np.allclose(eta, [1.0, 2.0])
 
     def test_poisson_log_link(self, pois1):
-        assert eta_of_theta(pois1, np.array([0.0])).coords[0] == pytest.approx(1.0)
-        pair = theta_of_eta(pois1, np.array([math.e]))
-        assert pair.theta.coords[0] == pytest.approx(1.0, abs=1e-12)
+        assert eta_of_theta(pois1, np.array([0.0]))[0] == pytest.approx(1.0)
 
     def test_vmf_mean_parameter_against_series(self, vmf):
         theta = 0.25 * np.array([1.0, 0.0, 0.0])
-        eta = eta_of_theta(vmf.family, theta).coords
+        eta = eta_of_theta(vmf.family, theta)
         rd = iv_ratio_series(0.25, 0.5)
         assert eta[0] == pytest.approx(rd, abs=1e-10)
         assert eta[0] == pytest.approx(0.08298816507359685, abs=1e-12)
         assert np.allclose(eta[1:], 0.0)
-
-    def test_vmf_inversion_roundtrip(self, vmf):
-        eta = 0.08298816507359685 * np.array([1.0, 0.0, 0.0])
-        pair = theta_of_eta(vmf.family, eta)
-        assert np.abs(pair.theta.coords - [0.25, 0.0, 0.0]).max() < 1e-9
-
-    @pytest.mark.parametrize("model_name", ["vmf", "hyp"])
-    def test_legendre_identity_on_probes(self, model_name, request):
-        model = request.getfixturevalue(model_name)
-        for theta in ambient_probes(model):
-            eta = eta_of_theta(model.family, theta)
-            pair = theta_of_eta(model.family, eta.coords)
-            gap = pair.psi_value + pair.phi_value - float(pair.theta.coords @ pair.eta.coords)
-            assert abs(gap) < 1e-8
-            assert np.abs(pair.theta.coords - theta).max() < 1e-8
 
     def test_domain_violation(self, hyp):
         with pytest.raises(EvaluationDomainError):
@@ -84,16 +62,16 @@ class TestDualCoordinates:
 
 class TestMetric:
     def test_gaussian_theta_chart(self, gauss2):
-        g = metric(gauss2, Point(np.array([0.3, 0.1]), "theta"))
+        g = metric(gauss2, np.array([0.3, 0.1]))
         assert np.allclose(g, np.eye(2))
 
     def test_poisson_unit(self, pois1):
-        g = metric(pois1, Point(np.array([0.0]), "theta"))
+        g = metric(pois1, np.array([0.0]))
         assert g[0, 0] == pytest.approx(1.0)
 
     def test_vmf_eigenvalue_split(self, vmf):
         theta = 0.25 * np.array([1.0, 0.0, 0.0])
-        g = metric(vmf.family, Point(theta, "theta"))
+        g = metric(vmf.family, theta)
         rd = iv_ratio_series(0.25, 0.5)
         h = 1e-6
         rd_prime = (iv_ratio_series(0.25 + h, 0.5) - iv_ratio_series(0.25 - h, 0.5)) / (2 * h)
@@ -105,20 +83,9 @@ class TestMetric:
     def test_analytic_matches_finite_difference(self, model_name, request):
         model = request.getfixturevalue(model_name)
         for theta in ambient_probes(model, count=4):
-            g = metric(model.family, Point(theta, "theta"))
+            g = metric(model.family, theta)
             g_fd = fd_hessian(model.family.psi, theta, h=3e-4)
             assert np.abs(g - g_fd).max() < 1e-4 * max(1.0, np.abs(g).max())
-
-    def test_eta_chart_contravariant(self, vmf):
-        theta = np.array([0.21, 0.1, -0.05])
-        eta = eta_of_theta(vmf.family, theta)
-        g_eta = metric(vmf.family, eta)
-        g_theta = metric(vmf.family, Point(theta, "theta"))
-        assert np.abs(g_eta @ g_theta - np.eye(3)).max() < 1e-10
-        # independent route: Jacobian of the inverse mean map
-        jac = fd_field_derivative(lambda e: theta_of_eta(vmf.family, e).theta.coords, eta.coords,
-                                  rel_steps(eta.coords, STEP1)).T
-        assert np.abs(g_eta - jac).max() < 1e-6
 
     def test_indefinite_hessian_rejected(self):
         fam = expfam.ExponentialFamily(
@@ -127,15 +94,14 @@ class TestMetric:
             grad=lambda t: -2.0 * t,
             hess=lambda t: np.array([[-2.0]]),
             third=lambda t: np.zeros((1, 1, 1)),
-            eta_inverse=lambda e: -0.5 * e,
         )
         with pytest.raises(ModelMisspecificationError):
-            metric(fam, Point(np.array([0.2]), "theta"))
+            metric(fam, np.array([0.2]))
 
     def test_nan_hessian_raises(self, vmf):
         fam = dataclasses.replace(vmf.family, hess=lambda t: np.full((3, 3), np.nan))
         with pytest.raises(EvaluationDomainError):
-            metric(fam, Point(0.25 * np.array([1.0, 0.0, 0.0]), "theta"))
+            metric(fam, 0.25 * np.array([1.0, 0.0, 0.0]))
 
 
 class TestSkewness:
@@ -156,8 +122,8 @@ class TestSkewness:
             e = np.zeros(3)
             e[i] = h
             fd[i] = (
-                metric(model.family, Point(theta + e, "theta"))
-                - metric(model.family, Point(theta - e, "theta"))
+                metric(model.family, theta + e)
+                - metric(model.family, theta - e)
             ) / (2 * h)
         assert np.abs(t - fd).max() < 1e-4 * max(1.0, np.abs(t).max())
 
@@ -186,8 +152,8 @@ class TestAlphaConnection:
             e = np.zeros(3)
             e[i] = h
             dg[i] = (
-                metric(model.family, Point(theta + e, "theta"))
-                - metric(model.family, Point(theta - e, "theta"))
+                metric(model.family, theta + e)
+                - metric(model.family, theta - e)
             ) / (2 * h)
         ga = alpha_connection(model.family, theta, alpha)
         gma = alpha_connection(model.family, theta, -alpha)
@@ -198,7 +164,7 @@ class TestCoordinateChange:
     def test_identity_change(self, vmf):
         theta = np.array([0.2, 0.05, 0.1])
         gam = alpha_connection(vmf.family, theta, -1.0)
-        g = metric(vmf.family, Point(theta, "theta"))
+        g = metric(vmf.family, theta)
         out = connection_coordinate_change(gam, np.eye(3), np.zeros((3, 3, 3)), g)
         assert np.abs(out - gam).max() < 1e-14
 
@@ -225,13 +191,13 @@ class TestCoordinateChange:
 
         def theta_of_w(w):
             eta = fam.eta(w[:2]) + w[2] * geometry.frame_at(fam, w[:2]).normal_eta[0]
-            return theta_of_eta(vmf.family, eta).theta.coords
+            return vmf_theta_of_eta(eta)
 
         w0 = np.array([u0[0], u0[1], 0.0])
         basis = fd_field_derivative(theta_of_w, w0, 1e-5)  # B[beta, i]
         flat = fd_field_derivative(lambda w: fd_field_derivative(theta_of_w, w, 1e-5).ravel(), w0, 1e-4)
         dbasis = flat.reshape(3, 3, 3)  # d_beta B[gamma, i]
-        g_theta = metric(vmf.family, Point(fam.theta(u0), "theta"))
+        g_theta = metric(vmf.family, fam.theta(u0))
         gam_w = connection_coordinate_change(np.zeros((3, 3, 3)), basis, dbasis, g_theta)
         g_ab = geometry.point_geometry(fam, u0).g
         expected = -g_ab / vmf.r_dagger
@@ -257,7 +223,7 @@ class TestCurvature:
         theta = ambient_probes(vmf, count=1, seed=37)[0]
         vals = rc_curvature(
             lambda x: alpha_connection(vmf.family, x, 0.0),
-            lambda x: metric(vmf.family, Point(x, "theta")),
+            lambda x: metric(vmf.family, x),
             theta,
         )
         assert np.abs(vals + vals.transpose(1, 0, 2, 3)).max() < 1e-12

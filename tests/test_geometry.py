@@ -239,6 +239,15 @@ class TestClassification:
         assert cls.constant_curvature < 0
         assert cls.quadric_identity_residual < 1e-8
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_hyperboloid_large_concentration_is_dual_quadric(self, m):
+        # the identity's target 1/(k0 l0) is about -1e9 here, and rounding alone
+        # puts its absolute residual near 2e-6; relative to the target it is 2e-15
+        model = HyperboloidModel(m, 1e9)
+        cls = classify(model.curved, model.probe_grid(count=12, margin=0.15, seed=11))
+        assert cls.dual_quadric
+        assert cls.quadric_identity_residual <= cls.tolerance
+
     def test_linear_is_flat_umbilic_not_quadric(self, linear):
         rng = np.random.default_rng(3)
         grid = rng.uniform(-1.0, 1.0, size=(10, 2))

@@ -132,7 +132,7 @@ class TestMeanResultant:
         model = cls(3, 800.0)
         assert math.isfinite(model.r_dagger)
         theta, _ = model.embed(model.probe_grid(count=1)[0])
-        assert math.isfinite(model.family.psi_at(theta))
+        assert math.isfinite(model.family.psi(theta))
 
 
 class TestEmbedding:
@@ -166,7 +166,7 @@ class TestEmbedding:
         model = request.getfixturevalue(model_name)
         for u in model.probe_grid(count=6, margin=0.2, seed=3):
             theta, eta = model.embed(u)
-            eta_from_psi = expfam.eta_of_theta(model.family, theta).coords
+            eta_from_psi = expfam.eta_of_theta(model.family, theta)
             assert np.abs(eta - eta_from_psi).max() < 1e-8
 
 

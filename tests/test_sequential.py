@@ -77,11 +77,11 @@ class TestRunStopping:
     def test_degenerate_reduction_to_fixed_sample(self, linear):
         rng = np.random.default_rng(42)
         u0 = np.array([0.4, -0.2])
-        tau, sum_x, runaway = stop_cell(linear, linear.gauge(), 17.3, u0, [rng], c=0.0)
+        tau, sum_x, runaway = stop_cell(linear, linear.gauge(), 17.3, u0, [rng])
         assert tau[0] == 18 and sum_x.shape == (1, linear.n) and not runaway[0]
-        tau, _, _ = stop_cell(linear, linear.gauge(), 6.0, u0, [rng], c=0.0)
+        tau, _, _ = stop_cell(linear, linear.gauge(), 6.0, u0, [rng])
         assert tau[0] == 6
-        tau, _, _ = stop_cell(linear, linear.gauge(), 1.5, u0, [rng], c=0.0)
+        tau, _, _ = stop_cell(linear, linear.gauge(), 1.5, u0, [rng])
         assert tau[0] == 3  # warm-up floor
 
     def test_decision_invariants(self, vmf):
@@ -266,6 +266,12 @@ class TestAsymptoticCovariance:
         assert np.abs(term).max() < 1e-8
         got = asymptotic_covariance(vmf, U0_VMF, 500.0, gauge=gauge, coords=coords)
         assert np.abs(got - crb(vmf, U0_VMF, coords=coords)).max() < 1e-8
+
+    def test_gauge_and_coords_go_together(self, vmf, vmf_coords):
+        gauge, coords = vmf_coords
+        for half in ({"gauge": gauge}, {"coords": coords}):
+            with pytest.raises(ValueError):
+                second_order_terms(vmf, U0_VMF, **half)
 
     def test_terms_agree_between_code_paths(self, vmf, hyp):
         for model, u0 in ((vmf, U0_VMF), (hyp, U0_HYP)):
