@@ -435,10 +435,10 @@ def quadric_coordinates(
 ) -> ConformalCoordinates:
     """The flattening coordinates ``nu(u) D (eta(u) - eta0)`` of a dual quadric hypersurface.
 
-    The map's derivatives read the tangent frame and the Hessian of the
-    mean-parameter embedding from the family's bundle at the points; ``fam.eta``
-    must take rows. It does not check that ``gauge`` solves the quadric gauge
-    equation; :func:`quadric_gauge` does.
+    The map reads the mean-parameter embedding from the family's jet, and its
+    derivatives read the tangent frame and the Hessian of that embedding from
+    the family's bundle at the points. It does not check that ``gauge`` solves
+    the quadric gauge equation; :func:`quadric_gauge` does.
     """
     e0 = np.asarray(eta0, dtype=float)
     dm = np.atleast_2d(np.asarray(dmat, dtype=float))
@@ -446,11 +446,11 @@ def quadric_coordinates(
         raise UnsupportedShapeError("coordinate matrix D must have rank m")
 
     def forward(u):
-        return gauge.nu_at(u)[..., None] * _apply(dm, fam.eta(u) - e0)
+        return gauge.nu_at(u)[..., None] * _apply(dm, fam.jet(as_coords(u)).eta - e0)
 
     def derivatives(u):
         pg = geometry.point_geometry(fam, u)
-        return _scaled_map_derivatives(gauge, pg.u, _apply(dm, fam.eta(pg.u) - e0),
+        return _scaled_map_derivatives(gauge, pg.u, _apply(dm, pg.jet.eta - e0),
                                        _apply(dm, pg.jet.tangent_eta, -2), _apply(dm, pg.he, -3))
 
     return ConformalCoordinates(forward=forward, derivatives=derivatives)

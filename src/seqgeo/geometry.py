@@ -1,55 +1,49 @@
 """Curved exponential families: frames, induced geometry, extrinsic curvature.
 
-A ``CurvedFamily`` wraps an embedding ``u -> theta(u)`` into an ambient
-family together with its ``jet``: the tangent frames and embedding Hessians
-at a point, in closed form, from one call.
+A ``CurvedFamily`` is an embedding ``u -> (theta(u), eta(u))`` into an
+ambient family, given by its ``jet``: the values, tangent frames, Hessians
+and normals of both embeddings at a point, in closed form, from one call.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import expfam, tensorops as tops
+from . import tensorops as tops
 from .errors import ChartError, UnsupportedShapeError
 from .expfam import ExponentialFamily
 from .tensorops import as_coords
 
-EMBED_CONSISTENCY_TOL = 1e-8
 # default max-norm residual within which classify accepts a structural flag
 CLASSIFY_TOLERANCE = 1e-6
 
 
 class Jet(NamedTuple):
-    """Derivatives of both embeddings at a point of the submanifold, or at each
-    row of a stack of points (then every array has the stack's leading axes).
+    """Both embeddings and their derivatives at a point of the submanifold, or
+    at each row of a stack of points (then every array has the stack's leading
+    axes), all in closed form."""
 
-    A family's ``jet`` callback leaves the normals ``None`` unless it knows
-    them in closed form; :func:`frame_at` fills them in.
-    """
-
+    theta: np.ndarray          # (n,)  theta^i
+    eta: np.ndarray            # (n,)  eta_i
     tangent_theta: np.ndarray  # (m, n)  B_a^i = d_a theta^i
     tangent_eta: np.ndarray    # (m, n)  B_{ai} = d_a eta_i
     hess_theta: np.ndarray     # (m, m, n)  d_a d_b theta^i
     hess_eta: np.ndarray       # (m, m, n)  d_a d_b eta_i
-    normal_theta: np.ndarray | None = None  # (n-m, n)  B_kappa^i
-    normal_eta: np.ndarray | None = None    # (n-m, n)  B_{kappa i}
+    normal_theta: np.ndarray   # (n-m, n)  B_kappa^i, with B_kappa^i B_{ai} = 0
+    normal_eta: np.ndarray     # (n-m, n)  B_{kappa i}, with B_{kappa i} B_a^i = 0
 
 
 @dataclass(frozen=True)
 class CurvedFamily:
-    """An m-dimensional submanifold of an n-dimensional ambient family."""
+    """An m-dimensional submanifold of an n-dimensional ambient family, given by its jet."""
 
     ambient: ExponentialFamily
     m: int
-    embed_theta: Callable[[np.ndarray], np.ndarray]
     jet: Callable[[np.ndarray], Jet]
-    embed_eta: Callable[[np.ndarray], np.ndarray] | None = None
-    normal_sign: int = 1
     name: str = ""
 
     @property
@@ -59,15 +53,6 @@ class CurvedFamily:
     @property
     def codim(self) -> int:
         return self.ambient.n - self.m
-
-    def theta(self, u) -> np.ndarray:
-        return np.asarray(self.embed_theta(as_coords(u)), dtype=float)
-
-    def eta(self, u) -> np.ndarray:
-        ua = as_coords(u)
-        if self.embed_eta is not None:
-            return np.asarray(self.embed_eta(ua), dtype=float)
-        return expfam.eta_of_theta(self.ambient, self.theta(ua))
 
 
 @dataclass(frozen=True)
@@ -96,50 +81,13 @@ def _first(rows: np.ndarray, mask) -> np.ndarray:
 
 
 def frame_at(fam: CurvedFamily, u) -> Jet:
-    """The jet of ``fam`` at ``u``, a point ``(m,)`` or rows ``(P, m)``, with the normals filled in.
-
-    The natural-parameter normal solves ``B_kappa^i B_{ai} = 0`` and the
-    mean-parameter normal solves ``B_{kappa i} B_a^i = 0``; the pair is
-    cross-normalized to ``B_kappa^i B_{kappa i} = identity`` with balanced
-    Euclidean lengths. The sign follows the family's registered convention.
-    """
+    """The jet of ``fam`` at ``u``, a point ``(m,)`` or rows ``(P, m)``, once its tangent frame has full rank."""
     ua = as_coords(u)
-    lead, rows = ua.shape[:-1], ua.reshape(-1, ua.shape[-1])
     jet = fam.jet(ua)
     deficient = np.linalg.matrix_rank(jet.tangent_theta) < fam.m
     if np.any(deficient):
         raise ChartError(f"embedding Jacobian is rank deficient at u={_first(ua, deficient)!r}")
-    if jet.normal_theta is not None and jet.normal_eta is not None:
-        return jet
-    bts, bes = (x.reshape(-1, fam.m, fam.n) for x in jet[:2])
-    pairs = [_normal_pair(fam, row, bt, be) for row, bt, be in zip(rows, bts, bes)]
-    nt, ne = (np.reshape([p[i] for p in pairs], lead + (fam.codim, fam.n)) for i in (0, 1))
-    return jet._replace(normal_theta=nt, normal_eta=ne)
-
-
-def _normal_pair(fam: CurvedFamily, u: np.ndarray, bt: np.ndarray, be: np.ndarray):
-    """The normal pair ``(B_kappa^i, B_{kappa i})`` at one point, from its tangent frames."""
-    nt = np.linalg.svd(be)[2][fam.m:]   # complement of the eta-type tangents
-    ne = np.linalg.svd(bt)[2][fam.m:]   # complement of the theta-type tangents
-    cross = nt @ ne.T
-    if abs(np.linalg.det(cross)) < 1e-12:
-        raise ChartError("degenerate normal pairing")
-    if fam.codim == 1:
-        p = float(cross[0, 0])
-        scale = math.sqrt(abs(p))
-        nt = nt / scale
-        ne = np.copysign(1.0, p) * ne / scale
-        theta_u = fam.theta(u)
-        orient = float(nt[0] @ theta_u)
-        if abs(orient) > 1e-12 * max(1.0, float(np.abs(theta_u).max())):
-            flip = orient * fam.normal_sign < 0
-        else:
-            flip = nt[0, np.argmax(np.abs(nt[0]))] < 0
-        if flip:
-            nt, ne = -nt, -ne
-    else:
-        ne = np.linalg.solve(cross, ne)
-    return nt, ne
+    return jet
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,8 +203,7 @@ def classify(
 
     pg = point_geometry(fam, grid)
     h1s, hm1s, gs, r1s = pg.h1, pg.hm1, pg.g, pg.r1
-    thetas = [fam.theta(u) for u in grid]
-    etas = [fam.eta(u) for u in grid]
+    thetas, etas = pg.jet.theta, pg.jet.eta
 
     # epsilon: least squares of H^(-1) against H^(1)
     num = sum(float(np.sum(a * b)) for a, b in zip(hm1s, h1s))
@@ -330,7 +277,7 @@ def classify(
     )
 
 
-def chart_grid(ranges: list[tuple[float, float]], count: int, margin: float = 1e-2, seed: int = 7) -> np.ndarray:
+def chart_grid(ranges: list[tuple[float, float]], count: int, margin: float, seed: int) -> np.ndarray:
     """Deterministic quasi-random probe grid inside a box, away from its edges."""
     rng = np.random.default_rng(seed)
     lo = np.array([a + margin for a, _ in ranges])

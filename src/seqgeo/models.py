@@ -4,6 +4,10 @@ model on Minkowski's unit shell, plus Gaussian/Poisson fixtures.
 Both directional models are radial exponential families: the potential
 depends on the natural parameter only through a (possibly indefinite)
 norm, which gives closed-form analytic derivatives up to third order.
+A model's ``curved`` family is one closed-form jet: ``theta = r lam xi`` and
+``eta = r_dagger xi``, ``xi`` the unit direction of the chart point, with
+their derivatives and normals. ``embed`` checks that a point lies in the
+chart and reads both values from that jet.
 The sampler and the batched estimator are implemented for m = 2, the
 simulation dimension; all geometry works for any m >= 2. ``MODELS`` maps
 the model names the CLI and the experiment configs accept to their classes.
@@ -335,11 +339,11 @@ class _DirectionalModel:
         return _xi_jet(as_coords(u), self.kinds)[0]
 
     def embed(self, u) -> tuple[np.ndarray, np.ndarray]:
-        """Natural and mean parameter of the chart point."""
+        """Natural and mean parameter of the chart point, which must lie in the chart."""
         ua = as_coords(u)
         self._check_chart(ua)
-        xi = _xi_jet(ua, self.kinds)[0]
-        return self.r * self._lam * xi, self.r_dagger * xi
+        jet = self.curved.jet(ua)
+        return jet.theta, jet.eta
 
     def _require_m2(self) -> None:
         if self.m != 2:
@@ -348,8 +352,9 @@ class _DirectionalModel:
     def _check_chart(self, u: np.ndarray) -> None:
         if u.shape[0] != self.m:
             raise ChartError(f"chart point must have dimension {self.m}")
-        lo = 0.0 if self.kinds[0] == "circ" else -math.inf
-        if not (lo - _DOMAIN_SLACK <= u[0] <= (math.pi if self.kinds[0] == "circ" else math.inf) + _DOMAIN_SLACK):
+        # the radial axis is bounded below too: the estimator returns u1 >= 0
+        hi = math.pi if self.kinds[0] == "circ" else math.inf
+        if not -_DOMAIN_SLACK <= u[0] <= hi + _DOMAIN_SLACK:
             raise ChartError(f"first chart coordinate {u[0]!r} out of range")
         for a in range(1, self.m - 1):
             if not -_DOMAIN_SLACK <= u[a] <= math.pi + _DOMAIN_SLACK:
@@ -357,33 +362,19 @@ class _DirectionalModel:
         if self.m >= 2 and not -_DOMAIN_SLACK <= u[self.m - 1] <= 2.0 * math.pi + _DOMAIN_SLACK:
             raise ChartError(f"azimuthal coordinate out of range: {u[self.m - 1]!r}")
 
-    def _curved(self, normal_theta_sign: float, normal_sign: int) -> CurvedFamily:
+    def _curved(self, normal_theta_sign: float) -> CurvedFamily:
         lam = self._lam
-
-        def embed_theta(u):
-            self._check_chart(u)
-            return self.r * lam * _xi_jet(u, self.kinds)[0]
-
-        def embed_eta(us):
-            return self.r_dagger * _xi_jet(us, self.kinds)[0]
 
         def jet(us):
             xi, dxi, ddxi = _xi_jet(us, self.kinds)
             return Jet(
+                self.r * lam * xi, self.r_dagger * xi,
                 self.r * dxi * lam, self.r_dagger * dxi,
                 self.r * ddxi * lam, self.r_dagger * ddxi,
                 (normal_theta_sign * lam * xi)[..., None, :], xi[..., None, :],
             )
 
-        return CurvedFamily(
-            ambient=self.family,
-            m=self.m,
-            embed_theta=embed_theta,
-            embed_eta=embed_eta,
-            jet=jet,
-            normal_sign=normal_sign,
-            name=type(self).__name__,
-        )
+        return CurvedFamily(ambient=self.family, m=self.m, jet=jet, name=type(self).__name__)
 
     def gauge(self) -> Gauge:
         """``nu = 1 / prod_a |s_a|`` over the chart axes, with s = -c / s and ds = diag(1 / s^2)."""
@@ -438,14 +429,11 @@ class VmfModel(_DirectionalModel):
         self.kinds = ["circ"] * self.m
         self._lam = np.ones(self.m + 1)
         self.family = vmf_family(self.m)
-        self.curved = self._curved(normal_theta_sign=1.0, normal_sign=1)
+        self.curved = self._curved(normal_theta_sign=1.0)
 
     def stopping_constant(self) -> float:
         rr = self.r * self.r_dagger
         return -0.5 * (self.m / rr - 1.0 / self.r_dagger**2)
-
-    def support_residual(self, x: np.ndarray) -> float:
-        return abs(float(np.linalg.norm(x)) - 1.0)
 
     def sample_many(self, u, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw unit observations around the chart direction; m = 2 only."""
@@ -497,16 +485,11 @@ class HyperboloidModel(_DirectionalModel):
         self.kinds = ["hyp"] + ["circ"] * (self.m - 1)
         self._lam = np.concatenate(([-1.0], np.ones(self.m)))
         self.family = hyperboloid_family(self.m)
-        self.curved = self._curved(normal_theta_sign=-1.0, normal_sign=-1)
-        self._signs = np.concatenate(([1.0], -np.ones(self.m)))
+        self.curved = self._curved(normal_theta_sign=-1.0)
 
     def stopping_constant(self) -> float:
         rr = self.r * self.r_dagger
         return -0.5 * (-self.m / rr - 1.0 / self.r_dagger**2)
-
-    def support_residual(self, x: np.ndarray) -> float:
-        q = float(np.dot(self._signs, x * x))
-        return abs(q - 1.0) if x[0] > 0 else math.inf
 
     def sample_many(self, u, rng: np.random.Generator, size: int) -> np.ndarray:
         """Boosted radial draws: the radial cosh is a shifted exponential."""
@@ -565,7 +548,7 @@ def _orthonormal_complement(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# full-family fixtures and a flat curved fixture
+# full-family fixtures
 
 
 def gaussian_family(n: int) -> ExponentialFamily:
@@ -598,59 +581,3 @@ def poisson_family(n: int = 1) -> ExponentialFamily:
         third=third,
         name=f"poisson({n})",
     )
-
-
-class LinearGaussianModel:
-    """Flat fixture: an affine submanifold of a Gaussian mean family.
-
-    Zero curvature everywhere, closed-form estimator, criterion equal to
-    the sample size; used to pin down degenerate behaviour of the
-    sequential machinery.
-    """
-
-    def __init__(self, a_matrix):
-        a = np.atleast_2d(np.asarray(a_matrix, dtype=float))
-        self.a = a
-        self.n, self.m = a.shape
-        if np.linalg.matrix_rank(a) < self.m:
-            raise ParameterError("embedding matrix must have full column rank")
-        self.family = gaussian_family(self.n)
-        self._pinv = np.linalg.pinv(a)
-        flat = np.zeros((self.m, self.m, self.n))
-        self.curved = CurvedFamily(
-            ambient=self.family,
-            m=self.m,
-            embed_theta=lambda u: a @ u,
-            embed_eta=lambda u: a @ u,
-            jet=lambda us: Jet(*(np.broadcast_to(x, us.shape[:-1] + x.shape)
-                                 for x in (a.T, a.T, flat, flat))),
-            name="linear-gaussian",
-        )
-
-    def stopping_constant(self) -> float:
-        return 0.0
-
-    def embed(self, u):
-        t = self.a @ as_coords(u)
-        return t, t.copy()
-
-    def gauge(self) -> Gauge:
-        from .conformal import constant_gauge
-
-        return constant_gauge(1.0)
-
-    def sample_many(self, u, rng: np.random.Generator, size: int) -> np.ndarray:
-        mean = self.a @ as_coords(u)
-        return mean[None, :] + rng.standard_normal((size, self.n))
-
-    def mle_many(self, ts: np.ndarray, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return (sums / ts[:, None]) @ self._pinv.T, np.ones(sums.shape[0], dtype=bool)
-
-    def criterion_many(self, ts: np.ndarray, sums: np.ndarray) -> np.ndarray:
-        return ts.astype(float)
-
-    def wrap_deviation(self, dev):
-        return np.array(dev, dtype=float)
-
-    def support_residual(self, x):
-        return 0.0

@@ -29,7 +29,6 @@ def stop_cell(
     k: float,
     u0,
     rngs,
-    t_min: int = T_MIN,
     t_max: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sample each replication of a cell until its criterion crosses ``K nu + c``,
@@ -73,7 +72,7 @@ def stop_cell(
             u_hats, defined = model.mle_many(ts, rows)
             crit = model.criterion_many(ts, rows)
             thresh = k * gauge.nu(u_hats) + c
-            eligible = defined & (ts >= t_min) & np.isfinite(thresh)
+            eligible = defined & (ts >= T_MIN) & np.isfinite(thresh)
             hit = (eligible & (crit >= thresh)).reshape(live.size, take)
             rep = np.arange(live.size)
             first = np.argmax(hit, axis=1)

@@ -10,8 +10,12 @@ from hypothesis import strategies as st
 sys.path.insert(0, str(Path(__file__).parent))
 
 import seqgeo
+from seqgeo.conformal import constant_gauge
+from seqgeo.errors import ParameterError
+from seqgeo.geometry import CurvedFamily, Jet
 from seqgeo.harness import ExperimentConfig, parse_config
-from seqgeo.models import HyperboloidModel, LinearGaussianModel, VmfModel
+from seqgeo.models import HyperboloidModel, VmfModel, gaussian_family
+from seqgeo.tensorops import as_coords
 
 U0_VMF = np.array([math.pi / 6.0, math.pi / 3.0])
 U0_HYP = np.array([0.1, math.pi / 3.0])
@@ -33,6 +37,58 @@ def chart_rows(model, max_rows, azimuth_margin=0.0):
 def bundled_config(name: str, **changes) -> ExperimentConfig:
     """The bundled experiment config ``name``, with ``changes`` applied."""
     return dataclasses.replace(parse_config(BUNDLED_CONFIGS / f"{name}.conf"), **changes)
+
+
+class LinearGaussianModel:
+    """Flat fixture: an affine submanifold of a Gaussian mean family.
+
+    Zero curvature everywhere, closed-form estimator, criterion equal to
+    the sample size; used to pin down degenerate behaviour of the
+    sequential machinery. The ambient metric is the identity, so both
+    normals are one orthonormal basis of the complement of the columns of
+    ``a``, from a complete QR.
+    """
+
+    def __init__(self, a_matrix):
+        a = np.atleast_2d(np.asarray(a_matrix, dtype=float))
+        self.a = a
+        self.n, self.m = a.shape
+        if np.linalg.matrix_rank(a) < self.m:
+            raise ParameterError("embedding matrix must have full column rank")
+        self.family = gaussian_family(self.n)
+        self._pinv = np.linalg.pinv(a)
+        normal = np.linalg.qr(a, mode="complete")[0][:, self.m:].T
+        flat = np.zeros((self.m, self.m, self.n))
+
+        def jet(us):
+            theta = (a * us[..., None, :]).sum(axis=-1)
+            const = (np.broadcast_to(x, us.shape[:-1] + x.shape) for x in (a.T, a.T, flat, flat, normal, normal))
+            return Jet(theta, theta, *const)
+
+        self.curved = CurvedFamily(ambient=self.family, m=self.m, jet=jet, name="linear-gaussian")
+
+    def stopping_constant(self) -> float:
+        return 0.0
+
+    def embed(self, u):
+        t = self.a @ as_coords(u)
+        return t, t.copy()
+
+    def gauge(self):
+        return constant_gauge(1.0)
+
+    def sample_many(self, u, rng: np.random.Generator, size: int) -> np.ndarray:
+        mean = self.a @ as_coords(u)
+        return mean[None, :] + rng.standard_normal((size, self.n))
+
+    def mle_many(self, ts: np.ndarray, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return (sums / ts[:, None]) @ self._pinv.T, np.ones(sums.shape[0], dtype=bool)
+
+    def criterion_many(self, ts: np.ndarray, sums: np.ndarray) -> np.ndarray:
+        return ts.astype(float)
+
+    def wrap_deviation(self, dev):
+        return np.array(dev, dtype=float)
 
 
 @pytest.fixture(scope="session")

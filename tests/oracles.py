@@ -12,6 +12,7 @@ from scipy.optimize import brentq
 
 from seqgeo import expfam, geometry, sequential, tensorops as tops
 from seqgeo.conformal import ChartPoint, WeylSchouten, ubar_chart_connection
+from seqgeo.errors import ChartError
 from seqgeo.models import vmf_mean_resultant
 
 
@@ -109,19 +110,56 @@ def fd_field_derivative(field, x, h=1e-6):
     return np.stack(rows, axis=0)
 
 
-def fd_jet(fam):
-    """The jet of ``fam`` over rows ``(..., m)`` by central differences of
-    ``fam.embed_theta`` and ``fam.eta``, point by point, without normals.
+def svd_normals(theta, bt, be, normal_sign=1):
+    """The normal pair ``(B_kappa^i, B_{kappa i})`` at one point from its tangent
+    frames: the natural-parameter normal spans the complement of the
+    eta-type tangents ``be`` and the mean-parameter normal that of the
+    theta-type tangents ``bt``, by SVD, cross-normalized to
+    ``B_kappa^i B_{kappa i} = identity``.
+
+    In codimension one both take balanced Euclidean lengths, and the sign
+    makes ``B_kappa^i theta^i`` carry ``normal_sign``; where that product
+    vanishes, the largest entry of ``B_kappa^i`` is positive.
+    """
+    m = bt.shape[0]
+    nt = np.linalg.svd(be)[2][m:]
+    ne = np.linalg.svd(bt)[2][m:]
+    cross = nt @ ne.T
+    if abs(np.linalg.det(cross)) < 1e-12:
+        raise ChartError("degenerate normal pairing")
+    if nt.shape[0] > 1:
+        return nt, np.linalg.solve(cross, ne)
+    p = float(cross[0, 0])
+    scale = math.sqrt(abs(p))
+    nt = nt / scale
+    ne = np.copysign(1.0, p) * ne / scale
+    orient = float(nt[0] @ theta)
+    if abs(orient) > 1e-12 * max(1.0, float(np.abs(theta).max())):
+        flip = orient * normal_sign < 0
+    else:
+        flip = nt[0, np.argmax(np.abs(nt[0]))] < 0
+    return (-nt, -ne) if flip else (nt, ne)
+
+
+def fd_jet(ambient, m, theta, eta=None, normal_sign=1):
+    """The jet over rows ``(..., m)`` of the embedding ``u -> (theta(u), eta(u))``,
+    point by point: tangents and Hessians by central differences, the normals
+    by :func:`svd_normals`. Without ``eta``, the mean embedding goes through
+    ``expfam.eta_of_theta`` of the ambient family.
 
     Tangents take the steps ``STEP1 max(1, |u_i|)`` and Hessians
     ``STEP2 max(1, |u_i|)``.
     """
-    shapes = [(fam.m, fam.n)] * 2 + [(fam.m, fam.m, fam.n)] * 2
+    n = ambient.n
+    if eta is None:
+        eta = lambda u: expfam.eta_of_theta(ambient, theta(u))
+    shapes = [(n,)] * 2 + [(m, n)] * 2 + [(m, m, n)] * 2 + [(n - m, n)] * 2
 
     def at(u):
         h1, h2 = rel_steps(u, STEP1), rel_steps(u, STEP2)
-        return (fd_field_derivative(fam.embed_theta, u, h1), fd_field_derivative(fam.eta, u, h1),
-                fd_hessian(fam.embed_theta, u, h2), fd_hessian(fam.eta, u, h2))
+        th, bt, be = theta(u), fd_field_derivative(theta, u, h1), fd_field_derivative(eta, u, h1)
+        return (th, eta(u), bt, be, fd_hessian(theta, u, h2), fd_hessian(eta, u, h2),
+                *svd_normals(th, bt, be, normal_sign))
 
     def jet(us):
         us = np.asarray(us, dtype=float)
@@ -132,19 +170,22 @@ def fd_jet(fam):
     return jet
 
 
-def fd_family(**fields):
-    """A curved family whose jet is :func:`fd_jet` of its own embeddings."""
-    fam = geometry.CurvedFamily(jet=lambda us: fd_jet(fam)(us), **fields)
-    return fam
+def fd_family(ambient, m, theta, eta=None, normal_sign=1, name=""):
+    """A curved family whose jet is :func:`fd_jet` of the embedding ``theta`` (and ``eta``)."""
+    return geometry.CurvedFamily(ambient, m, fd_jet(ambient, m, theta, eta, normal_sign), name)
 
 
 def numeric_clone(model):
     """The model's submanifold with every closed form of the embedding stripped:
-    the mean embedding goes through the ambient gradient and the jet is
-    :func:`fd_jet`."""
+    theta goes through ``model.embed``, which checks the chart, the mean
+    embedding through the ambient gradient, and the jet is :func:`fd_jet`.
+
+    The closed-form normal points along theta on the sphere and against it on
+    the hyperboloid: the sign of the model's curvature.
+    """
     fam = model.curved
-    return fd_family(ambient=fam.ambient, m=fam.m, embed_theta=fam.embed_theta,
-                     normal_sign=fam.normal_sign, name=fam.name + "-numeric")
+    return fd_family(fam.ambient, fam.m, lambda u: model.embed(u)[0],
+                     normal_sign=int(model.curvature_sign), name=fam.name + "-numeric")
 
 
 def scalar_affine_potentials(c0, c, d, dmat):
@@ -212,7 +253,7 @@ def observed_information(model, t, sum_x, u_hat) -> float:
     fam = model.curved
     pg = geometry.point_geometry(fam, u)
     g, ht = pg.g, pg.ht
-    delta = np.asarray(sum_x, dtype=float) - t * fam.eta(u)
+    delta = np.asarray(sum_x, dtype=float) - t * pg.jet.eta
     hess_l = np.einsum("abi,i->ab", ht, delta) - t * g
     return -float(np.einsum("ab,ab->", np.linalg.inv(g), hess_l)) / fam.m
 
@@ -344,7 +385,7 @@ def direct_rc_curvature(fam, u, alpha: int):
 def curved_skewness(fam, u):
     """Ambient skewness pulled back to the u chart: T_abc = T_ijk B_a^i B_b^j B_c^k."""
     f = geometry.frame_at(fam, u)
-    t = expfam.skewness(fam.ambient, fam.theta(u))
+    t = expfam.skewness(fam.ambient, f.theta)
     return np.einsum("ijk,ai,bj,ck->abc", t, f.tangent_theta, f.tangent_theta, f.tangent_theta)
 
 
@@ -352,7 +393,7 @@ def t_akk(fam, u):
     """Ambient skewness contracted once with a tangent and twice with the normal frame."""
     pg = geometry.point_geometry(fam, u)
     f = pg.jet
-    t = expfam.skewness(fam.ambient, fam.theta(pg.u))
+    t = expfam.skewness(fam.ambient, f.theta)
     return np.einsum(
         "ijk,ai,pj,qk,pq->a", t, f.tangent_theta, f.normal_theta, f.normal_theta, pg.gkk_inv
     )

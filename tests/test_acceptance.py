@@ -176,8 +176,7 @@ class TestGeometrySuite:
             flags = flags and cls.umbilic and cls.dual_quadric and cls.es_epsilon_residual <= cls.tolerance
             target = 1.0 / (cls.k0 * cls.l0)
             for u in grid:
-                theta = model.curved.theta(u)
-                eta = model.curved.eta(u)
+                theta, eta = model.embed(u)
                 worst = max(
                     worst,
                     abs(float((theta - cls.theta0) @ (eta - cls.eta0)) - target),

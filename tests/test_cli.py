@@ -115,6 +115,15 @@ class TestGeometryCommand:
         assert rep["classification"]["dual_quadric"] is True
         assert code == cli.EXIT_OK and rep["pass"] is True
 
+    @pytest.mark.parametrize("m", ["2", "3"])
+    def test_vmf_transformed_curvature_is_relative(self, m, capsys):
+        # H_bar(1) is a difference of two terms of size |nu H(1)|, which grows as r;
+        # read absolutely it was 1.9e-6 (m = 2) and 5.6e-6 (m = 3) here, against 1e-6
+        code, out, _ = run_cli(["geometry", "--model", "vmf", "--m", m, "--r", "1e9", "--json"], capsys)
+        rep = json.loads(out)
+        assert rep["h1_bar_residual"] < 1e-14
+        assert code == cli.EXIT_OK and rep["pass"] is True
+
     @pytest.mark.parametrize("model", ["vmf", "hyperboloid"])
     def test_odd_dimension_beyond_scipy_range(self, model, capsys):
         # scipy's ive/kve return NaN from rho = 2^30 on; r_dagger was NaN and the run exited 1

@@ -65,11 +65,9 @@ def graph_surface():
     finite-difference jet, on 8 points of [-0.8, 0.8]^2.
     """
     fam = fd_family(
-        ambient=gaussian_family(3),
-        m=2,
-        embed_theta=lambda u: np.array(
-            [u[0], u[1], 0.5 * u[0] ** 2 + 0.3 * u[1] ** 3 + 0.2 * u[0] * u[1] ** 2]
-        ),
+        gaussian_family(3),
+        2,
+        lambda u: np.array([u[0], u[1], 0.5 * u[0] ** 2 + 0.3 * u[1] ** 3 + 0.2 * u[0] * u[1] ** 2]),
         name="graph",
     )
     return fam, np.random.default_rng(3).uniform(-0.8, 0.8, (8, 2))

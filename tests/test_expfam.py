@@ -190,14 +190,15 @@ class TestCoordinateChange:
         frame = geometry.frame_at(fam, u0)
 
         def theta_of_w(w):
-            eta = fam.eta(w[:2]) + w[2] * geometry.frame_at(fam, w[:2]).normal_eta[0]
+            f = geometry.frame_at(fam, w[:2])
+            eta = f.eta + w[2] * f.normal_eta[0]
             return vmf_theta_of_eta(eta)
 
         w0 = np.array([u0[0], u0[1], 0.0])
         basis = fd_field_derivative(theta_of_w, w0, 1e-5)  # B[beta, i]
         flat = fd_field_derivative(lambda w: fd_field_derivative(theta_of_w, w, 1e-5).ravel(), w0, 1e-4)
         dbasis = flat.reshape(3, 3, 3)  # d_beta B[gamma, i]
-        g_theta = metric(vmf.family, fam.theta(u0))
+        g_theta = metric(vmf.family, frame.theta)
         gam_w = connection_coordinate_change(np.zeros((3, 3, 3)), basis, dbasis, g_theta)
         g_ab = geometry.point_geometry(fam, u0).g
         expected = -g_ab / vmf.r_dagger

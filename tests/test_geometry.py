@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from seqgeo.errors import ChartError, EvaluationDomainError, UnsupportedShapeError
 from seqgeo.geometry import classify, frame_at, point_geometry
-from seqgeo.models import HyperboloidModel, LinearGaussianModel, VmfModel, gaussian_family
+from seqgeo.models import HyperboloidModel, VmfModel, gaussian_family
 
-from conftest import U0_HYP, U0_VMF, chart_rows
+from conftest import U0_HYP, U0_VMF, LinearGaussianModel, chart_rows
 from oracles import (
     HYP_G11,
     HYP_G22,
@@ -27,21 +27,21 @@ from oracles import (
 class TestFrames:
     def test_vmf_normal_is_radial(self, vmf):
         f = frame_at(vmf.curved, U0_VMF)
-        theta = vmf.curved.theta(U0_VMF)
+        theta, eta = vmf.embed(U0_VMF)
         assert np.abs(f.normal_theta[0] - theta / 0.25).max() < 1e-12
-        assert np.abs(f.normal_eta[0] - vmf.curved.eta(U0_VMF) / vmf.r_dagger).max() < 1e-12
+        assert np.abs(f.normal_eta[0] - eta / vmf.r_dagger).max() < 1e-12
 
     def test_hyperboloid_normal_signs(self, hyp):
         f = frame_at(hyp.curved, U0_HYP)
-        theta = hyp.curved.theta(U0_HYP)
-        eta = hyp.curved.eta(U0_HYP)
+        theta, eta = hyp.embed(U0_HYP)
         assert np.abs(f.normal_theta[0] + theta / 0.1).max() < 1e-12
         assert np.abs(f.normal_eta[0] - eta / 11.0).max() < 1e-12
 
     def test_linear_embedding_numeric_normals(self, linear):
         u = np.array([0.4, -0.2])
-        f = frame_at(linear.curved, u)
-        # identity ambient metric: normals orthogonal to the columns of A
+        fam = fd_family(gaussian_family(3), 2, lambda x: linear.a @ x)
+        f = frame_at(fam, u)
+        # identity ambient metric: the oracle's normals orthogonal to the columns of A
         assert np.abs(f.normal_theta @ linear.a).max() < 1e-8
         assert np.abs(f.normal_theta @ f.normal_eta.T - np.eye(1)).max() < 1e-10
 
@@ -70,7 +70,7 @@ class TestFrames:
 
     def test_codimension_two_biorthonormal(self):
         a = np.array([[1.0, 0.0], [0.0, 2.0], [0.5, -0.5], [0.0, 1.0]])
-        fam = fd_family(ambient=gaussian_family(4), m=2, embed_theta=lambda u: a @ u)
+        fam = fd_family(gaussian_family(4), 2, lambda u: a @ u)
         f = frame_at(fam, np.array([0.3, -0.1]))
         assert f.normal_theta.shape == (2, 4)
         assert np.abs(f.normal_theta @ a).max() < 1e-10
@@ -263,8 +263,7 @@ class TestClassification:
         assert cls.k0 == pytest.approx(4.0, rel=1e-5)
 
     def test_codim_two_rejected(self, linear):
-        fam = fd_family(ambient=gaussian_family(4), m=2,
-                        embed_theta=lambda u: np.concatenate([u, [0.0, 0.0]]))
+        fam = fd_family(gaussian_family(4), 2, lambda u: np.concatenate([u, [0.0, 0.0]]))
         with pytest.raises(UnsupportedShapeError):
             classify(fam, np.zeros((3, 2)))
 
@@ -281,6 +280,7 @@ class TestSkewnessContraction:
 
 
 FIELDS = ("g", "ginv", "gkk_inv", "ht", "he", "g1", "gm1", "h1", "hm1", "r1", "rm1")
+JET_VALUES = ("theta", "eta")
 BATCH_MODELS = {"vmf": VmfModel(2, 0.25), "hyp": HyperboloidModel(2, 0.1),
                 "vmf3": VmfModel(3, 1.0), "hyp3": HyperboloidModel(3, 0.1)}
 
@@ -289,8 +289,9 @@ def assert_rows_match_single(fam, us):
     batch = point_geometry(fam, us)
     for i, u in enumerate(us):
         single = point_geometry(fam, u)
-        for name in FIELDS:
-            got, want = getattr(batch, name)[i], getattr(single, name)
+        pairs = [(getattr(batch, name)[i], getattr(single, name), name) for name in FIELDS]
+        pairs += [(getattr(batch.jet, name)[i], getattr(single.jet, name), name) for name in JET_VALUES]
+        for got, want, name in pairs:
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
 
 

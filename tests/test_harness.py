@@ -15,7 +15,7 @@ from seqgeo.harness import (
     write_results,
 )
 
-from conftest import bundled_config
+from conftest import BUNDLED_CONFIGS as BUNDLED, bundled_config
 
 
 def tiny_config(outdir, model="vmf", reps=20):
@@ -83,6 +83,16 @@ class TestConfig:
                 dataclasses.replace(cfg, r=r)
             with pytest.raises(ParameterError, match="concentration r"):
                 dataclasses.replace(cfg, model="hyperboloid", r=r)
+
+    def test_hyperboloid_negative_radial_u0_rejected(self):
+        # u1 < 0 is the other branch of the chart: the estimator returns u1 >= 0,
+        # so a truth point there made the fixed-N covariance read about 100 times its bound
+        text = (BUNDLED / "hyperboloid.conf").read_text().replace(
+            "u0 = 0.1, 1.0471975511965976", "u0 = -0.1, 1.0471975511965976")
+        with pytest.raises(ParameterError, match="first chart coordinate"):
+            harness.parse_config_text(text, "hyperboloid.conf")
+        text = text.replace("u0 = -0.1,", "u0 = -0.0005,")  # inside the chart's slack
+        assert harness.parse_config_text(text, "hyperboloid.conf").u0[0] == -0.0005
 
 
 class TestSeeding:
