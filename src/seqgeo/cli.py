@@ -113,7 +113,7 @@ def _print_geometry_text(rep: dict) -> None:
     print(f"model {rep['model']} m={rep['m']} r={rep['r']} (r_dagger={rep['r_dagger']:.9g})")
     print(f"verdict: {flatness}; {quadric}; lambda = {cls['constant_curvature']:.9g} "
           f"(expected {rep['expected_curvature']:.9g})")
-    print(f"  umbilic: {cls['umbilic']} (residual {cls['umbilic_residual']:.3e})")
+    print(f"  umbilic: {cls['umbilic']} (residual relative to |H(1)|: {cls['umbilic_residual']:.3e})")
     print(f"  ES epsilon: {cls['es_epsilon']:.9g} (residual {cls['es_epsilon_residual']:.3e})")
     print(f"  k0 = {cls['k0']:.9g}, l0 = {cls['l0']:.9g}, "
           f"identity residual {cls['quadric_identity_residual']:.3e}")

@@ -12,6 +12,7 @@ from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.random import default_rng
 
 from . import tensorops as tops
 from .errors import ChartError, UnsupportedShapeError
@@ -194,8 +195,9 @@ def classify(
     curvatures, (k0, theta0) and (l0, eta0) from affine regression of the
     normal frames on the embedding, and the curvature constant from the
     constant-curvature pattern. Flags require the corresponding max-norm
-    residual to stay within ``tolerance``; the quadric identity's residual is
-    taken relative to its target ``1/(k0 l0)``.
+    residual to stay within ``tolerance``; the umbilicity residual is taken
+    relative to max |H(1)| at each point, and the quadric identity's relative
+    to its target ``1/(k0 l0)``.
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     if fam.codim != 1:
@@ -211,11 +213,13 @@ def classify(
     eps = num / den if den > 0 else 0.0
     eps_res = max(float(np.abs(a - eps * b).max()) for a, b in zip(hm1s, h1s))
 
-    # umbilicity: H^(1)_abk = H^(1)_k g_ab
+    # umbilicity: H^(1)_abk = H^(1)_k g_ab, relative to max |H^(1)| at the
+    # same point, which grows with the concentration
     umb_res = 0.0
     for h1, g, ginv in zip(h1s, gs, pg.ginv):
         hk = np.einsum("abk,ab->k", h1, ginv) / fam.m
-        umb_res = max(umb_res, float(np.abs(h1 - np.einsum("k,ab->abk", hk, g)).max()))
+        res = float(np.abs(h1 - np.einsum("k,ab->abk", hk, g)).max())
+        umb_res = max(umb_res, res / float(np.abs(h1).max()) if res > 0.0 else 0.0)
 
     # dual quadric: B_kappa = k0 (theta - theta0), eta analogue
     def affine_fit(rows, points):
@@ -279,7 +283,7 @@ def classify(
 
 def chart_grid(ranges: list[tuple[float, float]], count: int, margin: float, seed: int) -> np.ndarray:
     """Deterministic quasi-random probe grid inside a box, away from its edges."""
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     lo = np.array([a + margin for a, _ in ranges])
     hi = np.array([b - margin for _, b in ranges])
     if np.any(hi <= lo):

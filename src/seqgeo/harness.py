@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.random import default_rng
 
 from . import conformal, sequential
 from .errors import (
@@ -226,7 +227,7 @@ def run_nonsequential(config: ExperimentConfig) -> ResultTable:
         cell_id = f"nonseq:{n}"
         sums = []
         for rep in range(config.replications):
-            rng = np.random.default_rng(rep_seed(config.seed, cell_id, rep))
+            rng = default_rng(rep_seed(config.seed, cell_id, rep))
             sums.append(model.sample_many(u0, rng, n).sum(axis=0))
         u_hats, ok = model.mle_many(np.full(config.replications, float(n)), np.array(sums))
         excluded = int(np.count_nonzero(~ok))
@@ -255,7 +256,7 @@ def run_sequential(config: ExperimentConfig) -> ResultTable:
     rows = []
     for k in config.grid_k:
         cell_id = f"seq:{k!r}"
-        rngs = [np.random.default_rng(rep_seed(config.seed, cell_id, rep))
+        rngs = [default_rng(rep_seed(config.seed, cell_id, rep))
                 for rep in range(config.replications)]
         taus, sums, runaway = sequential.stop_cell(model, gauge, float(k), u0, rngs)
         taus = taus[~runaway].astype(float)

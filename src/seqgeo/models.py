@@ -11,6 +11,8 @@ chart and reads both values from that jet.
 The sampler and the batched estimator are implemented for m = 2, the
 simulation dimension; all geometry works for any m >= 2. ``MODELS`` maps
 the model names the CLI and the experiment configs accept to their classes.
+scipy is imported only where the odd-m hyperboloid ratio or an m >= 3
+ambient log-normaliser needs a Bessel value.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 from .conformal import Gauge
 from .errors import (
@@ -42,8 +43,11 @@ _GAUGE_SINGULAR_TOL = 1e-12
 # Bessel-ratio mean-resultant functions and their closed-form derivatives
 
 
-# from here on scipy's ive/kve return NaN; the large-argument expansion is exact to rounding
+# from here on scipy's kve returns NaN; the large-argument expansion is exact to rounding
 _BESSEL_ASYMPTOTIC = 2.0 ** 30
+# the vmf ratio for m >= 3 takes the large-argument expansion from max(this, nu^2) on,
+# where its terms fall from the first and the e^(-2 rho) it leaves out is below rounding
+_VMF_HANKEL = 40.0
 # below this coth(rho) - 1/rho cancels; Lambert's continued fraction does not
 _VMF2_CANCELLATION = 0.1
 
@@ -62,8 +66,23 @@ def _hankel_sum(nu: float, rho: float, sign: float) -> float:
     return total
 
 
+def _iv_ratio_fraction(nu: float, rho: float) -> float:
+    """I_{nu+1}(rho) / I_nu(rho) by the Gauss continued fraction
+    1 / (2(nu+1)/rho + 1 / (2(nu+2)/rho + ...)), evaluated backwards from
+    depth floor(rho) + 60; every partial denominator is positive."""
+    tail = 0.0
+    for k in range(int(rho) + 60, 0, -1):
+        tail = 1.0 / (2.0 * (nu + k) / rho + tail)
+    return tail
+
+
 def vmf_mean_resultant(rho: float, m: int) -> float:
-    """I_{(m+1)/2}(rho) / I_{(m-1)/2}(rho); increasing, maps (0,inf) to (0,1)."""
+    """I_{(m+1)/2}(rho) / I_{(m-1)/2}(rho); increasing, maps (0,inf) to (0,1).
+
+    m = 2 is coth(rho) - 1/rho, or Lambert's continued fraction below
+    ``_VMF2_CANCELLATION``; m >= 3 is the Gauss continued fraction, or the
+    large-argument expansion from ``max(_VMF_HANKEL, nu^2)`` on.
+    """
     if rho <= 0:
         raise ParameterError("concentration must be positive")
     if m == 2:
@@ -75,10 +94,9 @@ def vmf_mean_resultant(rho: float, m: int) -> float:
             return rho / (3.0 + tail)
         return 1.0 / math.tanh(rho) - 1.0 / rho
     nu = 0.5 * (m - 1)
-    if rho >= _BESSEL_ASYMPTOTIC:
-        return _hankel_sum(nu + 1.0, rho, -1.0) / _hankel_sum(nu, rho, -1.0)
-    # exponentially scaled values: the scale cancels and nothing overflows
-    return float(special.ive(nu + 1.0, rho) / special.ive(nu, rho))
+    if rho < max(_VMF_HANKEL, nu * nu):
+        return _iv_ratio_fraction(nu, rho)
+    return _hankel_sum(nu + 1.0, rho, -1.0) / _hankel_sum(nu, rho, -1.0)
 
 
 def hyperboloid_mean_resultant(rho: float, m: int) -> float:
@@ -100,6 +118,8 @@ def hyperboloid_mean_resultant(rho: float, m: int) -> float:
     nu = 0.5 * (m - 1)
     if rho >= _BESSEL_ASYMPTOTIC:
         return _hankel_sum(nu + 1.0, rho, 1.0) / _hankel_sum(nu, rho, 1.0)
+    from scipy import special
+
     return float(special.kve(nu + 1.0, rho) / special.kve(nu, rho))
 
 
@@ -184,6 +204,8 @@ def vmf_family(m: int) -> ExponentialFamily:
         nu = 0.5 * (m - 1)
 
         def fval(rho):
+            from scipy import special
+
             # log I_nu(rho) = log ive(nu, rho) + rho, finite where iv overflows
             log_iv = math.log(float(special.ive(nu, rho))) + rho
             return const + 0.5 * (1 - m) * math.log(rho) + log_iv
@@ -210,6 +232,8 @@ def hyperboloid_family(m: int) -> ExponentialFamily:
         const = math.log(2.0) + 0.5 * (m - 1) * math.log(2.0 * math.pi)
 
         def fval(rho):
+            from scipy import special
+
             # log K_nu(rho) = log kve(nu, rho) - rho, finite where kv underflows
             log_kv = math.log(float(special.kve(nu, rho))) - rho
             return const + 0.5 * (1 - m) * math.log(rho) + log_kv

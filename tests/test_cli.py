@@ -1,7 +1,10 @@
 import dataclasses
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import seqgeo
 from seqgeo import cli, conformal, geometry, harness
 from seqgeo.errors import ParameterError
 from seqgeo.models import VmfModel
@@ -124,9 +128,21 @@ class TestGeometryCommand:
         assert rep["h1_bar_residual"] < 1e-14
         assert code == cli.EXIT_OK and rep["pass"] is True
 
+    @pytest.mark.parametrize("model, m", [("vmf", "2"), ("vmf", "3"), ("hyperboloid", "2"), ("hyperboloid", "3")])
+    def test_umbilicity_is_relative(self, model, m, capsys):
+        # H(1) grows as r; read absolutely the umbilicity residual was 1.9e-6 and
+        # 3.8e-6 (vmf m = 2, 3) and 1.5e-5 and 2.3e-5 (hyperboloid) here, against 1e-6
+        code, out, _ = run_cli(["geometry", "--model", model, "--m", m, "--r", "1e10", "--json"], capsys)
+        rep = json.loads(out)
+        assert rep["classification"]["umbilic"] is True
+        assert rep["classification"]["umbilic_residual"] < 1e-14
+        if (model, m) == ("vmf", "2"):
+            assert code == cli.EXIT_OK and rep["pass"] is True
+
     @pytest.mark.parametrize("model", ["vmf", "hyperboloid"])
     def test_odd_dimension_beyond_scipy_range(self, model, capsys):
-        # scipy's ive/kve return NaN from rho = 2^30 on; r_dagger was NaN and the run exited 1
+        # scipy's kve returns NaN from rho = 2^30 on, as did the ive the vmf ratio
+        # once used; r_dagger was NaN there and the run exited 1
         code, out, err = run_cli(["geometry", "--model", model, "--m", "3", "--r", "1e10", "--json"], capsys)
         assert code in (cli.EXIT_OK, cli.EXIT_TOLERANCE) and err == ""
         assert math.isfinite(json.loads(out)["r_dagger"])
@@ -189,6 +205,44 @@ class TestGeometryCommand:
         counted(conformal, "gauge_pde_residual")
         assert cli.geometry_report("vmf", 2, 0.25, grid_density=5)["pass"]
         assert calls == {"classify": 1, "gauge_pde_residual": 1}
+
+
+# Runs in a fresh interpreter, since the tests themselves import scipy. Each
+# step records whether scipy is loaded after it.
+_RUN_TIME_IMPORTS = """
+import dataclasses, json, sys
+from pathlib import Path
+
+steps = {}
+import seqgeo.cli
+steps["import seqgeo.cli"] = "scipy" in sys.modules
+from seqgeo import cli, harness
+
+for name in ("vmf", "hyperboloid"):
+    config = dataclasses.replace(
+        harness.parse_config(Path(harness.__file__).parent / "configs" / f"{name}.conf"), replications=4)
+    for suite in (harness.run_sequential, harness.run_nonsequential):
+        suite(config)
+        steps[f"{suite.__name__} {name}"] = "scipy" in sys.modules
+for model, m, r in (("vmf", 2, 0.25), ("hyperboloid", 2, 0.1), ("vmf", 3, 1.0)):
+    assert cli.geometry_report(model, m, r, grid_density=4)["pass"]
+    steps[f"geometry {model} m={m}"] = "scipy" in sys.modules
+passed = cli.geometry_report("hyperboloid", 3, 0.1, grid_density=4)["pass"]
+print(json.dumps({"steps": steps, "odd_hyperboloid": [passed, "scipy" in sys.modules]}))
+"""
+
+
+def test_run_time_path_imports_no_scipy():
+    src = str(Path(seqgeo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _RUN_TIME_IMPORTS], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert len(result["steps"]) == 8
+    assert not any(result["steps"].values()), result["steps"]
+    # the odd-m hyperboloid ratio still takes scipy's kve, imported where it is needed
+    assert result["odd_hyperboloid"] == [True, True]
 
 
 class TestSimulateCommand:

@@ -15,8 +15,11 @@ from seqgeo.errors import (
     UnsupportedShapeError,
 )
 from seqgeo.models import (
+    _VMF_HANKEL,
     HyperboloidModel,
     VmfModel,
+    _hankel_sum,
+    _iv_ratio_fraction,
     hyperboloid_mean_resultant,
     vmf_mean_resultant,
 )
@@ -112,7 +115,14 @@ class TestMeanResultant:
         (hyperboloid_mean_resultant, mpmath.besselk, -1.0),
     ], ids=["vmf", "hyp"])
     @given(m=st.integers(2, 6), rho=st.floats(-8.0, 12.0).map(lambda x: 10.0 ** x))
-    @example(m=3, rho=2.0 ** 30).via("the first argument where scipy's ive/kve return NaN")
+    @example(m=3, rho=2.0 ** 30).via("the first argument where scipy's kve returns NaN")
+    @example(m=3, rho=math.nextafter(_VMF_HANKEL, 0.0)).via("just below the vmf expansion's cut")
+    @example(m=3, rho=_VMF_HANKEL).via("at the vmf expansion's cut")
+    @example(m=3, rho=math.nextafter(_VMF_HANKEL, math.inf)).via("just above the vmf expansion's cut")
+    @example(m=4, rho=math.nextafter(_VMF_HANKEL, 0.0)).via("just below the vmf expansion's cut")
+    @example(m=4, rho=_VMF_HANKEL).via("at the vmf expansion's cut")
+    @example(m=4, rho=math.nextafter(_VMF_HANKEL, math.inf)).via("just above the vmf expansion's cut")
+    @example(m=101, rho=100.0).via("a large order: the vmf expansion waits for rho >= nu^2")
     @example(m=2, rho=1.4e-3).via("cancellation in coth(rho) - 1/rho")
     @settings(max_examples=60, deadline=None)
     def test_ratio_against_mpmath(self, ratio, bessel, sign, m, rho):
@@ -125,6 +135,18 @@ class TestMeanResultant:
         with mpmath.workdps(50):
             reference = bessel(nu + 1, rho) / bessel(nu, rho)
             assert abs(value - reference) <= 1e-13 * reference
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 52, 101])
+    def test_vmf_routes_agree_at_the_cut(self, m):
+        # the continued fraction runs below the cut and the expansion from it on
+        nu = 0.5 * (m - 1)
+        cut = max(_VMF_HANKEL, nu * nu)
+        below = math.nextafter(cut, 0.0)
+        fraction = _iv_ratio_fraction(nu, cut)
+        hankel = _hankel_sum(nu + 1.0, cut, -1.0) / _hankel_sum(nu, cut, -1.0)
+        assert abs(fraction - hankel) <= 2e-15 * hankel
+        assert vmf_mean_resultant(cut, m) == hankel
+        assert vmf_mean_resultant(below, m) == _iv_ratio_fraction(nu, below)
 
     @pytest.mark.parametrize("cls", [VmfModel, HyperboloidModel])
     def test_odd_dimension_large_concentration_builds(self, cls):
