@@ -466,30 +466,25 @@ def gauge_pde_residual(fam: CurvedFamily, gauge: Gauge, k0l0: float, grid: np.nd
     return float(np.abs(lhs - k0l0 * pg.g).max(initial=0.0))
 
 
-def conformal_sub_quantities(
-    pg: PointGeometry,
-    gauge: Gauge,
-    s_kappa: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def conformal_sub_quantities(pg: PointGeometry, gauge: Gauge) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Transformed (-1)-connection, transformed 1-extrinsic curvature, and
-    the conformal 1-extrinsic curvature of the submanifold at ``pg.u``.
+    the conformal 1-extrinsic curvature of the submanifold at ``pg.u``, a
+    point or rows.
 
-    ``s_kappa`` defaults to the mean extrinsic curvature, the choice that
-    kills the transformed extrinsic curvature on totally umbilic families.
+    The transformed extrinsic curvature takes ``s_kappa`` to be the mean
+    extrinsic curvature, the choice that kills it on totally umbilic families.
     """
-    nu = gauge.nu_at(pg.u)
+    nu = gauge.nu_at(pg.u)[..., None, None, None]
     s = gauge.s(pg.u)
     g, h1 = pg.g, pg.h1
-    hk = np.einsum("abk,ab->k", h1, pg.ginv) / pg.fam.m
-    if s_kappa is None:
-        s_kappa = hk
-    s_kappa = np.atleast_1d(np.asarray(s_kappa, dtype=float))
+    hk = np.einsum("...abk,...ab->...k", h1, pg.ginv) / pg.fam.m
+    g_hk = np.einsum("...ab,...k->...abk", g, hk)
 
     gamma_bar = nu * (
-        pg.gm1 + np.einsum("ca,b->abc", g, s) + np.einsum("cb,a->abc", g, s)
+        pg.gm1 + np.einsum("...ca,...b->...abc", g, s) + np.einsum("...cb,...a->...abc", g, s)
     )
-    h1_bar = nu * (h1 - np.einsum("ab,k->abk", g, s_kappa))
-    k1 = h1 - np.einsum("ab,k->abk", g, hk)
+    h1_bar = nu * (h1 - g_hk)
+    k1 = h1 - g_hk
     return tops.require_finite(gamma_bar), tops.require_finite(h1_bar), tops.require_finite(k1)
 
 
@@ -497,21 +492,23 @@ def ubar_chart_connection(
     pg: PointGeometry,
     gauge: Gauge,
     coords: ConformalCoordinates,
-) -> np.ndarray:
-    """Transformed (-1)-connection at ``pg.u`` expressed in the flattening coordinates.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Transformed (-1)-connection at ``pg.u``, a point or rows, expressed in
+    the flattening coordinates.
 
-    Verifies the flattening claim: the result should vanish on the whole
-    chart for a dual quadric hypersurface with its gauge.
+    Returns the two terms of :func:`expfam.connection_coordinate_change`, the
+    pulled-back connection and the inhomogeneous term; their sum is the
+    connection. Verifies the flattening claim: the sum should vanish on the
+    whole chart for a dual quadric hypersurface with its gauge.
     """
     ua = pg.u
     gamma_bar, _, _ = conformal_sub_quantities(pg, gauge)
-    nu = gauge.nu_at(ua)
-    g_bar = nu * pg.g
+    g_bar = gauge.nu_at(ua)[..., None, None] * pg.g
 
     # C[p, a] = d ubar^p / d u^a, hess[p, a, b] = d_a d_b ubar^p
     cmat, hess = coords.derivatives(ua)
     cinv = np.linalg.inv(cmat)                           # cinv[a, p] = d u^a / d ubar^p
-    basis = cinv.T                                       # basis[p, a] = d u^a / d ubar^p
+    basis = cinv.swapaxes(-1, -2)                        # basis[p, a] = d u^a / d ubar^p
     # d basis[q, b] / d ubar^p, by differentiating the inverse matrix through u
-    dbasis = -np.einsum("pe,bm,mea,aq->pqb", basis, cinv, hess, cinv)
+    dbasis = -np.einsum("...pe,...bm,...mea,...aq->...pqb", basis, cinv, hess, cinv)
     return expfam.connection_coordinate_change(gamma_bar, basis, dbasis, g_bar)

@@ -83,22 +83,25 @@ def connection_coordinate_change(
     basis: np.ndarray,
     dbasis: np.ndarray,
     metric_old: np.ndarray,
-) -> np.ndarray:
-    """Transform connection components to a new chart.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Transform connection components to a new chart, at a point or at each row of a stack.
 
-    ``basis[b, i] = d old^i / d new^b`` and ``dbasis[a, b, i]`` is its
-    derivative along the new coordinates. The inhomogeneous term contracts
-    the old-chart metric with ``basis`` and ``dbasis``.
+    ``basis[..., b, i] = d old^i / d new^b`` and ``dbasis[..., a, b, i]`` is
+    its derivative along the new coordinates. Returns the two terms whose
+    sum is the new components: the pulled-back connection and the
+    inhomogeneous term, which contracts the old-chart metric with ``basis``
+    and ``dbasis``. They come apart so that a sum that should cancel can be
+    weighed against its terms.
     """
     g = np.asarray(gamma, dtype=float)
     b = np.asarray(basis, dtype=float)
     db = np.asarray(dbasis, dtype=float)
     gm = np.asarray(metric_old, dtype=float)
-    if np.linalg.matrix_rank(b) < b.shape[0]:
+    if np.any(np.linalg.matrix_rank(b) < b.shape[-2]):
         raise ChartError("chart-change basis is rank deficient")
-    pulled = np.einsum("ijk,ai,bj,ck->abc", g, b, b, b)
-    inhom = np.einsum("ij,ci,abj->abc", gm, b, db)
-    return tops.require_finite(pulled + inhom)
+    pulled = np.einsum("...ijk,...ai,...bj,...ck->...abc", g, b, b, b)
+    inhom = np.einsum("...ij,...ci,...abj->...abc", gm, b, db)
+    return tops.require_finite(pulled), tops.require_finite(inhom)
 
 
 def rc_curvature(

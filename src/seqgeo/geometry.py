@@ -206,41 +206,30 @@ def classify(
     pg = point_geometry(fam, grid)
     h1s, hm1s, gs, r1s = pg.h1, pg.hm1, pg.g, pg.r1
     thetas, etas = pg.jet.theta, pg.jet.eta
+    tensor_axes = (-3, -2, -1)
 
     # epsilon: least squares of H^(-1) against H^(1)
-    num = sum(float(np.sum(a * b)) for a, b in zip(hm1s, h1s))
-    den = sum(float(np.sum(b * b)) for b in h1s)
-    eps = num / den if den > 0 else 0.0
-    eps_res = max(float(np.abs(a - eps * b).max()) for a, b in zip(hm1s, h1s))
+    den = float(np.sum(h1s * h1s))
+    eps = float(np.sum(hm1s * h1s)) / den if den > 0 else 0.0
+    eps_res = float(np.abs(hm1s - eps * h1s).max())
 
     # umbilicity: H^(1)_abk = H^(1)_k g_ab, relative to max |H^(1)| at the
     # same point, which grows with the concentration
-    umb_res = 0.0
-    for h1, g, ginv in zip(h1s, gs, pg.ginv):
-        hk = np.einsum("abk,ab->k", h1, ginv) / fam.m
-        res = float(np.abs(h1 - np.einsum("k,ab->abk", hk, g)).max())
-        umb_res = max(umb_res, res / float(np.abs(h1).max()) if res > 0.0 else 0.0)
+    hk = np.einsum("...abk,...ab->...k", h1s, pg.ginv) / fam.m
+    umb = np.abs(h1s - np.einsum("...k,...ab->...abk", hk, gs)).max(axis=tensor_axes)
+    umb_res = float(np.max(umb / np.where(umb > 0.0, np.abs(h1s).max(axis=tensor_axes), 1.0)))
 
     # dual quadric: B_kappa = k0 (theta - theta0), eta analogue
     def affine_fit(rows, points):
+        # one equation per point and coordinate i: k pt_i - c_i = vec_i, c = k base
         n = fam.n
-        a_rows, b_rows = [], []
-        for vec, pt in zip(rows, points):
-            for i in range(n):
-                row = np.zeros(1 + n)
-                row[0] = pt[i]
-                row[1 + i] = -1.0
-                a_rows.append(row)
-                b_rows.append(vec[i])
-        sol, *_ = np.linalg.lstsq(np.array(a_rows), np.array(b_rows), rcond=None)
+        a = np.hstack([points.reshape(-1, 1), np.tile(np.diag(np.full(n, -1.0)), (len(points), 1))])
+        sol, *_ = np.linalg.lstsq(a, rows.reshape(-1), rcond=None)
         k = float(sol[0])
         # the slope is live when it matters at the scale of the fitted data
         live = abs(k) * float(np.abs(points).max()) > 1e-8 * float(np.abs(rows).max())
         base = sol[1:] / k if live else np.zeros(n)
-        res = max(
-            float(np.abs(vec - k * (pt - base)).max()) for vec, pt in zip(rows, points)
-        )
-        return k, base, res, live
+        return k, base, float(np.abs(rows - k * (points - base)).max()), live
 
     k0, theta0, res_k, live_k = affine_fit(pg.jet.normal_theta[:, 0], thetas)
     l0, eta0, res_l, live_l = affine_fit(pg.jet.normal_eta[:, 0], etas)
@@ -250,18 +239,15 @@ def classify(
     if live_k and live_l:
         # relative to the target, which grows with the concentration
         target = 1.0 / (k0 * l0)
-        ident_res = max(
-            abs(float((th - theta0) @ (et - eta0)) - target)
-            for th, et in zip(thetas, etas)
-        ) / abs(target)
+        ident = np.einsum("...i,...i->...", thetas - theta0, etas - eta0)
+        ident_res = float(np.abs(ident - target).max()) / abs(target)
     dual_quadric = live_k and live_l and dq_res <= tolerance and ident_res <= tolerance
 
     # constant curvature: R^(1)_abcd = lam (g_ad g_bc - g_ac g_bd)
     pats = np.einsum("...ad,...bc->...abcd", gs, gs) - np.einsum("...ac,...bd->...abcd", gs, gs)
-    num_l = sum(float(np.sum(r * pat)) for r, pat in zip(r1s, pats))
-    den_l = sum(float(np.sum(pat * pat)) for pat in pats)
-    lam = num_l / den_l if den_l > 0 else 0.0
-    cc_res = max(float(np.abs(r - lam * pat).max()) for r, pat in zip(r1s, pats))
+    den_l = float(np.sum(pats * pats))
+    lam = float(np.sum(r1s * pats)) / den_l if den_l > 0 else 0.0
+    cc_res = float(np.abs(r1s - lam * pats).max())
 
     return Classification(
         umbilic=umb_res <= tolerance,

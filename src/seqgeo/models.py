@@ -43,7 +43,7 @@ _GAUGE_SINGULAR_TOL = 1e-12
 # Bessel-ratio mean-resultant functions and their closed-form derivatives
 
 
-# from here on scipy's kve returns NaN; the large-argument expansion is exact to rounding
+# from here on scipy's ive and kve return NaN; the large-argument expansion is exact to rounding
 _BESSEL_ASYMPTOTIC = 2.0 ** 30
 # the vmf ratio for m >= 3 takes the large-argument expansion from max(this, nu^2) on,
 # where its terms fall from the first and the e^(-2 rho) it leaves out is below rounding
@@ -204,10 +204,13 @@ def vmf_family(m: int) -> ExponentialFamily:
         nu = 0.5 * (m - 1)
 
         def fval(rho):
-            from scipy import special
+            if rho >= _BESSEL_ASYMPTOTIC:
+                log_iv = rho - 0.5 * math.log(2.0 * math.pi * rho) + math.log(_hankel_sum(nu, rho, -1.0))
+            else:
+                from scipy import special
 
-            # log I_nu(rho) = log ive(nu, rho) + rho, finite where iv overflows
-            log_iv = math.log(float(special.ive(nu, rho))) + rho
+                # log I_nu(rho) = log ive(nu, rho) + rho, finite where iv overflows
+                log_iv = math.log(float(special.ive(nu, rho))) + rho
             return const + 0.5 * (1 - m) * math.log(rho) + log_iv
 
     fder = lambda rho: _vmf_dag_derivs(rho, m)
@@ -232,10 +235,13 @@ def hyperboloid_family(m: int) -> ExponentialFamily:
         const = math.log(2.0) + 0.5 * (m - 1) * math.log(2.0 * math.pi)
 
         def fval(rho):
-            from scipy import special
+            if rho >= _BESSEL_ASYMPTOTIC:
+                log_kv = -rho + 0.5 * math.log(math.pi / (2.0 * rho)) + math.log(_hankel_sum(nu, rho, 1.0))
+            else:
+                from scipy import special
 
-            # log K_nu(rho) = log kve(nu, rho) - rho, finite where kv underflows
-            log_kv = math.log(float(special.kve(nu, rho))) - rho
+                # log K_nu(rho) = log kve(nu, rho) - rho, finite where kv underflows
+                log_kv = math.log(float(special.kve(nu, rho))) - rho
             return const + 0.5 * (1 - m) * math.log(rho) + log_kv
 
     def fder(rho):

@@ -124,7 +124,8 @@ def second_order_terms(
 
     u = pg.u
     nu = gauge.nu_at(u)
-    gprime = ubar_chart_connection(pg, gauge, coords) / nu
+    pulled, inhom = ubar_chart_connection(pg, gauge, coords)
+    gprime = (pulled + inhom) / nu
     j = coords.derivatives(u)[0]
     jinv = np.linalg.inv(j)
     g_ubar = jinv.T @ pg.g @ jinv
@@ -134,25 +135,6 @@ def second_order_terms(
     gamma_sq = np.einsum("cda,efb,ce,df->ab", gprime, gprime, ginv_ubar, ginv_ubar)
     h_sq = np.einsum("ack,bdl,cd,kl->ab", k1_ubar, k1_ubar, ginv_ubar, gkk_inv)
     return ginv_ubar @ (0.5 * gamma_sq + h_sq) @ ginv_ubar
-
-
-def asymptotic_covariance(
-    model,
-    u0,
-    effective_n: float,
-    gauge: Gauge | None = None,
-    coords: ConformalCoordinates | None = None,
-) -> np.ndarray:
-    """Second-order covariance expansion of the corrected estimator.
-
-    Without a gauge this is the fixed-sample-size lower bound; with the
-    quadric gauge and its coordinates the second-order term cancels and
-    the bound collapses to the transformed inverse metric.
-    """
-    u = as_coords(u0)
-    base = crb(model, u, coords=coords)
-    term = second_order_terms(model, u, gauge=gauge, coords=coords)
-    return base + term / effective_n
 
 
 def crb(model, u0, coords: ConformalCoordinates | None = None) -> np.ndarray:

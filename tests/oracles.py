@@ -307,7 +307,8 @@ def reference_bias_correct(model, u_hat, effective_n, gauge=None, coords=None):
     u = pg.u
     if coords is not None:
         nu = gauge.nu_at(u)
-        gbar = ubar_chart_connection(pg, gauge, coords) / nu
+        pulled, inhom = ubar_chart_connection(pg, gauge, coords)
+        gbar = (pulled + inhom) / nu
         j = coords.derivatives(u)[0]
         ginv_ubar = j @ pg.ginv @ j.T
         corr = np.einsum("bcd,da,bc->a", gbar, ginv_ubar, ginv_ubar)

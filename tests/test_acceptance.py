@@ -206,8 +206,8 @@ class TestGeometrySuite:
             _, coords = quadric_gauge(model.curved, np.zeros(3), dmat, grid, gauge=gauge)
             for u in grid[:5]:
                 pg = geometry.point_geometry(model.curved, u)
-                gam = ubar_chart_connection(pg, gauge, coords)
-                worst_conn = max(worst_conn, float(np.abs(gam).max()))
+                pulled, inhom = ubar_chart_connection(pg, gauge, coords)
+                worst_conn = max(worst_conn, float(np.abs(pulled + inhom).max()))
                 _, h1_bar, _ = conformal_sub_quantities(pg, gauge)
                 worst_h1 = max(worst_h1, float(np.abs(h1_bar).max()))
         grid3 = vmf3.probe_grid(count=6, margin=0.3, seed=17)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import seqgeo
 from seqgeo import cli, conformal, geometry, harness
 from seqgeo.errors import ParameterError
-from seqgeo.models import VmfModel
+from seqgeo.models import MODELS, VmfModel
 
 from conftest import bundled_config
 
@@ -90,7 +90,7 @@ class TestGeometryCommand:
     def test_small_concentration_passes(self, capsys):
         # the flattened chart scales with r_dagger ~ r / 3, so its connection
         # grows as 1/r; with the closed-form map Hessian it stays at rounding
-        # level (about 2e-11 here), and so does the scaled residual
+        # level (about 2e-11 here), and the relative residual at about 1e-15
         code, out, _ = run_cli(
             ["geometry", "--model", "vmf", "--m", "2", "--r", "1e-4", "--grid-density", "6", "--json"],
             capsys,
@@ -104,8 +104,9 @@ class TestGeometryCommand:
     @pytest.mark.parametrize("m", ["2", "3"])
     @pytest.mark.parametrize("model", ["vmf", "hyperboloid"])
     def test_large_concentration_passes(self, model, m, r, capsys):
-        # a finite-difference map Hessian put the scaled residual at 2e-5 to 5e-3
-        # here, against its 1e-5, while every analytic check passed
+        # a finite-difference map Hessian put the residual, then scaled by the map
+        # Jacobian norm, at 2e-5 to 5e-3 here, against its 1e-5, while every
+        # analytic check passed
         code, out, _ = run_cli(["geometry", "--model", model, "--m", m, "--r", r, "--json"], capsys)
         rep = json.loads(out)
         assert rep["gamma_bar_ubar_scaled_residual"] < 1e-7
@@ -138,6 +139,27 @@ class TestGeometryCommand:
         assert rep["classification"]["umbilic_residual"] < 1e-14
         if (model, m) == ("vmf", "2"):
             assert code == cli.EXIT_OK and rep["pass"] is True
+
+    @pytest.mark.parametrize("r", ["1e9", "1e10", "1e12", "1e20"])
+    @pytest.mark.parametrize("m", ["2", "3"])
+    @pytest.mark.parametrize("model", ["vmf", "hyperboloid"])
+    def test_flattened_connection_is_relative(self, model, m, r, capsys):
+        # Gamma_bar in the ubar chart is a sum of two cancelling terms; read as
+        # |Gamma_bar| times the map Jacobian norm it was 6.6e-7 to 7.4e5 here,
+        # above its 1e-5 in 13 of these 16 runs
+        code, out, _ = run_cli(["geometry", "--model", model, "--m", m, "--r", r, "--json"], capsys)
+        rep = json.loads(out)
+        assert rep["gamma_bar_ubar_scaled_residual"] < 1e-13
+        assert code == cli.EXIT_OK and rep["pass"] is True
+
+    @pytest.mark.parametrize("model, m", [("vmf", 2), ("vmf", 3), ("hyperboloid", 2), ("hyperboloid", 3)])
+    def test_flattened_connection_rejects_a_wrong_gauge(self, model, m, monkeypatch):
+        # negative control: with a constant gauge nothing cancels, so the sum is
+        # of the size of its larger term
+        monkeypatch.setattr(MODELS[model], "gauge", lambda self: conformal.constant_gauge(1.0))
+        rep = cli.geometry_report(model, m, 1.0)
+        assert rep["gamma_bar_ubar_scaled_residual"] > 0.5
+        assert rep["pass"] is False
 
     @pytest.mark.parametrize("model", ["vmf", "hyperboloid"])
     def test_odd_dimension_beyond_scipy_range(self, model, capsys):

@@ -25,7 +25,7 @@ from seqgeo.conformal import (
     ubar_chart_connection,
     weyl_schouten,
 )
-from seqgeo.errors import GaugeMismatchError, GaugeSingularityError, UnsupportedShapeError
+from seqgeo.errors import ChartError, GaugeMismatchError, GaugeSingularityError, UnsupportedShapeError
 from seqgeo.geometry import point_geometry
 from seqgeo.models import HyperboloidModel, VmfModel, gaussian_family
 
@@ -144,8 +144,8 @@ class TestConnection:
             gauge, coords = quadric_gauge(model.curved, np.zeros(3), dmat, grid, model.gauge())
             for u in grid[:4]:
                 pg = geometry.point_geometry(model.curved, u)
-                gam = ubar_chart_connection(pg, gauge, coords)
-                assert np.abs(gam).max() < 1e-5
+                pulled, inhom = ubar_chart_connection(pg, gauge, coords)
+                assert np.abs(pulled + inhom).max() < 1e-5
 
 
 class TestCurvatureTransform:
@@ -425,9 +425,10 @@ class TestSubQuantities:
         gauge = constant_gauge(2.0)
         u = np.array([0.8, 1.0])
         pg = geometry.point_geometry(vmf.curved, u)
-        gam_bar, h1_bar, _ = conformal_sub_quantities(pg, gauge, s_kappa=np.zeros(1))
+        gam_bar, h1_bar, k1 = conformal_sub_quantities(pg, gauge)
         assert np.abs(gam_bar - 2.0 * pg.gm1).max() < 1e-14
-        assert np.abs(h1_bar - 2.0 * pg.h1).max() < 1e-14
+        # s_kappa is the mean extrinsic curvature, so H_bar(1) = nu K(1)
+        assert np.abs(h1_bar - 2.0 * k1).max() < 1e-14
 
     @pytest.mark.parametrize("model_name", ["vmf", "hyp"])
     def test_mean_curvature_choice_kills_h1(self, model_name, request):
@@ -445,7 +446,8 @@ class TestSubQuantities:
         nu = gauge.nu_at(u)
         s_kappa = np.array([0.37])
         pg = geometry.point_geometry(vmf.curved, u)
-        _, h1_bar, k1 = conformal_sub_quantities(pg, gauge, s_kappa=s_kappa)
+        _, _, k1 = conformal_sub_quantities(pg, gauge)
+        h1_bar = nu * (pg.h1 - np.einsum("ab,k->abk", pg.g, s_kappa))
         gbar = nu * pg.g
         hbar_k = np.einsum("abk,ab->k", h1_bar, np.linalg.inv(gbar)) / vmf.m
         k_bar = h1_bar - np.einsum("ab,k->abk", gbar, hbar_k)
@@ -535,3 +537,40 @@ class TestClosedFormMap:
             gauge.nu_at(etas)
         with pytest.raises(GaugeSingularityError):
             coords.forward(etas)
+
+
+def flattening_kernels(model, us):
+    """The three batched flattening-chart kernels at ``us``, a point or rows, from one bundle."""
+    gauge, coords = model_map(model)
+    pg = point_geometry(model.curved, us)
+    jac, hess = coords.derivatives(us)
+    return [*conformal_sub_quantities(pg, gauge), *ubar_chart_connection(pg, gauge, coords),
+            *expfam.connection_coordinate_change(pg.gm1, jac, hess, pg.g)]
+
+
+class TestBatchedKernels:
+    """Row ``i`` of a flattening-chart kernel over rows has the bytes of point ``i``'s own call."""
+
+    @pytest.mark.parametrize("model_name", sorted(MAP_MODELS))
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_rows_match_single(self, model_name, data):
+        model = MAP_MODELS[model_name]
+        us = data.draw(gauge_rows(model, 5))
+        rows = flattening_kernels(model, us)
+        for i, u in enumerate(us):
+            for got, want in zip(rows, flattening_kernels(model, u)):
+                assert_same_bytes(got[i], want)
+
+    @pytest.mark.parametrize("model_name", sorted(MAP_MODELS))
+    def test_batch_of_one(self, model_name):
+        model = MAP_MODELS[model_name]
+        u = model.probe_grid(count=1, margin=0.2, seed=5)
+        for got, want in zip(flattening_kernels(model, u), flattening_kernels(model, u[0])):
+            assert_same_bytes(got, want[None])
+
+    def test_rank_check_covers_every_row(self):
+        basis = np.stack([np.eye(2), np.ones((2, 2))])
+        with pytest.raises(ChartError, match="rank deficient"):
+            expfam.connection_coordinate_change(np.zeros((2, 2, 2, 2)), basis, np.zeros((2, 2, 2, 2)),
+                                                np.stack([np.eye(2)] * 2))

@@ -165,15 +165,15 @@ class TestCoordinateChange:
         theta = np.array([0.2, 0.05, 0.1])
         gam = alpha_connection(vmf.family, theta, -1.0)
         g = metric(vmf.family, theta)
-        out = connection_coordinate_change(gam, np.eye(3), np.zeros((3, 3, 3)), g)
-        assert np.abs(out - gam).max() < 1e-14
+        pulled, inhom = connection_coordinate_change(gam, np.eye(3), np.zeros((3, 3, 3)), g)
+        assert np.abs(pulled + inhom - gam).max() < 1e-14
 
     def test_linear_change_of_flat_stays_flat(self, gauss2):
         b = np.array([[2.0, 1.0], [0.0, 1.0]])
-        out = connection_coordinate_change(
+        pulled, inhom = connection_coordinate_change(
             np.zeros((2, 2, 2)), b, np.zeros((2, 2, 2)), np.eye(2)
         )
-        assert np.allclose(out, 0.0)
+        assert np.allclose(pulled + inhom, 0.0)
 
     def test_rank_deficient_basis_rejected(self):
         with pytest.raises(Exception):
@@ -199,7 +199,8 @@ class TestCoordinateChange:
         flat = fd_field_derivative(lambda w: fd_field_derivative(theta_of_w, w, 1e-5).ravel(), w0, 1e-4)
         dbasis = flat.reshape(3, 3, 3)  # d_beta B[gamma, i]
         g_theta = metric(vmf.family, frame.theta)
-        gam_w = connection_coordinate_change(np.zeros((3, 3, 3)), basis, dbasis, g_theta)
+        pulled, inhom = connection_coordinate_change(np.zeros((3, 3, 3)), basis, dbasis, g_theta)
+        gam_w = pulled + inhom
         g_ab = geometry.point_geometry(fam, u0).g
         expected = -g_ab / vmf.r_dagger
         assert np.abs(gam_w[:2, :2, 2] - expected).max() < 2e-3 * abs(expected).max()

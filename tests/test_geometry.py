@@ -24,6 +24,10 @@ from oracles import (
 )
 
 
+BATCH_MODELS = {"vmf": VmfModel(2, 0.25), "hyp": HyperboloidModel(2, 0.1),
+                "vmf3": VmfModel(3, 1.0), "hyp3": HyperboloidModel(3, 0.1)}
+
+
 class TestFrames:
     def test_vmf_normal_is_radial(self, vmf):
         f = frame_at(vmf.curved, U0_VMF)
@@ -248,6 +252,35 @@ class TestClassification:
         assert cls.dual_quadric
         assert cls.quadric_identity_residual <= cls.tolerance
 
+    @pytest.mark.parametrize("model_name", sorted(BATCH_MODELS))
+    def test_fits_match_per_point_reference(self, model_name):
+        # a per-point reference for the array reductions: the slope fits solve
+        # the same least-squares matrix, so k0 and l0 keep their bits; the sums
+        # of epsilon and lambda run in another order
+        model = BATCH_MODELS[model_name]
+        grid = model.probe_grid(count=12, margin=0.15, seed=11)
+        cls = classify(model.curved, grid)
+        pgs = [point_geometry(model.curved, u) for u in grid]
+
+        def slope(vecs, points):
+            a_rows, b_rows = [], []
+            for vec, pt in zip(vecs, points):
+                for i in range(model.m + 1):
+                    row = np.zeros(model.m + 2)
+                    row[0], row[1 + i] = pt[i], -1.0
+                    a_rows.append(row)
+                    b_rows.append(vec[i])
+            return float(np.linalg.lstsq(np.array(a_rows), np.array(b_rows), rcond=None)[0][0])
+
+        assert cls.k0 == slope([p.jet.normal_theta[0] for p in pgs], [p.jet.theta for p in pgs])
+        assert cls.l0 == slope([p.jet.normal_eta[0] for p in pgs], [p.jet.eta for p in pgs])
+        eps = sum(float(np.sum(p.hm1 * p.h1)) for p in pgs) / sum(float(np.sum(p.h1 * p.h1)) for p in pgs)
+        pats = [np.einsum("ad,bc->abcd", p.g, p.g) - np.einsum("ac,bd->abcd", p.g, p.g) for p in pgs]
+        lam = (sum(float(np.sum(p.r1 * pat)) for p, pat in zip(pgs, pats))
+               / sum(float(np.sum(pat * pat)) for pat in pats))
+        assert cls.es_epsilon == pytest.approx(eps, rel=64 * np.finfo(float).eps, abs=0.0)
+        assert cls.constant_curvature == pytest.approx(lam, rel=64 * np.finfo(float).eps, abs=0.0)
+
     def test_linear_is_flat_umbilic_not_quadric(self, linear):
         rng = np.random.default_rng(3)
         grid = rng.uniform(-1.0, 1.0, size=(10, 2))
@@ -281,8 +314,6 @@ class TestSkewnessContraction:
 
 FIELDS = ("g", "ginv", "gkk_inv", "ht", "he", "g1", "gm1", "h1", "hm1", "r1", "rm1")
 JET_VALUES = ("theta", "eta")
-BATCH_MODELS = {"vmf": VmfModel(2, 0.25), "hyp": HyperboloidModel(2, 0.1),
-                "vmf3": VmfModel(3, 1.0), "hyp3": HyperboloidModel(3, 0.1)}
 
 
 def assert_rows_match_single(fam, us):

@@ -155,6 +155,23 @@ class TestMeanResultant:
         theta, _ = model.embed(model.probe_grid(count=1)[0])
         assert math.isfinite(model.family.psi(theta))
 
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    @pytest.mark.parametrize("rho", [2.0 ** 30, 1e10, 1e12, 1e15])
+    def test_log_normaliser_beyond_scipy_range(self, rho, m):
+        # from rho = 2^30 on scipy's ive and kve return NaN, and so did psi
+        theta = np.zeros(m + 1)
+        theta[0] = rho
+        nu = mpmath.mpf(m - 1) / 2
+        with mpmath.workdps(50):
+            radial = (1 - m) * mpmath.log(rho) / 2
+            want_vmf = (m + 1) * mpmath.log(2 * mpmath.pi) / 2 + radial + mpmath.log(mpmath.besseli(nu, rho))
+            want_hyp = (mpmath.log(2) + (m - 1) * mpmath.log(2 * mpmath.pi) / 2 + radial
+                        + mpmath.log(mpmath.besselk(nu, rho)))
+        # the hyperboloid's natural domain is the past timelike cone
+        for cls, point, want in ((VmfModel, theta, want_vmf), (HyperboloidModel, -theta, want_hyp)):
+            got = cls(m, 1.0).family.psi(point)
+            assert abs(got - float(want)) <= 2.0 * np.finfo(float).eps * abs(float(want))
+
 
 class TestEmbedding:
     def test_vmf_table(self, vmf):

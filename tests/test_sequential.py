@@ -8,7 +8,6 @@ from seqgeo import conformal, geometry, sequential
 from seqgeo.conformal import quadric_gauge
 from seqgeo.errors import EvaluationDomainError
 from seqgeo.sequential import (
-    asymptotic_covariance,
     bias_correct,
     crb,
     second_order_terms,
@@ -249,7 +248,7 @@ class TestAsymptoticCovariance:
         gamma_sq = np.einsum("cda,efb,ce,df->ab", pg.gm1, pg.gm1, ginv, ginv)
         h_sq = np.einsum("ack,bdl,cd->ab", pg.h1, pg.h1, ginv)
         expected = ginv + (ginv @ (0.5 * gamma_sq + h_sq) @ ginv) / n
-        got = asymptotic_covariance(vmf, U0_VMF, n)
+        got = crb(vmf, U0_VMF) + second_order_terms(vmf, U0_VMF) / n
         assert np.abs(got - expected).max() < 1e-12
         # the extrinsic part alone is g^{ab}/r_dagger^2
         h_term = ginv @ h_sq @ ginv
@@ -257,14 +256,14 @@ class TestAsymptoticCovariance:
 
     def test_flat_model_is_exact_bound(self, linear):
         u = np.array([0.1, 0.9])
-        got = asymptotic_covariance(linear, u, 10.0)
+        got = crb(linear, u) + second_order_terms(linear, u) / 10.0
         assert np.abs(got - crb(linear, u)).max() < 1e-12
 
     def test_conformal_second_order_cancels(self, vmf, vmf_coords):
         gauge, coords = vmf_coords
         term = second_order_terms(vmf, U0_VMF, gauge=gauge, coords=coords)
         assert np.abs(term).max() < 1e-8
-        got = asymptotic_covariance(vmf, U0_VMF, 500.0, gauge=gauge, coords=coords)
+        got = crb(vmf, U0_VMF, coords=coords) + term / 500.0
         assert np.abs(got - crb(vmf, U0_VMF, coords=coords)).max() < 1e-8
 
     def test_gauge_and_coords_go_together(self, vmf, vmf_coords):
