@@ -197,7 +197,9 @@ def classify(
     constant-curvature pattern. Flags require the corresponding max-norm
     residual to stay within ``tolerance``; the umbilicity residual is taken
     relative to max |H(1)| at each point, and the quadric identity's relative
-    to its target ``1/(k0 l0)``.
+    to its target ``1/(k0 l0)``. The curvature constant is fitted with each
+    point's pattern scaled by its own magnitude, and its residual is relative
+    to |lambda| times that scale (to that scale alone when lambda is 0).
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     if fam.codim != 1:
@@ -243,11 +245,18 @@ def classify(
         ident_res = float(np.abs(ident - target).max()) / abs(target)
     dual_quadric = live_k and live_l and dq_res <= tolerance and ident_res <= tolerance
 
-    # constant curvature: R^(1)_abcd = lam (g_ad g_bc - g_ac g_bd)
-    pats = np.einsum("...ad,...bc->...abcd", gs, gs) - np.einsum("...ac,...bd->...abcd", gs, gs)
-    den_l = float(np.sum(pats * pats))
-    lam = float(np.sum(r1s * pats)) / den_l if den_l > 0 else 0.0
-    cc_res = float(np.abs(r1s - lam * pats).max())
+    # constant curvature: R^(1)_abcd = lam (g_ad g_bc - g_ac g_bd). The pattern
+    # grows as (r r_dagger)^2, so each point's pattern, built from g / max|g|,
+    # and its R^(1) are fitted scaled by that pattern's own size, which is
+    # positive for a positive-definite g; the residual is relative to |lam|
+    gmax = np.abs(gs).max(axis=(-2, -1), keepdims=True)
+    gn = gs / gmax
+    pats = np.einsum("...ad,...bc->...abcd", gn, gn) - np.einsum("...ac,...bd->...abcd", gn, gn)
+    pmax = np.abs(pats).max(axis=(-4, -3, -2, -1), keepdims=True)
+    pats = pats / pmax
+    r1n = r1s / gmax[..., None, None] / gmax[..., None, None] / pmax
+    lam = float(np.sum(r1n * pats) / np.sum(pats * pats))
+    cc_res = float(np.abs(r1n - lam * pats).max()) / (abs(lam) or 1.0)
 
     return Classification(
         umbilic=umb_res <= tolerance,

@@ -218,7 +218,12 @@ def _batch_se_product(taus: np.ndarray, outers: np.ndarray) -> float:
 
 
 def run_nonsequential(config: ExperimentConfig) -> ResultTable:
-    """Fixed-sample-size suite: bias-corrected estimator, scaled covariance."""
+    """Fixed-sample-size suite: bias-corrected estimator, scaled covariance.
+
+    Each cell draws its replications in blocks of ``sequential.ROWS // N``,
+    one ``sample_many`` call per block; replication ``rep`` keeps its own
+    generator, so the sums do not depend on the block size.
+    """
     model = MODELS[config.model](config.m, config.r)
     u0 = config.u0
     ginv = sequential.crb(model, u0)
@@ -227,11 +232,13 @@ def run_nonsequential(config: ExperimentConfig) -> ResultTable:
     rows = []
     for n in config.grid_n:
         cell_id = f"nonseq:{n}"
+        block = max(1, sequential.ROWS // n)
         sums = []
-        for rep in range(config.replications):
-            rng = default_rng(rep_seed(config.seed, cell_id, rep))
-            sums.append(model.sample_many(u0, rng, n).sum(axis=0))
-        u_hats, ok = model.mle_many(np.full(config.replications, float(n)), np.array(sums))
+        for start in range(0, config.replications, block):
+            rngs = [default_rng(rep_seed(config.seed, cell_id, rep))
+                    for rep in range(start, min(start + block, config.replications))]
+            sums.append(model.sample_many(u0, rngs, n).sum(axis=1))
+        u_hats, ok = model.mle_many(np.full(config.replications, float(n)), np.concatenate(sums))
         excluded = int(np.count_nonzero(~ok))
         _check_exclusions(excluded, config.replications, cell_id)
         u_stars = sequential.bias_correct(model, u_hats[ok], float(n))

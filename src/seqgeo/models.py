@@ -8,6 +8,10 @@ A model's ``curved`` family is one closed-form jet: ``theta = r lam xi`` and
 ``eta = r_dagger xi``, ``xi`` the unit direction of the chart point, with
 their derivatives and normals. ``embed`` checks that a point lies in the
 chart and reads both values from that jet.
+The sampler draws for a batch of replications in one call,
+``sample_many(u, rngs, size) -> (len(rngs), size, n)``: row ``i`` takes
+``rngs[i]``'s draws in the order that replication alone would, and the
+transform runs once over all rows, so a row does not depend on its batch.
 The sampler and the batched estimator are implemented for m = 2, the
 simulation dimension; all geometry works for any m >= 2. ``MODELS`` maps
 the model names the CLI and the experiment configs accept to their classes.
@@ -465,20 +469,24 @@ class VmfModel(_DirectionalModel):
         rr = self.r * self.r_dagger
         return -0.5 * (self.m / rr - 1.0 / self.r_dagger**2)
 
-    def sample_many(self, u, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw unit observations around the chart direction; m = 2 only."""
+    def sample_many(self, u, rngs, size: int) -> np.ndarray:
+        """Draw unit observations around the chart direction; m = 2 only.
+
+        Returns ``(len(rngs), size, 3)``; row ``i`` is drawn from ``rngs[i]``.
+        """
         self._require_m2()
         xi, e1, e2, floor = self._plan(u)
-        uu = rng.random(size)
+        uu, phi = _uniform_pairs(rngs, size)
         w = 1.0 + np.log(uu + (1.0 - uu) * floor) / self.r
-        phi = 2.0 * math.pi * rng.random(size)
+        phi *= 2.0 * math.pi
         st = np.sqrt(np.maximum(1.0 - w * w, 0.0))
-        x = (
-            w[:, None] * xi[None, :]
-            + (st * np.cos(phi))[:, None] * e1[None, :]
-            + (st * np.sin(phi))[:, None] * e2[None, :]
-        )
-        return x / np.linalg.norm(x, axis=1, keepdims=True)
+        a, b = st * np.cos(phi), st * np.sin(phi)
+        # column by column, so that a burst of up to ROWS draws keeps few temporaries
+        x = np.empty(w.shape + (3,))
+        for j in range(3):
+            x[..., j] = w * xi[j] + a * e1[j] + b * e2[j]
+        x /= np.linalg.norm(x, axis=-1, keepdims=True)
+        return x
 
     def _build_plan(self, u: np.ndarray) -> tuple:
         xi = self.direction(u)
@@ -521,18 +529,26 @@ class HyperboloidModel(_DirectionalModel):
         rr = self.r * self.r_dagger
         return -0.5 * (-self.m / rr - 1.0 / self.r_dagger**2)
 
-    def sample_many(self, u, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Boosted radial draws: the radial cosh is a shifted exponential."""
+    def sample_many(self, u, rngs, size: int) -> np.ndarray:
+        """Boosted radial draws, ``(len(rngs), size, 3)``: the radial cosh is a
+        shifted exponential. Row ``i`` is drawn from ``rngs[i]``.
+
+        The boost is one stacked matmul, which makes each row's own BLAS call
+        (gemv for one draw, gemm for more), so a row keeps the bits it has when
+        drawn alone; one matmul over all rows would take gemm at ``size = 1`` too.
+        """
         self._require_m2()
         (boost,) = self._plan(u)
-        e = -np.log1p(-rng.random(size))
+        uu, phi = _uniform_pairs(rngs, size)
+        e = -np.log1p(-uu)
         y = 1.0 + e / self.r
         sr = np.sqrt(np.maximum(y * y - 1.0, 0.0))
-        phi = 2.0 * math.pi * rng.random(size)
-        xloc = np.stack([y, sr * np.cos(phi), sr * np.sin(phi)], axis=1)
+        phi *= 2.0 * math.pi
+        xloc = np.stack([y, sr * np.cos(phi), sr * np.sin(phi)], axis=-1)
         x = xloc @ boost.T
-        q = x[:, 0] ** 2 - x[:, 1] ** 2 - x[:, 2] ** 2
-        return x / np.sqrt(q)[:, None]
+        q = x[..., 0] ** 2 - x[..., 1] ** 2 - x[..., 2] ** 2
+        x /= np.sqrt(q)[..., None]
+        return x
 
     def _build_plan(self, u: np.ndarray) -> tuple:
         ch, sh = math.cosh(u[0]), math.sinh(u[0])
@@ -567,6 +583,17 @@ class HyperboloidModel(_DirectionalModel):
 
 
 MODELS = {"vmf": VmfModel, "hyperboloid": HyperboloidModel}
+
+
+def _uniform_pairs(rngs, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two ``(len(rngs), size)`` uniform arrays: row ``i`` holds ``rngs[i]``'s
+    first and then its second ``random(size)`` draw, the order a sampler of
+    that replication alone would take them in."""
+    out = np.empty((2, len(rngs), size))
+    for i, rng in enumerate(rngs):
+        rng.random(out=out[0, i])
+        rng.random(out=out[1, i])
+    return out[0], out[1]
 
 
 def _orthonormal_complement(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

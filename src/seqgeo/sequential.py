@@ -12,8 +12,8 @@ import math
 
 import numpy as np
 
-from . import geometry, tensorops as tops
-from .conformal import ConformalCoordinates, Gauge, conformal_sub_quantities, ubar_chart_connection
+from . import geometry
+from .conformal import ConformalCoordinates, Gauge
 from .errors import ChartError
 from .tensorops import as_coords
 
@@ -34,10 +34,10 @@ def stop_cell(
     """Sample each replication of a cell until its criterion crosses ``K nu + c``,
     ``c`` the model's stopping constant.
 
-    Replication ``i`` draws from ``rngs[i]``, one ``sample_many`` call per
-    burst; the burst size and the cap ``t_max`` depend only on the cell, so
-    the live replications advance burst by burst together and the estimator,
-    the criterion and the gauge run once per burst over all of them. A
+    Replication ``i`` draws from ``rngs[i]``; the burst size and the cap
+    ``t_max`` depend only on the cell, so the live replications advance burst
+    by burst together, and the sampler, the estimator, the criterion and the
+    gauge each run once per burst over all of their rows. A
     replication stops at the first eligible index at or past the boundary,
     as one-at-a-time evaluation would. Its draws and sums never mix with
     another's, so the results do not depend on the batch: replications
@@ -65,7 +65,7 @@ def stop_cell(
         t = 0
         while live.size and t < t_max:
             take = min(burst, t_max - t)
-            xs = np.stack([model.sample_many(u0a, rngs[i], take) for i in live])
+            xs = model.sample_many(u0a, [rngs[i] for i in live], take)
             cums = sum_x[live, None, :] + np.cumsum(xs, axis=1)
             rows = cums.reshape(-1, n)
             ts = np.tile(np.arange(t + 1, t + take + 1, dtype=float), live.size)
@@ -99,42 +99,18 @@ def bias_correct(model, u_hats, effective_n: float) -> np.ndarray:
     return pg.u + corr / (2.0 * effective_n)
 
 
-def second_order_terms(
-    model,
-    u0,
-    gauge: Gauge | None = None,
-    coords: ConformalCoordinates | None = None,
-) -> np.ndarray:
+def second_order_terms(model, u0) -> np.ndarray:
     """The two surviving squared-tensor terms of the covariance expansion.
 
     Returns ``(1/2) (G')^2ab + (H')^2ab`` with all indices raised, in the
-    original chart or, when flattening coordinates and their gauge are
-    given, in the new chart where both factors vanish for a dual quadric
-    hypersurface. The ancillary term is identically zero for the
+    original chart. The ancillary term is identically zero for the
     maximum-likelihood ancillary.
     """
-    if (gauge is None) != (coords is None):
-        raise ValueError("flattening coordinates and their gauge go together")
     pg = geometry.point_geometry(model.curved, u0)
-    ginv, gkk_inv = pg.ginv, pg.gkk_inv
-    if coords is None:
-        gamma_sq = np.einsum("cda,efb,ce,df->ab", pg.gm1, pg.gm1, ginv, ginv)
-        h_sq = np.einsum("ack,bdl,cd,kl->ab", pg.h1, pg.h1, ginv, gkk_inv)
-        return ginv @ (0.5 * gamma_sq + h_sq) @ ginv
-
-    u = pg.u
-    nu = gauge.nu_at(u)
-    pulled, inhom = ubar_chart_connection(pg, gauge, coords)
-    gprime = (pulled + inhom) / nu
-    j = coords.derivatives(u)[0]
-    jinv = np.linalg.inv(j)
-    g_ubar = jinv.T @ pg.g @ jinv
-    ginv_ubar = tops.invert_matrix(g_ubar)
-    k1 = conformal_sub_quantities(pg, gauge)[2]
-    k1_ubar = np.einsum("abk,ap,bq->pqk", k1, jinv, jinv)
-    gamma_sq = np.einsum("cda,efb,ce,df->ab", gprime, gprime, ginv_ubar, ginv_ubar)
-    h_sq = np.einsum("ack,bdl,cd,kl->ab", k1_ubar, k1_ubar, ginv_ubar, gkk_inv)
-    return ginv_ubar @ (0.5 * gamma_sq + h_sq) @ ginv_ubar
+    ginv = pg.ginv
+    gamma_sq = np.einsum("cda,efb,ce,df->ab", pg.gm1, pg.gm1, ginv, ginv)
+    h_sq = np.einsum("ack,bdl,cd,kl->ab", pg.h1, pg.h1, ginv, pg.gkk_inv)
+    return ginv @ (0.5 * gamma_sq + h_sq) @ ginv
 
 
 def crb(model, u0, coords: ConformalCoordinates | None = None) -> np.ndarray:

@@ -77,9 +77,9 @@ class LinearGaussianModel:
     def gauge(self):
         return constant_gauge(1.0)
 
-    def sample_many(self, u, rng: np.random.Generator, size: int) -> np.ndarray:
+    def sample_many(self, u, rngs, size: int) -> np.ndarray:
         mean = self.a @ as_coords(u)
-        return mean[None, :] + rng.standard_normal((size, self.n))
+        return mean + np.stack([rng.standard_normal((size, self.n)) for rng in rngs])
 
     def mle_many(self, ts: np.ndarray, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return (sums / ts[:, None]) @ self._pinv.T, np.ones(sums.shape[0], dtype=bool)

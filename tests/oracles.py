@@ -11,7 +11,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from seqgeo import expfam, geometry, sequential, tensorops as tops
-from seqgeo.conformal import ChartPoint, WeylSchouten, ubar_chart_connection
+from seqgeo.conformal import ChartPoint, WeylSchouten, conformal_sub_quantities, ubar_chart_connection
 from seqgeo.errors import ChartError
 from seqgeo.models import vmf_mean_resultant
 
@@ -278,7 +278,7 @@ def reference_stopping(model, gauge, k, u0, rng, c=None, t_min=sequential.T_MIN,
     t = 0
     while t < t_max:
         take = min(burst, t_max - t)
-        xs = model.sample_many(u0a, rng, take)
+        xs = model.sample_many(u0a, [rng], take)[0]
         cums = sum_x[None, :] + np.cumsum(xs, axis=0)
         ts = np.arange(t + 1, t + take + 1, dtype=float)
         u_hats, defined = model.mle_many(ts, cums)
@@ -320,6 +320,29 @@ def reference_bias_correct(model, u_hat, effective_n, gauge=None, coords=None):
         gauge.nu_at(u)
         corr = corr + 2.0 * ginv @ gauge.s(u)
     return u + corr / (2.0 * effective_n)
+
+
+def flattened_second_order_terms(model, u0, gauge, coords) -> np.ndarray:
+    """``sequential.second_order_terms`` read in the flattening chart ``ubar``.
+
+    ``(1/2) (G')^2ab + (H')^2ab`` with all indices raised, where ``G'`` is the
+    flattened connection divided by the gauge and ``H'`` the transformed
+    extrinsic curvature, both pushed to the new chart; both factors vanish
+    for a dual quadric hypersurface.
+    """
+    pg = geometry.point_geometry(model.curved, u0)
+    u = pg.u
+    nu = gauge.nu_at(u)
+    pulled, inhom = ubar_chart_connection(pg, gauge, coords)
+    gprime = (pulled + inhom) / nu
+    j = coords.derivatives(u)[0]
+    jinv = np.linalg.inv(j)
+    ginv_ubar = tops.invert_matrix(jinv.T @ pg.g @ jinv)
+    k1 = conformal_sub_quantities(pg, gauge)[2]
+    k1_ubar = np.einsum("abk,ap,bq->pqk", k1, jinv, jinv)
+    gamma_sq = np.einsum("cda,efb,ce,df->ab", gprime, gprime, ginv_ubar, ginv_ubar)
+    h_sq = np.einsum("ack,bdl,cd,kl->ab", k1_ubar, k1_ubar, ginv_ubar, pg.gkk_inv)
+    return ginv_ubar @ (0.5 * gamma_sq + h_sq) @ ginv_ubar
 
 
 def rows_chart(point_chart):

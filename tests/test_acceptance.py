@@ -253,7 +253,7 @@ class TestSimulationSuite:
         detail = []
         for model, u0 in zip(models_m2, (U0_VMF, U0_HYP)):
             rng = np.random.default_rng(808)
-            xs = model.sample_many(u0, rng, 100_000)
+            xs = model.sample_many(u0, [rng], 100_000)[0]
             mean = xs.mean(axis=0)
             expected = model.r_dagger * model.direction(u0)
             se = xs.std(axis=0, ddof=1) / math.sqrt(xs.shape[0])

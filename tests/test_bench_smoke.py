@@ -40,17 +40,21 @@ def test_workload_runs_clean(workload, name, trace, tmp_path):
         assert result["restored"]
         assert layers["geometry.frame_at.calls"] > 0
         if name == "mc-sequential":
-            # the shape the benchmark reads: one sampler call per burst of each
-            # replication, and one replication seed each, the first ending set-up
-            assert layers["models.sample_many.calls"] >= 4 * counts["replications"]
+            # the shape the benchmark reads: one sampler call per burst over the
+            # live replications of a cell, at least one per cell of the two
+            # bundled 10-cell grid_K, and one replication seed each, the first
+            # ending set-up
+            assert layers["models.sample_many.calls"] >= 20
             assert layers["harness.rep_seed.calls"] == counts["replications"]
             # one flattening-map call for the truth point and one per cell of
             # the two bundled 10-cell grid_K
             assert layers["conformal.coords_forward.calls"] == 22
         else:
-            # one sampler call and one seed per replication, and one bias
-            # correction per cell of the two bundled 10-cell grid_N
-            assert layers["models.sample_many.calls"] == counts["replications"]
+            # one sampler call per block of ROWS // N replications of a cell:
+            # one block of 4 per cell of the two bundled 10-cell grid_N, but
+            # two for the hyperboloid's N = 1300 (ROWS // 1300 = 3); one seed
+            # per replication, and one bias correction per cell
+            assert layers["models.sample_many.calls"] == 21
             assert layers["harness.rep_seed.calls"] == counts["replications"]
             assert layers["sequential.bias_correct.calls"] == 20
             # one Weyl-Schouten call per probe point of the three geometry cases,

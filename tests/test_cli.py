@@ -120,6 +120,19 @@ class TestGeometryCommand:
         assert rep["classification"]["dual_quadric"] is True
         assert code == cli.EXIT_OK and rep["pass"] is True
 
+    @pytest.mark.parametrize("r", ["1e20", "1e77", "1e100"])
+    @pytest.mark.parametrize("model, m", [("vmf", "2"), ("vmf", "3"), ("hyperboloid", "2"), ("hyperboloid", "3")])
+    def test_curvature_fit_is_scaled(self, model, m, r, capsys):
+        # the curvature pattern is of size (r r_dagger)^2: unscaled, its sum of
+        # squares overflowed from r = 1e77 on, so lambda read 0 and the check
+        # failed, and the absolute residual read 5.7e4 to 1.3e5 at r = 1e20
+        code, out, _ = run_cli(["geometry", "--model", model, "--m", m, "--r", r, "--json"], capsys)
+        rep = json.loads(out)
+        cls = rep["classification"]
+        assert cls["constant_curvature"] == pytest.approx(rep["expected_curvature"], rel=1e-12)
+        assert cls["constant_curvature_residual"] < 1e-12
+        assert code == cli.EXIT_OK and rep["pass"] is True
+
     @pytest.mark.parametrize("m", ["2", "3"])
     def test_vmf_transformed_curvature_is_relative(self, m, capsys):
         # H_bar(1) is a difference of two terms of size |nu H(1)|, which grows as r;

@@ -275,9 +275,16 @@ class TestClassification:
         assert cls.k0 == slope([p.jet.normal_theta[0] for p in pgs], [p.jet.theta for p in pgs])
         assert cls.l0 == slope([p.jet.normal_eta[0] for p in pgs], [p.jet.eta for p in pgs])
         eps = sum(float(np.sum(p.hm1 * p.h1)) for p in pgs) / sum(float(np.sum(p.h1 * p.h1)) for p in pgs)
-        pats = [np.einsum("ad,bc->abcd", p.g, p.g) - np.einsum("ac,bd->abcd", p.g, p.g) for p in pgs]
-        lam = (sum(float(np.sum(p.r1 * pat)) for p, pat in zip(pgs, pats))
-               / sum(float(np.sum(pat * pat)) for pat in pats))
+        # each point's curvature pattern and R^(1) scaled by the pattern's own size
+        num = den = 0.0
+        for p in pgs:
+            gmax = np.abs(p.g).max()
+            gn = p.g / gmax
+            pat = np.einsum("ad,bc->abcd", gn, gn) - np.einsum("ac,bd->abcd", gn, gn)
+            pmax = np.abs(pat).max()
+            num += float(np.sum(p.r1 / gmax / gmax / pmax * (pat / pmax)))
+            den += float(np.sum((pat / pmax) ** 2))
+        lam = num / den
         assert cls.es_epsilon == pytest.approx(eps, rel=64 * np.finfo(float).eps, abs=0.0)
         assert cls.constant_curvature == pytest.approx(lam, rel=64 * np.finfo(float).eps, abs=0.0)
 

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import mpmath
@@ -223,7 +224,7 @@ class TestSampler:
         model = request.getfixturevalue(model_name)
         u0 = U0_VMF if model_name == "vmf" else U0_HYP
         rng = np.random.default_rng(123)
-        xs = model.sample_many(u0, rng, 100_000)
+        xs = model.sample_many(u0, [rng], 100_000)[0]
         residual = max(support_residual(model, x) for x in xs[:2000])
         assert residual < 1e-12
         mean = xs.mean(axis=0)
@@ -234,7 +235,7 @@ class TestSampler:
     def test_single_draw_type(self, vmf, hyp):
         rng = np.random.default_rng(0)
         for model, u0 in ((vmf, U0_VMF), (hyp, U0_HYP)):
-            xs = model.sample_many(u0, rng, 1)
+            xs = model.sample_many(u0, [rng], 1)[0]
             assert xs.shape == (1, 3)
             assert support_residual(model, xs[0]) < 1e-12
         assert xs[0, 0] > 0
@@ -245,13 +246,32 @@ class TestSampler:
         assert support_residual(hyp, np.array([-1.0, 0.0, 0.0])) == math.inf  # past sheet
 
     def test_determinism(self, vmf):
-        a = vmf.sample_many(U0_VMF, np.random.default_rng(99), 16)
-        b = vmf.sample_many(U0_VMF, np.random.default_rng(99), 16)
+        a = vmf.sample_many(U0_VMF, [np.random.default_rng(99)], 16)
+        b = vmf.sample_many(U0_VMF, [np.random.default_rng(99)], 16)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("model_cls, u1_max", [(VmfModel, 3.0), (HyperboloidModel, 2.0)],
+                             ids=["vmf", "hyp"])
+    @given(reps=st.sampled_from([1, 2, 7, 33]), size=st.sampled_from([1, 8, 113]),
+           seed=st.integers(0, 2 ** 32), u1=st.floats(0.05, 1.0), u2=st.floats(0.0, 2.0 * math.pi))
+    @example(reps=33, size=113, seed=0, u1=0.5, u2=1.0).via("3,729 stacked rows: not a multiple of 4")
+    @settings(max_examples=25, deadline=None)
+    def test_rows_match_one_replication_each(self, model_cls, u1_max, reps, size, seed, u1, u2):
+        # row i of a batch has the bits of rngs[i] drawn alone: the stacked
+        # transform and the hyperboloid's one matmul must not mix rows, also
+        # in the tails of a BLAS kernel
+        model = model_cls(2, 0.25)
+        u = np.array([u1 * u1_max, u2])
+        rngs = [np.random.default_rng([seed, i]) for i in range(reps)]
+        alone = [copy.deepcopy(rng) for rng in rngs]
+        xs = model.sample_many(u, rngs, size)
+        assert xs.shape == (reps, size, 3)
+        for i, rng in enumerate(alone):
+            assert xs[i].tobytes() == model.sample_many(u, [rng], size)[0].tobytes()
 
     def test_only_m2_supported(self, vmf3):
         with pytest.raises(UnsupportedShapeError):
-            vmf3.sample_many(np.array([0.5, 0.5, 0.5]), np.random.default_rng(0), 2)
+            vmf3.sample_many(np.array([0.5, 0.5, 0.5]), [np.random.default_rng(0)], 2)
 
 
 class TestMle:
@@ -276,8 +296,8 @@ class TestMle:
         model = request.getfixturevalue(model_name)
         rng = np.random.default_rng(7)
         xbar = model.sample_many(
-            U0_VMF if model_name == "vmf" else U0_HYP, rng, 50
-        ).mean(axis=0)
+            U0_VMF if model_name == "vmf" else U0_HYP, [rng], 50
+        )[0].mean(axis=0)
         u_hat = model.mle_many(np.ones(1), xbar[None, :])[0][0]
         best = float(model.embed(u_hat)[0] @ xbar)
         for u in model.probe_grid(count=100, margin=0.02, seed=11):
@@ -299,7 +319,7 @@ class TestMle:
         model = request.getfixturevalue(model_name)
         u0 = U0_VMF if model_name == "vmf" else U0_HYP
         rng = np.random.default_rng(17)
-        xs = model.sample_many(u0, rng, 40)
+        xs = model.sample_many(u0, [rng], 40)[0]
         sums = np.cumsum(xs, axis=0)
         ts = np.arange(1, 41, dtype=float)
         us, ok = model.mle_many(ts, sums)
@@ -431,7 +451,7 @@ class TestLinearGaussianFixture:
     def test_mle_closed_form(self, linear):
         rng = np.random.default_rng(3)
         u0 = np.array([0.4, -0.2])
-        xs = linear.sample_many(u0, rng, 2000)
+        xs = linear.sample_many(u0, [rng], 2000)[0]
         u_hat = linear.mle_many(np.array([2000.0]), xs.sum(axis=0)[None, :])[0][0]
         assert np.abs(u_hat - u0).max() < 0.1
         theta, eta = linear.embed(u0)
