@@ -1,12 +1,11 @@
 """Conformal information geometry of curved exponential families and a
 sequential-estimation Monte Carlo harness."""
 
-from . import conformal, expfam, geometry, harness, models, sequential, tensorops
+from . import conformal, geometry, harness, models, sequential, tensorops
 from .errors import SeqGeoError
 
 __all__ = [
     "conformal",
-    "expfam",
     "geometry",
     "harness",
     "models",

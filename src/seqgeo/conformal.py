@@ -1,8 +1,11 @@
-"""Conformal transformations of statistical manifolds.
+"""Conformal transformations of curved exponential families.
 
-Transformed tensors, the Weyl-Schouten tensor set with the flatness
-criteria, and the two explicit gauge constructions: the affine gauge of a
-full family and the quadric-hypersurface gauge of a curved family.
+The Weyl-Schouten tensor set with the flatness criteria, read from a
+chart: a callable that maps rows ``(P, m)`` to a bundle with the fields
+``g``, ``gm1`` and ``rm1`` over them, for a curved family
+``functools.partial(geometry.point_geometry, fam)``. Then the explicit
+quadric-hypersurface gauge of a curved family with its flattening
+coordinates, and the transformed connection read in those coordinates.
 Defining equations are treated as verification targets with registered
 closed-form solutions, never as PDEs to be solved numerically.
 """
@@ -10,18 +13,17 @@ closed-form solutions, never as PDEs to be solved numerically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
-from . import expfam, geometry, tensorops as tops
+from . import geometry, tensorops as tops
 from .errors import (
+    ChartError,
     GaugeMismatchError,
     GaugeSingularityError,
     UnsupportedShapeError,
 )
-from .expfam import ExponentialFamily
 from .geometry import CurvedFamily, PointGeometry
 from .tensorops import as_coords
 
@@ -56,129 +58,6 @@ class Gauge:
         return vals.reshape(xa.shape[:-1])[()]
 
 
-def constant_gauge(value: float) -> Gauge:
-    if value <= 0:
-        raise GaugeSingularityError("constant gauge must be positive")
-    return Gauge(
-        nu=lambda xs: np.full(xs.shape[:-1], float(value)),
-        s=lambda xs: np.zeros_like(xs),
-        ds=lambda xs: np.zeros(xs.shape + xs.shape[-1:]),
-    )
-
-
-def exp_linear_gauge(a) -> Gauge:
-    """Gauge ``nu = exp(a . x)``; everywhere positive, constant log-gradient."""
-    av = np.asarray(a, dtype=float)
-    return Gauge(
-        nu=lambda xs: np.exp(xs @ av),
-        s=lambda xs: np.broadcast_to(av, xs.shape).copy(),
-        ds=lambda xs: np.zeros(xs.shape + av.shape),
-    )
-
-
-# ---------------------------------------------------------------------------
-# pointwise transformation formulas
-
-
-def conformal_connection(
-    gamma: np.ndarray,
-    g: np.ndarray,
-    gauge: Gauge,
-    alpha: float,
-    at,
-) -> np.ndarray:
-    """Transformed alpha-connection components (same chart)."""
-    x = as_coords(at)
-    nu = gauge.nu_at(x)
-    s = gauge.s(x)
-    gv = np.asarray(g, dtype=float)
-    cv = np.asarray(gamma, dtype=float)
-    plus = 0.5 * (1.0 - alpha) * (
-        np.einsum("ki,j->ijk", gv, s) + np.einsum("kj,i->ijk", gv, s)
-    )
-    minus = 0.5 * (1.0 + alpha) * np.einsum("ij,k->ijk", gv, s)
-    return tops.require_finite(nu * (cv + plus - minus))
-
-
-def _s_alpha(gv, ginv, gamma_alpha, s, ds, alpha):
-    # s^(alpha)_ij, the correction block entering the curvature transform
-    pref = 0.5 * (1.0 - alpha)
-    if pref == 0.0:
-        return np.zeros_like(gv)
-    mixed = np.einsum("ijl,lk->ijk", gamma_alpha, ginv)
-    nabla = ds - np.einsum("ijk,k->ij", mixed, s)
-    s2 = float(s @ ginv @ s)
-    return pref * (nabla - pref * np.outer(s, s) + 0.25 * (1.0 + alpha) * s2 * gv)
-
-
-def conformal_rc_curvature(
-    r: np.ndarray,
-    g: np.ndarray,
-    gamma_alpha: np.ndarray,
-    gamma_minus_alpha: np.ndarray,
-    gauge: Gauge,
-    alpha: float,
-    at,
-) -> np.ndarray:
-    """Transformed alpha-curvature; antisymmetry in the first slots is preserved."""
-    x = as_coords(at)
-    nu = gauge.nu_at(x)
-    s = gauge.s(x)
-    ds = gauge.ds(x)
-    gv = np.asarray(g, dtype=float)
-    rv = np.asarray(r, dtype=float)
-    ga = np.asarray(gamma_alpha, dtype=float)
-    gm = np.asarray(gamma_minus_alpha, dtype=float)
-    ginv = tops.invert_matrix(gv)
-    sa = _s_alpha(gv, ginv, ga, s, ds, alpha)
-    sma = _s_alpha(gv, ginv, gm, s, ds, -alpha)
-    vals = nu * (
-        rv
-        - np.einsum("il,jk->ijkl", gv, sa)
-        + np.einsum("jl,ik->ijkl", gv, sa)
-        - np.einsum("jk,il->ijkl", gv, sma)
-        + np.einsum("ik,jl->ijkl", gv, sma)
-    )
-    return tops.require_finite(vals)
-
-
-# ---------------------------------------------------------------------------
-# charts: a chart maps rows ``(P, m)`` to a bundle of ``g``, ``g1``, ``gm1`` and
-# ``rm1`` over them; the chart of a curved family is ``geometry.point_geometry(fam, .)``
-# itself. The two ``ChartPoint`` builders below are pointwise (map them over rows)
-
-
-class ChartPoint(NamedTuple):
-    """Metric, both unit connections and the (-1)-curvature at one point."""
-
-    g: np.ndarray
-    g1: np.ndarray
-    gm1: np.ndarray
-    rm1: np.ndarray
-
-
-def expfam_chart_geometry(fam: ExponentialFamily) -> Callable[[np.ndarray], ChartPoint]:
-    """Theta chart of a full family (the +1 connection vanishes)."""
-    metric, skew = partial(expfam.metric, fam), partial(expfam.skewness, fam)
-    return lambda x: ChartPoint(metric(x), np.zeros((fam.n,) * 3), skew(x),
-                                expfam.rc_curvature(skew, metric, x))
-
-
-def conformal_chart_geometry(chart: Callable, gauge: Gauge) -> Callable[[np.ndarray], ChartPoint]:
-    """The same chart after a conformal transformation by ``gauge``."""
-
-    def transformed(x):
-        p = chart(x)
-        return ChartPoint(
-            gauge.nu_at(x) * p.g,
-            conformal_connection(p.g1, p.g, gauge, 1.0, x),
-            conformal_connection(p.gm1, p.g, gauge, -1.0, x),
-            conformal_rc_curvature(p.rm1, p.g, p.gm1, p.g1, gauge, -1.0, x),
-        )
-
-    return transformed
-
-
 # ---------------------------------------------------------------------------
 # Weyl-Schouten tensors and flatness
 
@@ -203,13 +82,15 @@ def weyl_schouten(chart: Callable, at, step: float | None = None) -> WeylSchoute
     """Evaluate the Weyl-Schouten set at one point of the chart.
 
     Reads one bundle over ``1 + 2m`` rows: the point, then the ``+h`` and the
-    ``-h`` stencil points of the Ricci derivative, one per axis.
+    ``-h`` stencil points of the Ricci derivative, one per axis. ``h`` is
+    ``step`` on every axis, or by default the relative step
+    ``STEP_ORDER1 max(1, |x_i|)``.
     """
     x = as_coords(at)
     m = x.shape[0]
     if m < 2:
         raise UnsupportedShapeError("Weyl-Schouten tensors need dim >= 2")
-    h = tops._steps(x, step, tops.STEP_ORDER1)
+    h = tops.STEP_ORDER1 * np.maximum(1.0, np.abs(x)) if step is None else np.full(m, float(step))
     p = chart(np.concatenate([x[None, :], x + np.diag(h), x - np.diag(h)]))
     ginv = tops.invert_matrix(p.g)
     mixed = np.einsum("...ijkr,...rl->...ijkl", p.rm1, ginv)
@@ -271,7 +152,7 @@ def flatness_test(chart: Callable, grid: np.ndarray, tolerance: float = 1e-4) ->
 
 
 # ---------------------------------------------------------------------------
-# explicit gauges
+# the quadric gauge and its flattening coordinates
 
 
 @dataclass(frozen=True)
@@ -317,87 +198,6 @@ def _scaled_map_derivatives(gauge: Gauge, x: np.ndarray, a, da, dda) -> tuple[np
         + dda
     )
     return jac, hess
-
-
-def expfam_gauge(
-    fam: ExponentialFamily,
-    c0: float,
-    c,
-    d,
-    dmat,
-) -> tuple[Gauge, ConformalCoordinates]:
-    """Affine gauge and flattening coordinates of a full family.
-
-    ``nu = 1/|c0 + c.eta|`` with the map ``h = nu (d + D eta)``; ``D``
-    must have rank n. The returned gauge lives on the eta chart; use
-    :func:`expfam_gauge_on_theta` for the same gauge as a field over theta.
-    """
-    cv = np.asarray(c, dtype=float)
-    dv = np.asarray(d, dtype=float)
-    dm = np.atleast_2d(np.asarray(dmat, dtype=float))
-    if np.linalg.matrix_rank(dm) < fam.n:
-        raise UnsupportedShapeError("coordinate matrix D must have full rank")
-
-    def denom(etas):
-        return c0 + _apply(cv[None, :], etas)[..., 0]
-
-    def nu(etas):
-        # a row on the singular set c0 + c.eta = 0 maps to inf
-        b = np.abs(denom(etas))
-        singular = b < 1e-300
-        return np.where(singular, np.inf, 1.0 / np.where(singular, 1.0, b))
-
-    def s(etas):
-        return -cv / denom(etas)[..., None]
-
-    def ds(etas):
-        return cv[:, None] * cv[None, :] / np.float_power(denom(etas), 2)[..., None, None]
-
-    gauge = Gauge(nu=nu, s=s, ds=ds)
-
-    def forward(eta):
-        ea = as_coords(eta)
-        return gauge.nu_at(ea)[..., None] * (dv + _apply(dm, ea))
-
-    def derivatives(eta):
-        ea = as_coords(eta)
-        lead = ea.shape[:-1]
-        return _scaled_map_derivatives(gauge, ea, dv + _apply(dm, ea), np.broadcast_to(dm, lead + dm.shape),
-                                       np.zeros(lead + dm.shape + (fam.n,)))
-
-    return gauge, ConformalCoordinates(forward=forward, derivatives=derivatives)
-
-
-def expfam_gauge_on_theta(fam: ExponentialFamily, c0: float, c) -> Gauge:
-    """The affine gauge pulled back to the theta chart, with analytic log-gradient.
-
-    The pullback goes through ``eta(theta)``, so each field is evaluated one
-    point at a time.
-    """
-    cv = np.asarray(c, dtype=float)
-
-    def denom(theta):
-        eta = expfam.eta_of_theta(fam, theta)
-        b = c0 + float(cv @ eta)
-        if abs(b) < 1e-300:
-            raise GaugeSingularityError("affine gauge denominator crosses zero")
-        return b
-
-    def s(theta):
-        g = expfam.metric(fam, theta)
-        return -(g @ cv) / denom(theta)
-
-    def ds(theta):
-        b = denom(theta)
-        g = expfam.metric(fam, theta)
-        t = expfam.skewness(fam, theta)
-        a = g @ cv
-        return -np.einsum("ijk,i->jk", t, cv) / b + np.outer(a, a) / b**2
-
-    def rowwise(f):
-        return lambda thetas: np.apply_along_axis(f, -1, thetas)
-
-    return Gauge(nu=rowwise(lambda theta: 1.0 / abs(denom(theta))), s=rowwise(s), ds=rowwise(ds))
 
 
 def quadric_gauge(
@@ -496,7 +296,7 @@ def ubar_chart_connection(
     """Transformed (-1)-connection at ``pg.u``, a point or rows, expressed in
     the flattening coordinates.
 
-    Returns the two terms of :func:`expfam.connection_coordinate_change`, the
+    Returns the two terms of :func:`connection_coordinate_change`, the
     pulled-back connection and the inhomogeneous term; their sum is the
     connection. Verifies the flattening claim: the sum should vanish on the
     whole chart for a dual quadric hypersurface with its gauge.
@@ -511,4 +311,30 @@ def ubar_chart_connection(
     basis = cinv.swapaxes(-1, -2)                        # basis[p, a] = d u^a / d ubar^p
     # d basis[q, b] / d ubar^p, by differentiating the inverse matrix through u
     dbasis = -np.einsum("...pe,...bm,...mea,...aq->...pqb", basis, cinv, hess, cinv)
-    return expfam.connection_coordinate_change(gamma_bar, basis, dbasis, g_bar)
+    return connection_coordinate_change(gamma_bar, basis, dbasis, g_bar)
+
+
+def connection_coordinate_change(
+    gamma: np.ndarray,
+    basis: np.ndarray,
+    dbasis: np.ndarray,
+    metric_old: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Transform connection components to a new chart, at a point or at each row of a stack.
+
+    ``basis[..., b, i] = d old^i / d new^b`` and ``dbasis[..., a, b, i]`` is
+    its derivative along the new coordinates. Returns the two terms whose
+    sum is the new components: the pulled-back connection and the
+    inhomogeneous term, which contracts the old-chart metric with ``basis``
+    and ``dbasis``. They come apart so that a sum that should cancel can be
+    weighed against its terms.
+    """
+    g = np.asarray(gamma, dtype=float)
+    b = np.asarray(basis, dtype=float)
+    db = np.asarray(dbasis, dtype=float)
+    gm = np.asarray(metric_old, dtype=float)
+    if np.any(np.linalg.matrix_rank(b) < b.shape[-2]):
+        raise ChartError("chart-change basis is rank deficient")
+    pulled = np.einsum("...ijk,...ai,...bj,...ck->...abc", g, b, b, b)
+    inhom = np.einsum("...ij,...ci,...abj->...abc", gm, b, db)
+    return tops.require_finite(pulled), tops.require_finite(inhom)

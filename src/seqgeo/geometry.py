@@ -1,8 +1,9 @@
 """Curved exponential families: frames, induced geometry, extrinsic curvature.
 
 A ``CurvedFamily`` is an embedding ``u -> (theta(u), eta(u))`` into an
-ambient family, given by its ``jet``: the values, tangent frames, Hessians
-and normals of both embeddings at a point, in closed form, from one call.
+n-dimensional ambient family, given by its ``jet``: the values, tangent
+frames, Hessians and normals of both embeddings at a point, in closed form,
+from one call. The ambient family itself is never read.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from numpy.random import default_rng
 
 from . import tensorops as tops
 from .errors import ChartError, UnsupportedShapeError
-from .expfam import ExponentialFamily
 from .tensorops import as_coords
 
 # default max-norm residual within which classify accepts a structural flag
@@ -42,18 +42,14 @@ class Jet(NamedTuple):
 class CurvedFamily:
     """An m-dimensional submanifold of an n-dimensional ambient family, given by its jet."""
 
-    ambient: ExponentialFamily
+    n: int
     m: int
     jet: Callable[[np.ndarray], Jet]
     name: str = ""
 
     @property
-    def n(self) -> int:
-        return self.ambient.n
-
-    @property
     def codim(self) -> int:
-        return self.ambient.n - self.m
+        return self.n - self.m
 
 
 @dataclass(frozen=True)
@@ -136,11 +132,6 @@ class PointGeometry:
         return tops.require_finite(self.jet.hess_eta)
 
     @cached_property
-    def g1(self) -> np.ndarray:
-        """+1 connection of the submanifold chart: G1_abc = (d_a B_b^j) B_cj."""
-        return tops.require_finite(np.einsum("...abj,...cj->...abc", self.ht, self.jet.tangent_eta))
-
-    @cached_property
     def gm1(self) -> np.ndarray:
         """-1 connection of the submanifold chart: G-1_abc = (d_a B_bj) B_c^j."""
         return tops.require_finite(np.einsum("...abj,...cj->...abc", self.he, self.jet.tangent_theta))
@@ -192,14 +183,16 @@ def classify(
     """Fit the structural constants of the family over a probe grid.
 
     Least-squares fits: epsilon from the ratio of the two extrinsic
-    curvatures, (k0, theta0) and (l0, eta0) from affine regression of the
-    normal frames on the embedding, and the curvature constant from the
-    constant-curvature pattern. Flags require the corresponding max-norm
-    residual to stay within ``tolerance``; the umbilicity residual is taken
-    relative to max |H(1)| at each point, and the quadric identity's relative
-    to its target ``1/(k0 l0)``. The curvature constant is fitted with each
-    point's pattern scaled by its own magnitude, and its residual is relative
-    to |lambda| times that scale (to that scale alone when lambda is 0).
+    curvatures, both scaled by one power of two over the grid so that the
+    fit holds at any concentration, (k0, theta0) and (l0, eta0) from affine
+    regression of the normal frames on the embedding, and the curvature
+    constant from the constant-curvature pattern. Flags require the
+    corresponding max-norm residual to stay within ``tolerance``; the
+    umbilicity residual is taken relative to max |H(1)| at each point, and
+    the quadric identity's relative to its target ``1/(k0 l0)``. The
+    curvature constant is fitted with each point's pattern scaled by its own
+    magnitude, and its residual is relative to |lambda| times that scale (to
+    that scale alone when lambda is 0).
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     if fam.codim != 1:
@@ -210,10 +203,14 @@ def classify(
     thetas, etas = pg.jet.theta, pg.jet.eta
     tensor_axes = (-3, -2, -1)
 
-    # epsilon: least squares of H^(-1) against H^(1)
-    den = float(np.sum(h1s * h1s))
-    eps = float(np.sum(hm1s * h1s)) / den if den > 0 else 0.0
-    eps_res = float(np.abs(hm1s - eps * h1s).max())
+    # epsilon: least squares of H^(-1) against H^(1). H^(1) grows as r, so both
+    # are scaled by the power of two at max |H^(1)| over the grid: the sum of
+    # squares stays finite, and the fit and its residual keep their bits
+    scale = np.ldexp(1.0, -int(np.frexp(np.abs(h1s).max(initial=0.0))[1]))
+    h1n, hm1n = h1s * scale, hm1s * scale
+    den = float(np.sum(h1n * h1n))
+    eps = float(np.sum(hm1n * h1n)) / den if den > 0 else 0.0
+    eps_res = float(np.abs(hm1n - eps * h1n).max() / scale)
 
     # umbilicity: H^(1)_abk = H^(1)_k g_ab, relative to max |H^(1)| at the
     # same point, which grows with the concentration

@@ -95,10 +95,15 @@ class ExperimentConfig:
         model = MODELS[self.model](self.m, self.r)
         try:
             model.embed(self.u0)
-            model.gauge().nu_at(self.u0)
+            nu0 = float(model.gauge().nu_at(self.u0))
         except (ChartError, EvaluationDomainError, GaugeSingularityError) as exc:
             msg = f"u0 = {self.u0.tolist()} is not a usable truth point: {exc}"
             raise ParameterError(msg) from exc
+        # a stopping cell's float time index holds every step up to 2^53
+        long_k = [k for k in self.grid_k if sequential.T_MAX_FACTOR * k * nu0 > 2.0 ** 53]
+        if long_k:
+            raise ParameterError(f"grid_K entry {long_k[0]!r} is too large: its step cap "
+                                 f"{sequential.T_MAX_FACTOR:g} K nu0 exceeds 2^53")
         if np.linalg.matrix_rank(self.d_matrix) < self.m:
             raise ParameterError(f"D must have rank m = {self.m}")
 

@@ -1,10 +1,10 @@
 """Concrete families: von Mises-Fisher on the sphere and the hyperboloid
-model on Minkowski's unit shell, plus Gaussian/Poisson fixtures.
+model on Minkowski's unit shell.
 
-Both directional models are radial exponential families: the potential
-depends on the natural parameter only through a (possibly indefinite)
-norm, which gives closed-form analytic derivatives up to third order.
-A model's ``curved`` family is one closed-form jet: ``theta = r lam xi`` and
+Both directional models are curved exponential families in a radial
+ambient family, whose potential depends on the natural parameter only
+through a (possibly indefinite) norm. The ambient family is never built:
+a model's ``curved`` family is one closed-form jet, ``theta = r lam xi`` and
 ``eta = r_dagger xi``, ``xi`` the unit direction of the chart point, with
 their derivatives and normals. ``embed`` checks that a point lies in the
 chart and reads both values from that jet.
@@ -15,8 +15,7 @@ transform runs once over all rows, so a row does not depend on its batch.
 The sampler and the batched estimator are implemented for m = 2, the
 simulation dimension; all geometry works for any m >= 2. ``MODELS`` maps
 the model names the CLI and the experiment configs accept to their classes.
-scipy is imported only where the odd-m hyperboloid ratio or an m >= 3
-ambient log-normaliser needs a Bessel value.
+scipy is imported only where the odd-m hyperboloid ratio needs a Bessel value.
 """
 
 from __future__ import annotations
@@ -30,11 +29,9 @@ import numpy as np
 from .conformal import Gauge
 from .errors import (
     ChartError,
-    EvaluationDomainError,
     ParameterError,
     UnsupportedShapeError,
 )
-from .expfam import ExponentialFamily
 from .geometry import CurvedFamily, Jet, chart_grid
 from .tensorops import as_coords
 
@@ -47,7 +44,7 @@ _GAUGE_SINGULAR_TOL = 1e-12
 # Bessel-ratio mean-resultant functions and their closed-form derivatives
 
 
-# from here on scipy's ive and kve return NaN; the large-argument expansion is exact to rounding
+# from here on scipy's kve returns NaN; the large-argument expansion is exact to rounding
 _BESSEL_ASYMPTOTIC = 2.0 ** 30
 # the vmf ratio for m >= 3 takes the large-argument expansion from max(this, nu^2) on,
 # where its terms fall from the first and the e^(-2 rho) it leaves out is below rounding
@@ -125,138 +122,6 @@ def hyperboloid_mean_resultant(rho: float, m: int) -> float:
     from scipy import special
 
     return float(special.kve(nu + 1.0, rho) / special.kve(nu, rho))
-
-
-def _vmf_dag_derivs(rho: float, m: int) -> tuple[float, float, float]:
-    d = vmf_mean_resultant(rho, m)
-    d1 = 1.0 - (m / rho) * d - d * d
-    d2 = (m / rho**2) * d - (m / rho) * d1 - 2.0 * d * d1
-    return d, d1, d2
-
-
-def _hyp_dag_derivs(rho: float, m: int) -> tuple[float, float, float]:
-    d = hyperboloid_mean_resultant(rho, m)
-    d1 = d * d - (m / rho) * d - 1.0
-    d2 = 2.0 * d * d1 - (m / rho) * d1 + (m / rho**2) * d
-    return d, d1, d2
-
-
-# ---------------------------------------------------------------------------
-# radial ambient families
-
-
-def _radial_family(
-    n: int,
-    signs: np.ndarray,
-    fval: Callable[[float], float],
-    fderivs: Callable[[float], tuple[float, float, float]],
-    domain: Callable[[np.ndarray], bool],
-    name: str,
-) -> ExponentialFamily:
-    smat = np.diag(signs)
-
-    def rho_of(t: np.ndarray) -> float:
-        q = float(np.dot(signs, t * t))
-        if q <= 0:
-            raise EvaluationDomainError(f"{name}: natural parameter outside the radial domain")
-        return math.sqrt(q)
-
-    def psi(t):
-        return fval(rho_of(t))
-
-    def grad(t):
-        rho = rho_of(t)
-        f1, _, _ = fderivs(rho)
-        return (f1 / rho) * (signs * t)
-
-    def hess(t):
-        rho = rho_of(t)
-        f1, f2, _ = fderivs(rho)
-        q = signs * t
-        a = (f2 - f1 / rho) / rho**2
-        return a * np.outer(q, q) + (f1 / rho) * smat
-
-    def third(t):
-        rho = rho_of(t)
-        f1, f2, f3 = fderivs(rho)
-        q = signs * t
-        a = (f2 - f1 / rho) / rho**2
-        ap = f3 / rho**2 - 3.0 * f2 / rho**3 + 3.0 * f1 / rho**4
-        qqq = np.einsum("i,j,k->ijk", q, q, q)
-        mix = (
-            np.einsum("ij,k->ijk", smat, q)
-            + np.einsum("jk,i->ijk", smat, q)
-            + np.einsum("ki,j->ijk", smat, q)
-        )
-        return (ap / rho) * qqq + a * mix
-
-    return ExponentialFamily(n=n, psi=psi, grad=grad, hess=hess, third=third, domain=domain, name=name)
-
-
-def vmf_family(m: int) -> ExponentialFamily:
-    """Ambient family of the von Mises-Fisher model on the m-sphere."""
-    n = m + 1
-    signs = np.ones(n)
-    const = 0.5 * (m + 1) * math.log(2.0 * math.pi)
-
-    if m == 2:
-        def fval(rho):
-            if rho > 350.0:  # sinh overflows; asymptotic log form
-                return math.log(4.0 * math.pi) + rho - math.log(2.0 * rho)
-            return math.log(4.0 * math.pi) + math.log(math.sinh(rho) / rho)
-    else:
-        nu = 0.5 * (m - 1)
-
-        def fval(rho):
-            if rho >= _BESSEL_ASYMPTOTIC:
-                log_iv = rho - 0.5 * math.log(2.0 * math.pi * rho) + math.log(_hankel_sum(nu, rho, -1.0))
-            else:
-                from scipy import special
-
-                # log I_nu(rho) = log ive(nu, rho) + rho, finite where iv overflows
-                log_iv = math.log(float(special.ive(nu, rho))) + rho
-            return const + 0.5 * (1 - m) * math.log(rho) + log_iv
-
-    fder = lambda rho: _vmf_dag_derivs(rho, m)
-
-    return _radial_family(
-        n, signs, fval, fder,
-        domain=lambda t: float(np.dot(t, t)) > 1e-16,
-        name=f"vmf-ambient(m={m})",
-    )
-
-
-def hyperboloid_family(m: int) -> ExponentialFamily:
-    """Ambient family of the hyperboloid model; natural domain is the past timelike cone."""
-    n = m + 1
-    signs = np.concatenate(([1.0], -np.ones(n - 1)))
-
-    if m == 2:
-        def fval(rho):
-            return math.log(2.0 * math.pi) - rho - math.log(rho)
-    else:
-        nu = 0.5 * (m - 1)
-        const = math.log(2.0) + 0.5 * (m - 1) * math.log(2.0 * math.pi)
-
-        def fval(rho):
-            if rho >= _BESSEL_ASYMPTOTIC:
-                log_kv = -rho + 0.5 * math.log(math.pi / (2.0 * rho)) + math.log(_hankel_sum(nu, rho, 1.0))
-            else:
-                from scipy import special
-
-                # log K_nu(rho) = log kve(nu, rho) - rho, finite where kv underflows
-                log_kv = math.log(float(special.kve(nu, rho))) - rho
-            return const + 0.5 * (1 - m) * math.log(rho) + log_kv
-
-    def fder(rho):
-        d, d1, d2 = _hyp_dag_derivs(rho, m)
-        return -d, -d1, -d2  # potential decreases in the radial direction
-
-    def domain(t):
-        q = float(np.dot(signs, t * t))
-        return q > 0 and t[0] < 0
-
-    return _radial_family(n, signs, fval, fder, domain, f"hyperboloid-ambient(m={m})")
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +206,6 @@ class _DirectionalModel:
     m: int
     r: float
     r_dagger: float
-    family: ExponentialFamily
     _lam: np.ndarray  # theta = r * lam * xi, componentwise signs
 
     def __init__(self, m: int, r: float):
@@ -408,7 +272,7 @@ class _DirectionalModel:
                 (normal_theta_sign * lam * xi)[..., None, :], xi[..., None, :],
             )
 
-        return CurvedFamily(ambient=self.family, m=self.m, jet=jet, name=type(self).__name__)
+        return CurvedFamily(n=self.m + 1, m=self.m, jet=jet, name=type(self).__name__)
 
     def gauge(self) -> Gauge:
         """``nu = 1 / prod_a |s_a|`` over the chart axes, with s = -c / s and ds = diag(1 / s^2)."""
@@ -462,7 +326,6 @@ class VmfModel(_DirectionalModel):
         super().__init__(m, r)
         self.kinds = ["circ"] * self.m
         self._lam = np.ones(self.m + 1)
-        self.family = vmf_family(self.m)
         self.curved = self._curved(normal_theta_sign=1.0)
 
     def stopping_constant(self) -> float:
@@ -522,7 +385,6 @@ class HyperboloidModel(_DirectionalModel):
         super().__init__(m, r)
         self.kinds = ["hyp"] + ["circ"] * (self.m - 1)
         self._lam = np.concatenate(([-1.0], np.ones(self.m)))
-        self.family = hyperboloid_family(self.m)
         self.curved = self._curved(normal_theta_sign=-1.0)
 
     def stopping_constant(self) -> float:
@@ -602,39 +464,3 @@ def _orthonormal_complement(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     e1 /= np.linalg.norm(e1)
     e2 = np.cross(xi, e1)
     return e1, e2
-
-
-# ---------------------------------------------------------------------------
-# full-family fixtures
-
-
-def gaussian_family(n: int) -> ExponentialFamily:
-    """Unit-covariance Gaussian mean family; self-dual coordinates."""
-    return ExponentialFamily(
-        n=n,
-        psi=lambda t: 0.5 * float(t @ t),
-        grad=lambda t: t.copy(),
-        hess=lambda t: np.eye(n),
-        third=lambda t: np.zeros((n, n, n)),
-        name=f"gaussian({n})",
-    )
-
-
-def poisson_family(n: int = 1) -> ExponentialFamily:
-    """Independent Poisson coordinates with log-link natural parameters."""
-
-    def third(t):
-        out = np.zeros((n, n, n))
-        e = np.exp(t)
-        for i in range(n):
-            out[i, i, i] = e[i]
-        return out
-
-    return ExponentialFamily(
-        n=n,
-        psi=lambda t: float(np.sum(np.exp(t))),
-        grad=lambda t: np.exp(t),
-        hess=lambda t: np.diag(np.exp(t)),
-        third=third,
-        name=f"poisson({n})",
-    )

@@ -19,7 +19,8 @@ from .tensorops import as_coords
 
 T_MIN = 3
 T_MAX_FACTOR = 50.0
-# replication-draw rows a stopping cell advances at once; bounds the temporaries
+# replication-draw rows a stopping cell advances at once, and the largest
+# burst; bounds the temporaries
 ROWS = 4096
 
 
@@ -40,8 +41,9 @@ def stop_cell(
     gauge each run once per burst over all of their rows. A
     replication stops at the first eligible index at or past the boundary,
     as one-at-a-time evaluation would. Its draws and sums never mix with
-    another's, so the results do not depend on the batch: replications
-    advance in blocks of ``ROWS // burst`` only to bound the temporaries.
+    another's, so the results do not depend on the batch: the burst is at
+    most ``ROWS``, and replications advance in blocks of ``ROWS // burst``,
+    only to bound the temporaries.
 
     Returns ``(tau, sum_x, runaway)`` with shapes ``(R,)``, ``(R, n)`` and
     ``(R,)``; a runaway replication has ``tau = t_max`` and its sum there.
@@ -53,8 +55,8 @@ def stop_cell(
     nu0 = gauge.nu_at(u0a)
     if t_max is None:
         t_max = int(math.ceil(T_MAX_FACTOR * k * nu0))
-    burst = max(8, int(0.25 * k * nu0))
-    n = model.curved.ambient.n
+    burst = min(ROWS, max(8, int(0.25 * k * nu0)))
+    n = model.curved.n
     count = len(rngs)
     tau = np.full(count, t_max)
     sum_x = np.zeros((count, n))

@@ -1,4 +1,4 @@
-"""Coordinate coercion, the finiteness check, stencil steps and symmetric matrix inversion.
+"""Coordinate coercion, the finiteness check, the relative stencil step and symmetric matrix inversion.
 
 Everything here is a pure function of its inputs and returns a plain
 ``ndarray``: a point, a stack of points or a tensor is a plain array
@@ -31,14 +31,6 @@ def require_finite(values: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise EvaluationDomainError("tensor components must be finite")
     return a
-
-
-def _steps(x: np.ndarray, step: float | None, default_rel: float) -> np.ndarray:
-    if step is not None:
-        if step <= 0:
-            raise ValueError("step must be positive")
-        return np.full(x.shape, float(step))
-    return default_rel * np.maximum(1.0, np.abs(x))
 
 
 PIVOT_TOL = 1e-12

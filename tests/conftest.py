@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 sys.path.insert(0, str(Path(__file__).parent))
 
 import seqgeo
-from seqgeo.conformal import constant_gauge
 from seqgeo.errors import ParameterError
 from seqgeo.geometry import CurvedFamily, Jet
 from seqgeo.harness import ExperimentConfig, parse_config
-from seqgeo.models import HyperboloidModel, VmfModel, gaussian_family
+from seqgeo.models import HyperboloidModel, VmfModel
 from seqgeo.tensorops import as_coords
+
+from ambient import constant_gauge
 
 U0_VMF = np.array([math.pi / 6.0, math.pi / 3.0])
 U0_HYP = np.array([0.1, math.pi / 3.0])
@@ -55,7 +56,6 @@ class LinearGaussianModel:
         self.n, self.m = a.shape
         if np.linalg.matrix_rank(a) < self.m:
             raise ParameterError("embedding matrix must have full column rank")
-        self.family = gaussian_family(self.n)
         self._pinv = np.linalg.pinv(a)
         normal = np.linalg.qr(a, mode="complete")[0][:, self.m:].T
         flat = np.zeros((self.m, self.m, self.n))
@@ -65,7 +65,7 @@ class LinearGaussianModel:
             const = (np.broadcast_to(x, us.shape[:-1] + x.shape) for x in (a.T, a.T, flat, flat, normal, normal))
             return Jet(theta, theta, *const)
 
-        self.curved = CurvedFamily(ambient=self.family, m=self.m, jet=jet, name="linear-gaussian")
+        self.curved = CurvedFamily(n=self.n, m=self.m, jet=jet, name="linear-gaussian")
 
     def stopping_constant(self) -> float:
         return 0.0

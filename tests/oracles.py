@@ -10,8 +10,8 @@ import math
 import numpy as np
 from scipy.optimize import brentq
 
-from seqgeo import expfam, geometry, sequential, tensorops as tops
-from seqgeo.conformal import ChartPoint, WeylSchouten, conformal_sub_quantities, ubar_chart_connection
+from seqgeo import geometry, sequential, tensorops as tops
+from seqgeo.conformal import WeylSchouten, conformal_sub_quantities, ubar_chart_connection
 from seqgeo.errors import ChartError
 from seqgeo.models import vmf_mean_resultant
 
@@ -141,53 +141,6 @@ def svd_normals(theta, bt, be, normal_sign=1):
     return (-nt, -ne) if flip else (nt, ne)
 
 
-def fd_jet(ambient, m, theta, eta=None, normal_sign=1):
-    """The jet over rows ``(..., m)`` of the embedding ``u -> (theta(u), eta(u))``,
-    point by point: tangents and Hessians by central differences, the normals
-    by :func:`svd_normals`. Without ``eta``, the mean embedding goes through
-    ``expfam.eta_of_theta`` of the ambient family.
-
-    Tangents take the steps ``STEP1 max(1, |u_i|)`` and Hessians
-    ``STEP2 max(1, |u_i|)``.
-    """
-    n = ambient.n
-    if eta is None:
-        eta = lambda u: expfam.eta_of_theta(ambient, theta(u))
-    shapes = [(n,)] * 2 + [(m, n)] * 2 + [(m, m, n)] * 2 + [(n - m, n)] * 2
-
-    def at(u):
-        h1, h2 = rel_steps(u, STEP1), rel_steps(u, STEP2)
-        th, bt, be = theta(u), fd_field_derivative(theta, u, h1), fd_field_derivative(eta, u, h1)
-        return (th, eta(u), bt, be, fd_hessian(theta, u, h2), fd_hessian(eta, u, h2),
-                *svd_normals(th, bt, be, normal_sign))
-
-    def jet(us):
-        us = np.asarray(us, dtype=float)
-        points = [at(u) for u in us.reshape(-1, us.shape[-1])]
-        return geometry.Jet(*(np.reshape([p[i] for p in points], us.shape[:-1] + shape)
-                              for i, shape in enumerate(shapes)))
-
-    return jet
-
-
-def fd_family(ambient, m, theta, eta=None, normal_sign=1, name=""):
-    """A curved family whose jet is :func:`fd_jet` of the embedding ``theta`` (and ``eta``)."""
-    return geometry.CurvedFamily(ambient, m, fd_jet(ambient, m, theta, eta, normal_sign), name)
-
-
-def numeric_clone(model):
-    """The model's submanifold with every closed form of the embedding stripped:
-    theta goes through ``model.embed``, which checks the chart, the mean
-    embedding through the ambient gradient, and the jet is :func:`fd_jet`.
-
-    The closed-form normal points along theta on the sphere and against it on
-    the hyperboloid: the sign of the model's curvature.
-    """
-    fam = model.curved
-    return fd_family(fam.ambient, fam.m, lambda u: model.embed(u)[0],
-                     normal_sign=int(model.curvature_sign), name=fam.name + "-numeric")
-
-
 def scalar_affine_potentials(c0, c, d, dmat):
     """The conformal potentials ``phi_bar`` and ``psi_bar``, and the
     central-difference gradient of ``phi_bar``, of the 1-D unit Gaussian
@@ -272,9 +225,9 @@ def reference_stopping(model, gauge, k, u0, rng, c=None, t_min=sequential.T_MIN,
     nu0 = gauge.nu_at(u0a)
     if t_max is None:
         t_max = int(math.ceil(sequential.T_MAX_FACTOR * k * nu0))
-    burst = max(8, int(0.25 * k * nu0))
+    burst = min(sequential.ROWS, max(8, int(0.25 * k * nu0)))
 
-    sum_x = np.zeros(model.curved.ambient.n)
+    sum_x = np.zeros(model.curved.n)
     t = 0
     while t < t_max:
         take = min(burst, t_max - t)
@@ -345,20 +298,6 @@ def flattened_second_order_terms(model, u0, gauge, coords) -> np.ndarray:
     return ginv_ubar @ (0.5 * gamma_sq + h_sq) @ ginv_ubar
 
 
-def rows_chart(point_chart):
-    """A chart over rows ``(..., m)`` from a chart of one point, by mapping it
-    over the rows and stacking each of the four ``ChartPoint`` fields."""
-
-    def chart(xs):
-        xa = np.asarray(xs, dtype=float)
-        rows = xa.reshape(-1, xa.shape[-1])
-        points = [point_chart(row) for row in rows]
-        return ChartPoint(*(np.reshape([p[i] for p in points], xa.shape[:-1] + np.shape(points[0][i]))
-                            for i in range(4)))
-
-    return chart
-
-
 def reference_weyl_schouten(chart, at, step=None):
     """The Weyl-Schouten set at one point, reading one bundle at the point and
     one at each of the 2m stencil points of the Ricci derivative.
@@ -381,7 +320,7 @@ def reference_weyl_schouten(chart, at, step=None):
         np.einsum("il,jk->ijkl", eye, ric) - np.einsum("jl,ik->ijkl", eye, ric)
     ) / (m - 1.0)
 
-    h = tops._steps(x, step, tops.STEP_ORDER1)
+    h = rel_steps(x, STEP1) if step is None else np.full(m, float(step))
     dric = np.empty((m, m, m))
     for i in range(m):
         e = np.zeros(m)
@@ -395,32 +334,6 @@ def reference_weyl_schouten(chart, at, step=None):
     )
     w3 = (nabla - nabla.transpose(1, 0, 2)) / (m - 1.0)
     return WeylSchouten(w4, w3, ric - ric.T)
-
-
-def direct_rc_curvature(fam, u, alpha: int):
-    """Curvature via the intrinsic formula applied to the sub-connection field,
-    against which the Gauss-equation curvature is checked."""
-    name = "g1" if alpha == 1 else "gm1"
-    gamma_field = lambda x: getattr(geometry.point_geometry(fam, x), name)
-    metric_field = lambda x: geometry.point_geometry(fam, x).g
-    return expfam.rc_curvature(gamma_field, metric_field, u)
-
-
-def curved_skewness(fam, u):
-    """Ambient skewness pulled back to the u chart: T_abc = T_ijk B_a^i B_b^j B_c^k."""
-    f = geometry.frame_at(fam, u)
-    t = expfam.skewness(fam.ambient, f.theta)
-    return np.einsum("ijk,ai,bj,ck->abc", t, f.tangent_theta, f.tangent_theta, f.tangent_theta)
-
-
-def t_akk(fam, u):
-    """Ambient skewness contracted once with a tangent and twice with the normal frame."""
-    pg = geometry.point_geometry(fam, u)
-    f = pg.jet
-    t = expfam.skewness(fam.ambient, f.theta)
-    return np.einsum(
-        "ijk,ai,pj,qk,pq->a", t, f.tangent_theta, f.normal_theta, f.normal_theta, pg.gkk_inv
-    )
 
 
 # frozen headline constants, all re-derivable from the functions above

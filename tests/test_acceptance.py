@@ -14,25 +14,33 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seqgeo import conformal, expfam, geometry, harness, sequential
+from seqgeo import geometry, harness
 from seqgeo.conformal import (
-    conformal_rc_curvature,
-    constant_gauge,
-    exp_linear_gauge,
-    expfam_chart_geometry,
-    expfam_gauge,
-    expfam_gauge_on_theta,
+    conformal_sub_quantities,
     flatness_test,
     gauge_pde_residual,
     quadric_gauge,
     ubar_chart_connection,
-    conformal_sub_quantities,
-    conformal_chart_geometry,
 )
-from seqgeo.models import MODELS, HyperboloidModel, VmfModel, gaussian_family, poisson_family
+from seqgeo.models import MODELS, HyperboloidModel, VmfModel
 
+from ambient import (
+    ambient_probes,
+    ambient_rc_curvature,
+    conformal_chart_geometry,
+    conformal_rc_curvature,
+    constant_gauge,
+    direct_rc_curvature,
+    exp_linear_gauge,
+    expfam_chart_geometry,
+    expfam_gauge,
+    expfam_gauge_on_theta,
+    family_of,
+    gaussian_family,
+    poisson_family,
+)
 from conftest import U0_HYP, U0_VMF, bundled_config
-from oracles import direct_rc_curvature, iv_ratio_series, scalar_affine_potentials
+from oracles import fd_field_derivative, iv_ratio_series, scalar_affine_potentials
 
 
 def verdict(num: int, ok: bool, detail: str) -> None:
@@ -60,13 +68,6 @@ def experiment_tables(tmp_path_factory):
     return out
 
 
-def ambient_probe_thetas(model, count, seed):
-    rng = np.random.default_rng(seed)
-    grid = model.probe_grid(count=count, margin=0.3, seed=seed)
-    scales = rng.uniform(0.5, 2.0, size=count) / model.r
-    return [s * model.embed(u)[0] for s, u in zip(scales, grid)]
-
-
 class TestGeometrySuite:
     def test_criterion_01_ambient_flatness(self, models_m2):
         vmf, hyp = models_m2
@@ -75,35 +76,30 @@ class TestGeometrySuite:
         cases = [
             (gaussian_family(2), [rng.normal(size=2) for _ in range(20)]),
             (poisson_family(2), [rng.uniform(-1, 1, size=2) for _ in range(20)]),
-            (vmf.family, ambient_probe_thetas(vmf, 20, 3)),
-            (hyp.family, ambient_probe_thetas(hyp, 20, 4)),
+            (family_of(vmf), ambient_probes(vmf, 20, 3)),
+            (family_of(hyp), ambient_probes(hyp, 20, 4)),
         ]
         for fam, probes in cases:
             for theta in probes:
                 for alpha in (1.0, -1.0):
-                    r = expfam.ambient_rc_curvature(fam, theta, alpha)
+                    r = ambient_rc_curvature(fam, theta, alpha)
                     worst = max(worst, float(np.abs(r).max()))
         verdict(1, worst <= 1e-5, f"ambient +-1 curvature max residual {worst:.2e} <= 1e-5")
 
     def test_criterion_02_duality_with_three_gauges(self, models_m2):
         vmf, _ = models_m2
-        fam = vmf.family
+        fam = family_of(vmf)
         geom = expfam_chart_geometry(fam)
         gauges = [
             constant_gauge(2.0),
             exp_linear_gauge(np.array([0.2, -0.1, 0.15])),
             expfam_gauge_on_theta(fam, 1.0, [0.5, -0.2, 0.1]),
         ]
-        probes = ambient_probe_thetas(vmf, 4, 5)
+        probes = ambient_probes(vmf, 4, 5)
         worst_conn, worst_curv = 0.0, 0.0
 
         def duality_residuals(chart, theta):
-            h = 1e-6
-            dg = np.empty((3, 3, 3))
-            for i in range(3):
-                e = np.zeros(3)
-                e[i] = h
-                dg[i] = (chart(theta + e).g - chart(theta - e).g) / (2 * h)
+            dg = fd_field_derivative(lambda x: chart(x).g, theta, 1e-6)
             p = chart(theta)
             conn = np.abs(dg - (p.g1 + p.gm1.transpose(0, 2, 1))).max()
             return float(conn), p.rm1

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from seqgeo import cli, conformal, geometry, harness
 from seqgeo.errors import ParameterError
 from seqgeo.models import MODELS, VmfModel
 
+from ambient import constant_gauge
 from conftest import bundled_config
 
 
@@ -133,6 +135,19 @@ class TestGeometryCommand:
         assert cls["constant_curvature_residual"] < 1e-12
         assert code == cli.EXIT_OK and rep["pass"] is True
 
+    @pytest.mark.parametrize("r", ["1e160", "1e200", "1e300"])
+    @pytest.mark.parametrize("model, m", [("vmf", "2"), ("vmf", "3"), ("hyperboloid", "2"), ("hyperboloid", "3")])
+    def test_epsilon_fit_is_scaled(self, model, m, r, capsys):
+        # H(1) is of size r: unscaled, its sum of squares overflowed from r = 1e160
+        # on, so epsilon read 0 and its residual 1.0 to 3.08
+        code, out, _ = run_cli(["geometry", "--model", model, "--m", m, "--r", r, "--json"], capsys)
+        rep = json.loads(out)
+        cls = rep["classification"]
+        sign = 1.0 if model == "vmf" else -1.0
+        assert cls["es_epsilon"] == pytest.approx(sign * rep["r_dagger"] / float(r), rel=1e-14)
+        assert cls["es_epsilon_residual"] < 1e-14
+        assert code == cli.EXIT_OK
+
     @pytest.mark.parametrize("m", ["2", "3"])
     def test_vmf_transformed_curvature_is_relative(self, m, capsys):
         # H_bar(1) is a difference of two terms of size |nu H(1)|, which grows as r;
@@ -169,7 +184,7 @@ class TestGeometryCommand:
     def test_flattened_connection_rejects_a_wrong_gauge(self, model, m, monkeypatch):
         # negative control: with a constant gauge nothing cancels, so the sum is
         # of the size of its larger term
-        monkeypatch.setattr(MODELS[model], "gauge", lambda self: conformal.constant_gauge(1.0))
+        monkeypatch.setattr(MODELS[model], "gauge", lambda self: constant_gauge(1.0))
         rep = cli.geometry_report(model, m, 1.0)
         assert rep["gamma_bar_ubar_scaled_residual"] > 0.5
         assert rep["pass"] is False
@@ -300,6 +315,15 @@ class TestSimulateCommand:
         code, _, err = run_cli(["simulate", "--config", str(bad)], capsys)
         assert code == cli.EXIT_USAGE
         assert "bad.conf:2" in err
+
+    def test_step_cap_past_float_range_exit_one(self, tmp_path, capsys):
+        # K = 1e300 sets a step cap T_MAX_FACTOR K nu0 past 2^53, where the float
+        # time index cannot hold every step; the sampler was asked for 1e299 draws
+        path, _ = write_tiny_config(tmp_path, reps=4)
+        path.write_text(re.sub(r"(?m)^grid_K = .*$", "grid_K = 1e300", path.read_text()))
+        code, _, err = run_cli(["simulate", "--config", str(path)], capsys)
+        assert code == cli.EXIT_USAGE
+        assert "grid_K entry 1e+300 is too large" in err
 
     def test_missing_file_exit_one(self, capsys):
         code, _, err = run_cli(["simulate", "--config", "/does/not/exist.conf"], capsys)

@@ -6,18 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqgeo import conformal, expfam, geometry
+from seqgeo import geometry
 from seqgeo.conformal import (
     Gauge,
-    conformal_chart_geometry,
-    conformal_connection,
-    conformal_rc_curvature,
     conformal_sub_quantities,
-    constant_gauge,
-    exp_linear_gauge,
-    expfam_chart_geometry,
-    expfam_gauge,
-    expfam_gauge_on_theta,
+    connection_coordinate_change,
     flatness_test,
     gauge_pde_residual,
     quadric_coordinates,
@@ -27,8 +20,24 @@ from seqgeo.conformal import (
 )
 from seqgeo.errors import ChartError, GaugeMismatchError, GaugeSingularityError, UnsupportedShapeError
 from seqgeo.geometry import point_geometry
-from seqgeo.models import HyperboloidModel, VmfModel, gaussian_family
+from seqgeo.models import HyperboloidModel, VmfModel
 
+from ambient import (
+    conformal_chart_geometry,
+    conformal_connection,
+    conformal_rc_curvature,
+    constant_gauge,
+    curved_chart,
+    curved_skewness,
+    exp_linear_gauge,
+    expfam_chart_geometry,
+    expfam_gauge,
+    expfam_gauge_on_theta,
+    family_of,
+    fd_family,
+    gaussian_family,
+    rows_chart,
+)
 from conftest import U0_HYP, U0_VMF
 from oracles import (
     HYP_NU0,
@@ -36,14 +45,11 @@ from oracles import (
     STEP2,
     VMF_NU0,
     VMF_UBAR0,
-    curved_skewness,
-    fd_family,
     fd_field_derivative,
     fd_hessian,
     fd_map_hessian,
     reference_weyl_schouten,
     rel_steps,
-    rows_chart,
     scalar_affine_potentials,
 )
 
@@ -54,7 +60,7 @@ D_HYP = np.eye(2, 3) / 100.0
 
 @pytest.fixture(scope="module")
 def vmf_geom(vmf):
-    return partial(point_geometry, vmf.curved)
+    return curved_chart(vmf.curved)
 
 
 @pytest.fixture(scope="module")
@@ -104,7 +110,7 @@ class TestMetricSkewness:
     def test_unit_gauge_is_identity(self, vmf, vmf_geom):
         x = np.array([0.8, 1.0])
         p = vmf_geom(x)
-        assert np.abs((p.gm1 - p.g1) - curved_skewness(vmf.curved, x)).max() < 1e-15
+        assert np.abs((p.gm1 - p.g1) - curved_skewness(family_of(vmf), vmf.curved, x)).max() < 1e-15
         p_bar = conformal_chart_geometry(vmf_geom, constant_gauge(1.0))(x)
         assert np.abs(p_bar.g - p.g).max() < 1e-15
         assert np.abs((p_bar.gm1 - p_bar.g1) - (p.gm1 - p.g1)).max() < 1e-15
@@ -162,8 +168,8 @@ class TestCurvatureTransform:
     def test_affine_gauge_flattens_full_family(self, vmf):
         # explicit gauge of the ambient family: both unit-connection
         # curvatures must vanish after the transformation
-        gauge = expfam_gauge_on_theta(vmf.family, 1.0, [0.5, -0.2, 0.1])
-        geom = expfam_chart_geometry(vmf.family)
+        gauge = expfam_gauge_on_theta(family_of(vmf), 1.0, [0.5, -0.2, 0.1])
+        geom = expfam_chart_geometry(family_of(vmf))
         theta = vmf.embed(np.array([0.9, 1.1]))[0] * 3.0
         p = geom(theta)
         for alpha in (-1.0, 1.0):
@@ -194,12 +200,7 @@ class TestCurvatureTransform:
         # metric-derivative and curvature duality survive an arbitrary positive gauge
         geom_bar = conformal_chart_geometry(vmf_geom, arbitrary_gauge)
         x = np.array([0.9, 1.1])
-        h = 1e-6
-        dg = np.empty((2, 2, 2))
-        for i in range(2):
-            e = np.zeros(2)
-            e[i] = h
-            dg[i] = (geom_bar(x + e).g - geom_bar(x - e).g) / (2 * h)
+        dg = fd_field_derivative(lambda y: geom_bar(y).g, x, 1e-6)
         p_bar, p = geom_bar(x), vmf_geom(x)
         res = dg - (p_bar.g1 + p_bar.gm1.transpose(0, 2, 1))
         assert np.abs(res).max() < 1e-6
@@ -276,7 +277,7 @@ class TestWeylSchouten:
         assert np.abs(bar.w2 - plain.w2).max() < 1e-4
 
     def test_w4_invariance_in_three_dimensions(self, vmf3):
-        geom = partial(point_geometry, vmf3.curved)
+        geom = curved_chart(vmf3.curved)
         gauge = exp_linear_gauge(np.array([0.2, -0.1, 0.05]))
         x = np.array([0.9, 1.0, 0.7])
         plain = weyl_schouten(geom, x)
@@ -545,7 +546,7 @@ def flattening_kernels(model, us):
     pg = point_geometry(model.curved, us)
     jac, hess = coords.derivatives(us)
     return [*conformal_sub_quantities(pg, gauge), *ubar_chart_connection(pg, gauge, coords),
-            *expfam.connection_coordinate_change(pg.gm1, jac, hess, pg.g)]
+            *connection_coordinate_change(pg.gm1, jac, hess, pg.g)]
 
 
 class TestBatchedKernels:
@@ -572,5 +573,5 @@ class TestBatchedKernels:
     def test_rank_check_covers_every_row(self):
         basis = np.stack([np.eye(2), np.ones((2, 2))])
         with pytest.raises(ChartError, match="rank deficient"):
-            expfam.connection_coordinate_change(np.zeros((2, 2, 2, 2)), basis, np.zeros((2, 2, 2, 2)),
-                                                np.stack([np.eye(2)] * 2))
+            connection_coordinate_change(np.zeros((2, 2, 2, 2)), basis, np.zeros((2, 2, 2, 2)),
+                                         np.stack([np.eye(2)] * 2))

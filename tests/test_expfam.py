@@ -4,19 +4,23 @@ import math
 import numpy as np
 import pytest
 
-from seqgeo import expfam, geometry
+from seqgeo import geometry
+from seqgeo.conformal import connection_coordinate_change
 from seqgeo.errors import EvaluationDomainError, ModelMisspecificationError
-from seqgeo.expfam import (
+
+from ambient import (
+    ExponentialFamily,
     alpha_connection,
+    ambient_probes,
     ambient_rc_curvature,
-    connection_coordinate_change,
     eta_of_theta,
+    family_of,
+    gaussian_family,
     metric,
+    poisson_family,
     rc_curvature,
     skewness,
 )
-from seqgeo.models import gaussian_family, poisson_family
-
 from conftest import U0_VMF
 from oracles import fd_field_derivative, fd_hessian, iv_ratio_series, vmf_theta_of_eta
 
@@ -31,14 +35,6 @@ def pois1():
     return poisson_family(1)
 
 
-def ambient_probes(model, count=8, radii=(0.5, 2.0), seed=13):
-    """Points of the ambient chart at moderate radius, built from the model chart."""
-    rng = np.random.default_rng(seed)
-    grid = model.probe_grid(count=count, margin=0.3, seed=seed)
-    scales = rng.uniform(*radii, size=count) / model.r
-    return np.array([s * model.embed(u)[0] for s, u in zip(scales, grid)])
-
-
 class TestDualCoordinates:
     def test_gaussian_identity(self, gauss2):
         eta = eta_of_theta(gauss2, np.array([1.0, 2.0]))
@@ -49,7 +45,7 @@ class TestDualCoordinates:
 
     def test_vmf_mean_parameter_against_series(self, vmf):
         theta = 0.25 * np.array([1.0, 0.0, 0.0])
-        eta = eta_of_theta(vmf.family, theta)
+        eta = eta_of_theta(family_of(vmf), theta)
         rd = iv_ratio_series(0.25, 0.5)
         assert eta[0] == pytest.approx(rd, abs=1e-10)
         assert eta[0] == pytest.approx(0.08298816507359685, abs=1e-12)
@@ -57,7 +53,7 @@ class TestDualCoordinates:
 
     def test_domain_violation(self, hyp):
         with pytest.raises(EvaluationDomainError):
-            eta_of_theta(hyp.family, np.array([1.0, 0.0, 0.0]))  # future-pointing
+            eta_of_theta(family_of(hyp), np.array([1.0, 0.0, 0.0]))  # future-pointing
 
 
 class TestMetric:
@@ -71,7 +67,7 @@ class TestMetric:
 
     def test_vmf_eigenvalue_split(self, vmf):
         theta = 0.25 * np.array([1.0, 0.0, 0.0])
-        g = metric(vmf.family, theta)
+        g = metric(family_of(vmf), theta)
         rd = iv_ratio_series(0.25, 0.5)
         h = 1e-6
         rd_prime = (iv_ratio_series(0.25 + h, 0.5) - iv_ratio_series(0.25 - h, 0.5)) / (2 * h)
@@ -82,13 +78,14 @@ class TestMetric:
     @pytest.mark.parametrize("model_name", ["vmf", "hyp"])
     def test_analytic_matches_finite_difference(self, model_name, request):
         model = request.getfixturevalue(model_name)
+        fam = family_of(model)
         for theta in ambient_probes(model, count=4):
-            g = metric(model.family, theta)
-            g_fd = fd_hessian(model.family.psi, theta, h=3e-4)
+            g = metric(fam, theta)
+            g_fd = fd_hessian(fam.psi, theta, h=3e-4)
             assert np.abs(g - g_fd).max() < 1e-4 * max(1.0, np.abs(g).max())
 
     def test_indefinite_hessian_rejected(self):
-        fam = expfam.ExponentialFamily(
+        fam = ExponentialFamily(
             n=1,
             psi=lambda t: -float(t[0] ** 2),
             grad=lambda t: -2.0 * t,
@@ -99,7 +96,7 @@ class TestMetric:
             metric(fam, np.array([0.2]))
 
     def test_nan_hessian_raises(self, vmf):
-        fam = dataclasses.replace(vmf.family, hess=lambda t: np.full((3, 3), np.nan))
+        fam = dataclasses.replace(family_of(vmf), hess=lambda t: np.full((3, 3), np.nan))
         with pytest.raises(EvaluationDomainError):
             metric(fam, 0.25 * np.array([1.0, 0.0, 0.0]))
 
@@ -115,23 +112,15 @@ class TestSkewness:
     def test_matches_metric_derivative(self, model_name, request):
         model = request.getfixturevalue(model_name)
         theta = ambient_probes(model, count=1)[0]
-        t = skewness(model.family, theta)
-        h = 1e-5
-        fd = np.empty_like(t)
-        for i in range(3):
-            e = np.zeros(3)
-            e[i] = h
-            fd[i] = (
-                metric(model.family, theta + e)
-                - metric(model.family, theta - e)
-            ) / (2 * h)
+        t = skewness(family_of(model), theta)
+        fd = fd_field_derivative(lambda x: metric(family_of(model), x), theta, 1e-5)
         assert np.abs(t - fd).max() < 1e-4 * max(1.0, np.abs(t).max())
 
 
 class TestAlphaConnection:
     def test_one_affine(self, vmf):
         theta = np.array([0.2, 0.05, 0.1])
-        assert np.allclose(alpha_connection(vmf.family, theta, 1.0), 0.0)
+        assert np.allclose(alpha_connection(family_of(vmf), theta, 1.0), 0.0)
 
     def test_gaussian_any_alpha(self, gauss2):
         for a in (-1.0, 0.0, 0.7):
@@ -145,26 +134,19 @@ class TestAlphaConnection:
     @pytest.mark.parametrize("alpha", [-1.0, 0.0, 1.0])
     def test_duality_identity(self, model_name, alpha, request):
         model = request.getfixturevalue(model_name)
+        fam = family_of(model)
         theta = ambient_probes(model, count=1, seed=29)[0]
-        h = 1e-6
-        dg = np.empty((3, 3, 3))
-        for i in range(3):
-            e = np.zeros(3)
-            e[i] = h
-            dg[i] = (
-                metric(model.family, theta + e)
-                - metric(model.family, theta - e)
-            ) / (2 * h)
-        ga = alpha_connection(model.family, theta, alpha)
-        gma = alpha_connection(model.family, theta, -alpha)
+        dg = fd_field_derivative(lambda x: metric(fam, x), theta, 1e-6)
+        ga = alpha_connection(fam, theta, alpha)
+        gma = alpha_connection(fam, theta, -alpha)
         assert np.abs(dg - (ga + gma.transpose(0, 2, 1))).max() < 1e-6 * max(1.0, np.abs(dg).max())
 
 
 class TestCoordinateChange:
     def test_identity_change(self, vmf):
         theta = np.array([0.2, 0.05, 0.1])
-        gam = alpha_connection(vmf.family, theta, -1.0)
-        g = metric(vmf.family, theta)
+        gam = alpha_connection(family_of(vmf), theta, -1.0)
+        g = metric(family_of(vmf), theta)
         pulled, inhom = connection_coordinate_change(gam, np.eye(3), np.zeros((3, 3, 3)), g)
         assert np.abs(pulled + inhom - gam).max() < 1e-14
 
@@ -198,7 +180,7 @@ class TestCoordinateChange:
         basis = fd_field_derivative(theta_of_w, w0, 1e-5)  # B[beta, i]
         flat = fd_field_derivative(lambda w: fd_field_derivative(theta_of_w, w, 1e-5).ravel(), w0, 1e-4)
         dbasis = flat.reshape(3, 3, 3)  # d_beta B[gamma, i]
-        g_theta = metric(vmf.family, frame.theta)
+        g_theta = metric(family_of(vmf), frame.theta)
         pulled, inhom = connection_coordinate_change(np.zeros((3, 3, 3)), basis, dbasis, g_theta)
         gam_w = pulled + inhom
         g_ab = geometry.point_geometry(fam, u0).g
@@ -218,16 +200,13 @@ class TestCurvature:
     def test_model_ambients_flat(self, alpha, model_name, request):
         model = request.getfixturevalue(model_name)
         for theta in ambient_probes(model, count=3, seed=31):
-            r = ambient_rc_curvature(model.family, theta, alpha)
+            r = ambient_rc_curvature(family_of(model), theta, alpha)
             assert np.abs(r).max() < 1e-5
 
     def test_antisymmetry_first_slots(self, vmf):
         theta = ambient_probes(vmf, count=1, seed=37)[0]
-        vals = rc_curvature(
-            lambda x: alpha_connection(vmf.family, x, 0.0),
-            lambda x: metric(vmf.family, x),
-            theta,
-        )
+        fam = family_of(vmf)
+        vals = rc_curvature(lambda x: alpha_connection(fam, x, 0.0), lambda x: metric(fam, x), theta)
         assert np.abs(vals + vals.transpose(1, 0, 2, 3)).max() < 1e-12
 
     def test_riemannian_sphere_value(self):

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from seqgeo import expfam, geometry
+from seqgeo import geometry
 from seqgeo.errors import (
     ChartError,
     GaugeSingularityError,
@@ -25,6 +25,7 @@ from seqgeo.models import (
     vmf_mean_resultant,
 )
 
+from ambient import eta_of_theta, family_of, numeric_clone
 from conftest import U0_HYP, U0_VMF, LinearGaussianModel
 from oracles import (
     HYP_C,
@@ -33,7 +34,6 @@ from oracles import (
     STEP1,
     fd_field_derivative,
     kv_ratio_recurrence,
-    numeric_clone,
     polar_gauge_log_gradient,
     rel_steps,
 )
@@ -154,7 +154,7 @@ class TestMeanResultant:
         model = cls(3, 800.0)
         assert math.isfinite(model.r_dagger)
         theta, _ = model.embed(model.probe_grid(count=1)[0])
-        assert math.isfinite(model.family.psi(theta))
+        assert math.isfinite(family_of(model).psi(theta))
 
     @pytest.mark.parametrize("m", [3, 4, 5, 6])
     @pytest.mark.parametrize("rho", [2.0 ** 30, 1e10, 1e12, 1e15])
@@ -170,7 +170,7 @@ class TestMeanResultant:
                         + mpmath.log(mpmath.besselk(nu, rho)))
         # the hyperboloid's natural domain is the past timelike cone
         for cls, point, want in ((VmfModel, theta, want_vmf), (HyperboloidModel, -theta, want_hyp)):
-            got = cls(m, 1.0).family.psi(point)
+            got = family_of(cls(m, 1.0)).psi(point)
             assert abs(got - float(want)) <= 2.0 * np.finfo(float).eps * abs(float(want))
 
 
@@ -205,7 +205,7 @@ class TestEmbedding:
         model = request.getfixturevalue(model_name)
         for u in model.probe_grid(count=6, margin=0.2, seed=3):
             theta, eta = model.embed(u)
-            eta_from_psi = expfam.eta_of_theta(model.family, theta)
+            eta_from_psi = eta_of_theta(family_of(model), theta)
             assert np.abs(eta - eta_from_psi).max() < 1e-8
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from seqgeo import conformal, geometry, sequential
+from seqgeo import geometry, sequential
 from seqgeo.conformal import quadric_gauge
 from seqgeo.errors import EvaluationDomainError
 from seqgeo.sequential import (
@@ -14,6 +14,7 @@ from seqgeo.sequential import (
     stop_cell,
 )
 
+from ambient import numeric_clone
 from conftest import U0_HYP, U0_VMF
 from oracles import (
     STEP1,
@@ -21,7 +22,6 @@ from oracles import (
     VMF_G22,
     fd_field_derivative,
     flattened_second_order_terms,
-    numeric_clone,
     observed_information,
     reference_bias_correct,
     reference_stopping,
@@ -174,13 +174,30 @@ class TestStopCell:
         rngs = [np.random.default_rng(s) for s in seeds]
         tau, sum_x, runaway = stop_cell(model, gauge, k, u0, rngs, t_max=t_max)
         assert tau.shape == runaway.shape == (reps,)
-        assert sum_x.shape == (reps, model.curved.ambient.n)
+        assert sum_x.shape == (reps, model.curved.n)
         for i, s in enumerate(seeds):
             want = reference_stopping(model, gauge, k, u0, np.random.default_rng(s), t_max=t_max)
             assert tau[i] == want[0]
             assert sum_x[i].tobytes() == want[1].tobytes()
             assert runaway[i] == want[2]
         assert runaway.all() == (case == "all-runaway")
+
+    def test_burst_is_capped_at_rows(self, vmf, monkeypatch):
+        # 0.25 K nu0 is about 577,000 draws here; a burst takes at most ROWS,
+        # so no sampler call holds more rows, and the 5000 steps take two bursts
+        asked = []
+        sample_many = vmf.sample_many
+
+        def counted(u, rngs, size):
+            asked.append(len(rngs) * size)
+            return sample_many(u, rngs, size)
+
+        monkeypatch.setattr(vmf, "sample_many", counted)
+        rngs = [np.random.default_rng(s) for s in range(3)]
+        _, _, runaway = stop_cell(vmf, vmf.gauge(), 1e6, U0_VMF, rngs, t_max=5000)
+        assert runaway.all()
+        assert max(asked) <= sequential.ROWS and sum(asked) == 3 * 5000
+
 
 class TestBiasCorrect:
     def test_flat_model_no_correction(self, linear):

@@ -75,6 +75,13 @@ def run_subcommands() -> tuple[set[tuple[str, int]], list[str]]:
         import seqgeo
         from seqgeo import cli
 
+        # a cached function is entered only on a miss, so start from empty
+        # caches: a caller earlier in the process does not hide it
+        for name, module in list(sys.modules.items()):
+            if name.startswith("seqgeo"):
+                for obj in vars(module).values():
+                    if hasattr(obj, "cache_clear"):
+                        obj.cache_clear()
         configs = Path(seqgeo.__file__).parent / "configs"
         with tempfile.TemporaryDirectory() as tmp:
             for name in CONFIGS:
