@@ -89,6 +89,8 @@ class ExperimentConfig:
             raise ParameterError("grids must be nonempty")
         if min(self.grid_n) < 1:
             raise ParameterError(f"grid_N entries must be at least 1, got {min(self.grid_n)}")
+        if max(self.grid_n) > 2 ** 20:  # one replication's 2^20 draws peak near 150 MB
+            raise ParameterError(f"grid_N entry {max(self.grid_n)} is too large: at most 2^20 draws")
         bad_k = [k for k in self.grid_k if not 0.0 < k < math.inf]
         if bad_k:
             raise ParameterError(f"grid_K entries must be positive and finite, got {bad_k[0]!r}")

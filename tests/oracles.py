@@ -11,7 +11,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from seqgeo import geometry, sequential, tensorops as tops
-from seqgeo.conformal import WeylSchouten, conformal_sub_quantities, ubar_chart_connection
+from seqgeo.conformal import FlatnessReport, WeylSchouten, conformal_sub_quantities, ubar_chart_connection
 from seqgeo.errors import ChartError
 from seqgeo.models import vmf_mean_resultant
 
@@ -334,6 +334,27 @@ def reference_weyl_schouten(chart, at, step=None):
     )
     w3 = (nabla - nabla.transpose(1, 0, 2)) / (m - 1.0)
     return WeylSchouten(w4, w3, ric - ric.T)
+
+
+def max_residuals(ws):
+    """The max-norm of each Weyl-Schouten field, over every point it holds."""
+    return {k: float(np.abs(getattr(ws, k)).max()) for k in ("w4", "w3", "w2")}
+
+
+def reference_flatness(chart, grid, tolerance=1e-4):
+    """The flatness verdict from a loop over the probe points, one
+    :func:`reference_weyl_schouten` each; a later point becomes the worst
+    only when its residual is strictly larger."""
+    dim = grid.shape[1]
+    worst, worst_point = -1.0, grid[0]
+    per = {"w4": 0.0, "w3": 0.0, "w2": 0.0}
+    for x in grid:
+        res = max_residuals(reference_weyl_schouten(chart, x))
+        per = {k: max(per[k], res[k]) for k in per}
+        crit = res["w4"] if dim >= 3 else max(res["w3"], res["w2"])
+        if crit > worst:
+            worst, worst_point = crit, x
+    return FlatnessReport(worst <= tolerance, dim, worst, np.array(worst_point), per)
 
 
 # frozen headline constants, all re-derivable from the functions above

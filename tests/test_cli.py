@@ -325,6 +325,14 @@ class TestSimulateCommand:
         assert code == cli.EXIT_USAGE
         assert "grid_K entry 1e+300 is too large" in err
 
+    def test_huge_sample_size_exit_one(self, tmp_path, capsys):
+        # N = 1e9 asked the sampler for a (2, 1, 1e9) array and ended in a MemoryError
+        path, _ = write_tiny_config(tmp_path, reps=4)
+        path.write_text(re.sub(r"(?m)^grid_N = .*$", "grid_N = 40, 1e9", path.read_text()))
+        code, _, err = run_cli(["simulate", "--config", str(path)], capsys)
+        assert code == cli.EXIT_USAGE
+        assert "grid_N entry 1000000000 is too large" in err
+
     def test_missing_file_exit_one(self, capsys):
         code, _, err = run_cli(["simulate", "--config", "/does/not/exist.conf"], capsys)
         assert code == cli.EXIT_USAGE

@@ -1,12 +1,13 @@
 import math
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqgeo import geometry
+from seqgeo import conformal, geometry
 from seqgeo.conformal import (
     Gauge,
     conformal_sub_quantities,
@@ -48,6 +49,8 @@ from oracles import (
     fd_field_derivative,
     fd_hessian,
     fd_map_hessian,
+    max_residuals,
+    reference_flatness,
     reference_weyl_schouten,
     rel_steps,
     scalar_affine_potentials,
@@ -213,63 +216,81 @@ class TestCurvatureTransform:
         assert np.abs(r1_bar + rm1_bar.transpose(0, 1, 3, 2)).max() < 1e-4
 
 
+def one_point(chart, x, step=None):
+    """The Weyl-Schouten set at one point: a batch of one, read at ``[0]``."""
+    ws = weyl_schouten(chart, np.asarray(x, dtype=float)[None], step)
+    return type(ws)(ws.w4[0], ws.w3[0], ws.w2[0])
+
+
 class TestWeylSchouten:
     def test_full_family_vanishes(self):
         geom = rows_chart(expfam_chart_geometry(gaussian_family(2)))
-        ws = weyl_schouten(geom, np.array([0.3, -0.2]))
-        assert all(v < 1e-12 for v in ws.max_residuals().values())
+        ws = one_point(geom, np.array([0.3, -0.2]))
+        assert all(v < 1e-12 for v in max_residuals(ws).values())
 
     def test_vmf_m2_flat(self, vmf_geom):
-        ws = weyl_schouten(vmf_geom, np.array([0.9, 1.2]))
-        res = ws.max_residuals()
+        ws = one_point(vmf_geom, np.array([0.9, 1.2]))
+        res = max_residuals(ws)
         assert res["w4"] < 1e-12  # dimension-two identity
         assert res["w3"] < 1e-8
         assert res["w2"] < 1e-12
 
     def test_w4_antisymmetric_first_slots(self, vmf3):
         geom = partial(point_geometry, vmf3.curved)
-        ws = weyl_schouten(geom, np.array([0.8, 1.1, 0.5]))
+        ws = one_point(geom, np.array([0.8, 1.1, 0.5]))
         vals = ws.w4
         assert np.abs(vals + vals.transpose(1, 0, 2, 3)).max() < 1e-12
 
     def test_vmf_m3_w4(self, vmf3):
         geom = partial(point_geometry, vmf3.curved)
-        ws = weyl_schouten(geom, np.array([0.8, 1.1, 0.5]))
-        assert ws.max_residuals()["w4"] < 1e-4
+        ws = one_point(geom, np.array([0.8, 1.1, 0.5]))
+        assert max_residuals(ws)["w4"] < 1e-4
 
-    @pytest.mark.parametrize("name, x", [("vmf", [0.9, 1.2]), ("vmf3", [0.8, 1.1, 0.5])])
-    def test_one_bundle_per_point(self, name, x, request, monkeypatch):
-        # one bundle over the point and the 2m Ricci stencil points
+    @pytest.mark.parametrize("name", ["vmf", "vmf3"])
+    def test_one_bundle_per_block(self, name, request, monkeypatch):
+        # the kernel reads one bundle over each point and its 2m Ricci stencil
+        # points; flatness_test hands it the grid in blocks of at most ROWS rows
+        model = request.getfixturevalue(name)
+        m = model.m
+        block = conformal.ROWS // (1 + 2 * m)
+        grid = model.probe_grid(count=2 * block + 3, margin=0.15, seed=11)
         jets = []
         frame_at = geometry.frame_at
         monkeypatch.setattr(geometry, "frame_at", lambda fam, u: jets.append(u) or frame_at(fam, u))
-        weyl_schouten(partial(point_geometry, request.getfixturevalue(name).curved), np.array(x))
-        assert [u.shape for u in jets] == [(1 + 2 * len(x), len(x))]
+        chart = partial(point_geometry, model.curved)
+        weyl_schouten(chart, grid[:5])
+        assert [u.shape for u in jets] == [(5 * (1 + 2 * m), m)]
+        jets.clear()
+        flatness_test(chart, grid)
+        assert [u.shape for u in jets] == [(p * (1 + 2 * m), m) for p in (block, block, 3)]
 
     @pytest.mark.parametrize("step", [None, 1e-4])
     @pytest.mark.parametrize("name", ["vmf", "hyp", "vmf3", "hyp3", "graph_surface"])
     def test_matches_reference_bits(self, name, step, request):
-        # the one-bundle kernel against the per-stencil-point evaluation, at every probe point
+        # the one-bundle kernel over a whole grid, larger than a block of
+        # flatness_test, against the per-stencil-point evaluation at each point
         if name == "graph_surface":
             fam, grid = request.getfixturevalue(name)
         else:
             model = request.getfixturevalue(name)
-            fam, grid = model.curved, model.probe_grid(count=6, margin=0.15, seed=11)
+            count = conformal.ROWS // (1 + 2 * model.m) + 3
+            fam, grid = model.curved, model.probe_grid(count=count, margin=0.15, seed=11)
         chart = partial(point_geometry, fam)
-        for x in grid:
-            got, want = weyl_schouten(chart, x, step), reference_weyl_schouten(chart, x, step)
+        got = weyl_schouten(chart, grid, step)
+        for i, x in enumerate(grid):
+            want = reference_weyl_schouten(chart, x, step)
             for field in ("w4", "w3", "w2"):
-                assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), (x, field)
+                assert getattr(got, field)[i].tobytes() == getattr(want, field).tobytes(), (x, field)
 
     def test_dimension_one_rejected(self):
         geom = expfam_chart_geometry(gaussian_family(1))
         with pytest.raises(UnsupportedShapeError):
-            weyl_schouten(geom, np.array([0.1]))
+            weyl_schouten(geom, np.array([[0.1]]))
 
     def test_w4_invariant_w3_covariant(self, vmf_geom, arbitrary_gauge):
         x = np.array([0.9, 1.1])
-        plain = weyl_schouten(vmf_geom, x)
-        bar = weyl_schouten(rows_chart(conformal_chart_geometry(vmf_geom, arbitrary_gauge)), x)
+        plain = one_point(vmf_geom, x)
+        bar = one_point(rows_chart(conformal_chart_geometry(vmf_geom, arbitrary_gauge)), x)
         assert np.abs(bar.w4 - plain.w4).max() < 1e-4
         s = arbitrary_gauge.s(x)
         predicted = plain.w3 + np.einsum("ijkl,l->ijk", plain.w4, s)
@@ -280,8 +301,8 @@ class TestWeylSchouten:
         geom = curved_chart(vmf3.curved)
         gauge = exp_linear_gauge(np.array([0.2, -0.1, 0.05]))
         x = np.array([0.9, 1.0, 0.7])
-        plain = weyl_schouten(geom, x)
-        bar = weyl_schouten(rows_chart(conformal_chart_geometry(geom, gauge)), x)
+        plain = one_point(geom, x)
+        bar = one_point(rows_chart(conformal_chart_geometry(geom, gauge)), x)
         assert np.abs(bar.w4 - plain.w4).max() < 1e-4
 
 
@@ -316,6 +337,43 @@ class TestFlatness:
         cls = geometry.classify(fam, grid, tolerance=1e-4)
         assert cls.umbilic is False and cls.umbilic_residual > 1e3 * cls.tolerance
         assert cls.dual_quadric is False and cls.dual_quadric_residual > 1e3 * cls.tolerance
+
+    @pytest.mark.parametrize("name", ["vmf", "hyp", "vmf3", "graph_surface"])
+    def test_matches_per_point_loop(self, name, request):
+        # the blocked verdict against a loop over the reference, one point at a
+        # time, on a grid of more than one block
+        if name == "graph_surface":
+            fam, grid = request.getfixturevalue(name)
+        else:
+            model = request.getfixturevalue(name)
+            count = conformal.ROWS // (1 + 2 * model.m) + 3
+            fam, grid = model.curved, model.probe_grid(count=count, margin=0.15, seed=11)
+        chart = partial(point_geometry, fam)
+        got, want = flatness_test(chart, grid), reference_flatness(chart, grid)
+        assert (got.flat, got.dim, got.max_residual, got.residuals) == (want.flat, want.dim,
+                                                                        want.max_residual, want.residuals)
+        assert got.worst_point.tobytes() == want.worst_point.tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_first_maximal_point_wins(self, dim):
+        # a chart whose curvature scales with u_0^2: the points at u_0 = 1 and
+        # u_0 = -1, in different blocks, tie exactly, and the first is the worst
+        base = np.random.default_rng(5).normal(size=(dim,) * 4)
+
+        def chart(x):
+            lead = x.shape[:-1]
+            return SimpleNamespace(g=np.broadcast_to(np.eye(dim), lead + (dim, dim)),
+                                   gm1=np.zeros(lead + (dim,) * 3),
+                                   rm1=(x[..., 0] ** 2)[..., None, None, None, None] * base)
+
+        block = conformal.ROWS // (1 + 2 * dim)
+        grid = np.random.default_rng(6).uniform(-0.5, 0.5, (block + 5, dim))
+        grid[3, 0], grid[block + 2, 0] = 1.0, -1.0
+        grid[block + 2, 1:] = grid[3, 1:]
+        rep = flatness_test(chart, grid)
+        want = reference_flatness(chart, grid)
+        assert rep.max_residual == want.max_residual
+        assert rep.worst_point.tobytes() == grid[3].tobytes() == want.worst_point.tobytes()
 
 
 class TestExpfamGauge:
