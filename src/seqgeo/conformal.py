@@ -260,13 +260,13 @@ def gauge_pde_residual(fam: CurvedFamily, gauge: Gauge, k0l0: float, grid: np.nd
     return float(np.abs(lhs - k0l0 * pg.g).max(initial=0.0))
 
 
-def conformal_sub_quantities(pg: PointGeometry, gauge: Gauge) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Transformed (-1)-connection, transformed 1-extrinsic curvature, and
-    the conformal 1-extrinsic curvature of the submanifold at ``pg.u``, a
-    point or rows.
+def conformal_sub_quantities(pg: PointGeometry, gauge: Gauge) -> tuple[np.ndarray, np.ndarray]:
+    """Transformed (-1)-connection and transformed 1-extrinsic curvature of the
+    submanifold at ``pg.u``, a point or rows.
 
     The transformed extrinsic curvature takes ``s_kappa`` to be the mean
-    extrinsic curvature, the choice that kills it on totally umbilic families.
+    extrinsic curvature, the choice that kills it on totally umbilic families;
+    divided by the gauge it is the conformal 1-extrinsic curvature.
     """
     nu = gauge.nu_at(pg.u)[..., None, None, None]
     s = gauge.s(pg.u)
@@ -278,8 +278,7 @@ def conformal_sub_quantities(pg: PointGeometry, gauge: Gauge) -> tuple[np.ndarra
         pg.gm1 + np.einsum("...ca,...b->...abc", g, s) + np.einsum("...cb,...a->...abc", g, s)
     )
     h1_bar = nu * (h1 - g_hk)
-    k1 = h1 - g_hk
-    return tops.require_finite(gamma_bar), tops.require_finite(h1_bar), tops.require_finite(k1)
+    return tops.require_finite(gamma_bar), tops.require_finite(h1_bar)
 
 
 def ubar_chart_connection(
@@ -296,7 +295,7 @@ def ubar_chart_connection(
     whole chart for a dual quadric hypersurface with its gauge.
     """
     ua = pg.u
-    gamma_bar, _, _ = conformal_sub_quantities(pg, gauge)
+    gamma_bar, _ = conformal_sub_quantities(pg, gauge)
     g_bar = gauge.nu_at(ua)[..., None, None] * pg.g
 
     # C[p, a] = d ubar^p / d u^a, hess[p, a, b] = d_a d_b ubar^p

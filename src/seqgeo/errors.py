@@ -13,10 +13,6 @@ class SingularMetricError(SeqGeoError):
     """A metric (or other symmetric matrix) is singular or too ill-conditioned to invert."""
 
 
-class ModelMisspecificationError(SeqGeoError):
-    """A quantity violates a model-level requirement (e.g. indefinite Hessian of a potential)."""
-
-
 class ChartError(SeqGeoError):
     """A chart is degenerate at the requested point (rank-deficient Jacobian, out-of-range coordinate)."""
 

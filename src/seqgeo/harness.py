@@ -27,6 +27,8 @@ from .errors import (
 from .models import MODELS
 
 N_BATCHES = 10
+# most expected draws in one stopping cell, replications x (K nu0 + c)
+DRAW_BUDGET = 2 ** 30
 MAX_EXCLUDED_FRACTION = 0.01
 
 CONFIG_KEYS = (
@@ -101,11 +103,14 @@ class ExperimentConfig:
         except (ChartError, EvaluationDomainError, GaugeSingularityError) as exc:
             msg = f"u0 = {self.u0.tolist()} is not a usable truth point: {exc}"
             raise ParameterError(msg) from exc
-        # a stopping cell's float time index holds every step up to 2^53
-        long_k = [k for k in self.grid_k if sequential.T_MAX_FACTOR * k * nu0 > 2.0 ** 53]
-        if long_k:
-            raise ParameterError(f"grid_K entry {long_k[0]!r} is too large: its step cap "
-                                 f"{sequential.T_MAX_FACTOR:g} K nu0 exceeds 2^53")
+        # a replication stops after about K nu0 + c draws, c > 0 for both models; the
+        # budget keeps a cell to minutes and, at 2 or more replications, its step cap
+        # T_MAX_FACTOR K nu0 below 2^35, so the stopping times are exact floats
+        draws = [self.replications * (k * nu0 + model.stopping_constant()) for k in self.grid_k]
+        if max(draws) > DRAW_BUDGET:
+            k = self.grid_k[int(np.argmax(draws))]
+            raise ParameterError(f"grid_K entry {k!r} is too large: {self.replications} replications "
+                                 f"expect about {max(draws):.3g} draws, above the 2^30 budget")
         if np.linalg.matrix_rank(self.d_matrix) < self.m:
             raise ParameterError(f"D must have rank m = {self.m}")
 
@@ -245,7 +250,7 @@ def run_nonsequential(config: ExperimentConfig) -> ResultTable:
             rngs = [default_rng(rep_seed(config.seed, cell_id, rep))
                     for rep in range(start, min(start + block, config.replications))]
             sums.append(model.sample_many(u0, rngs, n).sum(axis=1))
-        u_hats, ok = model.mle_many(np.full(config.replications, float(n)), np.concatenate(sums))
+        u_hats, ok = model.mle_many(np.concatenate(sums))
         excluded = int(np.count_nonzero(~ok))
         _check_exclusions(excluded, config.replications, cell_id)
         u_stars = sequential.bias_correct(model, u_hats[ok], float(n))
@@ -263,7 +268,7 @@ def run_sequential(config: ExperimentConfig) -> ResultTable:
     model = MODELS[config.model](config.m, config.r)
     u0 = config.u0
     grid = model.probe_grid(count=16, margin=0.15, seed=11)
-    gauge, coords = conformal.quadric_gauge(
+    _, coords = conformal.quadric_gauge(
         model.curved, np.zeros(model.m + 1), config.d_matrix, grid, gauge=model.gauge()
     )
     ubar0 = coords.forward(u0)
@@ -273,9 +278,9 @@ def run_sequential(config: ExperimentConfig) -> ResultTable:
         cell_id = f"seq:{k!r}"
         rngs = [default_rng(rep_seed(config.seed, cell_id, rep))
                 for rep in range(config.replications)]
-        taus, sums, runaway = sequential.stop_cell(model, gauge, float(k), u0, rngs)
+        taus, sums, runaway = sequential.stop_cell(model, float(k), u0, rngs)
         taus = taus[~runaway].astype(float)
-        u_hats, ok = model.mle_many(taus, sums[~runaway])
+        u_hats, ok = model.mle_many(sums[~runaway])
         excluded = int(np.count_nonzero(runaway)) + int(np.count_nonzero(~ok))
         _check_exclusions(excluded, config.replications, cell_id)
         taus = taus[ok]

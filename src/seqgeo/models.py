@@ -12,8 +12,9 @@ The sampler draws for a batch of replications in one call,
 ``sample_many(u, rngs, size) -> (len(rngs), size, n)``: row ``i`` takes
 ``rngs[i]``'s draws in the order that replication alone would, and the
 transform runs once over all rows, so a row does not depend on its batch.
-The sampler and the batched estimator are implemented for m = 2, the
-simulation dimension; all geometry works for any m >= 2. ``MODELS`` maps
+The stopping rule reads the running sums alone, through ``stop_terms``. The
+sampler, the batched estimator and ``stop_terms`` are implemented for m = 2,
+the simulation dimension; all geometry works for any m >= 2. ``MODELS`` maps
 the model names the CLI and the experiment configs accept to their classes.
 scipy is imported only where the odd-m hyperboloid ratio needs a Bessel value.
 """
@@ -207,6 +208,7 @@ class _DirectionalModel:
     r: float
     r_dagger: float
     _lam: np.ndarray  # theta = r * lam * xi, componentwise signs
+    _norm: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]  # sums -> (norm, MLE defined)
 
     def __init__(self, m: int, r: float):
         if m < 2:
@@ -281,7 +283,7 @@ class _DirectionalModel:
 
         def nu(us):
             # a row with a factor on the singular set maps to inf; np.sinh here,
-            # whose bits the stopping thresholds read
+            # whose bits nu0, and so a stopping cell's burst and step cap, read
             prod, singular = 1.0, False
             for a in range(m):
                 f = np.abs(np.sinh(us[..., a]) if kinds[a] == "hyp" else np.sin(us[..., a]))
@@ -299,6 +301,33 @@ class _DirectionalModel:
             return np.eye(m) * (1.0 / np.float_power(_axis_sc(us, kinds)[0], 2))[..., None, :]
 
         return Gauge(nu=nu, s=s, ds=ds)
+
+    def mle_many(self, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Closed-form estimator from running sums ``(R, 3)``; returns (u, defined).
+
+        A sum outside ``_norm``'s defined set comes back undefined; m = 2 only.
+        """
+        self._require_m2()
+        nrm, ok = self._norm(sums)
+        xi = sums / np.where(ok, nrm, 1.0)[:, None]
+        rho = np.hypot(xi[:, 1], xi[:, 2])
+        u1 = np.arcsinh(rho) if self.kinds[0] == "hyp" else np.arctan2(rho, xi[:, 0])
+        u2 = np.mod(np.arctan2(xi[:, 2], xi[:, 1]), 2.0 * math.pi)
+        return np.stack([u1, u2], axis=1), ok
+
+    def stop_terms(self, sums: np.ndarray, steps=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(criterion, nu, defined)`` of the stopping rule at running sums ``(..., n)``, no chart needed.
+
+        At the MLE, of direction ``S / |S|``, the criterion is ``|S| / r_dagger`` and
+        the gauge ``nu = 1 / |xi_m| = |S| / |S_m|`` (``inf`` on the singular set
+        ``S_m = 0``); ``defined`` is ``mle_many``'s. Both are scale-free, so the
+        draw counts ``steps`` go unread; m = 2 only.
+        """
+        self._require_m2()
+        nrm, ok = self._norm(sums)
+        sm = np.abs(sums[..., self.m])
+        nu = np.where(sm > 0.0, nrm / np.where(sm > 0.0, sm, 1.0), np.inf)
+        return nrm / self.r_dagger, nu, ok
 
     def wrap_deviation(self, dev: np.ndarray) -> np.ndarray:
         """Chart deviation with the azimuthal coordinate wrapped to (-pi, pi]."""
@@ -355,24 +384,10 @@ class VmfModel(_DirectionalModel):
         xi = self.direction(u)
         return (xi, *_orthonormal_complement(xi), math.exp(-2.0 * self.r))
 
-    def mle_many(self, ts: np.ndarray, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Closed-form estimator from running sums; returns (u, defined).
-
-        A zero sum has no direction and comes back undefined; m = 2 only.
-        """
-        self._require_m2()
-        nrm = np.linalg.norm(sums, axis=1)
-        ok = nrm > 1e-300
-        safe = np.where(ok, nrm, 1.0)
-        xi = sums / safe[:, None]
-        u1 = np.arctan2(np.hypot(xi[:, 1], xi[:, 2]), xi[:, 0])
-        u2 = np.mod(np.arctan2(xi[:, 2], xi[:, 1]), 2.0 * math.pi)
-        return np.stack([u1, u2], axis=1), ok
-
-    def criterion_many(self, ts: np.ndarray, sums: np.ndarray) -> np.ndarray:
-        """Observed-information statistic along a trajectory (closed form at the MLE)."""
-        self._require_m2()
-        return np.linalg.norm(sums, axis=1) / self.r_dagger
+    def _norm(self, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Euclidean norm of sums ``(..., 3)``, and where the MLE is defined: a nonzero sum."""
+        nrm = np.linalg.norm(sums, axis=-1)
+        return nrm, nrm > 1e-300
 
 
 class HyperboloidModel(_DirectionalModel):
@@ -424,24 +439,10 @@ class HyperboloidModel(_DirectionalModel):
         )
         return (boost,)
 
-    def mle_many(self, ts: np.ndarray, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Closed-form estimator from running sums; returns (u, defined).
-
-        A sum that is not future timelike comes back undefined; m = 2 only.
-        """
-        self._require_m2()
-        q = sums[:, 0] ** 2 - sums[:, 1] ** 2 - sums[:, 2] ** 2
-        ok = (q > 0) & (sums[:, 0] > 0)
-        safe = np.where(ok, np.sqrt(np.where(q > 0, q, 1.0)), 1.0)
-        xi = sums / safe[:, None]
-        u1 = np.arcsinh(np.hypot(xi[:, 1], xi[:, 2]))
-        u2 = np.mod(np.arctan2(xi[:, 2], xi[:, 1]), 2.0 * math.pi)
-        return np.stack([u1, u2], axis=1), ok
-
-    def criterion_many(self, ts: np.ndarray, sums: np.ndarray) -> np.ndarray:
-        self._require_m2()
-        q = np.maximum(sums[:, 0] ** 2 - sums[:, 1] ** 2 - sums[:, 2] ** 2, 0.0)
-        return np.sqrt(q) / self.r_dagger
+    def _norm(self, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Minkowski norm of sums ``(..., 3)``, and where the MLE is defined: a future timelike sum."""
+        q = sums[..., 0] ** 2 - sums[..., 1] ** 2 - sums[..., 2] ** 2
+        return np.sqrt(np.maximum(q, 0.0)), (q > 0) & (sums[..., 0] > 0)
 
 
 MODELS = {"vmf": VmfModel, "hyperboloid": HyperboloidModel}

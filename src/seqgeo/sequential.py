@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from . import geometry
-from .conformal import ConformalCoordinates, Gauge
+from .conformal import ConformalCoordinates
 from .errors import ChartError
 from .tensorops import as_coords
 
@@ -24,26 +24,20 @@ T_MAX_FACTOR = 50.0
 ROWS = 4096
 
 
-def stop_cell(
-    model,
-    gauge: Gauge,
-    k: float,
-    u0,
-    rngs,
-    t_max: int | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def stop_cell(model, k: float, u0, rngs, t_max: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sample each replication of a cell until its criterion crosses ``K nu + c``,
     ``c`` the model's stopping constant.
 
     Replication ``i`` draws from ``rngs[i]``; the burst size and the cap
     ``t_max`` depend only on the cell, so the live replications advance burst
-    by burst together, and the sampler, the estimator, the criterion and the
-    gauge each run once per burst over all of their rows. A
-    replication stops at the first eligible index at or past the boundary,
-    as one-at-a-time evaluation would. Its draws and sums never mix with
-    another's, so the results do not depend on the batch: the burst is at
-    most ``ROWS``, and replications advance in blocks of ``ROWS // burst``,
-    only to bound the temporaries.
+    by burst together. Each burst makes one ``sample_many`` call and one
+    ``stop_terms`` call over all of its running sums, which gives the
+    criterion, the gauge at the estimate and whether the estimate is defined
+    without leaving the sums. A replication stops at the first eligible index
+    at or past the boundary, as one-at-a-time evaluation would. Its draws and
+    sums never mix with another's, so the results do not depend on the batch:
+    the burst is at most ``ROWS``, and replications advance in blocks of
+    ``ROWS // burst``, only to bound the temporaries.
 
     Returns ``(tau, sum_x, runaway)`` with shapes ``(R,)``, ``(R, n)`` and
     ``(R,)``; a runaway replication has ``tau = t_max`` and its sum there.
@@ -52,7 +46,7 @@ def stop_cell(
         raise ValueError("K must be positive")
     u0a = as_coords(u0)
     c = model.stopping_constant()
-    nu0 = gauge.nu_at(u0a)
+    nu0 = model.gauge().nu_at(u0a)
     if t_max is None:
         t_max = int(math.ceil(T_MAX_FACTOR * k * nu0))
     burst = min(ROWS, max(8, int(0.25 * k * nu0)))
@@ -69,13 +63,10 @@ def stop_cell(
             take = min(burst, t_max - t)
             xs = model.sample_many(u0a, [rngs[i] for i in live], take)
             cums = sum_x[live, None, :] + np.cumsum(xs, axis=1)
-            rows = cums.reshape(-1, n)
-            ts = np.tile(np.arange(t + 1, t + take + 1, dtype=float), live.size)
-            u_hats, defined = model.mle_many(ts, rows)
-            crit = model.criterion_many(ts, rows)
-            thresh = k * gauge.nu(u_hats) + c
-            eligible = defined & (ts >= T_MIN) & np.isfinite(thresh)
-            hit = (eligible & (crit >= thresh)).reshape(live.size, take)
+            steps = np.arange(t + 1, t + take + 1)
+            crit, nu, defined = model.stop_terms(cums, steps)
+            # a sum on the gauge's singular set has nu = inf, a threshold never met
+            hit = defined & (steps >= T_MIN) & (crit >= k * nu + c)
             rep = np.arange(live.size)
             first = np.argmax(hit, axis=1)
             stopped = hit[rep, first]

@@ -23,7 +23,7 @@ from seqgeo.conformal import ConformalCoordinates, Gauge, _apply, _scaled_map_de
 from seqgeo.errors import (
     EvaluationDomainError,
     GaugeSingularityError,
-    ModelMisspecificationError,
+    SeqGeoError,
     UnsupportedShapeError,
 )
 from seqgeo.models import (
@@ -37,6 +37,10 @@ from seqgeo.models import (
 from seqgeo.tensorops import as_coords
 
 from oracles import STEP1, STEP2, fd_field_derivative, fd_hessian, rel_steps, svd_normals
+
+
+class ModelMisspecificationError(SeqGeoError):
+    """A quantity violates a model-level requirement (e.g. indefinite Hessian of a potential)."""
 
 
 @dataclass(frozen=True)

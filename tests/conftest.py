@@ -81,34 +81,43 @@ class LinearGaussianModel:
         mean = self.a @ as_coords(u)
         return mean + np.stack([rng.standard_normal((size, self.n)) for rng in rngs])
 
-    def mle_many(self, ts: np.ndarray, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return (sums / ts[:, None]) @ self._pinv.T, np.ones(sums.shape[0], dtype=bool)
+    def mle_many(self, means: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The estimator from sample means ``(R, n)``: it is not scale-free, so it reads no sums."""
+        return means @ self._pinv.T, np.ones(means.shape[0], dtype=bool)
 
-    def criterion_many(self, ts: np.ndarray, sums: np.ndarray) -> np.ndarray:
-        return ts.astype(float)
+    def stop_terms(self, sums: np.ndarray, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Criterion ``t``, gauge 1, always defined; ``steps`` counts the draws along ``sums``' axis -2."""
+        shape = sums.shape[:-1]
+        return np.broadcast_to(steps.astype(float), shape), np.ones(shape), np.ones(shape, dtype=bool)
 
     def wrap_deviation(self, dev):
         return np.array(dev, dtype=float)
 
 
+# the model fixtures by name, for hypothesis tests, which rerun a test without
+# its function-scoped fixtures (so without ``request.getfixturevalue``)
+MODELS_BY_NAME = {"vmf": VmfModel(2, 0.25), "hyp": HyperboloidModel(2, 0.1),
+                  "vmf3": VmfModel(3, 1.0), "hyp3": HyperboloidModel(3, 0.1)}
+
+
 @pytest.fixture(scope="session")
 def vmf():
-    return VmfModel(2, 0.25)
+    return MODELS_BY_NAME["vmf"]
 
 
 @pytest.fixture(scope="session")
 def hyp():
-    return HyperboloidModel(2, 0.1)
+    return MODELS_BY_NAME["hyp"]
 
 
 @pytest.fixture(scope="session")
 def vmf3():
-    return VmfModel(3, 1.0)
+    return MODELS_BY_NAME["vmf3"]
 
 
 @pytest.fixture(scope="session")
 def hyp3():
-    return HyperboloidModel(3, 0.1)
+    return MODELS_BY_NAME["hyp3"]
 
 
 @pytest.fixture(scope="session")

@@ -198,7 +198,7 @@ def christoffel_first_kind(metric_field, x, h=1e-6):
 def observed_information(model, t, sum_x, u_hat) -> float:
     """Normalized observed information ``-(1/m) g^{ab} d_a d_b l`` at ``u_hat``.
 
-    The general formula that the closed-form ``criterion_many`` must match.
+    The general formula that the criterion of ``stop_terms`` must match.
     The log-likelihood of ``t`` observations is linear in ``(sum_x, t)``, so
     the value for population data equals ``t`` exactly.
     """
@@ -211,15 +211,26 @@ def observed_information(model, t, sum_x, u_hat) -> float:
     return -float(np.einsum("ab,ab->", np.linalg.inv(g), hess_l)) / fam.m
 
 
-def reference_stopping(model, gauge, k, u0, rng, c=None, t_min=sequential.T_MIN, t_max=None):
-    """One replication of the stopping rule on its own: ``(tau, sum_x, runaway)``.
+def closed_form_criterion(model, sums) -> np.ndarray:
+    """The criterion at the MLE over rows of sums ``(R, 3)``: ``|S| / r_dagger``, the
+    norm Euclidean on the sphere and Minkowski (0 off the timelike cone) on the hyperboloid."""
+    if model.kinds[0] == "hyp":
+        q = sums[:, 0] ** 2 - sums[:, 1] ** 2 - sums[:, 2] ** 2
+        return np.sqrt(np.maximum(q, 0.0)) / model.r_dagger
+    return np.linalg.norm(sums, axis=1) / model.r_dagger
+
+
+def reference_stopping(model, k, u0, rng, c=None, t_min=sequential.T_MIN, t_max=None):
+    """One replication of the stopping rule on its own, read in the chart: ``(tau, sum_x, runaway)``.
 
     The per-replication loop that ``sequential.stop_cell`` runs in lockstep:
-    the same burst schedule, one estimator, criterion and gauge call per
-    burst of this replication alone. A runaway replication returns
-    ``t_max`` and its sum there.
+    the same burst schedule, but per burst of this replication alone the
+    estimator, the closed-form criterion at it and the model's gauge at the
+    estimate, where ``stop_cell`` reads the sums. A runaway replication
+    returns ``t_max`` and its sum there.
     """
     u0a = np.asarray(u0, dtype=float)
+    gauge = model.gauge()
     if c is None:
         c = model.stopping_constant()
     nu0 = gauge.nu_at(u0a)
@@ -234,8 +245,8 @@ def reference_stopping(model, gauge, k, u0, rng, c=None, t_min=sequential.T_MIN,
         xs = model.sample_many(u0a, [rng], take)[0]
         cums = sum_x[None, :] + np.cumsum(xs, axis=0)
         ts = np.arange(t + 1, t + take + 1, dtype=float)
-        u_hats, defined = model.mle_many(ts, cums)
-        crit = model.criterion_many(ts, cums)
+        u_hats, defined = model.mle_many(cums)
+        crit = closed_form_criterion(model, cums)
         thresh = k * gauge.nu(u_hats) + c
         eligible = defined & (ts >= t_min) & np.isfinite(thresh)
         hit = eligible & (crit >= thresh)
@@ -291,7 +302,7 @@ def flattened_second_order_terms(model, u0, gauge, coords) -> np.ndarray:
     j = coords.derivatives(u)[0]
     jinv = np.linalg.inv(j)
     ginv_ubar = tops.invert_matrix(jinv.T @ pg.g @ jinv)
-    k1 = conformal_sub_quantities(pg, gauge)[2]
+    k1 = conformal_sub_quantities(pg, gauge)[1] / nu
     k1_ubar = np.einsum("abk,ap,bq->pqk", k1, jinv, jinv)
     gamma_sq = np.einsum("cda,efb,ce,df->ab", gprime, gprime, ginv_ubar, ginv_ubar)
     h_sq = np.einsum("ack,bdl,cd,kl->ab", k1_ubar, k1_ubar, ginv_ubar, pg.gkk_inv)

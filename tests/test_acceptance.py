@@ -204,7 +204,7 @@ class TestGeometrySuite:
                 pg = geometry.point_geometry(model.curved, u)
                 pulled, inhom = ubar_chart_connection(pg, gauge, coords)
                 worst_conn = max(worst_conn, float(np.abs(pulled + inhom).max()))
-                _, h1_bar, _ = conformal_sub_quantities(pg, gauge)
+                _, h1_bar = conformal_sub_quantities(pg, gauge)
                 worst_h1 = max(worst_h1, float(np.abs(h1_bar).max()))
         grid3 = vmf3.probe_grid(count=6, margin=0.3, seed=17)
         worst_pde = max(

@@ -49,6 +49,10 @@ def test_workload_runs_clean(workload, name, trace, tmp_path):
             # one flattening-map call for the truth point and one per cell of
             # the two bundled 10-cell grid_K
             assert layers["conformal.coords_forward.calls"] == 22
+            # the stopping loop reads stop_terms, so the estimator runs once per
+            # cell, over its stopped sums, and criterion_many is gone
+            assert layers["models.mle_many.calls"] == 20
+            assert layers["models.criterion_many.calls"] == 0
         else:
             # one sampler call per block of ROWS // N replications of a cell:
             # one block of 4 per cell of the two bundled 10-cell grid_N, but

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -317,13 +318,25 @@ class TestSimulateCommand:
         assert "bad.conf:2" in err
 
     def test_step_cap_past_float_range_exit_one(self, tmp_path, capsys):
-        # K = 1e300 sets a step cap T_MAX_FACTOR K nu0 past 2^53, where the float
-        # time index cannot hold every step; the sampler was asked for 1e299 draws
+        # K = 1e300 expects about 1e300 draws per replication, far past the
+        # draw budget; the sampler was once asked for 1e299 draws
         path, _ = write_tiny_config(tmp_path, reps=4)
         path.write_text(re.sub(r"(?m)^grid_K = .*$", "grid_K = 1e300", path.read_text()))
         code, _, err = run_cli(["simulate", "--config", str(path)], capsys)
         assert code == cli.EXIT_USAGE
         assert "grid_K entry 1e+300 is too large" in err
+
+    def test_draw_budget_exit_one_at_once(self, tmp_path, capsys):
+        # K = 1e9 at 4 replications expects about 9e9 draws, above the 2^30
+        # budget; it once parsed and then ran for hours
+        path, _ = write_tiny_config(tmp_path, reps=4)
+        path.write_text(re.sub(r"(?m)^grid_K = .*$", "grid_K = 20, 1e9", path.read_text()))
+        start = time.monotonic()
+        code, _, err = run_cli(["simulate", "--config", str(path)], capsys)
+        assert time.monotonic() - start < 1.0
+        assert code == cli.EXIT_USAGE
+        assert "grid_K entry 1000000000.0 is too large" in err
+        assert "above the 2^30 budget" in err
 
     def test_huge_sample_size_exit_one(self, tmp_path, capsys):
         # N = 1e9 asked the sampler for a (2, 1, 1e9) array and ended in a MemoryError

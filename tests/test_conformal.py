@@ -21,7 +21,6 @@ from seqgeo.conformal import (
 )
 from seqgeo.errors import ChartError, GaugeMismatchError, GaugeSingularityError, UnsupportedShapeError
 from seqgeo.geometry import point_geometry
-from seqgeo.models import HyperboloidModel, VmfModel
 
 from ambient import (
     conformal_chart_geometry,
@@ -39,7 +38,7 @@ from ambient import (
     gaussian_family,
     rows_chart,
 )
-from conftest import U0_HYP, U0_VMF
+from conftest import MODELS_BY_NAME, U0_HYP, U0_VMF
 from oracles import (
     HYP_NU0,
     STEP1,
@@ -484,9 +483,12 @@ class TestSubQuantities:
         gauge = constant_gauge(2.0)
         u = np.array([0.8, 1.0])
         pg = geometry.point_geometry(vmf.curved, u)
-        gam_bar, h1_bar, k1 = conformal_sub_quantities(pg, gauge)
+        gam_bar, h1_bar = conformal_sub_quantities(pg, gauge)
         assert np.abs(gam_bar - 2.0 * pg.gm1).max() < 1e-14
-        # s_kappa is the mean extrinsic curvature, so H_bar(1) = nu K(1)
+        # s_kappa is the mean extrinsic curvature, so H_bar(1) = nu K(1), with
+        # K(1) = H(1) - g (g^ab H(1)_ab / m) the conformal 1-extrinsic curvature
+        mean = np.einsum("abk,ab->k", pg.h1, pg.ginv) / vmf.m
+        k1 = pg.h1 - np.einsum("ab,k->abk", pg.g, mean)
         assert np.abs(h1_bar - 2.0 * k1).max() < 1e-14
 
     @pytest.mark.parametrize("model_name", ["vmf", "hyp"])
@@ -494,7 +496,8 @@ class TestSubQuantities:
         model = request.getfixturevalue(model_name)
         for u in model.probe_grid(count=4, margin=0.2, seed=9):
             pg = geometry.point_geometry(model.curved, u)
-            _, h1_bar, k1 = conformal_sub_quantities(pg, model.gauge())
+            _, h1_bar = conformal_sub_quantities(pg, model.gauge())
+            k1 = h1_bar / model.gauge().nu_at(u)
             assert np.abs(h1_bar).max() < 1e-6
             assert np.abs(k1).max() < 1e-12
 
@@ -505,16 +508,12 @@ class TestSubQuantities:
         nu = gauge.nu_at(u)
         s_kappa = np.array([0.37])
         pg = geometry.point_geometry(vmf.curved, u)
-        _, _, k1 = conformal_sub_quantities(pg, gauge)
+        k1 = conformal_sub_quantities(pg, gauge)[1] / nu
         h1_bar = nu * (pg.h1 - np.einsum("ab,k->abk", pg.g, s_kappa))
         gbar = nu * pg.g
         hbar_k = np.einsum("abk,ab->k", h1_bar, np.linalg.inv(gbar)) / vmf.m
         k_bar = h1_bar - np.einsum("ab,k->abk", gbar, hbar_k)
         assert np.abs(k_bar - nu * k1).max() < 1e-12
-
-
-MAP_MODELS = {"vmf": VmfModel(2, 0.25), "hyp": HyperboloidModel(2, 0.1),
-              "vmf3": VmfModel(3, 1.0), "hyp3": HyperboloidModel(3, 0.1)}
 
 
 def model_map(model):
@@ -546,9 +545,9 @@ def assert_same_bytes(rows, single):
 class TestClosedFormMap:
     """The flattening map's closed-form derivatives, over points and rows."""
 
-    @pytest.mark.parametrize("model_name", sorted(MAP_MODELS))
+    @pytest.mark.parametrize("model_name", sorted(MODELS_BY_NAME))
     def test_hessian_matches_differenced_jacobian(self, model_name):
-        model = MAP_MODELS[model_name]
+        model = MODELS_BY_NAME[model_name]
         _, coords = model_map(model)
         for u in model.probe_grid(count=3, margin=0.3, seed=19):
             hess = coords.derivatives(u)[1]
@@ -563,11 +562,11 @@ class TestClosedFormMap:
             assert np.abs(fd).max() > 0.1
             assert np.abs(hess - fd).max() <= 1e-6 * np.abs(fd).max()
 
-    @pytest.mark.parametrize("model_name", sorted(MAP_MODELS))
+    @pytest.mark.parametrize("model_name", sorted(MODELS_BY_NAME))
     @given(data=st.data())
     @settings(max_examples=10, deadline=None)
     def test_rows_match_single(self, model_name, data):
-        model = MAP_MODELS[model_name]
+        model = MODELS_BY_NAME[model_name]
         gauge, coords = model_map(model)
         us = data.draw(gauge_rows(model, 5))
         rows = [gauge.nu(us), gauge.s(us), gauge.ds(us), coords.forward(us), *coords.derivatives(us)]
@@ -610,20 +609,20 @@ def flattening_kernels(model, us):
 class TestBatchedKernels:
     """Row ``i`` of a flattening-chart kernel over rows has the bytes of point ``i``'s own call."""
 
-    @pytest.mark.parametrize("model_name", sorted(MAP_MODELS))
+    @pytest.mark.parametrize("model_name", sorted(MODELS_BY_NAME))
     @given(data=st.data())
     @settings(max_examples=10, deadline=None)
     def test_rows_match_single(self, model_name, data):
-        model = MAP_MODELS[model_name]
+        model = MODELS_BY_NAME[model_name]
         us = data.draw(gauge_rows(model, 5))
         rows = flattening_kernels(model, us)
         for i, u in enumerate(us):
             for got, want in zip(rows, flattening_kernels(model, u)):
                 assert_same_bytes(got[i], want)
 
-    @pytest.mark.parametrize("model_name", sorted(MAP_MODELS))
+    @pytest.mark.parametrize("model_name", sorted(MODELS_BY_NAME))
     def test_batch_of_one(self, model_name):
-        model = MAP_MODELS[model_name]
+        model = MODELS_BY_NAME[model_name]
         u = model.probe_grid(count=1, margin=0.2, seed=5)
         for got, want in zip(flattening_kernels(model, u), flattening_kernels(model, u[0])):
             assert_same_bytes(got, want[None])

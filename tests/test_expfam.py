@@ -6,10 +6,11 @@ import pytest
 
 from seqgeo import geometry
 from seqgeo.conformal import connection_coordinate_change
-from seqgeo.errors import EvaluationDomainError, ModelMisspecificationError
+from seqgeo.errors import EvaluationDomainError
 
 from ambient import (
     ExponentialFamily,
+    ModelMisspecificationError,
     alpha_connection,
     ambient_probes,
     ambient_rc_curvature,

@@ -8,15 +8,11 @@ from hypothesis import strategies as st
 
 from seqgeo.errors import ChartError, EvaluationDomainError, UnsupportedShapeError
 from seqgeo.geometry import classify, frame_at, point_geometry
-from seqgeo.models import HyperboloidModel, VmfModel
+from seqgeo.models import HyperboloidModel
 
 from ambient import direct_rc_curvature, family_of, fd_family, g1, gaussian_family, numeric_clone, t_akk
-from conftest import U0_HYP, U0_VMF, LinearGaussianModel, chart_rows
+from conftest import MODELS_BY_NAME, U0_HYP, U0_VMF, LinearGaussianModel, chart_rows
 from oracles import HYP_G11, HYP_G22, VMF_G11, VMF_G22, christoffel_first_kind, fd_field_derivative
-
-
-BATCH_MODELS = {"vmf": VmfModel(2, 0.25), "hyp": HyperboloidModel(2, 0.1),
-                "vmf3": VmfModel(3, 1.0), "hyp3": HyperboloidModel(3, 0.1)}
 
 
 class TestFrames:
@@ -235,12 +231,12 @@ class TestClassification:
         assert cls.dual_quadric
         assert cls.quadric_identity_residual <= cls.tolerance
 
-    @pytest.mark.parametrize("model_name", sorted(BATCH_MODELS))
+    @pytest.mark.parametrize("model_name", sorted(MODELS_BY_NAME))
     def test_fits_match_per_point_reference(self, model_name):
         # a per-point reference for the array reductions: the slope fits solve
         # the same least-squares matrix, so k0 and l0 keep their bits; the sums
         # of epsilon and lambda run in another order
-        model = BATCH_MODELS[model_name]
+        model = MODELS_BY_NAME[model_name]
         grid = model.probe_grid(count=12, margin=0.15, seed=11)
         cls = classify(model.curved, grid)
         pgs = [point_geometry(model.curved, u) for u in grid]
@@ -319,25 +315,25 @@ def assert_rows_match_single(fam, us):
 class TestBatchedBundle:
     """A bundle over rows carries, row by row, the bytes of each point's own bundle."""
 
-    @pytest.mark.parametrize("model_name", sorted(BATCH_MODELS))
+    @pytest.mark.parametrize("model_name", sorted(MODELS_BY_NAME))
     @given(data=st.data())
     @settings(max_examples=15, deadline=None)
     def test_rows_match_single(self, model_name, data):
-        model = BATCH_MODELS[model_name]
+        model = MODELS_BY_NAME[model_name]
         assert_rows_match_single(model.curved, data.draw(chart_rows(model, 6)))
 
-    @given(us=chart_rows(BATCH_MODELS["vmf"], 3, azimuth_margin=0.15))
+    @given(us=chart_rows(MODELS_BY_NAME["vmf"], 3, azimuth_margin=0.15))
     @settings(max_examples=4, deadline=None)
     def test_numeric_clone_rows_match_single(self, us):
         # the clone's finite-difference stencil must stay inside the chart's
         # azimuth range, so its azimuth keeps the polar axes' margin
-        assert_rows_match_single(numeric_clone(BATCH_MODELS["vmf"]), us)
+        assert_rows_match_single(numeric_clone(MODELS_BY_NAME["vmf"]), us)
 
     def test_numeric_clone_stencil_leaves_the_chart(self):
         # at an azimuth of 2 pi - 2e-3 the stencil step (about 4.6e-3) crosses
         # the chart's 2 pi + 1e-3 bound, which the clone's embedding checks
         with pytest.raises(ChartError, match="azimuthal"):
-            point_geometry(numeric_clone(BATCH_MODELS["vmf"]), np.array([[1.0, 6.28125]]))
+            point_geometry(numeric_clone(MODELS_BY_NAME["vmf"]), np.array([[1.0, 6.28125]]))
 
     @given(us=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
                        min_size=1, max_size=5).map(np.array))
@@ -346,9 +342,9 @@ class TestBatchedBundle:
         model = LinearGaussianModel(np.array([[1.0, 0.0], [0.0, 1.0], [0.5, -0.25]]))
         assert_rows_match_single(model.curved, us)
 
-    @pytest.mark.parametrize("model_name", sorted(BATCH_MODELS))
+    @pytest.mark.parametrize("model_name", sorted(MODELS_BY_NAME))
     def test_batch_of_one_and_empty(self, model_name):
-        model = BATCH_MODELS[model_name]
+        model = MODELS_BY_NAME[model_name]
         fams = [model.curved] + ([numeric_clone(model)] if model.m == 2 else [])
         u = model.probe_grid(count=1, margin=0.2, seed=5)
         for fam in fams:

@@ -26,12 +26,13 @@ from seqgeo.models import (
 )
 
 from ambient import eta_of_theta, family_of, numeric_clone
-from conftest import U0_HYP, U0_VMF, LinearGaussianModel
+from conftest import MODELS_BY_NAME, U0_HYP, U0_VMF, LinearGaussianModel, chart_rows
 from oracles import (
     HYP_C,
     VMF_C,
     iv_ratio_series,
     STEP1,
+    closed_form_criterion,
     fd_field_derivative,
     kv_ratio_recurrence,
     polar_gauge_log_gradient,
@@ -280,13 +281,13 @@ class TestMle:
         model = request.getfixturevalue(model_name)
         grid = model.probe_grid(count=8, margin=0.2, seed=5)
         etas = np.array([model.embed(u)[1] for u in grid])
-        us, ok = model.mle_many(np.ones(len(grid)), etas)
+        us, ok = model.mle_many(etas)
         assert ok.all()
         assert np.abs(us - grid).max() < 1e-10
 
     def test_vmf_angles_of_normalized_vector(self, vmf):
         xbar = np.array([0.5, 0.5, 0.0]) / math.sqrt(0.5)
-        us, _ = vmf.mle_many(np.ones(1), xbar[None, :])
+        us, _ = vmf.mle_many(xbar[None, :])
         u = us[0]
         assert u[0] == pytest.approx(math.pi / 4)
         assert u[1] == pytest.approx(0.0)
@@ -298,20 +299,20 @@ class TestMle:
         xbar = model.sample_many(
             U0_VMF if model_name == "vmf" else U0_HYP, [rng], 50
         )[0].mean(axis=0)
-        u_hat = model.mle_many(np.ones(1), xbar[None, :])[0][0]
+        u_hat = model.mle_many(xbar[None, :])[0][0]
         best = float(model.embed(u_hat)[0] @ xbar)
         for u in model.probe_grid(count=100, margin=0.02, seed=11):
             assert best >= float(model.embed(u)[0] @ xbar) - 1e-12
 
     def test_undefined_cases(self, vmf, hyp):
-        _, ok = vmf.mle_many(np.ones(2), np.array([[0.0, 0.0, 0.0], [0.3, 0.0, 0.0]]))
+        _, ok = vmf.mle_many(np.array([[0.0, 0.0, 0.0], [0.3, 0.0, 0.0]]))
         assert ok.tolist() == [False, True]
         sums = np.array([
             [0.1, 5.0, 0.0],   # spacelike
             [-2.0, 0.0, 0.0],  # past-pointing
             [2.0, 0.5, 0.0],
         ])
-        _, ok = hyp.mle_many(np.ones(3), sums)
+        _, ok = hyp.mle_many(sums)
         assert ok.tolist() == [False, False, True]
 
     @pytest.mark.parametrize("model_name", ["vmf", "hyp"])
@@ -321,12 +322,11 @@ class TestMle:
         rng = np.random.default_rng(17)
         xs = model.sample_many(u0, [rng], 40)[0]
         sums = np.cumsum(xs, axis=0)
-        ts = np.arange(1, 41, dtype=float)
-        us, ok = model.mle_many(ts, sums)
+        us, ok = model.mle_many(sums)
         assert ok.all()
         for i in (0, 7, 39):
             # a single mean is a batch of one
-            one, one_ok = model.mle_many(ts[i:i + 1] / ts[i], sums[i:i + 1] / ts[i])
+            one, one_ok = model.mle_many(sums[i:i + 1] / (i + 1))
             assert one_ok[0]
             assert np.abs(us[i] - one[0]).max() < 1e-12
 
@@ -334,14 +334,53 @@ class TestMle:
         sums = np.array([[2.0, 0.5, 0.25, 0.1]])
         for model in (vmf3, HyperboloidModel(3, 0.5)):
             with pytest.raises(UnsupportedShapeError):
-                model.mle_many(np.ones(1), sums)
+                model.mle_many(sums)
             with pytest.raises(UnsupportedShapeError):
-                model.criterion_many(np.ones(1), sums)
+                model.stop_terms(sums)
 
     def test_wrap_deviation(self, vmf):
         dev = vmf.wrap_deviation(np.array([0.1, 2 * math.pi - 0.2]))
         assert dev[1] == pytest.approx(-0.2)
         assert dev[0] == pytest.approx(0.1)
+
+
+# one sum coordinate: zero, or of either sign between 1e-6 and 100
+SUM_COORD = st.one_of(st.just(0.0), st.floats(1e-6, 100.0), st.floats(-100.0, -1e-6))
+# undefined for one model or both, and S_m = 0, where nu is inf
+SPECIAL_SUMS = np.array([[0.0, 0.0, 0.0], [0.1, 5.0, 0.0], [-2.0, 0.0, 0.0],
+                         [2.0, 0.5, 0.0], [0.3, 0.0, 0.0]])
+
+
+class TestStopTerms:
+    """``stop_terms`` reads from the sums what the chart path reads at the MLE."""
+
+    @pytest.mark.parametrize("model_name", ["vmf", "hyp"])
+    @given(rows=st.lists(st.tuples(SUM_COORD, SUM_COORD, SUM_COORD), min_size=1, max_size=20))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_chart_path(self, model_name, rows):
+        model = MODELS_BY_NAME[model_name]
+        sums = np.concatenate([np.array(rows), SPECIAL_SUMS])
+        crit, nu, defined = model.stop_terms(sums)
+        u_hats, ok = model.mle_many(sums)
+        assert defined.tolist() == ok.tolist()
+        assert crit.tobytes() == closed_form_criterion(model, sums).tobytes()
+        sm = np.abs(sums[:, -1])
+        assert np.all(nu[sm == 0.0] == np.inf)
+        # away from the singular set, where each chart factor is at least 1e-3
+        # and the chart path's sines keep 1e-13 relative
+        far = ok & (sm >= 1e-3 * np.linalg.norm(sums, axis=1))
+        chart = model.gauge().nu(u_hats[far])
+        assert np.all(np.abs(nu[far] - chart) <= 1e-12 * chart)
+
+    @pytest.mark.parametrize("model_name", sorted(MODELS_BY_NAME))
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_gauge_is_inverse_last_direction_component(self, model_name, data):
+        # nu = 1 / prod |s_a| and xi_m = prod s_a, so nu = 1 / |xi_m|
+        model = MODELS_BY_NAME[model_name]
+        us = data.draw(chart_rows(model, 8, azimuth_margin=0.15))
+        want = 1.0 / np.abs(model.direction(us)[:, -1])
+        assert np.all(np.abs(model.gauge().nu(us) - want) <= 1e-14 * want)
 
 
 class TestStoppingConstant:
@@ -452,7 +491,7 @@ class TestLinearGaussianFixture:
         rng = np.random.default_rng(3)
         u0 = np.array([0.4, -0.2])
         xs = linear.sample_many(u0, [rng], 2000)[0]
-        u_hat = linear.mle_many(np.array([2000.0]), xs.sum(axis=0)[None, :])[0][0]
+        u_hat = linear.mle_many(xs.mean(axis=0)[None, :])[0][0]
         assert np.abs(u_hat - u0).max() < 0.1
         theta, eta = linear.embed(u0)
         assert np.allclose(theta, eta)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqgeo import geometry, sequential
 from seqgeo.conformal import quadric_gauge
@@ -15,7 +17,7 @@ from seqgeo.sequential import (
 )
 
 from ambient import numeric_clone
-from conftest import U0_HYP, U0_VMF
+from conftest import MODELS_BY_NAME, U0_HYP, U0_VMF
 from oracles import (
     STEP1,
     VMF_G11,
@@ -45,7 +47,7 @@ class TestObservedInformation:
         rng = np.random.default_rng(5)
         xs = vmf.sample_many(U0_VMF, [rng], 20)[0]
         s = xs.sum(axis=0)
-        u_hat = vmf.mle_many(np.array([20.0]), s[None, :])[0][0]
+        u_hat = vmf.mle_many(s[None, :])[0][0]
         one = observed_information(vmf, 20, s, u_hat)
         two = observed_information(vmf, 40, 2 * s, u_hat)
         assert two == pytest.approx(2 * one, rel=1e-12)
@@ -57,38 +59,35 @@ class TestObservedInformation:
         rng = np.random.default_rng(11)
         xs = model.sample_many(u0, [rng], 30)[0]
         sums = np.cumsum(xs, axis=0)
-        ts = np.arange(1, 31, dtype=float)
-        crit = model.criterion_many(ts, sums)
-        us, _ = model.mle_many(ts, sums)
+        crit = model.stop_terms(sums)[0]
+        us, _ = model.mle_many(sums)
         for i in (4, 17, 29):
-            generic = observed_information(model, int(ts[i]), sums[i], us[i])
+            generic = observed_information(model, i + 1, sums[i], us[i])
             assert crit[i] == pytest.approx(generic, rel=1e-10)
 
 
-def _criterion_and_threshold(model, k, t, sum_x):
-    """The stopping criterion and the boundary ``K nu(u_hat) + c`` after ``t`` draws."""
-    ts = np.array([float(t)])
-    u_hat, defined = model.mle_many(ts, sum_x[None, :])
-    thresh = k * model.gauge().nu(u_hat)[0] + model.stopping_constant()
-    return model.criterion_many(ts, sum_x[None, :])[0], thresh, bool(defined[0])
+def _criterion_and_threshold(model, k, sum_x):
+    """The stopping criterion and the boundary ``K nu + c`` at the running sum ``sum_x``."""
+    (crit,), (nu,), (defined,) = model.stop_terms(sum_x[None, :])
+    return crit, k * nu + model.stopping_constant(), bool(defined)
 
 
 class TestRunStopping:
     def test_degenerate_reduction_to_fixed_sample(self, linear):
         rng = np.random.default_rng(42)
         u0 = np.array([0.4, -0.2])
-        tau, sum_x, runaway = stop_cell(linear, linear.gauge(), 17.3, u0, [rng])
+        tau, sum_x, runaway = stop_cell(linear, 17.3, u0, [rng])
         assert tau[0] == 18 and sum_x.shape == (1, linear.n) and not runaway[0]
-        tau, _, _ = stop_cell(linear, linear.gauge(), 6.0, u0, [rng])
+        tau, _, _ = stop_cell(linear, 6.0, u0, [rng])
         assert tau[0] == 6
-        tau, _, _ = stop_cell(linear, linear.gauge(), 1.5, u0, [rng])
+        tau, _, _ = stop_cell(linear, 1.5, u0, [rng])
         assert tau[0] == 3  # warm-up floor
 
     def test_decision_invariants(self, vmf):
         k = 120.0
-        (tau,), (sum_x,), (runaway,) = stop_cell(vmf, vmf.gauge(), k, U0_VMF, [np.random.default_rng(3)])
+        (tau,), (sum_x,), (runaway,) = stop_cell(vmf, k, U0_VMF, [np.random.default_rng(3)])
         assert not runaway
-        crit, thresh, _ = _criterion_and_threshold(vmf, k, tau, sum_x)
+        crit, thresh, _ = _criterion_and_threshold(vmf, k, sum_x)
         assert crit >= thresh
         # replay the stream: one draw earlier the boundary was not yet crossed
         burst = max(8, int(0.25 * k * vmf.gauge().nu_at(U0_VMF)))
@@ -96,20 +95,20 @@ class TestRunStopping:
         xs = np.concatenate([vmf.sample_many(U0_VMF, [rng], burst)[0] for _ in range(-(-tau // burst))])
         cums = np.cumsum(xs, axis=0)
         assert np.abs(cums[tau - 1] - sum_x).max() < 1e-9
-        crit, thresh, defined = _criterion_and_threshold(vmf, k, tau - 1, cums[tau - 2])
+        crit, thresh, defined = _criterion_and_threshold(vmf, k, cums[tau - 2])
         if defined and tau - 1 >= sequential.T_MIN:
             assert crit < thresh
 
     def test_determinism(self, vmf):
-        a = stop_cell(vmf, vmf.gauge(), 150.0, U0_VMF, [np.random.default_rng(7)])
-        b = stop_cell(vmf, vmf.gauge(), 150.0, U0_VMF, [np.random.default_rng(7)])
+        a = stop_cell(vmf, 150.0, U0_VMF, [np.random.default_rng(7)])
+        b = stop_cell(vmf, 150.0, U0_VMF, [np.random.default_rng(7)])
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
     def test_mean_stopping_time_scales_with_gauge(self, vmf):
         k = 433.0
         rngs = [np.random.default_rng(900_000 + rep) for rep in range(400)]
-        taus, _, runaway = stop_cell(vmf, vmf.gauge(), k, U0_VMF, rngs)
+        taus, _, runaway = stop_cell(vmf, k, U0_VMF, rngs)
         assert not runaway.any()
         taus = taus.astype(float)
         target = k * vmf.gauge().nu_at(U0_VMF)
@@ -120,18 +119,18 @@ class TestRunStopping:
         ratios = []
         for k in (40.0, 80.0):
             rngs = [np.random.default_rng(800_000 + rep) for rep in range(300)]
-            taus, _, runaway = stop_cell(hyp, hyp.gauge(), k, U0_HYP, rngs)
+            taus, _, runaway = stop_cell(hyp, k, U0_HYP, rngs)
             assert not runaway.any()
             ratios.append(taus.astype(float).var(ddof=1) / k)
         assert 0.5 < ratios[1] / ratios[0] < 2.0
 
     def test_runaway_cap(self, vmf):
-        tau, _, runaway = stop_cell(vmf, vmf.gauge(), 200.0, U0_VMF, [np.random.default_rng(1)], t_max=5)
+        tau, _, runaway = stop_cell(vmf, 200.0, U0_VMF, [np.random.default_rng(1)], t_max=5)
         assert runaway[0] and tau[0] == 5
 
     def test_rejects_bad_k(self, vmf):
         with pytest.raises(ValueError):
-            stop_cell(vmf, vmf.gauge(), -1.0, U0_VMF, [np.random.default_rng(1)])
+            stop_cell(vmf, -1.0, U0_VMF, [np.random.default_rng(1)])
 
     @pytest.mark.parametrize("model_name", ["vmf", "hyp"])
     def test_criterion_monotone_on_population_path(self, model_name, request):
@@ -142,7 +141,7 @@ class TestRunStopping:
         eta = model.embed(u0)[1]
         ts = np.arange(1, 40, dtype=float)
         sums = ts[:, None] * eta[None, :]
-        crit = model.criterion_many(ts, sums)
+        crit = model.stop_terms(sums)[0]
         assert np.abs(crit - ts).max() < 1e-9
         assert np.all(np.diff(crit) > 0)
 
@@ -172,15 +171,29 @@ class TestStopCell:
 
         seeds = [300 + rep for rep in range(reps)]
         rngs = [np.random.default_rng(s) for s in seeds]
-        tau, sum_x, runaway = stop_cell(model, gauge, k, u0, rngs, t_max=t_max)
+        tau, sum_x, runaway = stop_cell(model, k, u0, rngs, t_max=t_max)
         assert tau.shape == runaway.shape == (reps,)
         assert sum_x.shape == (reps, model.curved.n)
         for i, s in enumerate(seeds):
-            want = reference_stopping(model, gauge, k, u0, np.random.default_rng(s), t_max=t_max)
+            want = reference_stopping(model, k, u0, np.random.default_rng(s), t_max=t_max)
             assert tau[i] == want[0]
             assert sum_x[i].tobytes() == want[1].tobytes()
             assert runaway[i] == want[2]
         assert runaway.all() == (case == "all-runaway")
+
+    @pytest.mark.parametrize("model_name", ["vmf", "hyp"])
+    @given(seeds=st.lists(st.integers(0, 2 ** 63 - 1), min_size=1, max_size=9),
+           burst=st.sampled_from([8, 60, 400]))
+    @settings(max_examples=15, deadline=None)
+    def test_matches_reference_loop_at_fresh_seeds(self, model_name, seeds, burst):
+        # the sum form against the chart path, row verdict by row verdict
+        model = MODELS_BY_NAME[model_name]
+        u0 = U0_VMF if model_name == "vmf" else U0_HYP
+        k = (burst + 0.5) / (0.25 * model.gauge().nu_at(u0))
+        tau, sum_x, runaway = stop_cell(model, k, u0, [np.random.default_rng(s) for s in seeds])
+        for i, s in enumerate(seeds):
+            want = reference_stopping(model, k, u0, np.random.default_rng(s))
+            assert (tau[i], sum_x[i].tobytes(), runaway[i]) == (want[0], want[1].tobytes(), want[2])
 
     def test_burst_is_capped_at_rows(self, vmf, monkeypatch):
         # 0.25 K nu0 is about 577,000 draws here; a burst takes at most ROWS,
@@ -194,7 +207,7 @@ class TestStopCell:
 
         monkeypatch.setattr(vmf, "sample_many", counted)
         rngs = [np.random.default_rng(s) for s in range(3)]
-        _, _, runaway = stop_cell(vmf, vmf.gauge(), 1e6, U0_VMF, rngs, t_max=5000)
+        _, _, runaway = stop_cell(vmf, 1e6, U0_VMF, rngs, t_max=5000)
         assert runaway.all()
         assert max(asked) <= sequential.ROWS and sum(asked) == 3 * 5000
 
@@ -244,7 +257,7 @@ class TestBiasCorrect:
         n = 150
         sums = np.array([model.sample_many(u0, [np.random.default_rng(i)], n)[0].sum(axis=0)
                          for i in range(rows)]).reshape(rows, 3)
-        u_hats, ok = model.mle_many(np.full(rows, float(n)), sums)
+        u_hats, ok = model.mle_many(sums)
         assert ok.all()
         cell = bias_correct(model, u_hats, float(n))
         assert cell.shape == (rows, 2)
