@@ -2,7 +2,8 @@
 
 A run is declared by an :class:`ExperimentConfig`; cells and replications
 are seeded independently of execution order, so identical config + seed
-reproduces byte-identical result files.
+reproduces byte-identical result files. A cell hashes its replications'
+seeds in one pass, as numpy's ``SeedSequence`` would one at a time.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from numpy.random import default_rng
+from numpy.random import PCG64, Generator
+from numpy.random.bit_generator import ISeedSequence
 
 from . import conformal, sequential
 from .errors import (
@@ -207,34 +209,96 @@ def rep_seed(base_seed: int, cell_id: str, rep: int) -> int:
     return (int.from_bytes(digest[:8], "big") ^ base_seed) & ((1 << 63) - 1)
 
 
-def _batch_se(per_rep: np.ndarray) -> float:
-    """Standard error by replication batching (10 batches)."""
+# numpy's SeedSequence hash, O'Neill's seed_seq_fe with a pool of four 32-bit words
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hasher(const: int, mult: int):
+    """seed_seq_fe's running hash ``v -> (v ^ c) * (c mult)``, then ``v ^= v >> 16``;
+    each call steps the constant ``c`` to ``c mult``."""
+
+    def step(v):
+        nonlocal const
+        v = v ^ np.uint32(const)
+        const = const * mult & 0xFFFFFFFF
+        v = v * np.uint32(const)
+        return v ^ (v >> 16)
+
+    return step
+
+
+def _seed_words(seeds: list[int]) -> np.ndarray:
+    """``SeedSequence(s).generate_state(4, np.uint64)`` for every seed ``0 <= s < 2^64``
+    at once, ``(len(seeds), 4)``, in uint32 array arithmetic.
+
+    A seed's entropy words are its 32-bit limbs, low first; a seed below 2^32
+    has one, and the pool hashes the missing word as it hashes a 0.
+    """
+    s = np.array(seeds, dtype=np.uint64)
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    zero = np.zeros(s.shape, dtype=np.uint32)
+    pool = [hashmix(w) for w in ((s & 0xFFFFFFFF).astype(np.uint32), (s >> 32).astype(np.uint32), zero, zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                v = _MIX_L * pool[dst] - _MIX_R * hashmix(pool[src])
+                pool[dst] = v ^ (v >> 16)
+    state = _hasher(_INIT_B, _MULT_B)
+    words = np.stack([state(pool[i % 4]) for i in range(8)], axis=-1)
+    return words.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _SeedWords(ISeedSequence):
+    """Hands ``PCG64`` one precomputed row of :func:`_seed_words`."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _cell_generators(base_seed: int, cell_id: str, count: int) -> list[Generator]:
+    """``default_rng(rep_seed(base_seed, cell_id, rep))`` for every replication of a
+    cell, the seeds hashed in one pass."""
+    seeds = [rep_seed(base_seed, cell_id, rep) for rep in range(count)]
+    return [Generator(PCG64(_SeedWords(words))) for words in _seed_words(seeds)]
+
+
+def _batch_means(per_rep: np.ndarray) -> np.ndarray:
+    """Means of the ``np.array_split`` batches of replications (``N_BATCHES``, or
+    one per replication below that) over rows ``(r, ...)``, batch axis last.
+
+    Each batch is reduced as one contiguous last-axis row, the summation
+    order of a 1-d batch's own mean.
+    """
     r = per_rep.shape[0]
     nb = min(N_BATCHES, r)
-    batches = np.array_split(per_rep, nb)
-    means = np.array([b.mean(axis=0) for b in batches], dtype=float)
-    if nb < 2:
-        return float("inf")
-    return float(means.std(ddof=1) / math.sqrt(nb))
+    q, extra = divmod(r, nb)
+    rows = np.ascontiguousarray(np.moveaxis(per_rep, 0, -1))
+    lead, cut = rows.shape[:-1], extra * (q + 1)
+    head = rows[..., :cut].reshape(lead + (extra, q + 1)).mean(axis=-1)
+    tail = rows[..., cut:].reshape(lead + (nb - extra, q)).mean(axis=-1)
+    return np.concatenate([head, tail], axis=-1)
 
 
-def _batch_se_product(taus: np.ndarray, outers: np.ndarray) -> float:
-    """Batched standard error of E(tau) * E(outer-component)."""
-    r = taus.shape[0]
-    nb = min(N_BATCHES, r)
-    idx = np.array_split(np.arange(r), nb)
-    vals = np.array([taus[i].mean() * outers[i].mean() for i in idx])
+def _batch_se(means: np.ndarray) -> np.ndarray:
+    """Standard error from batch means ``(..., nb)``; inf below two batches."""
+    nb = means.shape[-1]
     if nb < 2:
-        return float("inf")
-    return float(vals.std(ddof=1) / math.sqrt(nb))
+        return np.full(means.shape[:-1], np.inf)
+    return means.std(axis=-1, ddof=1) / math.sqrt(nb)
 
 
 def run_nonsequential(config: ExperimentConfig) -> ResultTable:
     """Fixed-sample-size suite: bias-corrected estimator, scaled covariance.
 
-    Each cell draws its replications in blocks of ``sequential.ROWS // N``,
-    one ``sample_many`` call per block; replication ``rep`` keeps its own
-    generator, so the sums do not depend on the block size.
+    Each cell seeds its replications' generators in one pass and draws them
+    in blocks of ``sequential.ROWS // N``, one ``sample_many`` call per block;
+    replication ``rep`` keeps its own generator, so the sums do not depend
+    on the block size. A block's sums add each row's draws in order.
     """
     model = MODELS[config.model](config.m, config.r)
     u0 = config.u0
@@ -245,11 +309,12 @@ def run_nonsequential(config: ExperimentConfig) -> ResultTable:
     for n in config.grid_n:
         cell_id = f"nonseq:{n}"
         block = max(1, sequential.ROWS // n)
+        rngs = _cell_generators(config.seed, cell_id, config.replications)
         sums = []
         for start in range(0, config.replications, block):
-            rngs = [default_rng(rep_seed(config.seed, cell_id, rep))
-                    for rep in range(start, min(start + block, config.replications))]
-            sums.append(model.sample_many(u0, rngs, n).sum(axis=1))
+            xs = model.sample_many(u0, rngs[start:start + block], n)
+            sums.append(np.cumsum(xs, axis=1, out=xs)[:, -1].copy())
+            del xs  # a block's draws go before the next block's are drawn
         u_hats, ok = model.mle_many(np.concatenate(sums))
         excluded = int(np.count_nonzero(~ok))
         _check_exclusions(excluded, config.replications, cell_id)
@@ -258,7 +323,7 @@ def run_nonsequential(config: ExperimentConfig) -> ResultTable:
         outers = np.einsum("ra,rb->rab", devs, devs) * float(n)
         ocov = outers.mean(axis=0)
         stats = {"OCOV": ocov, "OCRB": ginv, "OALB": ginv + term / float(n),
-                 "OCOV_se": np.array([[_batch_se(outers[:, a, b]) for b in range(2)] for a in range(2)])}
+                 "OCOV_se": _batch_se(_batch_means(outers))}
         rows.append(CellResult(cell=float(n), stats=stats, excluded=excluded))
     return ResultTable("nonsequential", tuple(rows), config.replications)
 
@@ -276,8 +341,7 @@ def run_sequential(config: ExperimentConfig) -> ResultTable:
     rows = []
     for k in config.grid_k:
         cell_id = f"seq:{k!r}"
-        rngs = [default_rng(rep_seed(config.seed, cell_id, rep))
-                for rep in range(config.replications)]
+        rngs = _cell_generators(config.seed, cell_id, config.replications)
         taus, sums, runaway = sequential.stop_cell(model, float(k), u0, rngs)
         taus = taus[~runaway].astype(float)
         u_hats, ok = model.mle_many(sums[~runaway])
@@ -289,15 +353,13 @@ def run_sequential(config: ExperimentConfig) -> ResultTable:
         mst = float(taus.mean())
         sdst = float(taus.std(ddof=1))
         ccov = mst * outers.mean(axis=0)
-        ccov_se = np.array(
-            [[_batch_se_product(taus, outers[:, a, b]) for b in range(2)] for a in range(2)]
-        )
+        tau_means = _batch_means(taus)
         stats = {
             "MST": mst,
-            "MST_se": _batch_se(taus),
+            "MST_se": float(_batch_se(tau_means)),
             "SDST": sdst,
             "CCOV": ccov,
-            "CCOV_se": ccov_se,
+            "CCOV_se": _batch_se(tau_means * _batch_means(outers)),
             "CCRB": ccrb,
         }
         rows.append(CellResult(cell=float(k), stats=stats, excluded=excluded))

@@ -10,8 +10,9 @@ their derivatives and normals. ``embed`` checks that a point lies in the
 chart and reads both values from that jet.
 The sampler draws for a batch of replications in one call,
 ``sample_many(u, rngs, size) -> (len(rngs), size, n)``: row ``i`` takes
-``rngs[i]``'s draws in the order that replication alone would, and the
-transform runs once over all rows, so a row does not depend on its batch.
+``rngs[i]``'s draws in one call, in the order that replication alone would,
+and the transform runs in place once over all rows, so a row does not depend
+on its batch.
 The stopping rule reads the running sums alone, through ``stop_terms``. The
 sampler, the batched estimator and ``stop_terms`` are implemented for m = 2,
 the simulation dimension; all geometry works for any m >= 2. ``MODELS`` maps
@@ -321,13 +322,15 @@ class _DirectionalModel:
         At the MLE, of direction ``S / |S|``, the criterion is ``|S| / r_dagger`` and
         the gauge ``nu = 1 / |xi_m| = |S| / |S_m|`` (``inf`` on the singular set
         ``S_m = 0``); ``defined`` is ``mle_many``'s. Both are scale-free, so the
-        draw counts ``steps`` go unread; m = 2 only.
+        draw counts ``steps`` go unread; m = 2 only. The three arrays are new,
+        and the stopping loop overwrites them.
         """
         self._require_m2()
         nrm, ok = self._norm(sums)
         sm = np.abs(sums[..., self.m])
-        nu = np.where(sm > 0.0, nrm / np.where(sm > 0.0, sm, 1.0), np.inf)
-        return nrm / self.r_dagger, nu, ok
+        nu = np.divide(nrm, sm, out=np.full_like(nrm, np.inf), where=sm > 0.0)
+        nrm /= self.r_dagger
+        return nrm, nu, ok
 
     def wrap_deviation(self, dev: np.ndarray) -> np.ndarray:
         """Chart deviation with the azimuthal coordinate wrapped to (-pi, pi]."""
@@ -364,21 +367,36 @@ class VmfModel(_DirectionalModel):
     def sample_many(self, u, rngs, size: int) -> np.ndarray:
         """Draw unit observations around the chart direction; m = 2 only.
 
-        Returns ``(len(rngs), size, 3)``; row ``i`` is drawn from ``rngs[i]``.
+        Returns ``(len(rngs), size, 3)``, a view of three coordinate planes;
+        row ``i`` is drawn from ``rngs[i]``. The transform runs in place on
+        at most seven row planes.
         """
         self._require_m2()
         xi, e1, e2, floor = self._plan(u)
-        uu, phi = _uniform_pairs(rngs, size)
-        w = 1.0 + np.log(uu + (1.0 - uu) * floor) / self.r
+        pairs = _uniform_pairs(rngs, size)
+        uu, phi = pairs[:, 0], pairs[:, 1]
+        w = np.subtract(1.0, uu)
+        w *= floor
+        w += uu
+        np.log(w, out=w)
+        w /= self.r
+        w += 1.0  # w = 1 + log(uu + (1 - uu) floor) / r
         phi *= 2.0 * math.pi
-        st = np.sqrt(np.maximum(1.0 - w * w, 0.0))
-        a, b = st * np.cos(phi), st * np.sin(phi)
-        # column by column, so that a burst of up to ROWS draws keeps few temporaries
-        x = np.empty(w.shape + (3,))
+        st = np.multiply(w, w)
+        np.subtract(1.0, st, out=st)
+        np.maximum(st, 0.0, out=st)
+        np.sqrt(st, out=st)
+        a = np.cos(phi, out=uu)
+        a *= st
+        b = np.sin(phi, out=phi)
+        b *= st
+        x = np.empty((3,) + w.shape)
         for j in range(3):
-            x[..., j] = w * xi[j] + a * e1[j] + b * e2[j]
-        x /= np.linalg.norm(x, axis=-1, keepdims=True)
-        return x
+            np.multiply(w, xi[j], out=x[j])
+            x[j] += np.multiply(a, e1[j], out=st)
+            x[j] += np.multiply(b, e2[j], out=st)
+        x /= _euclidean(x[0], x[1], x[2], out=w, tmp=st)
+        return x.transpose(1, 2, 0)
 
     def _build_plan(self, u: np.ndarray) -> tuple:
         xi = self.direction(u)
@@ -386,7 +404,7 @@ class VmfModel(_DirectionalModel):
 
     def _norm(self, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Euclidean norm of sums ``(..., 3)``, and where the MLE is defined: a nonzero sum."""
-        nrm = np.linalg.norm(sums, axis=-1)
+        nrm = _euclidean(sums[..., 0], sums[..., 1], sums[..., 2])
         return nrm, nrm > 1e-300
 
 
@@ -416,15 +434,31 @@ class HyperboloidModel(_DirectionalModel):
         """
         self._require_m2()
         (boost,) = self._plan(u)
-        uu, phi = _uniform_pairs(rngs, size)
-        e = -np.log1p(-uu)
-        y = 1.0 + e / self.r
-        sr = np.sqrt(np.maximum(y * y - 1.0, 0.0))
+        pairs = _uniform_pairs(rngs, size)
+        uu, phi = pairs[:, 0], pairs[:, 1]
+        y = np.negative(uu)
+        np.log1p(y, out=y)
+        np.negative(y, out=y)
+        y /= self.r
+        y += 1.0  # y = 1 - log1p(-uu) / r
+        sr = np.multiply(y, y)
+        sr -= 1.0
+        np.maximum(sr, 0.0, out=sr)
+        np.sqrt(sr, out=sr)
         phi *= 2.0 * math.pi
-        xloc = np.stack([y, sr * np.cos(phi), sr * np.sin(phi)], axis=-1)
+        c = np.cos(phi, out=uu)
+        c *= sr
+        s = np.sin(phi, out=phi)
+        s *= sr
+        xloc = np.stack([y, c, s], axis=-1)
+        del pairs, uu, phi, y, sr, c, s
         x = xloc @ boost.T
-        q = x[..., 0] ** 2 - x[..., 1] ** 2 - x[..., 2] ** 2
-        x /= np.sqrt(q)[..., None]
+        del xloc
+        q = np.square(x[..., 0])
+        t = np.square(x[..., 1])
+        q -= t
+        q -= np.square(x[..., 2], out=t)
+        x /= np.sqrt(q, out=q)[..., None]
         return x
 
     def _build_plan(self, u: np.ndarray) -> tuple:
@@ -448,15 +482,23 @@ class HyperboloidModel(_DirectionalModel):
 MODELS = {"vmf": VmfModel, "hyperboloid": HyperboloidModel}
 
 
-def _uniform_pairs(rngs, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two ``(len(rngs), size)`` uniform arrays: row ``i`` holds ``rngs[i]``'s
-    first and then its second ``random(size)`` draw, the order a sampler of
-    that replication alone would take them in."""
-    out = np.empty((2, len(rngs), size))
-    for i, rng in enumerate(rngs):
-        rng.random(out=out[0, i])
-        rng.random(out=out[1, i])
-    return out[0], out[1]
+def _uniform_pairs(rngs, size: int) -> np.ndarray:
+    """A ``(len(rngs), 2, size)`` array of uniforms: row ``i`` holds ``rngs[i]``'s
+    first and then its second ``size`` draws, the order a sampler of that
+    replication alone would take them in, from one ``random`` call per row."""
+    out = np.empty((len(rngs), 2, size))
+    for rng, row in zip(rngs, out):
+        rng.random(out=row)
+    return out
+
+
+def _euclidean(x0, x1, x2, out=None, tmp=None) -> np.ndarray:
+    """``sqrt(x0 x0 + x1 x1 + x2 x2)`` over planes, summed left to right as
+    ``np.linalg.norm`` sums a length-3 last axis, so it has the same bits."""
+    nrm = np.multiply(x0, x0, out=out)
+    nrm += np.multiply(x1, x1, out=tmp)
+    nrm += np.multiply(x2, x2, out=tmp)
+    return np.sqrt(nrm, out=nrm)
 
 
 def _orthonormal_complement(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -19,9 +19,11 @@ from .tensorops import as_coords
 
 T_MIN = 3
 T_MAX_FACTOR = 50.0
-# replication-draw rows a stopping cell advances at once, and the largest
-# burst; bounds the temporaries
+# the largest burst, which fixes the random stream (it decides which uniforms
+# pair up in a draw), and the replication-draw rows of a fixed-N block
 ROWS = 4096
+# replication-draw rows a stopping cell advances at once; bounds the temporaries
+STOP_ROWS = 16384
 
 
 def stop_cell(model, k: float, u0, rngs, t_max: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -37,7 +39,8 @@ def stop_cell(model, k: float, u0, rngs, t_max: int | None = None) -> tuple[np.n
     at or past the boundary, as one-at-a-time evaluation would. Its draws and
     sums never mix with another's, so the results do not depend on the batch:
     the burst is at most ``ROWS``, and replications advance in blocks of
-    ``ROWS // burst``, only to bound the temporaries.
+    ``STOP_ROWS // burst``, only to bound the temporaries. The running sums
+    and the threshold are built in place over the burst's draws.
 
     Returns ``(tau, sum_x, runaway)`` with shapes ``(R,)``, ``(R, n)`` and
     ``(R,)``; a runaway replication has ``tau = t_max`` and its sum there.
@@ -55,18 +58,23 @@ def stop_cell(model, k: float, u0, rngs, t_max: int | None = None) -> tuple[np.n
     tau = np.full(count, t_max)
     sum_x = np.zeros((count, n))
     runaway = np.zeros(count, dtype=bool)
-    block = max(1, ROWS // burst)
+    block = max(1, STOP_ROWS // burst)
     for start in range(0, count, block):
         live = np.arange(start, min(start + block, count))
         t = 0
         while live.size and t < t_max:
             take = min(burst, t_max - t)
-            xs = model.sample_many(u0a, [rngs[i] for i in live], take)
-            cums = sum_x[live, None, :] + np.cumsum(xs, axis=1)
+            cums = model.sample_many(u0a, [rngs[i] for i in live], take)
+            np.cumsum(cums, axis=1, out=cums)
+            cums += sum_x[live, None, :]
             steps = np.arange(t + 1, t + take + 1)
-            crit, nu, defined = model.stop_terms(cums, steps)
-            # a sum on the gauge's singular set has nu = inf, a threshold never met
-            hit = defined & (steps >= T_MIN) & (crit >= k * nu + c)
+            crit, thresh, hit = model.stop_terms(cums, steps)
+            # thresh = K nu + c; a sum on the gauge's singular set has nu = inf,
+            # a threshold never met
+            thresh *= k
+            thresh += c
+            hit &= steps >= T_MIN
+            hit &= crit >= thresh
             rep = np.arange(live.size)
             first = np.argmax(hit, axis=1)
             stopped = hit[rep, first]
@@ -74,6 +82,7 @@ def stop_cell(model, k: float, u0, rngs, t_max: int | None = None) -> tuple[np.n
             tau[live[stopped]] = t + 1 + first[stopped]
             live = live[~stopped]
             t += take
+            del cums, crit, thresh, hit  # a burst's arrays go before the next burst is drawn
         runaway[live] = True
     return tau, sum_x, runaway
 

@@ -380,3 +380,59 @@ HYP_G11 = 1.1
 HYP_G22 = 0.011036715590491717             # 1.1 sinh^2(0.1)
 HYP_NU0 = 11.527782803679804               # 1/(sinh(0.1) sin(pi/3))
 HYP_C = 0.9132231404958677
+
+
+def uniform_pairs(rngs, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two ``(len(rngs), size)`` uniform arrays: row ``i`` holds ``rngs[i]``'s
+    first and then its second ``random(size)`` draw."""
+    out = np.empty((2, len(rngs), size))
+    for i, rng in enumerate(rngs):
+        rng.random(out=out[0, i])
+        rng.random(out=out[1, i])
+    return out[0], out[1]
+
+
+def sample_many(model, u, rngs, size: int) -> np.ndarray:
+    """Either directional model's draws ``(len(rngs), size, 3)`` by the plain
+    out-of-place transform, which ``model.sample_many`` must match bit for bit."""
+    uu, phi = uniform_pairs(rngs, size)
+    if model.kinds[0] == "hyp":
+        (boost,) = model._plan(u)
+        e = -np.log1p(-uu)
+        y = 1.0 + e / model.r
+        sr = np.sqrt(np.maximum(y * y - 1.0, 0.0))
+        phi *= 2.0 * math.pi
+        xloc = np.stack([y, sr * np.cos(phi), sr * np.sin(phi)], axis=-1)
+        x = xloc @ boost.T
+        q = x[..., 0] ** 2 - x[..., 1] ** 2 - x[..., 2] ** 2
+        x /= np.sqrt(q)[..., None]
+        return x
+    xi, e1, e2, floor = model._plan(u)
+    w = 1.0 + np.log(uu + (1.0 - uu) * floor) / model.r
+    phi *= 2.0 * math.pi
+    st = np.sqrt(np.maximum(1.0 - w * w, 0.0))
+    a, b = st * np.cos(phi), st * np.sin(phi)
+    x = np.empty(w.shape + (3,))
+    for j in range(3):
+        x[..., j] = w * xi[j] + a * e1[j] + b * e2[j]
+    x /= np.linalg.norm(x, axis=-1, keepdims=True)
+    return x
+
+
+def batch_se(per_rep: np.ndarray) -> float:
+    """Standard error of a 1-d sample by replication batching, one batch at a time."""
+    nb = min(10, per_rep.shape[0])
+    means = np.array([b.mean(axis=0) for b in np.array_split(per_rep, nb)], dtype=float)
+    if nb < 2:
+        return float("inf")
+    return float(means.std(ddof=1) / math.sqrt(nb))
+
+
+def batch_se_product(taus: np.ndarray, outers: np.ndarray) -> float:
+    """Batched standard error of E(tau) * E(outers) over 1-d samples, one batch at a time."""
+    nb = min(10, taus.shape[0])
+    idx = np.array_split(np.arange(taus.shape[0]), nb)
+    vals = np.array([taus[i].mean() * outers[i].mean() for i in idx])
+    if nb < 2:
+        return float("inf")
+    return float(vals.std(ddof=1) / math.sqrt(nb))

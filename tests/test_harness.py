@@ -1,11 +1,16 @@
+import copy
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from seqgeo import harness
 from seqgeo.errors import ParameterError, RunawayStopError
+from seqgeo.models import MODELS
 from seqgeo.harness import (
     parse_config,
     rep_seed,
@@ -16,6 +21,7 @@ from seqgeo.harness import (
 )
 
 from conftest import BUNDLED_CONFIGS as BUNDLED, bundled_config
+import oracles
 
 
 def tiny_config(outdir, model="vmf", reps=20):
@@ -103,6 +109,54 @@ class TestSeeding:
         assert a != rep_seed(123, "cell:2", 0)
         assert a != rep_seed(124, "cell:1", 0)
 
+    @given(seeds=st.lists(st.integers(0, 2 ** 63 - 1), min_size=1, max_size=8))
+    @example(seeds=[0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63 - 1])
+    @settings(max_examples=60, deadline=None)
+    def test_seed_words_match_seed_sequence(self, seeds):
+        # the one-pass hash has SeedSequence's words, and a generator built on
+        # them draws what default_rng of the seed draws
+        words = harness._seed_words(seeds)
+        assert words.shape == (len(seeds), 4) and words.dtype == np.uint64
+        for s, row in zip(seeds, words):
+            assert row.tobytes() == np.random.SeedSequence(s).generate_state(4, np.uint64).tobytes()
+            gen = np.random.Generator(np.random.PCG64(harness._SeedWords(row)))
+            assert gen.random(16).tobytes() == np.random.default_rng(s).random(16).tobytes()
+
+    def test_cell_generators_call_rep_seed_per_replication(self, monkeypatch):
+        # through the module global, once per replication, as the benchmark's
+        # set-up marker and the traced rep_seed count read them
+        calls = []
+        monkeypatch.setattr(harness, "rep_seed", lambda *args: calls.append(args) or rep_seed(*args))
+        gens = harness._cell_generators(20250101, "seq:1.0", 23)
+        assert calls == [(20250101, "seq:1.0", rep) for rep in range(23)]
+        for rep, gen in enumerate(gens):
+            want = np.random.default_rng(rep_seed(20250101, "seq:1.0", rep))
+            assert gen.random(16).tobytes() == want.random(16).tobytes()
+
+
+class TestBatchSe:
+    @pytest.mark.parametrize("r", list(range(2, 61)) + [99, 100, 500, 1001])
+    def test_matches_per_batch_loops(self, r):
+        # batches of 8 or more rows tell a contiguous row's pairwise sum from
+        # a sequential one, so r runs past 80
+        rng = np.random.default_rng(r)
+        taus = rng.integers(50, 500, r).astype(float)
+        devs = rng.standard_normal((r, 2))
+        outers = np.einsum("ra,rb->rab", devs, devs)
+        tau_means = harness._batch_means(taus)
+        assert tau_means.shape == (min(r, 10),)
+        assert float(harness._batch_se(tau_means)).hex() == oracles.batch_se(taus).hex()
+        se = harness._batch_se(harness._batch_means(outers))
+        product = harness._batch_se(tau_means * harness._batch_means(outers))
+        assert se.shape == product.shape == (2, 2)
+        for a in range(2):
+            for b in range(2):
+                assert float(se[a, b]).hex() == oracles.batch_se(outers[:, a, b]).hex()
+                assert float(product[a, b]).hex() == oracles.batch_se_product(taus, outers[:, a, b]).hex()
+
+    def test_one_batch_is_infinite(self):
+        assert harness._batch_se(harness._batch_means(np.array([3.0]))) == math.inf
+
 
 class TestRunners:
     def test_nonsequential_smoke_and_accounting(self, tmp_path):
@@ -132,6 +186,23 @@ class TestRunners:
         assert not math.isfinite(table.rows[0].stats["OCOV_se"][0, 0]) or (
             table.rows[0].stats["OCOV_se"][0, 0] > 0
         )
+
+    @pytest.mark.parametrize("model", ["vmf", "hyperboloid"])
+    def test_fixed_n_sums_match_oracle(self, model, monkeypatch):
+        # N = 1300 and 2000 split 7 replications into blocks of 3 and 2; every
+        # replication's sum has the bits of its own default_rng's draws, added
+        # in order
+        cfg = bundled_config(model, replications=7, grid_n=(1, 1300, 2000))
+        cls = MODELS[model]
+        seen = []
+        mle_many = cls.mle_many
+        monkeypatch.setattr(cls, "mle_many", lambda self, sums: seen.append(sums.copy()) or mle_many(self, sums))
+        run_nonsequential(cfg)
+        assert len(seen) == len(cfg.grid_n)
+        for n, sums in zip(cfg.grid_n, seen):
+            rngs = [np.random.default_rng(rep_seed(cfg.seed, f"nonseq:{n}", rep)) for rep in range(7)]
+            want = oracles.sample_many(cls(cfg.m, cfg.r), cfg.u0, rngs, n).sum(axis=1)
+            assert sums.tobytes() == want.tobytes()
 
     def test_exclusion_threshold(self):
         with pytest.raises(RunawayStopError):
@@ -182,3 +253,24 @@ class TestPersistence:
         target.write_text("x")
         with pytest.raises(OSError, match="file"):
             write_results([harness.ResultTable("sequential", (), 2)], target / "sub", cfg)
+
+
+def _traced_peak(run, config) -> int:
+    """Bytes ``run(config)`` allocates at its peak above what was live at its start."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        run(config)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    # a bundled config at 100 replications: the stopping loop reaches its
+    # STOP_ROWS rows per call, and a fixed-N block its ROWS
+    def test_sequential_peak(self):
+        assert _traced_peak(run_sequential, bundled_config("vmf", replications=100)) < 1.5 * 2 ** 20
+
+    def test_nonsequential_peak(self):
+        assert _traced_peak(run_nonsequential, bundled_config("vmf", replications=100)) < 0.6 * 2 ** 20

@@ -37,6 +37,7 @@ from oracles import (
     kv_ratio_recurrence,
     polar_gauge_log_gradient,
     rel_steps,
+    sample_many as oracle_sample_many,
 )
 
 
@@ -269,6 +270,25 @@ class TestSampler:
         assert xs.shape == (reps, size, 3)
         for i, rng in enumerate(alone):
             assert xs[i].tobytes() == model.sample_many(u, [rng], size)[0].tobytes()
+
+    @pytest.mark.parametrize("model_name", ["vmf", "hyp"])
+    @given(reps=st.integers(1, 40), size=st.integers(1, 300), seed=st.integers(0, 2 ** 63 - 1),
+           u1=st.floats(0.05, 1.0), u2=st.floats(0.0, 2.0 * math.pi))
+    @example(reps=1, size=1, seed=0, u1=0.5, u2=1.0)
+    @example(reps=40, size=300, seed=1, u1=0.05, u2=0.0)
+    @settings(max_examples=30, deadline=None)
+    def test_matches_out_of_place_oracle(self, model_name, reps, size, seed, u1, u2):
+        # the in-place kernels keep the plain transform's operations and their
+        # order, so every draw has its bits; a fixed-N block adds each row's
+        # draws in order, as the oracle's sum over a row-major array does
+        model = MODELS_BY_NAME[model_name]
+        u = np.array([u1 * (2.0 if model_name == "hyp" else 3.0), u2])
+        rngs = [np.random.default_rng([seed, i]) for i in range(reps)]
+        want = oracle_sample_many(model, u, copy.deepcopy(rngs), size)
+        xs = model.sample_many(u, rngs, size)
+        assert xs.shape == want.shape == (reps, size, 3)
+        assert xs.tobytes() == want.tobytes()
+        assert np.cumsum(xs, axis=1, out=xs)[:, -1].tobytes() == want.sum(axis=1).tobytes()
 
     def test_only_m2_supported(self, vmf3):
         with pytest.raises(UnsupportedShapeError):

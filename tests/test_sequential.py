@@ -147,14 +147,14 @@ class TestRunStopping:
 
 
 class TestStopCell:
-    # (replications, burst, t_max, blocks): the block holds ROWS // burst
+    # (replications, burst, t_max, blocks): the block holds STOP_ROWS // burst
     # replications, so these make one partial block, several blocks with a
     # partial last one, a cell where every replication runs away, and a
     # batch of one
     CASES = {
         "partial-block": (37, 60, None, 1),
-        "several-blocks": (37, 400, None, 4),
-        "all-runaway": (37, 400, 5, 4),
+        "several-blocks": (37, 1700, None, 5),
+        "all-runaway": (37, 1700, 5, 5),
         "batch-of-one": (1, 60, None, 1),
     }
 
@@ -167,7 +167,7 @@ class TestStopCell:
         gauge = model.gauge()
         k = (burst + 0.5) / (0.25 * gauge.nu_at(u0))
         assert max(8, int(0.25 * k * gauge.nu_at(u0))) == burst
-        assert -(-reps // max(1, sequential.ROWS // burst)) == blocks
+        assert -(-reps // max(1, sequential.STOP_ROWS // burst)) == blocks
 
         seeds = [300 + rep for rep in range(reps)]
         rngs = [np.random.default_rng(s) for s in seeds]
@@ -196,20 +196,23 @@ class TestStopCell:
             assert (tau[i], sum_x[i].tobytes(), runaway[i]) == (want[0], want[1].tobytes(), want[2])
 
     def test_burst_is_capped_at_rows(self, vmf, monkeypatch):
-        # 0.25 K nu0 is about 577,000 draws here; a burst takes at most ROWS,
-        # so no sampler call holds more rows, and the 5000 steps take two bursts
+        # 0.25 K nu0 is about 577,000 draws here; a burst takes at most ROWS
+        # draws per replication, which fixes the random stream, and a call
+        # holds at most STOP_ROWS rows, so the 5000 steps take two bursts
         asked = []
         sample_many = vmf.sample_many
 
         def counted(u, rngs, size):
-            asked.append(len(rngs) * size)
+            asked.append((len(rngs), size))
             return sample_many(u, rngs, size)
 
         monkeypatch.setattr(vmf, "sample_many", counted)
         rngs = [np.random.default_rng(s) for s in range(3)]
         _, _, runaway = stop_cell(vmf, 1e6, U0_VMF, rngs, t_max=5000)
         assert runaway.all()
-        assert max(asked) <= sequential.ROWS and sum(asked) == 3 * 5000
+        assert max(size for _, size in asked) <= sequential.ROWS
+        assert max(reps * size for reps, size in asked) <= sequential.STOP_ROWS
+        assert sum(reps * size for reps, size in asked) == 3 * 5000
 
 
 class TestBiasCorrect:
