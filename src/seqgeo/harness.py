@@ -329,7 +329,8 @@ def run_nonsequential(config: ExperimentConfig) -> ResultTable:
 
 
 def run_sequential(config: ExperimentConfig) -> ResultTable:
-    """Stopping-rule suite in the flattening coordinates, no bias correction."""
+    """Stopping-rule suite in the flattening coordinates, no bias correction; each estimate
+    is read from its stopped sum by the rule's own ``stop_terms``, and only runaways are excluded."""
     model = MODELS[config.model](config.m, config.r)
     u0 = config.u0
     grid = model.probe_grid(count=16, margin=0.15, seed=11)
@@ -343,12 +344,10 @@ def run_sequential(config: ExperimentConfig) -> ResultTable:
         cell_id = f"seq:{k!r}"
         rngs = _cell_generators(config.seed, cell_id, config.replications)
         taus, sums, runaway = sequential.stop_cell(model, float(k), u0, rngs)
-        taus = taus[~runaway].astype(float)
-        u_hats, ok = model.mle_many(sums[~runaway])
-        excluded = int(np.count_nonzero(runaway)) + int(np.count_nonzero(~ok))
+        excluded = int(np.count_nonzero(runaway))
         _check_exclusions(excluded, config.replications, cell_id)
-        taus = taus[ok]
-        devs = coords.forward(u_hats[ok]) - ubar0
+        taus = taus[~runaway].astype(float)
+        devs = _flat_coordinates(model, config.d_matrix, sums[~runaway]) - ubar0
         outers = np.einsum("ra,rb->rab", devs, devs)
         mst = float(taus.mean())
         sdst = float(taus.std(ddof=1))
@@ -364,6 +363,14 @@ def run_sequential(config: ExperimentConfig) -> ResultTable:
         }
         rows.append(CellResult(cell=float(k), stats=stats, excluded=excluded))
     return ResultTable("sequential", tuple(rows), config.replications)
+
+
+def _flat_coordinates(model, d_matrix: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """The flattening coordinates ``nu D eta`` (eta0 = 0) of the MLE of each stopped sum ``(R, 3)``."""
+    # at the MLE eta = r_dagger S/|S|, nu D eta = (nu/crit) D S; a stop needs stop_terms'
+    # defined and a finite nu = |S|/|S_m|, so each stopped sum has an estimate and S_m != 0
+    crit, nu, _ = model.stop_terms(sums)
+    return (nu / crit)[:, None] * conformal._apply(d_matrix, sums)
 
 
 def _check_exclusions(excluded: int, total: int, cell_id: str) -> None:
@@ -382,10 +389,8 @@ def nonsequential_csv_rows(table: ResultTable) -> list[str]:
     for row in table.rows:
         s = row.stats
         cells = [str(int(row.cell))]
-        cells += [_fmt(s["OCOV"][i]) for i in ((0, 0), (0, 1), (1, 1))]
-        cells += [_fmt(s["OCOV_se"][i]) for i in ((0, 0), (0, 1), (1, 1))]
-        cells += [_fmt(s["OCRB"][i]) for i in ((0, 0), (0, 1), (1, 1))]
-        cells += [_fmt(s["OALB"][i]) for i in ((0, 0), (0, 1), (1, 1))]
+        for key in ("OCOV", "OCOV_se", "OCRB", "OALB"):
+            cells += [_fmt(s[key][i]) for i in ((0, 0), (0, 1), (1, 1))]
         cells.append(str(row.excluded))
         out.append(",".join(cells))
     return out
@@ -396,9 +401,8 @@ def sequential_csv_rows(table: ResultTable) -> list[str]:
     for row in table.rows:
         s = row.stats
         cells = [_fmt(row.cell), _fmt(s["MST"]), _fmt(s["MST_se"]), _fmt(s["SDST"])]
-        cells += [_fmt(s["CCOV"][i]) for i in ((0, 0), (0, 1), (1, 1))]
-        cells += [_fmt(s["CCOV_se"][i]) for i in ((0, 0), (0, 1), (1, 1))]
-        cells += [_fmt(s["CCRB"][i]) for i in ((0, 0), (0, 1), (1, 1))]
+        for key in ("CCOV", "CCOV_se", "CCRB"):
+            cells += [_fmt(s[key][i]) for i in ((0, 0), (0, 1), (1, 1))]
         cells.append(str(row.excluded))
         out.append(",".join(cells))
     return out
@@ -418,11 +422,7 @@ def write_results(
         raise OSError(f"cannot create results directory {out}: {exc}") from exc
     written = []
     for table in tables:
-        rows = (
-            nonsequential_csv_rows(table)
-            if table.kind == "nonsequential"
-            else sequential_csv_rows(table)
-        )
+        rows = (nonsequential_csv_rows if table.kind == "nonsequential" else sequential_csv_rows)(table)
         path = out / f"{table.kind}.csv"
         try:
             path.write_text("\n".join(rows) + "\n")
@@ -433,12 +433,7 @@ def write_results(
 
     manifest = out / "run.manifest"
     timings = timings or {}
-    lines = ["[config]"]
-    lines += config.echo_lines()
-    lines.append("")
-    lines.append("[run]")
-    lines.append(f"version = {__version__}")
-    lines.append(f"seed = {config.seed}")
+    lines = ["[config]", *config.echo_lines(), "", "[run]", f"version = {__version__}", f"seed = {config.seed}"]
     for key in ("start", "end"):
         if key in timings:
             lines.append(f"{key} = {timings[key]}")

@@ -15,7 +15,7 @@ import numpy as np
 from . import geometry
 from .conformal import ConformalCoordinates
 from .errors import ChartError
-from .tensorops import as_coords
+from .tensorops import as_coords, require_finite
 
 T_MIN = 3
 T_MAX_FACTOR = 50.0
@@ -105,24 +105,25 @@ def second_order_terms(model, u0) -> np.ndarray:
     """The two surviving squared-tensor terms of the covariance expansion.
 
     Returns ``(1/2) (G')^2ab + (H')^2ab`` with all indices raised, in the
-    original chart. The ancillary term is identically zero for the
-    maximum-likelihood ancillary.
+    original chart, and raises where it is not finite. The ancillary term is
+    identically zero for the maximum-likelihood ancillary.
     """
     pg = geometry.point_geometry(model.curved, u0)
     ginv = pg.ginv
     gamma_sq = np.einsum("cda,efb,ce,df->ab", pg.gm1, pg.gm1, ginv, ginv)
     h_sq = np.einsum("ack,bdl,cd,kl->ab", pg.h1, pg.h1, ginv, pg.gkk_inv)
-    return ginv @ (0.5 * gamma_sq + h_sq) @ ginv
+    return require_finite(ginv @ (0.5 * gamma_sq + h_sq) @ ginv)
 
 
 def crb(model, u0, coords: ConformalCoordinates | None = None) -> np.ndarray:
     """Unit-time Cramer-Rao matrix at the truth, optionally pushed to the
-    flattening coordinates through the map Jacobian."""
+    flattening coordinates through the map Jacobian; raises where it is not finite."""
     pg = geometry.point_geometry(model.curved, u0)
     if coords is None:
         return pg.ginv
     j = coords.derivatives(pg.u)[0]
-    if j.shape[0] != j.shape[1] or abs(np.linalg.det(j)) < 1e-300:
+    if j.shape[0] != j.shape[1] or np.linalg.slogdet(j)[1] < math.log(1e-300):
         raise ChartError("flattening-map Jacobian is singular at the truth point")
-    return j @ pg.ginv @ j.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        return require_finite(j @ pg.ginv @ j.T)
 

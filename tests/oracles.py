@@ -258,6 +258,12 @@ def reference_stopping(model, k, u0, rng, c=None, t_min=sequential.T_MIN, t_max=
     return t_max, sum_x, True
 
 
+def reference_flat_deviations(model, coords, sums) -> np.ndarray:
+    """The flattening coordinates of the MLE of each sum ``(R, 3)`` by the chart path:
+    the closed-form estimator, then the flattening map at its chart point."""
+    return coords.forward(model.mle_many(sums)[0])
+
+
 def reference_bias_correct(model, u_hat, effective_n, gauge=None, coords=None):
     """Second-order bias correction of one estimate, from its own bundle.
 

@@ -46,12 +46,12 @@ def test_workload_runs_clean(workload, name, trace, tmp_path):
             # ending set-up
             assert layers["models.sample_many.calls"] >= 20
             assert layers["harness.rep_seed.calls"] == counts["replications"]
-            # one flattening-map call for the truth point and one per cell of
-            # the two bundled 10-cell grid_K
-            assert layers["conformal.coords_forward.calls"] == 22
-            # the stopping loop reads stop_terms, so the estimator runs once per
-            # cell, over its stopped sums, and criterion_many is gone
-            assert layers["models.mle_many.calls"] == 20
+            # one flattening-map call per config, for the truth point: a cell reads
+            # its estimates' flattening coordinates from the stopped sums
+            assert layers["conformal.coords_forward.calls"] == 2
+            # the stopping rule and the estimate both read stop_terms, so the
+            # sequential suite makes no estimator call, and criterion_many is gone
+            assert layers["models.mle_many.calls"] == 0
             assert layers["models.criterion_many.calls"] == 0
         else:
             # one sampler call per block of ROWS // N replications of a cell:

@@ -346,6 +346,17 @@ class TestSimulateCommand:
         assert code == cli.EXIT_USAGE
         assert "grid_N entry 1000000000 is too large" in err
 
+    @pytest.mark.parametrize("key, value", [("D", "1e200, 0, 0, 0, 1e200, 0"), ("r", "1e300")])
+    def test_non_finite_statistic_exit_one(self, tmp_path, capsys, key, value):
+        # the flattened CRB overflowed to inf/nan at D = 1e200, and the fixed-N
+        # bound's second-order term was nan at r = 1e300; both once exited 0
+        path, cfg = write_tiny_config(tmp_path, reps=4)
+        path.write_text(re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", path.read_text()))
+        code, _, err = run_cli(["simulate", "--config", str(path)], capsys)
+        assert code == cli.EXIT_USAGE
+        assert "must be finite" in err
+        assert not list(Path(cfg.outdir).glob("*.csv"))
+
     def test_missing_file_exit_one(self, capsys):
         code, _, err = run_cli(["simulate", "--config", "/does/not/exist.conf"], capsys)
         assert code == cli.EXIT_USAGE

@@ -1,0 +1,61 @@
+import shutil
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+
+import csv_delta  # noqa: E402
+from seqgeo.harness import NONSEQ_COLUMNS, SEQ_COLUMNS  # noqa: E402
+
+
+def write_results(out: Path) -> Path:
+    out.mkdir()
+    (out / "nonsequential.csv").write_text(",".join(NONSEQ_COLUMNS) + "\n"
+                                           + ",".join(["100"] + ["0.5"] * 12 + ["0"]) + "\n")
+    (out / "sequential.csv").write_text(",".join(SEQ_COLUMNS) + "\n"
+                                        + "\n".join(",".join([k] + ["2.25"] * 12 + ["0"]) for k in ("5", "7"))
+                                        + "\n")
+    return out
+
+
+def deltas(out: str) -> dict:
+    return {tuple(line.split()[:2]): float(line.split()[2]) for line in out.splitlines()}
+
+
+def test_identical_directories_read_zero(tmp_path, capsys):
+    a = write_results(tmp_path / "a")
+    b = tmp_path / "b"
+    shutil.copytree(a, b)
+    assert csv_delta.main([str(a), str(b)]) == 0
+    got = deltas(capsys.readouterr().out)
+    assert len(got) == len(NONSEQ_COLUMNS) + len(SEQ_COLUMNS)
+    assert set(got.values()) == {0.0}
+
+
+def test_one_value_is_reported_under_its_column(tmp_path, capsys):
+    a = write_results(tmp_path / "a")
+    b = tmp_path / "b"
+    shutil.copytree(a, b)
+    seq = b / "sequential.csv"
+    lines = seq.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[SEQ_COLUMNS.index("CCOV12")] = "2.5"
+    lines[2] = ",".join(cells)
+    seq.write_text("\n".join(lines) + "\n")
+    assert csv_delta.main([str(a), str(b)]) == 0
+    got = deltas(capsys.readouterr().out)
+    assert got[("sequential.csv", "CCOV12")] == 0.1  # |2.25 - 2.5| / 2.5
+    assert {key for key, value in got.items() if value} == {("sequential.csv", "CCOV12")}
+
+
+def test_header_or_cells_differ_exit_one(tmp_path, capsys):
+    a = write_results(tmp_path / "a")
+    b = tmp_path / "b"
+    shutil.copytree(a, b)
+    seq = b / "sequential.csv"
+    seq.write_text(seq.read_text().replace("\n7,", "\n8,"))
+    assert csv_delta.main([str(a), str(b)]) == 1
+    assert "sequential.csv: headers or cells differ" in capsys.readouterr().out
+    (b / "nonsequential.csv").unlink()
+    assert csv_delta.main([str(a), str(b)]) == 1
+    assert "nonsequential.csv: in only one directory" in capsys.readouterr().out

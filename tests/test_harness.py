@@ -5,10 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from seqgeo import harness
+from seqgeo import conformal, harness
 from seqgeo.errors import ParameterError, RunawayStopError
 from seqgeo.models import MODELS
 from seqgeo.harness import (
@@ -20,7 +20,7 @@ from seqgeo.harness import (
     write_results,
 )
 
-from conftest import BUNDLED_CONFIGS as BUNDLED, bundled_config
+from conftest import BUNDLED_CONFIGS as BUNDLED, MODELS_BY_NAME, bundled_config
 import oracles
 
 
@@ -204,6 +204,14 @@ class TestRunners:
             want = oracles.sample_many(cls(cfg.m, cfg.r), cfg.u0, rngs, n).sum(axis=1)
             assert sums.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("model", ["vmf", "hyperboloid"])
+    def test_sequential_reads_no_chart_estimate(self, model, monkeypatch):
+        # the stopped sums give the flattening coordinates through stop_terms;
+        # mle_many serves the fixed-N suite only
+        monkeypatch.setattr(MODELS[model], "mle_many", lambda self, sums: pytest.fail("mle_many called"))
+        table = run_sequential(tiny_config("unused", model=model, reps=8))
+        assert [row.excluded for row in table.rows] == [0, 0]
+
     def test_exclusion_threshold(self):
         with pytest.raises(RunawayStopError):
             harness._check_exclusions(6, 500, "cell")
@@ -274,3 +282,39 @@ class TestMemory:
 
     def test_nonsequential_peak(self):
         assert _traced_peak(run_nonsequential, bundled_config("vmf", replications=100)) < 0.6 * 2 ** 20
+
+
+def _sums(model_name, rng, rows):
+    """Rows of sums ``(rows, 3)`` in every direction and across twelve decades of
+    scale; on the hyperboloid future timelike, from near the light cone on."""
+    sums = rng.standard_normal((rows, 3)) * 10.0 ** rng.uniform(-6, 6, (rows, 1))
+    if model_name == "hyp":
+        sums[:, 0] = np.hypot(sums[:, 1], sums[:, 2]) * (1.0 + np.exp(rng.uniform(-8, 4, rows)))
+    return sums
+
+
+class TestFlatCoordinates:
+    @pytest.mark.parametrize("model_name", ["vmf", "hyp"])
+    @given(seed=st.integers(0, 2 ** 32 - 1), random_d=st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_matches_chart_path(self, model_name, seed, random_d):
+        # the stopped-sum form against the estimator and the flattening map
+        model = MODELS_BY_NAME[model_name]
+        rng = np.random.default_rng(seed)
+        d = rng.standard_normal((2, 3)) if random_d else (1.0 if model_name == "vmf" else 0.01) * np.eye(2, 3)
+        assume(np.linalg.matrix_rank(d) == 2)
+        coords = conformal.quadric_coordinates(model.curved, model.gauge(), np.zeros(3), d)
+        sums = _sums(model_name, rng, 64)
+        nrm, defined = model._norm(sums)
+        keep = defined & (np.abs(sums[:, 2]) >= 1e-3 * nrm)
+        sums, nrm = sums[keep], nrm[keep]
+        got = harness._flat_coordinates(model, d, sums)
+        want = oracles.reference_flat_deviations(model, coords, sums)
+        # the chart path loses about eps |S|/|S_m| in the azimuth's round trip and, on
+        # the hyperboloid, eps (|S|_E/|S|)^2 in the Minkowski norm's cancellation; the
+        # error is read against the size nu r_dagger max|D| |xi|_E of the coordinates
+        euclid = np.linalg.norm(sums, axis=1)
+        cond = (euclid / nrm) ** 2 + euclid / np.abs(sums[:, 2])
+        size = model.r_dagger * np.abs(d).max() * euclid / np.abs(sums[:, 2])
+        err = np.abs(got - want).max(axis=1)
+        assert np.all(err <= 16 * np.finfo(float).eps * cond * size)

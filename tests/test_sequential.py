@@ -195,6 +195,20 @@ class TestStopCell:
             want = reference_stopping(model, k, u0, np.random.default_rng(s))
             assert (tau[i], sum_x[i].tobytes(), runaway[i]) == (want[0], want[1].tobytes(), want[2])
 
+    @pytest.mark.parametrize("model_name", ["vmf", "hyp"])
+    @given(seeds=st.lists(st.integers(0, 2 ** 63 - 1), min_size=1, max_size=12),
+           k=st.floats(0.05, 60.0))
+    @settings(max_examples=25, deadline=None)
+    def test_stopped_sums_have_an_estimate(self, model_name, seeds, k):
+        # a stop needs stop_terms' defined and a finite nu, so every stopped sum has
+        # a chart estimate and S_m != 0: the sequential suite excludes only runaways
+        model = MODELS_BY_NAME[model_name]
+        u0 = U0_VMF if model_name == "vmf" else U0_HYP
+        _, sum_x, runaway = stop_cell(model, k, u0, [np.random.default_rng(s) for s in seeds])
+        stopped = sum_x[~runaway]
+        assert model.mle_many(stopped)[1].all()
+        assert np.all(stopped[:, model.m] != 0.0)
+
     def test_burst_is_capped_at_rows(self, vmf, monkeypatch):
         # 0.25 K nu0 is about 577,000 draws here; a burst takes at most ROWS
         # draws per replication, which fixes the random stream, and a call

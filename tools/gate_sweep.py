@@ -5,8 +5,8 @@ with ``cli.evaluate_gates``, and prints per config the failure rate of each
 kind of gate (over its conclusive checks) and of whole runs, each with a
 Wilson 95 % interval. Gates, bounds and batch counts are the report's own.
 
-    PYTHONPATH=src python tools/gate_sweep.py --seeds 1001-1040
-    PYTHONPATH=src python tools/gate_sweep.py --seeds 1 2 --replications 20
+    python tools/gate_sweep.py --seeds 1001-1040
+    python tools/gate_sweep.py --seeds 1 2 --replications 20
 
 At most two worker processes run at once.
 """
@@ -22,9 +22,11 @@ import sys
 import tempfile
 from pathlib import Path
 
-import seqgeo
-from seqgeo import cli, harness
-from seqgeo.errors import RunawayStopError
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import seqgeo  # noqa: E402
+from seqgeo import cli, harness  # noqa: E402
+from seqgeo.errors import RunawayStopError  # noqa: E402
 
 CONFIGS = ("vmf", "hyperboloid")
 MAX_PROCESSES = 2

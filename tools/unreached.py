@@ -10,7 +10,7 @@ Prints every function never entered with its line count, the total, and each
 subcommand's exit code. A function nested in an unreached one is counted
 with it, not again.
 
-    PYTHONPATH=src python tools/unreached.py
+    python tools/unreached.py
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ import re
 import sys
 import tempfile
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 CONFIGS = ("vmf", "hyperboloid")
 # replications per cell of each bundled config
