@@ -153,7 +153,7 @@ def cmd_simulate(args) -> int:
     except RunawayStopError as exc:
         print(f"exclusion failure: {exc}", file=sys.stderr)
         return EXIT_EXCLUSION
-    except SeqGeoError as exc:
+    except (OSError, SeqGeoError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     for p in paths:

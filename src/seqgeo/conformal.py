@@ -3,11 +3,12 @@
 The Weyl-Schouten tensor set with the flatness criteria, read from a
 chart: a callable that maps rows ``(P, m)`` to a bundle with the fields
 ``g``, ``gm1`` and ``rm1`` over them, for a curved family
-``functools.partial(geometry.point_geometry, fam)``. Then the explicit
-quadric-hypersurface gauge of a curved family with its flattening
-coordinates, and the transformed connection read in those coordinates.
-Defining equations are treated as verification targets with registered
-closed-form solutions, never as PDEs to be solved numerically.
+``functools.partial(geometry.point_geometry, fam)``. Then the flattening
+coordinates of a dual quadric hypersurface under its explicit gauge, the
+residual of the quadric gauge equation, and the transformed connection read
+in those coordinates. Defining equations are treated as verification
+targets with registered closed-form solutions, never as PDEs to be solved
+numerically.
 """
 
 from __future__ import annotations
@@ -18,18 +19,9 @@ from typing import Callable
 import numpy as np
 
 from . import geometry, tensorops as tops
-from .errors import (
-    ChartError,
-    GaugeMismatchError,
-    GaugeSingularityError,
-    UnsupportedShapeError,
-)
+from .errors import ChartError, GaugeSingularityError, UnsupportedShapeError
 from .geometry import CurvedFamily, PointGeometry
 from .tensorops import as_coords
-
-# largest accepted max-norm residual of the quadric gauge equation
-PDE_TOLERANCE = 1e-6
-
 
 @dataclass(frozen=True)
 class Gauge:
@@ -117,8 +109,6 @@ def weyl_schouten(chart: Callable, at, step: float | None = None) -> WeylSchoute
 @dataclass(frozen=True)
 class FlatnessReport:
     flat: bool
-    dim: int
-    max_residual: float
     worst_point: np.ndarray
     residuals: dict = field(default_factory=dict)
 
@@ -127,8 +117,9 @@ def flatness_test(chart: Callable, grid: np.ndarray, tolerance: float = 1e-4) ->
     """Conformal flatness verdict over a probe grid.
 
     The verdict uses the order-4 tensor for dim >= 3 and the pair
-    (order-3, order-2) for dim 2, reporting the worst residual and the first
-    probe point where it occurred. The grid goes through :func:`weyl_schouten`
+    (order-3, order-2) for dim 2, reporting each field's largest residual
+    over the grid and the first probe point where the verdict's residual
+    is largest. The grid goes through :func:`weyl_schouten`
     in blocks of ``ROWS // (1 + 2 dim)`` points, one bundle each.
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
@@ -140,8 +131,7 @@ def flatness_test(chart: Callable, grid: np.ndarray, tolerance: float = 1e-4) ->
            for k in ("w4", "w3", "w2")}
     crit = per["w4"] if dim >= 3 else np.maximum(per["w3"], per["w2"])
     worst = int(np.argmax(crit))  # the first maximal point
-    return FlatnessReport(flat=bool(crit[worst] <= tolerance), dim=dim, max_residual=float(crit[worst]),
-                          worst_point=grid[worst].copy(),
+    return FlatnessReport(flat=bool(crit[worst] <= tolerance), worst_point=grid[worst].copy(),
                           residuals={k: float(v.max()) for k, v in per.items()})
 
 
@@ -194,33 +184,6 @@ def _scaled_map_derivatives(gauge: Gauge, x: np.ndarray, a, da, dda) -> tuple[np
     return jac, hess
 
 
-def quadric_gauge(
-    fam: CurvedFamily,
-    eta0,
-    dmat,
-    grid: np.ndarray,
-    gauge: Gauge,
-) -> tuple[Gauge, ConformalCoordinates]:
-    """Gauge and flattening coordinates of a dual quadric hypersurface.
-
-    The gauge's defining equation is verified on the probe grid and a
-    :class:`GaugeMismatchError` is raised when the residual exceeds
-    ``PDE_TOLERANCE``. The coordinates come from :func:`quadric_coordinates`.
-    """
-    cls = geometry.classify(fam, grid)
-    if not cls.dual_quadric:
-        raise UnsupportedShapeError(
-            f"family is not a dual quadric hypersurface (residual {cls.dual_quadric_residual:.3e})"
-        )
-    k0l0 = cls.k0 * cls.l0
-    res = gauge_pde_residual(fam, gauge, k0l0, grid)
-    if res > PDE_TOLERANCE:
-        raise GaugeMismatchError(
-            f"gauge equation residual {res:.3e} exceeds tolerance {PDE_TOLERANCE:.1e}"
-        )
-    return gauge, quadric_coordinates(fam, gauge, eta0, dmat)
-
-
 def quadric_coordinates(
     fam: CurvedFamily,
     gauge: Gauge,
@@ -231,8 +194,9 @@ def quadric_coordinates(
 
     The map reads the mean-parameter embedding from the family's jet, and its
     derivatives read the tangent frame and the Hessian of that embedding from
-    the family's bundle at the points. It does not check that ``gauge`` solves
-    the quadric gauge equation; :func:`quadric_gauge` does.
+    the family's bundle at the points. It does not check that the family is
+    a dual quadric or that ``gauge`` solves the quadric gauge equation;
+    ``geometry.classify`` and :func:`gauge_pde_residual` do.
     """
     e0 = np.asarray(eta0, dtype=float)
     dm = np.atleast_2d(np.asarray(dmat, dtype=float))

@@ -25,10 +25,6 @@ class GaugeSingularityError(SeqGeoError):
     """A gauge function was evaluated on (or too close to) its singular set."""
 
 
-class GaugeMismatchError(SeqGeoError):
-    """A gauge does not satisfy its defining equation within tolerance."""
-
-
 class RunawayStopError(SeqGeoError):
     """A stopping rule failed to trigger before the hard cap on the sample size."""
 

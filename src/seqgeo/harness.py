@@ -330,13 +330,14 @@ def run_nonsequential(config: ExperimentConfig) -> ResultTable:
 
 def run_sequential(config: ExperimentConfig) -> ResultTable:
     """Stopping-rule suite in the flattening coordinates, no bias correction; each estimate
-    is read from its stopped sum by the rule's own ``stop_terms``, and only runaways are excluded."""
+    is read from its stopped sum by the rule's own ``stop_terms``, and only runaways are excluded.
+
+    The flattening map is built from the model's closed-form gauge with no check on a probe
+    grid: both models are dual quadrics whose gauge solves the quadric gauge equation at
+    every accepted ``r``, which ``seqgeo geometry`` and the tier-1 suite verify."""
     model = MODELS[config.model](config.m, config.r)
     u0 = config.u0
-    grid = model.probe_grid(count=16, margin=0.15, seed=11)
-    _, coords = conformal.quadric_gauge(
-        model.curved, np.zeros(model.m + 1), config.d_matrix, grid, gauge=model.gauge()
-    )
+    coords = conformal.quadric_coordinates(model.curved, model.gauge(), np.zeros(model.m + 1), config.d_matrix)
     ubar0 = coords.forward(u0)
     ccrb = sequential.crb(model, u0, coords=coords)
     rows = []
@@ -415,11 +416,7 @@ def write_results(
     timings: dict | None = None,
 ) -> list[Path]:
     """One CSV per suite plus a manifest with the config echo and timings."""
-    out = Path(outdir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise OSError(f"cannot create results directory {out}: {exc}") from exc
+    out = _results_dir(outdir)
     written = []
     for table in tables:
         rows = (nonsequential_csv_rows if table.kind == "nonsequential" else sequential_csv_rows)(table)
@@ -445,8 +442,22 @@ def write_results(
     return written
 
 
+def _results_dir(outdir: str | Path) -> Path:
+    """The results directory, created with its parents if it is missing."""
+    out = Path(outdir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OSError(f"cannot create results directory {out}: {exc}") from exc
+    return out
+
+
 def run_experiment(config: ExperimentConfig) -> list[Path]:
-    """Both suites plus persistence; returns the written paths."""
+    """Both suites plus persistence; returns the written paths.
+
+    The results directory is created first, so a path that cannot hold it
+    fails before any suite runs."""
+    _results_dir(config.outdir)
     timings = {"start": time.strftime("%Y-%m-%dT%H:%M:%S")}
     t0 = time.monotonic()
     nonseq = run_nonsequential(config)

@@ -371,7 +371,7 @@ def reference_flatness(chart, grid, tolerance=1e-4):
         crit = res["w4"] if dim >= 3 else max(res["w3"], res["w2"])
         if crit > worst:
             worst, worst_point = crit, x
-    return FlatnessReport(worst <= tolerance, dim, worst, np.array(worst_point), per)
+    return FlatnessReport(worst <= tolerance, np.array(worst_point), per)
 
 
 # frozen headline constants, all re-derivable from the functions above

@@ -19,7 +19,7 @@ from seqgeo.conformal import (
     conformal_sub_quantities,
     flatness_test,
     gauge_pde_residual,
-    quadric_gauge,
+    quadric_coordinates,
     ubar_chart_connection,
 )
 from seqgeo.models import MODELS, HyperboloidModel, VmfModel
@@ -199,7 +199,7 @@ class TestGeometrySuite:
             k0l0 = sign / (model.r * model.r_dagger)
             gauge = model.gauge()
             worst_pde = max(worst_pde, gauge_pde_residual(model.curved, gauge, k0l0, grid))
-            _, coords = quadric_gauge(model.curved, np.zeros(3), dmat, grid, gauge=gauge)
+            coords = quadric_coordinates(model.curved, gauge, np.zeros(3), dmat)
             for u in grid[:5]:
                 pg = geometry.point_geometry(model.curved, u)
                 pulled, inhom = ubar_chart_connection(pg, gauge, coords)

@@ -46,9 +46,10 @@ def test_workload_runs_clean(workload, name, trace, tmp_path):
             # ending set-up
             assert layers["models.sample_many.calls"] >= 20
             assert layers["harness.rep_seed.calls"] == counts["replications"]
-            # one flattening-map call per config, for the truth point: a cell reads
-            # its estimates' flattening coordinates from the stopped sums
-            assert layers["conformal.coords_forward.calls"] == 2
+            # the flattening map is built from the closed-form gauge, so the
+            # sequential suite runs no geometry verification
+            assert layers["geometry.classify.calls"] == 0
+            assert layers["conformal.gauge_pde_residual.calls"] == 0
             # the stopping rule and the estimate both read stop_terms, so the
             # sequential suite makes no estimator call, and criterion_many is gone
             assert layers["models.mle_many.calls"] == 0

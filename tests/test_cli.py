@@ -346,6 +346,20 @@ class TestSimulateCommand:
         assert code == cli.EXIT_USAGE
         assert "grid_N entry 1000000000 is too large" in err
 
+    def test_uncreatable_outdir_exit_one_before_suites(self, tmp_path, capsys, monkeypatch):
+        # an outdir below a file once ran both suites and then ended in an OSError traceback
+        called = []
+        monkeypatch.setattr(harness, "run_nonsequential", lambda config: called.append("nonsequential"))
+        monkeypatch.setattr(harness, "run_sequential", lambda config: called.append("sequential"))
+        (tmp_path / "afile").write_text("")
+        path, _ = write_tiny_config(tmp_path, reps=4)
+        path.write_text(re.sub(r"(?m)^outdir = .*$", f"outdir = {tmp_path / 'afile' / 'sub'}", path.read_text()))
+        code, out, err = run_cli(["simulate", "--config", str(path)], capsys)
+        assert code == cli.EXIT_USAGE
+        assert err.startswith("error: cannot create results directory") and err.count("\n") == 1
+        assert "Traceback" not in out + err
+        assert called == []
+
     @pytest.mark.parametrize("key, value", [("D", "1e200, 0, 0, 0, 1e200, 0"), ("r", "1e300")])
     def test_non_finite_statistic_exit_one(self, tmp_path, capsys, key, value):
         # the flattened CRB overflowed to inf/nan at D = 1e200, and the fixed-N

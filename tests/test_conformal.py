@@ -15,12 +15,12 @@ from seqgeo.conformal import (
     flatness_test,
     gauge_pde_residual,
     quadric_coordinates,
-    quadric_gauge,
     ubar_chart_connection,
     weyl_schouten,
 )
-from seqgeo.errors import ChartError, GaugeMismatchError, GaugeSingularityError, UnsupportedShapeError
+from seqgeo.errors import ChartError, GaugeSingularityError, ParameterError, UnsupportedShapeError
 from seqgeo.geometry import point_geometry
+from seqgeo.models import MODELS
 
 from ambient import (
     conformal_chart_geometry,
@@ -149,7 +149,8 @@ class TestConnection:
 
     def test_flattening_kills_connection(self, vmf, hyp, vmf_grid, hyp_grid):
         for model, dmat, grid in ((vmf, D_VMF, vmf_grid), (hyp, D_HYP, hyp_grid)):
-            gauge, coords = quadric_gauge(model.curved, np.zeros(3), dmat, grid, model.gauge())
+            gauge = model.gauge()
+            coords = quadric_coordinates(model.curved, gauge, np.zeros(3), dmat)
             for u in grid[:4]:
                 pg = geometry.point_geometry(model.curved, u)
                 pulled, inhom = ubar_chart_connection(pg, gauge, coords)
@@ -310,11 +311,11 @@ class TestFlatness:
         geom = rows_chart(expfam_chart_geometry(gaussian_family(2)))
         rng = np.random.default_rng(1)
         rep = flatness_test(geom, rng.normal(size=(5, 2)))
-        assert rep.flat and rep.max_residual < 1e-12
+        assert rep.flat and max(rep.residuals["w3"], rep.residuals["w2"]) < 1e-12
 
     def test_vmf_m2(self, vmf_geom, vmf_grid):
         rep = flatness_test(vmf_geom, vmf_grid[:6])
-        assert rep.flat and rep.dim == 2
+        assert rep.flat
 
     def test_hyperboloid_m2(self, hyp, hyp_grid):
         rep = flatness_test(partial(point_geometry, hyp.curved), hyp_grid[:6])
@@ -324,7 +325,7 @@ class TestFlatness:
         geom = partial(point_geometry, vmf3.curved)
         grid = vmf3.probe_grid(count=4, margin=0.3, seed=2)
         rep = flatness_test(geom, grid)
-        assert rep.flat and rep.dim == 3
+        assert rep.flat
 
     def test_graph_surface_rejected(self, graph_surface):
         # negative control: a verdict that ignored the curvature would pass
@@ -349,8 +350,7 @@ class TestFlatness:
             fam, grid = model.curved, model.probe_grid(count=count, margin=0.15, seed=11)
         chart = partial(point_geometry, fam)
         got, want = flatness_test(chart, grid), reference_flatness(chart, grid)
-        assert (got.flat, got.dim, got.max_residual, got.residuals) == (want.flat, want.dim,
-                                                                        want.max_residual, want.residuals)
+        assert (got.flat, got.residuals) == (want.flat, want.residuals)
         assert got.worst_point.tobytes() == want.worst_point.tobytes()
 
     @pytest.mark.parametrize("dim", [2, 3])
@@ -371,7 +371,7 @@ class TestFlatness:
         grid[block + 2, 1:] = grid[3, 1:]
         rep = flatness_test(chart, grid)
         want = reference_flatness(chart, grid)
-        assert rep.max_residual == want.max_residual
+        assert rep.residuals == want.residuals
         assert rep.worst_point.tobytes() == grid[3].tobytes() == want.worst_point.tobytes()
 
 
@@ -433,7 +433,8 @@ class TestExpfamGauge:
 
 class TestQuadricGauge:
     def test_vmf_map_and_residual(self, vmf, vmf_grid):
-        gauge, coords = quadric_gauge(vmf.curved, np.zeros(3), D_VMF, vmf_grid, vmf.gauge())
+        gauge = vmf.gauge()
+        coords = quadric_coordinates(vmf.curved, gauge, np.zeros(3), D_VMF)
         ub = coords.forward(U0_VMF)
         eta = vmf.embed(U0_VMF)[1]
         assert np.abs(ub - VMF_NU0 * eta[:2]).max() < 1e-14
@@ -443,7 +444,7 @@ class TestQuadricGauge:
         assert res < 1e-6
 
     def test_hyperboloid_residual(self, hyp, hyp_grid):
-        gauge, coords = quadric_gauge(hyp.curved, np.zeros(3), D_HYP, hyp_grid, hyp.gauge())
+        gauge = hyp.gauge()
         res = gauge_pde_residual(hyp.curved, gauge, -1.0 / (hyp.r * hyp.r_dagger), hyp_grid)
         assert res < 1e-6
         assert gauge.nu_at(U0_HYP) == pytest.approx(11.527782803679804, rel=1e-12)
@@ -455,8 +456,24 @@ class TestQuadricGauge:
         )
         assert res < 1e-6
 
-    def test_jacobian_and_inverse(self, vmf, vmf_grid):
-        gauge, coords = quadric_gauge(vmf.curved, np.zeros(3), D_VMF, vmf_grid, vmf.gauge())
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_dual_quadric_gauge_at_every_scale(self, name, m):
+        # the sequential suite builds its flattening map with no check, so both
+        # models must be dual quadrics whose gauge solves the quadric gauge
+        # equation at every r they accept, 1e-12 to 1e300
+        grid = MODELS[name](m, 1.0).probe_grid(count=16, margin=0.15, seed=11)
+        for e in range(-12, 301):
+            try:
+                model = MODELS[name](m, 10.0 ** e)
+            except ParameterError:
+                continue
+            cls = geometry.classify(model.curved, grid)
+            assert cls.dual_quadric, e
+            assert gauge_pde_residual(model.curved, model.gauge(), cls.k0 * cls.l0, grid) <= 1e-6, e
+
+    def test_jacobian_and_inverse(self, vmf):
+        coords = quadric_coordinates(vmf.curved, vmf.gauge(), np.zeros(3), D_VMF)
         fd = fd_field_derivative(coords.forward, U0_VMF, rel_steps(U0_VMF, STEP1)).T
         assert np.abs(coords.derivatives(U0_VMF)[0] - fd).max() < 1e-7
         # the map inverts by Newton steps on its closed-form Jacobian
@@ -467,15 +484,13 @@ class TestQuadricGauge:
         assert np.abs(back - U0_VMF).max() < 1e-10
 
     def test_wrong_gauge_rejected(self, vmf, vmf_grid):
-        with pytest.raises(GaugeMismatchError):
-            quadric_gauge(vmf.curved, np.zeros(3), D_VMF, vmf_grid, gauge=constant_gauge(2.0))
+        k0l0 = 1.0 / (vmf.r * vmf.r_dagger)
+        assert gauge_pde_residual(vmf.curved, constant_gauge(2.0), k0l0, vmf_grid) > 1e-6
 
     def test_non_quadric_rejected(self, linear):
         rng = np.random.default_rng(5)
         grid = rng.uniform(-1, 1, size=(8, 2))
-        with pytest.raises(UnsupportedShapeError):
-            quadric_gauge(linear.curved, np.zeros(3), np.eye(2, 3), grid,
-                          gauge=constant_gauge(1.0))
+        assert geometry.classify(linear.curved, grid).dual_quadric is False
 
 
 class TestSubQuantities:
