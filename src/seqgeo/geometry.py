@@ -113,13 +113,13 @@ class PointGeometry:
     @cached_property
     def ginv(self) -> np.ndarray:
         """Inverse induced metric g^ab."""
-        return tops.require_finite(tops.invert_matrix(self.g))
+        return tops.invert_matrix(self.g)
 
     @cached_property
     def gkk_inv(self) -> np.ndarray:
         """Inverse of the normal-bundle metric B_kappa^i B_{lambda i}."""
         f = self.jet
-        return tops.require_finite(tops.invert_matrix(f.normal_theta @ f.normal_eta.swapaxes(-1, -2)))
+        return tops.invert_matrix(f.normal_theta @ f.normal_eta.swapaxes(-1, -2))
 
     @cached_property
     def ht(self) -> np.ndarray:
@@ -175,6 +175,11 @@ def point_geometry(fam: CurvedFamily, u) -> PointGeometry:
     return PointGeometry(fam, ua, frame_at(fam, ua))
 
 
+def _pow2_scale(values: np.ndarray) -> float:
+    """The power of two that brings max |values| into [0.5, 1); 1 for all zeros."""
+    return float(np.ldexp(1.0, -int(np.frexp(np.abs(values).max(initial=0.0))[1])))
+
+
 def classify(
     fam: CurvedFamily,
     grid: np.ndarray,
@@ -205,12 +210,16 @@ def classify(
 
     # epsilon: least squares of H^(-1) against H^(1). H^(1) grows as r, so both
     # are scaled by the power of two at max |H^(1)| over the grid: the sum of
-    # squares stays finite, and the fit and its residual keep their bits
-    scale = np.ldexp(1.0, -int(np.frexp(np.abs(h1s).max(initial=0.0))[1]))
-    h1n, hm1n = h1s * scale, hm1s * scale
-    den = float(np.sum(h1n * h1n))
-    eps = float(np.sum(hm1n * h1n)) / den if den > 0 else 0.0
-    eps_res = float(np.abs(hm1n - eps * h1n).max() / scale)
+    # squares stays finite, and the fit and its residual keep their bits. Where
+    # |H^(-1) / H^(1)| passes the float range (r below about 1e-154 on the
+    # hyperboloid), epsilon is not a float and the fit raises
+    scale = _pow2_scale(h1s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h1n, hm1n = h1s * scale, hm1s * scale
+        den = float(np.sum(h1n * h1n))
+        eps = float(np.sum(hm1n * h1n)) / den if den > 0 else 0.0
+        eps_res = float(np.abs(hm1n - eps * h1n).max() / scale)
+    tops.require_finite([eps, eps_res])
 
     # umbilicity: H^(1)_abk = H^(1)_k g_ab, relative to max |H^(1)| at the
     # same point, which grows with the concentration
@@ -220,11 +229,15 @@ def classify(
 
     # dual quadric: B_kappa = k0 (theta - theta0), eta analogue
     def affine_fit(rows, points):
-        # one equation per point and coordinate i: k pt_i - c_i = vec_i, c = k base
+        # one equation per point and coordinate i: k pt_i - c_i = vec_i, c = k base.
+        # The points' column is scaled by the power of two at its maximum, so that
+        # lstsq's rank cut does not drop it next to the -1 columns at small r
         n = fam.n
-        a = np.hstack([points.reshape(-1, 1), np.tile(np.diag(np.full(n, -1.0)), (len(points), 1))])
+        pscale = _pow2_scale(points)
+        a = np.hstack([(points * pscale).reshape(-1, 1),
+                       np.tile(np.diag(np.full(n, -1.0)), (len(points), 1))])
         sol, *_ = np.linalg.lstsq(a, rows.reshape(-1), rcond=None)
-        k = float(sol[0])
+        k = float(sol[0] * pscale)
         # the slope is live when it matters at the scale of the fitted data
         live = abs(k) * float(np.abs(points).max()) > 1e-8 * float(np.abs(rows).max())
         base = sol[1:] / k if live else np.zeros(n)

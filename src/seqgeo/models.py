@@ -17,7 +17,7 @@ The stopping rule reads the running sums alone, through ``stop_terms``. The
 sampler, the batched estimator and ``stop_terms`` are implemented for m = 2,
 the simulation dimension; all geometry works for any m >= 2. ``MODELS`` maps
 the model names the CLI and the experiment configs accept to their classes.
-scipy is imported only where the odd-m hyperboloid ratio needs a Bessel value.
+Every Bessel ratio is computed here, with numpy and math alone.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ _GAUGE_SINGULAR_TOL = 1e-12
 # Bessel-ratio mean-resultant functions and their closed-form derivatives
 
 
-# from here on scipy's kve returns NaN; the large-argument expansion is exact to rounding
-_BESSEL_ASYMPTOTIC = 2.0 ** 30
+# the odd-m hyperboloid ratio exceeds e^asinh(nu / rho): past this exponent it is not a float
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 # the vmf ratio for m >= 3 takes the large-argument expansion from max(this, nu^2) on,
 # where its terms fall from the first and the e^(-2 rho) it leaves out is below rounding
 _VMF_HANKEL = 40.0
@@ -55,16 +55,16 @@ _VMF_HANKEL = 40.0
 _VMF2_CANCELLATION = 0.1
 
 
-def _hankel_sum(nu: float, rho: float, sign: float) -> float:
-    """``sum_k sign^k a_k(nu) / rho^k``, the large-argument expansion of
-    ``K_nu`` (sign +1) or ``I_nu`` (sign -1) without its exponential and
-    ``rho^(-1/2)`` factors; it terminates for half-integer ``nu``."""
+def _hankel_sum(nu: float, rho: float) -> float:
+    """``sum_k (-1)^k a_k(nu) / rho^k``, the large-argument expansion of
+    ``I_nu`` without its exponential and ``rho^(-1/2)`` factors; it terminates
+    for half-integer ``nu``."""
     mu = 4.0 * nu * nu
     term = total = 1.0
     k = 0
     while abs(term) > 1e-17 * abs(total):
         k += 1
-        term *= sign * (mu - (2 * k - 1) ** 2) / (8.0 * k * rho)
+        term *= -(mu - (2 * k - 1) ** 2) / (8.0 * k * rho)
         total += term
     return total
 
@@ -99,15 +99,23 @@ def vmf_mean_resultant(rho: float, m: int) -> float:
     nu = 0.5 * (m - 1)
     if rho < max(_VMF_HANKEL, nu * nu):
         return _iv_ratio_fraction(nu, rho)
-    return _hankel_sum(nu + 1.0, rho, -1.0) / _hankel_sum(nu, rho, -1.0)
+    return _hankel_sum(nu + 1.0, rho) / _hankel_sum(nu, rho)
 
 
 def hyperboloid_mean_resultant(rho: float, m: int) -> float:
     """K_{(m+1)/2}(rho) / K_{(m-1)/2}(rho); decreasing, maps (0,inf) to (inf,1).
 
     Even m uses the stable upward ratio recurrence from the half-integer
-    seed; odd m needs integer-order Bessel values, exponentially scaled so
-    that neither underflows, or their large-argument expansion.
+    seed. Odd m is a ratio of trapezoid sums, for the orders a = nu + 1 and nu
+    on shared nodes, of K_a(rho) e^rho = int_0^inf exp(-rho (cosh t - 1))
+    cosh(a t) dt (DLMF 10.32.9), which converge exponentially in the step
+    (Trefethen and Weideman, SIAM Review 56, 2014). The step,
+    0.1 / max(1, sqrt(rho), nu) rounded down to a power of two, makes every
+    node difference exact; the nodes cover the span where the integrand is
+    within e^745 of its peak, and each weight's exponent is taken relative to
+    the last node t_c at or before the peak asinh(nu / rho), so that no weight
+    overflows or loses digits. The first weight is halved: at t = 0 that is
+    the trapezoid rule, and at a later first node the weight is negligible.
     """
     if rho <= 0:
         raise ParameterError("concentration must be positive")
@@ -119,11 +127,31 @@ def hyperboloid_mean_resultant(rho: float, m: int) -> float:
             nu += 1.0
         return ratio
     nu = 0.5 * (m - 1)
-    if rho >= _BESSEL_ASYMPTOTIC:
-        return _hankel_sum(nu + 1.0, rho, 1.0) / _hankel_sum(nu, rho, 1.0)
-    from scipy import special
+    peak = math.asinh(nu / rho)
+    if peak > _LOG_FLOAT_MAX:
+        return math.inf
+    h = math.ldexp(0.5, math.frexp(0.1 / max(1.0, math.sqrt(rho), nu))[1])
+    tc = math.floor(peak / h) * h
+    # the order-(nu + 1) integrand falls by rho cosh t* (cosh s - 1) + (nu + 1)(sinh s - s)
+    # at s past its peak t*; the nodes run until the first term alone reaches 745. The
+    # order-nu integrand falls by at least nu (s - 1) at s before its peak, so the
+    # nodes start at t = 0 or where that bound reaches 745
+    t_end = math.asinh((nu + 1.0) / rho) + 2.0 * math.asinh(math.sqrt(372.5 / math.hypot(nu + 1.0, rho)))
+    t = h * np.arange(int(max(0.0, peak - 1.0 - 745.0 / nu) / h), int(t_end / h) + 1)
+    d = t - tc
+    # -rho (cosh t - cosh tc) = -2 rho sinh((t + tc) / 2) sinh(d / 2), where
+    # 2 sinh((t + tc) / 2) = e^tc (expm1(d / 2) - expm1(-2 tc - d / 2)) and
+    # rho e^tc is about 2 nu at small rho: no factor overflows
+    sinh_sum = np.expm1(0.5 * d) - np.expm1(-2.0 * tc - 0.5 * d)
+    base = -(rho * math.exp(tc)) * sinh_sum * np.sinh(0.5 * d)
 
-    return float(special.kve(nu + 1.0, rho) / special.kve(nu, rho))
+    def trapezoid(a: float) -> float:
+        # 2 K_a(rho) e^(rho cosh tc - a tc) / h
+        f = np.exp(base + a * d) * (1.0 + np.exp(-2.0 * a * t))
+        f[0] *= 0.5
+        return float(f.sum())
+
+    return math.exp(tc) * (trapezoid(nu + 1.0) / trapezoid(nu))
 
 
 # ---------------------------------------------------------------------------

@@ -41,9 +41,9 @@ def invert_matrix(a: np.ndarray) -> np.ndarray:
     """Invert a symmetric matrix, or each of a stack ``(..., k, k)``, through its eigen-factorization.
 
     Raises, if any matrix fails: :class:`EvaluationDomainError` on a non-finite
-    entry, :class:`SingularMetricError` when the (symmetric) condition number
-    exceeds ``COND_CAP`` or an eigenvalue falls under the pivot tolerance
-    relative to the largest.
+    entry or inverse (an eigenvalue below about 1e-308), :class:`SingularMetricError`
+    when the (symmetric) condition number exceeds ``COND_CAP`` or an eigenvalue
+    falls under the pivot tolerance relative to the largest.
     """
     m = np.asarray(a, dtype=float)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
@@ -62,5 +62,6 @@ def invert_matrix(a: np.ndarray) -> np.ndarray:
     cond = amax / amin
     if np.any(cond > COND_CAP):
         raise SingularMetricError(f"condition number {cond.max():.3e} exceeds cap {COND_CAP:.3e}")
-    return (v / w[..., None, :]) @ v.swapaxes(-1, -2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return require_finite((v / w[..., None, :]) @ v.swapaxes(-1, -2))
 

@@ -27,10 +27,8 @@ from seqgeo.errors import (
     UnsupportedShapeError,
 )
 from seqgeo.models import (
-    _BESSEL_ASYMPTOTIC,
     HyperboloidModel,
     VmfModel,
-    _hankel_sum,
     hyperboloid_mean_resultant,
     vmf_mean_resultant,
 )
@@ -187,6 +185,24 @@ def _radial_family(n, signs, fval, fderivs, domain, name) -> ExponentialFamily:
 
     return ExponentialFamily(n=n, psi=lambda t: fval(rho_of(t)), grad=grad, hess=hess, third=third,
                              domain=domain, name=name)
+
+
+# from here on scipy's ive and kve return NaN; their large-argument expansions are exact to rounding
+_BESSEL_ASYMPTOTIC = 2.0 ** 30
+
+
+def _hankel_sum(nu: float, rho: float, sign: float) -> float:
+    """``sum_k sign^k a_k(nu) / rho^k``, the large-argument expansion of
+    ``K_nu`` (sign +1) or ``I_nu`` (sign -1) without its exponential and
+    ``rho^(-1/2)`` factors; it terminates for half-integer ``nu``."""
+    mu = 4.0 * nu * nu
+    term = total = 1.0
+    k = 0
+    while abs(term) > 1e-17 * abs(total):
+        k += 1
+        term *= sign * (mu - (2 * k - 1) ** 2) / (8.0 * k * rho)
+        total += term
+    return total
 
 
 def vmf_family(m: int) -> ExponentialFamily:

@@ -149,6 +149,26 @@ class TestGeometryCommand:
         assert cls["es_epsilon_residual"] < 1e-14
         assert code == cli.EXIT_OK
 
+    @pytest.mark.parametrize("r", ["1e-20", "1e-100", "1e-150"])
+    @pytest.mark.parametrize("model, m", [("vmf", "2"), ("vmf", "3"), ("hyperboloid", "2"), ("hyperboloid", "3")])
+    def test_slope_fit_is_scaled(self, model, m, r, capsys):
+        # theta is of size r: unscaled, lstsq's rank cut dropped its column next to
+        # the -1 columns below r = 1e-12, so k0 (+-1/r) read -2.56e-20 at vmf m = 2,
+        # r = 1e-20, and every model was "not dual quadric"
+        code, out, err = run_cli(["geometry", "--model", model, "--m", m, "--r", r, "--json"], capsys)
+        rep = json.loads(out)
+        assert abs(rep["classification"]["k0"]) == pytest.approx(1.0 / float(r), rel=1e-12)
+        assert code == cli.EXIT_OK and rep["pass"] is True and err == ""
+
+    @pytest.mark.parametrize("r", ["1e-160", "1e-300"])
+    @pytest.mark.parametrize("model, m", [("vmf", "2"), ("vmf", "3"), ("hyperboloid", "2"), ("hyperboloid", "3")])
+    def test_below_the_float_range_exit_one(self, model, m, r, capsys):
+        # on the hyperboloid epsilon ~ 1/r^2 is not a float: its fit overflowed with
+        # two RuntimeWarnings; the vmf metric's inverse overflowed the same way
+        code, out, err = run_cli(["geometry", "--model", model, "--m", m, "--r", r], capsys)
+        assert code == cli.EXIT_USAGE and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "Warning" not in err
+
     @pytest.mark.parametrize("m", ["2", "3"])
     def test_vmf_transformed_curvature_is_relative(self, m, capsys):
         # H_bar(1) is a difference of two terms of size |nu H(1)|, which grows as r;
@@ -192,8 +212,9 @@ class TestGeometryCommand:
 
     @pytest.mark.parametrize("model", ["vmf", "hyperboloid"])
     def test_odd_dimension_beyond_scipy_range(self, model, capsys):
-        # scipy's kve returns NaN from rho = 2^30 on, as did the ive the vmf ratio
-        # once used; r_dagger was NaN there and the run exited 1
+        # scipy's kve, which the hyperboloid ratio once used, returns NaN from
+        # rho = 2^30 on, as did the ive the vmf ratio used; r_dagger was NaN there
+        # and the run exited 1. Both ratios now hold over the whole float range
         code, out, err = run_cli(["geometry", "--model", model, "--m", "3", "--r", "1e10", "--json"], capsys)
         assert code in (cli.EXIT_OK, cli.EXIT_TOLERANCE) and err == ""
         assert math.isfinite(json.loads(out)["r_dagger"])
@@ -258,15 +279,16 @@ class TestGeometryCommand:
         assert calls == {"classify": 1, "gauge_pde_residual": 1}
 
 
-# Runs in a fresh interpreter, since the tests themselves import scipy. Each
-# step records whether scipy is loaded after it.
+# Runs in a fresh interpreter, since the tests themselves import scipy. scipy is
+# blocked there before seqgeo is imported, so any import of it fails the run.
 _RUN_TIME_IMPORTS = """
 import dataclasses, json, sys
 from pathlib import Path
 
-steps = {}
+sys.modules["scipy"] = None
+steps = []
 import seqgeo.cli
-steps["import seqgeo.cli"] = "scipy" in sys.modules
+steps.append("import seqgeo.cli")
 from seqgeo import cli, harness
 
 for name in ("vmf", "hyperboloid"):
@@ -274,12 +296,11 @@ for name in ("vmf", "hyperboloid"):
         harness.parse_config(Path(harness.__file__).parent / "configs" / f"{name}.conf"), replications=4)
     for suite in (harness.run_sequential, harness.run_nonsequential):
         suite(config)
-        steps[f"{suite.__name__} {name}"] = "scipy" in sys.modules
-for model, m, r in (("vmf", 2, 0.25), ("hyperboloid", 2, 0.1), ("vmf", 3, 1.0)):
+        steps.append(f"{suite.__name__} {name}")
+for model, m, r in (("vmf", 2, 0.25), ("hyperboloid", 2, 0.1), ("vmf", 3, 1.0), ("hyperboloid", 3, 0.1)):
     assert cli.geometry_report(model, m, r, grid_density=4)["pass"]
-    steps[f"geometry {model} m={m}"] = "scipy" in sys.modules
-passed = cli.geometry_report("hyperboloid", 3, 0.1, grid_density=4)["pass"]
-print(json.dumps({"steps": steps, "odd_hyperboloid": [passed, "scipy" in sys.modules]}))
+    steps.append(f"geometry {model} m={m}")
+print(json.dumps(steps))
 """
 
 
@@ -289,11 +310,14 @@ def test_run_time_path_imports_no_scipy():
     proc = subprocess.run([sys.executable, "-c", _RUN_TIME_IMPORTS], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout)
-    assert len(result["steps"]) == 8
-    assert not any(result["steps"].values()), result["steps"]
-    # the odd-m hyperboloid ratio still takes scipy's kve, imported where it is needed
-    assert result["odd_hyperboloid"] == [True, True]
+    assert len(json.loads(proc.stdout)) == 9
+
+
+def test_numpy_is_the_only_run_time_dependency():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on; the project supports 3.10
+    pyproject = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+    names = [re.split(r"[\s<>=!~;\[]", dep, maxsplit=1)[0] for dep in pyproject["project"]["dependencies"]]
+    assert names == ["numpy"]
 
 
 class TestSimulateCommand:

@@ -234,22 +234,24 @@ class TestClassification:
     @pytest.mark.parametrize("model_name", sorted(MODELS_BY_NAME))
     def test_fits_match_per_point_reference(self, model_name):
         # a per-point reference for the array reductions: the slope fits solve
-        # the same least-squares matrix, so k0 and l0 keep their bits; the sums
-        # of epsilon and lambda run in another order
+        # the same least-squares matrix, its points' column scaled by the power
+        # of two at its maximum, so k0 and l0 keep their bits; the sums of
+        # epsilon and lambda run in another order
         model = MODELS_BY_NAME[model_name]
         grid = model.probe_grid(count=12, margin=0.15, seed=11)
         cls = classify(model.curved, grid)
         pgs = [point_geometry(model.curved, u) for u in grid]
 
         def slope(vecs, points):
+            scale = 2.0 ** -math.frexp(max(float(np.abs(pt).max()) for pt in points))[1]
             a_rows, b_rows = [], []
             for vec, pt in zip(vecs, points):
                 for i in range(model.m + 1):
                     row = np.zeros(model.m + 2)
-                    row[0], row[1 + i] = pt[i], -1.0
+                    row[0], row[1 + i] = pt[i] * scale, -1.0
                     a_rows.append(row)
                     b_rows.append(vec[i])
-            return float(np.linalg.lstsq(np.array(a_rows), np.array(b_rows), rcond=None)[0][0])
+            return float(np.linalg.lstsq(np.array(a_rows), np.array(b_rows), rcond=None)[0][0] * scale)
 
         assert cls.k0 == slope([p.jet.normal_theta[0] for p in pgs], [p.jet.theta for p in pgs])
         assert cls.l0 == slope([p.jet.normal_eta[0] for p in pgs], [p.jet.eta for p in pgs])

@@ -117,8 +117,13 @@ class TestMeanResultant:
         (vmf_mean_resultant, mpmath.besseli, 1.0),
         (hyperboloid_mean_resultant, mpmath.besselk, -1.0),
     ], ids=["vmf", "hyp"])
-    @given(m=st.integers(2, 6), rho=st.floats(-8.0, 12.0).map(lambda x: 10.0 ** x))
-    @example(m=3, rho=2.0 ** 30).via("the first argument where scipy's kve returns NaN")
+    # above rho ~ 1e16 both ratios round to 1, and the strict monotonicity check
+    # would fail without a bug
+    @given(m=st.integers(2, 6), rho=st.floats(-300.0, 12.0).map(lambda x: 10.0 ** x))
+    @example(m=3, rho=2.0 ** 30).via("where the hyperboloid once left scipy's kve for the expansion")
+    @example(m=3, rho=1e-300).via("scipy's kve ratio overflowed to inf")
+    @example(m=5, rho=1e-300).via("scipy's kve ratio was NaN")
+    @example(m=5, rho=1e-307).via("the ratio, 4e307, is near the largest float")
     @example(m=3, rho=math.nextafter(_VMF_HANKEL, 0.0)).via("just below the vmf expansion's cut")
     @example(m=3, rho=_VMF_HANKEL).via("at the vmf expansion's cut")
     @example(m=3, rho=math.nextafter(_VMF_HANKEL, math.inf)).via("just above the vmf expansion's cut")
@@ -139,6 +144,30 @@ class TestMeanResultant:
             reference = bessel(nu + 1, rho) / bessel(nu, rho)
             assert abs(value - reference) <= 1e-13 * reference
 
+    @pytest.mark.parametrize("m, rho", [(m, rho) for m in (3, 5) for rho in (1e-266, 2.0 ** 30, 1e50, 1e150, 1e300)]
+                             + [(1201, 1e-3), (1201, 1.0), (2001, 1e-300), (2001, 1.0), (2001, 100.0)])
+    def test_hyperboloid_odd_beyond_the_sampled_range_against_mpmath(self, m, rho):
+        # where the large-argument expansion once took over; at orders past 600,
+        # whose integrand is still far from negligible where rho (cosh t - 1)
+        # reaches 745 (it read 26 % low at m = 2001); and at rho = 1e-266, where
+        # a step that is not a power of two rounds the nodes near t ~ 600 and
+        # left 7.4e-15 (m = 3). Every point here reads at most 6e-16
+        nu = mpmath.mpf(m - 1) / 2
+        with mpmath.workdps(50):
+            reference = mpmath.besselk(nu + 1, rho) / mpmath.besselk(nu, rho)
+            assert abs(hyperboloid_mean_resultant(rho, m) - reference) <= 4e-15 * reference
+
+    @pytest.mark.parametrize("m", [3, 5])
+    def test_hyperboloid_odd_tiny_concentration_builds(self, m):
+        # r_dagger ~ 2 nu / r: scipy's kve ratio was inf (m = 3) or NaN (m = 5) here
+        model = HyperboloidModel(m, 1e-300)
+        assert math.isfinite(model.r * model.r_dagger)
+        assert model.r * model.r_dagger == pytest.approx(m - 1.0, rel=1e-13)
+        # below ~1e-308 the ratio, above 2 nu / rho, is not a float, as at even m
+        assert hyperboloid_mean_resultant(1e-310, m) == math.inf
+        with pytest.raises(ParameterError, match="out of range"):
+            HyperboloidModel(m, 1e-310)
+
     @pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 52, 101])
     def test_vmf_routes_agree_at_the_cut(self, m):
         # the continued fraction runs below the cut and the expansion from it on
@@ -146,7 +175,7 @@ class TestMeanResultant:
         cut = max(_VMF_HANKEL, nu * nu)
         below = math.nextafter(cut, 0.0)
         fraction = _iv_ratio_fraction(nu, cut)
-        hankel = _hankel_sum(nu + 1.0, cut, -1.0) / _hankel_sum(nu, cut, -1.0)
+        hankel = _hankel_sum(nu + 1.0, cut) / _hankel_sum(nu, cut)
         assert abs(fraction - hankel) <= 2e-15 * hankel
         assert vmf_mean_resultant(cut, m) == hankel
         assert vmf_mean_resultant(below, m) == _iv_ratio_fraction(nu, below)

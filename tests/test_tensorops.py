@@ -67,6 +67,12 @@ class TestInvert:
         with pytest.raises(EvaluationDomainError):
             invert_matrix(np.array([[1.0, np.inf], [np.inf, 1.0]]))
 
+    def test_inverse_past_the_float_range_raises(self):
+        # well conditioned, but 1 / 1e-310 is not a float: it came back inf
+        # with an overflow warning
+        with pytest.raises(EvaluationDomainError):
+            invert_matrix(np.diag([1e-310, 2e-310]))
+
     def test_stack_rows_match_single(self):
         rng = np.random.default_rng(5)
         q = np.linalg.qr(rng.standard_normal((4, 3, 3)))[0]
