@@ -23,22 +23,29 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_TOLERANCE = 2
 EXIT_EXCLUSION = 3
+# most probe points of a geometry report: at m = 3 a report peaks at about
+# 7.7 kB of traced allocations per point (tracemalloc, at 1,024 and 4,096
+# points), since classify builds (P, m, m, m, m) curvature bundles over the
+# whole grid, so the cap bounds it near 250 MB
+GRID_DENSITY_MAX = 2 ** 15
 
 
 def geometry_report(model_name: str, m: int, r: float, grid_density: int = 12,
-                    tol_classify: float = geometry.CLASSIFY_TOLERANCE, tol_fd: float = 1e-4) -> dict:
+                    tol_classify: float = geometry.CLASSIFY_TOLERANCE, tol_flat: float = 1e-4) -> dict:
     """Classification, curvature constants and conformal-flatness residuals."""
     if grid_density < 2:
         # the dual-quadric fit has n + 1 unknowns and n equations per point
         raise ParameterError("grid density must be at least 2")
-    for name, tol in (("finite-difference", tol_fd), ("classification", tol_classify)):
+    if grid_density > GRID_DENSITY_MAX:
+        raise ParameterError(f"grid density must be at most {GRID_DENSITY_MAX}, got {grid_density}")
+    for name, tol in (("flatness", tol_flat), ("classification", tol_classify)):
         if not (math.isfinite(tol) and tol > 0):
             raise ParameterError(f"{name} tolerance must be finite and positive, got {tol!r}")
     model = MODELS[model_name](m, r)
     fam = model.curved
     grid = model.probe_grid(count=grid_density, margin=0.15, seed=11)
     cls = geometry.classify(fam, grid, tolerance=tol_classify)
-    flat = conformal.flatness_test(functools.partial(geometry.point_geometry, fam), grid, tolerance=tol_fd)
+    flat = conformal.flatness_test(functools.partial(geometry.point_geometry, fam), grid, tolerance=tol_flat)
     k0l0 = cls.k0 * cls.l0
     gauge = model.gauge()
     pde_res = conformal.gauge_pde_residual(fam, gauge, k0l0, grid)
@@ -91,7 +98,7 @@ def geometry_report(model_name: str, m: int, r: float, grid_density: int = 12,
         "gamma_bar_ubar_residual": gamma_bar_res,
         "gamma_bar_ubar_scaled_residual": gamma_bar_rel,
         "h1_bar_residual": h1_bar_res,
-        "tolerances": {"classification": cls.tolerance, "finite_difference": tol_fd},
+        "tolerances": {"classification": cls.tolerance, "finite_difference": tol_flat},
     }
     checks = [
         cls.umbilic,
@@ -131,9 +138,9 @@ def _print_geometry_text(rep: dict) -> None:
 def cmd_geometry(args) -> int:
     try:
         rep = geometry_report(args.model, args.m, args.r, grid_density=args.grid_density,
-                              tol_classify=args.tol_classify, tol_fd=args.tol)
+                              tol_classify=args.tol_classify, tol_flat=args.tol)
     except SeqGeoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {args.model} m={args.m} r={args.r!r}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.json:
         print(json.dumps(rep, default=float, indent=2))
@@ -335,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--r", type=float, required=True)
     g.add_argument("--grid-density", type=int, default=12)
     g.add_argument("--tol", type=float, default=1e-4,
-                   help="tolerance for finite-difference residuals (default 1e-4)")
+                   help="tolerance of the conformal-flatness residuals: the Weyl-Schouten w4 at m >= 3, "
+                        "w3 and w2 at m = 2 (default 1e-4)")
     g.add_argument("--tol-classify", type=float, default=geometry.CLASSIFY_TOLERANCE,
                    help="classification tolerance (default 1e-6)")
     g.add_argument("--json", action="store_true")

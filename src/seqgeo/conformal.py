@@ -2,7 +2,7 @@
 
 The Weyl-Schouten tensor set with the flatness criteria, read from a
 chart: a callable that maps rows ``(P, m)`` to a bundle with the fields
-``g``, ``gm1`` and ``rm1`` over them, for a curved family
+``g``, ``gm1``, ``rm1`` and ``dric`` over them, for a curved family
 ``functools.partial(geometry.point_geometry, fam)``. Then the flattening
 coordinates of a dual quadric hypersurface under its explicit gauge, the
 residual of the quadric gauge equation, and the transformed connection read
@@ -63,46 +63,37 @@ class WeylSchouten:
     w2: np.ndarray  # (P, m, m)
 
 
-# most chart rows in one Weyl-Schouten bundle of flatness_test: ROWS // (1 + 2m) points
+# most probe points in one Weyl-Schouten bundle of flatness_test
 ROWS = 128
 
 
-def weyl_schouten(chart: Callable, at, step: float | None = None) -> WeylSchouten:
-    """Evaluate the Weyl-Schouten set at rows ``(P, m)`` of the chart.
+def weyl_schouten(chart: Callable, at) -> WeylSchouten:
+    """Evaluate the Weyl-Schouten set at rows ``(P, m)`` of the chart, from one bundle over them.
 
-    Reads one bundle over ``P (1 + 2m)`` rows: per point, the point, then its
-    ``+h`` and its ``-h`` stencil points of the Ricci derivative, one per
-    axis. ``h`` is ``step`` on every axis, or by default the relative step
-    ``STEP_ORDER1 max(1, |x_i|)``. Row ``i`` of each field has the bits of a
-    call on point ``i`` alone.
+    The Ricci derivative is the bundle's ``dric``. Row ``i`` of each field
+    has the bits of a call on point ``i`` alone.
     """
     x = as_coords(at)
     if x.ndim != 2 or x.shape[1] < 2:
         raise UnsupportedShapeError(f"Weyl-Schouten tensors need rows (P, m) with m >= 2, got {x.shape}")
     m = x.shape[1]
-    h = tops.STEP_ORDER1 * np.maximum(1.0, np.abs(x)) if step is None else np.full(x.shape, float(step))
-    shift = h[:, :, None] * np.eye(m)
-    rows = np.concatenate([x[:, None, :], x[:, None, :] + shift, x[:, None, :] - shift], axis=1)
-    p = chart(rows.reshape(-1, m))
-    g, gm1, rm1 = (a.reshape(rows.shape[:2] + a.shape[1:]) for a in (p.g, p.gm1, p.rm1))
-    ginv = tops.invert_matrix(g)
-    mixed = np.einsum("...ijkr,...rl->...ijkl", rm1, ginv)
+    p = chart(x)
+    ginv = tops.invert_matrix(p.g, "metric")
+    mixed = np.einsum("...ijkr,...rl->...ijkl", p.rm1, ginv)
     ric = np.einsum("...lijl->...ij", mixed)
-    ric0 = ric[:, 0]
     eye = np.eye(m)
-    w4 = mixed[:, 0] - (
-        np.einsum("il,...jk->...ijkl", eye, ric0) - np.einsum("jl,...ik->...ijkl", eye, ric0)
+    w4 = mixed - (
+        np.einsum("il,...jk->...ijkl", eye, ric) - np.einsum("jl,...ik->...ijkl", eye, ric)
     ) / (m - 1.0)
 
-    dric = (ric[:, 1:m + 1] - ric[:, m + 1:]) / (2.0 * h)[:, :, None, None]
-    gm1_mixed = np.einsum("...ijr,...rl->...ijl", gm1[:, 0], ginv[:, 0])
+    gm1_mixed = np.einsum("...ijr,...rl->...ijl", p.gm1, ginv)
     nabla = (
-        dric
-        - np.einsum("...ijl,...lk->...ijk", gm1_mixed, ric0)
-        - np.einsum("...ikl,...jl->...ijk", gm1_mixed, ric0)
+        p.dric
+        - np.einsum("...ijl,...lk->...ijk", gm1_mixed, ric)
+        - np.einsum("...ikl,...jl->...ijk", gm1_mixed, ric)
     )
     w3 = (nabla - nabla.swapaxes(-3, -2)) / (m - 1.0)
-    w2 = ric0 - ric0.swapaxes(-1, -2)
+    w2 = ric - ric.swapaxes(-1, -2)
     return WeylSchouten(tops.require_finite(w4), tops.require_finite(w3), tops.require_finite(w2))
 
 
@@ -120,12 +111,11 @@ def flatness_test(chart: Callable, grid: np.ndarray, tolerance: float = 1e-4) ->
     (order-3, order-2) for dim 2, reporting each field's largest residual
     over the grid and the first probe point where the verdict's residual
     is largest. The grid goes through :func:`weyl_schouten`
-    in blocks of ``ROWS // (1 + 2 dim)`` points, one bundle each.
+    in blocks of ``ROWS`` points, one bundle each.
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     dim = grid.shape[1]
-    block = max(1, ROWS // (1 + 2 * dim))
-    blocks = [weyl_schouten(chart, grid[i:i + block]) for i in range(0, len(grid), block)]
+    blocks = [weyl_schouten(chart, grid[i:i + ROWS]) for i in range(0, len(grid), ROWS)]
     # per field, the max-norm residual at each probe point
     per = {k: np.abs(np.concatenate([getattr(ws, k) for ws in blocks])).reshape(len(grid), -1).max(axis=1)
            for k in ("w4", "w3", "w2")}

@@ -2,8 +2,8 @@
 
 A ``CurvedFamily`` is an embedding ``u -> (theta(u), eta(u))`` into an
 n-dimensional ambient family, given by its ``jet``: the values, tangent
-frames, Hessians and normals of both embeddings at a point, in closed form,
-from one call. The ambient family itself is never read.
+frames, Hessians, third derivatives and normals of both embeddings at a
+point, in closed form, from one call. The ambient family itself is never read.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from . import tensorops as tops
-from .errors import ChartError, UnsupportedShapeError
+from .errors import ChartError, EvaluationDomainError, UnsupportedShapeError
 from .tensorops import as_coords
 
 # default max-norm residual within which classify accepts a structural flag
@@ -34,6 +34,8 @@ class Jet(NamedTuple):
     tangent_eta: np.ndarray    # (m, n)  B_{ai} = d_a eta_i
     hess_theta: np.ndarray     # (m, m, n)  d_a d_b theta^i
     hess_eta: np.ndarray       # (m, m, n)  d_a d_b eta_i
+    third_theta: np.ndarray    # (m, m, m, n)  d_a d_b d_c theta^i
+    third_eta: np.ndarray      # (m, m, m, n)  d_a d_b d_c eta_i
     normal_theta: np.ndarray   # (n-m, n)  B_kappa^i, with B_kappa^i B_{ai} = 0
     normal_eta: np.ndarray     # (n-m, n)  B_{kappa i}, with B_{kappa i} B_a^i = 0
 
@@ -113,13 +115,13 @@ class PointGeometry:
     @cached_property
     def ginv(self) -> np.ndarray:
         """Inverse induced metric g^ab."""
-        return tops.invert_matrix(self.g)
+        return tops.invert_matrix(self.g, "metric")
 
     @cached_property
     def gkk_inv(self) -> np.ndarray:
         """Inverse of the normal-bundle metric B_kappa^i B_{lambda i}."""
         f = self.jet
-        return tops.invert_matrix(f.normal_theta @ f.normal_eta.swapaxes(-1, -2))
+        return tops.invert_matrix(f.normal_theta @ f.normal_eta.swapaxes(-1, -2), "normal metric")
 
     @cached_property
     def ht(self) -> np.ndarray:
@@ -167,6 +169,45 @@ class PointGeometry:
             np.einsum("...adk,...bcl,...kl->...abcd", h1, hm1, gkk_inv)
             - np.einsum("...bdk,...acl,...kl->...abcd", h1, hm1, gkk_inv)
         )
+
+    @cached_property
+    def dric(self) -> np.ndarray:
+        """Derivative of the -1 Ricci tensor Ric_bc = R(-1)_abcd g^da, shape (..., m, m, m): d_e Ric_bc at (e, b, c).
+
+        :func:`_ricci` is multilinear in g^-1, H(1), H(-1) and the inverse
+        normal metric, so its derivative is a sum of four terms, each with
+        one factor differentiated. Ric does not change when the normals are
+        recombined, so their derivatives are taken in the normal frame whose
+        derivatives are tangent, where the normal metric is constant:
+        d_e B_kappa^i = -H(-1)_eck g^cd B_d^i and d_e B_{kappa i} = -H(1)_eck g^cd B_{di}.
+        Then d_e H(1)_abk = (d_e d_a d_b theta^j) B_kj - G1_abd g^dc H(1)_eck,
+        the same for H(-1) with eta and G-1, and d_e g_ab = G1_eab + G-1_eba,
+        where G1_abc = (d_a B_b^j) B_cj is the +1 connection.
+        """
+        f, ginv, gm1, h1, hm1 = self.jet, self.ginv, self.gm1, self.h1, self.hm1
+        g1 = np.einsum("...abj,...cj->...abc", self.ht, f.tangent_eta)
+        dg = g1 + gm1.swapaxes(-1, -2)
+        dginv = -0.5 * np.einsum("...ad,...edc,...cb->...eab", ginv, dg + dg.swapaxes(-1, -2), ginv)
+        dh1 = (np.einsum("...eabj,...kj->...eabk", f.third_theta, f.normal_eta)
+               - np.einsum("...abd,...dc,...eck->...eabk", g1, ginv, h1))
+        dhm1 = (np.einsum("...eabj,...kj->...eabk", f.third_eta, f.normal_theta)
+                - np.einsum("...abd,...dc,...eck->...eabk", gm1, ginv, hm1))
+        # each factor with an axis for e
+        ginv, gkk_inv = ginv[..., None, :, :], self.gkk_inv[..., None, :, :]
+        h1, hm1 = h1[..., None, :, :, :], hm1[..., None, :, :, :]
+        return tops.require_finite(_ricci(dginv, h1, hm1, gkk_inv) + _ricci(ginv, dh1, hm1, gkk_inv)
+                                   + _ricci(ginv, h1, dhm1, gkk_inv))
+
+
+def _ricci(ginv, h1, hm1, gkk_inv) -> np.ndarray:
+    """The Gauss equation's -1 Ricci tensor Ric_bc = R(-1)_abcd g^da from its four factors:
+
+        Ric_bc = g^ad H(1)_adk G_kl H(-1)_bcl - g^da H(1)_bdk G_kl H(-1)_acl,
+
+    G the inverse normal metric.
+    """
+    return (np.einsum("...ad,...adk,...kl,...bcl->...bc", ginv, h1, gkk_inv, hm1)
+            - np.einsum("...da,...bdk,...kl,...acl->...bc", ginv, h1, gkk_inv, hm1))
 
 
 def point_geometry(fam: CurvedFamily, u) -> PointGeometry:
@@ -219,7 +260,9 @@ def classify(
         den = float(np.sum(h1n * h1n))
         eps = float(np.sum(hm1n * h1n)) / den if den > 0 else 0.0
         eps_res = float(np.abs(hm1n - eps * h1n).max() / scale)
-    tops.require_finite([eps, eps_res])
+    if not np.isfinite([eps, eps_res]).all():
+        raise EvaluationDomainError(f"the Euler-Schouten ratio epsilon of H(-1) to H(1) is not a float "
+                                    f"(fit {eps!r}, residual {eps_res!r})")
 
     # umbilicity: H^(1)_abk = H^(1)_k g_ab, relative to max |H^(1)| at the
     # same point, which grows with the concentration

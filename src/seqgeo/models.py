@@ -23,6 +23,7 @@ Every Bessel ratio is computed here, with numpy and math alone.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from typing import Callable
 
@@ -173,53 +174,54 @@ def _axis_sc(us: np.ndarray, kinds: list[str]) -> tuple[np.ndarray, np.ndarray]:
     return s, c
 
 
-def _xi_jet(us: np.ndarray, kinds: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """xi and its first and second derivatives at ``us`` (..., m): shapes (..., m+1),
-    (..., m, m+1) and (..., m, m, m+1).
+def _xi_jet(us: np.ndarray, kinds: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """xi and its first, second and third derivatives at ``us`` (..., m): shapes
+    (..., m+1), (..., m, m+1), (..., m, m, m+1) and (..., m, m, m, m+1).
 
     xi_i is a product of one factor per axis a <= min(i, m-1): s_a for a < i
     and c_a for a = i, so xi_i = s_0 ... s_{i-1} c_i and xi_m = s_0 ... s_{m-1}.
-    A factor is the triple (f, f', f'') with s' = c, c' = sigma s and
-    f'' = sigma f, where sigma is -1 on a circular axis and +1 on the
-    hyperbolic one. Every entry multiplies its factors in axis order, so a
-    row has the bits of its own point's jet; derivatives in an axis outside
-    the product are exactly zero.
+    A factor is the tuple (f, f', f'', f''') with s' = c, c' = sigma s,
+    f'' = sigma f and f''' = sigma f', where sigma is -1 on a circular axis
+    and +1 on the hyperbolic one. Every entry multiplies its factors in axis
+    order, so a row has the bits of its own point's jet; derivatives in an
+    axis outside the product are exactly zero.
     """
     m = us.shape[-1]
     lead = us.shape[:-1]
     s, c = _axis_sc(us, kinds)
     hyp = np.array(kinds) == "hyp"
     ss, sc = np.where(hyp, s, -s), np.where(hyp, c, -c)
-    # per point and axis: (f, f', f'') of s_a, then of c_a; then a 1.0 and a 0.0
-    slots = np.concatenate([np.stack([s, c, ss, c, ss, sc], axis=-1).reshape(lead + (6 * m,)),
+    # per point and axis: (f, f', f'', f''') of s_a, then of c_a; then a 1.0 and a 0.0
+    slots = np.concatenate([np.stack([s, c, ss, sc, c, ss, sc, s], axis=-1).reshape(lead + (8 * m,)),
                             np.broadcast_to([1.0, 0.0], lead + (2,))], axis=-1)
-    factors = np.take(slots, _jet_slots(m), axis=-1)  # C-contiguous: rows keep their bits
-    val = factors[..., 0, :]
+    idx = _jet_slots(m)
+    val = np.take(slots, idx[0], axis=-1)
     for a in range(1, m):
-        val = val * factors[..., a, :]
+        val *= np.take(slots, idx[a], axis=-1)
     k = m + 1
-    return (val[..., :k], val[..., k: k + m * k].reshape(lead + (m, k)),
-            val[..., k + m * k:].reshape(lead + (m, m, k)))
+    ends = [0] + list(itertools.accumulate(k * m ** order for order in range(4)))
+    return tuple(val[..., lo:hi].reshape(lead + (m,) * order + (k,))
+                 for order, (lo, hi) in enumerate(zip(ends, ends[1:])))
 
 
 @functools.lru_cache(maxsize=None)
 def _jet_slots(m: int) -> np.ndarray:
-    """Per axis, the slot of its factor in every entry of (xi, dxi, ddxi), flattened.
+    """Per axis, the slot of its factor in every entry of (xi, dxi, ddxi, dddxi), flattened.
 
-    Entry (i, b, c) is xi_i differentiated in the axes b and c (-1: none).
-    An axis outside the product reads the 1.0 slot; an entry differentiated
-    in such an axis reads 0.0 on axis 0 and 1.0 after, so it is +0.0.
+    Entry (i, axes) is xi_i differentiated once in each of ``axes``. An axis
+    outside the product reads the 1.0 slot; an entry differentiated in such
+    an axis reads 0.0 on axis 0 and 1.0 after, so it is +0.0.
     """
-    pairs = [(-1, -1)] + [(b, -1) for b in range(m)] + [(b, c) for b in range(m) for c in range(m)]
-    entries = [(i, b, c) for b, c in pairs for i in range(m + 1)]
-    idx = np.full((m, len(entries)), 6 * m)
-    for e, (i, b, c) in enumerate(entries):
+    entries = [(i, axes) for order in range(4) for axes in itertools.product(range(m), repeat=order)
+               for i in range(m + 1)]
+    idx = np.full((m, len(entries)), 8 * m)
+    for e, (i, axes) in enumerate(entries):
         n = min(i + 1, m)
-        if b >= n or c >= n:
-            idx[0, e] = 6 * m + 1
+        if any(b >= n for b in axes):
+            idx[0, e] = 8 * m + 1
             continue
         for a in range(n):
-            idx[a, e] = 6 * a + 3 * (a == i) + (a == b) + (a == c)
+            idx[a, e] = 8 * a + 4 * (a == i) + axes.count(a)
     return idx
 
 
@@ -295,12 +297,15 @@ class _DirectionalModel:
         lam = self._lam
 
         def jet(us):
-            xi, dxi, ddxi = _xi_jet(us, self.kinds)
+            # every field is a new array, so the buffer that xi and its
+            # derivatives view is freed when the jet is built
+            xi, dxi, ddxi, dddxi = _xi_jet(us, self.kinds)
             return Jet(
                 self.r * lam * xi, self.r_dagger * xi,
                 self.r * dxi * lam, self.r_dagger * dxi,
                 self.r * ddxi * lam, self.r_dagger * ddxi,
-                (normal_theta_sign * lam * xi)[..., None, :], xi[..., None, :],
+                dddxi * (self.r * lam), self.r_dagger * dddxi,
+                (normal_theta_sign * lam * xi)[..., None, :], xi[..., None, :].copy(),
             )
 
         return CurvedFamily(n=self.m + 1, m=self.m, jet=jet, name=type(self).__name__)

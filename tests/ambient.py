@@ -34,7 +34,7 @@ from seqgeo.models import (
 )
 from seqgeo.tensorops import as_coords
 
-from oracles import STEP1, STEP2, fd_field_derivative, fd_hessian, rel_steps, svd_normals
+from oracles import STEP1, STEP2, fd_field_derivative, fd_hessian, fd_ricci_derivative, rel_steps, svd_normals
 
 
 class ModelMisspecificationError(SeqGeoError):
@@ -399,12 +399,15 @@ def expfam_gauge_on_theta(fam: ExponentialFamily, c0: float, c) -> Gauge:
 
 
 class ChartPoint(NamedTuple):
-    """Metric, both unit connections and the (-1)-curvature at one point (or at rows)."""
+    """Metric, both unit connections and the (-1)-curvature at one point (or at
+    rows), and the derivative ``dric[e, b, c] = d_e Ric_bc`` of its Ricci tensor
+    where the chart has it."""
 
     g: np.ndarray
     g1: np.ndarray
     gm1: np.ndarray
     rm1: np.ndarray
+    dric: np.ndarray | None = None
 
 
 def g1(pg) -> np.ndarray:
@@ -417,7 +420,7 @@ def curved_chart(fam) -> Callable[[np.ndarray], ChartPoint]:
 
     def chart(x):
         pg = geometry.point_geometry(fam, x)
-        return ChartPoint(pg.g, g1(pg), pg.gm1, pg.rm1)
+        return ChartPoint(pg.g, g1(pg), pg.gm1, pg.rm1, pg.dric)
 
     return chart
 
@@ -485,13 +488,16 @@ def conformal_chart_geometry(chart: Callable, gauge: Gauge) -> Callable[[np.ndar
 
 def rows_chart(point_chart):
     """A chart over rows ``(..., m)`` from a chart of one point, by mapping it
-    over the rows and stacking each of the four ``ChartPoint`` fields."""
+    over the rows and stacking each of the ``ChartPoint`` fields; the Ricci
+    derivative, which a chart of one point leaves out, is
+    :func:`oracles.fd_ricci_derivative` of its Ricci tensor."""
 
     def chart(xs):
         xa = np.asarray(xs, dtype=float)
-        points = [point_chart(row) for row in xa.reshape(-1, xa.shape[-1])]
+        rows = xa.reshape(-1, xa.shape[-1])
+        points = [point_chart(row)._replace(dric=fd_ricci_derivative(point_chart, row)) for row in rows]
         return ChartPoint(*(np.reshape([p[i] for p in points], xa.shape[:-1] + np.shape(points[0][i]))
-                            for i in range(4)))
+                            for i in range(len(ChartPoint._fields))))
 
     return chart
 
@@ -502,22 +508,25 @@ def rows_chart(point_chart):
 
 def fd_family(ambient, m, theta, eta=None, normal_sign=1, name=""):
     """The curved family of the embedding ``u -> (theta(u), eta(u))`` with its
-    jet taken point by point over rows ``(..., m)``: tangents and Hessians by
-    central differences, the normals by ``svd_normals``. Without ``eta``, the
-    mean embedding goes through :func:`eta_of_theta` of the ``ambient`` family.
+    jet taken point by point over rows ``(..., m)``: tangents, Hessians and
+    third derivatives by central differences, the normals by ``svd_normals``.
+    Without ``eta``, the mean embedding goes through :func:`eta_of_theta` of
+    the ``ambient`` family.
 
     Tangents take the steps ``STEP1 max(1, |u_i|)`` and Hessians
-    ``STEP2 max(1, |u_i|)``.
+    ``STEP2 max(1, |u_i|)``; a third derivative is the central difference of
+    those Hessians, at the same steps.
     """
     n = ambient.n
     if eta is None:
         eta = lambda u: eta_of_theta(ambient, theta(u))
-    shapes = [(n,)] * 2 + [(m, n)] * 2 + [(m, m, n)] * 2 + [(n - m, n)] * 2
+    shapes = [(n,)] * 2 + [(m, n)] * 2 + [(m, m, n)] * 2 + [(m, m, m, n)] * 2 + [(n - m, n)] * 2
 
     def at(u):
         h1, h2 = rel_steps(u, STEP1), rel_steps(u, STEP2)
         th, bt, be = theta(u), fd_field_derivative(theta, u, h1), fd_field_derivative(eta, u, h1)
         return (th, eta(u), bt, be, fd_hessian(theta, u, h2), fd_hessian(eta, u, h2),
+                *(fd_field_derivative(lambda y, f=f: fd_hessian(f, y, h2), u, h2) for f in (theta, eta)),
                 *svd_normals(th, bt, be, normal_sign))
 
     def jet(us):

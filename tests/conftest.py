@@ -58,11 +58,12 @@ class LinearGaussianModel:
             raise ParameterError("embedding matrix must have full column rank")
         self._pinv = np.linalg.pinv(a)
         normal = np.linalg.qr(a, mode="complete")[0][:, self.m:].T
-        flat = np.zeros((self.m, self.m, self.n))
+        flat2, flat3 = np.zeros((self.m, self.m, self.n)), np.zeros((self.m, self.m, self.m, self.n))
 
         def jet(us):
             theta = (a * us[..., None, :]).sum(axis=-1)
-            const = (np.broadcast_to(x, us.shape[:-1] + x.shape) for x in (a.T, a.T, flat, flat, normal, normal))
+            const = (np.broadcast_to(x, us.shape[:-1] + x.shape)
+                     for x in (a.T, a.T, flat2, flat2, flat3, flat3, normal, normal))
             return Jet(theta, theta, *const)
 
         self.curved = CurvedFamily(n=self.n, m=self.m, jet=jet, name="linear-gaussian")

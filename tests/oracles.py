@@ -13,7 +13,7 @@ from scipy.optimize import brentq
 from seqgeo import geometry, sequential, tensorops as tops
 from seqgeo.conformal import FlatnessReport, WeylSchouten, conformal_sub_quantities, ubar_chart_connection
 from seqgeo.errors import ChartError
-from seqgeo.models import vmf_mean_resultant
+from seqgeo.models import _axis_sc, vmf_mean_resultant
 
 
 def iv_ratio_series(rho: float, nu: float, terms: int = 30) -> float:
@@ -315,17 +315,29 @@ def flattened_second_order_terms(model, u0, gauge, coords) -> np.ndarray:
     return ginv_ubar @ (0.5 * gamma_sq + h_sq) @ ginv_ubar
 
 
+def ricci(p):
+    """The Ricci tensor ``Ric_ij = R(-1)_lijr g^rl`` of one point's chart bundle ``p``."""
+    return np.einsum("lijl->ij", np.einsum("ijkr,rl->ijkl", p.rm1, tops.invert_matrix(p.g)))
+
+
+def fd_ricci_derivative(chart, at, step=None):
+    """``d_i Ric_jk`` at one point by central differences of the Ricci tensor of
+    ``chart``, a function of one point to a bundle with ``g`` and ``rm1``; the
+    step is ``step`` on every axis, or ``STEP1 max(1, |x_i|)``."""
+    x = np.array(at, dtype=float)
+    h = rel_steps(x, STEP1) if step is None else np.full(x.shape[0], float(step))
+    return fd_field_derivative(lambda y: ricci(chart(y)), x, h)
+
+
 def reference_weyl_schouten(chart, at, step=None):
-    """The Weyl-Schouten set at one point, reading one bundle at the point and
-    one at each of the 2m stencil points of the Ricci derivative.
+    """The Weyl-Schouten set at one point, with the Ricci derivative taken by
+    :func:`fd_ricci_derivative`, from one bundle at the point and one at each
+    of its 2m stencil points.
 
-    The per-stencil-point evaluation that ``conformal.weyl_schouten`` reads
-    from one bundle over ``1 + 2m`` rows.
+    The finite-difference route that ``conformal.weyl_schouten`` replaces by
+    the bundle's closed-form ``dric``: its w4 and w2 have the same bits, and
+    its w3 differs by the stencil's error.
     """
-
-    def ricci(p):
-        return np.einsum("lijl->ij", np.einsum("ijkr,rl->ijkl", p.rm1, tops.invert_matrix(p.g)))
-
     x = np.array(at, dtype=float)
     m = x.shape[0]
     p = chart(x)
@@ -337,15 +349,9 @@ def reference_weyl_schouten(chart, at, step=None):
         np.einsum("il,jk->ijkl", eye, ric) - np.einsum("jl,ik->ijkl", eye, ric)
     ) / (m - 1.0)
 
-    h = rel_steps(x, STEP1) if step is None else np.full(m, float(step))
-    dric = np.empty((m, m, m))
-    for i in range(m):
-        e = np.zeros(m)
-        e[i] = h[i]
-        dric[i] = (ricci(chart(x + e)) - ricci(chart(x - e))) / (2.0 * h[i])
     gm1_mixed = np.einsum("ijr,rl->ijl", p.gm1, ginv)
     nabla = (
-        dric
+        fd_ricci_derivative(chart, x, step)
         - np.einsum("ijl,lk->ijk", gm1_mixed, ric)
         - np.einsum("ikl,jl->ijk", gm1_mixed, ric)
     )
@@ -358,20 +364,54 @@ def max_residuals(ws):
     return {k: float(np.abs(getattr(ws, k)).max()) for k in ("w4", "w3", "w2")}
 
 
-def reference_flatness(chart, grid, tolerance=1e-4):
+def reference_flatness(chart, grid, evaluate, tolerance=1e-4):
     """The flatness verdict from a loop over the probe points, one
-    :func:`reference_weyl_schouten` each; a later point becomes the worst
-    only when its residual is strictly larger."""
+    ``evaluate(chart, x)`` each, a Weyl-Schouten set at one point; a later
+    point becomes the worst only when its residual is strictly larger."""
     dim = grid.shape[1]
     worst, worst_point = -1.0, grid[0]
     per = {"w4": 0.0, "w3": 0.0, "w2": 0.0}
     for x in grid:
-        res = max_residuals(reference_weyl_schouten(chart, x))
+        res = max_residuals(evaluate(chart, x))
         per = {k: max(per[k], res[k]) for k in per}
         crit = res["w4"] if dim >= 3 else max(res["w3"], res["w2"])
         if crit > worst:
             worst, worst_point = crit, x
     return FlatnessReport(worst <= tolerance, np.array(worst_point), per)
+
+
+def xi_jet_order2(us, kinds):
+    """xi and its first and second derivatives at ``us`` (..., m), by the jet
+    that stops at order two: shapes (..., m+1), (..., m, m+1) and (..., m, m, m+1).
+
+    A factor is the triple (f, f', f'') of s_a or c_a; every entry multiplies
+    its factors in axis order. ``models._xi_jet`` must give these entries
+    the same bits.
+    """
+    m = us.shape[-1]
+    lead = us.shape[:-1]
+    s, c = _axis_sc(us, kinds)
+    hyp = np.array(kinds) == "hyp"
+    ss, sc = np.where(hyp, s, -s), np.where(hyp, c, -c)
+    slots = np.concatenate([np.stack([s, c, ss, c, ss, sc], axis=-1).reshape(lead + (6 * m,)),
+                            np.broadcast_to([1.0, 0.0], lead + (2,))], axis=-1)
+    pairs = [(-1, -1)] + [(b, -1) for b in range(m)] + [(b, c) for b in range(m) for c in range(m)]
+    entries = [(i, b, c) for b, c in pairs for i in range(m + 1)]
+    idx = np.full((m, len(entries)), 6 * m)
+    for e, (i, b, c) in enumerate(entries):
+        n = min(i + 1, m)
+        if b >= n or c >= n:
+            idx[0, e] = 6 * m + 1
+            continue
+        for a in range(n):
+            idx[a, e] = 6 * a + 3 * (a == i) + (a == b) + (a == c)
+    factors = np.take(slots, idx, axis=-1)
+    val = factors[..., 0, :]
+    for a in range(1, m):
+        val = val * factors[..., a, :]
+    k = m + 1
+    return (val[..., :k], val[..., k: k + m * k].reshape(lead + (m, k)),
+            val[..., k + m * k:].reshape(lead + (m, m, k)))
 
 
 # frozen headline constants, all re-derivable from the functions above

@@ -63,7 +63,7 @@ def test_workload_runs_clean(workload, name, trace, tmp_path):
             assert layers["harness.rep_seed.calls"] == counts["replications"]
             assert layers["sequential.bias_correct.calls"] == 20
             # one Weyl-Schouten call per geometry case: its 4 probe points fit
-            # one block, read as one bundle over their stencil rows
+            # one block, read as one bundle
             assert layers["conformal.weyl_schouten.calls"] == 3
             # per config one bundle for the CRB, one for the second-order term and
             # one per cell's bias correction; per geometry case one for classify,

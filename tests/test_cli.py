@@ -164,10 +164,16 @@ class TestGeometryCommand:
     @pytest.mark.parametrize("model, m", [("vmf", "2"), ("vmf", "3"), ("hyperboloid", "2"), ("hyperboloid", "3")])
     def test_below_the_float_range_exit_one(self, model, m, r, capsys):
         # on the hyperboloid epsilon ~ 1/r^2 is not a float: its fit overflowed with
-        # two RuntimeWarnings; the vmf metric's inverse overflowed the same way
+        # two RuntimeWarnings; the vmf metric's inverse overflowed the same way,
+        # and at r = 1e-300 the vmf's r * r_dagger is 0. The one line names the
+        # case and the quantity that left the float range
         code, out, err = run_cli(["geometry", "--model", model, "--m", m, "--r", r], capsys)
         assert code == cli.EXIT_USAGE and out == ""
-        assert err.startswith("error:") and err.count("\n") == 1 and "Warning" not in err
+        assert err.startswith(f"error: {model} m={m} r={r}: ") and err.count("\n") == 1
+        assert "Warning" not in err and "Traceback" not in err
+        quantity = ("epsilon" if model == "hyperboloid" else
+                    "r * r_dagger" if r == "1e-300" else "inverse metric")
+        assert quantity in err
 
     @pytest.mark.parametrize("m", ["2", "3"])
     def test_vmf_transformed_curvature_is_relative(self, m, capsys):
@@ -236,6 +242,14 @@ class TestGeometryCommand:
         )
         assert code == cli.EXIT_USAGE
         assert "grid density must be at least 2" in err
+
+    def test_grid_density_above_the_cap_exit_one(self, capsys, monkeypatch):
+        # the cap is checked before the model, its grid or any bundle is built
+        monkeypatch.setitem(cli.MODELS, "vmf", None)
+        density = str(cli.GRID_DENSITY_MAX + 1)
+        code, out, err = run_cli(["geometry", "--model", "vmf", "--r", "0.25", "--grid-density", density], capsys)
+        assert code == cli.EXIT_USAGE and out == ""
+        assert f"grid density must be at most {cli.GRID_DENSITY_MAX}" in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("flag, value", [
         ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-1"), ("--tol", "0"),

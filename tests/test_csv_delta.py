@@ -1,3 +1,4 @@
+import json
 import shutil
 import sys
 from pathlib import Path
@@ -5,6 +6,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
 import csv_delta  # noqa: E402
+from seqgeo import cli  # noqa: E402
 from seqgeo.harness import NONSEQ_COLUMNS, SEQ_COLUMNS  # noqa: E402
 
 
@@ -59,3 +61,35 @@ def test_header_or_cells_differ_exit_one(tmp_path, capsys):
     (b / "nonsequential.csv").unlink()
     assert csv_delta.main([str(a), str(b)]) == 1
     assert "nonsequential.csv: in only one directory" in capsys.readouterr().out
+
+
+def test_geometry_reports(tmp_path, capsys):
+    # two geometry --json reports: a line per leaf, the relative change of a
+    # number or a list of numbers, flags and names compared exactly
+    rep = cli.geometry_report("vmf", 2, 0.25, grid_density=4)
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(rep, default=float))
+    b.write_text(json.dumps(rep, default=float))
+    assert csv_delta.main([str(a), str(b)]) == 0
+    got = {line.split()[0]: line.split()[1] for line in capsys.readouterr().out.splitlines()}
+    assert got["pass"] == got["model"] == got["classification.umbilic"] == "same"
+    assert got["weyl_schouten_worst_point"] == got["classification.k0"] == "0"
+    assert set(got.values()) == {"0", "same"}
+
+    rep["weyl_schouten_residuals"]["w3"] = 2.0 * rep["weyl_schouten_residuals"]["w3"]
+    rep["weyl_schouten_worst_point"][1] += 1.0
+    b.write_text(json.dumps(rep, default=float))
+    assert csv_delta.main([str(a), str(b)]) == 0
+    got = {line.split()[0]: line.split()[1] for line in capsys.readouterr().out.splitlines()}
+    assert got["weyl_schouten_residuals.w3"] == "0.5"
+    assert {key for key, value in got.items() if value not in ("0", "same")} == {
+        "weyl_schouten_residuals.w3", "weyl_schouten_worst_point"}
+
+    rep["conformally_flat"] = False
+    b.write_text(json.dumps(rep, default=float))
+    assert csv_delta.main([str(a), str(b)]) == 1
+    assert "conformally_flat" in capsys.readouterr().out
+    del rep["h1_bar_residual"]
+    b.write_text(json.dumps(rep, default=float))
+    assert csv_delta.main([str(a), str(b)]) == 1
+    assert "keys differ: ['h1_bar_residual']" in capsys.readouterr().out

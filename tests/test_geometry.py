@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,7 +13,15 @@ from seqgeo.models import HyperboloidModel
 
 from ambient import direct_rc_curvature, family_of, fd_family, g1, gaussian_family, numeric_clone, t_akk
 from conftest import MODELS_BY_NAME, U0_HYP, U0_VMF, LinearGaussianModel, chart_rows
-from oracles import HYP_G11, HYP_G22, VMF_G11, VMF_G22, christoffel_first_kind, fd_field_derivative
+from oracles import (
+    HYP_G11,
+    HYP_G22,
+    VMF_G11,
+    VMF_G22,
+    christoffel_first_kind,
+    fd_field_derivative,
+    fd_ricci_derivative,
+)
 
 
 class TestFrames:
@@ -199,6 +208,20 @@ class TestGaussCurvature:
                 direct = direct_rc_curvature(model.curved, point, alpha)
                 assert np.abs(direct - ref).max() < 1e-4
 
+    @pytest.mark.parametrize("model_name", sorted(MODELS_BY_NAME))
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_ricci_derivative_matches_central_difference(self, model_name, data):
+        # the closed-form d_e Ric_bc of a bundle over rows against a central
+        # difference of the Ricci tensor at each row
+        model = MODELS_BY_NAME[model_name]
+        us = data.draw(chart_rows(model, 4))
+        chart = partial(point_geometry, model.curved)
+        dric = chart(us).dric
+        for i, u in enumerate(us):
+            fd = fd_ricci_derivative(chart, u)
+            assert np.abs(dric[i] - fd).max() <= 1e-8 * max(1.0, np.abs(fd).max()), u
+
 
 class TestClassification:
     def test_vmf(self, vmf, vmf_grid):
@@ -300,7 +323,7 @@ class TestSkewnessContraction:
         assert np.abs(t_akk(gaussian_family(3), linear.curved, np.array([0.2, -0.6]))).max() < 1e-12
 
 
-FIELDS = ("g", "ginv", "gkk_inv", "ht", "he", "gm1", "h1", "hm1", "r1", "rm1")
+FIELDS = ("g", "ginv", "gkk_inv", "ht", "he", "gm1", "h1", "hm1", "r1", "rm1", "dric")
 JET_VALUES = ("theta", "eta")
 
 

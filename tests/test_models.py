@@ -38,6 +38,7 @@ from oracles import (
     polar_gauge_log_gradient,
     rel_steps,
     sample_many as oracle_sample_many,
+    xi_jet_order2,
 )
 
 
@@ -524,15 +525,34 @@ class TestAnalyticFrameConsistency:
 
     @pytest.mark.parametrize("model_name", ["vmf", "hyp", "vmf3", "hyp3"])
     def test_hessians_match_fd_on_probe_grid(self, model_name, request):
+        # the Hessians and the third derivatives of both embeddings
         model = request.getfixturevalue(model_name)
         fam = model.curved
         clone = numeric_clone(model)
         for u in model.probe_grid(count=5, margin=0.3, seed=13):
-            analytic = geometry.point_geometry(fam, u)
-            numeric = geometry.point_geometry(clone, u)
-            for name in ("ht", "he"):
+            analytic = geometry.frame_at(fam, u)
+            numeric = geometry.frame_at(clone, u)
+            for name in ("hess_theta", "hess_eta", "third_theta", "third_eta"):
                 a, n = getattr(analytic, name), getattr(numeric, name)
                 assert np.abs(a - n).max() <= 1e-5 * np.abs(a).max(), name
+
+    @pytest.mark.parametrize("model_name", sorted(MODELS_BY_NAME))
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_jet_to_order_two_keeps_its_bits(self, model_name, data):
+        # the third-order jet's entries up to order two have the bits of the
+        # jet that stops at order two, so what reads no third derivative (the
+        # CRB, the second-order term, the bias correction) keeps its bits
+        model = MODELS_BY_NAME[model_name]
+        us = data.draw(chart_rows(model, 6))
+        xi, dxi, ddxi = xi_jet_order2(us, model.kinds)
+        r, rd, lam = model.r, model.r_dagger, model._lam
+        jet = model.curved.jet(us)
+        want = {"theta": r * lam * xi, "eta": rd * xi, "tangent_theta": r * dxi * lam,
+                "tangent_eta": rd * dxi, "hess_theta": r * ddxi * lam, "hess_eta": rd * ddxi}
+        for name, value in want.items():
+            got = getattr(jet, name)
+            assert got.shape == value.shape and got.tobytes() == value.tobytes(), name
 
 
 class TestLinearGaussianFixture:

@@ -1,19 +1,27 @@
-"""Print the largest relative change of each CSV column between two results directories.
+"""Print the largest relative change of each CSV column between two results directories,
+or of each field between two ``seqgeo geometry --json`` reports.
 
-Reads ``nonsequential.csv`` and ``sequential.csv`` from both directories,
-as ``seqgeo simulate`` writes them, and prints one line per file and column:
-the largest ``|a - b| / max(|a|, |b|)`` over its rows (0 where the values
-are equal, inf where only one is finite). Exits 1 when a file is in only
-one directory, or when the two copies of a file differ in header, in row
-count or in the cell column (``cell_N``, ``cell_K``), which the deltas of the
-other columns assume equal.
+Given two directories, reads ``nonsequential.csv`` and ``sequential.csv``
+from both, as ``seqgeo simulate`` writes them, and prints one line per file
+and column: the largest ``|a - b| / max(|a|, |b|)`` over its rows (0 where
+the values are equal, inf where only one is finite). Exits 1 when a file is
+in only one directory, or when the two copies of a file differ in header, in
+row count or in the cell column (``cell_N``, ``cell_K``), which the deltas of
+the other columns assume equal.
+
+Given two files, reads each as a ``geometry --json`` report and prints one
+line per leaf, by its dotted key: the largest relative change of a number or
+a list of numbers, or ``same`` for a flag or a name that is equal in both.
+Exits 1 when the two reports have different keys or a flag or name differs.
 
     python tools/csv_delta.py out/parent/vmf out/change/vmf
+    python tools/csv_delta.py parent.json change.json
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 from pathlib import Path
@@ -37,14 +45,43 @@ def rel_change(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b))
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("a", type=Path, help="first results directory")
-    parser.add_argument("b", type=Path, help="second results directory")
-    args = parser.parse_args(argv)
+def leaves(tree, prefix: str = "") -> dict:
+    """The leaves of a JSON object by dotted key; a list is one leaf."""
+    if not isinstance(tree, dict):
+        return {prefix: tree}
+    out = {}
+    for key, value in tree.items():
+        out.update(leaves(value, f"{prefix}.{key}" if prefix else key))
+    return out
+
+
+def is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def compare_reports(pa: Path, pb: Path) -> int:
+    la, lb = leaves(json.loads(harness.read_text(pa))), leaves(json.loads(harness.read_text(pb)))
+    if la.keys() != lb.keys():
+        print(f"keys differ: {sorted(la.keys() ^ lb.keys())}")
+        return 1
+    status = 0
+    for key, a in la.items():
+        b = lb[key]
+        xs, ys = (a, b) if isinstance(a, list) and isinstance(b, list) else ([a], [b])
+        if len(xs) == len(ys) and all(map(is_number, xs + ys)):
+            print(f"{key:<45} {max(map(rel_change, xs, ys), default=0.0):.2g}")
+        elif a == b:
+            print(f"{key:<45} same")
+        else:
+            print(f"{key:<45} {a!r} != {b!r}")
+            status = 1
+    return status
+
+
+def compare_directories(da: Path, db: Path) -> int:
     status = 0
     for name in FILES:
-        pa, pb = args.a / name, args.b / name
+        pa, pb = da / name, db / name
         if not (pa.exists() or pb.exists()):
             continue
         if not (pa.exists() and pb.exists()):
@@ -61,6 +98,16 @@ def main(argv=None) -> int:
                         default=0.0)
             print(f"{name}  {column:<10} {delta:.2g}")
     return status
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("a", type=Path, help="first results directory or geometry report")
+    parser.add_argument("b", type=Path, help="second results directory or geometry report")
+    args = parser.parse_args(argv)
+    if args.a.is_file() and args.b.is_file():
+        return compare_reports(args.a, args.b)
+    return compare_directories(args.a, args.b)
 
 
 if __name__ == "__main__":
