@@ -7,7 +7,6 @@ Exit codes are a stable contract: 0 pass, 1 usage or I/O error,
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -17,16 +16,19 @@ import numpy as np
 
 from . import conformal, geometry, harness
 from .errors import ParameterError, RunawayStopError, SeqGeoError
-from .models import MODELS
+from .models import M_MAX, MODELS
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_TOLERANCE = 2
 EXIT_EXCLUSION = 3
-# most probe points of a geometry report: at m = 3 a report peaks at about
-# 7.7 kB of traced allocations per point (tracemalloc, at 1,024 and 4,096
-# points), since classify builds (P, m, m, m, m) curvature bundles over the
-# whole grid, so the cap bounds it near 250 MB
+# most probe points of a geometry report at m <= 3: at m = 3 a report peaks at
+# 7.8 to 8.1 kB of traced allocations per point (tracemalloc, at 1,024 and 4,096
+# points, both models), since its one bundle holds the (P, m, m, m, m) curvature
+# fields and the Ricci derivative over the whole grid, so the cap bounds it near
+# 260 MB. Above m = 3 the cap falls as m^-4, keeping P m^4 at its m = 3 value;
+# the peak per point and m^4 falls with m (97 B at m = 3, 59 B at m = 12), so no
+# accepted m peaks higher (m = 12: 128 points, 160 MB traced, 3.3 s)
 GRID_DENSITY_MAX = 2 ** 15
 
 
@@ -36,39 +38,40 @@ def geometry_report(model_name: str, m: int, r: float, grid_density: int = 12,
     if grid_density < 2:
         # the dual-quadric fit has n + 1 unknowns and n equations per point
         raise ParameterError("grid density must be at least 2")
-    if grid_density > GRID_DENSITY_MAX:
-        raise ParameterError(f"grid density must be at most {GRID_DENSITY_MAX}, got {grid_density}")
+    cap = GRID_DENSITY_MAX * 3 ** 4 // max(m, 3) ** 4
+    if m <= M_MAX and grid_density > cap:  # a larger m is the model's to reject
+        raise ParameterError(f"grid density must be at most {cap} at m = {m}, got {grid_density}")
     for name, tol in (("flatness", tol_flat), ("classification", tol_classify)):
         if not (math.isfinite(tol) and tol > 0):
             raise ParameterError(f"{name} tolerance must be finite and positive, got {tol!r}")
     model = MODELS[model_name](m, r)
     fam = model.curved
-    grid = model.probe_grid(count=grid_density, margin=0.15, seed=11)
-    cls = geometry.classify(fam, grid, tolerance=tol_classify)
-    flat = conformal.flatness_test(functools.partial(geometry.point_geometry, fam), grid, tolerance=tol_flat)
-    k0l0 = cls.k0 * cls.l0
+    # one bundle over the probe grid, read by every verdict below
+    pg = geometry.point_geometry(fam, model.probe_grid(count=grid_density, margin=0.15, seed=11))
+    cls = geometry.classify(pg, tolerance=tol_classify)
+    flat = conformal.flatness_test(pg, tolerance=tol_flat)
     gauge = model.gauge()
-    pde_res = conformal.gauge_pde_residual(fam, gauge, k0l0, grid)
+    pde_res = conformal.gauge_pde_residual(pg, gauge, cls.k0 * cls.l0)
 
     gamma_bar_res = gamma_bar_rel = float("nan")
     h1_bar_res = 0.0
     if fam.codim == 1 and cls.dual_quadric:
         coords = conformal.quadric_coordinates(fam, gauge, np.zeros(fam.n), np.eye(m, m + 1))
-        pg = geometry.point_geometry(fam, grid[:6])
+        pg6 = geometry.point_geometry(fam, pg.u[:6])
         tensor_axes = (-3, -2, -1)
         # Gamma_bar in the ubar chart is the sum of two terms that cancel on a
         # dual quadric, so the check reads the sum relative to the larger term
         # at the same point
-        pulled, inhom = conformal.ubar_chart_connection(pg, gauge, coords)
+        pulled, inhom = conformal.ubar_chart_connection(pg6, gauge, coords)
         gamma_bar = np.abs(pulled + inhom).max(axis=tensor_axes)
         scale = np.maximum(np.abs(pulled).max(axis=tensor_axes), np.abs(inhom).max(axis=tensor_axes))
         gamma_bar_res = float(gamma_bar.max())
         gamma_bar_rel = float(np.max(gamma_bar / np.where(gamma_bar > 0.0, scale, 1.0)))
         # H_bar(1) = nu (H(1) - g s_kappa) is a difference of two terms of size
         # |nu H(1)|, which grows as r, so the check reads it relative to that
-        h1_bar = conformal.conformal_sub_quantities(pg, gauge)[1]
+        h1_bar = conformal.conformal_sub_quantities(pg6, gauge)[1]
         h1_bar_res = float(np.max(np.abs(h1_bar).max(axis=tensor_axes)
-                                  / (gauge.nu_at(pg.u) * np.abs(pg.h1).max(axis=tensor_axes))))
+                                  / (gauge.nu_at(pg6.u) * np.abs(pg6.h1).max(axis=tensor_axes))))
 
     rr = model.r * model.r_dagger
     expected_lambda = model.curvature_sign / rr

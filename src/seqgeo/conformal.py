@@ -1,9 +1,9 @@
 """Conformal transformations of curved exponential families.
 
 The Weyl-Schouten tensor set with the flatness criteria, read from a
-chart: a callable that maps rows ``(P, m)`` to a bundle with the fields
-``g``, ``gm1``, ``rm1`` and ``dric`` over them, for a curved family
-``functools.partial(geometry.point_geometry, fam)``. Then the flattening
+bundle over rows ``(P, m)``: its points ``u`` and the fields ``g``, ``gm1``,
+``rm1`` and ``dric`` over them, for a curved family the
+:class:`geometry.PointGeometry` its caller built. Then the flattening
 coordinates of a dual quadric hypersurface under its explicit gauge, the
 residual of the quadric gauge equation, and the transformed connection read
 in those coordinates. Defining equations are treated as verification
@@ -63,21 +63,15 @@ class WeylSchouten:
     w2: np.ndarray  # (P, m, m)
 
 
-# most probe points in one Weyl-Schouten bundle of flatness_test
-ROWS = 128
-
-
-def weyl_schouten(chart: Callable, at) -> WeylSchouten:
-    """Evaluate the Weyl-Schouten set at rows ``(P, m)`` of the chart, from one bundle over them.
+def weyl_schouten(p) -> WeylSchouten:
+    """Evaluate the Weyl-Schouten set from a bundle ``p`` over rows ``(P, m)``.
 
     The Ricci derivative is the bundle's ``dric``. Row ``i`` of each field
-    has the bits of a call on point ``i`` alone.
+    has the bits of a bundle of point ``i`` alone.
     """
-    x = as_coords(at)
-    if x.ndim != 2 or x.shape[1] < 2:
-        raise UnsupportedShapeError(f"Weyl-Schouten tensors need rows (P, m) with m >= 2, got {x.shape}")
-    m = x.shape[1]
-    p = chart(x)
+    if p.u.ndim != 2 or p.u.shape[1] < 2:
+        raise UnsupportedShapeError(f"Weyl-Schouten tensors need rows (P, m) with m >= 2, got {p.u.shape}")
+    m = p.u.shape[1]
     ginv = tops.invert_matrix(p.g, "metric")
     mixed = np.einsum("...ijkr,...rl->...ijkl", p.rm1, ginv)
     ric = np.einsum("...lijl->...ij", mixed)
@@ -104,21 +98,19 @@ class FlatnessReport:
     residuals: dict = field(default_factory=dict)
 
 
-def flatness_test(chart: Callable, grid: np.ndarray, tolerance: float = 1e-4) -> FlatnessReport:
-    """Conformal flatness verdict over a probe grid.
+def flatness_test(p, tolerance: float = 1e-4) -> FlatnessReport:
+    """Conformal flatness verdict over a probe grid, from its bundle ``p`` over rows ``(P, m)``.
 
     The verdict uses the order-4 tensor for dim >= 3 and the pair
     (order-3, order-2) for dim 2, reporting each field's largest residual
     over the grid and the first probe point where the verdict's residual
-    is largest. The grid goes through :func:`weyl_schouten`
-    in blocks of ``ROWS`` points, one bundle each.
+    is largest.
     """
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
+    ws = weyl_schouten(p)
+    grid = p.u
     dim = grid.shape[1]
-    blocks = [weyl_schouten(chart, grid[i:i + ROWS]) for i in range(0, len(grid), ROWS)]
     # per field, the max-norm residual at each probe point
-    per = {k: np.abs(np.concatenate([getattr(ws, k) for ws in blocks])).reshape(len(grid), -1).max(axis=1)
-           for k in ("w4", "w3", "w2")}
+    per = {k: np.abs(getattr(ws, k)).reshape(len(grid), -1).max(axis=1) for k in ("w4", "w3", "w2")}
     crit = per["w4"] if dim >= 3 else np.maximum(per["w3"], per["w2"])
     worst = int(np.argmax(crit))  # the first maximal point
     return FlatnessReport(flat=bool(crit[worst] <= tolerance), worst_point=grid[worst].copy(),
@@ -204,9 +196,8 @@ def quadric_coordinates(
     return ConformalCoordinates(forward=forward, derivatives=derivatives)
 
 
-def gauge_pde_residual(fam: CurvedFamily, gauge: Gauge, k0l0: float, grid: np.ndarray) -> float:
-    """Max-norm residual of the quadric gauge equation over a grid, from one bundle."""
-    pg = geometry.point_geometry(fam, np.atleast_2d(np.asarray(grid, dtype=float)))
+def gauge_pde_residual(pg: PointGeometry, gauge: Gauge, k0l0: float) -> float:
+    """Max-norm residual of the quadric gauge equation over a grid, from its bundle ``pg``."""
     gauge.nu_at(pg.u)  # raises off the positive set, before s and ds are read
     s, ds = gauge.s(pg.u), gauge.ds(pg.u)
     mixed = np.einsum("...abd,...dc->...abc", pg.gm1, pg.ginv)

@@ -221,12 +221,8 @@ def _pow2_scale(values: np.ndarray) -> float:
     return float(np.ldexp(1.0, -int(np.frexp(np.abs(values).max(initial=0.0))[1])))
 
 
-def classify(
-    fam: CurvedFamily,
-    grid: np.ndarray,
-    tolerance: float = CLASSIFY_TOLERANCE,
-) -> Classification:
-    """Fit the structural constants of the family over a probe grid.
+def classify(pg: PointGeometry, tolerance: float = CLASSIFY_TOLERANCE) -> Classification:
+    """Fit the structural constants of the family over a probe grid, from its bundle ``pg`` over rows ``(P, m)``.
 
     Least-squares fits: epsilon from the ratio of the two extrinsic
     curvatures, both scaled by one power of two over the grid so that the
@@ -240,11 +236,10 @@ def classify(
     magnitude, and its residual is relative to |lambda| times that scale (to
     that scale alone when lambda is 0).
     """
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
+    fam = pg.fam
     if fam.codim != 1:
         raise UnsupportedShapeError("dual-quadric classification needs a hypersurface (n = m + 1)")
 
-    pg = point_geometry(fam, grid)
     h1s, hm1s, gs, r1s = pg.h1, pg.hm1, pg.g, pg.r1
     thetas, etas = pg.jet.theta, pg.jet.eta
     tensor_axes = (-3, -2, -1)

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISeedSequence
 
-from . import conformal, sequential
+from . import conformal, geometry, sequential
 from .errors import (
     ChartError,
     EvaluationDomainError,
@@ -98,6 +98,11 @@ class ExperimentConfig:
         bad_k = [k for k in self.grid_k if not 0.0 < k < math.inf]
         if bad_k:
             raise ParameterError(f"grid_K entries must be positive and finite, got {bad_k[0]!r}")
+        for name, grid in (("grid_N", self.grid_n), ("grid_K", self.grid_k)):
+            # a cell's id, and so its generators, is its value: a repeat would be a copy
+            repeated = [v for i, v in enumerate(grid) if v in grid[:i]]
+            if repeated:
+                raise ParameterError(f"{name} entry {repeated[0]!r} is repeated")
         model = MODELS[self.model](self.m, self.r)
         try:
             model.embed(self.u0)
@@ -113,6 +118,13 @@ class ExperimentConfig:
             k = self.grid_k[int(np.argmax(draws))]
             raise ParameterError(f"grid_K entry {k!r} is too large: {self.replications} replications "
                                  f"expect about {max(draws):.3g} draws, above the 2^30 budget")
+        # stop_cell caps a replication at ceil(T_MAX_FACTOR K nu0) draws, and none
+        # stops before T_MIN: below that every replication is a runaway
+        for k in self.grid_k:
+            t_max = math.ceil(sequential.T_MAX_FACTOR * k * nu0)
+            if t_max < sequential.T_MIN:
+                raise ParameterError(f"grid_K entry {k!r} is too small: its replications are capped at "
+                                     f"{t_max} draws, below the {sequential.T_MIN} a stop needs")
         if np.linalg.matrix_rank(self.d_matrix) < self.m:
             raise ParameterError(f"D must have rank m = {self.m}")
 
@@ -170,6 +182,10 @@ def parse_config_text(text: str, path: str | Path) -> ExperimentConfig:
         except ValueError as exc:
             raise ParameterError(f"{path}: bad numeric list {s!r}") from exc
 
+    grid_n = floats(values["grid_N"])
+    fractional = [v for v in grid_n if not v.is_integer()]
+    if fractional:
+        raise ParameterError(f"{path}: grid_N entry {fractional[0]!r} is not an integer")
     try:
         m = int(values["m"])
         u0 = np.array(floats(values["u0"]))
@@ -180,7 +196,7 @@ def parse_config_text(text: str, path: str | Path) -> ExperimentConfig:
             r=float(values["r"]),
             u0=u0,
             d_matrix=dflat.reshape(m, m + 1),
-            grid_n=tuple(int(float(v)) for v in values["grid_N"].split(",")),
+            grid_n=tuple(int(v) for v in grid_n),
             grid_k=tuple(float(v) for v in values["grid_K"].split(",")),
             replications=int(values["replications"]),
             seed=int(values["seed"]),
@@ -302,9 +318,10 @@ def run_nonsequential(config: ExperimentConfig) -> ResultTable:
     """
     model = MODELS[config.model](config.m, config.r)
     u0 = config.u0
-    ginv = sequential.crb(model, u0)
+    pg0 = geometry.point_geometry(model.curved, u0)
+    ginv = pg0.ginv
     # the second-order term of the fixed-N bound does not depend on N
-    term = sequential.second_order_terms(model, u0)
+    term = sequential.second_order_terms(pg0)
     rows = []
     for n in config.grid_n:
         cell_id = f"nonseq:{n}"
@@ -318,7 +335,7 @@ def run_nonsequential(config: ExperimentConfig) -> ResultTable:
         u_hats, ok = model.mle_many(np.concatenate(sums))
         excluded = int(np.count_nonzero(~ok))
         _check_exclusions(excluded, config.replications, cell_id)
-        u_stars = sequential.bias_correct(model, u_hats[ok], float(n))
+        u_stars = sequential.bias_correct(geometry.point_geometry(model.curved, u_hats[ok]), float(n))
         devs = model.wrap_deviation(u_stars - u0)
         outers = np.einsum("ra,rb->rab", devs, devs) * float(n)
         ocov = outers.mean(axis=0)
@@ -339,7 +356,7 @@ def run_sequential(config: ExperimentConfig) -> ResultTable:
     u0 = config.u0
     coords = conformal.quadric_coordinates(model.curved, model.gauge(), np.zeros(model.m + 1), config.d_matrix)
     ubar0 = coords.forward(u0)
-    ccrb = sequential.crb(model, u0, coords=coords)
+    ccrb = sequential.crb(geometry.point_geometry(model.curved, u0), coords)
     rows = []
     for k in config.grid_k:
         cell_id = f"seq:{k!r}"

@@ -12,7 +12,6 @@ import math
 
 import numpy as np
 
-from . import geometry
 from .conformal import ConformalCoordinates
 from .errors import ChartError
 from .tensorops import as_coords, require_finite
@@ -87,40 +86,37 @@ def stop_cell(model, k: float, u0, rngs, t_max: int | None = None) -> tuple[np.n
     return tau, sum_x, runaway
 
 
-def bias_correct(model, u_hats, effective_n: float) -> np.ndarray:
-    """Second-order bias correction of the estimates ``u_hats``, a point
-    ``(m,)`` or a cell's rows ``(R, m)``, from one geometry bundle.
+def bias_correct(pg, effective_n: float) -> np.ndarray:
+    """Second-order bias correction of the estimates ``pg.u``, a point
+    ``(m,)`` or a cell's rows ``(R, m)``, from their geometry bundle ``pg``.
 
     Only the tangential block contributes for the maximum-likelihood
     ancillary: the correction is the plain connection contraction
     ``(1/2N) Gamma^(-1)a_bc g^bc`` in the original chart.
     """
-    pg = geometry.point_geometry(model.curved, u_hats)
     ginv = pg.ginv
     corr = np.einsum("...bcd,...da,...bc->...a", pg.gm1, ginv, ginv)
     return pg.u + corr / (2.0 * effective_n)
 
 
-def second_order_terms(model, u0) -> np.ndarray:
-    """The two surviving squared-tensor terms of the covariance expansion.
+def second_order_terms(pg) -> np.ndarray:
+    """The two surviving squared-tensor terms of the covariance expansion at
+    the truth point ``pg.u``, from its bundle ``pg``.
 
     Returns ``(1/2) (G')^2ab + (H')^2ab`` with all indices raised, in the
     original chart, and raises where it is not finite. The ancillary term is
     identically zero for the maximum-likelihood ancillary.
     """
-    pg = geometry.point_geometry(model.curved, u0)
     ginv = pg.ginv
     gamma_sq = np.einsum("cda,efb,ce,df->ab", pg.gm1, pg.gm1, ginv, ginv)
     h_sq = np.einsum("ack,bdl,cd,kl->ab", pg.h1, pg.h1, ginv, pg.gkk_inv)
     return require_finite(ginv @ (0.5 * gamma_sq + h_sq) @ ginv)
 
 
-def crb(model, u0, coords: ConformalCoordinates | None = None) -> np.ndarray:
-    """Unit-time Cramer-Rao matrix at the truth, optionally pushed to the
-    flattening coordinates through the map Jacobian; raises where it is not finite."""
-    pg = geometry.point_geometry(model.curved, u0)
-    if coords is None:
-        return pg.ginv
+def crb(pg, coords: ConformalCoordinates) -> np.ndarray:
+    """Unit-time Cramer-Rao matrix at the truth point ``pg.u`` in the flattening
+    coordinates: the inverse metric ``pg.ginv`` pushed through the map Jacobian;
+    raises where it is not finite."""
     j = coords.derivatives(pg.u)[0]
     if j.shape[0] != j.shape[1] or np.linalg.slogdet(j)[1] < math.log(1e-300):
         raise ChartError("flattening-map Jacobian is singular at the truth point")

@@ -399,10 +399,11 @@ def expfam_gauge_on_theta(fam: ExponentialFamily, c0: float, c) -> Gauge:
 
 
 class ChartPoint(NamedTuple):
-    """Metric, both unit connections and the (-1)-curvature at one point (or at
-    rows), and the derivative ``dric[e, b, c] = d_e Ric_bc`` of its Ricci tensor
-    where the chart has it."""
+    """The point ``u`` (or rows), with the metric, both unit connections and the
+    (-1)-curvature there, and the derivative ``dric[e, b, c] = d_e Ric_bc`` of
+    its Ricci tensor where the chart has it."""
 
+    u: np.ndarray
     g: np.ndarray
     g1: np.ndarray
     gm1: np.ndarray
@@ -420,7 +421,7 @@ def curved_chart(fam) -> Callable[[np.ndarray], ChartPoint]:
 
     def chart(x):
         pg = geometry.point_geometry(fam, x)
-        return ChartPoint(pg.g, g1(pg), pg.gm1, pg.rm1, pg.dric)
+        return ChartPoint(pg.u, pg.g, g1(pg), pg.gm1, pg.rm1, pg.dric)
 
     return chart
 
@@ -428,7 +429,7 @@ def curved_chart(fam) -> Callable[[np.ndarray], ChartPoint]:
 def expfam_chart_geometry(fam: ExponentialFamily) -> Callable[[np.ndarray], ChartPoint]:
     """Theta chart of a full family (the +1 connection vanishes)."""
     met, skew = (lambda x: metric(fam, x)), (lambda x: skewness(fam, x))
-    return lambda x: ChartPoint(met(x), np.zeros((fam.n,) * 3), skew(x), rc_curvature(skew, met, x))
+    return lambda x: ChartPoint(as_coords(x), met(x), np.zeros((fam.n,) * 3), skew(x), rc_curvature(skew, met, x))
 
 
 def conformal_connection(gamma, g, gauge: Gauge, alpha: float, at) -> np.ndarray:
@@ -477,6 +478,7 @@ def conformal_chart_geometry(chart: Callable, gauge: Gauge) -> Callable[[np.ndar
     def transformed(x):
         p = chart(x)
         return ChartPoint(
+            p.u,
             gauge.nu_at(x) * p.g,
             conformal_connection(p.g1, p.g, gauge, 1.0, x),
             conformal_connection(p.gm1, p.g, gauge, -1.0, x),

@@ -8,7 +8,6 @@ prints a single verdict line.
 
 import dataclasses
 import math
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -168,7 +167,7 @@ class TestGeometrySuite:
         flags = True
         for model in models_m2:
             grid = model.probe_grid(count=12, margin=0.2, seed=11)
-            cls = geometry.classify(model.curved, grid)
+            cls = geometry.classify(geometry.point_geometry(model.curved, grid))
             flags = flags and cls.umbilic and cls.dual_quadric and cls.es_epsilon_residual <= cls.tolerance
             target = 1.0 / (cls.k0 * cls.l0)
             for u in grid:
@@ -186,7 +185,7 @@ class TestGeometrySuite:
         worst_ws = 0.0
         for model in (vmf, hyp, vmf3):
             grid = model.probe_grid(count=6, margin=0.3, seed=13)
-            rep = flatness_test(partial(geometry.point_geometry, model.curved), grid, tolerance=1e-4)
+            rep = flatness_test(geometry.point_geometry(model.curved, grid), tolerance=1e-4)
             crit = rep.residuals["w4"] if model.m >= 3 else max(
                 rep.residuals["w3"], rep.residuals["w2"]
             )
@@ -198,7 +197,7 @@ class TestGeometrySuite:
             sign = 1.0 if isinstance(model, VmfModel) else -1.0
             k0l0 = sign / (model.r * model.r_dagger)
             gauge = model.gauge()
-            worst_pde = max(worst_pde, gauge_pde_residual(model.curved, gauge, k0l0, grid))
+            worst_pde = max(worst_pde, gauge_pde_residual(geometry.point_geometry(model.curved, grid), gauge, k0l0))
             coords = quadric_coordinates(model.curved, gauge, np.zeros(3), dmat)
             for u in grid[:5]:
                 pg = geometry.point_geometry(model.curved, u)
@@ -209,7 +208,8 @@ class TestGeometrySuite:
         grid3 = vmf3.probe_grid(count=6, margin=0.3, seed=17)
         worst_pde = max(
             worst_pde,
-            gauge_pde_residual(vmf3.curved, vmf3.gauge(), 1.0 / (vmf3.r * vmf3.r_dagger), grid3),
+            gauge_pde_residual(geometry.point_geometry(vmf3.curved, grid3), vmf3.gauge(),
+                               1.0 / (vmf3.r * vmf3.r_dagger)),
         )
         ok = worst_ws <= 1e-4 and worst_pde <= 1e-6 and worst_conn <= 1e-5 and worst_h1 <= 1e-6
         verdict(6, ok, f"Weyl-Schouten {worst_ws:.2e} <= 1e-4, gauge equation {worst_pde:.2e} <= 1e-6, "

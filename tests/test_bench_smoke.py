@@ -62,11 +62,11 @@ def test_workload_runs_clean(workload, name, trace, tmp_path):
             assert layers["models.sample_many.calls"] == 21
             assert layers["harness.rep_seed.calls"] == counts["replications"]
             assert layers["sequential.bias_correct.calls"] == 20
-            # one Weyl-Schouten call per geometry case: its 4 probe points fit
-            # one block, read as one bundle
+            # one Weyl-Schouten call per geometry case, over its probe grid's bundle
             assert layers["conformal.weyl_schouten.calls"] == 3
-            # per config one bundle for the CRB, one for the second-order term and
-            # one per cell's bias correction; per geometry case one for classify,
-            # one for the Weyl-Schouten block, one for the gauge equation, and two
-            # for the flattened checks (their rows and the map's derivatives)
-            assert layers["geometry.frame_at.calls"] == 2 * (2 + 10) + 3 * (1 + 1 + 1 + 2)
+            # per config one bundle at the truth point, read by the CRB and the
+            # second-order term, and one per cell's bias correction; per geometry
+            # case one over the probe grid, read by classify, the Weyl-Schouten
+            # set and the gauge equation, and two for the flattened checks (their
+            # rows and the map's derivatives)
+            assert layers["geometry.frame_at.calls"] == 2 * (1 + 10) + 3 * (1 + 2)

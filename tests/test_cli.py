@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import seqgeo
 from seqgeo import cli, conformal, geometry, harness
 from seqgeo.errors import ParameterError
-from seqgeo.models import MODELS, VmfModel
+from seqgeo.models import M_MAX, MODELS, VmfModel
 
 from ambient import constant_gauge
 from conftest import bundled_config
@@ -251,6 +251,22 @@ class TestGeometryCommand:
         assert code == cli.EXIT_USAGE and out == ""
         assert f"grid density must be at most {cli.GRID_DENSITY_MAX}" in err and err.count("\n") == 1
 
+    def test_grid_density_above_the_cap_at_the_largest_m_exit_one(self, capsys, monkeypatch):
+        # the cap falls as m^-4 above m = 3: 2^15 * 3^4 / 12^4 = 128 points at m = 12
+        monkeypatch.setitem(cli.MODELS, "vmf", None)
+        cap = cli.GRID_DENSITY_MAX * 3 ** 4 // M_MAX ** 4
+        argv = ["geometry", "--model", "vmf", "--m", str(M_MAX), "--r", "0.25", "--grid-density", str(cap + 1)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == cli.EXIT_USAGE and out == ""
+        assert f"grid density must be at most {cap} at m = {M_MAX}" in err and err.count("\n") == 1
+
+    def test_m_above_the_bound_exit_one(self, capsys):
+        # the model rejects m before it builds anything
+        argv = ["geometry", "--model", "vmf", "--m", str(M_MAX + 1), "--r", "0.25"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == cli.EXIT_USAGE and out == ""
+        assert f"directional models need 2 <= m <= {M_MAX}" in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("flag, value", [
         ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-1"), ("--tol", "0"),
         ("--tol-classify", "-1"), ("--tol-classify", "nan"), ("--tol-classify", "inf"),
@@ -375,6 +391,23 @@ class TestSimulateCommand:
         assert code == cli.EXIT_USAGE
         assert "grid_K entry 1000000000.0 is too large" in err
         assert "above the 2^30 budget" in err
+
+    def test_k_that_cannot_stop_exit_one(self, tmp_path, capsys):
+        # at K = 0.01 a replication is capped at 2 draws and none can stop; it
+        # once ran and exited 3 with "20/20 replications excluded"
+        path, _ = write_tiny_config(tmp_path, reps=20)
+        path.write_text(re.sub(r"(?m)^grid_K = .*$", "grid_K = 0.01, 0.02", path.read_text()))
+        code, _, err = run_cli(["simulate", "--config", str(path)], capsys)
+        assert code == cli.EXIT_USAGE
+        assert "grid_K entry 0.01 is too small" in err and err.count("\n") == 1
+
+    def test_tight_k_cap_exit_three(self, tmp_path, capsys):
+        # at K = 0.05 the cap is 6 draws: reachable, so its runaways are exclusions
+        path, _ = write_tiny_config(tmp_path, reps=20)
+        path.write_text(re.sub(r"(?m)^grid_K = .*$", "grid_K = 0.05", path.read_text()))
+        code, _, err = run_cli(["simulate", "--config", str(path)], capsys)
+        assert code == cli.EXIT_EXCLUSION
+        assert "cell seq:0.05: 7/20 replications excluded" in err
 
     def test_huge_sample_size_exit_one(self, tmp_path, capsys):
         # N = 1e9 asked the sampler for a (2, 1, 1e9) array and ended in a MemoryError

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqgeo import conformal, geometry
+from seqgeo import cli, geometry
 from seqgeo.conformal import (
     Gauge,
     conformal_sub_quantities,
@@ -218,7 +218,7 @@ class TestCurvatureTransform:
 
 def one_point(chart, x):
     """The Weyl-Schouten set at one point: a batch of one, read at ``[0]``."""
-    ws = weyl_schouten(chart, np.asarray(x, dtype=float)[None])
+    ws = weyl_schouten(chart(np.asarray(x, dtype=float)[None]))
     return type(ws)(ws.w4[0], ws.w3[0], ws.w2[0])
 
 
@@ -247,21 +247,24 @@ class TestWeylSchouten:
         assert max_residuals(ws)["w4"] < 1e-4
 
     @pytest.mark.parametrize("name", ["vmf", "vmf3"])
-    def test_one_bundle_per_block(self, name, request, monkeypatch):
-        # the kernel reads one bundle over its points, and flatness_test hands
-        # it the grid in blocks of at most ROWS points
+    def test_one_bundle_per_point_set(self, name, request, monkeypatch):
+        # a geometry report takes three jets: one bundle over its whole probe
+        # grid, and two over 6 points for the flattened checks (their rows and
+        # the map's derivatives); classify, the flatness test and the gauge
+        # equation read the grid's bundle and take none, at more than 128 points
         model = request.getfixturevalue(name)
-        m = model.m
-        grid = model.probe_grid(count=2 * conformal.ROWS + 3, margin=0.15, seed=11)
+        m, density = model.m, 259
         jets = []
         frame_at = geometry.frame_at
         monkeypatch.setattr(geometry, "frame_at", lambda fam, u: jets.append(u) or frame_at(fam, u))
-        chart = partial(point_geometry, model.curved)
-        weyl_schouten(chart, grid[:5])
-        assert [u.shape for u in jets] == [(5, m)]
+        assert cli.geometry_report("vmf", m, model.r, grid_density=density)["pass"]
+        assert [u.shape for u in jets] == [(density, m), (6, m), (6, m)]
+        pg = point_geometry(model.curved, model.probe_grid(count=density, margin=0.15, seed=11))
         jets.clear()
-        flatness_test(chart, grid)
-        assert [u.shape for u in jets] == [(p, m) for p in (conformal.ROWS, conformal.ROWS, 3)]
+        cls = geometry.classify(pg)
+        flatness_test(pg)
+        gauge_pde_residual(pg, model.gauge(), cls.k0 * cls.l0)
+        assert jets == []
 
     @pytest.mark.parametrize("step", [None, 1e-4])
     @pytest.mark.parametrize("name", ["vmf", "hyp", "vmf3", "hyp3", "graph_surface"])
@@ -277,8 +280,8 @@ class TestWeylSchouten:
             model = request.getfixturevalue(name)
             fam, grid = model.curved, model.probe_grid(count=20, margin=0.15, seed=11)
         chart = partial(point_geometry, fam)
-        got = weyl_schouten(chart, grid)
-        dric = chart(grid).dric
+        pg = chart(grid)
+        got, dric = weyl_schouten(pg), pg.dric
         for i, x in enumerate(grid):
             want = reference_weyl_schouten(chart, x, step)
             for field in ("w4", "w2"):
@@ -288,7 +291,7 @@ class TestWeylSchouten:
     def test_dimension_one_rejected(self):
         geom = expfam_chart_geometry(gaussian_family(1))
         with pytest.raises(UnsupportedShapeError):
-            weyl_schouten(geom, np.array([[0.1]]))
+            weyl_schouten(geom(np.array([[0.1]])))
 
     def test_w4_invariant_w3_covariant(self, vmf_geom, arbitrary_gauge):
         x = np.array([0.9, 1.1])
@@ -313,68 +316,67 @@ class TestFlatness:
     def test_gaussian_full_family(self):
         geom = rows_chart(expfam_chart_geometry(gaussian_family(2)))
         rng = np.random.default_rng(1)
-        rep = flatness_test(geom, rng.normal(size=(5, 2)))
+        rep = flatness_test(geom(rng.normal(size=(5, 2))))
         assert rep.flat and max(rep.residuals["w3"], rep.residuals["w2"]) < 1e-12
 
     def test_vmf_m2(self, vmf_geom, vmf_grid):
-        rep = flatness_test(vmf_geom, vmf_grid[:6])
+        rep = flatness_test(vmf_geom(vmf_grid[:6]))
         assert rep.flat
 
     def test_hyperboloid_m2(self, hyp, hyp_grid):
-        rep = flatness_test(partial(point_geometry, hyp.curved), hyp_grid[:6])
+        rep = flatness_test(point_geometry(hyp.curved, hyp_grid[:6]))
         assert rep.flat
 
     def test_vmf_m3_uses_w4(self, vmf3):
-        geom = partial(point_geometry, vmf3.curved)
         grid = vmf3.probe_grid(count=4, margin=0.3, seed=2)
-        rep = flatness_test(geom, grid)
+        rep = flatness_test(point_geometry(vmf3.curved, grid))
         assert rep.flat
 
     def test_graph_surface_rejected(self, graph_surface):
         # negative control: a verdict that ignored the curvature would pass
         fam, grid = graph_surface
         tolerance = 1e-4
-        rep = flatness_test(partial(point_geometry, fam), grid, tolerance=tolerance)
+        pg = point_geometry(fam, grid)
+        rep = flatness_test(pg, tolerance=tolerance)
         assert rep.flat is False
         assert rep.residuals["w3"] > 1e3 * tolerance
-        cls = geometry.classify(fam, grid, tolerance=1e-4)
+        cls = geometry.classify(pg, tolerance=1e-4)
         assert cls.umbilic is False and cls.umbilic_residual > 1e3 * cls.tolerance
         assert cls.dual_quadric is False and cls.dual_quadric_residual > 1e3 * cls.tolerance
 
     @pytest.mark.parametrize("name", ["vmf", "hyp", "vmf3", "graph_surface"])
     def test_matches_per_point_loop(self, name, request):
-        # the blocked verdict against a loop over the reference, one point at a
-        # time, on a grid of more than one block
+        # the verdict over one bundle against a loop over the reference, one
+        # point at a time, on a grid of more than 128 points
         if name == "graph_surface":
             fam, grid = request.getfixturevalue(name)
         else:
             model = request.getfixturevalue(name)
-            fam, grid = model.curved, model.probe_grid(count=conformal.ROWS + 3, margin=0.15, seed=11)
+            fam, grid = model.curved, model.probe_grid(count=131, margin=0.15, seed=11)
         chart = partial(point_geometry, fam)
-        got, want = flatness_test(chart, grid), reference_flatness(chart, grid, one_point)
+        got, want = flatness_test(chart(grid)), reference_flatness(chart, grid, one_point)
         assert (got.flat, got.residuals) == (want.flat, want.residuals)
         assert got.worst_point.tobytes() == want.worst_point.tobytes()
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_first_maximal_point_wins(self, dim):
         # a chart whose curvature scales with u_0^2: the points at u_0 = 1 and
-        # u_0 = -1, in different blocks, tie exactly, and the first is the worst
+        # u_0 = -1, at rows 3 and 130 of the grid, tie exactly, and the first is the worst
         base = np.random.default_rng(5).normal(size=(dim,) * 4)
         dric = np.zeros((dim,) * 3)
         dric[0] = 2.0 * np.einsum("lijl->ij", base)  # g is the identity: Ric = u_0^2 Ric(base)
 
         def chart(x):
             lead = x.shape[:-1]
-            return SimpleNamespace(g=np.broadcast_to(np.eye(dim), lead + (dim, dim)),
+            return SimpleNamespace(u=x, g=np.broadcast_to(np.eye(dim), lead + (dim, dim)),
                                    gm1=np.zeros(lead + (dim,) * 3),
                                    rm1=(x[..., 0] ** 2)[..., None, None, None, None] * base,
                                    dric=x[..., 0, None, None, None] * dric)
 
-        block = conformal.ROWS
-        grid = np.random.default_rng(6).uniform(-0.5, 0.5, (block + 5, dim))
-        grid[3, 0], grid[block + 2, 0] = 1.0, -1.0
-        grid[block + 2, 1:] = grid[3, 1:]
-        rep = flatness_test(chart, grid)
+        grid = np.random.default_rng(6).uniform(-0.5, 0.5, (133, dim))
+        grid[3, 0], grid[130, 0] = 1.0, -1.0
+        grid[130, 1:] = grid[3, 1:]
+        rep = flatness_test(chart(grid))
         want = reference_flatness(chart, grid, one_point)
         assert rep.residuals == want.residuals
         assert rep.worst_point.tobytes() == grid[3].tobytes() == want.worst_point.tobytes()
@@ -445,19 +447,19 @@ class TestQuadricGauge:
         assert np.abs(ub - VMF_NU0 * eta[:2]).max() < 1e-14
         assert ub[0] == pytest.approx(VMF_UBAR0[0], rel=1e-12)
         assert ub[1] == pytest.approx(VMF_UBAR0[1], rel=1e-12)
-        res = gauge_pde_residual(vmf.curved, gauge, 1.0 / (vmf.r * vmf.r_dagger), vmf_grid)
+        res = gauge_pde_residual(point_geometry(vmf.curved, vmf_grid), gauge, 1.0 / (vmf.r * vmf.r_dagger))
         assert res < 1e-6
 
     def test_hyperboloid_residual(self, hyp, hyp_grid):
         gauge = hyp.gauge()
-        res = gauge_pde_residual(hyp.curved, gauge, -1.0 / (hyp.r * hyp.r_dagger), hyp_grid)
+        res = gauge_pde_residual(point_geometry(hyp.curved, hyp_grid), gauge, -1.0 / (hyp.r * hyp.r_dagger))
         assert res < 1e-6
         assert gauge.nu_at(U0_HYP) == pytest.approx(11.527782803679804, rel=1e-12)
 
     def test_vmf_m3_gauge_solves_equation(self, vmf3):
         grid = vmf3.probe_grid(count=6, margin=0.3, seed=4)
         res = gauge_pde_residual(
-            vmf3.curved, vmf3.gauge(), 1.0 / (vmf3.r * vmf3.r_dagger), grid
+            point_geometry(vmf3.curved, grid), vmf3.gauge(), 1.0 / (vmf3.r * vmf3.r_dagger)
         )
         assert res < 1e-6
 
@@ -473,9 +475,10 @@ class TestQuadricGauge:
                 model = MODELS[name](m, 10.0 ** e)
             except ParameterError:
                 continue
-            cls = geometry.classify(model.curved, grid)
+            pg = point_geometry(model.curved, grid)
+            cls = geometry.classify(pg)
             assert cls.dual_quadric, e
-            assert gauge_pde_residual(model.curved, model.gauge(), cls.k0 * cls.l0, grid) <= 1e-6, e
+            assert gauge_pde_residual(pg, model.gauge(), cls.k0 * cls.l0) <= 1e-6, e
 
     def test_jacobian_and_inverse(self, vmf):
         coords = quadric_coordinates(vmf.curved, vmf.gauge(), np.zeros(3), D_VMF)
@@ -490,12 +493,12 @@ class TestQuadricGauge:
 
     def test_wrong_gauge_rejected(self, vmf, vmf_grid):
         k0l0 = 1.0 / (vmf.r * vmf.r_dagger)
-        assert gauge_pde_residual(vmf.curved, constant_gauge(2.0), k0l0, vmf_grid) > 1e-6
+        assert gauge_pde_residual(point_geometry(vmf.curved, vmf_grid), constant_gauge(2.0), k0l0) > 1e-6
 
     def test_non_quadric_rejected(self, linear):
         rng = np.random.default_rng(5)
         grid = rng.uniform(-1, 1, size=(8, 2))
-        assert geometry.classify(linear.curved, grid).dual_quadric is False
+        assert geometry.classify(point_geometry(linear.curved, grid)).dual_quadric is False
 
 
 class TestSubQuantities:

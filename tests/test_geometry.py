@@ -225,7 +225,7 @@ class TestGaussCurvature:
 
 class TestClassification:
     def test_vmf(self, vmf, vmf_grid):
-        cls = classify(vmf.curved, vmf_grid)
+        cls = classify(point_geometry(vmf.curved, vmf_grid))
         assert cls.umbilic and cls.dual_quadric
         assert cls.es_epsilon == pytest.approx(vmf.r_dagger / vmf.r, rel=1e-10)
         assert cls.k0 == pytest.approx(1.0 / vmf.r, rel=1e-10)
@@ -236,7 +236,7 @@ class TestClassification:
         assert cls.quadric_identity_residual < 1e-8
 
     def test_hyperboloid(self, hyp, hyp_grid):
-        cls = classify(hyp.curved, hyp_grid)
+        cls = classify(point_geometry(hyp.curved, hyp_grid))
         assert cls.umbilic and cls.dual_quadric
         assert cls.es_epsilon == pytest.approx(-hyp.r_dagger / hyp.r, rel=1e-10)
         assert cls.k0 == pytest.approx(-1.0 / hyp.r, rel=1e-10)
@@ -250,7 +250,7 @@ class TestClassification:
         # the identity's target 1/(k0 l0) is about -1e9 here, and rounding alone
         # puts its absolute residual near 2e-6; relative to the target it is 2e-15
         model = HyperboloidModel(m, 1e9)
-        cls = classify(model.curved, model.probe_grid(count=12, margin=0.15, seed=11))
+        cls = classify(point_geometry(model.curved, model.probe_grid(count=12, margin=0.15, seed=11)))
         assert cls.dual_quadric
         assert cls.quadric_identity_residual <= cls.tolerance
 
@@ -262,7 +262,7 @@ class TestClassification:
         # epsilon and lambda run in another order
         model = MODELS_BY_NAME[model_name]
         grid = model.probe_grid(count=12, margin=0.15, seed=11)
-        cls = classify(model.curved, grid)
+        cls = classify(point_geometry(model.curved, grid))
         pgs = [point_geometry(model.curved, u) for u in grid]
 
         def slope(vecs, points):
@@ -295,13 +295,13 @@ class TestClassification:
     def test_linear_is_flat_umbilic_not_quadric(self, linear):
         rng = np.random.default_rng(3)
         grid = rng.uniform(-1.0, 1.0, size=(10, 2))
-        cls = classify(linear.curved, grid)
+        cls = classify(point_geometry(linear.curved, grid))
         assert cls.umbilic
         assert not cls.dual_quadric
         assert abs(cls.constant_curvature) < 1e-10
 
     def test_numeric_frames_classification(self, vmf, vmf_grid):
-        cls = classify(numeric_clone(vmf), vmf_grid, tolerance=1e-4)
+        cls = classify(point_geometry(numeric_clone(vmf), vmf_grid), tolerance=1e-4)
         assert cls.tolerance == 1e-4
         assert cls.umbilic and cls.dual_quadric
         assert cls.k0 == pytest.approx(4.0, rel=1e-5)
@@ -309,7 +309,7 @@ class TestClassification:
     def test_codim_two_rejected(self, linear):
         fam = fd_family(gaussian_family(4), 2, lambda u: np.concatenate([u, [0.0, 0.0]]))
         with pytest.raises(UnsupportedShapeError):
-            classify(fam, np.zeros((3, 2)))
+            classify(point_geometry(fam, np.zeros((3, 2))))
 
 
 class TestSkewnessContraction:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from seqgeo import conformal, harness
 from seqgeo.errors import ParameterError, RunawayStopError
-from seqgeo.models import MODELS
+from seqgeo.models import M_MAX, MODELS
 from seqgeo.harness import (
     parse_config,
     rep_seed,
@@ -84,11 +84,34 @@ class TestConfig:
             dataclasses.replace(cfg, u0=np.array([0.0, 1.0]))  # on the gauge's singular set
         with pytest.raises(ParameterError, match="rank"):
             dataclasses.replace(cfg, d_matrix=np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]))
+        with pytest.raises(ParameterError, match=f"m <= {M_MAX}, got m = {M_MAX + 1}"):
+            dataclasses.replace(cfg, m=M_MAX + 1, u0=np.full(M_MAX + 1, 0.5), d_matrix=np.eye(M_MAX + 1, M_MAX + 2))
         for r in (math.nan, math.inf):
             with pytest.raises(ParameterError, match="concentration r"):
                 dataclasses.replace(cfg, r=r)
             with pytest.raises(ParameterError, match="concentration r"):
                 dataclasses.replace(cfg, model="hyperboloid", r=r)
+
+    def test_fractional_grid_n_rejected(self):
+        # int(float(v)) once read N = 100.7 as a cell of N = 100
+        text = (BUNDLED / "vmf.conf").read_text()
+        with pytest.raises(ParameterError, match="grid_N entry 100.7 is not an integer"):
+            harness.parse_config_text(text.replace("grid_N = 100,", "grid_N = 100.7,"), "vmf.conf")
+        assert harness.parse_config_text(text.replace("1000\n", "1e3\n"), "vmf.conf").grid_n[-1] == 1000
+
+    def test_repeated_cell_rejected(self):
+        # two equal entries were two cells of one id, so with one set of generators
+        cfg = bundled_config("vmf")
+        with pytest.raises(ParameterError, match="grid_N entry 100 is repeated"):
+            dataclasses.replace(cfg, grid_n=(100, 200, 100))
+        with pytest.raises(ParameterError, match="grid_K entry 10.0 is repeated"):
+            dataclasses.replace(cfg, grid_k=(10.0, 10.0))
+        text = (BUNDLED / "vmf.conf").read_text()
+        for grid in ("grid_K = 10, 1e1", "grid_N = 100, 1e2"):
+            key = grid.split()[0]
+            lines = [grid if line.startswith(key) else line for line in text.splitlines()]
+            with pytest.raises(ParameterError, match=f"{key} entry .* is repeated"):
+                harness.parse_config_text("\n".join(lines), "vmf.conf")
 
     def test_hyperboloid_negative_radial_u0_rejected(self):
         # u1 < 0 is the other branch of the chart: the estimator returns u1 >= 0,

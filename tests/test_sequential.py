@@ -233,17 +233,13 @@ class TestStopCell:
 class TestBiasCorrect:
     def test_flat_model_no_correction(self, linear):
         u = np.array([0.4, -0.2])
-        assert np.allclose(bias_correct(linear, u, 100.0), u)
+        assert np.allclose(bias_correct(geometry.point_geometry(linear.curved, u), 100.0), u)
 
     def test_vmf_two_code_paths_agree(self, vmf):
         clone = numeric_clone(vmf)
-
-        class Wrapper:
-            curved = clone
-
         for n in (50.0, 500.0):
-            analytic = bias_correct(vmf, U0_VMF, n)
-            numeric = bias_correct(Wrapper(), U0_VMF, n)
+            analytic = bias_correct(geometry.point_geometry(vmf.curved, U0_VMF), n)
+            numeric = bias_correct(geometry.point_geometry(clone, U0_VMF), n)
             assert np.abs(analytic - numeric).max() < 1e-4 / n * 50.0
 
     def test_correction_formula(self, vmf):
@@ -252,20 +248,18 @@ class TestBiasCorrect:
         pg = geometry.point_geometry(vmf.curved, U0_VMF)
         ginv = np.linalg.inv(pg.g)
         expected = U0_VMF + np.einsum("bcd,da,bc->a", pg.gm1, ginv, ginv) / (2 * n)
-        assert np.abs(bias_correct(vmf, U0_VMF, n) - expected).max() < 1e-14
+        assert np.abs(bias_correct(pg, n) - expected).max() < 1e-14
 
     def test_nan_eta_hessian_raises(self, vmf):
         def jet(us):
             j = vmf.curved.jet(us)
             return j._replace(hess_eta=np.full_like(j.hess_eta, np.nan))
 
-        class Wrapper:
-            curved = dataclasses.replace(vmf.curved, jet=jet)
-
+        fam = dataclasses.replace(vmf.curved, jet=jet)
         with pytest.raises(EvaluationDomainError):
-            bias_correct(Wrapper(), U0_VMF, 100.0)
+            bias_correct(geometry.point_geometry(fam, U0_VMF), 100.0)
         with pytest.raises(EvaluationDomainError):
-            bias_correct(Wrapper(), np.stack([U0_VMF, U0_VMF]), 100.0)
+            bias_correct(geometry.point_geometry(fam, np.stack([U0_VMF, U0_VMF])), 100.0)
 
     @pytest.mark.parametrize("model_name, u0", [("vmf", U0_VMF), ("hyp", U0_HYP)])
     @pytest.mark.parametrize("rows", [37, 1, 0])
@@ -277,7 +271,7 @@ class TestBiasCorrect:
                          for i in range(rows)]).reshape(rows, 3)
         u_hats, ok = model.mle_many(sums)
         assert ok.all()
-        cell = bias_correct(model, u_hats, float(n))
+        cell = bias_correct(geometry.point_geometry(model.curved, u_hats), float(n))
         assert cell.shape == (rows, 2)
         for u, got in zip(u_hats, cell):
             assert got.tobytes() == reference_bias_correct(model, u, float(n)).tobytes()
@@ -297,41 +291,35 @@ class TestAsymptoticCovariance:
         gamma_sq = np.einsum("cda,efb,ce,df->ab", pg.gm1, pg.gm1, ginv, ginv)
         h_sq = np.einsum("ack,bdl,cd->ab", pg.h1, pg.h1, ginv)
         expected = ginv + (ginv @ (0.5 * gamma_sq + h_sq) @ ginv) / n
-        got = crb(vmf, U0_VMF) + second_order_terms(vmf, U0_VMF) / n
+        got = pg.ginv + second_order_terms(pg) / n
         assert np.abs(got - expected).max() < 1e-12
         # the extrinsic part alone is g^{ab}/r_dagger^2
         h_term = ginv @ h_sq @ ginv
         assert np.abs(h_term - ginv / vmf.r_dagger ** 2).max() < 1e-10
 
     def test_flat_model_is_exact_bound(self, linear):
-        u = np.array([0.1, 0.9])
-        got = crb(linear, u) + second_order_terms(linear, u) / 10.0
-        assert np.abs(got - crb(linear, u)).max() < 1e-12
+        pg = geometry.point_geometry(linear.curved, np.array([0.1, 0.9]))
+        got = pg.ginv + second_order_terms(pg) / 10.0
+        assert np.abs(got - pg.ginv).max() < 1e-12
 
     def test_conformal_second_order_cancels(self, vmf, vmf_coords):
         gauge, coords = vmf_coords
         term = flattened_second_order_terms(vmf, U0_VMF, gauge, coords)
         assert np.abs(term).max() < 1e-8
-        got = crb(vmf, U0_VMF, coords=coords) + term / 500.0
-        assert np.abs(got - crb(vmf, U0_VMF, coords=coords)).max() < 1e-8
+        ccrb = crb(geometry.point_geometry(vmf.curved, U0_VMF), coords)
+        assert np.abs((ccrb + term / 500.0) - ccrb).max() < 1e-8
 
     def test_terms_agree_between_code_paths(self, vmf, hyp):
         for model, u0 in ((vmf, U0_VMF), (hyp, U0_HYP)):
-            clone = numeric_clone(model)
-
-            class Wrapper:
-                curved = clone
-                m = 2
-
-            analytic = second_order_terms(model, u0)
-            numeric = second_order_terms(Wrapper(), u0)
+            analytic = second_order_terms(geometry.point_geometry(model.curved, u0))
+            numeric = second_order_terms(geometry.point_geometry(numeric_clone(model), u0))
             scale = max(1.0, np.abs(analytic).max())
             assert np.abs(analytic - numeric).max() < 1e-4 * scale
 
 
 class TestCrb:
     def test_vmf_closed_form(self, vmf):
-        out = crb(vmf, U0_VMF)
+        out = geometry.point_geometry(vmf.curved, U0_VMF).ginv
         assert out[0, 0] == pytest.approx(1.0 / VMF_G11, rel=1e-12)
         assert out[1, 1] == pytest.approx(1.0 / VMF_G22, rel=1e-12)
         assert abs(out[0, 1]) < 1e-12
@@ -339,24 +327,25 @@ class TestCrb:
     def test_ubar_chart_jacobian_oracle(self, vmf, vmf_coords):
         # push the inverse metric through a finite-difference map Jacobian
         gauge, coords = vmf_coords
-        out = crb(vmf, U0_VMF, coords=coords)
+        pg = geometry.point_geometry(vmf.curved, U0_VMF)
+        out = crb(pg, coords)
         j = fd_field_derivative(coords.forward, U0_VMF, rel_steps(U0_VMF, STEP1)).T
-        g = geometry.point_geometry(vmf.curved, U0_VMF).g
-        expected = j @ np.linalg.inv(g) @ j.T
+        expected = j @ np.linalg.inv(pg.g) @ j.T
         assert np.abs(out - expected).max() < 1e-6
 
     def test_determinant_transformation(self, vmf, vmf_coords):
         gauge, coords = vmf_coords
         j = coords.derivatives(U0_VMF)[0]
-        det_u = np.linalg.det(crb(vmf, U0_VMF))
-        det_ubar = np.linalg.det(crb(vmf, U0_VMF, coords=coords))
+        pg = geometry.point_geometry(vmf.curved, U0_VMF)
+        det_u = np.linalg.det(pg.ginv)
+        det_ubar = np.linalg.det(crb(pg, coords))
         assert det_ubar == pytest.approx(np.linalg.det(j) ** 2 * det_u, rel=1e-10)
 
     def test_invariance_under_rescaled_map(self, vmf):
         coords_a = quadric_coordinates(vmf.curved, vmf.gauge(), np.zeros(3), np.eye(2, 3))
         lmat = np.array([[2.0, 0.5], [0.0, 1.5]])
         coords_b = quadric_coordinates(vmf.curved, vmf.gauge(), np.zeros(3), lmat @ np.eye(2, 3))
-        a = crb(vmf, U0_VMF, coords=coords_a)
-        b = crb(vmf, U0_VMF, coords=coords_b)
+        pg = geometry.point_geometry(vmf.curved, U0_VMF)
+        a, b = crb(pg, coords_a), crb(pg, coords_b)
         assert np.abs(b - lmat @ a @ lmat.T).max() < 1e-10
 

@@ -31,7 +31,12 @@ def test_unreached_smoke(report, tmp_path):
     assert "VmfModel.sample_many" not in names
     total = sum(int(line.split()[2]) for line in report[:-2])
     assert report[-2].startswith(f"total: {total} unreached lines in {len(report) - 2} functions")
-    assert report[-1].startswith("exit codes: simulate vmf 0, report vmf ")
+    # the frozen seed's verdicts: at 20 replications (2 per batch) report fails a
+    # gate on both configs, and every geometry case passes
+    geometry = [f"geometry {model} m={m} r={r}{mode} 0"
+                for model, m, r in unreached.GEOMETRY_CASES for mode in ("", " --json")]
+    assert report[-1] == "exit codes: " + ", ".join(
+        ["simulate vmf 0", "report vmf 2", "simulate hyperboloid 0", "report hyperboloid 2"] + geometry)
     # matched by file and first line: two closures of one name, as a family
     # defines one potential per dimension, are two functions, not merged by name
     (tmp_path / "fam.py").write_text("def family(m):\n    if m == 2:\n        def fval(r):\n"
