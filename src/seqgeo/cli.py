@@ -33,7 +33,8 @@ GRID_DENSITY_MAX = 2 ** 15
 
 
 def geometry_report(model_name: str, m: int, r: float, grid_density: int = 12,
-                    tol_classify: float = geometry.CLASSIFY_TOLERANCE, tol_flat: float = 1e-4) -> dict:
+                    tol_classify: float = geometry.CLASSIFY_TOLERANCE,
+                    tol_flat: float = conformal.FLATNESS_TOLERANCE) -> dict:
     """Classification, curvature constants and conformal-flatness residuals."""
     if grid_density < 2:
         # the dual-quadric fit has n + 1 unknowns and n equations per point
@@ -344,11 +345,11 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--m", type=int, default=2)
     g.add_argument("--r", type=float, required=True)
     g.add_argument("--grid-density", type=int, default=12)
-    g.add_argument("--tol", type=float, default=1e-4,
+    g.add_argument("--tol", type=float, default=conformal.FLATNESS_TOLERANCE,
                    help="tolerance of the conformal-flatness residuals: the Weyl-Schouten w4 at m >= 3, "
-                        "w3 and w2 at m = 2 (default 1e-4)")
+                        "w3 and w2 at m = 2 (default %(default)g)")
     g.add_argument("--tol-classify", type=float, default=geometry.CLASSIFY_TOLERANCE,
-                   help="classification tolerance (default 1e-6)")
+                   help="classification tolerance (default %(default)g)")
     g.add_argument("--json", action="store_true")
     g.set_defaults(func=cmd_geometry)
 

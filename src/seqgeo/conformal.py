@@ -1,7 +1,7 @@
 """Conformal transformations of curved exponential families.
 
 The Weyl-Schouten tensor set with the flatness criteria, read from a
-bundle over rows ``(P, m)``: its points ``u`` and the fields ``g``, ``gm1``,
+bundle over rows ``(P, m)``: its points ``u`` and the fields ``ginv``, ``gm1``,
 ``rm1`` and ``dric`` over them, for a curved family the
 :class:`geometry.PointGeometry` its caller built. Then the flattening
 coordinates of a dual quadric hypersurface under its explicit gauge, the
@@ -22,6 +22,10 @@ from . import geometry, tensorops as tops
 from .errors import ChartError, GaugeSingularityError, UnsupportedShapeError
 from .geometry import CurvedFamily, PointGeometry
 from .tensorops import as_coords
+
+# default max-norm residual within which flatness_test accepts a Weyl-Schouten field
+FLATNESS_TOLERANCE = 1e-4
+
 
 @dataclass(frozen=True)
 class Gauge:
@@ -66,21 +70,21 @@ class WeylSchouten:
 def weyl_schouten(p) -> WeylSchouten:
     """Evaluate the Weyl-Schouten set from a bundle ``p`` over rows ``(P, m)``.
 
-    The Ricci derivative is the bundle's ``dric``. Row ``i`` of each field
-    has the bits of a bundle of point ``i`` alone.
+    The inverse metric is the bundle's ``ginv`` and the Ricci derivative its
+    ``dric``. Row ``i`` of each field has the bits of a bundle of point ``i``
+    alone.
     """
     if p.u.ndim != 2 or p.u.shape[1] < 2:
         raise UnsupportedShapeError(f"Weyl-Schouten tensors need rows (P, m) with m >= 2, got {p.u.shape}")
     m = p.u.shape[1]
-    ginv = tops.invert_matrix(p.g, "metric")
-    mixed = np.einsum("...ijkr,...rl->...ijkl", p.rm1, ginv)
+    mixed = np.einsum("...ijkr,...rl->...ijkl", p.rm1, p.ginv)
     ric = np.einsum("...lijl->...ij", mixed)
     eye = np.eye(m)
     w4 = mixed - (
         np.einsum("il,...jk->...ijkl", eye, ric) - np.einsum("jl,...ik->...ijkl", eye, ric)
     ) / (m - 1.0)
 
-    gm1_mixed = np.einsum("...ijr,...rl->...ijl", p.gm1, ginv)
+    gm1_mixed = np.einsum("...ijr,...rl->...ijl", p.gm1, p.ginv)
     nabla = (
         p.dric
         - np.einsum("...ijl,...lk->...ijk", gm1_mixed, ric)
@@ -98,7 +102,7 @@ class FlatnessReport:
     residuals: dict = field(default_factory=dict)
 
 
-def flatness_test(p, tolerance: float = 1e-4) -> FlatnessReport:
+def flatness_test(p, tolerance: float = FLATNESS_TOLERANCE) -> FlatnessReport:
     """Conformal flatness verdict over a probe grid, from its bundle ``p`` over rows ``(P, m)``.
 
     The verdict uses the order-4 tensor for dim >= 3 and the pair

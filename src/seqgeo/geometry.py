@@ -47,7 +47,6 @@ class CurvedFamily:
     n: int
     m: int
     jet: Callable[[np.ndarray], Jet]
-    name: str = ""
 
     @property
     def codim(self) -> int:
@@ -65,8 +64,6 @@ class Classification:
     dual_quadric: bool
     k0: float
     l0: float
-    theta0: np.ndarray
-    eta0: np.ndarray
     dual_quadric_residual: float
     quadric_identity_residual: float
     constant_curvature: float
@@ -314,8 +311,6 @@ def classify(pg: PointGeometry, tolerance: float = CLASSIFY_TOLERANCE) -> Classi
         dual_quadric=dual_quadric,
         k0=k0,
         l0=l0,
-        theta0=theta0,
-        eta0=eta0,
         dual_quadric_residual=dq_res,
         quadric_identity_residual=ident_res,
         constant_curvature=lam,

@@ -118,10 +118,10 @@ class ExperimentConfig:
             k = self.grid_k[int(np.argmax(draws))]
             raise ParameterError(f"grid_K entry {k!r} is too large: {self.replications} replications "
                                  f"expect about {max(draws):.3g} draws, above the 2^30 budget")
-        # stop_cell caps a replication at ceil(T_MAX_FACTOR K nu0) draws, and none
-        # stops before T_MIN: below that every replication is a runaway
+        # stop_cell caps a replication at its step cap, and none stops before
+        # T_MIN: below that every replication is a runaway
         for k in self.grid_k:
-            t_max = math.ceil(sequential.T_MAX_FACTOR * k * nu0)
+            t_max = sequential.step_cap(k, nu0)
             if t_max < sequential.T_MIN:
                 raise ParameterError(f"grid_K entry {k!r} is too small: its replications are capped at "
                                      f"{t_max} draws, below the {sequential.T_MIN} a stop needs")
@@ -217,7 +217,6 @@ class CellResult:
 class ResultTable:
     kind: str  # 'nonsequential' | 'sequential'
     rows: tuple[CellResult, ...]
-    replications: int
 
 
 def rep_seed(base_seed: int, cell_id: str, rep: int) -> int:
@@ -342,7 +341,7 @@ def run_nonsequential(config: ExperimentConfig) -> ResultTable:
         stats = {"OCOV": ocov, "OCRB": ginv, "OALB": ginv + term / float(n),
                  "OCOV_se": _batch_se(_batch_means(outers))}
         rows.append(CellResult(cell=float(n), stats=stats, excluded=excluded))
-    return ResultTable("nonsequential", tuple(rows), config.replications)
+    return ResultTable("nonsequential", tuple(rows))
 
 
 def run_sequential(config: ExperimentConfig) -> ResultTable:
@@ -380,7 +379,7 @@ def run_sequential(config: ExperimentConfig) -> ResultTable:
             "CCRB": ccrb,
         }
         rows.append(CellResult(cell=float(k), stats=stats, excluded=excluded))
-    return ResultTable("sequential", tuple(rows), config.replications)
+    return ResultTable("sequential", tuple(rows))
 
 
 def _flat_coordinates(model, d_matrix: np.ndarray, sums: np.ndarray) -> np.ndarray:

@@ -313,7 +313,7 @@ class _DirectionalModel:
                 (normal_theta_sign * lam * xi)[..., None, :], xi[..., None, :].copy(),
             )
 
-        return CurvedFamily(n=self.m + 1, m=self.m, jet=jet, name=type(self).__name__)
+        return CurvedFamily(n=self.m + 1, m=self.m, jet=jet)
 
     def gauge(self) -> Gauge:
         """``nu = 1 / prod_a |s_a|`` over the chart axes, with s = -c / s and ds = diag(1 / s^2)."""
@@ -376,13 +376,8 @@ class _DirectionalModel:
         out[..., self.m - 1] = np.mod(out[..., self.m - 1] + math.pi, 2.0 * math.pi) - math.pi
         return out
 
-    def probe_grid(self, count: int = 20, margin: float = 1e-2, seed: int = 7):
-        ranges = []
-        for a in range(self.m):
-            if self.kinds[a] == "hyp":
-                ranges.append((0.05, 1.5))
-            else:
-                ranges.append((0.0, math.pi))
+    def probe_grid(self, count: int, margin: float, seed: int):
+        ranges = [(0.05, 1.5) if kind == "hyp" else (0.0, math.pi) for kind in self.kinds]
         return chart_grid(ranges, count, margin=margin, seed=seed)
 
 
@@ -392,7 +387,7 @@ class VmfModel(_DirectionalModel):
     curvature_sign = 1.0
     mean_resultant = staticmethod(vmf_mean_resultant)
 
-    def __init__(self, m: int = 2, r: float = 0.25):
+    def __init__(self, m: int, r: float):
         super().__init__(m, r)
         self.kinds = ["circ"] * self.m
         self._lam = np.ones(self.m + 1)
@@ -452,7 +447,7 @@ class HyperboloidModel(_DirectionalModel):
     curvature_sign = -1.0
     mean_resultant = staticmethod(hyperboloid_mean_resultant)
 
-    def __init__(self, m: int = 2, r: float = 0.1):
+    def __init__(self, m: int, r: float):
         super().__init__(m, r)
         self.kinds = ["hyp"] + ["circ"] * (self.m - 1)
         self._lam = np.concatenate(([-1.0], np.ones(self.m)))

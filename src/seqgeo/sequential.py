@@ -25,6 +25,11 @@ ROWS = 4096
 STOP_ROWS = 16384
 
 
+def step_cap(k: float, nu0: float) -> int:
+    """The most draws a replication of cell ``K`` at gauge ``nu0`` takes: ``ceil(T_MAX_FACTOR K nu0)``."""
+    return int(math.ceil(T_MAX_FACTOR * k * nu0))
+
+
 def stop_cell(model, k: float, u0, rngs, t_max: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sample each replication of a cell until its criterion crosses ``K nu + c``,
     ``c`` the model's stopping constant.
@@ -50,7 +55,7 @@ def stop_cell(model, k: float, u0, rngs, t_max: int | None = None) -> tuple[np.n
     c = model.stopping_constant()
     nu0 = model.gauge().nu_at(u0a)
     if t_max is None:
-        t_max = int(math.ceil(T_MAX_FACTOR * k * nu0))
+        t_max = step_cap(k, nu0)
     burst = min(ROWS, max(8, int(0.25 * k * nu0)))
     n = model.curved.n
     count = len(rngs)

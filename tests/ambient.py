@@ -399,12 +399,13 @@ def expfam_gauge_on_theta(fam: ExponentialFamily, c0: float, c) -> Gauge:
 
 
 class ChartPoint(NamedTuple):
-    """The point ``u`` (or rows), with the metric, both unit connections and the
-    (-1)-curvature there, and the derivative ``dric[e, b, c] = d_e Ric_bc`` of
-    its Ricci tensor where the chart has it."""
+    """The point ``u`` (or rows), with the metric and its inverse, both unit
+    connections and the (-1)-curvature there, and the derivative
+    ``dric[e, b, c] = d_e Ric_bc`` of its Ricci tensor where the chart has it."""
 
     u: np.ndarray
     g: np.ndarray
+    ginv: np.ndarray
     g1: np.ndarray
     gm1: np.ndarray
     rm1: np.ndarray
@@ -421,7 +422,7 @@ def curved_chart(fam) -> Callable[[np.ndarray], ChartPoint]:
 
     def chart(x):
         pg = geometry.point_geometry(fam, x)
-        return ChartPoint(pg.u, pg.g, g1(pg), pg.gm1, pg.rm1, pg.dric)
+        return ChartPoint(pg.u, pg.g, pg.ginv, g1(pg), pg.gm1, pg.rm1, pg.dric)
 
     return chart
 
@@ -429,7 +430,13 @@ def curved_chart(fam) -> Callable[[np.ndarray], ChartPoint]:
 def expfam_chart_geometry(fam: ExponentialFamily) -> Callable[[np.ndarray], ChartPoint]:
     """Theta chart of a full family (the +1 connection vanishes)."""
     met, skew = (lambda x: metric(fam, x)), (lambda x: skewness(fam, x))
-    return lambda x: ChartPoint(as_coords(x), met(x), np.zeros((fam.n,) * 3), skew(x), rc_curvature(skew, met, x))
+
+    def chart(x):
+        g = met(x)
+        return ChartPoint(as_coords(x), g, tops.invert_matrix(g, "metric"), np.zeros((fam.n,) * 3), skew(x),
+                          rc_curvature(skew, met, x))
+
+    return chart
 
 
 def conformal_connection(gamma, g, gauge: Gauge, alpha: float, at) -> np.ndarray:
@@ -477,9 +484,11 @@ def conformal_chart_geometry(chart: Callable, gauge: Gauge) -> Callable[[np.ndar
 
     def transformed(x):
         p = chart(x)
+        g_bar = gauge.nu_at(x) * p.g
         return ChartPoint(
             p.u,
-            gauge.nu_at(x) * p.g,
+            g_bar,
+            tops.invert_matrix(g_bar, "metric"),
             conformal_connection(p.g1, p.g, gauge, 1.0, x),
             conformal_connection(p.gm1, p.g, gauge, -1.0, x),
             conformal_rc_curvature(p.rm1, p.g, p.gm1, p.g1, gauge, -1.0, x),
@@ -508,7 +517,7 @@ def rows_chart(point_chart):
 # finite-difference jets and ambient contractions of curved families
 
 
-def fd_family(ambient, m, theta, eta=None, normal_sign=1, name=""):
+def fd_family(ambient, m, theta, eta=None, normal_sign=1):
     """The curved family of the embedding ``u -> (theta(u), eta(u))`` with its
     jet taken point by point over rows ``(..., m)``: tangents, Hessians and
     third derivatives by central differences, the normals by ``svd_normals``.
@@ -537,7 +546,7 @@ def fd_family(ambient, m, theta, eta=None, normal_sign=1, name=""):
         return geometry.Jet(*(np.reshape([p[i] for p in points], us.shape[:-1] + shape)
                               for i, shape in enumerate(shapes)))
 
-    return geometry.CurvedFamily(n, m, jet, name)
+    return geometry.CurvedFamily(n, m, jet)
 
 
 def numeric_clone(model):
@@ -548,9 +557,8 @@ def numeric_clone(model):
     The closed-form normal points along theta on the sphere and against it on
     the hyperboloid: the sign of the model's curvature.
     """
-    fam = model.curved
-    return fd_family(family_of(model), fam.m, lambda u: model.embed(u)[0],
-                     normal_sign=int(model.curvature_sign), name=fam.name + "-numeric")
+    return fd_family(family_of(model), model.curved.m, lambda u: model.embed(u)[0],
+                     normal_sign=int(model.curvature_sign))
 
 
 def direct_rc_curvature(fam, u, alpha: int):

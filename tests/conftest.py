@@ -66,7 +66,7 @@ class LinearGaussianModel:
                      for x in (a.T, a.T, flat2, flat2, flat3, flat3, normal, normal))
             return Jet(theta, theta, *const)
 
-        self.curved = CurvedFamily(n=self.n, m=self.m, jet=jet, name="linear-gaussian")
+        self.curved = CurvedFamily(n=self.n, m=self.m, jet=jet)
 
     def stopping_constant(self) -> float:
         return 0.0

@@ -141,6 +141,16 @@ def svd_normals(theta, bt, be, normal_sign=1):
     return (-nt, -ne) if flip else (nt, ne)
 
 
+def quadric_centres(pg, k0, l0) -> tuple[np.ndarray, np.ndarray]:
+    """The centres ``(theta0, eta0)`` of a dual quadric over the points of its
+    bundle ``pg``, refitted at the slopes ``k0`` and ``l0`` from its normals
+    ``B_kappa = k0 (theta - theta0)`` and ``B^kappa = l0 (eta - eta0)``: the
+    mean over the points, which is the least-squares fit at those slopes."""
+    jet = pg.jet
+    return ((jet.theta - jet.normal_theta[:, 0] / k0).mean(axis=0),
+            (jet.eta - jet.normal_eta[:, 0] / l0).mean(axis=0))
+
+
 def scalar_affine_potentials(c0, c, d, dmat):
     """The conformal potentials ``phi_bar`` and ``psi_bar``, and the
     central-difference gradient of ``phi_bar``, of the 1-D unit Gaussian

@@ -39,7 +39,7 @@ from ambient import (
     poisson_family,
 )
 from conftest import U0_HYP, U0_VMF, bundled_config
-from oracles import fd_field_derivative, iv_ratio_series, scalar_affine_potentials
+from oracles import fd_field_derivative, iv_ratio_series, quadric_centres, scalar_affine_potentials
 
 
 def verdict(num: int, ok: bool, detail: str) -> None:
@@ -167,15 +167,14 @@ class TestGeometrySuite:
         flags = True
         for model in models_m2:
             grid = model.probe_grid(count=12, margin=0.2, seed=11)
-            cls = geometry.classify(geometry.point_geometry(model.curved, grid))
+            pg = geometry.point_geometry(model.curved, grid)
+            cls = geometry.classify(pg)
             flags = flags and cls.umbilic and cls.dual_quadric and cls.es_epsilon_residual <= cls.tolerance
             target = 1.0 / (cls.k0 * cls.l0)
+            theta0, eta0 = quadric_centres(pg, cls.k0, cls.l0)
             for u in grid:
                 theta, eta = model.embed(u)
-                worst = max(
-                    worst,
-                    abs(float((theta - cls.theta0) @ (eta - cls.eta0)) - target),
-                )
+                worst = max(worst, abs(float((theta - theta0) @ (eta - eta0)) - target))
         verdict(5, worst <= 1e-8 and flags,
                 f"dual-quadric identity residual {worst:.2e} <= 1e-8, all flags true")
 
@@ -325,5 +324,5 @@ class TestSimulationSuite:
             for table in (data["nonseq"], data["seq"]):
                 for row in table.rows:
                     worst = max(worst, row.excluded)
-                    ok = ok and row.excluded <= 0.01 * table.replications
+                    ok = ok and row.excluded <= 0.01 * data["config"].replications
         verdict(13, ok, f"excluded replications per cell at most {worst} (cap 1% of 500)")

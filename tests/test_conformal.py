@@ -76,7 +76,6 @@ def graph_surface():
         gaussian_family(3),
         2,
         lambda u: np.array([u[0], u[1], 0.5 * u[0] ** 2 + 0.3 * u[1] ** 3 + 0.2 * u[0] * u[1] ** 2]),
-        name="graph",
     )
     return fam, np.random.default_rng(3).uniform(-0.8, 0.8, (8, 2))
 
@@ -364,11 +363,11 @@ class TestFlatness:
         # u_0 = -1, at rows 3 and 130 of the grid, tie exactly, and the first is the worst
         base = np.random.default_rng(5).normal(size=(dim,) * 4)
         dric = np.zeros((dim,) * 3)
-        dric[0] = 2.0 * np.einsum("lijl->ij", base)  # g is the identity: Ric = u_0^2 Ric(base)
+        dric[0] = 2.0 * np.einsum("lijl->ij", base)  # the metric is the identity: Ric = u_0^2 Ric(base)
 
         def chart(x):
             lead = x.shape[:-1]
-            return SimpleNamespace(u=x, g=np.broadcast_to(np.eye(dim), lead + (dim, dim)),
+            return SimpleNamespace(u=x, ginv=np.broadcast_to(np.eye(dim), lead + (dim, dim)),
                                    gm1=np.zeros(lead + (dim,) * 3),
                                    rm1=(x[..., 0] ** 2)[..., None, None, None, None] * base,
                                    dric=x[..., 0, None, None, None] * dric)

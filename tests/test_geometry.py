@@ -21,6 +21,7 @@ from oracles import (
     christoffel_first_kind,
     fd_field_derivative,
     fd_ricci_derivative,
+    quadric_centres,
 )
 
 
@@ -225,13 +226,15 @@ class TestGaussCurvature:
 
 class TestClassification:
     def test_vmf(self, vmf, vmf_grid):
-        cls = classify(point_geometry(vmf.curved, vmf_grid))
+        pg = point_geometry(vmf.curved, vmf_grid)
+        cls = classify(pg)
         assert cls.umbilic and cls.dual_quadric
         assert cls.es_epsilon == pytest.approx(vmf.r_dagger / vmf.r, rel=1e-10)
         assert cls.k0 == pytest.approx(1.0 / vmf.r, rel=1e-10)
         assert cls.l0 == pytest.approx(1.0 / vmf.r_dagger, rel=1e-10)
-        assert np.abs(cls.theta0).max() < 1e-10
-        assert np.abs(cls.eta0).max() < 1e-10
+        theta0, eta0 = quadric_centres(pg, cls.k0, cls.l0)
+        assert np.abs(theta0).max() < 1e-10
+        assert np.abs(eta0).max() < 1e-10
         assert cls.constant_curvature == pytest.approx(1.0 / (vmf.r * vmf.r_dagger), rel=1e-10)
         assert cls.quadric_identity_residual < 1e-8
 

@@ -259,7 +259,7 @@ class TestPersistence:
         assert "version = " in manifest
 
     def test_empty_table_header_only(self, tmp_path):
-        empty = harness.ResultTable("sequential", (), 10)
+        empty = harness.ResultTable("sequential", ())
         cfg = tiny_config(tmp_path)
         write_results([empty], tmp_path, cfg)
         lines = (tmp_path / "sequential.csv").read_text().splitlines()
@@ -283,7 +283,7 @@ class TestPersistence:
         target = tmp_path / "file"
         target.write_text("x")
         with pytest.raises(OSError, match="file"):
-            write_results([harness.ResultTable("sequential", (), 2)], target / "sub", cfg)
+            write_results([harness.ResultTable("sequential", ())], target / "sub", cfg)
 
 
 def _traced_peak(run, config) -> int:

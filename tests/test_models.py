@@ -185,7 +185,7 @@ class TestMeanResultant:
     def test_odd_dimension_large_concentration_builds(self, cls):
         model = cls(3, 800.0)
         assert math.isfinite(model.r_dagger)
-        theta, _ = model.embed(model.probe_grid(count=1)[0])
+        theta, _ = model.embed(model.probe_grid(count=1, margin=1e-2, seed=7)[0])
         assert math.isfinite(family_of(model).psi(theta))
 
     @pytest.mark.parametrize("m", [3, 4, 5, 6])

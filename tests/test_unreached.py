@@ -1,6 +1,14 @@
+"""``tools/unreached.py`` on the library: its dynamic pass lists the ``src``
+functions that no subcommand enters, its static pass the fields, methods,
+properties and module-level names that no ``src`` expression reads. The
+ceiling keeps the first small and the second test keeps the second at zero,
+so that the library holds no code and no name that only the tests use.
+"""
+
 import contextlib
 import io
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -9,33 +17,36 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
 import unreached  # noqa: E402
 
-# src lines that no subcommand enters (_Gate.inconclusive, _first, _hankel_sum):
-# the library holds no code that only the tests use
+# src lines that no subcommand enters (_Gate.inconclusive, _first, _hankel_sum)
 UNREACHED_CEILING = 18
 
 
 @pytest.fixture(scope="module")
 def report():
+    """The report's two parts: the dynamic pass through its exit codes, then the static pass."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert unreached.main([]) == 0
-    return out.getvalue().splitlines()
+    lines = out.getvalue().splitlines()
+    cut = next(i for i, line in enumerate(lines) if line.startswith("exit codes: ")) + 1
+    return lines[:cut], lines[cut:]
 
 
 def test_unreached_smoke(report, tmp_path):
-    listed = [(line.split()[0].split(":")[0], line.split()[1]) for line in report[:-2]]
+    dynamic, _ = report
+    listed = [(line.split()[0].split(":")[0], line.split()[1]) for line in dynamic[:-2]]
     # functions the subcommands never enter are listed with their file; their own are not
     assert {("geometry.py", "_first"), ("models.py", "_hankel_sum")} <= set(listed)
     names = {name for _, name in listed}
     assert {"stop_cell", "frame_at", "quadric_coordinates", "cmd_report"}.isdisjoint(names)
     assert "VmfModel.sample_many" not in names
-    total = sum(int(line.split()[2]) for line in report[:-2])
-    assert report[-2].startswith(f"total: {total} unreached lines in {len(report) - 2} functions")
+    total = sum(int(line.split()[2]) for line in dynamic[:-2])
+    assert dynamic[-2].startswith(f"total: {total} unreached lines in {len(dynamic) - 2} functions")
     # the frozen seed's verdicts: at 20 replications (2 per batch) report fails a
     # gate on both configs, and every geometry case passes
     geometry = [f"geometry {model} m={m} r={r}{mode} 0"
                 for model, m, r in unreached.GEOMETRY_CASES for mode in ("", " --json")]
-    assert report[-1] == "exit codes: " + ", ".join(
+    assert dynamic[-1] == "exit codes: " + ", ".join(
         ["simulate vmf 0", "report vmf 2", "simulate hyperboloid 0", "report hyperboloid 2"] + geometry)
     # matched by file and first line: two closures of one name, as a family
     # defines one potential per dimension, are two functions, not merged by name
@@ -47,5 +58,69 @@ def test_unreached_smoke(report, tmp_path):
 
 
 def test_unreached_ceiling(report):
-    total = int(report[-2].split()[1])
-    assert total <= UNREACHED_CEILING, "\n".join(report[:-2])
+    dynamic, _ = report
+    total = int(dynamic[-2].split()[1])
+    assert total <= UNREACHED_CEILING, "\n".join(dynamic[:-2])
+
+
+def test_no_unread_names(report):
+    _, static = report
+    assert static == ["unread: 0 fields, methods and module names that no src expression reads"], \
+        "\n".join(static)
+
+
+def test_unread_names_smoke(tmp_path):
+    (tmp_path / "mod.py").write_text(textwrap.dedent("""\
+        from dataclasses import dataclass
+        from typing import NamedTuple
+
+        from numpy.random.bit_generator import ISeedSequence
+
+        LIMIT = 3
+        SPARE = 4
+
+
+        @dataclass(frozen=True)
+        class Pair:
+            kept: int
+            dropped: int
+
+
+        class Rows(NamedTuple):
+            a: float
+            b: float
+
+
+        class Seeds(ISeedSequence):
+            def __init__(self):
+                self.words = LIMIT
+                self.spare = 0
+
+            def generate_state(self, n_words, dtype=None):
+                return self.words
+
+            def unused(self):
+                return 0
+
+            @property
+            def size(self):
+                return 1
+
+
+        def read(p: Pair, r: Rows, s: Seeds):
+            return p.kept + sum(getattr(r, k) for k in ("a",))
+
+
+        CHECK = read
+        """))
+    # numpy calls generate_state, which ISeedSequence defines; a is read through
+    # getattr; SPARE, the two fields, the method, the property and CHECK are read nowhere
+    assert unreached.unread_names(tmp_path) == [
+        ("mod.py", 7, "SPARE", "name"),
+        ("mod.py", 13, "Pair.dropped", "field"),
+        ("mod.py", 18, "Rows.b", "field"),
+        ("mod.py", 24, "Seeds.spare", "field"),
+        ("mod.py", 29, "Seeds.unused", "method"),
+        ("mod.py", 33, "Seeds.size", "property"),
+        ("mod.py", 41, "CHECK", "name"),
+    ]

@@ -1,14 +1,20 @@
-"""List the ``src`` functions that none of the three subcommands enters.
+"""List the ``src`` functions that none of the three subcommands enters, and
+the names in ``src`` that no ``src`` expression reads.
 
-Runs ``simulate`` and ``report`` on both bundled experiment configs (at
-``REPLICATIONS`` replications per cell) and ``geometry``, in text and in
-JSON, on both models at m = 2 and 3, all through ``cli.main`` under
+The dynamic pass runs ``simulate`` and ``report`` on both bundled experiment
+configs (at ``REPLICATIONS`` replications per cell) and ``geometry``, in text
+and in JSON, on both models at m = 2 and 3, all through ``cli.main`` under
 ``sys.setprofile``. A function counts as entered when a frame of its code
 starts; functions are matched by file and first line, not by name, so a
 method that shares its name with a reached one is still seen.
 Prints every function never entered with its line count, the total, and each
 subcommand's exit code. A function nested in an unreached one is counted
 with it, not again.
+
+The static pass reads the ``src`` syntax trees (see :func:`unread_names`)
+and prints every field, method, property or module-level name that no
+``src`` expression reads, with its kind, and their count: a name that only
+the tests read shows up here even where a subcommand builds it.
 
     python tools/unreached.py
 """
@@ -17,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import builtins
 import importlib.util
 import os
 import re
@@ -57,6 +64,122 @@ def src_functions(src: Path) -> list[tuple[str, int, int, str, tuple[str, int] |
     for path in sorted(src.glob("*.py")):
         real = os.path.realpath(path)
         visit(ast.parse(path.read_text(), str(path)), real, "", None)
+    return out
+
+
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _assigned(node) -> list[tuple[str, int]]:
+    """The names an assignment statement binds, with its line; none for another statement."""
+    if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+        return []
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    return [(n.id, node.lineno) for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def _resolve(dotted: str):
+    """The object a dotted path names: its longest importable prefix, then attributes."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for part in parts[cut:]:
+            obj = getattr(obj, part)
+        return obj
+    raise ImportError(dotted)
+
+
+def _external_bases(tree: ast.Module, cls: ast.ClassDef) -> list:
+    """The bases of ``cls`` that are built in or imported from outside ``src``, as objects."""
+    imports = {}  # a name the module binds -> the dotted path it names
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                # "import a.b" binds a; "import a.b as c" binds c to a.b
+                top = a.name.partition(".")[0]
+                imports[a.asname or top] = a.name if a.asname else top
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imports.update({a.asname or a.name: f"{node.module}.{a.name}" for a in node.names})
+    out = []
+    for base in cls.bases:
+        head, _, rest = ast.unparse(base).partition(".")
+        if head in imports:
+            out.append(_resolve(imports[head] + ("." + rest if rest else "")))
+        elif hasattr(builtins, head):
+            out.append(_resolve("builtins." + ast.unparse(base)))
+        # else a class of src, whose own members are checked where it is defined
+    return out
+
+
+def unread_names(src: Path) -> list[tuple[str, int, str, str]]:
+    """Every field, method, property and module-level name defined under
+    ``src`` that no ``src`` expression reads: ``(file, line, qualified name,
+    kind)``.
+
+    A field is a name a class body assigns, as a dataclass or a NamedTuple
+    declares its fields, or an attribute a method assigns through ``self``.
+    A field, a method or a property is read where its name is loaded as an
+    attribute, or passed to ``getattr`` as a string, directly or through a
+    loop variable over strings. A module-level function, class or constant
+    is read where its name is loaded, bare or as an attribute; an import is
+    not a read. Names are matched without their owner, so a field that
+    shares its name with a read one is not listed. Dunder names are skipped,
+    and so is a method whose name a base from outside ``src`` defines: the
+    library it comes from calls it.
+    """
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in sorted(src.glob("*.py"))}
+    attrs: set[str] = set()
+    names: set[str] = set()
+    for tree in trees.values():
+        loops: dict[str, set[str]] = {}
+        calls = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attrs.add(node.attr)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, (ast.For, ast.comprehension)) and isinstance(node.target, ast.Name):
+                loops.setdefault(node.target.id, set()).update(
+                    c.value for c in ast.walk(node.iter) if isinstance(c, ast.Constant) and isinstance(c.value, str))
+            elif isinstance(node, ast.Call) and ast.unparse(node.func) == "getattr" and len(node.args) > 1:
+                calls.append(node.args[1])
+        for arg in calls:
+            if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+                attrs.add(arg.value)
+            elif isinstance(arg, ast.Name):
+                attrs.update(loops.get(arg.id, ()))
+
+    loaded = names | attrs
+    out = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            defined = _assigned(node)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined = [(node.name, node.lineno)]
+            out += [(path.name, line, name, "name") for name, line in defined
+                    if not _dunder(name) and name not in loaded]
+            if not isinstance(node, ast.ClassDef):
+                continue
+            external = _external_bases(tree, node)
+            members: dict[str, tuple[int, str]] = {}
+            for member in node.body:
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    decorators = {ast.unparse(d).split(".")[-1] for d in member.decorator_list}
+                    kind = "property" if decorators & {"property", "cached_property"} else "method"
+                    if not any(hasattr(base, member.name) for base in external):
+                        members.setdefault(member.name, (member.lineno, kind))
+                    stores = [(n.attr, n.lineno) for n in ast.walk(member) if isinstance(n, ast.Attribute)
+                              and isinstance(n.ctx, ast.Store) and ast.unparse(n.value) == "self"]
+                else:
+                    stores = _assigned(member)
+                for name, line in stores:
+                    members.setdefault(name, (line, "field"))
+            out += [(path.name, line, f"{node.name}.{name}", kind) for name, (line, kind) in members.items()
+                    if not _dunder(name) and name not in attrs]
     return out
 
 
@@ -126,6 +249,10 @@ def main(argv=None) -> int:
     src_lines = sum(len(p.read_text().splitlines()) for p in src.glob("*.py"))
     print(f"total: {total} unreached lines in {len(listed)} functions, of {src_lines} src lines")
     print("exit codes: " + ", ".join(codes))
+    unread = unread_names(src)
+    for file, line, name, kind in unread:
+        print(f"{file}:{line}  {name}  {kind}")
+    print(f"unread: {len(unread)} fields, methods and module names that no src expression reads")
     return 0
 
 
