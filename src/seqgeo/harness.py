@@ -125,6 +125,8 @@ class ExperimentConfig:
             if t_max < sequential.T_MIN:
                 raise ParameterError(f"grid_K entry {k!r} is too small: its replications are capped at "
                                      f"{t_max} draws, below the {sequential.T_MIN} a stop needs")
+        if self.d_matrix.shape != (self.m, self.m + 1):  # a column per sum component
+            raise ParameterError(f"D must be m x (m + 1) = {self.m} x {self.m + 1}, got shape {self.d_matrix.shape}")
         if np.linalg.matrix_rank(self.d_matrix) < self.m:
             raise ParameterError(f"D must have rank m = {self.m}")
 

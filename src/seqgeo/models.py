@@ -354,14 +354,14 @@ class _DirectionalModel:
         u2 = np.mod(np.arctan2(xi[:, 2], xi[:, 1]), 2.0 * math.pi)
         return np.stack([u1, u2], axis=1), ok
 
-    def stop_terms(self, sums: np.ndarray, steps=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def stop_terms(self, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(criterion, nu, defined)`` of the stopping rule at running sums ``(..., n)``, no chart needed.
 
         At the MLE, of direction ``S / |S|``, the criterion is ``|S| / r_dagger`` and
         the gauge ``nu = 1 / |xi_m| = |S| / |S_m|`` (``inf`` on the singular set
         ``S_m = 0``); ``defined`` is ``mle_many``'s. Both are scale-free, so the
-        draw counts ``steps`` go unread; m = 2 only. The three arrays are new,
-        and the stopping loop overwrites them.
+        sums alone give them, without the draw count; m = 2 only. The three
+        arrays are new, and the stopping loop overwrites them.
         """
         self._require_m2()
         nrm, ok = self._norm(sums)

@@ -30,14 +30,14 @@ def step_cap(k: float, nu0: float) -> int:
     return int(math.ceil(T_MAX_FACTOR * k * nu0))
 
 
-def stop_cell(model, k: float, u0, rngs, t_max: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def stop_cell(model, k: float, u0, rngs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sample each replication of a cell until its criterion crosses ``K nu + c``,
     ``c`` the model's stopping constant.
 
     Replication ``i`` draws from ``rngs[i]``; the burst size and the cap
-    ``t_max`` depend only on the cell, so the live replications advance burst
-    by burst together. Each burst makes one ``sample_many`` call and one
-    ``stop_terms`` call over all of its running sums, which gives the
+    ``step_cap(K, nu0)`` depend only on the cell, so the live replications
+    advance burst by burst together. Each burst makes one ``sample_many`` call
+    and one ``stop_terms`` call over all of its running sums, which gives the
     criterion, the gauge at the estimate and whether the estimate is defined
     without leaving the sums. A replication stops at the first eligible index
     at or past the boundary, as one-at-a-time evaluation would. Its draws and
@@ -47,20 +47,18 @@ def stop_cell(model, k: float, u0, rngs, t_max: int | None = None) -> tuple[np.n
     and the threshold are built in place over the burst's draws.
 
     Returns ``(tau, sum_x, runaway)`` with shapes ``(R,)``, ``(R, n)`` and
-    ``(R,)``; a runaway replication has ``tau = t_max`` and its sum there.
+    ``(R,)``; a runaway replication has ``tau`` at the cap and its sum there.
     """
     if k <= 0:
         raise ValueError("K must be positive")
     u0a = as_coords(u0)
     c = model.stopping_constant()
     nu0 = model.gauge().nu_at(u0a)
-    if t_max is None:
-        t_max = step_cap(k, nu0)
+    t_max = step_cap(k, nu0)
     burst = min(ROWS, max(8, int(0.25 * k * nu0)))
-    n = model.curved.n
     count = len(rngs)
     tau = np.full(count, t_max)
-    sum_x = np.zeros((count, n))
+    sum_x = np.zeros((count, model.curved.n))
     runaway = np.zeros(count, dtype=bool)
     block = max(1, STOP_ROWS // burst)
     for start in range(0, count, block):
@@ -71,13 +69,12 @@ def stop_cell(model, k: float, u0, rngs, t_max: int | None = None) -> tuple[np.n
             cums = model.sample_many(u0a, [rngs[i] for i in live], take)
             np.cumsum(cums, axis=1, out=cums)
             cums += sum_x[live, None, :]
-            steps = np.arange(t + 1, t + take + 1)
-            crit, thresh, hit = model.stop_terms(cums, steps)
+            crit, thresh, hit = model.stop_terms(cums)
             # thresh = K nu + c; a sum on the gauge's singular set has nu = inf,
             # a threshold never met
             thresh *= k
             thresh += c
-            hit &= steps >= T_MIN
+            hit &= np.arange(t + 1, t + take + 1) >= T_MIN  # no stop before T_MIN draws
             hit &= crit >= thresh
             rep = np.arange(live.size)
             first = np.argmax(hit, axis=1)

@@ -45,7 +45,10 @@ class LinearGaussianModel:
 
     Zero curvature everywhere, closed-form estimator, criterion equal to
     the sample size; used to pin down degenerate behaviour of the
-    sequential machinery. The ambient metric is the identity, so both
+    sequential machinery. The criterion is not scale-free, so the sums do
+    not give it: the model counts the draws it makes from each generator,
+    which is a replication's sample size when the replication owns a fresh
+    generator, as in the harness. The ambient metric is the identity, so both
     normals are one orthonormal basis of the complement of the columns of
     ``a``, from a complete QR.
     """
@@ -57,6 +60,7 @@ class LinearGaussianModel:
         if np.linalg.matrix_rank(a) < self.m:
             raise ParameterError("embedding matrix must have full column rank")
         self._pinv = np.linalg.pinv(a)
+        self._drawn = {}  # id of a generator -> (the generator, the draws made from it)
         normal = np.linalg.qr(a, mode="complete")[0][:, self.m:].T
         flat2, flat3 = np.zeros((self.m, self.m, self.n)), np.zeros((self.m, self.m, self.m, self.n))
 
@@ -80,16 +84,22 @@ class LinearGaussianModel:
 
     def sample_many(self, u, rngs, size: int) -> np.ndarray:
         mean = self.a @ as_coords(u)
+        # the draws made before this call, per generator; the dict holds each
+        # generator, so its id is not reused
+        self._before = np.array([self._drawn.get(id(rng), (rng, 0))[1] for rng in rngs])
+        self._drawn.update((id(rng), (rng, t + size)) for rng, t in zip(rngs, self._before))
         return mean + np.stack([rng.standard_normal((size, self.n)) for rng in rngs])
 
     def mle_many(self, means: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The estimator from sample means ``(R, n)``: it is not scale-free, so it reads no sums."""
         return means @ self._pinv.T, np.ones(means.shape[0], dtype=bool)
 
-    def stop_terms(self, sums: np.ndarray, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Criterion ``t``, gauge 1, always defined; ``steps`` counts the draws along ``sums``' axis -2."""
+    def stop_terms(self, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Criterion ``t``, gauge 1, always defined, at the running sums ``(R, size, n)``
+        of the last ``sample_many`` call: ``t`` counts the draws of row ``i``'s generator."""
         shape = sums.shape[:-1]
-        return np.broadcast_to(steps.astype(float), shape), np.ones(shape), np.ones(shape, dtype=bool)
+        t = self._before[:, None] + np.arange(1, shape[-1] + 1)
+        return t.astype(float), np.ones(shape), np.ones(shape, dtype=bool)
 
     def wrap_deviation(self, dev):
         return np.array(dev, dtype=float)

@@ -230,22 +230,22 @@ def closed_form_criterion(model, sums) -> np.ndarray:
     return np.linalg.norm(sums, axis=1) / model.r_dagger
 
 
-def reference_stopping(model, k, u0, rng, c=None, t_min=sequential.T_MIN, t_max=None):
+def reference_stopping(model, k, u0, rng, c=None, t_min=sequential.T_MIN):
     """One replication of the stopping rule on its own, read in the chart: ``(tau, sum_x, runaway)``.
 
     The per-replication loop that ``sequential.stop_cell`` runs in lockstep:
     the same burst schedule, but per burst of this replication alone the
     estimator, the closed-form criterion at it and the model's gauge at the
     estimate, where ``stop_cell`` reads the sums. A runaway replication
-    returns ``t_max`` and its sum there.
+    returns the cap ``t_max = ceil(T_MAX_FACTOR K nu0)``, read from
+    ``sequential`` at the call, and its sum there.
     """
     u0a = np.asarray(u0, dtype=float)
     gauge = model.gauge()
     if c is None:
         c = model.stopping_constant()
     nu0 = gauge.nu_at(u0a)
-    if t_max is None:
-        t_max = int(math.ceil(sequential.T_MAX_FACTOR * k * nu0))
+    t_max = int(math.ceil(sequential.T_MAX_FACTOR * k * nu0))
     burst = min(sequential.ROWS, max(8, int(0.25 * k * nu0)))
 
     sum_x = np.zeros(model.curved.n)

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -84,6 +85,11 @@ class TestConfig:
             dataclasses.replace(cfg, u0=np.array([0.0, 1.0]))  # on the gauge's singular set
         with pytest.raises(ParameterError, match="rank"):
             dataclasses.replace(cfg, d_matrix=np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]))
+        # the flattening map reads a sum's m + 1 components through D's columns: a
+        # full-rank square D ran both suites, and a (2, 5) one ended in an IndexError
+        for d_matrix in (np.eye(2), np.eye(2, 5)):
+            with pytest.raises(ParameterError, match=re.escape(f"m + 1) = 2 x 3, got shape {d_matrix.shape}")):
+                dataclasses.replace(cfg, d_matrix=d_matrix)
         with pytest.raises(ParameterError, match=f"m <= {M_MAX}, got m = {M_MAX + 1}"):
             dataclasses.replace(cfg, m=M_MAX + 1, u0=np.full(M_MAX + 1, 0.5), d_matrix=np.eye(M_MAX + 1, M_MAX + 2))
         for r in (math.nan, math.inf):

@@ -67,6 +67,14 @@ class TestObservedInformation:
             assert crit[i] == pytest.approx(generic, rel=1e-10)
 
 
+def cap_steps(monkeypatch, model, k, u0, cap):
+    """Patch ``sequential.T_MAX_FACTOR`` so that ``step_cap`` caps a replication
+    of cell ``k`` at ``u0`` at ``cap`` draws, to force runaways."""
+    nu0 = model.gauge().nu_at(u0)
+    monkeypatch.setattr(sequential, "T_MAX_FACTOR", (cap - 0.5) / (k * nu0))
+    assert sequential.step_cap(k, nu0) == cap
+
+
 def _criterion_and_threshold(model, k, sum_x):
     """The stopping criterion and the boundary ``K nu + c`` at the running sum ``sum_x``."""
     (crit,), (nu,), (defined,) = model.stop_terms(sum_x[None, :])
@@ -75,13 +83,13 @@ def _criterion_and_threshold(model, k, sum_x):
 
 class TestRunStopping:
     def test_degenerate_reduction_to_fixed_sample(self, linear):
-        rng = np.random.default_rng(42)
+        # the linear model's criterion counts its generator's draws, so each cell gets a fresh one
         u0 = np.array([0.4, -0.2])
-        tau, sum_x, runaway = stop_cell(linear, 17.3, u0, [rng])
+        tau, sum_x, runaway = stop_cell(linear, 17.3, u0, [np.random.default_rng(42)])
         assert tau[0] == 18 and sum_x.shape == (1, linear.n) and not runaway[0]
-        tau, _, _ = stop_cell(linear, 6.0, u0, [rng])
+        tau, _, _ = stop_cell(linear, 6.0, u0, [np.random.default_rng(42)])
         assert tau[0] == 6
-        tau, _, _ = stop_cell(linear, 1.5, u0, [rng])
+        tau, _, _ = stop_cell(linear, 1.5, u0, [np.random.default_rng(42)])
         assert tau[0] == 3  # warm-up floor
 
     def test_decision_invariants(self, vmf):
@@ -125,8 +133,9 @@ class TestRunStopping:
             ratios.append(taus.astype(float).var(ddof=1) / k)
         assert 0.5 < ratios[1] / ratios[0] < 2.0
 
-    def test_runaway_cap(self, vmf):
-        tau, _, runaway = stop_cell(vmf, 200.0, U0_VMF, [np.random.default_rng(1)], t_max=5)
+    def test_runaway_cap(self, vmf, monkeypatch):
+        cap_steps(monkeypatch, vmf, 200.0, U0_VMF, 5)
+        tau, _, runaway = stop_cell(vmf, 200.0, U0_VMF, [np.random.default_rng(1)])
         assert runaway[0] and tau[0] == 5
 
     def test_rejects_bad_k(self, vmf):
@@ -161,7 +170,7 @@ class TestStopCell:
 
     @pytest.mark.parametrize("case", list(CASES))
     @pytest.mark.parametrize("model_name", ["vmf", "hyp"])
-    def test_matches_reference_loop(self, model_name, case, request):
+    def test_matches_reference_loop(self, model_name, case, request, monkeypatch):
         model = request.getfixturevalue(model_name)
         u0 = U0_VMF if model_name == "vmf" else U0_HYP
         reps, burst, t_max, blocks = self.CASES[case]
@@ -169,14 +178,16 @@ class TestStopCell:
         k = (burst + 0.5) / (0.25 * gauge.nu_at(u0))
         assert max(8, int(0.25 * k * gauge.nu_at(u0))) == burst
         assert -(-reps // max(1, sequential.STOP_ROWS // burst)) == blocks
+        if t_max is not None:
+            cap_steps(monkeypatch, model, k, u0, t_max)
 
         seeds = [300 + rep for rep in range(reps)]
         rngs = [np.random.default_rng(s) for s in seeds]
-        tau, sum_x, runaway = stop_cell(model, k, u0, rngs, t_max=t_max)
+        tau, sum_x, runaway = stop_cell(model, k, u0, rngs)
         assert tau.shape == runaway.shape == (reps,)
         assert sum_x.shape == (reps, model.curved.n)
         for i, s in enumerate(seeds):
-            want = reference_stopping(model, k, u0, np.random.default_rng(s), t_max=t_max)
+            want = reference_stopping(model, k, u0, np.random.default_rng(s))
             assert tau[i] == want[0]
             assert sum_x[i].tobytes() == want[1].tobytes()
             assert runaway[i] == want[2]
@@ -223,7 +234,8 @@ class TestStopCell:
 
         monkeypatch.setattr(vmf, "sample_many", counted)
         rngs = [np.random.default_rng(s) for s in range(3)]
-        _, _, runaway = stop_cell(vmf, 1e6, U0_VMF, rngs, t_max=5000)
+        cap_steps(monkeypatch, vmf, 1e6, U0_VMF, 5000)
+        _, _, runaway = stop_cell(vmf, 1e6, U0_VMF, rngs)
         assert runaway.all()
         assert max(size for _, size in asked) <= sequential.ROWS
         assert max(reps * size for reps, size in asked) <= sequential.STOP_ROWS

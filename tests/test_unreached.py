@@ -1,8 +1,10 @@
 """``tools/unreached.py`` on the library: its dynamic pass lists the ``src``
 functions that no subcommand enters, its static pass the fields, methods,
-properties and module-level names that no ``src`` expression reads. The
-ceiling keeps the first small and the second test keeps the second at zero,
-so that the library holds no code and no name that only the tests use.
+properties and module-level names that no ``src`` expression reads, then the
+parameters that no ``src`` expression reads or, with a default, that no
+``src`` call passes. The ceiling keeps the first small and two tests keep
+the others at zero, so that the library holds no code, no name and no
+option that only the tests use.
 """
 
 import contextlib
@@ -23,17 +25,19 @@ UNREACHED_CEILING = 18
 
 @pytest.fixture(scope="module")
 def report():
-    """The report's two parts: the dynamic pass through its exit codes, then the static pass."""
+    """The report's three parts: the dynamic pass through its exit codes, the
+    static pass over names, then the one over parameters."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert unreached.main([]) == 0
     lines = out.getvalue().splitlines()
     cut = next(i for i, line in enumerate(lines) if line.startswith("exit codes: ")) + 1
-    return lines[:cut], lines[cut:]
+    names = next(i for i, line in enumerate(lines) if line.startswith("unread: ")) + 1
+    return lines[:cut], lines[cut:names], lines[names:]
 
 
 def test_unreached_smoke(report, tmp_path):
-    dynamic, _ = report
+    dynamic, _, _ = report
     listed = [(line.split()[0].split(":")[0], line.split()[1]) for line in dynamic[:-2]]
     # functions the subcommands never enter are listed with their file; their own are not
     assert {("geometry.py", "_first"), ("models.py", "_hankel_sum")} <= set(listed)
@@ -58,13 +62,13 @@ def test_unreached_smoke(report, tmp_path):
 
 
 def test_unreached_ceiling(report):
-    dynamic, _ = report
+    dynamic, _, _ = report
     total = int(dynamic[-2].split()[1])
     assert total <= UNREACHED_CEILING, "\n".join(dynamic[:-2])
 
 
 def test_no_unread_names(report):
-    _, static = report
+    _, static, _ = report
     assert static == ["unread: 0 fields, methods and module names that no src expression reads"], \
         "\n".join(static)
 
@@ -124,3 +128,58 @@ def test_unread_names_smoke(tmp_path):
         ("mod.py", 33, "Seeds.size", "property"),
         ("mod.py", 41, "CHECK", "name"),
     ]
+
+
+def test_no_unread_parameters(report):
+    _, _, params = report
+    assert params == ["unread: 0 parameters that no src expression reads or, with a default, no src call passes"], \
+        "\n".join(params)
+
+
+def test_unread_parameters_smoke(tmp_path):
+    src = tmp_path / "pkg"
+    src.mkdir()
+    (src / "mod.py").write_text(textwrap.dedent("""\
+        from numpy.random.bit_generator import ISeedSequence
+
+
+        def scale(x, unused):
+            return 2.0 * x
+
+
+        def clip(x, cap=None):
+            return x if cap is None else min(x, cap)
+
+
+        def shift(x, by=0.0):
+            def inner():
+                return x + by
+            return inner()
+
+
+        class Box:
+            def floor(self, x, low=0.0):
+                return max(x, low)
+
+
+        class Seeds(ISeedSequence):
+            def generate_state(self, n_words, dtype=None):
+                return 0
+
+
+        def main(argv=None):
+            print(argv)
+            return scale(clip(1.0), 2) + shift(1.0, **{"by": 1.0}) + Box().floor(1.0, 0.5)
+        """))
+    pyproject = tmp_path / "pyproject.toml"
+    pyproject.write_text('[project.scripts]\ntool = "pkg.mod:main"\n')
+    # unused is read nowhere, and only a caller outside src would pass cap; by is
+    # passed through **kwargs and read in a nested function, low by position
+    # after the bound self; numpy calls generate_state, which ISeedSequence
+    # defines; the shell calls main
+    assert unreached.unread_parameters(src, pyproject) == [
+        ("mod.py", 4, "scale.unused", "parameter"),
+        ("mod.py", 8, "clip.cap", "default"),
+    ]
+    pyproject.write_text("")
+    assert unreached.unread_parameters(src, pyproject)[-1] == ("mod.py", 28, "main.argv", "default")

@@ -1,5 +1,6 @@
-"""List the ``src`` functions that none of the three subcommands enters, and
-the names in ``src`` that no ``src`` expression reads.
+"""List the ``src`` functions that none of the three subcommands enters, the
+names in ``src`` that no ``src`` expression reads, and the parameters that
+nothing reads or that only a caller outside ``src`` passes.
 
 The dynamic pass runs ``simulate`` and ``report`` on both bundled experiment
 configs (at ``REPLICATIONS`` replications per cell) and ``geometry``, in text
@@ -14,7 +15,11 @@ with it, not again.
 The static pass reads the ``src`` syntax trees (see :func:`unread_names`)
 and prints every field, method, property or module-level name that no
 ``src`` expression reads, with its kind, and their count: a name that only
-the tests read shows up here even where a subcommand builds it.
+the tests read shows up here even where a subcommand builds it. Then it
+prints every parameter that its function's body never reads, and every
+defaulted parameter that no ``src`` call passes (see
+:func:`unread_parameters`), with their count: an option that only the tests
+set shows up here even where a subcommand runs its function.
 
     python tools/unreached.py
 """
@@ -29,15 +34,19 @@ import os
 import re
 import sys
 import tempfile
+import tomllib
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
 CONFIGS = ("vmf", "hyperboloid")
 # replications per cell of each bundled config
 REPLICATIONS = 20
 # (model, m, r): the geometry cases of the README
 GEOMETRY_CASES = (("vmf", 2, 0.25), ("hyperboloid", 2, 0.1), ("vmf", 3, 1.0), ("hyperboloid", 3, 0.1))
+# what a call through *args or **kwargs passes: every parameter
+ALL = "*"
 
 
 def src_functions(src: Path) -> list[tuple[str, int, int, str, tuple[str, int] | None]]:
@@ -183,6 +192,90 @@ def unread_names(src: Path) -> list[tuple[str, int, str, str]]:
     return out
 
 
+def _entry_points(pyproject: Path) -> set[tuple[str, str]]:
+    """``(module file stem, qualified name)`` of each console script that ``pyproject`` declares."""
+    scripts = tomllib.loads(pyproject.read_text()).get("project", {}).get("scripts", {})
+    out = set()
+    for target in scripts.values():
+        module, _, qualname = target.partition(":")
+        out.add((module.rpartition(".")[2].strip(), qualname.strip()))
+    return out
+
+
+def _passed(trees) -> dict[str | None, set]:
+    """Each callee name of a ``src`` call -> the positions and keywords its calls pass."""
+    passed: dict[str | None, set] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                got = passed.setdefault(name, set())
+                got.update(ALL if isinstance(a, ast.Starred) else i for i, a in enumerate(node.args))
+                got.update(k.arg or ALL for k in node.keywords)
+    return passed
+
+
+def unread_parameters(src: Path, pyproject: Path) -> list[tuple[str, int, str, str]]:
+    """Every parameter of a ``src`` function that its body never reads, kind
+    ``"parameter"``, and every defaulted one that no ``src`` call passes, kind
+    ``"default"``: ``(file, line, qualified function name.parameter, kind)``.
+
+    A read is a load of the name anywhere in the body, nested functions
+    included. A call passes a parameter by position or by keyword; calls are
+    matched by the callee's name, so a call of any function of that name
+    counts, and a constructor is called by its class's name. A call through
+    ``*args`` or ``**kwargs`` passes every parameter. Skipped: ``self`` and
+    ``cls``, a method whose name a base from outside ``src`` defines (the
+    library it comes from calls it), and the console scripts that
+    ``pyproject``'s ``[project.scripts]`` names (the shell calls them).
+    """
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in sorted(src.glob("*.py"))}
+    passed = _passed(trees.values())
+    entries = _entry_points(pyproject)
+    out = []
+
+    def check(path, fn, qualname, cls, external):
+        if (path.stem, qualname) in entries or any(hasattr(base, fn.name) for base in external):
+            return
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        defaulted = set(positional[len(positional) - len(args.defaults):])
+        defaulted.update(a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+        body = [n for stmt in fn.body for n in ast.walk(stmt)]
+        reads = {n.id for n in body if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        reads.update(n.target.id for n in body
+                     if isinstance(n, ast.AugAssign) and isinstance(n.target, ast.Name))
+        names = {fn.name, cls.name} if cls is not None and fn.name == "__init__" else {fn.name}
+        calls = set().union(*(passed.get(name, ()) for name in names))
+        # a method's first positional parameter is its object, which no call passes by position
+        bound = cls is not None and "staticmethod" not in {ast.unparse(d) for d in fn.decorator_list}
+        for arg in positional + args.kwonlyargs + [a for a in (args.vararg, args.kwarg) if a]:
+            if arg.arg in ("self", "cls"):
+                continue
+            where = {ALL, arg.arg}
+            if arg in positional:
+                where.add(positional.index(arg) - bound)
+            if arg.arg not in reads:
+                out.append((path.name, arg.lineno, f"{qualname}.{arg.arg}", "parameter"))
+            elif arg in defaulted and not calls & where:
+                out.append((path.name, arg.lineno, f"{qualname}.{arg.arg}", "default"))
+
+    def visit(node, path, tree, prefix, cls, external):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                check(path, child, prefix + child.name, cls, external)
+                visit(child, path, tree, prefix + child.name + ".", None, [])
+            elif isinstance(child, ast.ClassDef):
+                visit(child, path, tree, prefix + child.name + ".", child, _external_bases(tree, child))
+            else:
+                visit(child, path, tree, prefix, cls, external)
+
+    for path, tree in trees.items():
+        visit(tree, path, tree, "", None, [])
+    return out
+
+
 def run_subcommands() -> tuple[set[tuple[str, int]], list[str]]:
     """The ``(file, first line)`` of every code object entered while the
     subcommands run, and one ``"<subcommand> <case> <exit code>"`` per run."""
@@ -253,6 +346,10 @@ def main(argv=None) -> int:
     for file, line, name, kind in unread:
         print(f"{file}:{line}  {name}  {kind}")
     print(f"unread: {len(unread)} fields, methods and module names that no src expression reads")
+    params = unread_parameters(src, ROOT / "pyproject.toml")
+    for file, line, name, kind in params:
+        print(f"{file}:{line}  {name}  {kind}")
+    print(f"unread: {len(params)} parameters that no src expression reads or, with a default, no src call passes")
     return 0
 
 
