@@ -172,44 +172,6 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _read_csv(path: Path, expected_header: tuple[str, ...]) -> list[dict]:
-    lines = harness.read_text(path).strip().splitlines()
-    if not lines:
-        raise ParameterError(f"{path}: empty file")
-    header = tuple(lines[0].split(","))
-    if header != expected_header:
-        missing = set(expected_header) - set(header)
-        raise ParameterError(f"{path}: bad schema, missing columns {sorted(missing)}")
-    rows = []
-    for line in lines[1:]:
-        vals = line.split(",")
-        if len(vals) != len(header):
-            raise ParameterError(f"{path}: row has {len(vals)} fields, expected {len(header)}")
-        try:
-            row = {k: float(v) for k, v in zip(header, vals)}
-        except ValueError as exc:
-            raise ParameterError(f"{path}: {exc}") from exc
-        if not all(map(math.isfinite, row.values())):
-            raise ParameterError(f"{path}: non-finite value in row {line!r}")
-        rows.append(row)
-    return rows
-
-
-def _read_manifest_config(path: Path) -> harness.ExperimentConfig:
-    """The ``[config]`` section of a run manifest, read as a config file.
-
-    Lines outside the section are blanked, so error messages keep the
-    manifest's line numbers.
-    """
-    lines, inside = [], False
-    for line in harness.read_text(path).splitlines():
-        if line.strip().startswith("["):
-            inside = line.strip() == "[config]"
-            line = ""
-        lines.append(line if inside else "")
-    return harness.parse_config_text("\n".join(lines), path)
-
-
 class _Gate:
     def __init__(self, reps: int):
         self.entries = []
@@ -245,13 +207,8 @@ class _Gate:
 
 
 def evaluate_gates(results_dir: str | Path) -> tuple[_Gate, list[str]]:
+    config, nonseq, seq = harness.read_results(results_dir)
     out = Path(results_dir)
-    nonseq = _read_csv(out / "nonsequential.csv", harness.NONSEQ_COLUMNS)
-    seq = _read_csv(out / "sequential.csv", harness.SEQ_COLUMNS)
-    config = _read_manifest_config(out / "run.manifest")
-    if ([row["cell_N"] for row in nonseq] != list(config.grid_n)
-            or [row["cell_K"] for row in seq] != list(config.grid_k)):
-        raise ParameterError(f"{out}: the CSV cells do not match grid_N and grid_K of run.manifest")
     u0, reps = config.u0, config.replications
     model = MODELS[config.model](config.m, config.r)
     nu0 = model.gauge().nu_at(u0)

@@ -3,7 +3,8 @@
 A run is declared by an :class:`ExperimentConfig`; cells and replications
 are seeded independently of execution order, so identical config + seed
 reproduces byte-identical result files. A cell hashes its replications'
-seeds in one pass, as numpy's ``SeedSequence`` would one at a time.
+seeds in one pass, as numpy's ``SeedSequence`` would one at a time. This
+module alone knows a results directory: it writes and reads every file there.
 """
 
 from __future__ import annotations
@@ -64,6 +65,11 @@ SEQ_COLUMNS = (
     "excluded",
 )
 
+# a results directory: a CSV per table kind, each with its columns, and the manifest
+COLUMNS = {"nonsequential": NONSEQ_COLUMNS, "sequential": SEQ_COLUMNS}
+CSV_FILES = {kind: f"{kind}.csv" for kind in COLUMNS}
+MANIFEST = "run.manifest"
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -104,6 +110,8 @@ class ExperimentConfig:
             if repeated:
                 raise ParameterError(f"{name} entry {repeated[0]!r} is repeated")
         model = MODELS[self.model](self.m, self.r)
+        if self.m != 2:
+            raise ParameterError(f"the sampler and estimator are implemented for m = 2, got m = {self.m}")
         try:
             model.embed(self.u0)
             nu0 = float(model.gauge().nu_at(self.u0))
@@ -340,8 +348,8 @@ def run_nonsequential(config: ExperimentConfig) -> ResultTable:
         devs = model.wrap_deviation(u_stars - u0)
         outers = np.einsum("ra,rb->rab", devs, devs) * float(n)
         ocov = outers.mean(axis=0)
-        stats = {"OCOV": ocov, "OCRB": ginv, "OALB": ginv + term / float(n),
-                 "OCOV_se": _batch_se(_batch_means(outers))}
+        stats = {"OCOV": ocov, "OCOV_se": _batch_se(_batch_means(outers)),
+                 "OCRB": ginv, "OALB": ginv + term / float(n)}
         rows.append(CellResult(cell=float(n), stats=stats, excluded=excluded))
     return ResultTable("nonsequential", tuple(rows))
 
@@ -403,27 +411,15 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def nonsequential_csv_rows(table: ResultTable) -> list[str]:
-    out = [",".join(NONSEQ_COLUMNS)]
+def csv_rows(table: ResultTable) -> list[str]:
+    """A table's CSV lines: the header, then per cell its value, its stats (a matrix as its
+    11, 12 and 22 entries) and its exclusions; the suites build the stats in column order."""
+    out = [",".join(COLUMNS[table.kind])]
     for row in table.rows:
-        s = row.stats
-        cells = [str(int(row.cell))]
-        for key in ("OCOV", "OCOV_se", "OCRB", "OALB"):
-            cells += [_fmt(s[key][i]) for i in ((0, 0), (0, 1), (1, 1))]
-        cells.append(str(row.excluded))
-        out.append(",".join(cells))
-    return out
-
-
-def sequential_csv_rows(table: ResultTable) -> list[str]:
-    out = [",".join(SEQ_COLUMNS)]
-    for row in table.rows:
-        s = row.stats
-        cells = [_fmt(row.cell), _fmt(s["MST"]), _fmt(s["MST_se"]), _fmt(s["SDST"])]
-        for key in ("CCOV", "CCOV_se", "CCRB"):
-            cells += [_fmt(s[key][i]) for i in ((0, 0), (0, 1), (1, 1))]
-        cells.append(str(row.excluded))
-        out.append(",".join(cells))
+        values = [row.cell]
+        for stat in row.stats.values():
+            values += [stat[i] for i in ((0, 0), (0, 1), (1, 1))] if np.ndim(stat) else [stat]
+        out.append(",".join(_fmt(v) for v in [*values, row.excluded]))
     return out
 
 
@@ -437,16 +433,15 @@ def write_results(
     out = _results_dir(outdir)
     written = []
     for table in tables:
-        rows = (nonsequential_csv_rows if table.kind == "nonsequential" else sequential_csv_rows)(table)
-        path = out / f"{table.kind}.csv"
+        path = out / CSV_FILES[table.kind]
         try:
-            path.write_text("\n".join(rows) + "\n")
+            path.write_text("\n".join(csv_rows(table)) + "\n")
         except OSError as exc:
             raise OSError(f"cannot write {path}: {exc}") from exc
         written.append(path)
     from . import __version__
 
-    manifest = out / "run.manifest"
+    manifest = out / MANIFEST
     timings = timings or {}
     lines = ["[config]", *config.echo_lines(), "", "[run]", f"version = {__version__}", f"seed = {config.seed}"]
     for key in ("start", "end"):
@@ -458,6 +453,50 @@ def write_results(
     manifest.write_text("\n".join(lines) + "\n")
     written.append(manifest)
     return written
+
+
+def read_results(results_dir: str | Path) -> tuple[ExperimentConfig, list[dict], list[dict]]:
+    """The config a results directory's manifest echoes and the rows of its fixed-N
+    and sequential CSVs, each a dict of floats by column; raises :class:`ParameterError`
+    when a file does not parse or the CSV cells are not the config's grids."""
+    out = Path(results_dir)
+    nonseq, seq = (_read_csv(out / CSV_FILES[kind], columns) for kind, columns in COLUMNS.items())
+    # the manifest's [config] section, read as a config file; the lines outside it
+    # are blanked, so error messages keep the manifest's line numbers
+    lines, inside = [], False
+    for line in read_text(out / MANIFEST).splitlines():
+        if line.strip().startswith("["):
+            inside = line.strip() == "[config]"
+            line = ""
+        lines.append(line if inside else "")
+    config = parse_config_text("\n".join(lines), out / MANIFEST)
+    if ([row["cell_N"] for row in nonseq] != list(config.grid_n)
+            or [row["cell_K"] for row in seq] != list(config.grid_k)):
+        raise ParameterError(f"{out}: the CSV cells do not match grid_N and grid_K of {MANIFEST}")
+    return config, nonseq, seq
+
+
+def _read_csv(path: Path, expected_header: tuple[str, ...]) -> list[dict]:
+    lines = read_text(path).strip().splitlines()
+    if not lines:
+        raise ParameterError(f"{path}: empty file")
+    header = tuple(lines[0].split(","))
+    if header != expected_header:
+        missing = set(expected_header) - set(header)
+        raise ParameterError(f"{path}: bad schema, missing columns {sorted(missing)}")
+    rows = []
+    for line in lines[1:]:
+        vals = line.split(",")
+        if len(vals) != len(header):
+            raise ParameterError(f"{path}: row has {len(vals)} fields, expected {len(header)}")
+        try:
+            row = {k: float(v) for k, v in zip(header, vals)}
+        except ValueError as exc:
+            raise ParameterError(f"{path}: {exc}") from exc
+        if not all(map(math.isfinite, row.values())):
+            raise ParameterError(f"{path}: non-finite value in row {line!r}")
+        rows.append(row)
+    return rows
 
 
 def _results_dir(outdir: str | Path) -> Path:

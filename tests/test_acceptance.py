@@ -311,9 +311,7 @@ class TestSimulationSuite:
         cfg = dataclasses.replace(data["config"], outdir=str(tmp_path))
         harness.run_experiment(cfg)
         fresh = tuple(Path(cfg.outdir, f"{kind}.csv").read_bytes() for kind in ("nonsequential", "sequential"))
-        earlier = tuple(("\n".join(rows(data[key])) + "\n").encode()
-                        for rows, key in ((harness.nonsequential_csv_rows, "nonseq"),
-                                          (harness.sequential_csv_rows, "seq")))
+        earlier = tuple(("\n".join(harness.csv_rows(data[key])) + "\n").encode() for key in ("nonseq", "seq"))
         ok = fresh == earlier
         verdict(12, ok, "identical config and seed reproduce byte-identical CSV files")
 

@@ -364,6 +364,17 @@ class TestSimulateCommand:
         assert code == cli.EXIT_OK
         assert (outdir / "sequential.csv").read_bytes() == first
 
+    def test_m3_config_error_writes_nothing(self, tmp_path, capsys):
+        # the sampler is implemented for m = 2; an m = 3 run once left an empty directory
+        path, cfg = write_tiny_config(tmp_path)
+        lines = dict(line.split(" = ", 1) for line in path.read_text().splitlines())
+        lines.update(m="3", u0=lines["u0"] + ", 0.5", D="1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0")
+        path.write_text("".join(f"{key} = {value}\n" for key, value in lines.items()))
+        code, out, err = run_cli(["simulate", "--config", str(path)], capsys)
+        assert code == cli.EXIT_USAGE and out == ""
+        assert err.startswith("config error:") and "m = 2, got m = 3" in err
+        assert not Path(cfg.outdir).exists()
+
     def test_config_error_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.conf"
         bad.write_text("model = vmf\nnonsense\n")

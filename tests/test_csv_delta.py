@@ -7,16 +7,17 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
 import csv_delta  # noqa: E402
 from seqgeo import cli  # noqa: E402
-from seqgeo.harness import NONSEQ_COLUMNS, SEQ_COLUMNS  # noqa: E402
+from seqgeo.harness import CSV_FILES, NONSEQ_COLUMNS, SEQ_COLUMNS  # noqa: E402
 
 
 def write_results(out: Path) -> Path:
+    """A results directory's two CSVs: one fixed-N cell, two sequential cells."""
     out.mkdir()
-    (out / "nonsequential.csv").write_text(",".join(NONSEQ_COLUMNS) + "\n"
-                                           + ",".join(["100"] + ["0.5"] * 12 + ["0"]) + "\n")
-    (out / "sequential.csv").write_text(",".join(SEQ_COLUMNS) + "\n"
-                                        + "\n".join(",".join([k] + ["2.25"] * 12 + ["0"]) for k in ("5", "7"))
-                                        + "\n")
+    (out / CSV_FILES["nonsequential"]).write_text(",".join(NONSEQ_COLUMNS) + "\n"
+                                                  + ",".join(["100"] + ["0.5"] * 12 + ["0"]) + "\n")
+    (out / CSV_FILES["sequential"]).write_text(",".join(SEQ_COLUMNS) + "\n"
+                                               + "\n".join(",".join([k] + ["2.25"] * 12 + ["0"]) for k in ("5", "7"))
+                                               + "\n")
     return out
 
 
@@ -60,6 +61,24 @@ def test_header_or_cells_differ_exit_one(tmp_path, capsys):
     assert "sequential.csv: headers or cells differ" in capsys.readouterr().out
     (b / "nonsequential.csv").unlink()
     assert csv_delta.main([str(a), str(b)]) == 1
+    assert "nonsequential.csv: in only one directory" in capsys.readouterr().out
+
+
+def test_missing_or_empty_directories_exit_one(tmp_path, capsys):
+    # a mistyped path, or two directories without results, once read as "no change"
+    a = write_results(tmp_path / "a")
+    missing = tmp_path / "missing"
+    assert csv_delta.main([str(a), str(missing)]) == 1
+    assert f"{missing}: not a directory" in capsys.readouterr().out
+    assert csv_delta.main([str(missing), str(a)]) == 1
+    assert f"{missing}: not a directory" in capsys.readouterr().out
+    empty_a, empty_b = tmp_path / "empty_a", tmp_path / "empty_b"
+    empty_a.mkdir()
+    empty_b.mkdir()
+    assert csv_delta.main([str(empty_a), str(empty_b)]) == 1
+    assert "neither directory holds nonsequential.csv or sequential.csv" in capsys.readouterr().out
+    # one CSV in one directory is a difference, and is reported as before
+    assert csv_delta.main([str(a), str(empty_b)]) == 1
     assert "nonsequential.csv: in only one directory" in capsys.readouterr().out
 
 

@@ -33,3 +33,19 @@ def test_wilson_interval():
     assert gate_sweep.wilson(0, 10) == pytest.approx((0.0, 0.2775), abs=1e-4)
     assert gate_sweep.wilson(10, 10) == pytest.approx((0.7225, 1.0), abs=1e-4)
     assert gate_sweep.parse_seeds(["1001-1003", "7"]) == [1001, 1002, 1003, 7]
+
+
+@pytest.mark.parametrize("seeds, message", [
+    (["1040-1001"], "seed range '1040-1001' is empty"),
+    (["1001-1003", "1002"], "seed 1002 is given twice"),
+    (["7", "5-8"], "seed 7 is given twice"),
+    (["x"], "invalid literal"),
+], ids=["reversed", "repeated", "repeated-in-range", "not-a-number"])
+def test_bad_seeds_are_usage_errors(seeds, message, capsys):
+    # a reversed range gave no seeds and a Pool(0) traceback; a repeated seed ran twice
+    # and counted as two independent runs; neither runs a simulation now
+    with pytest.raises(SystemExit) as exc:
+        gate_sweep.main(["--seeds", *seeds])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and message in err

@@ -98,6 +98,13 @@ class TestConfig:
             with pytest.raises(ParameterError, match="concentration r"):
                 dataclasses.replace(cfg, model="hyperboloid", r=r)
 
+    @pytest.mark.parametrize("model", ["vmf", "hyperboloid"])
+    def test_m3_rejected_before_a_run(self, model):
+        # m = 3 passed validation, and the sampler rejected it once the run had begun
+        cfg = bundled_config(model)
+        with pytest.raises(ParameterError, match="implemented for m = 2, got m = 3"):
+            dataclasses.replace(cfg, m=3, u0=np.append(cfg.u0, 0.5), d_matrix=np.eye(3, 4))
+
     def test_fractional_grid_n_rejected(self):
         # int(float(v)) once read N = 100.7 as a cell of N = 100
         text = (BUNDLED / "vmf.conf").read_text()
@@ -264,6 +271,20 @@ class TestPersistence:
         assert "model = vmf" in manifest
         assert "version = " in manifest
 
+    @pytest.mark.parametrize("model", ["vmf", "hyperboloid"])
+    def test_read_results_round_trip(self, model, tmp_path):
+        # %.17g round-trips a double, so every value reads back exactly
+        cfg = bundled_config(model, outdir=str(tmp_path), replications=20)
+        tables = [run_nonsequential(cfg), run_sequential(cfg)]
+        write_results(tables, cfg.outdir, cfg)
+        back, *rows = harness.read_results(tmp_path)
+        assert back.echo_lines() == cfg.echo_lines()
+        for table, read in zip(tables, rows):
+            assert len(read) == len(table.rows)
+            for row, got in zip(table.rows, read):
+                assert list(got) == list(harness.COLUMNS[table.kind])
+                assert got == {column: _column_value(row, column) for column in got}
+
     def test_empty_table_header_only(self, tmp_path):
         empty = harness.ResultTable("sequential", ())
         cfg = tiny_config(tmp_path)
@@ -290,6 +311,17 @@ class TestPersistence:
         target.write_text("x")
         with pytest.raises(OSError, match="file"):
             write_results([harness.ResultTable("sequential", ())], target / "sub", cfg)
+
+
+def _column_value(row, column):
+    """The value of ``row`` that ``column`` names: ``OCOV12_se`` is ``stats["OCOV_se"][0, 1]``."""
+    if column in ("cell_N", "cell_K"):
+        return row.cell
+    if column == "excluded":
+        return row.excluded
+    stat, component, se = re.fullmatch(r"([A-Z]+)(\d\d)?(_se)?", column).groups()
+    value = row.stats[stat + (se or "")]
+    return value if component is None else value[int(component[0]) - 1, int(component[1]) - 1]
 
 
 def _traced_peak(run, config) -> int:

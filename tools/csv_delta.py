@@ -7,7 +7,8 @@ and column: the largest ``|a - b| / max(|a|, |b|)`` over its rows (0 where
 the values are equal, inf where only one is finite). Exits 1 when a file is
 in only one directory, or when the two copies of a file differ in header, in
 row count or in the cell column (``cell_N``, ``cell_K``), which the deltas of
-the other columns assume equal.
+the other columns assume equal, and when a path is not a directory or neither
+directory holds either file.
 
 Given two files, reads each as a ``geometry --json`` report and prints one
 line per leaf, by its dotted key: the largest relative change of a number or
@@ -30,7 +31,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from seqgeo import harness  # noqa: E402
 
-FILES = ("nonsequential.csv", "sequential.csv")
+FILES = tuple(harness.CSV_FILES.values())
 
 
 def read_rows(path: Path) -> list[list[str]]:
@@ -79,6 +80,13 @@ def compare_reports(pa: Path, pb: Path) -> int:
 
 
 def compare_directories(da: Path, db: Path) -> int:
+    for d in (da, db):
+        if not d.is_dir():
+            print(f"{d}: not a directory")
+            return 1
+    if not any((d / name).exists() for d in (da, db) for name in FILES):
+        print(f"{da}, {db}: neither directory holds {' or '.join(FILES)}")
+        return 1
     status = 0
     for name in FILES:
         pa, pb = da / name, db / name

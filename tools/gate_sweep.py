@@ -105,10 +105,18 @@ def _rate(k: int, n: int) -> str:
 
 
 def parse_seeds(tokens: list[str]) -> list[int]:
+    """The seeds of tokens such as ``1001-1040`` or ``7``; raises ``ValueError`` on an
+    empty or reversed range and on a seed given twice, which would count as two runs."""
     seeds = []
     for tok in tokens:
         first, _, last = tok.partition("-")
-        seeds += list(range(int(first), int(last or first) + 1))
+        span = range(int(first), int(last or first) + 1)
+        if not span:
+            raise ValueError(f"seed range {tok!r} is empty")
+        repeated = sorted(s for s in seeds if s in span)
+        if repeated:
+            raise ValueError(f"seed {repeated[0]} is given twice")
+        seeds += span
     return seeds
 
 
@@ -118,7 +126,11 @@ def main(argv=None) -> int:
     parser.add_argument("--replications", type=int, default=None,
                         help="replications per cell (default: the config's)")
     args = parser.parse_args(argv)
-    for line in summarize(sweep(parse_seeds(args.seeds), args.replications)):
+    try:
+        seeds = parse_seeds(args.seeds)
+    except ValueError as exc:
+        parser.error(f"--seeds: {exc}")
+    for line in summarize(sweep(seeds, args.replications)):
         print(line)
     return 0
 
