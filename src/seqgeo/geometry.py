@@ -152,20 +152,12 @@ class PointGeometry:
         The ambient family is flat, so the curvature is the antisymmetrized
         product of the two extrinsic curvature tensors.
         """
-        h1, hm1, gkk_inv = self.h1, self.hm1, self.gkk_inv
-        return tops.require_finite(
-            np.einsum("...adk,...bcl,...kl->...abcd", hm1, h1, gkk_inv)
-            - np.einsum("...bdk,...acl,...kl->...abcd", hm1, h1, gkk_inv)
-        )
+        return tops.require_finite(_gauss(self.hm1, self.h1, self.gkk_inv))
 
     @cached_property
     def rm1(self) -> np.ndarray:
         """-1 curvature from the Gauss equation."""
-        h1, hm1, gkk_inv = self.h1, self.hm1, self.gkk_inv
-        return tops.require_finite(
-            np.einsum("...adk,...bcl,...kl->...abcd", h1, hm1, gkk_inv)
-            - np.einsum("...bdk,...acl,...kl->...abcd", h1, hm1, gkk_inv)
-        )
+        return tops.require_finite(_gauss(self.h1, self.hm1, self.gkk_inv))
 
     @cached_property
     def dric(self) -> np.ndarray:
@@ -194,6 +186,13 @@ class PointGeometry:
         h1, hm1 = h1[..., None, :, :, :], hm1[..., None, :, :, :]
         return tops.require_finite(_ricci(dginv, h1, hm1, gkk_inv) + _ricci(ginv, dh1, hm1, gkk_inv)
                                    + _ricci(ginv, h1, dhm1, gkk_inv))
+
+
+def _gauss(ha, hb, gkk_inv) -> np.ndarray:
+    """The Gauss equation of a flat ambient family, R_abcd = ha_adk G_kl hb_bcl - ha_bdk G_kl hb_acl,
+    G the inverse normal metric: R(1) at (ha, hb) = (H(-1), H(1)), R(-1) at (H(1), H(-1))."""
+    return (np.einsum("...adk,...bcl,...kl->...abcd", ha, hb, gkk_inv)
+            - np.einsum("...bdk,...acl,...kl->...abcd", ha, hb, gkk_inv))
 
 
 def _ricci(ginv, h1, hm1, gkk_inv) -> np.ndarray:

@@ -8,11 +8,15 @@ a model's ``curved`` family is one closed-form jet, ``theta = r lam xi`` and
 ``eta = r_dagger xi``, ``xi`` the unit direction of the chart point, with
 their derivatives and normals. ``embed`` checks that a point lies in the
 chart and reads both values from that jet.
-The sampler draws for a batch of replications in one call,
-``sample_many(u, rngs, size) -> (len(rngs), size, n)``: row ``i`` takes
-``rngs[i]``'s draws in one call, in the order that replication alone would,
-and the transform runs in place once over all rows, so a row does not depend
-on its batch.
+A model states four things: its curvature sign (+1 sphere, -1 shell), its mean
+resultant, its sampler's radial draw and frame map, and its norm. From the sign
+the base derives the chart axes, ``lam``, the normals and the stopping constant,
+and it runs ``sample_many(u, rngs, size) -> (len(rngs), size, n)``: a radial
+draw by inversion (Wood 1994; Jensen 1981) and a uniform azimuth, mapped to the
+frame at ``u`` and divided by the norm. Row ``i`` takes ``rngs[i]``'s draws in
+one call, in the order its replication alone would, all rows in place at once,
+so a row does not depend on its batch; the vMF returns a view of three planes,
+so a caller adds its draws by ``cumsum``, not ``sum``.
 The stopping rule reads the running sums alone, through ``stop_terms``. The
 sampler, the batched estimator and ``stop_terms`` are implemented for m = 2,
 the simulation dimension; all geometry works for any m >= 2. ``MODELS`` maps
@@ -235,15 +239,11 @@ def _jet_slots(m: int) -> np.ndarray:
 
 
 class _DirectionalModel:
-    """Shared machinery; subclasses fix the factor kinds and sign structure."""
+    """Everything the two models share; a model states its curvature sign, mean
+    resultant, ``_radial``, ``_to_ambient`` (with its ``_build_plan``) and ``_norm``."""
 
     curvature_sign: float  # sign of the constant curvature lambda = sign / (r r_dagger)
     mean_resultant: Callable[[float, int], float]  # r -> r_dagger at dimension m
-    kinds: list[str]
-    m: int
-    r: float
-    r_dagger: float
-    _lam: np.ndarray  # theta = r * lam * xi, componentwise signs
     _norm: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]  # sums -> (norm, MLE defined)
 
     def __init__(self, m: int, r: float):
@@ -259,6 +259,11 @@ class _DirectionalModel:
             raise ParameterError(f"concentration r = {r!r} is out of range: r * r_dagger is "
                                  f"{self.r * self.r_dagger!r}")
         self._plan_cache: tuple[bytes, tuple] | None = None
+        # the first chart axis is hyperbolic on the hyperboloid; theta = r * lam * xi
+        self.kinds = ["circ" if self.curvature_sign > 0 else "hyp"] + ["circ"] * (self.m - 1)
+        self._lam = np.ones(self.m + 1)
+        self._lam[0] = self.curvature_sign
+        self.curved = CurvedFamily(n=self.m + 1, m=self.m, jet=self._jet)
 
     def _plan(self, u) -> tuple:
         """The sampler's constants at the chart point ``u``, kept for the last point seen.
@@ -298,22 +303,43 @@ class _DirectionalModel:
         if self.m >= 2 and not -_DOMAIN_SLACK <= u[self.m - 1] <= 2.0 * math.pi + _DOMAIN_SLACK:
             raise ChartError(f"azimuthal coordinate out of range: {u[self.m - 1]!r}")
 
-    def _curved(self, normal_theta_sign: float) -> CurvedFamily:
+    def _jet(self, us) -> Jet:
+        # every field is a new array, so the buffer that xi and its
+        # derivatives view is freed when the jet is built
         lam = self._lam
+        xi, dxi, ddxi, dddxi = _xi_jet(us, self.kinds)
+        return Jet(
+            self.r * lam * xi, self.r_dagger * xi,
+            self.r * dxi * lam, self.r_dagger * dxi,
+            self.r * ddxi * lam, self.r_dagger * ddxi,
+            dddxi * (self.r * lam), self.r_dagger * dddxi,
+            (self.curvature_sign * lam * xi)[..., None, :], xi[..., None, :].copy(),
+        )
 
-        def jet(us):
-            # every field is a new array, so the buffer that xi and its
-            # derivatives view is freed when the jet is built
-            xi, dxi, ddxi, dddxi = _xi_jet(us, self.kinds)
-            return Jet(
-                self.r * lam * xi, self.r_dagger * xi,
-                self.r * dxi * lam, self.r_dagger * dxi,
-                self.r * ddxi * lam, self.r_dagger * ddxi,
-                dddxi * (self.r * lam), self.r_dagger * dddxi,
-                (normal_theta_sign * lam * xi)[..., None, :], xi[..., None, :].copy(),
-            )
+    def stopping_constant(self) -> float:
+        # sign * m is exact, so this has the bits of each model's closed form
+        return -0.5 * (self.curvature_sign * self.m / (self.r * self.r_dagger) - 1.0 / self.r_dagger**2)
 
-        return CurvedFamily(n=self.m + 1, m=self.m, jet=jet)
+    def sample_many(self, u, rngs, size: int) -> np.ndarray:
+        """Unit observations around the chart direction, ``(len(rngs), size, 3)``,
+        row ``i`` drawn from ``rngs[i]``; m = 2 only."""
+        self._require_m2()
+        x = self._to_ambient(self._plan(u), self._local_draws(rngs, size))
+        x /= self._norm(x)[0][..., None]
+        return x
+
+    def _local_draws(self, rngs, size: int) -> list[np.ndarray]:
+        """``[radial, cos(phi) rho, sin(phi) rho, rho]`` about the mean direction, on four row
+        planes, from the first and second uniform of each pair; ``_to_ambient`` owns them."""
+        pairs = _uniform_pairs(rngs, size)
+        uu, phi = pairs[:, 0], pairs[:, 1]
+        radial, rho = self._radial(uu)
+        phi *= 2.0 * math.pi
+        a = np.cos(phi, out=uu)
+        a *= rho
+        b = np.sin(phi, out=phi)
+        b *= rho
+        return [radial, a, b, rho]
 
     def gauge(self) -> Gauge:
         """``nu = 1 / prod_a |s_a|`` over the chart axes, with s = -c / s and ds = diag(1 / s^2)."""
@@ -387,53 +413,34 @@ class VmfModel(_DirectionalModel):
     curvature_sign = 1.0
     mean_resultant = staticmethod(vmf_mean_resultant)
 
-    def __init__(self, m: int, r: float):
-        super().__init__(m, r)
-        self.kinds = ["circ"] * self.m
-        self._lam = np.ones(self.m + 1)
-        self.curved = self._curved(normal_theta_sign=1.0)
-
-    def stopping_constant(self) -> float:
-        rr = self.r * self.r_dagger
-        return -0.5 * (self.m / rr - 1.0 / self.r_dagger**2)
-
-    def sample_many(self, u, rngs, size: int) -> np.ndarray:
-        """Draw unit observations around the chart direction; m = 2 only.
-
-        Returns ``(len(rngs), size, 3)``, a view of three coordinate planes;
-        row ``i`` is drawn from ``rngs[i]``. The transform runs in place on
-        at most seven row planes.
-        """
-        self._require_m2()
-        xi, e1, e2, floor = self._plan(u)
-        pairs = _uniform_pairs(rngs, size)
-        uu, phi = pairs[:, 0], pairs[:, 1]
+    def _radial(self, uu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``w = 1 + log(uu + (1 - uu) e^(-2r)) / r``, Wood's inversion, and ``sqrt(1 - w^2)``."""
         w = np.subtract(1.0, uu)
-        w *= floor
+        w *= math.exp(-2.0 * self.r)
         w += uu
         np.log(w, out=w)
         w /= self.r
-        w += 1.0  # w = 1 + log(uu + (1 - uu) floor) / r
-        phi *= 2.0 * math.pi
+        w += 1.0
         st = np.multiply(w, w)
         np.subtract(1.0, st, out=st)
         np.maximum(st, 0.0, out=st)
-        np.sqrt(st, out=st)
-        a = np.cos(phi, out=uu)
-        a *= st
-        b = np.sin(phi, out=phi)
-        b *= st
+        return w, np.sqrt(st, out=st)
+
+    def _to_ambient(self, plan: tuple, local: list[np.ndarray]) -> np.ndarray:
+        """``w xi + a e1 + b e2`` per coordinate plane, the last local plane as
+        scratch: a view of three planes, on at most seven row planes in all."""
+        xi, e1, e2 = plan
+        w, a, b, tmp = local
         x = np.empty((3,) + w.shape)
         for j in range(3):
             np.multiply(w, xi[j], out=x[j])
-            x[j] += np.multiply(a, e1[j], out=st)
-            x[j] += np.multiply(b, e2[j], out=st)
-        x /= _euclidean(x[0], x[1], x[2], out=w, tmp=st)
+            x[j] += np.multiply(a, e1[j], out=tmp)
+            x[j] += np.multiply(b, e2[j], out=tmp)
         return x.transpose(1, 2, 0)
 
     def _build_plan(self, u: np.ndarray) -> tuple:
         xi = self.direction(u)
-        return (xi, *_orthonormal_complement(xi), math.exp(-2.0 * self.r))
+        return (xi, *_orthonormal_complement(xi))
 
     def _norm(self, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Euclidean norm of sums ``(..., 3)``, and where the MLE is defined: a nonzero sum."""
@@ -447,52 +454,27 @@ class HyperboloidModel(_DirectionalModel):
     curvature_sign = -1.0
     mean_resultant = staticmethod(hyperboloid_mean_resultant)
 
-    def __init__(self, m: int, r: float):
-        super().__init__(m, r)
-        self.kinds = ["hyp"] + ["circ"] * (self.m - 1)
-        self._lam = np.concatenate(([-1.0], np.ones(self.m)))
-        self.curved = self._curved(normal_theta_sign=-1.0)
-
-    def stopping_constant(self) -> float:
-        rr = self.r * self.r_dagger
-        return -0.5 * (-self.m / rr - 1.0 / self.r_dagger**2)
-
-    def sample_many(self, u, rngs, size: int) -> np.ndarray:
-        """Boosted radial draws, ``(len(rngs), size, 3)``: the radial cosh is a
-        shifted exponential. Row ``i`` is drawn from ``rngs[i]``.
-
-        The boost is one stacked matmul, which makes each row's own BLAS call
-        (gemv for one draw, gemm for more), so a row keeps the bits it has when
-        drawn alone; one matmul over all rows would take gemm at ``size = 1`` too.
-        """
-        self._require_m2()
-        (boost,) = self._plan(u)
-        pairs = _uniform_pairs(rngs, size)
-        uu, phi = pairs[:, 0], pairs[:, 1]
+    def _radial(self, uu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The radial cosh ``y = 1 - log1p(-uu) / r``, a shifted exponential, and ``sqrt(y^2 - 1)``."""
         y = np.negative(uu)
         np.log1p(y, out=y)
         np.negative(y, out=y)
         y /= self.r
-        y += 1.0  # y = 1 - log1p(-uu) / r
+        y += 1.0
         sr = np.multiply(y, y)
         sr -= 1.0
         np.maximum(sr, 0.0, out=sr)
-        np.sqrt(sr, out=sr)
-        phi *= 2.0 * math.pi
-        c = np.cos(phi, out=uu)
-        c *= sr
-        s = np.sin(phi, out=phi)
-        s *= sr
-        xloc = np.stack([y, c, s], axis=-1)
-        del pairs, uu, phi, y, sr, c, s
-        x = xloc @ boost.T
-        del xloc
-        q = np.square(x[..., 0])
-        t = np.square(x[..., 1])
-        q -= t
-        q -= np.square(x[..., 2], out=t)
-        x /= np.sqrt(q, out=q)[..., None]
-        return x
+        return y, np.sqrt(sr, out=sr)
+
+    def _to_ambient(self, plan: tuple, local: list[np.ndarray]) -> np.ndarray:
+        """The boost as one stacked matmul, which makes each row's own BLAS call
+        (gemv for one draw, gemm for more), so a row keeps the bits it has when
+        drawn alone; one matmul over all rows would take gemm at ``size = 1`` too.
+        The local planes are released before it."""
+        (boost,) = plan
+        xloc = np.stack(local[:3], axis=-1)
+        local.clear()
+        return xloc @ boost.T
 
     def _build_plan(self, u: np.ndarray) -> tuple:
         ch, sh = math.cosh(u[0]), math.sinh(u[0])
@@ -508,8 +490,11 @@ class HyperboloidModel(_DirectionalModel):
 
     def _norm(self, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Minkowski norm of sums ``(..., 3)``, and where the MLE is defined: a future timelike sum."""
-        q = sums[..., 0] ** 2 - sums[..., 1] ** 2 - sums[..., 2] ** 2
-        return np.sqrt(np.maximum(q, 0.0)), (q > 0) & (sums[..., 0] > 0)
+        q = np.square(sums[..., 0])
+        q -= np.square(sums[..., 1])
+        q -= np.square(sums[..., 2])
+        ok = (q > 0) & (sums[..., 0] > 0)
+        return np.sqrt(np.maximum(q, 0.0, out=q), out=q), ok
 
 
 MODELS = {"vmf": VmfModel, "hyperboloid": HyperboloidModel}
@@ -525,12 +510,12 @@ def _uniform_pairs(rngs, size: int) -> np.ndarray:
     return out
 
 
-def _euclidean(x0, x1, x2, out=None, tmp=None) -> np.ndarray:
+def _euclidean(x0, x1, x2) -> np.ndarray:
     """``sqrt(x0 x0 + x1 x1 + x2 x2)`` over planes, summed left to right as
     ``np.linalg.norm`` sums a length-3 last axis, so it has the same bits."""
-    nrm = np.multiply(x0, x0, out=out)
-    nrm += np.multiply(x1, x1, out=tmp)
-    nrm += np.multiply(x2, x2, out=tmp)
+    nrm = np.multiply(x0, x0)
+    nrm += np.multiply(x1, x1)
+    nrm += np.multiply(x2, x2)
     return np.sqrt(nrm, out=nrm)
 
 

@@ -463,8 +463,8 @@ def sample_many(model, u, rngs, size: int) -> np.ndarray:
         q = x[..., 0] ** 2 - x[..., 1] ** 2 - x[..., 2] ** 2
         x /= np.sqrt(q)[..., None]
         return x
-    xi, e1, e2, floor = model._plan(u)
-    w = 1.0 + np.log(uu + (1.0 - uu) * floor) / model.r
+    xi, e1, e2 = model._plan(u)
+    w = 1.0 + np.log(uu + (1.0 - uu) * math.exp(-2.0 * model.r)) / model.r
     phi *= 2.0 * math.pi
     st = np.sqrt(np.maximum(1.0 - w * w, 0.0))
     a, b = st * np.cos(phi), st * np.sin(phi)

@@ -49,3 +49,15 @@ def test_bad_seeds_are_usage_errors(seeds, message, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage:") and message in err
+
+
+@pytest.mark.parametrize("replications", ["1", "0", "-5"])
+def test_bad_replications_are_usage_errors(replications, capsys, monkeypatch):
+    # a count below 2 raised ParameterError inside the worker pool; now it is
+    # refused before any simulation
+    monkeypatch.setattr(gate_sweep, "sweep", lambda *args: pytest.fail("a simulation ran"))
+    with pytest.raises(SystemExit) as exc:
+        gate_sweep.main(["--seeds", "1", "--replications", replications])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "--replications: need at least 2 replications" in err

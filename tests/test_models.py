@@ -42,6 +42,11 @@ from oracles import (
 )
 
 
+# concentrations of the sampler's bit-for-bit tests: the vmf's w is within about 1/r
+# of 1 at large r, where 1 - w^2 cancels, and the hyperboloid's tail is far at small r
+CONCENTRATIONS = st.sampled_from([1e-3, 0.1, 0.25, 40.0, 1e3])
+
+
 class TestParameters:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ParameterError):
@@ -285,14 +290,15 @@ class TestSampler:
     @pytest.mark.parametrize("model_cls, u1_max", [(VmfModel, 3.0), (HyperboloidModel, 2.0)],
                              ids=["vmf", "hyp"])
     @given(reps=st.sampled_from([1, 2, 7, 33]), size=st.sampled_from([1, 8, 113]),
-           seed=st.integers(0, 2 ** 32), u1=st.floats(0.05, 1.0), u2=st.floats(0.0, 2.0 * math.pi))
-    @example(reps=33, size=113, seed=0, u1=0.5, u2=1.0).via("3,729 stacked rows: not a multiple of 4")
+           seed=st.integers(0, 2 ** 32), u1=st.floats(0.05, 1.0), u2=st.floats(0.0, 2.0 * math.pi),
+           r=CONCENTRATIONS)
+    @example(reps=33, size=113, seed=0, u1=0.5, u2=1.0, r=0.25).via("3,729 stacked rows: not a multiple of 4")
     @settings(max_examples=25, deadline=None)
-    def test_rows_match_one_replication_each(self, model_cls, u1_max, reps, size, seed, u1, u2):
+    def test_rows_match_one_replication_each(self, model_cls, u1_max, reps, size, seed, u1, u2, r):
         # row i of a batch has the bits of rngs[i] drawn alone: the stacked
         # transform and the hyperboloid's one matmul must not mix rows, also
         # in the tails of a BLAS kernel
-        model = model_cls(2, 0.25)
+        model = model_cls(2, r)
         u = np.array([u1 * u1_max, u2])
         rngs = [np.random.default_rng([seed, i]) for i in range(reps)]
         alone = [copy.deepcopy(rng) for rng in rngs]
@@ -303,15 +309,17 @@ class TestSampler:
 
     @pytest.mark.parametrize("model_name", ["vmf", "hyp"])
     @given(reps=st.integers(1, 40), size=st.integers(1, 300), seed=st.integers(0, 2 ** 63 - 1),
-           u1=st.floats(0.05, 1.0), u2=st.floats(0.0, 2.0 * math.pi))
-    @example(reps=1, size=1, seed=0, u1=0.5, u2=1.0)
-    @example(reps=40, size=300, seed=1, u1=0.05, u2=0.0)
+           u1=st.floats(0.05, 1.0), u2=st.floats(0.0, 2.0 * math.pi), r=CONCENTRATIONS)
+    @example(reps=1, size=1, seed=0, u1=0.5, u2=1.0, r=0.25)
+    @example(reps=40, size=300, seed=1, u1=0.05, u2=0.0, r=0.1)
+    @example(reps=40, size=300, seed=2, u1=1.0, u2=3.0, r=1e3).via("1 - w^2 cancels in the vmf")
+    @example(reps=40, size=300, seed=3, u1=1.0, u2=3.0, r=1e-3).via("the hyperboloid's far tail")
     @settings(max_examples=30, deadline=None)
-    def test_matches_out_of_place_oracle(self, model_name, reps, size, seed, u1, u2):
+    def test_matches_out_of_place_oracle(self, model_name, reps, size, seed, u1, u2, r):
         # the in-place kernels keep the plain transform's operations and their
         # order, so every draw has its bits; a fixed-N block adds each row's
         # draws in order, as the oracle's sum over a row-major array does
-        model = MODELS_BY_NAME[model_name]
+        model = type(MODELS_BY_NAME[model_name])(2, r)
         u = np.array([u1 * (2.0 if model_name == "hyp" else 3.0), u2])
         rngs = [np.random.default_rng([seed, i]) for i in range(reps)]
         want = oracle_sample_many(model, u, copy.deepcopy(rngs), size)

@@ -26,7 +26,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import seqgeo  # noqa: E402
 from seqgeo import cli, harness  # noqa: E402
-from seqgeo.errors import RunawayStopError  # noqa: E402
+from seqgeo.errors import ParameterError, RunawayStopError  # noqa: E402
 
 CONFIGS = ("vmf", "hyperboloid")
 MAX_PROCESSES = 2
@@ -48,24 +48,20 @@ def gate_kind(name: str) -> str:
     return re.sub(r"\b([A-Z]{4})\d\d\b", r"\1", name)
 
 
-def run_one(job: tuple[str, int, int | None]) -> tuple[str, list[tuple[str, str]] | None]:
+def run_one(job: tuple[str, harness.ExperimentConfig, int]) -> tuple[str, list[tuple[str, str]] | None]:
     """Run one config at one seed and return its gate entries (``None`` on an exclusion failure)."""
-    name, seed, replications = job
-    base = harness.parse_config(Path(seqgeo.__file__).parent / "configs" / f"{name}.conf")
+    name, config, seed = job
     with tempfile.TemporaryDirectory() as out:
-        changes = {"seed": seed, "outdir": out}
-        if replications is not None:
-            changes["replications"] = replications
         try:
-            harness.run_experiment(dataclasses.replace(base, **changes))
+            harness.run_experiment(dataclasses.replace(config, seed=seed, outdir=out))
         except RunawayStopError:
             return name, None
         gate, _ = cli.evaluate_gates(out)
     return name, gate.entries
 
 
-def sweep(seeds: list[int], replications: int | None = None) -> list[tuple[str, list | None]]:
-    jobs = [(name, seed, replications) for name in CONFIGS for seed in seeds]
+def sweep(configs: dict[str, harness.ExperimentConfig], seeds: list[int]) -> list[tuple[str, list | None]]:
+    jobs = [(name, config, seed) for name, config in configs.items() for seed in seeds]
     with multiprocessing.get_context("spawn").Pool(min(MAX_PROCESSES, len(jobs))) as pool:
         return pool.map(run_one, jobs, chunksize=1)
 
@@ -130,7 +126,15 @@ def main(argv=None) -> int:
         seeds = parse_seeds(args.seeds)
     except ValueError as exc:
         parser.error(f"--seeds: {exc}")
-    for line in summarize(sweep(seeds, args.replications)):
+    configs = {name: harness.parse_config(Path(seqgeo.__file__).parent / "configs" / f"{name}.conf")
+               for name in CONFIGS}
+    if args.replications is not None:
+        # the config checks the count before any simulation runs
+        try:
+            configs = {name: dataclasses.replace(c, replications=args.replications) for name, c in configs.items()}
+        except ParameterError as exc:
+            parser.error(f"--replications: {exc}")
+    for line in summarize(sweep(configs, seeds)):
         print(line)
     return 0
 
