@@ -200,6 +200,14 @@ def quadric_coordinates(
     return ConformalCoordinates(forward=forward, derivatives=derivatives)
 
 
+def flat_coordinates(model, dmat: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """The flattening coordinates ``nu D eta`` (eta0 = 0) of the MLE of each stopped sum ``(R, 3)``."""
+    # at the MLE eta = r_dagger S/|S|, nu D eta = (nu/crit) D S; a stop needs stop_terms'
+    # defined and a finite nu = |S|/|S_m|, so each stopped sum has an estimate and S_m != 0
+    crit, nu, _ = model.stop_terms(sums)
+    return (nu / crit)[:, None] * _apply(dmat, sums)
+
+
 def gauge_pde_residual(pg: PointGeometry, gauge: Gauge, k0l0: float) -> float:
     """Max-norm residual of the quadric gauge equation over a grid, from its bundle ``pg``."""
     gauge.nu_at(pg.u)  # raises off the positive set, before s and ds are read

@@ -28,6 +28,7 @@ from .errors import (
     RunawayStopError,
 )
 from .models import MODELS
+from .tensorops import require_finite
 
 N_BATCHES = 10
 # most expected draws in one stopping cell, replications x (K nu0 + c)
@@ -115,7 +116,7 @@ class ExperimentConfig:
         try:
             model.embed(self.u0)
             nu0 = float(model.gauge().nu_at(self.u0))
-        except (ChartError, EvaluationDomainError, GaugeSingularityError) as exc:
+        except (ChartError, EvaluationDomainError, GaugeSingularityError, OverflowError) as exc:
             msg = f"u0 = {self.u0.tolist()} is not a usable truth point: {exc}"
             raise ParameterError(msg) from exc
         # a replication stops after about K nu0 + c draws, c > 0 for both models; the
@@ -135,6 +136,8 @@ class ExperimentConfig:
                                      f"{t_max} draws, below the {sequential.T_MIN} a stop needs")
         if self.d_matrix.shape != (self.m, self.m + 1):  # a column per sum component
             raise ParameterError(f"D must be m x (m + 1) = {self.m} x {self.m + 1}, got shape {self.d_matrix.shape}")
+        if not np.all(np.isfinite(self.d_matrix)):
+            raise ParameterError("D entries must be finite")
         if np.linalg.matrix_rank(self.d_matrix) < self.m:
             raise ParameterError(f"D must have rank m = {self.m}")
 
@@ -310,42 +313,32 @@ def _batch_means(per_rep: np.ndarray) -> np.ndarray:
 
 
 def _batch_se(means: np.ndarray) -> np.ndarray:
-    """Standard error from batch means ``(..., nb)``; inf below two batches."""
+    """Standard error from batch means ``(..., nb)``; inf below two batches. ``std`` squares the
+    means over a power of two near their largest, which is exact and keeps the squares finite."""
     nb = means.shape[-1]
     if nb < 2:
         return np.full(means.shape[:-1], np.inf)
-    return means.std(axis=-1, ddof=1) / math.sqrt(nb)
+    e = np.frexp(np.abs(means).max(axis=-1))[1]
+    return np.ldexp(np.ldexp(means, -e[..., None]).std(axis=-1, ddof=1) / math.sqrt(nb), e)
 
 
 def run_nonsequential(config: ExperimentConfig) -> ResultTable:
-    """Fixed-sample-size suite: bias-corrected estimator, scaled covariance.
-
-    Each cell seeds its replications' generators in one pass and draws them
-    in blocks of ``sequential.ROWS // N``, one ``sample_many`` call per block;
-    replication ``rep`` keeps its own generator, so the sums do not depend
-    on the block size. A block's sums add each row's draws in order.
-    """
+    """Fixed-sample-size suite: bias-corrected estimator, scaled covariance; each cell seeds
+    its replications' generators in one pass, and ``sequential.fixed_sums`` draws their sums."""
     model = MODELS[config.model](config.m, config.r)
-    u0 = config.u0
-    pg0 = geometry.point_geometry(model.curved, u0)
+    pg0 = geometry.point_geometry(model.curved, config.u0)
     ginv = pg0.ginv
     # the second-order term of the fixed-N bound does not depend on N
     term = sequential.second_order_terms(pg0)
     rows = []
     for n in config.grid_n:
         cell_id = f"nonseq:{n}"
-        block = max(1, sequential.ROWS // n)
         rngs = _cell_generators(config.seed, cell_id, config.replications)
-        sums = []
-        for start in range(0, config.replications, block):
-            xs = model.sample_many(u0, rngs[start:start + block], n)
-            sums.append(np.cumsum(xs, axis=1, out=xs)[:, -1].copy())
-            del xs  # a block's draws go before the next block's are drawn
-        u_hats, ok = model.mle_many(np.concatenate(sums))
+        u_hats, ok = model.mle_many(sequential.fixed_sums(model, n, config.u0, rngs))
         excluded = int(np.count_nonzero(~ok))
         _check_exclusions(excluded, config.replications, cell_id)
         u_stars = sequential.bias_correct(geometry.point_geometry(model.curved, u_hats[ok]), float(n))
-        devs = model.wrap_deviation(u_stars - u0)
+        devs = model.wrap_deviation(u_stars - config.u0)
         outers = np.einsum("ra,rb->rab", devs, devs) * float(n)
         ocov = outers.mean(axis=0)
         stats = {"OCOV": ocov, "OCOV_se": _batch_se(_batch_means(outers)),
@@ -362,42 +355,36 @@ def run_sequential(config: ExperimentConfig) -> ResultTable:
     grid: both models are dual quadrics whose gauge solves the quadric gauge equation at
     every accepted ``r``, which ``seqgeo geometry`` and the tier-1 suite verify."""
     model = MODELS[config.model](config.m, config.r)
-    u0 = config.u0
     coords = conformal.quadric_coordinates(model.curved, model.gauge(), np.zeros(model.m + 1), config.d_matrix)
-    ubar0 = coords.forward(u0)
-    ccrb = sequential.crb(geometry.point_geometry(model.curved, u0), coords)
+    ubar0 = coords.forward(config.u0)
+    ccrb = sequential.crb(geometry.point_geometry(model.curved, config.u0), coords)
     rows = []
     for k in config.grid_k:
         cell_id = f"seq:{k!r}"
         rngs = _cell_generators(config.seed, cell_id, config.replications)
-        taus, sums, runaway = sequential.stop_cell(model, float(k), u0, rngs)
+        taus, sums, runaway = sequential.stop_cell(model, float(k), config.u0, rngs)
         excluded = int(np.count_nonzero(runaway))
         _check_exclusions(excluded, config.replications, cell_id)
         taus = taus[~runaway].astype(float)
-        devs = _flat_coordinates(model, config.d_matrix, sums[~runaway]) - ubar0
+        devs = conformal.flat_coordinates(model, config.d_matrix, sums[~runaway]) - ubar0
         outers = np.einsum("ra,rb->rab", devs, devs)
         mst = float(taus.mean())
         sdst = float(taus.std(ddof=1))
-        ccov = mst * outers.mean(axis=0)
-        tau_means = _batch_means(taus)
-        stats = {
-            "MST": mst,
-            "MST_se": float(_batch_se(tau_means)),
-            "SDST": sdst,
-            "CCOV": ccov,
-            "CCOV_se": _batch_se(tau_means * _batch_means(outers)),
-            "CCRB": ccrb,
-        }
+        with np.errstate(over="ignore", invalid="ignore"):  # D near the float range overflows them
+            ccov = mst * outers.mean(axis=0)
+            tau_means = _batch_means(taus)
+            stats = {
+                "MST": mst,
+                "MST_se": float(_batch_se(tau_means)),
+                "SDST": sdst,
+                "CCOV": ccov,
+                "CCOV_se": _batch_se(tau_means * _batch_means(outers)),
+                "CCRB": ccrb,
+            }
+        for name, stat in stats.items():
+            require_finite(stat, f"cell {cell_id}: {name}")
         rows.append(CellResult(cell=float(k), stats=stats, excluded=excluded))
     return ResultTable("sequential", tuple(rows))
-
-
-def _flat_coordinates(model, d_matrix: np.ndarray, sums: np.ndarray) -> np.ndarray:
-    """The flattening coordinates ``nu D eta`` (eta0 = 0) of the MLE of each stopped sum ``(R, 3)``."""
-    # at the MLE eta = r_dagger S/|S|, nu D eta = (nu/crit) D S; a stop needs stop_terms'
-    # defined and a finite nu = |S|/|S_m|, so each stopped sum has an estimate and S_m != 0
-    crit, nu, _ = model.stop_terms(sums)
-    return (nu / crit)[:, None] * conformal._apply(d_matrix, sums)
 
 
 def _check_exclusions(excluded: int, total: int, cell_id: str) -> None:

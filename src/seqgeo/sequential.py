@@ -1,4 +1,4 @@
-"""Sequential estimation: stopping rule, estimator corrections, bounds.
+"""Sequential estimation: stopping rule, fixed-N sums, estimator corrections, bounds.
 
 The stopping rule triggers when the normalized observed information of
 the running trajectory crosses a gauge-dependent threshold; replications
@@ -88,6 +88,19 @@ def stop_cell(model, k: float, u0, rngs) -> tuple[np.ndarray, np.ndarray, np.nda
     return tau, sum_x, runaway
 
 
+def fixed_sums(model, n: int, u0, rngs) -> np.ndarray:
+    """The sums ``(R, 3)`` of each replication's ``n`` draws, replication ``i`` drawn from
+    ``rngs[i]`` and added in order. A ``sample_many`` call draws a block of ``ROWS // n``
+    replications; the block size does not change the sums, only the temporaries."""
+    block = max(1, ROWS // n)
+    sums = []
+    for start in range(0, len(rngs), block):
+        xs = model.sample_many(u0, rngs[start:start + block], n)
+        sums.append(np.cumsum(xs, axis=1, out=xs)[:, -1].copy())
+        del xs  # a block's draws go before the next block's are drawn
+    return np.concatenate(sums)
+
+
 def bias_correct(pg, effective_n: float) -> np.ndarray:
     """Second-order bias correction of the estimates ``pg.u``, a point
     ``(m,)`` or a cell's rows ``(R, m)``, from their geometry bundle ``pg``.
@@ -123,5 +136,5 @@ def crb(pg, coords: ConformalCoordinates) -> np.ndarray:
     if j.shape[0] != j.shape[1] or np.linalg.slogdet(j)[1] < math.log(1e-300):
         raise ChartError("flattening-map Jacobian is singular at the truth point")
     with np.errstate(over="ignore", invalid="ignore"):
-        return require_finite(j @ pg.ginv @ j.T)
+        return require_finite(j @ pg.ginv @ j.T, "CCRB (quadratic in D)")
 

@@ -20,11 +20,11 @@ def as_coords(x) -> np.ndarray:
     return np.atleast_1d(a)
 
 
-def require_finite(values: np.ndarray) -> np.ndarray:
-    """Return ``values`` as a float array; raise when a component is not finite."""
+def require_finite(values: np.ndarray, what: str = "tensor components") -> np.ndarray:
+    """Return ``values`` as a float array; raise, naming them ``what``, when a component is not finite."""
     a = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(a)):
-        raise EvaluationDomainError("tensor components must be finite")
+        raise EvaluationDomainError(f"{what} must be finite")
     return a
 
 

@@ -369,7 +369,7 @@ class TestFlatCoordinates:
         nrm, defined = model._norm(sums)
         keep = defined & (np.abs(sums[:, 2]) >= 1e-3 * nrm)
         sums, nrm = sums[keep], nrm[keep]
-        got = harness._flat_coordinates(model, d, sums)
+        got = conformal.flat_coordinates(model, d, sums)
         want = oracles.reference_flat_deviations(model, coords, sums)
         # the chart path loses about eps |S|/|S_m| in the azimuth's round trip and, on
         # the hyperboloid, eps (|S|_E/|S|)^2 in the Minkowski norm's cancellation; the

@@ -2,9 +2,11 @@
 functions that no subcommand enters, its static pass the fields, methods,
 properties and module-level names that no ``src`` expression reads, then the
 parameters that no ``src`` expression reads or, with a default, that no
-``src`` call passes. The ceiling keeps the first small and two tests keep
-the others at zero, so that the library holds no code, no name and no
-option that only the tests use.
+``src`` call passes, and last the reads of one ``src`` module's
+leading-underscore name by another. The ceiling keeps the first small and
+three tests keep the others at zero, so that the library holds no code, no
+name and no option that only the tests use, and no module leans on
+another's private name.
 """
 
 import contextlib
@@ -25,19 +27,20 @@ UNREACHED_CEILING = 18
 
 @pytest.fixture(scope="module")
 def report():
-    """The report's three parts: the dynamic pass through its exit codes, the
-    static pass over names, then the one over parameters."""
+    """The report's four parts: the dynamic pass through its exit codes, the
+    static pass over names, the one over parameters, then the one over
+    private names."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert unreached.main([]) == 0
     lines = out.getvalue().splitlines()
     cut = next(i for i, line in enumerate(lines) if line.startswith("exit codes: ")) + 1
-    names = next(i for i, line in enumerate(lines) if line.startswith("unread: ")) + 1
-    return lines[:cut], lines[cut:names], lines[names:]
+    names, params = (i + 1 for i, line in enumerate(lines) if line.startswith("unread: "))
+    return lines[:cut], lines[cut:names], lines[names:params], lines[params:]
 
 
 def test_unreached_smoke(report, tmp_path):
-    dynamic, _, _ = report
+    dynamic, _, _, _ = report
     listed = [(line.split()[0].split(":")[0], line.split()[1]) for line in dynamic[:-2]]
     # functions the subcommands never enter are listed with their file; their own are not
     assert {("geometry.py", "_first"), ("models.py", "_hankel_sum")} <= set(listed)
@@ -62,13 +65,13 @@ def test_unreached_smoke(report, tmp_path):
 
 
 def test_unreached_ceiling(report):
-    dynamic, _, _ = report
+    dynamic, _, _, _ = report
     total = int(dynamic[-2].split()[1])
     assert total <= UNREACHED_CEILING, "\n".join(dynamic[:-2])
 
 
 def test_no_unread_names(report):
-    _, static, _ = report
+    _, static, _, _ = report
     assert static == ["unread: 0 fields, methods and module names that no src expression reads"], \
         "\n".join(static)
 
@@ -131,7 +134,7 @@ def test_unread_names_smoke(tmp_path):
 
 
 def test_no_unread_parameters(report):
-    _, _, params = report
+    _, _, params, _ = report
     assert params == ["unread: 0 parameters that no src expression reads or, with a default, no src call passes"], \
         "\n".join(params)
 
@@ -183,3 +186,42 @@ def test_unread_parameters_smoke(tmp_path):
     ]
     pyproject.write_text("")
     assert unreached.unread_parameters(src, pyproject)[-1] == ("mod.py", 28, "main.argv", "default")
+
+
+def test_no_private_reads(report):
+    _, _, _, private = report
+    assert private == ["private: 0 reads of another src module's leading-underscore name"], "\n".join(private)
+
+
+def test_private_reads_smoke(tmp_path):
+    src = tmp_path / "pkg"
+    src.mkdir()
+    (src / "own.py").write_text(textwrap.dedent("""\
+        from math import _private_of_math
+
+
+        def _helper(x):
+            return x
+
+
+        def public(x):
+            return _helper(x)
+        """))
+    (src / "user.py").write_text(textwrap.dedent("""\
+        import numpy as np
+
+        from . import own as mine
+        from .own import _helper, public
+        from pkg import own
+
+
+        def use(x):
+            return mine._helper(x) + own.public(x) + own._helper(x) + mine.__name__ + np._NoValue
+        """))
+    # a module's own private names are its own; numpy's and math's are outside
+    # src, and a dunder name is no private one
+    assert unreached.private_reads(src) == [
+        ("user.py", 4, "own._helper"),
+        ("user.py", 9, "own._helper"),
+        ("user.py", 9, "own._helper"),
+    ]

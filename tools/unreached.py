@@ -1,6 +1,7 @@
 """List the ``src`` functions that none of the three subcommands enters, the
-names in ``src`` that no ``src`` expression reads, and the parameters that
-nothing reads or that only a caller outside ``src`` passes.
+names in ``src`` that no ``src`` expression reads, the parameters that
+nothing reads or that only a caller outside ``src`` passes, and the reads of
+one ``src`` module's private names by another.
 
 The dynamic pass runs ``simulate`` and ``report`` on both bundled experiment
 configs (at ``REPLICATIONS`` replications per cell) and ``geometry``, in text
@@ -19,7 +20,10 @@ the tests read shows up here even where a subcommand builds it. Then it
 prints every parameter that its function's body never reads, and every
 defaulted parameter that no ``src`` call passes (see
 :func:`unread_parameters`), with their count: an option that only the tests
-set shows up here even where a subcommand runs its function.
+set shows up here even where a subcommand runs its function. Last it
+prints every read of one ``src`` module's leading-underscore name by another
+(see :func:`private_reads`), with their count: a module's private name is
+its own to change.
 
     python tools/unreached.py
 """
@@ -276,6 +280,47 @@ def unread_parameters(src: Path, pyproject: Path) -> list[tuple[str, int, str, s
     return out
 
 
+def private_reads(src: Path) -> list[tuple[str, int, str]]:
+    """Every read of a leading-underscore name of one ``src`` module by another:
+    ``(file, line, module.name)``.
+
+    A read is an attribute of a name that an import binds to a ``src`` module
+    (``from . import conformal``, then ``conformal._apply``) or a name that an
+    import takes from one (``from .conformal import _apply``). The ``from``
+    imports are read, relative or through the package's own name; dunder names
+    are skipped.
+    """
+    package = src.name
+
+    def module(name: str | None, level: int) -> str | None:
+        """The ``src`` module an import names, ``""`` for the package; None outside ``src``."""
+        if level == 1:
+            return name or ""
+        if level == 0 and name and (name == package or name.startswith(package + ".")):
+            return name[len(package) + 1:]
+        return None
+
+    def private(name: str) -> bool:
+        return name.startswith("_") and not _dunder(name)
+
+    out = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        bound = {}  # a name the file binds -> the src module it names
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (owner := module(node.module, node.level)) is not None:
+                for a in node.names:
+                    if owner == "":
+                        bound[a.asname or a.name] = a.name
+                    if private(a.name) and owner != path.stem:
+                        out.append((path.name, node.lineno, f"{owner or package}.{a.name}"))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and private(node.attr)
+                    and bound.get(node.value.id) not in (None, path.stem)):
+                out.append((path.name, node.lineno, f"{bound[node.value.id]}.{node.attr}"))
+    return sorted(out)
+
+
 def run_subcommands() -> tuple[set[tuple[str, int]], list[str]]:
     """The ``(file, first line)`` of every code object entered while the
     subcommands run, and one ``"<subcommand> <case> <exit code>"`` per run."""
@@ -350,6 +395,10 @@ def main(argv=None) -> int:
     for file, line, name, kind in params:
         print(f"{file}:{line}  {name}  {kind}")
     print(f"unread: {len(params)} parameters that no src expression reads or, with a default, no src call passes")
+    reads = private_reads(src)
+    for file, line, name in reads:
+        print(f"{file}:{line}  {name}  private")
+    print(f"private: {len(reads)} reads of another src module's leading-underscore name")
     return 0
 
 
