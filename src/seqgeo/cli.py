@@ -57,13 +57,12 @@ def geometry_report(model_name: str, m: int, r: float, grid_density: int = 12,
     gamma_bar_res = gamma_bar_rel = float("nan")
     h1_bar_res = 0.0
     if fam.codim == 1 and cls.dual_quadric:
-        coords = conformal.quadric_coordinates(fam, gauge, np.zeros(fam.n), np.eye(m, m + 1))
         pg6 = geometry.point_geometry(fam, pg.u[:6])
         tensor_axes = (-3, -2, -1)
         # Gamma_bar in the ubar chart is the sum of two terms that cancel on a
         # dual quadric, so the check reads the sum relative to the larger term
         # at the same point
-        pulled, inhom = conformal.ubar_chart_connection(pg6, gauge, coords)
+        pulled, inhom = conformal.ubar_chart_connection(pg6, gauge, np.eye(m, m + 1))
         gamma_bar = np.abs(pulled + inhom).max(axis=tensor_axes)
         scale = np.maximum(np.abs(pulled).max(axis=tensor_axes), np.abs(inhom).max(axis=tensor_axes))
         gamma_bar_res = float(gamma_bar.max())

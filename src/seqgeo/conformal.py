@@ -18,9 +18,9 @@ from typing import Callable
 
 import numpy as np
 
-from . import geometry, tensorops as tops
+from . import tensorops as tops
 from .errors import ChartError, GaugeSingularityError, UnsupportedShapeError
-from .geometry import CurvedFamily, PointGeometry
+from .geometry import PointGeometry
 from .tensorops import as_coords
 
 # default max-norm residual within which flatness_test accepts a Weyl-Schouten field
@@ -125,19 +125,6 @@ def flatness_test(p, tolerance: float = FLATNESS_TOLERANCE) -> FlatnessReport:
 # the quadric gauge and its flattening coordinates
 
 
-@dataclass(frozen=True)
-class ConformalCoordinates:
-    """The flattening map ``x -> nu(x) A(x)`` of an explicit gauge, ``A`` affine in eta.
-
-    ``forward`` maps a point or rows ``(..., old)`` to ``(..., new)``;
-    ``derivatives`` returns the map's Jacobian ``(..., new, old)`` and
-    Hessian ``(..., new, old, old)`` in closed form.
-    """
-
-    forward: Callable[[np.ndarray], np.ndarray]
-    derivatives: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-
-
 def _apply(dm: np.ndarray, x: np.ndarray, axis: int = -1) -> np.ndarray:
     """``D`` applied to the last axis of ``x``, its output axis moved to ``axis``.
 
@@ -170,38 +157,23 @@ def _scaled_map_derivatives(gauge: Gauge, x: np.ndarray, a, da, dda) -> tuple[np
     return jac, hess
 
 
-def quadric_coordinates(
-    fam: CurvedFamily,
-    gauge: Gauge,
-    eta0,
-    dmat,
-) -> ConformalCoordinates:
-    """The flattening coordinates ``nu(u) D (eta(u) - eta0)`` of a dual quadric hypersurface.
+def quadric_map(pg: PointGeometry, gauge: Gauge, dmat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The flattening coordinates ``nu(u) D eta(u)`` of a dual quadric hypersurface at ``pg.u``, a point
+    or rows, with their Jacobian ``(..., m, m)`` and Hessian ``(..., m, m, m)``, read from the bundle ``pg``.
 
-    The map reads the mean-parameter embedding from the family's jet, and its
-    derivatives read the tangent frame and the Hessian of that embedding from
-    the family's bundle at the points. It does not check that the family is
-    a dual quadric or that ``gauge`` solves the quadric gauge equation;
-    ``geometry.classify`` and :func:`gauge_pde_residual` do.
+    It does not check that the family is a dual quadric or that ``gauge`` solves the quadric
+    gauge equation; ``geometry.classify`` and :func:`gauge_pde_residual` do.
     """
-    e0 = np.asarray(eta0, dtype=float)
     dm = np.atleast_2d(np.asarray(dmat, dtype=float))
-    if np.linalg.matrix_rank(dm) < fam.m:
+    if np.linalg.matrix_rank(dm) < pg.fam.m:
         raise UnsupportedShapeError("coordinate matrix D must have rank m")
-
-    def forward(u):
-        return gauge.nu_at(u)[..., None] * _apply(dm, fam.jet(as_coords(u)).eta - e0)
-
-    def derivatives(u):
-        pg = geometry.point_geometry(fam, u)
-        return _scaled_map_derivatives(gauge, pg.u, _apply(dm, pg.jet.eta - e0),
-                                       _apply(dm, pg.jet.tangent_eta, -2), _apply(dm, pg.he, -3))
-
-    return ConformalCoordinates(forward=forward, derivatives=derivatives)
+    a = _apply(dm, pg.jet.eta)
+    jac, hess = _scaled_map_derivatives(gauge, pg.u, a, _apply(dm, pg.jet.tangent_eta, -2), _apply(dm, pg.he, -3))
+    return gauge.nu_at(pg.u)[..., None] * a, jac, hess
 
 
 def flat_coordinates(model, dmat: np.ndarray, sums: np.ndarray) -> np.ndarray:
-    """The flattening coordinates ``nu D eta`` (eta0 = 0) of the MLE of each stopped sum ``(R, 3)``."""
+    """The flattening coordinates ``nu D eta`` of the MLE of each stopped sum ``(R, 3)``."""
     # at the MLE eta = r_dagger S/|S|, nu D eta = (nu/crit) D S; a stop needs stop_terms'
     # defined and a finite nu = |S|/|S_m|, so each stopped sum has an estimate and S_m != 0
     crit, nu, _ = model.stop_terms(sums)
@@ -238,11 +210,7 @@ def conformal_sub_quantities(pg: PointGeometry, gauge: Gauge) -> tuple[np.ndarra
     return tops.require_finite(gamma_bar), tops.require_finite(h1_bar)
 
 
-def ubar_chart_connection(
-    pg: PointGeometry,
-    gauge: Gauge,
-    coords: ConformalCoordinates,
-) -> tuple[np.ndarray, np.ndarray]:
+def ubar_chart_connection(pg: PointGeometry, gauge: Gauge, dmat) -> tuple[np.ndarray, np.ndarray]:
     """Transformed (-1)-connection at ``pg.u``, a point or rows, expressed in
     the flattening coordinates.
 
@@ -251,12 +219,11 @@ def ubar_chart_connection(
     connection. Verifies the flattening claim: the sum should vanish on the
     whole chart for a dual quadric hypersurface with its gauge.
     """
-    ua = pg.u
     gamma_bar, _ = conformal_sub_quantities(pg, gauge)
-    g_bar = gauge.nu_at(ua)[..., None, None] * pg.g
+    g_bar = gauge.nu_at(pg.u)[..., None, None] * pg.g
 
     # C[p, a] = d ubar^p / d u^a, hess[p, a, b] = d_a d_b ubar^p
-    cmat, hess = coords.derivatives(ua)
+    _, cmat, hess = quadric_map(pg, gauge, dmat)
     cinv = np.linalg.inv(cmat)                           # cinv[a, p] = d u^a / d ubar^p
     basis = cinv.swapaxes(-1, -2)                        # basis[p, a] = d u^a / d ubar^p
     # d basis[q, b] / d ubar^p, by differentiating the inverse matrix through u

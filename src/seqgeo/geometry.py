@@ -222,7 +222,7 @@ def classify(pg: PointGeometry, tolerance: float = CLASSIFY_TOLERANCE) -> Classi
 
     Least-squares fits: epsilon from the ratio of the two extrinsic
     curvatures, both scaled by one power of two over the grid so that the
-    fit holds at any concentration, (k0, theta0) and (l0, eta0) from affine
+    fit holds at any concentration, (k0, theta_c) and (l0, eta_c) from affine
     regression of the normal frames on the embedding, and the curvature
     constant from the constant-curvature pattern. Flags require the
     corresponding max-norm residual to stay within ``tolerance``; the
@@ -261,7 +261,7 @@ def classify(pg: PointGeometry, tolerance: float = CLASSIFY_TOLERANCE) -> Classi
     umb = np.abs(h1s - np.einsum("...k,...ab->...abk", hk, gs)).max(axis=tensor_axes)
     umb_res = float(np.max(umb / np.where(umb > 0.0, np.abs(h1s).max(axis=tensor_axes), 1.0)))
 
-    # dual quadric: B_kappa = k0 (theta - theta0), eta analogue
+    # dual quadric: B_kappa = k0 (theta - theta_c), eta analogue
     def affine_fit(rows, points):
         # one equation per point and coordinate i: k pt_i - c_i = vec_i, c = k base.
         # The points' column is scaled by the power of two at its maximum, so that
@@ -277,15 +277,15 @@ def classify(pg: PointGeometry, tolerance: float = CLASSIFY_TOLERANCE) -> Classi
         base = sol[1:] / k if live else np.zeros(n)
         return k, base, float(np.abs(rows - k * (points - base)).max()), live
 
-    k0, theta0, res_k, live_k = affine_fit(pg.jet.normal_theta[:, 0], thetas)
-    l0, eta0, res_l, live_l = affine_fit(pg.jet.normal_eta[:, 0], etas)
+    k0, theta_c, res_k, live_k = affine_fit(pg.jet.normal_theta[:, 0], thetas)
+    l0, eta_c, res_l, live_l = affine_fit(pg.jet.normal_eta[:, 0], etas)
     dq_res = max(res_k, res_l)
 
     ident_res = 0.0
     if live_k and live_l:
         # relative to the target, which grows with the concentration
         target = 1.0 / (k0 * l0)
-        ident = np.einsum("...i,...i->...", thetas - theta0, etas - eta0)
+        ident = np.einsum("...i,...i->...", thetas - theta_c, etas - eta_c)
         ident_res = float(np.abs(ident - target).max()) / abs(target)
     dual_quadric = live_k and live_l and dq_res <= tolerance and ident_res <= tolerance
 

@@ -355,9 +355,9 @@ def run_sequential(config: ExperimentConfig) -> ResultTable:
     grid: both models are dual quadrics whose gauge solves the quadric gauge equation at
     every accepted ``r``, which ``seqgeo geometry`` and the tier-1 suite verify."""
     model = MODELS[config.model](config.m, config.r)
-    coords = conformal.quadric_coordinates(model.curved, model.gauge(), np.zeros(model.m + 1), config.d_matrix)
-    ubar0 = coords.forward(config.u0)
-    ccrb = sequential.crb(geometry.point_geometry(model.curved, config.u0), coords)
+    pg0 = geometry.point_geometry(model.curved, config.u0)
+    ubar0, jac0, _ = conformal.quadric_map(pg0, model.gauge(), config.d_matrix)
+    ccrb = sequential.crb(pg0, jac0)
     rows = []
     for k in config.grid_k:
         cell_id = f"seq:{k!r}"

@@ -244,7 +244,7 @@ class _DirectionalModel:
 
     curvature_sign: float  # sign of the constant curvature lambda = sign / (r r_dagger)
     mean_resultant: Callable[[float, int], float]  # r -> r_dagger at dimension m
-    _norm: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]  # sums -> (norm, MLE defined)
+    _norm: Callable[[np.ndarray], np.ndarray]  # sums -> norm
 
     def __init__(self, m: int, r: float):
         if not 2 <= m <= M_MAX:
@@ -325,7 +325,7 @@ class _DirectionalModel:
         row ``i`` drawn from ``rngs[i]``; m = 2 only."""
         self._require_m2()
         x = self._to_ambient(self._plan(u), self._local_draws(rngs, size))
-        x /= self._norm(x)[0][..., None]
+        x /= self._norm(x)[..., None]
         return x
 
     def _local_draws(self, rngs, size: int) -> list[np.ndarray]:
@@ -367,13 +367,21 @@ class _DirectionalModel:
 
         return Gauge(nu=nu, s=s, ds=ds)
 
+    def _defined(self, sums: np.ndarray, nrm: np.ndarray) -> np.ndarray:
+        """Where the MLE is defined, from sums ``(..., 3)`` and their ``_norm``: a nonzero sum,
+        on the hyperboloid a future timelike one (the root of a positive q is positive)."""
+        if self.curvature_sign > 0:
+            return nrm > 1e-300
+        return (nrm > 0) & (sums[..., 0] > 0)
+
     def mle_many(self, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Closed-form estimator from running sums ``(R, 3)``; returns (u, defined).
 
-        A sum outside ``_norm``'s defined set comes back undefined; m = 2 only.
+        A sum outside ``_defined``'s set comes back undefined; m = 2 only.
         """
         self._require_m2()
-        nrm, ok = self._norm(sums)
+        nrm = self._norm(sums)
+        ok = self._defined(sums, nrm)
         xi = sums / np.where(ok, nrm, 1.0)[:, None]
         rho = np.hypot(xi[:, 1], xi[:, 2])
         u1 = np.arcsinh(rho) if self.kinds[0] == "hyp" else np.arctan2(rho, xi[:, 0])
@@ -390,7 +398,8 @@ class _DirectionalModel:
         arrays are new, and the stopping loop overwrites them.
         """
         self._require_m2()
-        nrm, ok = self._norm(sums)
+        nrm = self._norm(sums)
+        ok = self._defined(sums, nrm)
         sm = np.abs(sums[..., self.m])
         nu = np.divide(nrm, sm, out=np.full_like(nrm, np.inf), where=sm > 0.0)
         nrm /= self.r_dagger
@@ -442,10 +451,9 @@ class VmfModel(_DirectionalModel):
         xi = self.direction(u)
         return (xi, *_orthonormal_complement(xi))
 
-    def _norm(self, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Euclidean norm of sums ``(..., 3)``, and where the MLE is defined: a nonzero sum."""
-        nrm = _euclidean(sums[..., 0], sums[..., 1], sums[..., 2])
-        return nrm, nrm > 1e-300
+    def _norm(self, sums: np.ndarray) -> np.ndarray:
+        """Euclidean norm of sums ``(..., 3)``."""
+        return _euclidean(sums[..., 0], sums[..., 1], sums[..., 2])
 
 
 class HyperboloidModel(_DirectionalModel):
@@ -488,13 +496,12 @@ class HyperboloidModel(_DirectionalModel):
         )
         return (boost,)
 
-    def _norm(self, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Minkowski norm of sums ``(..., 3)``, and where the MLE is defined: a future timelike sum."""
+    def _norm(self, sums: np.ndarray) -> np.ndarray:
+        """Minkowski norm of sums ``(..., 3)``, 0 off the timelike cone."""
         q = np.square(sums[..., 0])
         q -= np.square(sums[..., 1])
         q -= np.square(sums[..., 2])
-        ok = (q > 0) & (sums[..., 0] > 0)
-        return np.sqrt(np.maximum(q, 0.0, out=q), out=q), ok
+        return np.sqrt(np.maximum(q, 0.0, out=q), out=q)
 
 
 MODELS = {"vmf": VmfModel, "hyperboloid": HyperboloidModel}

@@ -12,7 +12,6 @@ import math
 
 import numpy as np
 
-from .conformal import ConformalCoordinates
 from .errors import ChartError
 from .tensorops import as_coords, require_finite
 
@@ -74,7 +73,8 @@ def stop_cell(model, k: float, u0, rngs) -> tuple[np.ndarray, np.ndarray, np.nda
             # a threshold never met
             thresh *= k
             thresh += c
-            hit &= np.arange(t + 1, t + take + 1) >= T_MIN  # no stop before T_MIN draws
+            if t + 1 < T_MIN:  # no stop before T_MIN draws
+                hit[:, :T_MIN - t - 1] = False
             hit &= crit >= thresh
             rep = np.arange(live.size)
             first = np.argmax(hit, axis=1)
@@ -128,11 +128,10 @@ def second_order_terms(pg) -> np.ndarray:
     return require_finite(ginv @ (0.5 * gamma_sq + h_sq) @ ginv)
 
 
-def crb(pg, coords: ConformalCoordinates) -> np.ndarray:
+def crb(pg, j: np.ndarray) -> np.ndarray:
     """Unit-time Cramer-Rao matrix at the truth point ``pg.u`` in the flattening
-    coordinates: the inverse metric ``pg.ginv`` pushed through the map Jacobian;
-    raises where it is not finite."""
-    j = coords.derivatives(pg.u)[0]
+    coordinates: the inverse metric ``pg.ginv`` pushed through the map Jacobian ``j``
+    there; raises where it is not finite."""
     if j.shape[0] != j.shape[1] or np.linalg.slogdet(j)[1] < math.log(1e-300):
         raise ChartError("flattening-map Jacobian is singular at the truth point")
     with np.errstate(over="ignore", invalid="ignore"):

@@ -19,7 +19,7 @@ import numpy as np
 from scipy import special
 
 from seqgeo import geometry, tensorops as tops
-from seqgeo.conformal import ConformalCoordinates, Gauge, _apply, _scaled_map_derivatives
+from seqgeo.conformal import Gauge, _apply, _scaled_map_derivatives
 from seqgeo.errors import (
     EvaluationDomainError,
     GaugeSingularityError,
@@ -328,7 +328,16 @@ def exp_linear_gauge(a) -> Gauge:
     )
 
 
-def expfam_gauge(fam: ExponentialFamily, c0: float, c, d, dmat) -> tuple[Gauge, ConformalCoordinates]:
+class AffineMap(NamedTuple):
+    """A full family's flattening map ``eta -> nu(eta) A(eta)``, ``A`` affine: ``forward``
+    maps a point or rows ``(..., n)``, ``derivatives`` returns its Jacobian ``(..., n, n)``
+    and Hessian ``(..., n, n, n)`` in closed form."""
+
+    forward: Callable[[np.ndarray], np.ndarray]
+    derivatives: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+
+def expfam_gauge(fam: ExponentialFamily, c0: float, c, d, dmat) -> tuple[Gauge, AffineMap]:
     """Affine gauge and flattening coordinates of a full family.
 
     ``nu = 1/|c0 + c.eta|`` with the map ``h = nu (d + D eta)``; ``D``
@@ -363,7 +372,7 @@ def expfam_gauge(fam: ExponentialFamily, c0: float, c, d, dmat) -> tuple[Gauge, 
         return _scaled_map_derivatives(gauge, ea, dv + _apply(dm, ea), np.broadcast_to(dm, lead + dm.shape),
                                        np.zeros(lead + dm.shape + (fam.n,)))
 
-    return gauge, ConformalCoordinates(forward=forward, derivatives=derivatives)
+    return gauge, AffineMap(forward=forward, derivatives=derivatives)
 
 
 def expfam_gauge_on_theta(fam: ExponentialFamily, c0: float, c) -> Gauge:

@@ -11,7 +11,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from seqgeo import geometry, sequential, tensorops as tops
-from seqgeo.conformal import FlatnessReport, WeylSchouten, conformal_sub_quantities, ubar_chart_connection
+from seqgeo.conformal import FlatnessReport, WeylSchouten, conformal_sub_quantities, quadric_map, ubar_chart_connection
 from seqgeo.errors import ChartError
 from seqgeo.models import _axis_sc, vmf_mean_resultant
 
@@ -181,12 +181,12 @@ def scalar_affine_potentials(c0, c, d, dmat):
     return phi_bar, psi_bar, grad
 
 
-def fd_map_hessian(coords, x):
+def fd_map_hessian(jacobian, x):
     """Second derivatives ``(new, old, old)`` of a flattening map at one point,
-    by central differences of its closed-form Jacobian."""
+    by central differences of its closed-form Jacobian ``jacobian(x)``."""
     x = np.asarray(x, dtype=float)
-    jac = coords.derivatives(x)[0]
-    flat = fd_field_derivative(lambda y: coords.derivatives(y)[0].ravel(), x, rel_steps(x, STEP1))
+    jac = jacobian(x)
+    flat = fd_field_derivative(lambda y: jacobian(y).ravel(), x, rel_steps(x, STEP1))
     return np.moveaxis(flat, 0, -1).reshape(jac.shape + x.shape)
 
 
@@ -268,31 +268,31 @@ def reference_stopping(model, k, u0, rng, c=None, t_min=sequential.T_MIN):
     return t_max, sum_x, True
 
 
-def reference_flat_deviations(model, coords, sums) -> np.ndarray:
+def reference_flat_deviations(model, dmat, sums) -> np.ndarray:
     """The flattening coordinates of the MLE of each sum ``(R, 3)`` by the chart path:
-    the closed-form estimator, then the flattening map at its chart point."""
-    return coords.forward(model.mle_many(sums)[0])
+    the closed-form estimator, then the flattening map on the bundle at its chart point."""
+    pg = geometry.point_geometry(model.curved, model.mle_many(sums)[0])
+    return quadric_map(pg, model.gauge(), dmat)[0]
 
 
-def reference_bias_correct(model, u_hat, effective_n, gauge=None, coords=None):
+def reference_bias_correct(model, u_hat, effective_n, gauge=None, dmat=None):
     """Second-order bias correction of one estimate, from its own bundle.
 
     The per-point correction that ``sequential.bias_correct`` computes over a
     cell's rows: the plain connection contraction in the original chart;
-    with a gauge the log-gradient terms are added, and with flattening
-    coordinates the whole correction is evaluated in the new chart (where it
+    with a gauge the log-gradient terms are added, and with the flattening
+    coordinates of ``dmat`` the whole correction is evaluated in the new chart (where it
     vanishes for a dual quadric hypersurface).
     """
     pg = geometry.point_geometry(model.curved, u_hat)
     u = pg.u
-    if coords is not None:
+    if dmat is not None:
         nu = gauge.nu_at(u)
-        pulled, inhom = ubar_chart_connection(pg, gauge, coords)
+        pulled, inhom = ubar_chart_connection(pg, gauge, dmat)
         gbar = (pulled + inhom) / nu
-        j = coords.derivatives(u)[0]
+        ubar, j, _ = quadric_map(pg, gauge, dmat)
         ginv_ubar = j @ pg.ginv @ j.T
         corr = np.einsum("bcd,da,bc->a", gbar, ginv_ubar, ginv_ubar)
-        ubar = np.asarray(coords.forward(u), dtype=float)
         return ubar + corr / (2.0 * effective_n)
     ginv = pg.ginv
     corr = np.einsum("bcd,da,bc->a", pg.gm1, ginv, ginv)
@@ -302,7 +302,7 @@ def reference_bias_correct(model, u_hat, effective_n, gauge=None, coords=None):
     return u + corr / (2.0 * effective_n)
 
 
-def flattened_second_order_terms(model, u0, gauge, coords) -> np.ndarray:
+def flattened_second_order_terms(model, u0, gauge, dmat) -> np.ndarray:
     """``sequential.second_order_terms`` read in the flattening chart ``ubar``.
 
     ``(1/2) (G')^2ab + (H')^2ab`` with all indices raised, where ``G'`` is the
@@ -313,9 +313,9 @@ def flattened_second_order_terms(model, u0, gauge, coords) -> np.ndarray:
     pg = geometry.point_geometry(model.curved, u0)
     u = pg.u
     nu = gauge.nu_at(u)
-    pulled, inhom = ubar_chart_connection(pg, gauge, coords)
+    pulled, inhom = ubar_chart_connection(pg, gauge, dmat)
     gprime = (pulled + inhom) / nu
-    j = coords.derivatives(u)[0]
+    j = quadric_map(pg, gauge, dmat)[1]
     jinv = np.linalg.inv(j)
     ginv_ubar = tops.invert_matrix(jinv.T @ pg.g @ jinv)
     k1 = conformal_sub_quantities(pg, gauge)[1] / nu

@@ -18,7 +18,6 @@ from seqgeo.conformal import (
     conformal_sub_quantities,
     flatness_test,
     gauge_pde_residual,
-    quadric_coordinates,
     ubar_chart_connection,
 )
 from seqgeo.models import MODELS, HyperboloidModel, VmfModel
@@ -197,10 +196,9 @@ class TestGeometrySuite:
             k0l0 = sign / (model.r * model.r_dagger)
             gauge = model.gauge()
             worst_pde = max(worst_pde, gauge_pde_residual(geometry.point_geometry(model.curved, grid), gauge, k0l0))
-            coords = quadric_coordinates(model.curved, gauge, np.zeros(3), dmat)
             for u in grid[:5]:
                 pg = geometry.point_geometry(model.curved, u)
-                pulled, inhom = ubar_chart_connection(pg, gauge, coords)
+                pulled, inhom = ubar_chart_connection(pg, gauge, dmat)
                 worst_conn = max(worst_conn, float(np.abs(pulled + inhom).max()))
                 _, h1_bar = conformal_sub_quantities(pg, gauge)
                 worst_h1 = max(worst_h1, float(np.abs(h1_bar).max()))

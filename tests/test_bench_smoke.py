@@ -1,9 +1,12 @@
-"""Tier-1 smoke test of the benchmark workload at a tiny size.
+"""Tier-1 smoke test of the benchmark workload at a tiny size, and its golden check.
 
 It runs ``perfbench/workload.py``'s ``run()`` in this process, untraced and
 traced, so that a change to the entry points the benchmark marks
 (``geometry.classify``, ``harness.rep_seed``) or wraps shows up here and not
-only in a benchmark run.
+only in a benchmark run. It also runs each workload once untraced at the
+benchmark's own sizes and bundled seed, and checks its outputs against the
+golden that ``perfbench/run.py`` checks, so that a change that moves an
+output past the golden's 1e-12 fails here too.
 """
 
 import time
@@ -21,6 +24,17 @@ def workload(monkeypatch):
     import workload
 
     return workload
+
+
+@pytest.mark.parametrize("name", ["mc-sequential", "fixed-n-geometry"])
+def test_outputs_match_golden(workload, name, tmp_path):
+    import run
+
+    spec = {"workload": name, "seed": workload.BUNDLED_SEED, "replications": run.REPLICATIONS,
+            "grid_density": run.GRID_DENSITY, "trace": 0, "workdir": str(tmp_path),
+            "t_spawn": time.monotonic()}
+    outputs = workload.run(spec)["outputs"]
+    assert run.output_mismatch(outputs, run.load_golden(name)) == 0
 
 
 @pytest.mark.parametrize("trace", [0, 1])
@@ -67,6 +81,6 @@ def test_workload_runs_clean(workload, name, trace, tmp_path):
             # per config one bundle at the truth point, read by the CRB and the
             # second-order term, and one per cell's bias correction; per geometry
             # case one over the probe grid, read by classify, the Weyl-Schouten
-            # set and the gauge equation, and two for the flattened checks (their
-            # rows and the map's derivatives)
-            assert layers["geometry.frame_at.calls"] == 2 * (1 + 10) + 3 * (1 + 2)
+            # set and the gauge equation, and one for the flattened checks, which
+            # the flattening map reads too
+            assert layers["geometry.frame_at.calls"] == 2 * (1 + 10) + 3 * (1 + 1)

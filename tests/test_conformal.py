@@ -14,7 +14,7 @@ from seqgeo.conformal import (
     connection_coordinate_change,
     flatness_test,
     gauge_pde_residual,
-    quadric_coordinates,
+    quadric_map,
     ubar_chart_connection,
     weyl_schouten,
 )
@@ -149,10 +149,9 @@ class TestConnection:
     def test_flattening_kills_connection(self, vmf, hyp, vmf_grid, hyp_grid):
         for model, dmat, grid in ((vmf, D_VMF, vmf_grid), (hyp, D_HYP, hyp_grid)):
             gauge = model.gauge()
-            coords = quadric_coordinates(model.curved, gauge, np.zeros(3), dmat)
             for u in grid[:4]:
                 pg = geometry.point_geometry(model.curved, u)
-                pulled, inhom = ubar_chart_connection(pg, gauge, coords)
+                pulled, inhom = ubar_chart_connection(pg, gauge, dmat)
                 assert np.abs(pulled + inhom).max() < 1e-5
 
 
@@ -245,19 +244,20 @@ class TestWeylSchouten:
         ws = one_point(geom, np.array([0.8, 1.1, 0.5]))
         assert max_residuals(ws)["w4"] < 1e-4
 
-    @pytest.mark.parametrize("name", ["vmf", "vmf3"])
+    @pytest.mark.parametrize("name", ["vmf", "vmf3", "hyp", "hyp3"])
     def test_one_bundle_per_point_set(self, name, request, monkeypatch):
-        # a geometry report takes three jets: one bundle over its whole probe
-        # grid, and two over 6 points for the flattened checks (their rows and
-        # the map's derivatives); classify, the flatness test and the gauge
+        # a geometry report takes two jets: one bundle over its whole probe
+        # grid, and one over 6 points for the flattened checks, which the
+        # flattening map reads too; classify, the flatness test and the gauge
         # equation read the grid's bundle and take none, at more than 128 points
         model = request.getfixturevalue(name)
         m, density = model.m, 259
         jets = []
         frame_at = geometry.frame_at
         monkeypatch.setattr(geometry, "frame_at", lambda fam, u: jets.append(u) or frame_at(fam, u))
-        assert cli.geometry_report("vmf", m, model.r, grid_density=density)["pass"]
-        assert [u.shape for u in jets] == [(density, m), (6, m), (6, m)]
+        model_name = {"circ": "vmf", "hyp": "hyperboloid"}[model.kinds[0]]
+        assert cli.geometry_report(model_name, m, model.r, grid_density=density)["pass"]
+        assert [u.shape for u in jets] == [(density, m), (6, m)]
         pg = point_geometry(model.curved, model.probe_grid(count=density, margin=0.15, seed=11))
         jets.clear()
         cls = geometry.classify(pg)
@@ -440,8 +440,7 @@ class TestExpfamGauge:
 class TestQuadricGauge:
     def test_vmf_map_and_residual(self, vmf, vmf_grid):
         gauge = vmf.gauge()
-        coords = quadric_coordinates(vmf.curved, gauge, np.zeros(3), D_VMF)
-        ub = coords.forward(U0_VMF)
+        ub = quadric_map(point_geometry(vmf.curved, U0_VMF), gauge, D_VMF)[0]
         eta = vmf.embed(U0_VMF)[1]
         assert np.abs(ub - VMF_NU0 * eta[:2]).max() < 1e-14
         assert ub[0] == pytest.approx(VMF_UBAR0[0], rel=1e-12)
@@ -480,14 +479,15 @@ class TestQuadricGauge:
             assert gauge_pde_residual(pg, model.gauge(), cls.k0 * cls.l0) <= 1e-6, e
 
     def test_jacobian_and_inverse(self, vmf):
-        coords = quadric_coordinates(vmf.curved, vmf.gauge(), np.zeros(3), D_VMF)
-        fd = fd_field_derivative(coords.forward, U0_VMF, rel_steps(U0_VMF, STEP1)).T
-        assert np.abs(coords.derivatives(U0_VMF)[0] - fd).max() < 1e-7
+        _, _, at = model_map(vmf, D_VMF)
+        fd = fd_field_derivative(lambda u: at(u)[0], U0_VMF, rel_steps(U0_VMF, STEP1)).T
+        ub, jac, _ = at(U0_VMF)
+        assert np.abs(jac - fd).max() < 1e-7
         # the map inverts by Newton steps on its closed-form Jacobian
-        ub = coords.forward(U0_VMF)
         back = U0_VMF + 0.05
         for _ in range(20):
-            back = back - np.linalg.solve(coords.derivatives(back)[0], coords.forward(back) - ub)
+            ubar, jac, _ = at(back)
+            back = back - np.linalg.solve(jac, ubar - ub)
         assert np.abs(back - U0_VMF).max() < 1e-10
 
     def test_wrong_gauge_rejected(self, vmf, vmf_grid):
@@ -538,12 +538,14 @@ class TestSubQuantities:
         assert np.abs(k_bar - nu * k1).max() < 1e-12
 
 
-def model_map(model):
-    """The model's gauge and its flattening map, with a D that mixes every mean coordinate."""
+def model_map(model, dmat=None):
+    """The model's gauge, a D (by default one that mixes every mean coordinate), and the
+    flattening map ``(ubar, jacobian, hessian)`` of that D on the bundle at a point or rows."""
     m = model.m
-    dmat = np.eye(m, m + 1) + 0.25 * np.arange(1, m * (m + 1) + 1).reshape(m, m + 1) / (m * m)
+    if dmat is None:
+        dmat = np.eye(m, m + 1) + 0.25 * np.arange(1, m * (m + 1) + 1).reshape(m, m + 1) / (m * m)
     gauge = model.gauge()
-    return gauge, quadric_coordinates(model.curved, gauge, 0.1 * np.ones(m + 1), dmat)
+    return gauge, dmat, lambda u: quadric_map(point_geometry(model.curved, u), gauge, dmat)
 
 
 def gauge_rows(model, max_rows):
@@ -570,17 +572,17 @@ class TestClosedFormMap:
     @pytest.mark.parametrize("model_name", sorted(MODELS_BY_NAME))
     def test_hessian_matches_differenced_jacobian(self, model_name):
         model = MODELS_BY_NAME[model_name]
-        _, coords = model_map(model)
+        _, _, at = model_map(model)
         for u in model.probe_grid(count=3, margin=0.3, seed=19):
-            hess = coords.derivatives(u)[1]
-            fd = fd_map_hessian(coords, u)
+            hess = at(u)[2]
+            fd = fd_map_hessian(lambda x: at(x)[1], u)
             assert np.abs(hess - fd).max() <= 1e-6 * np.abs(fd).max()
 
     def test_affine_hessian_matches_differenced_jacobian(self):
         _, coords = affine_map()
         for eta in (np.array([0.3, 0.6]), np.array([-0.4, 1.2])):
             hess = coords.derivatives(eta)[1]
-            fd = fd_map_hessian(coords, eta)
+            fd = fd_map_hessian(lambda x: coords.derivatives(x)[0], eta)
             assert np.abs(fd).max() > 0.1
             assert np.abs(hess - fd).max() <= 1e-6 * np.abs(fd).max()
 
@@ -589,11 +591,11 @@ class TestClosedFormMap:
     @settings(max_examples=10, deadline=None)
     def test_rows_match_single(self, model_name, data):
         model = MODELS_BY_NAME[model_name]
-        gauge, coords = model_map(model)
+        gauge, _, at = model_map(model)
         us = data.draw(gauge_rows(model, 5))
-        rows = [gauge.nu(us), gauge.s(us), gauge.ds(us), coords.forward(us), *coords.derivatives(us)]
+        rows = [gauge.nu(us), gauge.s(us), gauge.ds(us), *at(us)]
         for i, u in enumerate(us):
-            single = [gauge.nu(u), gauge.s(u), gauge.ds(u), coords.forward(u), *coords.derivatives(u)]
+            single = [gauge.nu(u), gauge.s(u), gauge.ds(u), *at(u)]
             for got, want in zip(rows, single):
                 assert_same_bytes(got[i], np.asarray(want))
 
@@ -621,10 +623,10 @@ class TestClosedFormMap:
 
 def flattening_kernels(model, us):
     """The three batched flattening-chart kernels at ``us``, a point or rows, from one bundle."""
-    gauge, coords = model_map(model)
+    gauge, dmat, _ = model_map(model)
     pg = point_geometry(model.curved, us)
-    jac, hess = coords.derivatives(us)
-    return [*conformal_sub_quantities(pg, gauge), *ubar_chart_connection(pg, gauge, coords),
+    _, jac, hess = quadric_map(pg, gauge, dmat)
+    return [*conformal_sub_quantities(pg, gauge), *ubar_chart_connection(pg, gauge, dmat),
             *connection_coordinate_change(pg.gm1, jac, hess, pg.g)]
 
 

@@ -363,15 +363,17 @@ class TestMle:
             assert best >= float(model.embed(u)[0] @ xbar) - 1e-12
 
     def test_undefined_cases(self, vmf, hyp):
-        _, ok = vmf.mle_many(np.array([[0.0, 0.0, 0.0], [0.3, 0.0, 0.0]]))
-        assert ok.tolist() == [False, True]
+        _, ok = vmf.mle_many(np.array([[0.0, 0.0, 0.0], [0.3, 0.0, 0.0], [1e-160, 5e-161, 0.0]]))
+        assert ok.tolist() == [False, True, True]
         sums = np.array([
             [0.1, 5.0, 0.0],   # spacelike
             [-2.0, 0.0, 0.0],  # past-pointing
             [2.0, 0.5, 0.0],
+            [1.0, 1.0, 0.0],   # light-like, q = 0
+            [1e-160, 5e-161, 0.0],  # timelike, q subnormal and positive
         ])
         _, ok = hyp.mle_many(sums)
-        assert ok.tolist() == [False, False, True]
+        assert ok.tolist() == [False, False, True, False, True]
 
     @pytest.mark.parametrize("model_name", ["vmf", "hyp"])
     def test_vectorized_matches_scalar(self, model_name, request):
@@ -404,9 +406,10 @@ class TestMle:
 
 # one sum coordinate: zero, or of either sign between 1e-6 and 100
 SUM_COORD = st.one_of(st.just(0.0), st.floats(1e-6, 100.0), st.floats(-100.0, -1e-6))
-# undefined for one model or both, and S_m = 0, where nu is inf
+# undefined for one model or both, and S_m = 0, where nu is inf; on the hyperboloid
+# a light-like sum (q = 0) and a timelike one whose q is subnormal
 SPECIAL_SUMS = np.array([[0.0, 0.0, 0.0], [0.1, 5.0, 0.0], [-2.0, 0.0, 0.0],
-                         [2.0, 0.5, 0.0], [0.3, 0.0, 0.0]])
+                         [2.0, 0.5, 0.0], [0.3, 0.0, 0.0], [1.0, 1.0, 0.0], [1e-160, 5e-161, 0.0]])
 
 
 class TestStopTerms:

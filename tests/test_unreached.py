@@ -45,7 +45,7 @@ def test_unreached_smoke(report, tmp_path):
     # functions the subcommands never enter are listed with their file; their own are not
     assert {("geometry.py", "_first"), ("models.py", "_hankel_sum")} <= set(listed)
     names = {name for _, name in listed}
-    assert {"stop_cell", "frame_at", "quadric_coordinates", "cmd_report"}.isdisjoint(names)
+    assert {"stop_cell", "frame_at", "quadric_map", "cmd_report"}.isdisjoint(names)
     assert "VmfModel.sample_many" not in names
     total = sum(int(line.split()[2]) for line in dynamic[:-2])
     assert dynamic[-2].startswith(f"total: {total} unreached lines in {len(dynamic) - 2} functions")
