@@ -328,21 +328,15 @@ def exp_linear_gauge(a) -> Gauge:
     )
 
 
-class AffineMap(NamedTuple):
-    """A full family's flattening map ``eta -> nu(eta) A(eta)``, ``A`` affine: ``forward``
-    maps a point or rows ``(..., n)``, ``derivatives`` returns its Jacobian ``(..., n, n)``
-    and Hessian ``(..., n, n, n)`` in closed form."""
-
-    forward: Callable[[np.ndarray], np.ndarray]
-    derivatives: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-
-
-def expfam_gauge(fam: ExponentialFamily, c0: float, c, d, dmat) -> tuple[Gauge, AffineMap]:
+def expfam_gauge(fam: ExponentialFamily, c0: float, c, d, dmat) -> tuple[Gauge, tuple[Callable, Callable]]:
     """Affine gauge and flattening coordinates of a full family.
 
     ``nu = 1/|c0 + c.eta|`` with the map ``h = nu (d + D eta)``; ``D``
-    must have rank n. The returned gauge lives on the eta chart; use
-    :func:`expfam_gauge_on_theta` for the same gauge as a field over theta.
+    must have rank n. The map comes as ``(forward, derivatives)``: ``forward``
+    maps a point or rows ``(..., n)``, ``derivatives`` returns its Jacobian
+    ``(..., n, n)`` and Hessian ``(..., n, n, n)`` in closed form. The returned
+    gauge lives on the eta chart; use :func:`expfam_gauge_on_theta` for the
+    same gauge as a field over theta.
     """
     cv = np.asarray(c, dtype=float)
     dv = np.asarray(d, dtype=float)
@@ -372,7 +366,7 @@ def expfam_gauge(fam: ExponentialFamily, c0: float, c, d, dmat) -> tuple[Gauge, 
         return _scaled_map_derivatives(gauge, ea, dv + _apply(dm, ea), np.broadcast_to(dm, lead + dm.shape),
                                        np.zeros(lead + dm.shape + (fam.n,)))
 
-    return gauge, AffineMap(forward=forward, derivatives=derivatives)
+    return gauge, (forward, derivatives)
 
 
 def expfam_gauge_on_theta(fam: ExponentialFamily, c0: float, c) -> Gauge:

@@ -215,12 +215,12 @@ class TestGeometrySuite:
 
     def test_criterion_07_full_family_gauge(self):
         fam = gaussian_family(1)
-        gauge, coords = expfam_gauge(fam, 1.0, [1.0], [0.2], [[1.5]])
+        gauge, (forward, derivatives) = expfam_gauge(fam, 1.0, [1.0], [0.2], [[1.5]])
         phi_bar, psi_bar, grad = scalar_affine_potentials(1.0, 1.0, 0.2, 1.5)
         worst_leg = 0.0
         for eta_val in (-0.4, 0.0, 0.5, 1.2):
             eta = np.array([eta_val])
-            h = coords.forward(eta)
+            h = forward(eta)
             xi = grad(h)
             psi_val, _ = psi_bar(xi, h)
             worst_leg = max(worst_leg, abs(psi_val + phi_bar(h) - float(xi @ h)))

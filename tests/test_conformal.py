@@ -384,35 +384,35 @@ class TestFlatness:
 class TestExpfamGauge:
     def test_trivial_constants_identity(self):
         fam = gaussian_family(2)
-        gauge, coords = expfam_gauge(fam, 1.0, [0.0, 0.0], [0.0, 0.0], np.eye(2))
+        gauge, (forward, derivatives) = expfam_gauge(fam, 1.0, [0.0, 0.0], [0.0, 0.0], np.eye(2))
         eta = np.array([0.4, -0.2])
         assert gauge.nu_at(eta) == pytest.approx(1.0)
-        assert np.allclose(coords.forward(eta), eta)
+        assert np.allclose(forward(eta), eta)
 
     def test_gaussian_scalar_closed_forms(self):
         fam = gaussian_family(1)
-        gauge, coords = expfam_gauge(fam, 1.0, [1.0], [0.0], [[1.0]])
+        gauge, (forward, derivatives) = expfam_gauge(fam, 1.0, [1.0], [0.0], [[1.0]])
         eta = np.array([0.7])
         assert gauge.nu_at(eta) == pytest.approx(1.0 / 1.7)
-        h = coords.forward(eta)
+        h = forward(eta)
         assert h[0] == pytest.approx(0.7 / 1.7)
         phi_bar, _, _ = scalar_affine_potentials(1.0, 1.0, 0.0, 1.0)
         assert phi_bar(h) == pytest.approx((0.7 ** 2 / 2) / 1.7, rel=1e-10)
         # contravariant metric in the new chart: finite differences of the
         # potential against the pushforward of the scaled Fisher information
         fd = fd_hessian(phi_bar, h, rel_steps(h, STEP2))[0, 0]
-        deta_dh = 1.0 / coords.derivatives(eta)[0][0, 0]
+        deta_dh = 1.0 / derivatives(eta)[0][0, 0]
         push = gauge.nu_at(eta) * 1.0 * deta_dh ** 2
         assert fd == pytest.approx(push, rel=1e-4)
         assert fd == pytest.approx(1.7 ** 3, rel=1e-4)
 
     def test_legendre_identity_on_grid(self):
         fam = gaussian_family(1)
-        gauge, coords = expfam_gauge(fam, 1.0, [1.0], [0.0], [[1.0]])
+        gauge, (forward, derivatives) = expfam_gauge(fam, 1.0, [1.0], [0.0], [[1.0]])
         phi_bar, psi_bar, grad = scalar_affine_potentials(1.0, 1.0, 0.0, 1.0)
         for eta_val in (-0.4, 0.0, 0.7, 1.5):
             eta = np.array([eta_val])
-            h = coords.forward(eta)
+            h = forward(eta)
             xi = grad(h)
             psi_val, h_sol = psi_bar(xi, h)
             gap = psi_val + phi_bar(h) - float(xi @ h)
@@ -421,10 +421,10 @@ class TestExpfamGauge:
 
     def test_gauge_jacobian_matches_fd(self):
         fam = gaussian_family(2)
-        gauge, coords = expfam_gauge(fam, 1.0, [0.5, -0.25], [0.1, 0.0], [[2.0, 0.0], [1.0, 1.0]])
+        gauge, (forward, derivatives) = expfam_gauge(fam, 1.0, [0.5, -0.25], [0.1, 0.0], [[2.0, 0.0], [1.0, 1.0]])
         eta = np.array([0.3, 0.6])
-        fd = fd_field_derivative(coords.forward, eta, rel_steps(eta, STEP1)).T
-        assert np.abs(coords.derivatives(eta)[0] - fd).max() < 1e-8
+        fd = fd_field_derivative(forward, eta, rel_steps(eta, STEP1)).T
+        assert np.abs(derivatives(eta)[0] - fd).max() < 1e-8
 
     def test_singular_denominator(self):
         fam = gaussian_family(1)
@@ -579,10 +579,10 @@ class TestClosedFormMap:
             assert np.abs(hess - fd).max() <= 1e-6 * np.abs(fd).max()
 
     def test_affine_hessian_matches_differenced_jacobian(self):
-        _, coords = affine_map()
+        _, (_, derivatives) = affine_map()
         for eta in (np.array([0.3, 0.6]), np.array([-0.4, 1.2])):
-            hess = coords.derivatives(eta)[1]
-            fd = fd_map_hessian(lambda x: coords.derivatives(x)[0], eta)
+            hess = derivatives(eta)[1]
+            fd = fd_map_hessian(lambda x: derivatives(x)[0], eta)
             assert np.abs(fd).max() > 0.1
             assert np.abs(hess - fd).max() <= 1e-6 * np.abs(fd).max()
 
@@ -603,22 +603,22 @@ class TestClosedFormMap:
                          min_size=1, max_size=5).map(np.array))
     @settings(max_examples=10, deadline=None)
     def test_affine_rows_match_single(self, etas):
-        gauge, coords = affine_map()
-        rows = [gauge.nu(etas), gauge.s(etas), gauge.ds(etas), coords.forward(etas), *coords.derivatives(etas)]
+        gauge, (forward, derivatives) = affine_map()
+        rows = [gauge.nu(etas), gauge.s(etas), gauge.ds(etas), forward(etas), *derivatives(etas)]
         for i, eta in enumerate(etas):
-            single = [gauge.nu(eta), gauge.s(eta), gauge.ds(eta), coords.forward(eta),
-                      *coords.derivatives(eta)]
+            single = [gauge.nu(eta), gauge.s(eta), gauge.ds(eta), forward(eta),
+                      *derivatives(eta)]
             for got, want in zip(rows, single):
                 assert_same_bytes(got[i], np.asarray(want))
 
     def test_affine_singular_row(self):
-        gauge, coords = affine_map()
+        gauge, (forward, derivatives) = affine_map()
         etas = np.array([[0.3, 0.6], [0.0, 4.0]])  # 1 + 0.5 * 0 - 0.25 * 4 = 0
         assert gauge.nu(etas)[1] == math.inf
         with pytest.raises(GaugeSingularityError):
             gauge.nu_at(etas)
         with pytest.raises(GaugeSingularityError):
-            coords.forward(etas)
+            forward(etas)
 
 
 def flattening_kernels(model, us):

@@ -228,13 +228,13 @@ class TestStopCell:
         # draws per replication, which fixes the random stream, and a call
         # holds at most STOP_ROWS rows, so the 5000 steps take two bursts
         asked = []
-        sample_many = vmf.sample_many
+        sample_many = type(vmf).sample_many
 
-        def counted(u, rngs, size):
+        def counted(self, u, rngs, size):
             asked.append((len(rngs), size))
-            return sample_many(u, rngs, size)
+            return sample_many(self, u, rngs, size)
 
-        monkeypatch.setattr(vmf, "sample_many", counted)
+        monkeypatch.setattr(type(vmf), "sample_many", counted)
         rngs = [np.random.default_rng(s) for s in range(3)]
         cap_steps(monkeypatch, vmf, 1e6, U0_VMF, 5000)
         _, _, runaway = stop_cell(vmf, 1e6, U0_VMF, rngs)

@@ -5,6 +5,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
+import gate_sweep  # noqa: E402
 import ulp_noise  # noqa: E402
 from seqgeo import models  # noqa: E402
 from seqgeo.harness import NONSEQ_COLUMNS, SEQ_COLUMNS  # noqa: E402
@@ -12,10 +13,9 @@ from seqgeo.harness import NONSEQ_COLUMNS, SEQ_COLUMNS  # noqa: E402
 from conftest import U0_HYP, U0_VMF  # noqa: E402
 
 
-def test_noise_is_one_ulp_and_goes():
-    # fresh models, as the harness builds them: a test may leave a bound method on a shared one
+def test_noise_is_one_ulp_and_goes(vmf, hyp):
     original = models._DirectionalModel.sample_many
-    for model, u0 in ((models.VmfModel(2, 0.25), U0_VMF), (models.HyperboloidModel(2, 0.1), U0_HYP)):
+    for model, u0 in ((vmf, U0_VMF), (hyp, U0_HYP)):
         plain = model.sample_many(u0, [np.random.default_rng(3)], 200)
         with ulp_noise.ulp_noise():
             noisy = model.sample_many(u0, [np.random.default_rng(3)], 200)
@@ -30,7 +30,7 @@ def test_ulp_noise_smoke(capsys):
     assert ulp_noise.main(["--replications", "4"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line for line in lines if "replications" in line] == [
-        f"{name}: 4 replications, draws times 1 +- 2^-52" for name in ulp_noise.CONFIGS]
+        f"{name}: 4 replications, draws times 1 +- 2^-52" for name in gate_sweep.CONFIGS]
     deltas = [(line.split()[1], float(line.split()[2])) for line in lines if ".csv" in line]
     assert len(deltas) == 2 * (len(NONSEQ_COLUMNS) + len(SEQ_COLUMNS))
     assert all(delta == 0.0 for column, delta in deltas if column[:4] in ("cell", "OCRB", "OALB", "CCRB"))

@@ -116,24 +116,31 @@ def parse_seeds(tokens: list[str]) -> list[int]:
     return seeds
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", nargs="+", required=True, help="seeds or ranges such as 1001-1040")
+def parse_bundled(parser: argparse.ArgumentParser, argv) -> tuple[argparse.Namespace, dict]:
+    """Parse ``argv`` with an added ``--replications`` option, and build each bundled
+    config at that count per cell (default: the config's). The config checks the count
+    before any simulation runs; a count it refuses is a usage error."""
     parser.add_argument("--replications", type=int, default=None,
                         help="replications per cell (default: the config's)")
     args = parser.parse_args(argv)
-    try:
-        seeds = parse_seeds(args.seeds)
-    except ValueError as exc:
-        parser.error(f"--seeds: {exc}")
     configs = {name: harness.parse_config(Path(seqgeo.__file__).parent / "configs" / f"{name}.conf")
                for name in CONFIGS}
     if args.replications is not None:
-        # the config checks the count before any simulation runs
         try:
             configs = {name: dataclasses.replace(c, replications=args.replications) for name, c in configs.items()}
         except ParameterError as exc:
             parser.error(f"--replications: {exc}")
+    return args, configs
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", nargs="+", required=True, help="seeds or ranges such as 1001-1040")
+    args, configs = parse_bundled(parser, argv)
+    try:
+        seeds = parse_seeds(args.seeds)
+    except ValueError as exc:
+        parser.error(f"--seeds: {exc}")
     for line in summarize(sweep(configs, seeds)):
         print(line)
     return 0

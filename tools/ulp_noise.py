@@ -27,21 +27,19 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import csv_delta  # noqa: E402
-import seqgeo  # noqa: E402
+import gate_sweep  # noqa: E402
 from seqgeo import harness, models  # noqa: E402
-from seqgeo.errors import ParameterError  # noqa: E402
 
-CONFIGS = ("vmf", "hyperboloid")
 EPS = 2.0 ** -52
 NOISE_SEED = 52
 
 
 @contextlib.contextmanager
-def ulp_noise(seed: int = NOISE_SEED):
+def ulp_noise():
     """While the block runs, every draw of ``sample_many`` comes back with each component
-    multiplied by ``1 - EPS`` or ``1 + EPS``, the signs in call order from ``seed``."""
+    multiplied by ``1 - EPS`` or ``1 + EPS``, the signs in call order from ``NOISE_SEED``."""
     original = models._DirectionalModel.sample_many
-    signs = np.random.default_rng(seed)
+    signs = np.random.default_rng(NOISE_SEED)
 
     def sample_many(self, u, rngs, size):
         x = original(self, u, rngs, size)
@@ -57,16 +55,7 @@ def ulp_noise(seed: int = NOISE_SEED):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--replications", type=int, default=None,
-                        help="replications per cell (default: the config's)")
-    args = parser.parse_args(argv)
-    configs = {name: harness.parse_config(Path(seqgeo.__file__).parent / "configs" / f"{name}.conf")
-               for name in CONFIGS}
-    if args.replications is not None:
-        try:
-            configs = {name: dataclasses.replace(c, replications=args.replications) for name, c in configs.items()}
-        except ParameterError as exc:
-            parser.error(f"--replications: {exc}")
+    _, configs = gate_sweep.parse_bundled(parser, argv)
     status = 0
     with tempfile.TemporaryDirectory() as tmp:
         for name, config in configs.items():
