@@ -3,14 +3,24 @@
 A run is declared by an :class:`ExperimentConfig`; cells and replications
 are seeded independently of execution order, so identical config + seed
 reproduces byte-identical result files. A cell hashes its replications'
-seeds in one pass, as numpy's ``SeedSequence`` would one at a time. This
-module alone knows a results directory: it writes and reads every file there.
+seeds in one pass, as numpy's ``SeedSequence`` would one at a time.
+
+A suite's cells are drawn in up to one process per CPU this process may use,
+dealt round-robin: this process draws every W-th cell and forked children the
+others, so the files are byte-identical whatever W is. There is no option for
+it; a platform without ``os.sched_getaffinity`` draws every cell here. The
+estimates, the exclusion checks and the statistics stay here, in grid order,
+so a run ends with the error of the first cell that fails. ``perfbench
+--trace 1`` sees the cells this process draws only. This module alone knows
+a results directory: it writes and reads every file there.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import os
+import pickle
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,6 +36,7 @@ from .errors import (
     GaugeSingularityError,
     ParameterError,
     RunawayStopError,
+    SeqGeoError,
 )
 from .models import MODELS
 from .tensorops import require_finite
@@ -288,11 +299,109 @@ class _SeedWords(ISeedSequence):
         return self.words
 
 
-def _cell_generators(base_seed: int, cell_id: str, count: int) -> list[Generator]:
-    """``default_rng(rep_seed(base_seed, cell_id, rep))`` for every replication of a
-    cell, the seeds hashed in one pass."""
-    seeds = [rep_seed(base_seed, cell_id, rep) for rep in range(count)]
-    return [Generator(PCG64(_SeedWords(words))) for words in _seed_words(seeds)]
+def _cell_words(base_seed: int, cell_id: str, count: int) -> np.ndarray:
+    """The seed words ``(count, 4)`` of every replication of a cell: ``rep_seed``
+    of each, hashed in one pass by :func:`_seed_words`."""
+    return _seed_words([rep_seed(base_seed, cell_id, rep) for rep in range(count)])
+
+
+def _generators(words: np.ndarray) -> list[Generator]:
+    """A ``Generator(PCG64)`` on each row of seed words: the generator
+    ``default_rng`` of the seed hashed to that row would give."""
+    return [Generator(PCG64(_SeedWords(row))) for row in words]
+
+
+def _map_cells(fn, cells):
+    """``fn(c)`` for each cell in grid order, the cells computed in up to one process
+    per CPU this process may use.
+
+    With ``W = min(len(cells), usable CPUs)``, this process computes ``cells[0::W]``
+    and each of ``W - 1`` forked children ``cells[j::W]``, which it sends back pickled
+    through a pipe; ``fn``'s value depends on its cell alone, so the values do not
+    depend on ``W``. A platform without ``os.sched_getaffinity`` (CPython has it on Linux only)
+    computes every cell here. A process stops at its first failing cell, and the
+    error is raised when the caller reaches that cell, so a caller that checks each
+    value before taking the next ends with the error a serial loop would end with.
+    A child's error comes back with its type and message, or as a
+    :class:`SeqGeoError` with its message where it does not unpickle; a child that
+    ends without its values is an error at its first cell that names its status.
+    Every child is reaped before a value is yielded, and killed first when this
+    process raises.
+    """
+    affinity = getattr(os, "sched_getaffinity", None)
+    w = min(len(cells), len(affinity(0))) if affinity else 1
+    done = {}  # cell index -> (value, error)
+
+    def share(j):
+        out = {}
+        for i in range(j, len(cells), w):
+            try:
+                out[i] = (fn(cells[i]), None)
+            except Exception as exc:
+                out[i] = (None, exc)
+                break
+        return out
+
+    pipes = {}  # child pid -> (its first cell index, the read end of its pipe)
+    try:
+        for j in range(1, w):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child: send its share and leave without unwinding the parent's stack
+                status = 1
+                try:
+                    os.close(read_fd)
+                    out = share(j)
+                    for i, (value, exc) in out.items():
+                        if exc is not None:
+                            try:
+                                blob = pickle.dumps(exc)
+                            except Exception:
+                                blob = b""
+                            out[i] = (None, (blob, f"{type(exc).__name__}: {exc}"))
+                    with os.fdopen(write_fd, "wb") as pipe:
+                        pickle.dump(out, pipe)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            pipes[pid] = (j, os.fdopen(read_fd, "rb"))
+        done.update(share(0))
+        for pid, (j, pipe) in list(pipes.items()):
+            data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del pipes[pid]
+            pipe.close()
+            try:
+                out = pickle.loads(data)
+            except Exception:
+                how = f"signal {-code}" if code < 0 else f"exit status {code}"
+                msg = f"the process computing cells {list(cells[j::w])} ended without its results ({how})"
+                done[j] = (None, SeqGeoError(msg))
+                continue
+            for i, (value, error) in out.items():
+                if error is not None:
+                    blob, text = error
+                    try:
+                        error = pickle.loads(blob)
+                    except Exception:
+                        error = SeqGeoError(text)
+                done[i] = (value, error)
+    except BaseException:
+        import signal
+
+        for pid in pipes:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, (_, pipe) in pipes.items():
+            pipe.close()
+            os.waitpid(pid, 0)
+    for i in range(len(cells)):
+        value, error = done[i]
+        if error is not None:
+            raise error
+        yield value
 
 
 def _batch_means(per_rep: np.ndarray) -> np.ndarray:
@@ -330,11 +439,13 @@ def run_nonsequential(config: ExperimentConfig) -> ResultTable:
     ginv = pg0.ginv
     # the second-order term of the fixed-N bound does not depend on N
     term = sequential.second_order_terms(pg0)
+    words = {n: _cell_words(config.seed, f"nonseq:{n}", config.replications) for n in config.grid_n}
+    cell_sums = _map_cells(lambda n: sequential.fixed_sums(model, n, config.u0, _generators(words[n])),
+                           config.grid_n)
     rows = []
-    for n in config.grid_n:
+    for n, sums in zip(config.grid_n, cell_sums):
         cell_id = f"nonseq:{n}"
-        rngs = _cell_generators(config.seed, cell_id, config.replications)
-        u_hats, ok = model.mle_many(sequential.fixed_sums(model, n, config.u0, rngs))
+        u_hats, ok = model.mle_many(sums)
         excluded = int(np.count_nonzero(~ok))
         _check_exclusions(excluded, config.replications, cell_id)
         u_stars = sequential.bias_correct(geometry.point_geometry(model.curved, u_hats[ok]), float(n))
@@ -358,11 +469,12 @@ def run_sequential(config: ExperimentConfig) -> ResultTable:
     pg0 = geometry.point_geometry(model.curved, config.u0)
     ubar0, jac0, _ = conformal.quadric_map(pg0, model.gauge(), config.d_matrix)
     ccrb = sequential.crb(pg0, jac0)
+    words = {k: _cell_words(config.seed, f"seq:{k!r}", config.replications) for k in config.grid_k}
+    stops = _map_cells(lambda k: sequential.stop_cell(model, float(k), config.u0, _generators(words[k])),
+                       config.grid_k)
     rows = []
-    for k in config.grid_k:
+    for k, (taus, sums, runaway) in zip(config.grid_k, stops):
         cell_id = f"seq:{k!r}"
-        rngs = _cell_generators(config.seed, cell_id, config.replications)
-        taus, sums, runaway = sequential.stop_cell(model, float(k), config.u0, rngs)
         excluded = int(np.count_nonzero(runaway))
         _check_exclusions(excluded, config.replications, cell_id)
         taus = taus[~runaway].astype(float)

@@ -9,6 +9,7 @@ golden that ``perfbench/run.py`` checks, so that a change that moves an
 output past the golden's 1e-12 fails here too.
 """
 
+import os
 import time
 from pathlib import Path
 
@@ -39,7 +40,11 @@ def test_outputs_match_golden(workload, name, tmp_path):
 
 @pytest.mark.parametrize("trace", [0, 1])
 @pytest.mark.parametrize("name", ["mc-sequential", "fixed-n-geometry"])
-def test_workload_runs_clean(workload, name, trace, tmp_path):
+def test_workload_runs_clean(workload, name, trace, tmp_path, monkeypatch):
+    if trace:
+        # the tracer sees the cells this process draws, not those of its forked
+        # children, so the pins below hold on two CPUs whatever the machine has
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     spec = {"workload": name, "seed": 1, "replications": 4, "grid_density": 4,
             "trace": trace, "workdir": str(tmp_path), "t_spawn": time.monotonic()}
     result = workload.run(spec)
@@ -71,9 +76,11 @@ def test_workload_runs_clean(workload, name, trace, tmp_path):
         else:
             # one sampler call per block of ROWS // N replications of a cell:
             # one block of 4 per cell of the two bundled 10-cell grid_N, but
-            # two for the hyperboloid's N = 1300 (ROWS // 1300 = 3); one seed
-            # per replication, and one bias correction per cell
-            assert layers["models.sample_many.calls"] == 21
+            # two for the hyperboloid's N = 1300 (ROWS // 1300 = 3); this process
+            # draws cells 0, 2, ..., 8 of each config, and the child the rest,
+            # the N = 1300 cell among them; one seed per replication, and one
+            # bias correction per cell
+            assert layers["models.sample_many.calls"] == 10
             assert layers["harness.rep_seed.calls"] == counts["replications"]
             assert layers["sequential.bias_correct.calls"] == 20
             # one Weyl-Schouten call per geometry case, over its probe grid's bundle

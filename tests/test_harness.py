@@ -1,7 +1,10 @@
 import copy
 import dataclasses
 import math
+import os
 import re
+import signal
+import time
 import tracemalloc
 
 import numpy as np
@@ -9,8 +12,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from seqgeo import conformal, harness
-from seqgeo.errors import ParameterError, RunawayStopError
+from seqgeo import cli, conformal, harness, sequential
+from seqgeo.errors import ChartError, ParameterError, RunawayStopError
 from seqgeo.models import M_MAX, MODELS
 from seqgeo.harness import (
     parse_config,
@@ -163,7 +166,7 @@ class TestSeeding:
         # set-up marker and the traced rep_seed count read them
         calls = []
         monkeypatch.setattr(harness, "rep_seed", lambda *args: calls.append(args) or rep_seed(*args))
-        gens = harness._cell_generators(20250101, "seq:1.0", 23)
+        gens = harness._generators(harness._cell_words(20250101, "seq:1.0", 23))
         assert calls == [(20250101, "seq:1.0", rep) for rep in range(23)]
         for rep, gen in enumerate(gens):
             want = np.random.default_rng(rep_seed(20250101, "seq:1.0", rep))
@@ -252,6 +255,128 @@ class TestRunners:
         with pytest.raises(RunawayStopError):
             harness._check_exclusions(6, 500, "cell")
         harness._check_exclusions(5, 500, "cell")
+
+
+def _on_cpus(monkeypatch, count):
+    """Make the library see ``count`` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """The pids of the children that ``os.fork`` starts while the test runs."""
+    fork, pids = os.fork, []
+    monkeypatch.setattr(os, "fork", lambda: pids.append(fork()) or pids[-1])
+    return pids
+
+
+def _no_child_left(pids):
+    # other tests' pool helpers may still run, so ask for these children only
+    assert pids
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def _simulate_with_draw(tmp_path, capsys, monkeypatch, draw):
+    """``seqgeo simulate`` on two CPUs over a two-cell vmf config whose sequential cells
+    ``draw(stop_cell, k, args)`` draws: its exit code and its standard error lines. The
+    first cell, K = 20, is drawn here, the second, K = 30, by a child."""
+    _on_cpus(monkeypatch, 2)
+    stop_cell, parent = sequential.stop_cell, os.getpid()
+
+    def drawn(model, k, *args):
+        assert (os.getpid() != parent) == (k == 30.0), "the second cell is drawn by a child"
+        return draw(stop_cell, k, (model, k, *args))
+
+    monkeypatch.setattr(sequential, "stop_cell", drawn)
+    path = tmp_path / "c.conf"
+    path.write_text("\n".join(tiny_config(tmp_path / "out", reps=12).echo_lines()) + "\n")
+    code = cli.main(["simulate", "--config", str(path)])
+    return code, capsys.readouterr().err.splitlines()
+
+
+class TestCellSplit:
+    @pytest.mark.parametrize("model", ["vmf", "hyperboloid"])
+    def test_rows_do_not_depend_on_the_cpus(self, model, monkeypatch, forked):
+        # one process per usable CPU, at most one per cell; none where the
+        # platform cannot tell which CPUs it may use
+        cfg = bundled_config(model, replications=4)
+        rows = {}
+        for cpus in (1, 2, 3, None):
+            if cpus is None:
+                monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            else:
+                _on_cpus(monkeypatch, cpus)
+            before = len(forked)
+            rows[cpus] = [harness.csv_rows(run(cfg)) for run in (run_nonsequential, run_sequential)]
+            assert len(forked) - before == 2 * (cpus or 1) - 2
+        _no_child_left(forked)
+        assert rows[2] == rows[1] and rows[3] == rows[1] and rows[None] == rows[1]
+
+    def test_child_error_ends_the_run(self, tmp_path, capsys, monkeypatch, forked):
+        def draw(stop_cell, k, args):
+            if k == 30.0:
+                raise ChartError("planted in the second cell")
+            return stop_cell(*args)
+
+        code, err = _simulate_with_draw(tmp_path, capsys, monkeypatch, draw)
+        assert (code, err) == (cli.EXIT_USAGE, ["error: planted in the second cell"])
+        _no_child_left(forked)
+
+    def test_unpicklable_child_error_keeps_its_message(self, tmp_path, capsys, monkeypatch, forked):
+        class Local(Exception):  # a local class does not pickle
+            pass
+
+        def draw(stop_cell, k, args):
+            if k == 30.0:
+                raise Local("planted")
+            return stop_cell(*args)
+
+        code, err = _simulate_with_draw(tmp_path, capsys, monkeypatch, draw)
+        assert (code, err) == (cli.EXIT_USAGE, ["error: Local: planted"])
+        _no_child_left(forked)
+
+    def test_errors_follow_grid_order(self, tmp_path, capsys, monkeypatch, forked):
+        # the first cell's exclusions fail in its statistics, after the second
+        # cell's draw failed in the child: the first cell's error is the run's
+        def draw(stop_cell, k, args):
+            if k == 30.0:
+                raise ChartError("planted in the second cell")
+            taus, sums, runaway = stop_cell(*args)
+            return taus, sums, np.ones_like(runaway)
+
+        code, err = _simulate_with_draw(tmp_path, capsys, monkeypatch, draw)
+        assert code == cli.EXIT_EXCLUSION
+        assert err == ["exclusion failure: cell seq:20.0: 12/12 replications excluded (> 1%)"]
+        _no_child_left(forked)
+
+    def test_killed_child_ends_the_run(self, tmp_path, capsys, monkeypatch, forked):
+        def draw(stop_cell, k, args):
+            if k == 30.0:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return stop_cell(*args)
+
+        code, err = _simulate_with_draw(tmp_path, capsys, monkeypatch, draw)
+        assert code == cli.EXIT_USAGE
+        assert err == ["error: the process computing cells [30.0] ended without its results (signal 9)"]
+        _no_child_left(forked)
+
+    def test_interrupt_kills_the_children(self, monkeypatch, forked):
+        # the child's cell would take a minute; the interrupt in this process's
+        # cell ends it at once
+        _on_cpus(monkeypatch, 2)
+
+        def fn(cell):
+            if cell == 0:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            list(harness._map_cells(fn, (0, 1)))
+        assert time.monotonic() - start < 30
+        _no_child_left(forked)
 
 
 class TestPersistence:

@@ -8,7 +8,8 @@ Wilson 95 % interval. Gates, bounds and batch counts are the report's own.
     python tools/gate_sweep.py --seeds 1001-1040
     python tools/gate_sweep.py --seeds 1 2 --replications 20
 
-At most two worker processes run at once.
+At most two worker processes run at once, each on one CPU of the sweep's own,
+so the library draws a run's cells in its worker, one after another.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import dataclasses
 import math
 import multiprocessing
+import os
 import re
 import sys
 import tempfile
@@ -60,9 +62,24 @@ def run_one(job: tuple[str, harness.ExperimentConfig, int]) -> tuple[str, list[t
     return name, gate.entries
 
 
+def pin_worker(cpus) -> None:
+    """Pool initializer: run this worker on the next CPU of the queue ``cpus``. The library
+    then sees one usable CPU and forks no process of its own."""
+    os.sched_setaffinity(0, {cpus.get()})
+
+
 def sweep(configs: dict[str, harness.ExperimentConfig], seeds: list[int]) -> list[tuple[str, list | None]]:
     jobs = [(name, config, seed) for name, config in configs.items() for seed in seeds]
-    with multiprocessing.get_context("spawn").Pool(min(MAX_PROCESSES, len(jobs))) as pool:
+    workers = min(MAX_PROCESSES, len(jobs))
+    context = multiprocessing.get_context("spawn")
+    pin = {}
+    if hasattr(os, "sched_getaffinity"):  # elsewhere the library draws a run's cells serially
+        allowed = sorted(os.sched_getaffinity(0))
+        cpus = context.Queue()
+        for i in range(workers):
+            cpus.put(allowed[i % len(allowed)])
+        pin = {"initializer": pin_worker, "initargs": (cpus,)}
+    with context.Pool(workers, **pin) as pool:
         return pool.map(run_one, jobs, chunksize=1)
 
 
